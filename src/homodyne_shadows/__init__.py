@@ -22,7 +22,7 @@ from .errors import (
     StrictModeSingularError,
     UnsupportedConfigurationError,
 )
-from .fockcore import bin_overlap, hermite_eval, wavefunction
+from .fockcore import bin_overlap, bin_overlaps, hermite_eval, wavefunction
 from .povm import (
     BinningScheme,
     MeasurementMatrix,

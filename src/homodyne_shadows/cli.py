@@ -26,6 +26,7 @@ or matrix files, singular strict inversion).
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -286,11 +287,41 @@ def _parse_edges(text):
 
 
 def _resolve_povm(args):
-    """Build (or load from cache) the POVM described by the common flags."""
+    """Build (or load from cache) the POVM described by the common flags.
+
+    An existing ``--povm-cache`` file is loaded.  When the other flags
+    describe a POVM too, the cache must hold exactly that one; when they
+    describe only part of one, each ``--nmax``/``--phases``/``--bins`` given
+    must match it.  A mismatch raises :class:`CacheKeyMismatchError`.
+    """
     cache = getattr(args, "povm_cache", None)
     if cache and os.path.exists(cache):
-        return povm_mod.load_povm(cache), True
+        try:
+            n_max, N, scheme = _requested_povm(args)
+        except UsageError:  # the flags describe no POVM, or only part of one
+            povm = povm_mod.load_povm(cache)
+            for flag, want, have in (
+                ("--nmax", args.nmax, povm.n_max),
+                ("--phases", args.phases, povm.grid.N),
+                ("--bins", args.bins, povm.binning.M),
+            ):
+                if want is not None and want != have:
+                    raise CacheKeyMismatchError(
+                        "cache %s holds a POVM with %s %d, but %d was requested"
+                        % (cache, flag, have, want)
+                    ) from None
+            return povm, True
+        key = povm_mod.povm_cache_key(n_max, N, scheme.edges, scheme.tail_mode)
+        return povm_mod.load_povm(cache, expected_key=key), True
+    n_max, N, scheme = _requested_povm(args)
+    built = povm_mod.build_povm(povm_mod.PhaseGrid(N), scheme, n_max)
+    if cache:
+        povm_mod.save_povm(built, cache)
+    return built, False
 
+
+def _requested_povm(args):
+    """(n_max, N, scheme) described by the flags; UsageError when incomplete."""
     if getattr(args, "scheme", None):
         scheme, doc = _load_scheme(args.scheme)
         n_max = args.nmax if args.nmax is not None else doc.get("n_max")
@@ -319,10 +350,7 @@ def _resolve_povm(args):
             scheme = povm_mod.BinningScheme.equal_spaced(
                 args.bins, half, tail_mode=args.tail_mode
             )
-    built = povm_mod.build_povm(povm_mod.PhaseGrid(int(N)), scheme, int(n_max))
-    if cache:
-        povm_mod.save_povm(built, cache)
-    return built, False
+    return int(n_max), int(N), scheme
 
 
 def _parse_state_spec(spec, n_max):
@@ -402,6 +430,11 @@ def _cmd_check_ic(args):
                     "required": report.required,
                     "spectrum_tail": tail,
                     "lambda_min": report.lambda_min,
+                    "condition_number": (
+                        report.condition_number
+                        if math.isfinite(report.condition_number)
+                        else None
+                    ),
                     "n_max": povm.n_max,
                     "N": povm.grid.N,
                     "M": povm.binning.M,
@@ -413,6 +446,7 @@ def _cmd_check_ic(args):
         print("rank: %d of %d required" % (report.rank, report.required))
         print("spectrum tail (5 smallest singular values): %s" % tail)
         print("frame lambda_min: %.6e" % report.lambda_min)
+        print("frame condition number: %.6e" % report.condition_number)
         print("verdict: %s" % ("complete" if report.complete else "incomplete"))
     return EXIT_OK if report.complete else EXIT_INCOMPLETE
 

@@ -4,17 +4,24 @@ Provides physicists' Hermite polynomials, the harmonic-oscillator
 (Fock-state) wavefunctions psi_n, and the normalized Gaussian-Hermite
 bin integrals
 
-    bin_overlap(m, n, a, b) = integral_a^b psi_m(x) psi_n(x) dx,
+    G[m, n] = integral_a^b psi_m(x) psi_n(x) dx,
 
 which are the real building blocks of every discretized-homodyne POVM
-matrix element.  Integration uses adaptive Gauss-Legendre panels with an
-absolute tolerance of 1e-12; infinite edges are truncated at a point far
-beyond the classically allowed region, where the integrand has decayed
-below any level that could affect the result.
+matrix element.
+
+``bin_overlaps`` is the library path.  It evaluates all bins of a grid in
+closed form from the cumulative integrals F(x) = integral_{-inf}^x psi_m psi_n:
+off-diagonal entries from the Wronskian of the oscillator equation, diagonal
+entries from a ladder recurrence seeded by the error function, so one
+evaluation of psi_0 .. psi_{n_max+1} at the bin edges gives every overlap.
+
+``bin_overlap`` computes a single integral by adaptive Gauss-Legendre
+quadrature with an absolute tolerance of 1e-12; infinite edges are truncated
+at a point far beyond the classically allowed region.  It is independent of
+the closed form and serves as the reference the tests compare it against.
 """
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -24,6 +31,7 @@ __all__ = [
     "hermite_eval",
     "wavefunction",
     "bin_overlap",
+    "bin_overlaps",
     "numeric_support",
     "DEFAULT_TOL",
 ]
@@ -73,17 +81,21 @@ def wavefunction(n, x):
     """
     if n < 0:
         raise ValueError("Fock index must be non-negative, got %r" % (n,))
-    x = np.asarray(x, dtype=float)
-    psi_prev = math.pi ** (-0.25) * np.exp(-0.5 * x * x)
-    if n == 0:
-        return psi_prev if psi_prev.ndim else float(psi_prev)
-    psi = x * math.sqrt(2.0) * psi_prev
-    for j in range(1, n):
-        psi, psi_prev = (
-            x * math.sqrt(2.0 / (j + 1)) * psi - math.sqrt(j / (j + 1)) * psi_prev,
-            psi,
-        )
+    psi = _wavefunctions(n, np.asarray(x, dtype=float))[n]
     return psi if psi.ndim else float(psi)
+
+
+def _wavefunctions(n_max, x):
+    """psi_0 .. psi_{n_max} at the points x, stacked along a new first axis."""
+    psi = np.empty((n_max + 1,) + x.shape)
+    psi[0] = math.pi ** (-0.25) * np.exp(-0.5 * x * x)
+    if n_max >= 1:
+        psi[1] = x * math.sqrt(2.0) * psi[0]
+    for j in range(1, n_max):
+        psi[j + 1] = (
+            x * math.sqrt(2.0 / (j + 1)) * psi[j] - math.sqrt(j / (j + 1)) * psi[j - 1]
+        )
+    return psi
 
 
 def numeric_support(m, n):
@@ -146,8 +158,7 @@ def _adaptive(m, n, a, b, tol, depth):
     )
 
 
-@lru_cache(maxsize=None)
-def _bin_overlap_cached(m, n, a, b, tol):
+def _bin_overlap_truncated(m, n, a, b, tol):
     lo = max(a, -numeric_support(m, n))
     hi = min(b, numeric_support(m, n))
     if hi <= lo:
@@ -190,5 +201,73 @@ def bin_overlap(m, n, a, b, tol=DEFAULT_TOL):
     if a == b:
         return 0.0
     if m > n:
-        m, n = n, m  # the integrand is symmetric; normalize the cache key
-    return _bin_overlap_cached(m, n, a, b, float(tol))
+        m, n = n, m  # the integrand is symmetric; integrate one ordering
+    return _bin_overlap_truncated(m, n, a, b, float(tol))
+
+
+def _cumulative_overlaps(n_max, x):
+    """F[j, m, n] = integral_{-inf}^{x_j} psi_m psi_n for finite edges x_j.
+
+    With psi_n' = sqrt(2n) psi_{n-1} - x psi_n (the ladder relation with
+    psi_{n+1} eliminated) the Wronskian identity
+    (psi_m psi_n' - psi_m' psi_n)' = 2(m - n) psi_m psi_n gives every
+    off-diagonal entry.  The diagonal follows from integrating
+    (psi_n psi_{n-1})' = sqrt(n/2)(psi_{n-1}^2 - psi_n^2)
+    - sqrt((n+1)/2) psi_{n+1} psi_{n-1} + sqrt((n-1)/2) psi_n psi_{n-2},
+    seeded by F_00 = (1 + erf x)/2; the recurrence needs the off-diagonal
+    entries one order above n_max, hence psi up to n_max + 1.
+    """
+    top = n_max + 2
+    psi = _wavefunctions(n_max + 1, x)
+    lowered = np.zeros_like(psi)  # sqrt(2n) psi_{n-1}
+    lowered[1:] = np.sqrt(2.0 * np.arange(1, top))[:, None] * psi[:-1]
+    # W[j, m, n] = psi_m sqrt(2n) psi_{n-1} - sqrt(2m) psi_{m-1} psi_n, exactly antisymmetric.
+    A = psi.T[:, :, None] * lowered.T[:, None, :]
+    W = A - A.transpose(0, 2, 1)
+    idx = np.arange(top)
+    gap = 2.0 * (idx[:, None] - idx[None, :])
+    np.fill_diagonal(gap, 1.0)
+    F = W / gap
+    F[:, 0, 0] = 0.5 * (1.0 + np.array([math.erf(v) for v in x]))
+    for n in range(1, n_max + 1):
+        ladder = psi[n] * psi[n - 1] + math.sqrt((n + 1) / 2.0) * F[:, n + 1, n - 1]
+        if n >= 2:
+            ladder -= math.sqrt((n - 1) / 2.0) * F[:, n, n - 2]
+        F[:, n, n] = F[:, n - 1, n - 1] - ladder / math.sqrt(n / 2.0)
+    d = n_max + 1
+    return F[:, :d, :d]
+
+
+def bin_overlaps(n_max, edges):
+    """All bin overlaps G[i, m, n] = integral_{x_i}^{x_{i+1}} psi_m psi_n in closed form.
+
+    Parameters
+    ----------
+    n_max : int
+        Fock cutoff (0 <= n_max <= 64); the blocks are (n_max+1) x (n_max+1).
+    edges : array_like
+        M+1 non-decreasing bin edges; the first may be ``-inf`` and the last
+        ``+inf`` (the cumulative integrals there are 0 and the identity).
+
+    Returns
+    -------
+    ndarray
+        Real array of shape (M, n_max+1, n_max+1), each block exactly
+        symmetric, computed as differences of the cumulative integrals at
+        consecutive edges.
+    """
+    n_max = int(n_max)
+    if not 0 <= n_max <= 64:
+        raise ValueError("n_max must lie in the supported envelope 0..64, got %d" % n_max)
+    edges = np.asarray(edges, dtype=float)
+    if edges.ndim != 1 or edges.size < 2:
+        raise ValueError("need at least two bin edges, got shape %r" % (edges.shape,))
+    if np.any(np.isnan(edges)) or np.any(np.diff(edges) < 0):
+        raise ValueError("bin edges must be non-decreasing")
+    d = n_max + 1
+    F = np.empty((edges.size, d, d))
+    finite = np.isfinite(edges)
+    F[finite] = _cumulative_overlaps(n_max, edges[finite])
+    F[edges == -np.inf] = 0.0
+    F[edges == np.inf] = np.eye(d)
+    return F[1:] - F[:-1]

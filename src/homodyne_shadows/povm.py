@@ -11,16 +11,21 @@ The 1/N factor is the probability of selecting phase k, so that summing an
 element over bins gives identity/N per phase and the full set resolves the
 identity on the truncated space (exactly so in extend-tails mode).
 
-This module builds the elements, assembles the measurement matrix whose
-numerical rank certifies informational completeness, designs bin edges that
-achieve completeness, and (de)serializes POVMs through a versioned JSON
-cache.
+Because the phases form a uniform grid, a discrete Fourier transform over k
+block-diagonalizes every quantity built from the elements: entries (m, n)
+only couple to entries (m', n') with m - n = m' - n' (mod N).  This module
+stores the real overlaps G and certifies completeness from the singular
+values of these small real blocks (``_phase_blocks``); the dense complex
+element matrices and the measurement matrix are assembled only on request.
+It also designs bin edges that achieve completeness and (de)serializes
+POVMs through a versioned JSON cache.
 """
 
 import hashlib
 import json
 import math
 import warnings
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +63,10 @@ _TAIL_MODES = (TAIL_EXTEND, TAIL_STRICT)
 
 DEFAULT_RANK_RTOL = 1e-10
 CACHE_VERSION = 1
+# Largest absolute deviation tolerated between a cached element matrix and
+# the rebuilt one; caches written by quadrature-based builds differ from the
+# closed form at roundoff level.
+CACHE_ATOL = 1e-12
 
 # Fractional offset applied to the right end of equal-spaced bin intervals.
 # An exactly mirror-symmetric grid makes whole families of POVM columns
@@ -219,17 +228,32 @@ class PovmElement:
 class PovmSet:
     """All M*N POVM elements for one (grid, binning, n_max) configuration.
 
-    The elements are stored as one complex array ``mats`` of shape
-    (M, N, n_max+1, n_max+1) with ``mats[i, k]`` the matrix of outcome
-    (i, k); ``element(i, k)`` wraps a single entry.
+    The POVM is held as the real overlap array ``G`` of shape
+    (M, n_max+1, n_max+1).  The complex element array ``mats`` of shape
+    (M, N, n_max+1, n_max+1), with ``mats[i, k]`` the matrix of outcome
+    (i, k), is derived from it on first access; ``element(i, k)`` wraps a
+    single entry.
     """
 
-    def __init__(self, grid, binning, n_max, mats):
+    def __init__(self, grid, binning, n_max, G):
         self.grid = grid
         self.binning = binning
         self.n_max = int(n_max)
-        self.mats = mats
-        self.mats.setflags(write=False)
+        self.G = np.asarray(G, dtype=float)
+        d = self.n_max + 1
+        if self.G.shape != (binning.M, d, d):
+            raise ValueError(
+                "overlap array of shape %r does not match M=%d, n_max=%d"
+                % (self.G.shape, binning.M, self.n_max)
+            )
+        self.G.setflags(write=False)
+
+    @cached_property
+    def mats(self):
+        """Complex element matrices (1/N) exp(1j*(m-n)*theta_k) G_i[m, n]."""
+        mats = self.G[:, None, :, :] * _phase_table(self.grid, self.dim)[None] / self.grid.N
+        mats.setflags(write=False)
+        return mats
 
     @property
     def dim(self):
@@ -265,23 +289,24 @@ class PovmSet:
     def validate_elements(self, atol=1e-10):
         """Check Hermiticity, positivity, and the operator bound <= identity/N.
 
+        Pi_{i,k} = D_k G_i D_k^dagger / N with the unitary
+        D_k = diag(exp(1j*m*theta_k)), so every phase of bin i has the
+        spectrum of G_i/N and the checks run on the real blocks G_i.
         Raises ``ValueError`` naming the first failed check; intended as a
         diagnostic, not part of the construction hot path.
         """
-        upper = np.eye(self.dim) / self.grid.N
-        for el in self.elements():
-            A = el.matrix
-            if np.max(np.abs(A - A.conj().T)) > 1e-12:
-                raise ValueError("element (%d,%d) is not Hermitian" % (el.i, el.k))
-            lo = np.linalg.eigvalsh(A)[0]
-            if lo < -atol:
+        N = self.grid.N
+        for i, A in enumerate(self.G):
+            if np.max(np.abs(A - A.T)) > 1e-12 * N:
+                raise ValueError("elements of bin %d are not Hermitian" % i)
+            lam = np.linalg.eigvalsh(A) / N
+            if lam[0] < -atol:
                 raise ValueError(
-                    "element (%d,%d) has negative eigenvalue %g" % (el.i, el.k, lo)
+                    "elements of bin %d have negative eigenvalue %g" % (i, lam[0])
                 )
-            hi = np.linalg.eigvalsh(upper - A)[0]
-            if hi < -atol:
+            if lam[-1] > 1.0 / N + atol:
                 raise ValueError(
-                    "element (%d,%d) exceeds identity/N by %g" % (el.i, el.k, -hi)
+                    "elements of bin %d exceed identity/N by %g" % (i, lam[-1] - 1.0 / N)
                 )
 
     def __repr__(self):
@@ -294,56 +319,91 @@ class PovmSet:
 
 
 class MeasurementMatrix:
-    """Column-stacked vectorizations of all POVM elements, with spectrum."""
+    """Column-stacked vectorizations of all POVM elements, with spectrum.
 
-    def __init__(self, matrix, singular_values, rank):
-        self.matrix = matrix
+    The spectrum comes from the phase-class blocks; the dense (d^2, N*M)
+    ``matrix`` is assembled from the POVM on first access.
+    """
+
+    def __init__(self, povm, singular_values, rank):
+        self.povm = povm
         self.singular_values = singular_values
         self.rank = int(rank)
 
     @property
     def shape(self):
-        return self.matrix.shape
+        return (self.povm.dim**2, self.povm.n_outcomes)
+
+    @cached_property
+    def matrix(self):
+        """E with column k*M + i = vectorize(Pi_{i,k})."""
+        p = self.povm
+        rows = np.transpose(p.mats, (1, 0, 3, 2)).reshape(p.n_outcomes, p.dim**2)
+        return rows.T.copy()
 
     def __repr__(self):
-        return "MeasurementMatrix(shape=%r, rank=%d)" % (self.matrix.shape, self.rank)
+        return "MeasurementMatrix(shape=%r, rank=%d)" % (self.shape, self.rank)
 
 
-def build_povm(grid, binning, n_max, tol=fockcore.DEFAULT_TOL):
+def _phase_table(grid, d):
+    """Phase factors exp(1j*(m-n)*theta_k) as an (N, d, d) array.
+
+    Entries below the diagonal are the conjugates of those above, so every
+    phase block is exactly Hermitian.
+    """
+    mn = np.arange(d)
+    diff = mn[:, None] - mn[None, :]
+    phase = np.exp(1j * np.abs(diff)[None, :, :] * grid.thetas[:, None, None])
+    return np.where(diff >= 0, phase, phase.conj())
+
+
+def build_povm(grid, binning, n_max):
     """Construct the POVM set for a phase grid and binning at cutoff n_max.
 
     Element (i, k) has matrix entries
-    (1/N) * exp(1j*(m-n)*theta_k) * bin_overlap(m, n, x_i, x_{i+1}); in
-    extend-tails mode the first/last bins integrate from -inf/to +inf while
-    the estimator weights keep their nominal finite values.
+    (1/N) * exp(1j*(m-n)*theta_k) * G_i[m, n] with the closed-form overlaps
+    G_i of :func:`fockcore.bin_overlaps`; in extend-tails mode the first/last
+    bins integrate from -inf/to +inf while the estimator weights keep their
+    nominal finite values.
     """
-    n_max = int(n_max)
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0, got %d" % n_max)
-    if n_max > 64:
-        raise ValueError("n_max above 64 is outside the supported envelope")
-    d = n_max + 1
-    M = binning.M
-    N = grid.N
-    eff = binning.integration_edges()
+    G = fockcore.bin_overlaps(n_max, binning.integration_edges())
+    return PovmSet(grid, binning, n_max, G)
 
-    # Real symmetric overlap blocks G_i[m, n]; one integral per (i, m<=n).
-    G = np.empty((M, d, d), dtype=float)
-    for i in range(M):
-        lo, hi = eff[i], eff[i + 1]
-        for m in range(d):
-            for n in range(m, d):
-                val = fockcore.bin_overlap(m, n, lo, hi, tol=tol)
-                G[i, m, n] = val
-                G[i, n, m] = val
 
-    # Phase factors exp(1j*(m-n)*theta_k), one d x d block per phase.
-    mn = np.arange(d)
-    diff = mn[:, None] - mn[None, :]
-    phase = np.exp(1j * diff[None, :, :] * grid.thetas[:, None, None])
+def _phase_blocks(povm):
+    """Yield (vec_index, B) for each class r = (m - n) mod N of the vec index.
 
-    mats = G[:, None, :, :] * phase[None, :, :, :] / N
-    return PovmSet(grid, binning, n_max, mats)
+    A DFT over the phase index k makes the measurement matrix block-diagonal:
+    column (i, k) restricted to class r is exp(1j*r*theta_k)/N times the real
+    vector G_i[class r], so class r contributes the real block
+    B[(m, n), i] = G_i[m, n] / sqrt(N) of shape (|class r|, M), with the same
+    singular values as its part of E.  ``vec_index`` holds the column-stacked
+    positions m + n*d of the class.  The frame splits the same way into the
+    blocks (B / w) @ B.T.
+    """
+    d = povm.dim
+    N = povm.grid.N
+    m, n = np.indices((d, d))
+    cls = (m - n) % N
+    for r in np.unique(cls):
+        sel = cls == r
+        yield (m + n * d)[sel], povm.G[:, m[sel], n[sel]].T / math.sqrt(N)
+
+
+def _frame_block(B, weights):
+    """Real symmetric frame block (B / w) @ B.T, symmetrized against roundoff."""
+    C = (B / weights) @ B.T
+    return 0.5 * (C + C.T)
+
+
+def _block_singular_values(povm):
+    """Singular values of E in descending order, from the phase-class blocks.
+
+    Padded with zeros to min(d^2, N*M), the length of E's own spectrum.
+    """
+    s = [np.linalg.svd(B, compute_uv=False) for _, B in _phase_blocks(povm)]
+    s = np.sort(np.concatenate(s))[::-1]
+    return np.concatenate([s, np.zeros(min(povm.dim**2, povm.n_outcomes) - s.size)])
 
 
 def vectorize(A):
@@ -357,48 +417,54 @@ def devectorize(v, d):
 
 
 def measurement_matrix(povm, rtol=DEFAULT_RANK_RTOL):
-    """Assemble E with column (k*M + i) = vectorize(Pi_{i,k}) and its SVD.
+    """E with column (k*M + i) = vectorize(Pi_{i,k}), its spectrum and rank.
 
     The numerical rank of E decides informational completeness: the POVM
-    spans the operator space iff rank(E) = (n_max+1)^2.
+    spans the operator space iff rank(E) = (n_max+1)^2.  The spectrum is
+    computed from the phase-class blocks; E itself is assembled only when
+    ``.matrix`` is read.
     """
-    d = povm.dim
-    M = povm.binning.M
-    N = povm.grid.N
-    # Row r of this (N*M, d*d) block is vectorize(mats[i, k]) at r = k*M + i.
-    rows = np.transpose(povm.mats, (1, 0, 3, 2)).reshape(N * M, d * d)
-    E = rows.T.copy()
-    rank, spectrum = numerical_rank(E, rtol=rtol)
-    return MeasurementMatrix(E, spectrum, rank)
+    s = _block_singular_values(povm)
+    return MeasurementMatrix(povm, s, _rank(s, (povm.dim**2, povm.n_outcomes), rtol))
+
+
+def _rank(s, shape, rtol):
+    """Count of descending singular values s above rtol * s_max * max(shape)."""
+    if rtol <= 0:
+        raise ValueError("rtol must be positive, got %g" % rtol)
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > rtol * s[0] * max(shape)))
 
 
 def numerical_rank(E, rtol=DEFAULT_RANK_RTOL):
     """Numerical rank: singular values above rtol * sigma_max * max(shape).
 
-    Accepts a plain array or a :class:`MeasurementMatrix`.  Returns
-    ``(rank, singular_values)`` with the spectrum in descending order.
+    Accepts a plain array or a :class:`MeasurementMatrix` (whose block
+    spectrum is reused).  Returns ``(rank, singular_values)`` with the
+    spectrum in descending order.
     """
-    if rtol <= 0:
-        raise ValueError("rtol must be positive, got %g" % rtol)
-    A = E.matrix if isinstance(E, MeasurementMatrix) else np.asarray(E)
-    if A.size == 0:
-        return 0, np.zeros(0)
-    s = np.linalg.svd(A, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0, s
-    cutoff = rtol * s[0] * max(A.shape)
-    return int(np.count_nonzero(s > cutoff)), s
+    if isinstance(E, MeasurementMatrix):
+        s, shape = E.singular_values, E.shape
+    else:
+        A = np.asarray(E)
+        s = np.linalg.svd(A, compute_uv=False) if A.size else np.zeros(0)
+        shape = A.shape
+    return _rank(s, shape, rtol), s
 
 
 class ICReport:
     """Verdict and diagnostics of an informational-completeness check."""
 
-    def __init__(self, complete, rank, required, singular_values, lambda_min):
+    def __init__(
+        self, complete, rank, required, singular_values, lambda_min, condition_number=math.inf
+    ):
         self.complete = bool(complete)
         self.rank = int(rank)
         self.required = int(required)
         self.singular_values = singular_values
         self.lambda_min = float(lambda_min)
+        self.condition_number = float(condition_number)
 
     def __bool__(self):
         return self.complete
@@ -417,15 +483,21 @@ def is_informationally_complete(povm, rtol=DEFAULT_RANK_RTOL):
 
     Returns an :class:`ICReport` (truthy iff complete) carrying the rank,
     the required dimension (n_max+1)^2, the singular-value spectrum, and
-    the minimum eigenvalue of the weighted frame operator as a conditioning
-    diagnostic.
+    the minimum eigenvalue and condition number of the weighted frame
+    operator as conditioning diagnostics.  Everything comes from the
+    phase-class blocks; no d^2-sized matrix is formed.
     """
     mm = measurement_matrix(povm, rtol=rtol)
     required = povm.dim * povm.dim
-    w_flat = np.tile(povm.binning.weights, povm.grid.N)
-    C = (mm.matrix / w_flat) @ mm.matrix.conj().T
-    lam_min = float(np.linalg.eigvalsh(0.5 * (C + C.conj().T))[0])
-    return ICReport(mm.rank == required, mm.rank, required, mm.singular_values, lam_min)
+    w = povm.binning.weights
+    lam = np.concatenate(
+        [np.linalg.eigvalsh(_frame_block(B, w)) for _, B in _phase_blocks(povm)]
+    )
+    lam_min, lam_max = float(lam.min()), float(lam.max())
+    cond = lam_max / lam_min if lam_min > 0 else math.inf
+    return ICReport(
+        mm.rank == required, mm.rank, required, mm.singular_values, lam_min, cond
+    )
 
 
 def sufficient_condition(N, M, n_max):
@@ -503,8 +575,7 @@ def design_bins(
     for t in range(int(max_iter) + 1):
         L = L0 + t * dL
         scheme = BinningScheme.equal_spaced(M, L, tail_mode=tail_mode)
-        povm = build_povm(grid, scheme, n_max)
-        rank, _ = numerical_rank(measurement_matrix(povm, rtol=rtol), rtol=rtol)
+        rank = measurement_matrix(build_povm(grid, scheme, n_max), rtol=rtol).rank
         if rank > best_rank:
             best_rank = rank
         if rank == required:
@@ -523,12 +594,13 @@ def normalization_residual(povm):
 
     Returns an array of length N with entries
     || sum_i Pi_{i,k} - identity/N ||_F.  Extend-tails schemes should sit at
-    roundoff; strict-finite schemes report their unmeasured tail mass.
+    roundoff; strict-finite schemes report their unmeasured tail mass.  The
+    phase factors have unit modulus and are 1 on the diagonal, so every
+    phase has the residual || sum_i G_i - identity ||_F / N.
     """
-    d = povm.dim
-    target = np.eye(d) / povm.grid.N
-    sums = povm.mats.sum(axis=0)
-    return np.linalg.norm(sums - target[None, :, :], axis=(1, 2))
+    N = povm.grid.N
+    residual = np.linalg.norm(povm.G.sum(axis=0) - np.eye(povm.dim)) / N
+    return np.full(N, residual)
 
 
 def povm_cache_key(n_max, N, edges, tail_mode):
@@ -573,11 +645,14 @@ def save_povm(povm, path):
 
 
 def load_povm(path, expected_key=None):
-    """Load a cached POVM, verifying its stored content hash.
+    """Load a cached POVM, verifying its stored content hash and elements.
 
     A stored key that disagrees with the hash recomputed from the cached
     parameters (or with ``expected_key``, when given) raises
-    :class:`~homodyne_shadows.errors.CacheKeyMismatchError`.
+    :class:`~homodyne_shadows.errors.CacheKeyMismatchError`.  The POVM is
+    then rebuilt from those parameters; a stored element matrix further than
+    ``CACHE_ATOL`` from the rebuilt one raises the same error.  The rebuilt
+    POVM is returned, so cached and fresh runs compute identical numbers.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -605,15 +680,15 @@ def load_povm(path, expected_key=None):
         raise CacheKeyMismatchError(
             "cache %s holds key %s but %s was requested" % (path, recomputed, expected_key)
         )
-    grid = PhaseGrid(N)
-    binning = BinningScheme(edges, tail_mode=tail_mode, weights=weights)
-    d = n_max + 1
-    M = binning.M
+    povm = build_povm(
+        PhaseGrid(N), BinningScheme(edges, tail_mode=tail_mode, weights=weights), n_max
+    )
+    d = povm.dim
+    M = povm.binning.M
     if len(entries) != M * N:
         raise CacheKeyMismatchError(
             "cache %s holds %d elements, expected %d" % (path, len(entries), M * N)
         )
-    mats = np.zeros((M, N, d, d), dtype=complex)
     seen = np.zeros((M, N), dtype=bool)
     for entry in entries:
         try:
@@ -629,8 +704,13 @@ def load_povm(path, expected_key=None):
                 "element (%r, %r) with shape %r does not fit cache %s"
                 % (i, k, A.shape, path)
             )
-        mats[i, k] = A
+        dev = float(np.max(np.abs(A - povm.mats[i, k])))
+        if not dev <= CACHE_ATOL:
+            raise CacheKeyMismatchError(
+                "element (%d, %d) in cache %s deviates from the POVM its key "
+                "describes by %.3e" % (i, k, path, dev)
+            )
         seen[i, k] = True
     if not seen.all():
         raise CacheKeyMismatchError("cache %s is missing POVM elements" % path)
-    return PovmSet(grid, binning, n_max, mats)
+    return povm

@@ -4,11 +4,16 @@ The measurement frame of a POVM set is the positive self-adjoint map
 
     C(rho) = sum_{i,k} Tr(rho Pi_{i,k}) Pi_{i,k} / w_i,
 
-represented here as a (n_max+1)^2 x (n_max+1)^2 Hermitian matrix acting on
-column-stacked vectorizations.  Inverting it (exactly when informationally
+a (n_max+1)^2 x (n_max+1)^2 matrix acting on column-stacked vectorizations.
+On the uniform phase grid it is real and block-diagonal in the classes
+r = (m - n) mod N of the vec index (``povm._phase_blocks``), so it is built,
+diagonalized and inverted one small real block at a time; the dense matrix
+is assembled only when read.  Inverting it (exactly when informationally
 complete, via Moore-Penrose pseudoinverse otherwise) turns each outcome
 (i, k) into a snapshot matrix rho_hat_{i,k} = C^{-1}(Pi_{i,k}/w_i) whose
 average over measurement records is an unbiased estimator of the state.
+The snapshots factor like the elements, rho_hat_{i,k} = S_i[m, n]
+exp(1j*(m-n)*theta_k)/N with real S_i.
 The module also provides the exact single-shot variance of an observable
 estimate, the state-independent shadow norm that bounds it, the closed-form
 parameter-count bound, and the Bernstein shot-count calculator.
@@ -16,11 +21,12 @@ parameter-count bound, and the Bernstein shot-count calculator.
 
 import math
 import warnings
+from functools import cached_property
 
 import numpy as np
 
 from .errors import MalformedRecordError, StrictModeSingularError
-from .povm import devectorize
+from .povm import _frame_block, _phase_blocks, _phase_table
 from .states import Observable, expectation
 
 __all__ = [
@@ -51,26 +57,47 @@ DEFAULT_THRESHOLD = 1e-12
 DEFAULT_BATCHES = 10
 
 
-def _flat_weights(povm):
-    """Per-column estimator weights matching measurement-matrix ordering."""
-    return np.tile(povm.binning.weights, povm.grid.N)
-
-
-def _stacked_columns(povm):
-    """(d^2, M*N) array with column k*M+i = vectorize(Pi_{i,k})."""
-    d = povm.dim
-    rows = np.transpose(povm.mats, (1, 0, 3, 2)).reshape(povm.n_outcomes, d * d)
-    return rows.T
+def _block_diagonal(d2, blocks):
+    """Dense d2 x d2 matrix with each (vec_index, block) placed on its classes."""
+    out = np.zeros((d2, d2))
+    for idx, A in blocks:
+        out[np.ix_(idx, idx)] = A
+    return out
 
 
 class FrameOperator:
-    """Weighted frame operator of a POVM set, with its eigendecomposition."""
+    """Weighted frame operator of a POVM set, with its eigendecomposition.
 
-    def __init__(self, matrix, eigenvalues, eigenvectors, povm):
-        self.matrix = matrix
-        self.eigenvalues = eigenvalues
-        self.eigenvectors = eigenvectors
+    ``blocks`` holds one (vec_index, C_r, eigenvalues_r, eigenvectors_r) per
+    phase class.  ``eigenvalues`` is the whole ascending spectrum; the dense
+    ``matrix`` and ``eigenvectors`` (columns ordered like ``eigenvalues``)
+    are assembled on first access.
+    """
+
+    def __init__(self, blocks, povm):
+        self.blocks = blocks
         self.povm = povm
+        lam = np.concatenate([b[2] for b in blocks])
+        self._order = np.argsort(lam, kind="stable")
+        self.eigenvalues = lam[self._order]
+
+    @property
+    def dim(self):
+        """Size (n_max+1)^2 of the operator."""
+        return self.eigenvalues.size
+
+    @cached_property
+    def matrix(self):
+        return _block_diagonal(self.dim, ((idx, C) for idx, C, _, _ in self.blocks))
+
+    @cached_property
+    def eigenvectors(self):
+        V = np.zeros((self.dim, self.dim))
+        col = 0
+        for idx, _, lam, U in self.blocks:
+            V[idx, col:col + lam.size] = U
+            col += lam.size
+        return V[:, self._order]
 
     @property
     def lambda_min(self):
@@ -88,20 +115,28 @@ class FrameOperator:
 
     def __repr__(self):
         return "FrameOperator(dim=%d, lambda_min=%.3e, cond=%.3e)" % (
-            self.matrix.shape[0],
+            self.dim,
             self.lambda_min,
             self.condition_number,
         )
 
 
 class InverseFrame:
-    """Strict inverse or Moore-Penrose pseudoinverse of a frame operator."""
+    """Strict inverse or Moore-Penrose pseudoinverse of a frame operator.
 
-    def __init__(self, mode, matrix, threshold, frame):
+    ``blocks`` pairs each phase class's vec_index with its inverse block;
+    the dense ``matrix`` is assembled on first access.
+    """
+
+    def __init__(self, mode, blocks, threshold, frame):
         self.mode = mode
-        self.matrix = matrix
+        self.blocks = blocks
         self.threshold = float(threshold)
         self.frame = frame
+
+    @cached_property
+    def matrix(self):
+        return _block_diagonal(self.frame.dim, self.blocks)
 
     def __repr__(self):
         return "InverseFrame(mode=%r, threshold=%g)" % (self.mode, self.threshold)
@@ -200,16 +235,20 @@ class EstimateReport:
 def frame_operator(povm):
     """Build the weighted frame operator and its eigendecomposition.
 
-    The matrix is sum_{i,k} vec(Pi_{i,k}) vec(Pi_{i,k})^dagger / w_i,
-    Hermitized to scrub roundoff; eigenvalues are returned ascending.
-    Doubling all weights halves the operator (it is linear in 1/w_i).
+    The matrix is sum_{i,k} vec(Pi_{i,k}) vec(Pi_{i,k})^dagger / w_i.  The
+    sum over the uniform phase grid leaves one real block
+    sum_i G_i[r] G_i[r]^T / (N w_i) per phase class r; each is symmetrized
+    to scrub roundoff and diagonalized on its own.  Eigenvalues are returned
+    ascending.  Doubling all weights halves the operator (it is linear in
+    1/w_i).
     """
-    E = _stacked_columns(povm)
-    w = _flat_weights(povm)
-    C = (E / w) @ E.conj().T
-    C = 0.5 * (C + C.conj().T)
-    eigenvalues, eigenvectors = np.linalg.eigh(C)
-    return FrameOperator(C, eigenvalues, eigenvectors, povm)
+    w = povm.binning.weights
+    blocks = []
+    for idx, B in _phase_blocks(povm):
+        C = _frame_block(B, w)
+        lam, V = np.linalg.eigh(C)
+        blocks.append((idx, C, lam, V))
+    return FrameOperator(blocks, povm)
 
 
 def invert_frame(frame, mode=MODE_STRICT, threshold=DEFAULT_THRESHOLD):
@@ -217,12 +256,11 @@ def invert_frame(frame, mode=MODE_STRICT, threshold=DEFAULT_THRESHOLD):
 
     Strict mode demands lambda_min > threshold and inverts every eigenvalue;
     pseudo mode inverts only eigenvalues above the threshold and zeroes the
-    rest, projecting onto the frame's range.
+    rest, projecting onto the frame's range.  Each phase-class block is
+    inverted separately.
     """
     if mode not in (MODE_STRICT, MODE_PSEUDO):
         raise ValueError("mode must be 'strict' or 'pseudo', got %r" % (mode,))
-    lam = frame.eigenvalues
-    V = frame.eigenvectors
     if mode == MODE_STRICT:
         if frame.lambda_min <= threshold:
             raise StrictModeSingularError(
@@ -231,36 +269,50 @@ def invert_frame(frame, mode=MODE_STRICT, threshold=DEFAULT_THRESHOLD):
                 "the measurable subspace" % (frame.lambda_min, threshold),
                 lambda_min=frame.lambda_min,
             )
-        inv_lam = 1.0 / lam
-    else:
-        inv_lam = np.where(lam > threshold, 1.0 / np.where(lam > threshold, lam, 1.0), 0.0)
-    Cinv = (V * inv_lam) @ V.conj().T
-    Cinv = 0.5 * (Cinv + Cinv.conj().T)
-    return InverseFrame(mode, Cinv, threshold, frame)
+    blocks = []
+    for idx, _, lam, V in frame.blocks:
+        if mode == MODE_STRICT:
+            inv_lam = 1.0 / lam
+        else:
+            keep = lam > threshold
+            inv_lam = np.where(keep, 1.0 / np.where(keep, lam, 1.0), 0.0)
+        Cinv = (V * inv_lam) @ V.T
+        blocks.append((idx, 0.5 * (Cinv + Cinv.T)))
+    return InverseFrame(mode, blocks, threshold, frame)
 
 
 def snapshots(povm, inv):
     """Apply the inverse frame to every weighted POVM element.
 
-    Returns the table of snapshot matrices C^{-1}(Pi_{i,k}/w_i),
-    devectorized and Hermitized ((A + A^dagger)/2) to scrub roundoff.
+    Returns the table of snapshot matrices C^{-1}(Pi_{i,k}/w_i).  On phase
+    class r the weighted element is exp(1j*r*theta_k)/N times the real
+    vector G_i[class r]/w_i, so the inverse blocks give real matrices S_i
+    once per bin and rho_hat_{i,k} = S_i exp(1j*(m-n)*theta_k)/N.  S_i is
+    symmetrized ((S + S^T)/2) to scrub roundoff, which makes every snapshot
+    exactly Hermitian.  The inverse frame must come from a POVM with the
+    same dimension and phase grid.
     """
     d = povm.dim
-    if inv.matrix.shape != (d * d, d * d):
+    source = inv.frame.povm
+    if source.dim != d:
         raise ValueError(
-            "inverse frame of shape %r does not match POVM dimension %d"
-            % (inv.matrix.shape, d)
+            "inverse frame of dimension %d does not match POVM dimension %d"
+            % (source.dim, d)
         )
-    E = _stacked_columns(povm)
-    w = _flat_weights(povm)
-    cols = inv.matrix @ (E / w)
+    if source.grid != povm.grid:
+        raise ValueError(
+            "inverse frame built on %r does not match the POVM's %r"
+            % (source.grid, povm.grid)
+        )
     M = povm.binning.M
     N = povm.grid.N
-    snaps = np.empty((M, N, d, d), dtype=complex)
-    for k in range(N):
-        for i in range(M):
-            A = devectorize(cols[:, k * M + i], d)
-            snaps[i, k] = 0.5 * (A + A.conj().T)
+    w = povm.binning.weights
+    S = np.empty((M, d * d))  # column-stacked vec(S_i) per row
+    for (idx, B), (_, Cinv) in zip(_phase_blocks(povm), inv.blocks):
+        S[:, idx] = (Cinv @ (B * (math.sqrt(N) / w))).T
+    S = S.reshape(M, d, d)  # row-major reshape of vec(S_i) gives S_i^T
+    S = (0.5 / N) * (S + S.transpose(0, 2, 1))  # symmetric, so the order is moot
+    snaps = S[:, None, :, :] * _phase_table(povm.grid, d)[None]
     return SnapshotTable(snaps, inv.mode, inv.threshold)
 
 

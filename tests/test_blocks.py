@@ -1,0 +1,152 @@
+"""The phase-class block path against a dense reference.
+
+The reference keeps the dense formulas: the measurement matrix E with
+column k*M + i = vec(Pi_{i,k}) and its SVD rank, the frame (E/w) E^dagger
+with ``eigh``, and the snapshots C^{-1}(E/w) devectorized one column at a
+time.  The library computes all of these from small real blocks, one per
+phase class (m - n) mod N.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from homodyne_shadows import povm as pv
+from homodyne_shadows import shadow as sh
+from homodyne_shadows.povm import (
+    BinningScheme,
+    PhaseGrid,
+    build_povm,
+    design_bins,
+    devectorize,
+    is_informationally_complete,
+    measurement_matrix,
+    vectorize,
+)
+
+
+def _weighted(scheme, seed):
+    rng = np.random.default_rng(seed)
+    return BinningScheme(
+        scheme.edges, tail_mode=scheme.tail_mode, weights=rng.uniform(0.2, 3.0, scheme.M)
+    )
+
+
+# name -> (scheme factory, N, n_max, expected rank)
+CONFIGS = {
+    "extend": (lambda: design_bins(3, 7, 5), 7, 3, 16),
+    "strict": (
+        lambda: BinningScheme.equal_spaced(8, 2.2, tail_mode=pv.TAIL_STRICT), 7, 3, 16
+    ),
+    # N = 7 < 2*n_max + 1: offsets 4 and -3 (and -4 and 3) share a class.
+    "aliased": (lambda: design_bins(4, 7, 9), 7, 4, 25),
+    # Even N <= 2*n_max: provably incomplete, inverted in pseudo mode.
+    "aliased-incomplete": (lambda: BinningScheme.equal_spaced(8, 3.5), 6, 3, None),
+    # Mirror-symmetric bins: one parity null direction, pseudo mode.
+    "degenerate": (
+        lambda: BinningScheme([-4.0, 0.0, 4.0], tail_mode=pv.TAIL_STRICT), 3, 1, 3
+    ),
+    "weighted": (lambda: _weighted(design_bins(2, 5, 3), 42), 5, 2, 9),
+}
+
+
+class DenseReference:
+    def __init__(self, povm, rtol=pv.DEFAULT_RANK_RTOL):
+        d, M, N = povm.dim, povm.binning.M, povm.grid.N
+        self.d, self.M, self.N = d, M, N
+        self.E = np.stack(
+            [vectorize(povm.mats[i, k]) for k in range(N) for i in range(M)], axis=1
+        )
+        self.s = np.linalg.svd(self.E, compute_uv=False)
+        self.rank = int(np.count_nonzero(self.s > rtol * self.s[0] * max(self.E.shape)))
+        self.w = np.tile(povm.binning.weights, N)
+        C = (self.E / self.w) @ self.E.conj().T
+        self.C = 0.5 * (C + C.conj().T)
+        self.lam, self.V = np.linalg.eigh(self.C)
+
+    def snapshots(self, mode, threshold):
+        lam = self.lam
+        if mode == sh.MODE_STRICT:
+            inv_lam = 1.0 / lam
+        else:
+            inv_lam = np.where(lam > threshold, 1.0 / np.where(lam > threshold, lam, 1.0), 0.0)
+        Cinv = (self.V * inv_lam) @ self.V.conj().T
+        cols = Cinv @ (self.E / self.w)
+        snaps = np.empty((self.M, self.N, self.d, self.d), dtype=complex)
+        for k in range(self.N):
+            for i in range(self.M):
+                A = devectorize(cols[:, k * self.M + i], self.d)
+                snaps[i, k] = 0.5 * (A + A.conj().T)
+        return snaps
+
+
+@pytest.fixture(scope="module", params=sorted(CONFIGS))
+def case(request):
+    factory, N, n_max, rank = CONFIGS[request.param]
+    with warnings.catch_warnings():
+        # The aliased designs sit below the sufficiency threshold on purpose.
+        warnings.simplefilter("ignore", UserWarning)
+        p = build_povm(PhaseGrid(N), factory(), n_max)
+    return p, DenseReference(p), rank
+
+
+def test_rank_and_spectrum_match_dense(case):
+    p, ref, rank = case
+    mm = measurement_matrix(p)
+    assert mm.shape == ref.E.shape
+    assert mm.rank == ref.rank
+    if rank is not None:
+        assert mm.rank == rank
+    assert mm.singular_values.shape == ref.s.shape
+    assert np.max(np.abs(mm.singular_values - ref.s)) <= 1e-12 * ref.s[0]
+    assert np.array_equal(mm.matrix, ref.E)
+
+
+def test_ic_report_matches_dense(case):
+    p, ref, _ = case
+    report = is_informationally_complete(p)
+    assert report.rank == ref.rank
+    assert report.complete == (ref.rank == p.dim**2)
+    assert report.lambda_min == pytest.approx(ref.lam[0], abs=1e-14)
+    if ref.lam[0] > sh.DEFAULT_THRESHOLD:
+        assert report.condition_number == pytest.approx(ref.lam[-1] / ref.lam[0], rel=1e-8)
+
+
+def test_frame_matches_dense(case):
+    p, ref, _ = case
+    frame = sh.frame_operator(p)
+    assert np.max(np.abs(frame.eigenvalues - ref.lam)) <= 1e-14
+    assert np.max(np.abs(frame.matrix - ref.C)) <= 1e-15
+    V = frame.eigenvectors
+    assert np.max(np.abs(V.T @ V - np.eye(p.dim**2))) <= 1e-12
+    assert np.max(np.abs(frame.matrix @ V - V * frame.eigenvalues)) <= 1e-14
+
+
+def test_snapshots_match_dense(case):
+    p, ref, _ = case
+    complete = is_informationally_complete(p).complete
+    mode = sh.MODE_STRICT if complete else sh.MODE_PSEUDO
+    inv = sh.invert_frame(sh.frame_operator(p), mode=mode)
+    table = sh.snapshots(p, inv)
+    expected = ref.snapshots(mode, inv.threshold)
+    scale = max(1.0, float(np.max(np.abs(expected))))
+    assert np.max(np.abs(table.snapshots - expected)) <= 1e-9 * scale
+
+
+def test_inverse_matrix_matches_dense(case):
+    p, ref, _ = case
+    frame = sh.frame_operator(p)
+    inv = sh.invert_frame(frame, mode=sh.MODE_PSEUDO)
+    keep = ref.lam > inv.threshold
+    inv_lam = np.where(keep, 1.0 / np.where(keep, ref.lam, 1.0), 0.0)
+    Cinv = (ref.V * inv_lam) @ ref.V.conj().T
+    assert np.max(np.abs(inv.matrix - Cinv)) <= 1e-9 * max(1.0, np.max(np.abs(Cinv)))
+
+
+def test_snapshots_reject_other_phase_grid():
+    a = build_povm(PhaseGrid(5), BinningScheme.equal_spaced(3, 2.0), 2)
+    b = build_povm(PhaseGrid(7), BinningScheme.equal_spaced(3, 2.0), 2)
+    inv = sh.invert_frame(sh.frame_operator(a), mode=sh.MODE_PSEUDO)
+    with pytest.raises(ValueError):
+        sh.snapshots(b, inv)

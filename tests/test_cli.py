@@ -80,6 +80,12 @@ class TestCheckIC:
         assert len(doc["spectrum_tail"]) <= 5
         assert doc["lambda_min"] > 0
 
+    def test_json_reports_condition_number(self, capsys):
+        code = run(["check-ic", "--nmax", "1", "--phases", "3", "--bins", "3", "--json"])
+        assert code == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert 1.0 <= doc["condition_number"] < 1e12
+
     def test_incomplete_scheme_exits_3(self, capsys):
         # Two phases can never resolve a two-level coherence grid.
         code = run(["check-ic", "--nmax", "1", "--phases", "2", "--bins", "2"])
@@ -391,6 +397,19 @@ class TestPovmCache:
         doc["n_max"] = 3
         cache.write_text(json.dumps(doc))
         assert run(args) == EXIT_DATA
+
+    def test_cache_of_another_povm_exits_65(self, tmp_path, capsys):
+        cache = tmp_path / "povm.json"
+        small = ["--nmax", "1", "--phases", "3", "--bins", "3"]
+        assert run(["check-ic"] + small + ["--povm-cache", str(cache)]) == EXIT_OK
+        other = ["--nmax", "2", "--phases", "5", "--bins", "3"]
+        assert run(["check-ic"] + other + ["--povm-cache", str(cache)]) == EXIT_DATA
+        assert "cache" in capsys.readouterr().err
+        partial = ["--nmax", "2", "--phases", "5"]
+        assert run(["check-ic"] + partial + ["--povm-cache", str(cache)]) == EXIT_DATA
+        # The same POVM, or no description at all, still loads the cache.
+        assert run(["check-ic"] + small + ["--povm-cache", str(cache)]) == EXIT_OK
+        assert run(["check-ic", "--povm-cache", str(cache)]) == EXIT_OK
 
 
 class TestTopLevel:

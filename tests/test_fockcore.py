@@ -9,7 +9,7 @@ from scipy import special
 
 from homodyne_shadows import fockcore
 from homodyne_shadows.errors import QuadratureConvergenceError
-from homodyne_shadows.fockcore import bin_overlap, hermite_eval, wavefunction
+from homodyne_shadows.fockcore import bin_overlap, bin_overlaps, hermite_eval, wavefunction
 
 
 class TestHermiteEval:
@@ -144,3 +144,75 @@ class TestBinOverlap:
         with pytest.raises(QuadratureConvergenceError) as excinfo:
             bin_overlap(6, 6, -3.0, 3.0, tol=1e-33)
         assert excinfo.value.achieved_error > 0.0
+
+
+# Left edges for the closed-form comparison: the -inf tail, the central
+# region, and far tails where every retained Hermite function has decayed.
+_left_edges = st.one_of(
+    st.just(-math.inf),
+    st.floats(-6.0, 6.0),
+    st.floats(-30.0, -8.0),
+    st.floats(8.0, 30.0),
+)
+_widths = st.one_of(
+    st.floats(1e-7, 1e-3),  # narrow bins
+    st.floats(1e-3, 8.0),
+    st.just(math.inf),  # +inf tail
+)
+
+
+class TestBinOverlaps:
+    @settings(max_examples=60, deadline=None)
+    @given(n_max=st.integers(0, 64), a=_left_edges, width=_widths, data=st.data())
+    def test_matches_quadrature(self, n_max, a, width, data):
+        if math.isinf(width):
+            b = math.inf
+        elif math.isinf(a):
+            b = width - 4.0  # a finite right edge for the -inf tail bin
+        else:
+            b = a + width
+        G = bin_overlaps(n_max, [a, b])
+        assert G.shape == (1, n_max + 1, n_max + 1)
+        index = st.integers(0, n_max)
+        pairs = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=5))
+        for m, n in pairs + [(n_max, n_max)]:
+            assert abs(G[0, m, n] - bin_overlap(m, n, a, b)) <= 1e-13
+
+    def test_grid_matches_quadrature_entrywise(self):
+        edges = [-np.inf, -2.5, -0.4, -0.3995, 1.1, 4.0, np.inf]
+        G = bin_overlaps(6, edges)
+        for i in range(len(edges) - 1):
+            for m in range(7):
+                for n in range(7):
+                    ref = bin_overlap(m, n, edges[i], edges[i + 1])
+                    assert abs(G[i, m, n] - ref) <= 1e-13
+
+    def test_blocks_are_exactly_symmetric(self):
+        G = bin_overlaps(20, np.linspace(-7.0, 7.0, 9))
+        assert np.array_equal(G, G.transpose(0, 2, 1))
+
+    def test_full_line_is_identity(self):
+        for n_max in (0, 5, 64):
+            G = bin_overlaps(n_max, [-np.inf, np.inf])
+            assert np.array_equal(G[0], np.eye(n_max + 1))
+
+    def test_ground_state_closed_form(self):
+        edges = np.array([-1.3, 0.2, 2.0])
+        G = bin_overlaps(0, edges)
+        expected = 0.5 * (special.erf(edges[1:]) - special.erf(edges[:-1]))
+        assert np.allclose(G[:, 0, 0], expected, rtol=0, atol=1e-15)
+
+    def test_tail_bins_complete_the_identity(self):
+        # Bins from -inf to +inf telescope to the identity: orthonormality.
+        G = bin_overlaps(30, [-np.inf, -3.0, 0.5, 0.50001, 6.0, np.inf])
+        assert np.max(np.abs(G.sum(axis=0) - np.eye(31))) <= 1e-14
+
+    def test_invalid_arguments(self):
+        with pytest.raises(ValueError):
+            bin_overlaps(65, [0.0, 1.0])
+        with pytest.raises(ValueError):
+            bin_overlaps(-1, [0.0, 1.0])
+        with pytest.raises(ValueError):
+            bin_overlaps(2, [1.0, 0.0])
+        with pytest.raises(ValueError):
+            bin_overlaps(2, [0.0])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -306,3 +307,74 @@ class TestPovmCache:
         save_povm(p, path)
         with pytest.raises(CacheKeyMismatchError):
             load_povm(path, expected_key="0" * 64)
+
+    def test_tampered_element_rejected(self, tmp_path):
+        # The key covers the parameters only; a changed element matrix under
+        # a valid key must not load.
+        p = build_povm(PhaseGrid(3), BinningScheme.equal_spaced(3, 1.5), 1)
+        path = tmp_path / "povm.json"
+        save_povm(p, path)
+        doc = json.loads(path.read_text())
+        doc["elements"][4]["matrix"][0][1][0] += 1e-6
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CacheKeyMismatchError):
+            load_povm(path)
+
+    def test_roundoff_level_deviation_loads_rebuilt_povm(self, tmp_path):
+        # Caches whose elements differ from the closed-form build at roundoff
+        # level (as quadrature-built ones do) still load, and the returned
+        # POVM is the rebuilt one.
+        p = build_povm(PhaseGrid(3), BinningScheme.equal_spaced(3, 1.5), 1)
+        path = tmp_path / "povm.json"
+        save_povm(p, path)
+        doc = json.loads(path.read_text())
+        for entry in doc["elements"]:
+            entry["matrix"][0][0][0] += 3e-13
+        path.write_text(json.dumps(doc))
+        loaded = load_povm(path)
+        assert np.array_equal(loaded.G, p.G)
+        assert np.array_equal(loaded.mats, p.mats)
+
+
+class TestStructuredPath:
+    def test_condition_number_matches_frame(self):
+        from homodyne_shadows.shadow import frame_operator
+
+        p = build_povm(PhaseGrid(7), design_bins(3, 7, 5), 3)
+        report = is_informationally_complete(p)
+        assert report.condition_number == pytest.approx(
+            frame_operator(p).condition_number, rel=1e-10
+        )
+
+    def test_incomplete_condition_number_is_infinite_or_huge(self):
+        p = build_povm(
+            PhaseGrid(3), BinningScheme([-4.0, 0.0, 4.0], tail_mode=pv.TAIL_STRICT), 1
+        )
+        assert is_informationally_complete(p).condition_number > 1e12
+
+    def test_overlaps_match_quadrature(self):
+        from homodyne_shadows.fockcore import bin_overlap
+
+        scheme = BinningScheme.equal_spaced(4, 2.0)
+        p = build_povm(PhaseGrid(3), scheme, 3)
+        eff = scheme.integration_edges()
+        for i in range(4):
+            for m in range(4):
+                for n in range(4):
+                    ref = bin_overlap(m, n, eff[i], eff[i + 1])
+                    assert abs(p.G[i, m, n] - ref) <= 1e-13
+
+    def test_envelope_certifies_without_dense_elements(self, monkeypatch):
+        # n_max = 64 at N = 129, M = 130: the dense element array would take
+        # 1.1 GB, so certification must run on the phase-class blocks alone.
+        def no_mats(self):
+            raise AssertionError("dense POVM elements were materialized")
+
+        monkeypatch.setattr(pv.PovmSet, "mats", property(no_mats))
+        start = time.perf_counter()
+        scheme = design_bins(64, 129, 130)
+        report = is_informationally_complete(build_povm(PhaseGrid(129), scheme, 64))
+        elapsed = time.perf_counter() - start
+        assert report.complete and report.rank == 65 * 65
+        # About 0.2 s on a 2-core machine; the bound leaves room for load.
+        assert elapsed < 5.0

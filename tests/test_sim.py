@@ -115,7 +115,7 @@ class TestOutcomeDistribution:
 
     def test_genuinely_negative_probability_rejected(self, tiny_povm):
         flipped = PovmSet(
-            tiny_povm.grid, tiny_povm.binning, tiny_povm.n_max, -tiny_povm.mats.copy()
+            tiny_povm.grid, tiny_povm.binning, tiny_povm.n_max, -tiny_povm.G
         )
         with pytest.raises(InvariantViolationError) as excinfo:
             outcome_distribution(fock(0, 1), flipped)
