@@ -56,6 +56,7 @@ from .shadow import (
 )
 from .sim import (
     MeasurementRecord,
+    Records,
     MultiModeConfig,
     OutcomeDistribution,
     bin_raw,

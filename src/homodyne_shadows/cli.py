@@ -11,7 +11,7 @@ check-ic
 simulate
     Sample seeded measurement records of a chosen state into a CSV file.
 estimate
-    Fold a record CSV into an observable estimate (JSON report).
+    Fold a single-mode record CSV into an observable estimate (JSON report).
 variance-scan
     Sweep one parameter (phases/bins/nmax) and tabulate the exact
     single-shot variance of the photon-number estimator for a coherent
@@ -19,8 +19,8 @@ variance-scan
     elsewhere (flagged per row).
 
 Exit codes: 0 success, 2 bin-design exhaustion, 3 negative completeness
-verdict, 64 usage error, 65 unusable data (corrupt cache, malformed records
-or matrix files, singular strict inversion).
+verdict, 64 usage error, 65 unusable data (corrupt cache, malformed or
+mixed-mode records, malformed matrix files, singular strict inversion).
 """
 
 import argparse

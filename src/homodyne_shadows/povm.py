@@ -31,6 +31,7 @@ import numpy as np
 
 from . import fockcore
 from .errors import BinDesignError, CacheKeyMismatchError
+from .states import _matrix_from_json, _matrix_to_json
 
 __all__ = [
     "TAIL_EXTEND",
@@ -272,12 +273,6 @@ class PovmSet:
         if not 0 <= k < self.grid.N:
             raise ValueError("phase index %r outside 0..%d" % (k, self.grid.N - 1))
         return PovmElement(i, k, self.mats[i, k])
-
-    def elements(self):
-        """Iterate over all elements in column order (k outer, i inner)."""
-        for k in range(self.grid.N):
-            for i in range(self.binning.M):
-                yield self.element(i, k)
 
     @property
     def cache_key(self):
@@ -617,14 +612,6 @@ def povm_cache_key(n_max, N, edges, tail_mode):
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _matrix_to_json(A):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(A)]
-
-
-def _matrix_from_json(rows):
-    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
-
-
 def save_povm(povm, path):
     """Write a versioned JSON cache of the POVM (bit-exact round trip)."""
     doc = {
@@ -636,8 +623,9 @@ def save_povm(povm, path):
         "weights": [float(w) for w in povm.binning.weights],
         "cache_key": povm.cache_key,
         "elements": [
-            {"i": el.i, "k": el.k, "matrix": _matrix_to_json(el.matrix)}
-            for el in povm.elements()
+            {"i": i, "k": k, "matrix": _matrix_to_json(povm.mats[i, k])}
+            for k in range(povm.grid.N)
+            for i in range(povm.binning.M)
         ],
     }
     with open(path, "w", encoding="utf-8") as fh:

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import MalformedRecordError, StrictModeSingularError
+from .errors import StrictModeSingularError
 from .povm import _frame_block, _phase_blocks, _phase_table
 from .states import Observable, expectation
 
@@ -352,6 +352,38 @@ def _parse_variant(variant, batches):
     )
 
 
+def _aggregate(values, variant="plain-mean", batches=DEFAULT_BATCHES):
+    """Fold per-shot values into ``(mean, stderr, variant label)``.
+
+    ``"plain-mean"`` averages all T values.  ``"median-of-means"`` (or
+    ``"median-of-means:B"`` inline) splits them into min(B, T) contiguous
+    batches and takes the median of the batch means (Huang, Kueng & Preskill
+    2020); the label names that effective batch count.  ``stderr`` is the
+    plain-mean standard error std(values, ddof=1)/sqrt(T) in both variants,
+    and 0 for a single shot.
+    """
+    kind, B = _parse_variant(variant, batches)
+    T = values.size
+    if T == 0:
+        raise ValueError("record stream is empty")
+    if kind == "plain-mean":
+        mean = float(np.mean(values))
+        label = "plain-mean"
+    else:
+        B = min(B, T)
+        mean = float(np.median([np.mean(chunk) for chunk in np.array_split(values, B)]))
+        label = "median-of-means:%d" % B
+    stderr = float(np.std(values, ddof=1) / math.sqrt(T)) if T > 1 else 0.0
+    return mean, stderr, label
+
+
+def _single_mode_records(records, table):
+    """Records validated against the table's M x N grid, one mode per stream."""
+    from .sim import checked_records  # sim imports this module
+
+    return checked_records(records, table.M, table.N)
+
+
 def estimate_observable(
     records,
     table,
@@ -360,57 +392,27 @@ def estimate_observable(
     batches=DEFAULT_BATCHES,
     keep_values=False,
 ):
-    """Fold a record stream into an observable estimate.
+    """Fold a single-mode record stream into an observable estimate.
 
     Each record contributes the per-shot value Tr(X rho_hat_{i,k}) of its
-    outcome.  ``variant`` selects plain averaging or median-of-means over
-    ``batches`` contiguous batches (also accepted inline as
-    ``"median-of-means:B"``).  The standard error is the sample standard
-    deviation divided by sqrt(T) in either variant.
+    outcome, aggregated as :func:`_aggregate` describes: plain averaging or
+    median-of-means over ``batches`` contiguous batches (also accepted
+    inline as ``"median-of-means:B"``).
 
-    Records referencing outcomes outside the table raise
+    ``records`` is a :class:`~homodyne_shadows.sim.Records` or a sequence
+    of record-likes.  Records with a negative index, an outcome outside the
+    table, or a mode other than the stream's first raise
     :class:`~homodyne_shadows.errors.MalformedRecordError` with the record's
     position in the stream.
     """
-    kind, B = _parse_variant(variant, batches)
-    vals_table = snapshot_values(table, X)
-    M, N = vals_table.shape
-    idx_i = []
-    idx_k = []
-    for ordinal, rec in enumerate(records):
-        try:
-            i = int(rec.i)
-            k = int(rec.k)
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise MalformedRecordError(
-                "record %d is not a measurement record: %s" % (ordinal, exc),
-                ordinal=ordinal,
-            ) from exc
-        if not (0 <= i < M and 0 <= k < N):
-            raise MalformedRecordError(
-                "record %d references outcome (i=%d, k=%d) outside the "
-                "%d x %d outcome grid" % (ordinal, i, k, M, N),
-                ordinal=ordinal,
-            )
-        idx_i.append(i)
-        idx_k.append(k)
-    T = len(idx_i)
-    if T == 0:
-        raise ValueError("record stream is empty")
-    values = vals_table[np.array(idx_i), np.array(idx_k)]
-    if kind == "plain-mean":
-        mean = float(np.mean(values))
-        variant_str = "plain-mean"
-    else:
-        B_eff = min(B, T)
-        mean = float(np.median([np.mean(chunk) for chunk in np.array_split(values, B_eff)]))
-        variant_str = "median-of-means:%d" % B
-    stderr = float(np.std(values, ddof=1) / math.sqrt(T)) if T > 1 else 0.0
+    rec = _single_mode_records(records, table)
+    values = snapshot_values(table, X)[rec.i, rec.k]
+    mean, stderr, variant_str = _aggregate(values, variant, batches)
     label = X.label if hasattr(X, "label") else "X"
     return EstimateReport(
         mean,
         stderr,
-        T,
+        values.size,
         variant_str,
         observable_label=label,
         values=values if keep_values else None,
@@ -505,32 +507,18 @@ def _project_simplex(lam):
 def reconstruct_state(records, table, project=False):
     """Average the snapshots of a record stream into a state estimate.
 
-    The plain average is the unbiased estimator; with ``project=True`` the
+    ``records`` is validated like :func:`estimate_observable`'s.  The plain
+    average is the unbiased estimator; with ``project=True`` the
     result is additionally projected (in Frobenius norm) onto the set of
     positive semidefinite trace-one matrices, which is a biased
     post-processing step and therefore off by default.
     """
-    counts = np.zeros((table.M, table.N))
-    total = 0
-    for ordinal, rec in enumerate(records):
-        try:
-            i = int(rec.i)
-            k = int(rec.k)
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise MalformedRecordError(
-                "record %d is not a measurement record: %s" % (ordinal, exc),
-                ordinal=ordinal,
-            ) from exc
-        if not (0 <= i < table.M and 0 <= k < table.N):
-            raise MalformedRecordError(
-                "record %d references outcome (i=%d, k=%d) outside the "
-                "%d x %d outcome grid" % (ordinal, i, k, table.M, table.N),
-                ordinal=ordinal,
-            )
-        counts[i, k] += 1.0
-        total += 1
+    rec = _single_mode_records(records, table)
+    total = len(rec)
     if total == 0:
         raise ValueError("record stream is empty")
+    counts = np.bincount(rec.i * table.N + rec.k, minlength=table.M * table.N)
+    counts = counts.reshape(table.M, table.N).astype(float)
     avg = np.einsum("ik,ikmn->mn", counts / total, table.snapshots)
     if project:
         lam, V = np.linalg.eigh(avg)

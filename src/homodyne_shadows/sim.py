@@ -10,10 +10,15 @@ The module also houses the indistinguishability experiment that exhibits
 state pairs with identical statistics when the phase count is too small,
 tensor-product multi-mode distributions and local-observable estimation,
 and CSV ingestion of externally produced (or raw quadrature) records.
+
+Records are columnar: a :class:`Records` holds four equal-length int64
+arrays ``t``, ``mode``, ``k``, ``i``.  Every producer returns one and every
+consumer accepts one (or any sequence of record-likes, converted once) and
+validates it with a single vectorized check, :func:`checked_records`.
 """
 
 import csv
-import math
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -30,6 +35,9 @@ from .states import superposition_pair, trace_distance
 
 __all__ = [
     "MeasurementRecord",
+    "Records",
+    "as_records",
+    "checked_records",
     "OutcomeDistribution",
     "outcome_distribution",
     "sample",
@@ -61,6 +69,168 @@ class MeasurementRecord(NamedTuple):
     mode: int
     k: int
     i: int
+
+
+_record_fields = attrgetter(*RECORD_HEADER)
+# Rows turned into Python objects at a time when iterating or writing.
+_CHUNK = 100_000
+
+
+class Records:
+    """Columnar measurement records: equal-length int64 arrays t, mode, k, i.
+
+    Row j is shot ``t[j]`` of mode ``mode[j]`` landing in phase ``k[j]`` and
+    bin ``i[j]``.  The type stands in for a list of
+    :class:`MeasurementRecord`: ``len``, truthiness, ``records[j]`` (a
+    MeasurementRecord) and iteration (yielding MeasurementRecords) behave
+    like the list's; ``records[a:b]`` gives a Records that shares memory
+    with this one; ``==`` compares rows with another Records or any
+    sequence of record-likes and returns a bool.
+    """
+
+    __slots__ = ("t", "mode", "k", "i")
+
+    def __init__(self, t, mode, k, i):
+        cols = [np.asarray(c, dtype=np.int64) for c in (t, mode, k, i)]
+        T = cols[0].shape
+        if len(T) != 1 or any(c.shape != T for c in cols):
+            raise ValueError(
+                "record columns must be 1-D of equal length, got shapes %r"
+                % ([c.shape for c in cols],)
+            )
+        self.t, self.mode, self.k, self.i = cols
+
+    def columns(self):
+        """The four columns in ``RECORD_HEADER`` order."""
+        return self.t, self.mode, self.k, self.i
+
+    def __len__(self):
+        return self.t.size
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return Records(*(c[j] for c in self.columns()))
+        return MeasurementRecord(*(int(c[j]) for c in self.columns()))
+
+    def __iter__(self):
+        for start in range(0, len(self), _CHUNK):
+            rows = zip(*(c[start:start + _CHUNK].tolist() for c in self.columns()))
+            yield from map(MeasurementRecord._make, rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, Records):
+            if isinstance(other, (str, bytes)) or not hasattr(other, "__len__"):
+                return NotImplemented
+            if len(other) != len(self):
+                return False
+            try:
+                other = as_records(other)
+            except MalformedRecordError:
+                return False
+        return len(self) == len(other) and all(
+            np.array_equal(a, b) for a, b in zip(self.columns(), other.columns())
+        )
+
+    __hash__ = None
+
+    def __repr__(self):
+        return "Records(T=%d)" % len(self)
+
+
+def as_records(records):
+    """``records`` as a :class:`Records`, converting a sequence of record-likes once.
+
+    Any item with integer-valued ``t``, ``mode``, ``k`` and ``i`` attributes
+    is a record-like; the first item that is not raises
+    :class:`~homodyne_shadows.errors.MalformedRecordError` with its ordinal.
+    """
+    if isinstance(records, Records):
+        return records
+    items = records if isinstance(records, (list, tuple)) else list(records)
+    try:
+        rows = np.array(list(map(_record_fields, items)), dtype=np.int64)
+        if rows.shape != (len(items), 4) and len(items):
+            raise ValueError("record fields are not scalars")
+    except (AttributeError, TypeError, ValueError, OverflowError):
+        for ordinal, rec in enumerate(items):
+            try:
+                if np.array(_record_fields(rec), dtype=np.int64).shape != (4,):
+                    raise ValueError("record fields are not scalars")
+            except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+                raise MalformedRecordError(
+                    "record %d is not a measurement record: %s" % (ordinal, exc),
+                    ordinal=ordinal,
+                ) from exc
+        raise
+    return Records(*rows.reshape(-1, 4).T)
+
+
+def _shot_order(t, mode):
+    """Stable permutation sorting rows by (t, mode); None if already strictly sorted."""
+    step = (t[1:] > t[:-1]) | ((t[1:] == t[:-1]) & (mode[1:] > mode[:-1]))
+    return None if step.all() else np.lexsort((mode, t))
+
+
+def checked_records(records, M=None, N=None):
+    """Convert ``records`` once and validate every row in one vectorized pass.
+
+    Every index must be non-negative.  With ``M`` and ``N`` given as ints
+    the stream is single-mode: each outcome must lie on the M x N grid and
+    every record must carry the mode of the first.  With per-mode sequences
+    ``M[j]``, ``N[j]`` the stream is multi-mode: each mode must lie in
+    0..len(M)-1, each outcome on its mode's grid, and no (t, mode) pair may
+    repeat.  The first offending record raises
+    :class:`~homodyne_shadows.errors.MalformedRecordError` with its ordinal
+    (for a repeat, the ordinal of the second occurrence).
+    """
+    rec = as_records(records)
+    if not rec:
+        return rec
+    t, mode, k, i = rec.columns()
+    rules = [(t < 0, lambda j: "has negative shot index %d" % t[j])]
+    if M is None:
+        rules.append((
+            (mode < 0) | (k < 0) | (i < 0),
+            lambda j: "has a negative index in %r" % (rec[j],),
+        ))
+    elif np.ndim(M) == 1:
+        S = len(M)
+        rules.append((
+            (mode < 0) | (mode >= S),
+            lambda j: "references mode %d outside 0..%d" % (mode[j], S - 1),
+        ))
+        m = np.clip(mode, 0, S - 1)
+        Mj = np.asarray(M, dtype=np.int64)[m]
+        Nj = np.asarray(N, dtype=np.int64)[m]
+        rules.append((
+            (i < 0) | (i >= Mj) | (k < 0) | (k >= Nj),
+            lambda j: "references outcome (i=%d, k=%d) outside mode %d's %d x %d grid"
+            % (i[j], k[j], mode[j], Mj[j], Nj[j]),
+        ))
+        order = _shot_order(t, mode)
+        repeat = np.zeros(len(rec), dtype=bool)
+        if order is not None:
+            later = order[1:]
+            repeat[later[(t[later] == t[order[:-1]]) & (mode[later] == mode[order[:-1]])]] = True
+        rules.append((repeat, lambda j: "repeats mode %d of shot %d" % (mode[j], t[j])))
+    else:
+        rules.append((mode < 0, lambda j: "has negative mode index %d" % mode[j]))
+        rules.append((
+            (i < 0) | (i >= M) | (k < 0) | (k >= N),
+            lambda j: "references outcome (i=%d, k=%d) outside the %d x %d outcome grid"
+            % (i[j], k[j], M, N),
+        ))
+        rules.append((
+            mode != mode[0],
+            lambda j: "has mode %d but the stream began with mode %d; a single-mode "
+            "estimate takes one mode at a time" % (mode[j], mode[0]),
+        ))
+    bad = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in rules]))
+    if bad.size:
+        j = int(bad[0])
+        describe = next(msg for mask, msg in rules if mask[j])
+        raise MalformedRecordError("record %d %s" % (j, describe(j)), ordinal=j)
+    return rec
 
 
 class OutcomeDistribution:
@@ -177,12 +347,8 @@ def sample(dist, T, seed, mode=0):
     if dist.total <= 0.0:
         raise ValueError("cannot sample from an all-zero outcome distribution")
     u = _uniforms(seed, T)
-    flat = _draw_flat(dist.cumulative, u)
-    M = dist.M
-    return [
-        MeasurementRecord(t=t, mode=mode, k=int(o) // M, i=int(o) % M)
-        for t, o in enumerate(flat)
-    ]
+    k, i = np.divmod(_draw_flat(dist.cumulative, u), dist.M)
+    return Records(np.arange(T), np.full(T, mode), k, i)
 
 
 class IndistinguishabilityReport(NamedTuple):
@@ -374,7 +540,6 @@ def sample_multi(dist, T, seed):
     if T < 1:
         raise ValueError("shot count T must be >= 1, got %r" % (T,))
     config = dist.config
-    records = []
     if dist.factors is not None:
         per_mode = []
         for j, f in enumerate(dist.factors):
@@ -382,26 +547,18 @@ def sample_multi(dist, T, seed):
                 raise ValueError("mode %d has an all-zero outcome distribution" % j)
             u = _uniforms(_derive_seed(seed, j), T)
             per_mode.append(_draw_flat(f.cumulative, u))
-        for t in range(T):
-            for j, flat in enumerate(per_mode):
-                o = int(flat[t])
-                M = config.povms[j].binning.M
-                records.append(MeasurementRecord(t=t, mode=j, k=o // M, i=o % M))
-        return records
-    joint = dist.joint
-    flat_joint = joint.ravel(order="F")
-    cum = np.cumsum(flat_joint)
-    if cum.size == 0 or cum[-1] <= 0.0:
-        raise ValueError("cannot sample from an all-zero outcome distribution")
-    u = _uniforms(seed, T)
-    flat = np.searchsorted(cum, u * cum[-1], side="right")
-    per_mode_idx = np.unravel_index(flat, joint.shape, order="F")
-    for t in range(T):
-        for j in range(config.S):
-            o = int(per_mode_idx[j][t])
-            M = config.povms[j].binning.M
-            records.append(MeasurementRecord(t=t, mode=j, k=o // M, i=o % M))
-    return records
+    else:
+        joint = dist.joint
+        cum = np.cumsum(joint.ravel(order="F"))
+        if cum.size == 0 or cum[-1] <= 0.0:
+            raise ValueError("cannot sample from an all-zero outcome distribution")
+        flat = np.searchsorted(cum, _uniforms(seed, T) * cum[-1], side="right")
+        per_mode = np.unravel_index(flat, joint.shape, order="F")
+    # Shot-major, mode-minor rows: row t*S + j is mode j of shot t.
+    S = config.S
+    Ms = np.array([p.binning.M for p in config.povms])
+    k, i = np.divmod(np.stack(per_mode, axis=1), Ms)
+    return Records(np.repeat(np.arange(T), S), np.tile(np.arange(S), T), k.ravel(), i.ravel())
 
 
 def _strict_table(povm):
@@ -434,61 +591,43 @@ def estimate_local(records, config, tables, observables, variant="plain-mean", b
                 "strict-mode tables" % (j, table.mode)
             )
         value_tables[j] = snapshot_values(table, observables[j])
-    by_shot = {}
-    for ordinal, rec in enumerate(records):
-        try:
-            t = int(rec.t)
-            j = int(rec.mode)
-            i = int(rec.i)
-            k = int(rec.k)
-        except (AttributeError, TypeError, ValueError) as exc:
+    rec = checked_records(
+        records,
+        [p.binning.M for p in config.povms],
+        [p.grid.N for p in config.povms],
+    )
+    # Group rows into shots by sorting on (t, mode); shots run in ascending t.
+    order = _shot_order(rec.t, rec.mode)
+    t, mode, k, i = (c if order is None else c[order] for c in rec.columns())
+    first = np.ones(t.size, dtype=bool)
+    first[1:] = t[1:] != t[:-1]
+    shot = np.cumsum(first) - 1
+    shot_t = t[first]
+    picks = []
+    for j in V:
+        rows = mode == j
+        has = np.zeros(shot_t.size, dtype=bool)
+        has[shot[rows]] = True
+        picks.append((j, rows, has))
+    if picks:
+        gaps = np.flatnonzero(~np.logical_and.reduce([has for _, _, has in picks]))
+        if gaps.size:
+            t_gap = int(shot_t[gaps[0]])
+            j = next(j for j, _, has in picks if not has[gaps[0]])
             raise MalformedRecordError(
-                "record %d is not a measurement record: %s" % (ordinal, exc),
-                ordinal=ordinal,
-            ) from exc
-        if not 0 <= j < config.S:
-            raise MalformedRecordError(
-                "record %d references mode %d outside 0..%d" % (ordinal, j, config.S - 1),
-                ordinal=ordinal,
+                "shot %d has no record for mode %d" % (t_gap, j), ordinal=t_gap
             )
-        M = config.povms[j].binning.M
-        N = config.povms[j].grid.N
-        if not (0 <= i < M and 0 <= k < N):
-            raise MalformedRecordError(
-                "record %d references outcome (i=%d, k=%d) outside mode %d's "
-                "%d x %d grid" % (ordinal, i, k, j, M, N),
-                ordinal=ordinal,
-            )
-        by_shot.setdefault(t, {})[j] = (i, k)
-    if not by_shot:
-        raise ValueError("record stream is empty")
-    values = []
-    for t in sorted(by_shot):
-        outcome = by_shot[t]
-        v = 1.0
-        for j in V:
-            if j not in outcome:
-                raise MalformedRecordError(
-                    "shot %d has no record for mode %d" % (t, j), ordinal=t
-                )
-            i, k = outcome[j]
-            v *= value_tables[j][i, k]
-        values.append(v)
-    values = np.asarray(values)
-    T = values.size
-    kind, B = shadow_mod._parse_variant(variant, batches)
-    if kind == "plain-mean":
-        mean = float(np.mean(values))
-        variant_str = "plain-mean"
-    else:
-        B_eff = min(B, T)
-        mean = float(np.median([np.mean(c) for c in np.array_split(values, B_eff)]))
-        variant_str = "median-of-means:%d" % B
-    stderr = float(np.std(values, ddof=1) / math.sqrt(T)) if T > 1 else 0.0
+    # Multiply per-mode values in sorted-V order, as the per-shot product does.
+    values = np.ones(shot_t.size)
+    for j, rows, _ in picks:
+        per_shot = np.empty(shot_t.size)
+        per_shot[shot[rows]] = value_tables[j][i[rows], k[rows]]
+        values *= per_shot
+    mean, stderr, variant_str = shadow_mod._aggregate(values, variant, batches)
     label = " * ".join(
         getattr(observables[j], "label", "X") for j in V
     ) if V else "identity"
-    return EstimateReport(mean, stderr, T, variant_str, observable_label=label)
+    return EstimateReport(mean, stderr, values.size, variant_str, observable_label=label)
 
 
 def multi_shadow_norm(config, observables, tables=None):
@@ -514,51 +653,124 @@ def multi_shadow_norm(config, observables, tables=None):
 
 
 def write_records(path, records):
-    """Write records as CSV with header ``t,mode,k,i`` (LF line endings)."""
+    """Write records as CSV with header ``t,mode,k,i`` (LF line endings).
+
+    Rows are formatted ``_CHUNK`` at a time, so at most one chunk of
+    the stream exists as Python integers.
+    """
+    rec = checked_records(records)
+    cols = rec.columns()
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RECORD_HEADER)
-        for rec in records:
-            writer.writerow([rec.t, rec.mode, rec.k, rec.i])
+        fh.write(",".join(RECORD_HEADER) + "\n")
+        for start in range(0, len(rec), _CHUNK):
+            block = np.column_stack([c[start:start + _CHUNK] for c in cols])
+            fh.write("%d,%d,%d,%d\n" * len(block) % tuple(block.ravel().tolist()))
+
+
+_INT64_RANGE = range(-(2**63), 2**63)
+
+
+def _index_problem(field, bound=None):
+    """Why ``field`` is not an index in 0..bound-1 (any int64 >= 0 without bound)."""
+    text = field.strip()
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()) or int(text) not in _INT64_RANGE:
+        return "%r is not a 64-bit decimal integer" % field
+    if int(text) < 0:
+        return "%r is negative" % field
+    if bound is not None and int(text) >= bound:
+        return "%r is outside 0..%d" % (field, bound - 1)
+    return None
+
+
+def _quadrature_problem(field):
+    """Why ``field`` is not a finite decimal number."""
+    try:
+        if "_" in field or not np.isfinite(float(field)):
+            return "%r is not a finite number" % field
+    except ValueError:
+        return "%r is not a decimal number" % field
+    return None
+
+
+def _row_problem(row, header, checks):
+    if len(row) != len(checks):
+        return "expected %d fields, got %d" % (len(checks), len(row))
+    for name, check, field in zip(header, checks, row):
+        problem = check(field)
+        if problem:
+            return "%s %s" % (name, problem)
+    return None
+
+
+def _raise_first_bad_row(path, header, checks, cause=None):
+    """Raise MalformedRecordError at the first data row a field check rejects.
+
+    Only called once a vectorized pass has found a bad row, so this
+    per-line rescan runs on error paths alone; it names the row's 1-based
+    file line, counting blank lines, which numpy's reader does not.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row or lineno == 1:
+                continue
+            problem = _row_problem(row, header, checks)
+            if problem:
+                raise MalformedRecordError(
+                    "line %d: %s" % (lineno, problem), ordinal=lineno
+                ) from cause
+    raise MalformedRecordError("%s: %s" % (path, cause), ordinal=0) from cause
+
+
+def _load_table(path, header, dtype, checks):
+    """Data rows of a headed four-column CSV, parsed by numpy's C reader.
+
+    Line 1 must hold ``header`` unless it is blank; blank lines are skipped
+    and fields may carry surrounding spaces.  Rows numpy cannot parse raise
+    through :func:`_raise_first_bad_row` with ``checks``.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        row = next(csv.reader([fh.readline()]), [])
+        if row and tuple(c.strip() for c in row) != header:
+            raise MalformedRecordError(
+                "line 1: expected header %s, got %r" % (",".join(header), ",".join(row)),
+                ordinal=1,
+            )
+        # numpy warns on input without data, so stop at an all-blank remainder.
+        while True:
+            start = fh.tell()
+            line = fh.readline()
+            if not line:
+                return np.empty(0, dtype=dtype)
+            if line.strip("\n"):
+                break
+        fh.seek(start)
+        try:
+            return np.loadtxt(
+                fh, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1
+            )
+        except ValueError as exc:
+            cause = exc
+    _raise_first_bad_row(path, header, checks, cause)
+
+
+_RECORD_DTYPE = np.dtype([(name, np.int64) for name in RECORD_HEADER])
+_RAW_DTYPE = np.dtype([(name, np.int64) for name in RAW_HEADER[:3]] + [("x", np.float64)])
 
 
 def ingest_records(path):
-    """Read a record CSV back into a list of measurement records.
+    """Read a record CSV back into :class:`Records`.
 
-    Empty files yield an empty stream; malformed rows raise with their
-    1-based line number.
+    Empty files yield an empty stream; blank lines are skipped and fields
+    may carry surrounding spaces.  Malformed rows and negative indices raise
+    with their 1-based line number.
     """
-    records = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if lineno == 1:
-                if tuple(c.strip() for c in row) != RECORD_HEADER:
-                    raise MalformedRecordError(
-                        "line 1: expected header %s, got %r"
-                        % (",".join(RECORD_HEADER), ",".join(row)),
-                        ordinal=1,
-                    )
-                continue
-            if len(row) != 4:
-                raise MalformedRecordError(
-                    "line %d: expected 4 fields, got %d" % (lineno, len(row)),
-                    ordinal=lineno,
-                )
-            try:
-                t, mode, k, i = (int(c) for c in row)
-            except ValueError as exc:
-                raise MalformedRecordError(
-                    "line %d: %s" % (lineno, exc), ordinal=lineno
-                ) from exc
-            if t < 0 or mode < 0 or k < 0 or i < 0:
-                raise MalformedRecordError(
-                    "line %d: negative index in %r" % (lineno, row), ordinal=lineno
-                )
-            records.append(MeasurementRecord(t=t, mode=mode, k=k, i=i))
-    return records
+    checks = [_index_problem] * 4
+    data = _load_table(path, RECORD_HEADER, _RECORD_DTYPE, checks)
+    rec = Records(*(np.ascontiguousarray(data[name]) for name in RECORD_HEADER))
+    if rec and min(int(c.min()) for c in rec.columns()) < 0:
+        _raise_first_bad_row(path, RECORD_HEADER, checks)
+    return rec
 
 
 def bin_raw(path, grid, binning):
@@ -569,56 +781,19 @@ def bin_raw(path, grid, binning):
     binning's tail policy: extend-tails clamps them into the adjacent edge
     bin, strict-finite drops them.  Returns ``(records, dropped_fraction)``.
     """
-    records = []
-    total = 0
-    dropped = 0
+    checks = [_index_problem, _index_problem, lambda f: _index_problem(f, grid.N),
+              _quadrature_problem]
+    data = _load_table(path, RAW_HEADER, _RAW_DTYPE, checks)
+    t, mode, k, x = (np.ascontiguousarray(data[name]) for name in data.dtype.names)
+    if np.any((t < 0) | (mode < 0) | (k < 0) | (k >= grid.N) | ~np.isfinite(x)):
+        _raise_first_bad_row(path, RAW_HEADER, checks)
     edges = binning.edges
     M = binning.M
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if lineno == 1:
-                if tuple(c.strip() for c in row) != RAW_HEADER:
-                    raise MalformedRecordError(
-                        "line 1: expected header %s, got %r"
-                        % (",".join(RAW_HEADER), ",".join(row)),
-                        ordinal=1,
-                    )
-                continue
-            if len(row) != 4:
-                raise MalformedRecordError(
-                    "line %d: expected 4 fields, got %d" % (lineno, len(row)),
-                    ordinal=lineno,
-                )
-            try:
-                t = int(row[0])
-                mode = int(row[1])
-                k = int(row[2])
-                x = float(row[3])
-            except ValueError as exc:
-                raise MalformedRecordError(
-                    "line %d: %s" % (lineno, exc), ordinal=lineno
-                ) from exc
-            if not 0 <= k < grid.N:
-                raise MalformedRecordError(
-                    "line %d: phase index %d outside 0..%d" % (lineno, k, grid.N - 1),
-                    ordinal=lineno,
-                )
-            if not math.isfinite(x):
-                raise MalformedRecordError(
-                    "line %d: non-finite quadrature value %r" % (lineno, row[3]),
-                    ordinal=lineno,
-                )
-            total += 1
-            idx = int(np.searchsorted(edges, x, side="right")) - 1
-            if idx < 0 or idx >= M or x >= edges[-1]:
-                if binning.tail_mode == "extend-tails":
-                    idx = 0 if x < edges[0] else M - 1
-                else:
-                    dropped += 1
-                    continue
-            records.append(MeasurementRecord(t=t, mode=mode, k=k, i=idx))
-    fraction = dropped / total if total else 0.0
-    return records, fraction
+    idx = np.searchsorted(edges, x, side="right") - 1
+    outside = (idx < 0) | (idx >= M) | (x >= edges[-1])
+    if binning.tail_mode == "extend-tails":
+        idx[outside] = np.where(x[outside] < edges[0], 0, M - 1)
+        outside[:] = False
+    fraction = np.count_nonzero(outside) / x.size if x.size else 0.0
+    keep = ~outside
+    return Records(t[keep], mode[keep], k[keep], idx[keep]), fraction

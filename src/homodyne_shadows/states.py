@@ -5,7 +5,8 @@ trace, with the discarded probability mass recorded as the truncation
 deficit.  Loaders validate Hermiticity/positivity and reject anything that
 fails, naming the violated check.
 
-Matrix file format (shared by states and observables): JSON
+Matrix file format (shared by states and observables; POVM cache elements use
+the same rows of ``[re, im]`` pairs): JSON
 ``{"n_max": d-1, "matrix": [[[re, im], ...], ...]}`` row-major, square of
 size n_max+1.
 """
@@ -269,11 +270,18 @@ def trace_distance(rho1, rho2):
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T)))))
 
 
+def _matrix_to_json(A):
+    """Rows of ``[re, im]`` pairs: the JSON form of a complex matrix."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(A)]
+
+
+def _matrix_from_json(rows):
+    """Inverse of :func:`_matrix_to_json`."""
+    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
+
+
 def _write_matrix_file(path, A, label=None):
-    doc = {
-        "n_max": int(A.shape[0] - 1),
-        "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in A],
-    }
+    doc = {"n_max": int(A.shape[0] - 1), "matrix": _matrix_to_json(A)}
     if label is not None:
         doc["label"] = label
     with open(path, "w", encoding="utf-8") as fh:
@@ -285,10 +293,7 @@ def _read_matrix_file(path):
         doc = json.load(fh)
     try:
         n_max = int(doc["n_max"])
-        rows = doc["matrix"]
-        A = np.array(
-            [[complex(re, im) for re, im in row] for row in rows], dtype=complex
-        )
+        A = _matrix_from_json(doc["matrix"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvariantViolationError(
             "cannot parse matrix file %s: %s" % (path, exc), check="parse"

@@ -1,0 +1,312 @@
+"""Tests for columnar records: the Records type, its validator and its CSV format."""
+
+import hashlib
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from homodyne_shadows.cli import EXIT_DATA, EXIT_OK, main
+from homodyne_shadows.errors import MalformedRecordError
+from homodyne_shadows.povm import BinningScheme, PhaseGrid, build_povm, design_bins
+from homodyne_shadows.shadow import (
+    estimate_observable,
+    frame_operator,
+    invert_frame,
+    reconstruct_state,
+    snapshot_values,
+    snapshots,
+)
+from homodyne_shadows.sim import (
+    MeasurementRecord,
+    MultiModeConfig,
+    Records,
+    as_records,
+    bin_raw,
+    checked_records,
+    estimate_local,
+    ingest_records,
+    joint_distribution,
+    outcome_distribution,
+    sample,
+    sample_multi,
+    write_records,
+)
+from homodyne_shadows.states import fock, number_operator
+
+R = MeasurementRecord
+
+# sha256 of `hshadow simulate --nmax 3 --phases 7 --bins 5 --state fock:2
+# --T 2000 --seed 424242`, taken before records became columnar.
+GOLDEN_SIMULATE_SHA256 = "ad80a12e5f6090177ee9f9efe2352f0eb1e7367300b24b54dc1bf301d26267ba"
+
+
+@pytest.fixture(scope="module")
+def setup_223():
+    """Strict snapshot table of an IC (n_max=2, N=5, M=4) POVM."""
+    povm = build_povm(PhaseGrid(5), design_bins(2, 5, 4), 2)
+    return povm, snapshots(povm, invert_frame(frame_operator(povm)))
+
+
+@pytest.fixture(scope="module")
+def local_33():
+    povm = build_povm(PhaseGrid(3), design_bins(1, 3, 3), 1)
+    table = snapshots(povm, invert_frame(frame_operator(povm)))
+    return MultiModeConfig([povm, povm]), table
+
+
+class TestRecordsType:
+    def test_behaves_like_a_list_of_records(self):
+        rows = [R(0, 0, 1, 2), R(1, 0, 3, 4), R(2, 1, 0, 0)]
+        rec = as_records(rows)
+        assert isinstance(rec, Records)
+        assert len(rec) == 3 and rec
+        assert not as_records([])
+        assert rec[1] == R(1, 0, 3, 4) and type(rec[1]) is R
+        assert type(rec[-1].t) is int
+        assert isinstance(rec[:2], Records) and rec[:2] == rows[:2]
+        assert list(rec) == rows
+        assert all(type(r) is R for r in rec)
+
+    def test_equality_is_a_python_bool(self):
+        rows = [R(0, 0, 1, 2), R(1, 0, 3, 4)]
+        rec = as_records(rows)
+        assert (rec == rows) is True
+        assert (rows == rec) is True
+        assert (rec == as_records(rows)) is True
+        assert (rec == rows[:1]) is False
+        assert (rec != [R(0, 0, 1, 2), R(1, 0, 3, 5)]) is True
+        assert (as_records([]) == []) is True
+        assert (rec == []) is False
+        assert (rec == [1, 2]) is False
+        assert (rec == "ab") is False
+        with pytest.raises(TypeError):
+            hash(rec)
+
+    def test_columns_are_int64_of_equal_length(self):
+        rec = Records([0, 1], [0, 0], [2, 3], [4, 5])
+        assert all(c.dtype == np.int64 for c in rec.columns())
+        with pytest.raises(ValueError):
+            Records([0, 1], [0], [2, 3], [4, 5])
+
+    def test_non_record_item_carries_its_ordinal(self):
+        with pytest.raises(MalformedRecordError) as excinfo:
+            as_records([R(0, 0, 0, 0), R(1, 0, 0, 0), (2, 0, 0, 0)])
+        assert excinfo.value.ordinal == 2
+        with pytest.raises(MalformedRecordError) as excinfo:
+            as_records([R(0, 0, 0, 0), R(1, 0, "zero", 0)])
+        assert excinfo.value.ordinal == 1
+
+    def test_record_likes_convert_by_attribute(self):
+        class Shot:
+            def __init__(self, t, mode, k, i):
+                self.i, self.k, self.mode, self.t = i, k, mode, t
+
+        rec = as_records(iter([Shot(0, 1, 2, 3), Shot(1, 1, 0, np.int64(2))]))
+        assert rec == [R(0, 1, 2, 3), R(1, 1, 0, 2)]
+
+
+class TestValidator:
+    def test_single_mode_reports_first_bad_ordinal(self):
+        cases = [
+            ([R(0, 0, 0, 0), R(-1, 0, 0, 0)], 1),
+            ([R(0, 0, 0, 0), R(1, 0, 0, 0), R(2, 0, -1, 0)], 2),
+            ([R(0, 0, 0, 0), R(1, 0, 0, 3)], 1),  # bin outside M = 3
+            ([R(0, 0, 5, 0)], 0),  # phase outside N = 5
+            ([R(0, 2, 0, 0), R(1, 2, 0, 0), R(2, 1, 0, 0), R(3, 0, 9, 9)], 2),
+        ]
+        for rows, ordinal in cases:
+            with pytest.raises(MalformedRecordError) as excinfo:
+                checked_records(rows, 3, 5)
+            assert excinfo.value.ordinal == ordinal, rows
+
+    def test_multi_mode_checks_mode_range_and_repeats(self):
+        with pytest.raises(MalformedRecordError) as excinfo:
+            checked_records([R(0, 0, 0, 0), R(0, 2, 0, 0)], [3, 3], [5, 5])
+        assert excinfo.value.ordinal == 1
+        with pytest.raises(MalformedRecordError) as excinfo:
+            checked_records(
+                [R(1, 0, 0, 0), R(0, 1, 0, 0), R(0, 0, 0, 0), R(1, 0, 1, 1)], [3, 3], [5, 5]
+            )
+        assert excinfo.value.ordinal == 3
+        assert "repeats mode 0 of shot 1" in str(excinfo.value)
+
+    def test_valid_streams_pass_unchanged(self):
+        rec = as_records([R(0, 1, 4, 2), R(1, 1, 0, 0)])
+        assert checked_records(rec, 3, 5) is rec
+        assert checked_records(rec, [1, 3], [1, 5]) is rec
+
+
+class TestMixedModeStreams:
+    """Single-mode consumers refuse streams that interleave modes."""
+
+    @pytest.fixture
+    def mixed(self, setup_223):
+        povm, _ = setup_223
+        config = MultiModeConfig([povm, povm])
+        dist = joint_distribution([fock(0, 2), fock(2, 2)], config)
+        return sample_multi(dist, 20_000, seed=5)
+
+    def test_estimate_observable_rejects_mixed_modes(self, setup_223, mixed):
+        _, table = setup_223
+        with pytest.raises(MalformedRecordError) as excinfo:
+            estimate_observable(mixed, table, number_operator(2))
+        assert excinfo.value.ordinal == 1
+
+    def test_reconstruct_state_rejects_mixed_modes(self, setup_223, mixed):
+        _, table = setup_223
+        with pytest.raises(MalformedRecordError) as excinfo:
+            reconstruct_state(list(mixed[:4]), table)
+        assert excinfo.value.ordinal == 1
+
+    def test_one_mode_of_the_stream_is_accepted(self, setup_223, mixed):
+        _, table = setup_223
+        mode1 = as_records(mixed)[1::2]
+        est = estimate_observable(mode1, table, number_operator(2))
+        assert est.shots == 20_000
+        assert abs(est.mean - 2.0) <= 5 * est.stderr
+
+    def test_cli_estimate_exits_65(self, setup_223, mixed, tmp_path, capsys):
+        path = tmp_path / "two_modes.csv"
+        write_records(path, mixed)
+        code = main(
+            [
+                "estimate", "--records", str(path),
+                "--nmax", "2", "--phases", "5", "--bins", "4",
+            ]
+        )
+        assert code == EXIT_DATA
+        assert "mode" in capsys.readouterr().err
+
+
+class TestEstimateLocalRecords:
+    def test_duplicate_shot_mode_raises_at_second_occurrence(self, local_33):
+        cfg, table = local_33
+        n_op = number_operator(1)
+        recs = [R(0, 0, 0, 0), R(0, 1, 1, 1), R(0, 0, 2, 2)]
+        with pytest.raises(MalformedRecordError) as excinfo:
+            estimate_local(recs, cfg, {0: table, 1: table}, {0: n_op, 1: n_op})
+        assert excinfo.value.ordinal == 2
+
+    def test_shot_order_does_not_matter(self, local_33):
+        cfg, table = local_33
+        n_op = number_operator(1)
+        dist = joint_distribution([fock(1, 1), fock(0, 1)], cfg)
+        recs = sample_multi(dist, 500, seed=8)
+        perm = np.random.default_rng(2).permutation(len(recs))
+        shuffled = [recs[int(j)] for j in perm]
+        a = estimate_local(recs, cfg, {0: table, 1: table}, {0: n_op, 1: n_op})
+        b = estimate_local(shuffled, cfg, {0: table, 1: table}, {0: n_op, 1: n_op})
+        assert (a.mean, a.stderr, a.shots) == (b.mean, b.stderr, b.shots)
+
+    def test_product_follows_sorted_modes(self, local_33):
+        cfg, table = local_33
+        n_op = number_operator(1)
+        vals = snapshot_values(table, n_op)
+        recs = [R(3, 1, 2, 0), R(3, 0, 1, 2), R(0, 0, 0, 1), R(0, 1, 1, 1)]
+        rep = estimate_local(recs, cfg, {0: table, 1: table}, {0: n_op, 1: n_op})
+        v0 = 1.0 * vals[1, 0] * vals[1, 1]
+        v3 = 1.0 * vals[2, 1] * vals[0, 2]
+        assert rep.mean == np.mean([v0, v3])
+        assert rep.shots == 2
+
+
+class TestMedianOfMeansBatches:
+    def test_label_reports_effective_batches(self, setup_223):
+        _, table = setup_223
+        n_op = number_operator(2)
+        recs = [R(t, 0, t % 5, t % 4) for t in range(6)]
+        mom = estimate_observable(recs, table, n_op, variant="median-of-means:10")
+        plain = estimate_observable(recs, table, n_op)
+        assert mom.variant == "median-of-means:6"
+        assert mom.stderr == plain.stderr
+        assert estimate_observable(recs, table, n_op, variant="median-of-means:4").variant == (
+            "median-of-means:4"
+        )
+
+    def test_local_label_reports_effective_batches(self, local_33):
+        cfg, table = local_33
+        recs = [R(t, j, 0, 0) for t in range(3) for j in range(2)]
+        rep = estimate_local(recs, cfg, {}, {}, variant="median-of-means", batches=10)
+        assert rep.variant == "median-of-means:3"
+
+
+class TestRecordFormat:
+    def test_golden_simulate_bytes(self, tmp_path):
+        out = tmp_path / "golden.csv"
+        code = main(
+            [
+                "simulate", "--nmax", "3", "--phases", "7", "--bins", "5",
+                "--state", "fock:2", "--T", "2000", "--seed", "424242",
+                "--out", str(out),
+            ]
+        )
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SIMULATE_SHA256
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(*[st.integers(min_value=0, max_value=2**63 - 1)] * 4),
+            max_size=40,
+        )
+    )
+    def test_write_ingest_round_trip(self, rows):
+        rec = Records(*np.array(rows, dtype=np.int64).reshape(-1, 4).T)
+        expected = [R(*row) for row in rows]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "records.csv"
+            write_records(path, rec)
+            assert path.read_text() == "t,mode,k,i\n" + "".join(
+                "%d,%d,%d,%d\n" % row for row in rows
+            )
+            back = ingest_records(path)
+        assert back == rec
+        assert list(back) == expected
+
+    def test_blank_lines_and_padded_fields(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text("t,mode,k,i\n0, 0 ,1,2\n\n 1,0,3 , 4\n\n")
+        assert ingest_records(path) == [R(0, 0, 1, 2), R(1, 0, 3, 4)]
+        path.write_text("\n\n")
+        assert ingest_records(path) == []
+
+    def test_bad_row_after_blank_lines_reports_its_file_line(self, tmp_path):
+        path = tmp_path / "records.csv"
+        for body, line in [
+            ("0,0,1,2\n\n\n1,0,x,4\n", 5),
+            ("0,0,1,2\n\n1,0,1\n", 4),
+            ("\n0,0,1,2\n\n\n1,0,-3,4\n", 6),
+        ]:
+            path.write_text("t,mode,k,i\n" + body)
+            with pytest.raises(MalformedRecordError) as excinfo:
+                ingest_records(path)
+            assert excinfo.value.ordinal == line, body
+
+    def test_field_outside_int64_is_rejected(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text("t,mode,k,i\n0,0,1,2\n\n1,0,1,99999999999999999999\n")
+        with pytest.raises(MalformedRecordError) as excinfo:
+            ingest_records(path)
+        assert excinfo.value.ordinal == 4
+
+    def test_bin_raw_bad_row_after_blank_line(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_text("t,mode,k,x\n0,0,0,0.5\n\n1,0,0,inf\n")
+        with pytest.raises(MalformedRecordError) as excinfo:
+            bin_raw(path, PhaseGrid(2), BinningScheme([-1.0, 0.0, 1.0]))
+        assert excinfo.value.ordinal == 4
+        path.write_text("t,mode,k,x\n0,0,0,0.5\n\n1,0,0,0.2\n")
+        recs, dropped = bin_raw(path, PhaseGrid(2), BinningScheme([-1.0, 0.0, 1.0]))
+        assert isinstance(recs, Records) and recs == [R(0, 0, 0, 1), R(1, 0, 0, 1)]
+
+    def test_producers_return_records(self, setup_223):
+        povm, _ = setup_223
+        dist = outcome_distribution(fock(1, 2), povm)
+        assert isinstance(sample(dist, 5, seed=1), Records)
+        config = MultiModeConfig([povm, povm])
+        assert isinstance(sample_multi(joint_distribution([fock(0, 2)] * 2, config), 5, 1),
+                          Records)
