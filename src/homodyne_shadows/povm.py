@@ -15,17 +15,17 @@ Because the phases form a uniform grid, a discrete Fourier transform over k
 block-diagonalizes every quantity built from the elements: entries (m, n)
 only couple to entries (m', n') with m - n = m' - n' (mod N).  This module
 stores the real overlaps G and certifies completeness from the singular
-values of these small real blocks (``_phase_blocks``); the dense complex
-element matrices and the measurement matrix are assembled only on request.
-It also designs bin edges that achieve completeness and (de)serializes
-POVMs through a versioned JSON cache.
+values of these small real blocks (``_phase_blocks``).  Every sum over
+outcomes goes through one pairing of a matrix with all outcomes and its
+adjoint (``_pairing``, ``_adjoint``); a single element matrix is built only
+on request.  It also designs bin edges that achieve completeness and
+(de)serializes POVMs through a versioned JSON cache.
 """
 
 import hashlib
 import json
 import math
 import warnings
-from functools import cached_property
 
 import numpy as np
 
@@ -230,10 +230,8 @@ class PovmSet:
     """All M*N POVM elements for one (grid, binning, n_max) configuration.
 
     The POVM is held as the real overlap array ``G`` of shape
-    (M, n_max+1, n_max+1).  The complex element array ``mats`` of shape
-    (M, N, n_max+1, n_max+1), with ``mats[i, k]`` the matrix of outcome
-    (i, k), is derived from it on first access; ``element(i, k)`` wraps a
-    single entry.
+    (M, n_max+1, n_max+1); the complex matrix of outcome (i, k) is
+    G_i exp(1j*(m-n)*theta_k)/N, built on request by ``element(i, k)``.
     """
 
     def __init__(self, grid, binning, n_max, G):
@@ -249,13 +247,6 @@ class PovmSet:
             )
         self.G.setflags(write=False)
 
-    @cached_property
-    def mats(self):
-        """Complex element matrices (1/N) exp(1j*(m-n)*theta_k) G_i[m, n]."""
-        mats = self.G[:, None, :, :] * _phase_table(self.grid, self.dim)[None] / self.grid.N
-        mats.setflags(write=False)
-        return mats
-
     @property
     def dim(self):
         """Truncated Fock-space dimension n_max + 1."""
@@ -268,11 +259,7 @@ class PovmSet:
 
     def element(self, i, k):
         """The PovmElement for outcome (bin i, phase k)."""
-        if not 0 <= i < self.binning.M:
-            raise ValueError("bin index %r outside 0..%d" % (i, self.binning.M - 1))
-        if not 0 <= k < self.grid.N:
-            raise ValueError("phase index %r outside 0..%d" % (k, self.grid.N - 1))
-        return PovmElement(i, k, self.mats[i, k])
+        return PovmElement(i, k, _outcome_matrix(self.G, self.grid, i, k))
 
     @property
     def cache_key(self):
@@ -314,10 +301,10 @@ class PovmSet:
 
 
 class MeasurementMatrix:
-    """Column-stacked vectorizations of all POVM elements, with spectrum.
+    """Spectrum and rank of the column-stacked vectorizations of all elements.
 
-    The spectrum comes from the phase-class blocks; the dense (d^2, N*M)
-    ``matrix`` is assembled from the POVM on first access.
+    The spectrum comes from the phase-class blocks; the (d^2, N*M) matrix
+    itself is never formed.
     """
 
     def __init__(self, povm, singular_values, rank):
@@ -329,27 +316,8 @@ class MeasurementMatrix:
     def shape(self):
         return (self.povm.dim**2, self.povm.n_outcomes)
 
-    @cached_property
-    def matrix(self):
-        """E with column k*M + i = vectorize(Pi_{i,k})."""
-        p = self.povm
-        rows = np.transpose(p.mats, (1, 0, 3, 2)).reshape(p.n_outcomes, p.dim**2)
-        return rows.T.copy()
-
     def __repr__(self):
         return "MeasurementMatrix(shape=%r, rank=%d)" % (self.shape, self.rank)
-
-
-def _phase_table(grid, d):
-    """Phase factors exp(1j*(m-n)*theta_k) as an (N, d, d) array.
-
-    Entries below the diagonal are the conjugates of those above, so every
-    phase block is exactly Hermitian.
-    """
-    mn = np.arange(d)
-    diff = mn[:, None] - mn[None, :]
-    phase = np.exp(1j * np.abs(diff)[None, :, :] * grid.thetas[:, None, None])
-    return np.where(diff >= 0, phase, phase.conj())
 
 
 def build_povm(grid, binning, n_max):
@@ -385,6 +353,60 @@ def _phase_blocks(povm):
         yield (m + n * d)[sel], povm.G[:, m[sel], n[sel]].T / math.sqrt(N)
 
 
+def _offsets(d):
+    """Row index (m - n) + d - 1 of ``_offset_phases`` for each entry (m, n)."""
+    mn = np.arange(d)
+    return mn[:, None] - mn[None, :] + d - 1
+
+
+def _offset_phases(grid, d):
+    """exp(1j*delta*theta_k) as a (2d-1, N) array, row delta + d - 1.
+
+    Rows of negative delta are the conjugates of those of -delta, so every
+    element and snapshot is exactly Hermitian.
+    """
+    delta = np.arange(1 - d, d)
+    phase = np.exp(1j * np.abs(delta)[:, None] * grid.thetas[None, :])
+    return np.where(delta[:, None] >= 0, phase, phase.conj())
+
+
+def _outcome_matrix(F, grid, i, k):
+    """F_i exp(1j*(m-n)*theta_k)/N: the element (F = G) or snapshot (F = S) of (i, k)."""
+    if not 0 <= i < F.shape[0]:
+        raise ValueError("bin index %r outside 0..%d" % (i, F.shape[0] - 1))
+    if not 0 <= k < grid.N:
+        raise ValueError("phase index %r outside 0..%d" % (k, grid.N - 1))
+    d = F.shape[1]
+    return F[i] * _offset_phases(grid, d)[_offsets(d), k] / grid.N
+
+
+def _pairing(A, F, grid):
+    """Re Tr(A F_i exp(1j*(m-n)*theta_k))/N for every outcome (i, k), as a real (M, N) array.
+
+    ``A`` is a state, an observable or a d x d array; ``F`` is a real
+    (M, d, d) array, the overlaps G or the snapshot factors S.  The products
+    A[n, m] F_i[m, n] are summed along each diagonal offset delta = m - n,
+    then one phase table gives every k: O(M d^2 + M d N).
+    """
+    A = A.matrix if hasattr(A, "matrix") else np.asarray(A)
+    d = F.shape[1]
+    if A.shape != (d, d):
+        raise ValueError("operator of shape %r does not match POVM dimension %d" % (A.shape, d))
+    terms = F * A.T
+    diag = np.stack([np.trace(terms, -delta, 1, 2) for delta in range(1 - d, d)], axis=1)
+    return (diag @ _offset_phases(grid, d)).real / grid.N
+
+
+def _adjoint(W, F, grid):
+    """sum_{i,k} W[i, k] F_i exp(1j*(m-n)*theta_k)/N, the adjoint of ``_pairing``.
+
+    The phase sum over k is taken once per bin and diagonal offset.
+    """
+    d = F.shape[1]
+    c = (W @ _offset_phases(grid, d).T)[:, _offsets(d)]
+    return np.einsum("imn,imn->mn", F, c) / grid.N
+
+
 def _frame_block(B, weights):
     """Real symmetric frame block (B / w) @ B.T, symmetrized against roundoff."""
     C = (B / weights) @ B.T
@@ -416,8 +438,7 @@ def measurement_matrix(povm, rtol=DEFAULT_RANK_RTOL):
 
     The numerical rank of E decides informational completeness: the POVM
     spans the operator space iff rank(E) = (n_max+1)^2.  The spectrum is
-    computed from the phase-class blocks; E itself is assembled only when
-    ``.matrix`` is read.
+    computed from the phase-class blocks; E itself is never formed.
     """
     s = _block_singular_values(povm)
     return MeasurementMatrix(povm, s, _rank(s, (povm.dim**2, povm.n_outcomes), rtol))
@@ -623,7 +644,7 @@ def save_povm(povm, path):
         "weights": [float(w) for w in povm.binning.weights],
         "cache_key": povm.cache_key,
         "elements": [
-            {"i": i, "k": k, "matrix": _matrix_to_json(povm.mats[i, k])}
+            {"i": i, "k": k, "matrix": _matrix_to_json(povm.element(i, k).matrix)}
             for k in range(povm.grid.N)
             for i in range(povm.binning.M)
         ],
@@ -692,7 +713,7 @@ def load_povm(path, expected_key=None):
                 "element (%r, %r) with shape %r does not fit cache %s"
                 % (i, k, A.shape, path)
             )
-        dev = float(np.max(np.abs(A - povm.mats[i, k])))
+        dev = float(np.max(np.abs(A - povm.element(i, k).matrix)))
         if not dev <= CACHE_ATOL:
             raise CacheKeyMismatchError(
                 "element (%d, %d) in cache %s deviates from the POVM its key "

@@ -13,7 +13,8 @@ complete, via Moore-Penrose pseudoinverse otherwise) turns each outcome
 (i, k) into a snapshot matrix rho_hat_{i,k} = C^{-1}(Pi_{i,k}/w_i) whose
 average over measurement records is an unbiased estimator of the state.
 The snapshots factor like the elements, rho_hat_{i,k} = S_i[m, n]
-exp(1j*(m-n)*theta_k)/N with real S_i.
+exp(1j*(m-n)*theta_k)/N with real S_i, and are stored as S alone; sums over
+outcomes use the pairing and adjoint of ``povm``.
 The module also provides the exact single-shot variance of an observable
 estimate, the state-independent shadow norm that bounds it, the closed-form
 parameter-count bound, and the Bernstein shot-count calculator.
@@ -26,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import StrictModeSingularError
-from .povm import _frame_block, _phase_blocks, _phase_table
+from .povm import _adjoint, _frame_block, _outcome_matrix, _pairing, _phase_blocks
 from .states import Observable, expectation
 
 __all__ = [
@@ -143,25 +144,30 @@ class InverseFrame:
 
 
 class SnapshotTable:
-    """Precomputed snapshot matrices rho_hat_{i,k}, indexed like the POVM."""
+    """Snapshot matrices rho_hat_{i,k} = S_i exp(1j*(m-n)*theta_k)/N, indexed like the POVM.
 
-    def __init__(self, snapshots, mode, threshold):
-        self.snapshots = snapshots
-        self.snapshots.setflags(write=False)
+    ``S`` is the real (M, d, d) array of snapshot factors and ``grid`` the
+    phase grid; ``snapshot(i, k)`` builds one matrix on request.
+    """
+
+    def __init__(self, S, grid, mode, threshold):
+        self.S = S
+        self.S.setflags(write=False)
+        self.grid = grid
         self.mode = mode
         self.threshold = float(threshold)
 
     @property
     def M(self):
-        return self.snapshots.shape[0]
+        return self.S.shape[0]
 
     @property
     def N(self):
-        return self.snapshots.shape[1]
+        return self.grid.N
 
     @property
     def dim(self):
-        return self.snapshots.shape[2]
+        return self.S.shape[1]
 
     @property
     def n_max(self):
@@ -169,11 +175,7 @@ class SnapshotTable:
 
     def snapshot(self, i, k):
         """Snapshot matrix assigned to outcome (bin i, phase k)."""
-        if not 0 <= i < self.M:
-            raise ValueError("bin index %r outside 0..%d" % (i, self.M - 1))
-        if not 0 <= k < self.N:
-            raise ValueError("phase index %r outside 0..%d" % (k, self.N - 1))
-        return self.snapshots[i, k]
+        return _outcome_matrix(self.S, self.grid, i, k)
 
     def __repr__(self):
         return "SnapshotTable(M=%d, N=%d, dim=%d, mode=%r)" % (
@@ -311,30 +313,18 @@ def snapshots(povm, inv):
     for (idx, B), (_, Cinv) in zip(_phase_blocks(povm), inv.blocks):
         S[:, idx] = (Cinv @ (B * (math.sqrt(N) / w))).T
     S = S.reshape(M, d, d)  # row-major reshape of vec(S_i) gives S_i^T
-    S = (0.5 / N) * (S + S.transpose(0, 2, 1))  # symmetric, so the order is moot
-    snaps = S[:, None, :, :] * _phase_table(povm.grid, d)[None]
-    return SnapshotTable(snaps, inv.mode, inv.threshold)
+    S = 0.5 * (S + S.transpose(0, 2, 1))  # symmetric, so the order is moot
+    return SnapshotTable(S, povm.grid, inv.mode, inv.threshold)
 
 
 def snapshot_values(table, X):
     """Per-outcome estimator values Tr(X rho_hat_{i,k}) as a real (M, N) array."""
-    A = X.matrix if hasattr(X, "matrix") else np.asarray(X)
-    if A.shape != (table.dim, table.dim):
-        raise ValueError(
-            "observable of shape %r does not match snapshot dimension %d"
-            % (A.shape, table.dim)
-        )
-    return np.real(np.einsum("mn,iknm->ik", A, table.snapshots))
+    return _pairing(X, table.S, table.grid)
 
 
 def outcome_probabilities(rho, povm):
     """Exact outcome probabilities Tr(rho Pi_{i,k}) as a real (M, N) array."""
-    R = rho.matrix if hasattr(rho, "matrix") else np.asarray(rho)
-    if R.shape != (povm.dim, povm.dim):
-        raise ValueError(
-            "state of shape %r does not match POVM dimension %d" % (R.shape, povm.dim)
-        )
-    return np.real(np.einsum("mn,iknm->ik", R, povm.mats))
+    return _pairing(rho, povm.G, povm.grid)
 
 
 def _parse_variant(variant, batches):
@@ -431,7 +421,7 @@ def exact_average_snapshot(probabilities, table):
             "probability table of shape %r does not match the %d x %d outcome grid"
             % (P.shape, table.M, table.N)
         )
-    return np.einsum("ik,ikmn->mn", P, table.snapshots)
+    return _adjoint(P, table.S, table.grid)
 
 
 def exact_variance(rho, X, table, povm):
@@ -463,7 +453,7 @@ def shadow_norm(X, table, povm):
     which its top eigenvalue bounds uniformly over states.
     """
     vals = snapshot_values(table, X)
-    Xt = np.einsum("ik,ikmn->mn", vals**2, povm.mats)
+    Xt = _adjoint(vals**2, povm.G, povm.grid)
     Xt = 0.5 * (Xt + Xt.conj().T)
     return float(np.linalg.eigvalsh(Xt)[-1])
 
@@ -519,7 +509,7 @@ def reconstruct_state(records, table, project=False):
         raise ValueError("record stream is empty")
     counts = np.bincount(rec.i * table.N + rec.k, minlength=table.M * table.N)
     counts = counts.reshape(table.M, table.N).astype(float)
-    avg = np.einsum("ik,ikmn->mn", counts / total, table.snapshots)
+    avg = _adjoint(counts / total, table.S, table.grid)
     if project:
         lam, V = np.linalg.eigh(avg)
         lam = _project_simplex(lam)

@@ -269,15 +269,12 @@ class OutcomeDistribution:
         )
 
 
-def outcome_distribution(rho, povm):
-    """Exact P(i, k) = Tr(rho Pi_{i,k}) for every outcome.
+def _checked_probabilities(P, povms):
+    """Clamp and check exact probabilities as :func:`outcome_distribution` does.
 
-    Tiny negative values in [-1e-12, 0) are clamped to zero (trace-pairing
-    roundoff); anything more negative indicates a construction bug and
-    raises.  In extend-tails mode the probabilities must sum to 1 within
-    1e-10; in strict-finite mode the shortfall is recorded as the deficit.
+    The sum must be 1 only when every one of ``povms`` is extend-tails.
+    Returns ``(P, total)``.
     """
-    P = outcome_probabilities(rho, povm)
     lowest = float(P.min())
     if lowest < _NEGATIVE_CLAMP:
         raise InvariantViolationError(
@@ -290,11 +287,24 @@ def outcome_distribution(rho, povm):
         raise InvariantViolationError(
             "outcome probabilities sum to %.12f > 1" % total, check="probability-sum"
         )
-    if povm.binning.tail_mode == "extend-tails" and abs(total - 1.0) > 1e-10:
+    extend_tails = all(p.binning.tail_mode == "extend-tails" for p in povms)
+    if extend_tails and abs(total - 1.0) > 1e-10:
         raise InvariantViolationError(
             "extend-tails probabilities sum to %.12f, expected 1 within 1e-10" % total,
             check="probability-sum",
         )
+    return P, total
+
+
+def outcome_distribution(rho, povm):
+    """Exact P(i, k) = Tr(rho Pi_{i,k}) for every outcome.
+
+    Tiny negative values in [-1e-12, 0) are clamped to zero (trace-pairing
+    roundoff); anything more negative indicates a construction bug and
+    raises.  In extend-tails mode the probabilities must sum to 1 within
+    1e-10; in strict-finite mode the shortfall is recorded as the deficit.
+    """
+    P, total = _checked_probabilities(outcome_probabilities(rho, povm), [povm])
     return OutcomeDistribution(P, deficit=1.0 - total)
 
 
@@ -471,26 +481,21 @@ class MultiOutcomeDistribution:
         return out.reshape(shape)
 
 
-def _mode_flat_probs(rho, povm):
-    return outcome_distribution(rho, povm)
-
-
 def joint_distribution(rho_multi, config):
     """Joint outcome distribution of a multi-mode state.
 
     ``rho_multi`` may be a sequence of per-mode density matrices (product
     state; factorized fast path for any S) or a single dense joint density
     matrix over the tensor-product space with mode 0 the slowest index
-    (supported for S <= 3).
+    (supported for S <= 3).  Both are checked like :func:`outcome_distribution`;
+    a joint sum must be 1 when every mode is extend-tails.
     """
     if isinstance(rho_multi, (list, tuple)):
         if len(rho_multi) != config.S:
             raise ValueError(
                 "got %d mode states for %d modes" % (len(rho_multi), config.S)
             )
-        factors = [
-            _mode_flat_probs(r, p) for r, p in zip(rho_multi, config.povms)
-        ]
+        factors = [outcome_distribution(r, p) for r, p in zip(rho_multi, config.povms)]
         return MultiOutcomeDistribution(config, factors=factors)
     if config.S > 3:
         raise UnsupportedConfigurationError(
@@ -504,29 +509,13 @@ def joint_distribution(rho_multi, config):
         raise ValueError(
             "joint state of shape %r does not match total dimension %d" % (R.shape, D)
         )
-    # Flattened per-mode element stacks with outcome index o = k*M + i.
-    stacks = [
-        p.mats.transpose(1, 0, 2, 3).reshape(p.n_outcomes, p.dim, p.dim)
-        for p in config.povms
-    ]
-    S = config.S
-    if S == 1:
-        P = np.real(np.einsum("mn,anm->a", R, stacks[0]))
-    elif S == 2:
-        Rt = R.reshape(dims[0], dims[1], dims[0], dims[1])
-        P = np.real(np.einsum("mqnr,anm,brq->ab", Rt, stacks[0], stacks[1]))
-    else:
-        Rt = R.reshape(dims[0], dims[1], dims[2], dims[0], dims[1], dims[2])
-        P = np.real(
-            np.einsum("mqsnrt,anm,brq,cts->abc", Rt, stacks[0], stacks[1], stacks[2])
-        )
-    lowest = float(P.min())
-    if lowest < _NEGATIVE_CLAMP:
-        raise InvariantViolationError(
-            "joint outcome probability %.3e is negative beyond roundoff" % lowest,
-            check="probability-positivity",
-        )
-    P = np.maximum(P, 0.0)
+    # Pair mode j's row and column axes with its element stack; the axes left
+    # are (m_j.., n_j.., o_0..o_{j-1}) with flat outcome index o = k*M + i.
+    P = R.reshape(dims * 2)
+    for j, p in enumerate(config.povms):
+        stack = [p.element(i, k).matrix for k in range(p.grid.N) for i in range(p.binning.M)]
+        P = np.tensordot(P, np.array(stack), axes=([0, config.S - j], [2, 1]))
+    P, _ = _checked_probabilities(np.real(P), config.povms)
     return MultiOutcomeDistribution(config, joint=P)
 
 

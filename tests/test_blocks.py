@@ -1,10 +1,12 @@
 """The phase-class block path against a dense reference.
 
 The reference keeps the dense formulas: the measurement matrix E with
-column k*M + i = vec(Pi_{i,k}) and its SVD rank, the frame (E/w) E^dagger
-with ``eigh``, and the snapshots C^{-1}(E/w) devectorized one column at a
-time.  The library computes all of these from small real blocks, one per
-phase class (m - n) mod N.
+column k*M + i = vec(Pi_{i,k}) built from ``element(i, k)`` and its SVD
+rank, the frame (E/w) E^dagger with ``eigh``, the snapshots C^{-1}(E/w)
+devectorized one column at a time, and every sum over outcomes as an
+explicit trace or weighted sum of these dense matrices.  The library
+computes all of these from small real blocks, one per phase class
+(m - n) mod N, and from one pairing over diagonal offsets m - n.
 """
 
 import warnings
@@ -14,6 +16,7 @@ import pytest
 
 from homodyne_shadows import povm as pv
 from homodyne_shadows import shadow as sh
+from homodyne_shadows import sim
 from homodyne_shadows.povm import (
     BinningScheme,
     PhaseGrid,
@@ -24,6 +27,9 @@ from homodyne_shadows.povm import (
     measurement_matrix,
     vectorize,
 )
+from homodyne_shadows.states import Observable
+
+from conftest import random_density, random_hermitian
 
 
 def _weighted(scheme, seed):
@@ -56,7 +62,8 @@ class DenseReference:
         d, M, N = povm.dim, povm.binning.M, povm.grid.N
         self.d, self.M, self.N = d, M, N
         self.E = np.stack(
-            [vectorize(povm.mats[i, k]) for k in range(N) for i in range(M)], axis=1
+            [vectorize(povm.element(i, k).matrix) for k in range(N) for i in range(M)],
+            axis=1,
         )
         self.s = np.linalg.svd(self.E, compute_uv=False)
         self.rank = int(np.count_nonzero(self.s > rtol * self.s[0] * max(self.E.shape)))
@@ -100,7 +107,6 @@ def test_rank_and_spectrum_match_dense(case):
         assert mm.rank == rank
     assert mm.singular_values.shape == ref.s.shape
     assert np.max(np.abs(mm.singular_values - ref.s)) <= 1e-12 * ref.s[0]
-    assert np.array_equal(mm.matrix, ref.E)
 
 
 def test_ic_report_matches_dense(case):
@@ -131,7 +137,36 @@ def test_snapshots_match_dense(case):
     table = sh.snapshots(p, inv)
     expected = ref.snapshots(mode, inv.threshold)
     scale = max(1.0, float(np.max(np.abs(expected))))
-    assert np.max(np.abs(table.snapshots - expected)) <= 1e-9 * scale
+    dense = np.array([[table.snapshot(i, k) for k in range(ref.N)] for i in range(ref.M)])
+    assert np.max(np.abs(dense - expected)) <= 1e-9 * scale
+
+    # Every sum over outcomes against its dense formula on the reference
+    # elements and snapshots: a wrong diagonal offset or phase folding would
+    # show in the aliased classes.
+    rng = np.random.default_rng(7)
+    rho = random_density(p.n_max, rng)
+    X = Observable(random_hermitian(p.dim, rng))
+    elements = ref.E.T.reshape(ref.N, ref.M, ref.d, ref.d).transpose(1, 0, 3, 2)
+    P = np.real(np.einsum("mn,iknm->ik", rho.matrix, elements))
+    assert np.max(np.abs(sh.outcome_probabilities(rho, p) - P)) <= 1e-14
+    vals = np.real(np.einsum("mn,iknm->ik", X.matrix, expected))
+    v_scale = scale * np.abs(X.matrix).sum()
+    assert np.max(np.abs(sh.snapshot_values(table, X) - vals)) <= 1e-9 * v_scale
+    avg = np.einsum("ik,ikmn->mn", P, expected)
+    assert np.max(np.abs(sh.exact_average_snapshot(P, table) - avg)) <= 1e-9 * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # pseudo-mode tables warn
+        variance = sh.exact_variance(rho, X, table, p)
+    truth = np.real(np.trace(rho.matrix @ X.matrix))
+    assert abs(variance - (np.sum(P * vals**2) - truth**2)) <= 1e-9 * v_scale**2
+    second = np.einsum("ik,ikmn->mn", vals**2, elements)
+    norm = np.linalg.eigvalsh(0.5 * (second + second.conj().T))[-1]
+    assert abs(sh.shadow_norm(X, table, p) - norm) <= 1e-9 * v_scale**2
+    records = sim.sample(sim.outcome_distribution(rho, p), 500, seed=3)
+    counts = np.zeros((ref.M, ref.N))
+    np.add.at(counts, (records.i, records.k), 1.0)
+    state = np.einsum("ik,ikmn->mn", counts / len(records), expected)
+    assert np.max(np.abs(sh.reconstruct_state(records, table) - state)) <= 1e-9 * scale
 
 
 def test_inverse_matrix_matches_dense(case):

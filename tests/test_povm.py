@@ -3,6 +3,7 @@
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from homodyne_shadows.povm import (
     vectorize,
 )
 
-from conftest import random_hermitian
+from conftest import random_density, random_hermitian
 
 
 class TestPhaseGrid:
@@ -118,7 +119,8 @@ class TestMeasurementMatrix:
         assert mm.shape == (1, 4)
         assert mm.rank == 1
         probs = 0.5 * (special.erf(edges[1:]) - special.erf(edges[:-1])) / 2.0
-        assert np.allclose(mm.matrix[0, :2].real, probs, atol=1e-12)
+        E00 = [p.element(i, 0).matrix[0, 0] for i in range(2)]
+        assert np.allclose(np.real(E00), probs, atol=1e-12)
 
     def test_mirror_symmetric_edges_rank(self):
         # n_max=1, N=3, M=2 with edges (-4, 0, 4): the bins are mirror
@@ -142,13 +144,11 @@ class TestMeasurementMatrix:
 
     def test_column_ordering_bijection(self):
         p = build_povm(PhaseGrid(3), BinningScheme.equal_spaced(2, 1.5), 1)
-        mm = measurement_matrix(p)
         M = p.binning.M
         for k in range(3):
             for i in range(M):
-                col = mm.matrix[:, k * M + i]
-                assert np.array_equal(col, vectorize(p.mats[i, k]))
-                assert np.array_equal(devectorize(col, p.dim), p.mats[i, k])
+                A = p.element(i, k).matrix
+                assert np.array_equal(devectorize(vectorize(A), p.dim), A)
 
 
 class TestNumericalRank:
@@ -251,9 +251,12 @@ class TestDesignBins:
         for n_max, N, M in [(2, 5, 3), (3, 7, 5)]:
             scheme = design_bins(n_max, N, M, tail_mode=pv.TAIL_STRICT)
             p = build_povm(PhaseGrid(N), scheme, n_max)
-            mm = measurement_matrix(p)
+            E = np.stack(
+                [vectorize(p.element(i, k).matrix) for k in range(N) for i in range(M)],
+                axis=1,
+            )
             w = np.tile(scheme.weights, N)
-            C = (mm.matrix / w) @ mm.matrix.conj().T
+            C = (E / w) @ E.conj().T
             bound = 1.0 / (N * scheme.total_length)
             for _ in range(6):
                 A = random_hermitian(n_max + 1, rng)
@@ -286,7 +289,7 @@ class TestPovmCache:
         path = tmp_path / "povm.json"
         save_povm(p, path)
         loaded = load_povm(path)
-        assert np.array_equal(loaded.mats, p.mats)
+        assert np.array_equal(loaded.G, p.G)
         assert loaded.cache_key == p.cache_key
         assert loaded.binning == p.binning
 
@@ -333,7 +336,6 @@ class TestPovmCache:
         path.write_text(json.dumps(doc))
         loaded = load_povm(path)
         assert np.array_equal(loaded.G, p.G)
-        assert np.array_equal(loaded.mats, p.mats)
 
 
 class TestStructuredPath:
@@ -364,17 +366,38 @@ class TestStructuredPath:
                     ref = bin_overlap(m, n, eff[i], eff[i + 1])
                     assert abs(p.G[i, m, n] - ref) <= 1e-13
 
-    def test_envelope_certifies_without_dense_elements(self, monkeypatch):
-        # n_max = 64 at N = 129, M = 130: the dense element array would take
-        # 1.1 GB, so certification must run on the phase-class blocks alone.
-        def no_mats(self):
-            raise AssertionError("dense POVM elements were materialized")
+    def test_envelope_certifies_without_dense_elements(self):
+        # n_max = 64 at N = 129, M = 130: one dense (M, N, d, d) element or
+        # snapshot array would take 1.1 GB, so the whole chain from design
+        # to estimate must run on the factored (M, d, d) arrays.
+        from homodyne_shadows import shadow as sh
+        from homodyne_shadows import sim
+        from homodyne_shadows.states import expectation, number_operator
 
-        monkeypatch.setattr(pv.PovmSet, "mats", property(no_mats))
-        start = time.perf_counter()
-        scheme = design_bins(64, 129, 130)
-        report = is_informationally_complete(build_povm(PhaseGrid(129), scheme, 64))
-        elapsed = time.perf_counter() - start
+        rho = random_density(64, np.random.default_rng(64))
+        X = number_operator(64)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            scheme = design_bins(64, 129, 130)
+            p = build_povm(PhaseGrid(129), scheme, 64)
+            report = is_informationally_complete(p)
+            inv = sh.invert_frame(sh.frame_operator(p), mode=sh.MODE_STRICT)
+            table = sh.snapshots(p, inv)
+            dist = sim.outcome_distribution(rho, p)
+            variance = sh.exact_variance(rho, X, table, p)
+            norm = sh.shadow_norm(X, table, p)
+            average = sh.exact_average_snapshot(dist.probabilities, table)
+            est = sh.estimate_observable(sim.sample(dist, 10_000, seed=64), table, X)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert report.complete and report.rank == 65 * 65
-        # About 0.2 s on a 2-core machine; the bound leaves room for load.
+        assert variance <= norm
+        assert np.linalg.norm(average - rho.matrix) <= 1e-8
+        assert abs(est.mean - expectation(rho, X)) <= 5.0 * math.sqrt(variance / 10_000)
+        # About 25 MB; the dense arrays would need two 1.1 GB allocations.
+        assert peak < 100e6
+        # About 0.5 s on a 2-core machine; the bound leaves room for load.
         assert elapsed < 5.0

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homodyne_shadows import shadow as sh
 from homodyne_shadows.errors import MalformedRecordError, StrictModeSingularError
 from homodyne_shadows.povm import (
+    TAIL_EXTEND,
+    TAIL_STRICT,
     BinningScheme,
     PhaseGrid,
     build_povm,
@@ -57,7 +61,7 @@ class TestFrameOperator:
         p = build_povm(PhaseGrid(2), b, 0)
         frame = frame_operator(p)
         expected = sum(
-            abs(p.mats[i, k][0, 0]) ** 2 / b.weights[i]
+            abs(p.element(i, k).matrix[0, 0]) ** 2 / b.weights[i]
             for i in range(2)
             for k in range(2)
         )
@@ -151,8 +155,11 @@ class TestSnapshots:
     def test_element_trace_weighted_sum_is_identity(self, small_povm, small_table):
         # Unbiasedness applied to the maximally mixed state: weighting each
         # snapshot by its element's trace resolves the identity.
-        traces = np.real(np.einsum("ikmm->ik", small_povm.mats))
-        total = np.einsum("ik,ikmn->mn", traces, small_table.snapshots)
+        total = sum(
+            np.trace(small_povm.element(i, k).matrix).real * small_table.snapshot(i, k)
+            for i in range(small_table.M)
+            for k in range(small_table.N)
+        )
         assert np.max(np.abs(total - np.eye(3))) <= 1e-8
 
     def test_dimension_mismatch_rejected(self, small_povm):
@@ -277,7 +284,7 @@ class TestExactVariance:
         acc = 0.0
         for i in range(small_table.M):
             for k in range(small_table.N):
-                p = float(np.real(np.trace(rho.matrix @ small_povm.mats[i, k])))
+                p = float(np.real(np.trace(rho.matrix @ small_povm.element(i, k).matrix)))
                 val = float(
                     np.real(np.trace(n_op.matrix @ small_table.snapshot(i, k)))
                 )
@@ -394,3 +401,33 @@ class TestReconstructState:
     def test_empty_stream_rejected(self, small_table):
         with pytest.raises(ValueError):
             reconstruct_state([], small_table)
+
+
+class TestGuaranteesAtScale:
+    @settings(max_examples=10, deadline=None)
+    @given(
+        n_max=st.integers(0, 64),
+        extra_N=st.integers(0, 6),
+        tail_mode=st.sampled_from([TAIL_EXTEND, TAIL_STRICT]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_unbiased_normalized_and_bounded(self, n_max, extra_N, tail_mode, seed, data):
+        # Random complete designs up to the n_max = 64 envelope, with
+        # N >= 2 n_max + 1, and random mixed states and observables.  M starts
+        # at about 1.5 (n_max + 1): nearer n_max + 1 the design search can
+        # fail and the frame condition number reaches 1e9 or more.
+        N = 2 * n_max + 1 + extra_N
+        M = data.draw(st.integers(n_max + 1 + (n_max + 1) // 2, 2 * n_max + 2), label="M")
+        scheme = design_bins(n_max, N, M, tail_mode=tail_mode)
+        p = build_povm(PhaseGrid(N), scheme, n_max)
+        table = snapshots(p, invert_frame(frame_operator(p)))
+        rng = np.random.default_rng(seed)
+        rho = random_density(n_max, rng)
+        X = Observable(random_hermitian(n_max + 1, rng))
+        P = outcome_probabilities(rho, p)
+        assert np.max(np.abs(exact_average_snapshot(P, table) - rho.matrix)) <= 1e-8
+        if tail_mode == TAIL_EXTEND:
+            assert abs(P.sum() - 1.0) <= 1e-10
+        variance = exact_variance(rho, X, table, p)
+        assert variance <= shadow_norm(X, table, p) * (1.0 + 1e-12)

@@ -222,10 +222,30 @@ class TestJointDistribution:
         joint = joint_distribution(R, cfg).dense()
         marginal = joint.sum(axis=1)
         reduced = 0.5 * np.eye(2)  # partial trace over the second mode
-        expected = np.real(
-            np.einsum("mn,iknm->ik", reduced, cfg.povms[0].mats)
-        ).ravel(order="F")
+        p = cfg.povms[0]
+        expected = np.array([
+            np.trace(reduced @ p.element(i, k).matrix).real
+            for k in range(p.grid.N)
+            for i in range(p.binning.M)
+        ])
         assert np.max(np.abs(marginal - expected)) <= 1e-12
+
+    def test_dense_state_is_checked_like_single_mode(self, two_mode_config):
+        # A joint matrix of trace 2 is no state: it must raise like
+        # outcome_distribution(2*rho) and the product path do, instead of
+        # reaching the sampler, which divides by the total.
+        R = np.kron(fock(1, 1).matrix, fock(0, 1).matrix)
+        for rho in (2.0 * R, [2.0 * fock(1, 1).matrix, fock(0, 1).matrix]):
+            with pytest.raises(InvariantViolationError) as excinfo:
+                joint_distribution(rho, two_mode_config)
+            assert excinfo.value.check == "probability-sum"
+        # Extend-tails modes must resolve the identity; a strict-finite mode
+        # leaves tail mass unmeasured, so its joint sums to less than 1.
+        with pytest.raises(InvariantViolationError, match="expected 1"):
+            joint_distribution(0.5 * R, two_mode_config)
+        strict = BinningScheme.equal_spaced(3, 2.5, tail_mode="strict-finite")
+        mixed = MultiModeConfig([two_mode_config.povms[0], (1, PhaseGrid(3), strict)])
+        assert 0.9 < joint_distribution(R, mixed).dense().sum() < 1.0 - 1e-6
 
     def test_mode_count_mismatch(self, two_mode_config):
         with pytest.raises(ValueError):
