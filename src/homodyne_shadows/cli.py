@@ -493,7 +493,7 @@ def _cmd_estimate(args):
                 report.mean,
                 report.stderr,
                 report.shots,
-                inv.mode,
+                report.inversion,
             )
         )
     return EXIT_OK

@@ -569,6 +569,16 @@ def design_bins(
     :class:`~homodyne_shadows.errors.BinDesignError` carrying the best rank
     achieved and the final half-width when the search fails — which it
     provably must when ``necessary_condition(N, n_max)`` is false.
+
+    Working range: with N = 2*n_max+1, take M >= ceil(1.5*(n_max+1)).
+    There, for n_max up to 64, the search succeeds and the frame's
+    condition number stays below about 1.3e4.  Near the minimal bin count
+    M = n_max+1, ``sufficient_condition`` holds but equal-spaced bins are
+    not enough: the search raises ``BinDesignError`` at (n_max, N, M) =
+    (12,25,13), (20,41,21), (32,65,33), (48,97,49) and (64,129,65); the
+    design found at (8,17,9) has lambda_min = 5.7e-13, so strict inversion
+    raises ``StrictModeSingularError``; and (7,15,8) inverts with a frame
+    condition number of 9.4e9.
     """
     if L0 is None:
         L0 = default_half_width(n_max)

@@ -187,7 +187,12 @@ class SnapshotTable:
 
 
 class EstimateReport:
-    """Result of an observable estimation over a record stream."""
+    """Result of an observable estimation over a record stream.
+
+    ``inversion`` and ``threshold`` name how the frame behind the snapshots
+    was inverted (the :class:`SnapshotTable`'s mode and eigenvalue
+    threshold); :func:`estimate_observable` fills them in.
+    """
 
     def __init__(
         self,
@@ -199,6 +204,8 @@ class EstimateReport:
         values=None,
         seed=None,
         povm_cache_key=None,
+        inversion=None,
+        threshold=None,
     ):
         if shots < 1:
             raise ValueError("shot count must be >= 1, got %r" % (shots,))
@@ -212,6 +219,8 @@ class EstimateReport:
         self.values = values
         self.seed = seed
         self.povm_cache_key = povm_cache_key
+        self.inversion = inversion
+        self.threshold = threshold
 
     def to_json(self):
         """JSON-ready dict (per-shot values are not serialized)."""
@@ -223,6 +232,8 @@ class EstimateReport:
             "variant": self.variant,
             "seed": self.seed,
             "povm_cache_key": self.povm_cache_key,
+            "inversion": self.inversion,
+            "threshold": self.threshold,
         }
 
     def __repr__(self):
@@ -406,6 +417,8 @@ def estimate_observable(
         variant_str,
         observable_label=label,
         values=values if keep_values else None,
+        inversion=table.mode,
+        threshold=table.threshold,
     )
 
 

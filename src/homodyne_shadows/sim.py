@@ -17,7 +17,9 @@ consumer accepts one (or any sequence of record-likes, converted once) and
 validates it with a single vectorized check, :func:`checked_records`.
 """
 
+import contextlib
 import csv
+import os
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -72,7 +74,8 @@ class MeasurementRecord(NamedTuple):
 
 
 _record_fields = attrgetter(*RECORD_HEADER)
-# Rows turned into Python objects at a time when iterating or writing.
+# Rows handled at a time when iterating (as Python objects) or writing (as
+# one uint8 matrix of at most _CHUNK x 80 bytes).
 _CHUNK = 100_000
 
 
@@ -341,9 +344,25 @@ def _derive_seed(seed, salt):
 
 
 def _draw_flat(cumulative, uniforms):
-    """Inverse-CDF lookup of flat outcome indices for given uniforms."""
-    total = cumulative[-1]
-    return np.searchsorted(cumulative, uniforms * total, side="right")
+    """Inverse-CDF lookup of flat outcome indices for given uniforms.
+
+    Equals ``np.searchsorted(cumulative, uniforms * total, side="right")``
+    for every uniform in [0, 1), with ``total = cumulative[-1]``.  A guide
+    table over B >= 4K equal buckets of [0, 1) (K outcomes, B a power of
+    two) brackets each answer: u*B is exact and rounding of ``u * total`` is
+    monotone, so the answer for u lies between the answers at the bucket's
+    ends.  Only uniforms whose bucket holds a CDF step are searched.
+    """
+    x = uniforms * cumulative[-1]
+    B = 1 << (4 * cumulative.size - 1).bit_length()
+    if uniforms.size < B:
+        return np.searchsorted(cumulative, x, side="right")
+    guide = np.searchsorted(cumulative, np.arange(B + 1) / B * cumulative[-1], side="right")
+    b = (uniforms * B).astype(np.intp)
+    out = guide[b]
+    step = np.flatnonzero(out != guide[b + 1])
+    out[step] = np.searchsorted(cumulative, x[step], side="right")
+    return out
 
 
 def sample(dist, T, seed, mode=0):
@@ -541,8 +560,7 @@ def sample_multi(dist, T, seed):
         cum = np.cumsum(joint.ravel(order="F"))
         if cum.size == 0 or cum[-1] <= 0.0:
             raise ValueError("cannot sample from an all-zero outcome distribution")
-        flat = np.searchsorted(cum, _uniforms(seed, T) * cum[-1], side="right")
-        per_mode = np.unravel_index(flat, joint.shape, order="F")
+        per_mode = np.unravel_index(_draw_flat(cum, _uniforms(seed, T)), joint.shape, order="F")
     # Shot-major, mode-minor rows: row t*S + j is mode j of shot t.
     S = config.S
     Ms = np.array([p.binning.M for p in config.povms])
@@ -641,19 +659,45 @@ def multi_shadow_norm(config, observables, tables=None):
     return float(out)
 
 
+def _encode_rows(cols):
+    """ASCII bytes of ``"%d,%d,%d,%d\\n"`` per row of non-negative int64 columns.
+
+    Each row fills one line of a uint8 matrix: every field is right-aligned
+    in a fixed width (the digit count of its column's maximum), the
+    separators sit in fixed columns, and unused leading places stay 0.
+    Dropping the zeros leaves the formatted text.
+    """
+    widths = [len(str(int(c.max()))) for c in cols]
+    mat = np.zeros((cols[0].size, sum(widths) + len(cols)), dtype=np.uint8)
+    end = 0
+    for c, width in zip(cols, widths):
+        end += width
+        v = c.astype(np.uint32 if width <= 9 else np.uint64)
+        ten = v.dtype.type(10)
+        for place in range(end - 1, end - width - 1, -1):
+            q = v // ten
+            digit = (v - q * ten).astype(np.uint8) + np.uint8(48)
+            mat[:, place] = digit if place == end - 1 else digit * (v != 0)
+            v = q
+        mat[:, end] = ord(",")
+        end += 1
+    mat[:, -1] = ord("\n")
+    return mat[mat != 0].tobytes()
+
+
 def write_records(path, records):
     """Write records as CSV with header ``t,mode,k,i`` (LF line endings).
 
-    Rows are formatted ``_CHUNK`` at a time, so at most one chunk of
-    the stream exists as Python integers.
+    The bytes are those of ``"%d,%d,%d,%d\\n"`` per row.  Rows are encoded
+    ``_CHUNK`` at a time as a numpy byte matrix (see :func:`_encode_rows`),
+    so memory stays bounded and no row becomes a Python integer.
     """
     rec = checked_records(records)
     cols = rec.columns()
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(RECORD_HEADER) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(RECORD_HEADER) + "\n").encode("ascii"))
         for start in range(0, len(rec), _CHUNK):
-            block = np.column_stack([c[start:start + _CHUNK] for c in cols])
-            fh.write("%d,%d,%d,%d\n" * len(block) % tuple(block.ravel().tolist()))
+            fh.write(_encode_rows([c[start:start + _CHUNK] for c in cols]))
 
 
 _INT64_RANGE = range(-(2**63), 2**63)
@@ -726,21 +770,21 @@ def _load_table(path, header, dtype, checks):
                 ordinal=1,
             )
         # numpy warns on input without data, so stop at an all-blank remainder.
-        while True:
-            start = fh.tell()
-            line = fh.readline()
-            if not line:
-                return np.empty(0, dtype=dtype)
-            if line.strip("\n"):
-                break
-        fh.seek(start)
-        try:
+        if not any(line.strip("\n") for line in fh):
+            return np.empty(0, dtype=dtype)
+    # numpy reads a file name in blocks but a handle line by line.  It would
+    # also decompress a name ending in .bz2, .gz, .lzma or .xz, so such a
+    # (plain-text) file goes through a handle.
+    name = os.fsdecode(path)
+    by_name = os.path.splitext(name)[1] not in (".bz2", ".gz", ".lzma", ".xz")
+    try:
+        with contextlib.nullcontext(name) if by_name else open(name, encoding="utf-8") as src:
             return np.loadtxt(
-                fh, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1
+                src, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1,
+                skiprows=1, encoding="utf-8",
             )
-        except ValueError as exc:
-            cause = exc
-    _raise_first_bad_row(path, header, checks, cause)
+    except ValueError as exc:
+        _raise_first_bad_row(path, header, checks, exc)
 
 
 _RECORD_DTYPE = np.dtype([(name, np.int64) for name in RECORD_HEADER])

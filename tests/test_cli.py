@@ -218,13 +218,32 @@ class TestEstimate:
         doc = json.loads(capsys.readouterr().out)
         assert set(doc) == {
             "observable_label", "mean", "stderr", "T", "variant", "seed",
-            "povm_cache_key",
+            "povm_cache_key", "inversion", "threshold",
         }
+        assert doc["inversion"] == "strict"
         assert doc["T"] == 400
         assert doc["observable_label"] == "n"
         assert doc["seed"] == 7
         # |1> has <n> = 1; 400 shots should land within a broad window
         assert abs(doc["mean"] - 1.0) <= 6 * doc["stderr"]
+
+    def test_json_reports_pseudo_inversion(self, tmp_path, capsys):
+        records = self._simulate(tmp_path)
+        out = tmp_path / "report.json"
+        capsys.readouterr()
+        code = run(
+            [
+                "estimate",
+                "--records", str(records),
+                "--nmax", "1", "--phases", "3", "--bins", "3",
+                "--inversion", "pseudo", "--threshold", "1e-10",
+                "--json", "--out", str(out),
+            ]
+        )
+        assert code == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["inversion"], doc["threshold"]) == ("pseudo", 1e-10)
+        assert json.loads(out.read_text()) == doc
 
     def test_report_file_output(self, tmp_path):
         records = self._simulate(tmp_path)

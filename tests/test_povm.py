@@ -11,6 +11,7 @@ from scipy import special
 
 from homodyne_shadows import povm as pv
 from homodyne_shadows.errors import BinDesignError, CacheKeyMismatchError
+from homodyne_shadows.shadow import frame_operator, invert_frame
 from homodyne_shadows.povm import (
     BinningScheme,
     PhaseGrid,
@@ -235,6 +236,15 @@ class TestDesignBins:
         assert pv.default_half_width(5) == pytest.approx(math.sqrt(11.0) + 1.0)
         scheme = design_bins(2, 5, 3)
         assert scheme.edges[0] == pytest.approx(-pv.default_half_width(2))
+
+    @pytest.mark.parametrize("n_max", [4, 7, 8, 12, 20, 32, 48, 64])
+    def test_documented_working_range(self, n_max):
+        # M = ceil(1.5 (n_max+1)) at N = 2 n_max + 1: the design and the
+        # strict inversion succeed, with a well-conditioned frame.
+        N, M = 2 * n_max + 1, math.ceil(1.5 * (n_max + 1))
+        frame = frame_operator(build_povm(PhaseGrid(N), design_bins(n_max, N, M), n_max))
+        invert_frame(frame)
+        assert frame.condition_number <= 2e4
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

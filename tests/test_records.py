@@ -21,6 +21,7 @@ from homodyne_shadows.shadow import (
     snapshots,
 )
 from homodyne_shadows.sim import (
+    _CHUNK,
     MeasurementRecord,
     MultiModeConfig,
     Records,
@@ -310,3 +311,126 @@ class TestRecordFormat:
         config = MultiModeConfig([povm, povm])
         assert isinstance(sample_multi(joint_distribution([fock(0, 2)] * 2, config), 5, 1),
                           Records)
+
+
+# Field values on either side of every digit-count boundary, plus the extremes.
+_EDGE_VALUES = [0, 2**63 - 1] + [v for k in range(1, 19) for v in (10**k - 1, 10**k)]
+_field = st.one_of(st.sampled_from(_EDGE_VALUES), st.integers(0, 2**63 - 1))
+
+
+def _column(T):
+    return st.one_of(st.lists(_field, min_size=T, max_size=T), st.just([0] * T))
+
+
+def _percent_d(cols):
+    """The per-row ``%d`` formatting that the byte encoder replaces."""
+    block = np.column_stack(cols)
+    return "%d,%d,%d,%d\n" * len(block) % tuple(block.ravel().tolist())
+
+
+class TestRecordEncoder:
+    """``write_records`` bytes equal ``"%d,%d,%d,%d\n"`` formatting of each row."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 30).flatmap(lambda T: st.tuples(*[_column(T)] * 4)))
+    def test_bytes_equal_percent_d(self, cols):
+        cols = [np.array(c, dtype=np.int64) for c in cols]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "records.csv"
+            write_records(path, Records(*cols))
+            assert path.read_bytes() == ("t,mode,k,i\n" + _percent_d(cols)).encode()
+
+    @pytest.mark.parametrize("T", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1])
+    def test_chunk_boundaries(self, T, tmp_path):
+        rng = np.random.default_rng(T)
+        cols = [
+            np.arange(T),
+            np.zeros(T, dtype=np.int64),
+            rng.integers(0, 2**63 - 1, size=T, dtype=np.int64) >> rng.integers(0, 63, size=T),
+            np.full(T, 10**9),
+        ]
+        path = tmp_path / "records.csv"
+        write_records(path, Records(*cols))
+        assert path.read_bytes() == ("t,mode,k,i\n" + _percent_d(cols)).encode()
+
+    def test_empty_stream_writes_the_header(self, tmp_path):
+        path = tmp_path / "records.csv"
+        write_records(path, [])
+        assert path.read_bytes() == b"t,mode,k,i\n"
+
+
+# Edge-case record files: the records, or the error text and file line, that
+# the line-by-line reader gave before ingest moved to numpy's block reader.
+_INGEST_CASES = {
+    "crlf": (b"t,mode,k,i\r\n0,0,1,2\r\n1,0,3,4\r\n", [(0, 0, 1, 2), (1, 0, 3, 4)]),
+    "cr-only": (b"t,mode,k,i\r0,0,1,2\r1,0,3,4\r", [(0, 0, 1, 2), (1, 0, 3, 4)]),
+    "mixed-endings": (
+        b"t,mode,k,i\r\n0,0,1,2\n1,0,3,4\r5,0,1,1\n",
+        [(0, 0, 1, 2), (1, 0, 3, 4), (5, 0, 1, 1)],
+    ),
+    "quoted-fields": (b't,mode,k,i\n"0","0",1,"2"\n1,0,"3",4\n', [(0, 0, 1, 2), (1, 0, 3, 4)]),
+    "quoted-header": (b'"t","mode","k","i"\n0,0,1,2\n', [(0, 0, 1, 2)]),
+    "space-padded": (b"t,mode,k,i\n 0 , 0,1 ,2\n", [(0, 0, 1, 2)]),
+    "tab-padded": (b"t,mode,k,i\n\t0,0\t,1,2\n", [(0, 0, 1, 2)]),
+    "blank-lines": (
+        b"t,mode,k,i\n\n0,0,1,2\n\n\n1,0,3,4\n\n",
+        [(0, 0, 1, 2), (1, 0, 3, 4)],
+    ),
+    "blank-line-1": (b"\n0,0,1,2\n1,0,3,4\n", [(0, 0, 1, 2), (1, 0, 3, 4)]),
+    "no-final-newline": (b"t,mode,k,i\n0,0,1,2\n1,0,3,4", [(0, 0, 1, 2), (1, 0, 3, 4)]),
+    "plus-zero": (b"t,mode,k,i\n+0,0,1,2\n", [(0, 0, 1, 2)]),
+    "negative": (b"t,mode,k,i\n0,0,1,2\n1,-1,3,4\n", ("line 3: mode '-1' is negative", 3)),
+    "over-int64": (
+        b"t,mode,k,i\n0,0,1,2\n1,0,3,9223372036854775808\n",
+        ("line 3: i '9223372036854775808' is not a 64-bit decimal integer", 3),
+    ),
+    "float": (
+        b"t,mode,k,i\n0,0,1.0,2\n",
+        ("line 2: k '1.0' is not a 64-bit decimal integer", 2),
+    ),
+    "underscore": (
+        b"t,mode,k,i\n0,0,1_0,2\n",
+        ("line 2: k '1_0' is not a 64-bit decimal integer", 2),
+    ),
+    "bom-header": (
+        "\ufefft,mode,k,i\n0,0,1,2\n".encode("utf-8"),
+        ("line 1: expected header t,mode,k,i, got '\\ufefft,mode,k,i'", 1),
+    ),
+    "short-row": (b"t,mode,k,i\n0,0,1,2\n1,0,3\n", ("line 3: expected 4 fields, got 3", 3)),
+    "trailing-comma": (b"t,mode,k,i\n0,0,1,2,\n", ("line 2: expected 4 fields, got 5", 2)),
+}
+
+
+class TestIngestEdgeCases:
+    @pytest.mark.parametrize("name", sorted(_INGEST_CASES))
+    def test_records_or_error_line(self, name, tmp_path):
+        body, expected = _INGEST_CASES[name]
+        path = tmp_path / "records.csv"
+        path.write_bytes(body)
+        if isinstance(expected, list):
+            assert ingest_records(path) == [R(*row) for row in expected]
+            return
+        message, line = expected
+        with pytest.raises(MalformedRecordError) as excinfo:
+            ingest_records(path)
+        assert (str(excinfo.value), excinfo.value.ordinal) == (message, line)
+
+    @pytest.mark.parametrize("suffix", [".bz2", ".gz", ".lzma", ".xz"])
+    def test_plain_text_named_like_an_archive(self, suffix, tmp_path):
+        path = tmp_path / ("records.csv" + suffix)
+        path.write_bytes(b"t,mode,k,i\r\n0,0,1,2\r\n\r\n1,0,3,4\r\n")
+        assert ingest_records(path) == [R(0, 0, 1, 2), R(1, 0, 3, 4)]
+        path.write_bytes(b"t,mode,k,i\n0,0,1,2\n\n1,0,x,4\n")
+        with pytest.raises(MalformedRecordError) as excinfo:
+            ingest_records(path)
+        assert excinfo.value.ordinal == 4
+
+    @pytest.mark.parametrize("tail_mode", ["extend-tails", "strict-finite"])
+    def test_bin_raw_crlf_and_blank_lines(self, tail_mode, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_bytes(b"t,mode,k,x\r\n0,0,0,0.5\r\n\r\n1,0,1, -2E0 \r\n2,0,1,-0.5")
+        recs, dropped = bin_raw(path, PhaseGrid(2), BinningScheme([-1.0, 0.0, 1.0], tail_mode))
+        if tail_mode == "extend-tails":
+            assert (recs, dropped) == ([R(0, 0, 0, 1), R(1, 0, 1, 0), R(2, 0, 1, 0)], 0.0)
+        else:
+            assert (recs, dropped) == ([R(0, 0, 0, 1), R(2, 0, 1, 0)], 1 / 3)

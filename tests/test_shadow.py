@@ -271,8 +271,12 @@ class TestEstimateObservable:
             "variant",
             "seed",
             "povm_cache_key",
+            "inversion",
+            "threshold",
         }
         assert doc["T"] == 1
+        assert doc["inversion"] == small_table.mode
+        assert doc["threshold"] == small_table.threshold
 
 
 class TestExactVariance:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from homodyne_shadows import sim
@@ -165,6 +167,46 @@ class TestSample:
         dist = outcome_distribution(fock(0, 1), tiny_povm)
         with pytest.raises(ValueError):
             sample(dist, 0, seed=0)
+
+
+_weight = st.one_of(
+    st.just(0.0),
+    st.sampled_from([1e-300, 1e-16, 1e-12, 1e-9]),
+    st.floats(1e-6, 1.0),
+)
+
+
+class TestDrawFlat:
+    """The guide-table draw equals the plain inverse-CDF search it replaces."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(_weight, min_size=1, max_size=64),
+        st.sampled_from([1.0, 1e-3, 1e-9, 1e-200]),
+        st.integers(0, 2**64 - 1),
+    )
+    @example([1.0], 1.0, 0)  # a single outcome
+    @example([0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 2.0, 0.0], 1.0, 1)  # runs of zeros
+    @example([0.5] + [1e-12] * 60 + [0.5], 1.0, 2)  # tiny outcomes share one bucket
+    @example([0.3, 0.0, 0.2], 1e-9, 3)  # strict-finite total far below 1
+    def test_equals_searchsorted(self, weights, scale, seed):
+        cum = np.cumsum(np.array(weights) * scale)
+        assume(cum[-1] > 0.0)
+        # Every bucket end and its float neighbours, the extremes 0 and
+        # 1 - 2**-53, and stream uniforms; at least 8K of them, so the guide
+        # table (B < 8K buckets) is used.
+        B = 1 << (4 * cum.size - 1).bit_length()
+        ends = np.arange(B) / B
+        u = np.concatenate([
+            ends,
+            np.nextafter(ends[1:], 0.0),
+            np.nextafter(ends, 1.0),
+            [0.0, 1.0 - 2.0**-53],
+            sim._uniforms(seed, 8 * cum.size),
+        ])
+        assert np.array_equal(
+            sim._draw_flat(cum, u), np.searchsorted(cum, u * cum[-1], side="right")
+        )
 
 
 class TestIndistinguishability:
