@@ -25,17 +25,14 @@ from .errors import (
 from .fockcore import bin_overlap, bin_overlaps, hermite_eval, wavefunction
 from .povm import (
     BinningScheme,
-    MeasurementMatrix,
     PhaseGrid,
     PovmSet,
     build_povm,
     design_bins,
     is_informationally_complete,
     load_povm,
-    measurement_matrix,
     necessary_condition,
     normalization_residual,
-    numerical_rank,
     save_povm,
     sufficient_condition,
 )

@@ -24,7 +24,6 @@ mixed-mode records, malformed matrix files, singular strict inversion).
 """
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -39,7 +38,6 @@ from . import states as states_mod
 from .errors import (
     BinDesignError,
     CacheKeyMismatchError,
-    HomodyneShadowsError,
     InvariantViolationError,
     MalformedRecordError,
     QuadratureConvergenceError,

@@ -40,10 +40,7 @@ __all__ = [
     "BinningScheme",
     "PovmElement",
     "PovmSet",
-    "MeasurementMatrix",
     "build_povm",
-    "measurement_matrix",
-    "numerical_rank",
     "is_informationally_complete",
     "ICReport",
     "sufficient_condition",
@@ -300,26 +297,6 @@ class PovmSet:
         )
 
 
-class MeasurementMatrix:
-    """Spectrum and rank of the column-stacked vectorizations of all elements.
-
-    The spectrum comes from the phase-class blocks; the (d^2, N*M) matrix
-    itself is never formed.
-    """
-
-    def __init__(self, povm, singular_values, rank):
-        self.povm = povm
-        self.singular_values = singular_values
-        self.rank = int(rank)
-
-    @property
-    def shape(self):
-        return (self.povm.dim**2, self.povm.n_outcomes)
-
-    def __repr__(self):
-        return "MeasurementMatrix(shape=%r, rank=%d)" % (self.shape, self.rank)
-
-
 def build_povm(grid, binning, n_max):
     """Construct the POVM set for a phase grid and binning at cutoff n_max.
 
@@ -336,8 +313,9 @@ def build_povm(grid, binning, n_max):
 def _phase_blocks(povm):
     """Yield (vec_index, B) for each class r = (m - n) mod N of the vec index.
 
-    A DFT over the phase index k makes the measurement matrix block-diagonal:
-    column (i, k) restricted to class r is exp(1j*r*theta_k)/N times the real
+    The measurement matrix E has column k*M + i = vec(Pi_{i,k}); it is never
+    formed.  A DFT over the phase index k makes it block-diagonal: column
+    (i, k) restricted to class r is exp(1j*r*theta_k)/N times the real
     vector G_i[class r], so class r contributes the real block
     B[(m, n), i] = G_i[m, n] / sqrt(N) of shape (|class r|, M), with the same
     singular values as its part of E.  ``vec_index`` holds the column-stacked
@@ -433,40 +411,16 @@ def devectorize(v, d):
     return np.asarray(v).reshape((d, d), order="F")
 
 
-def measurement_matrix(povm, rtol=DEFAULT_RANK_RTOL):
-    """E with column (k*M + i) = vectorize(Pi_{i,k}), its spectrum and rank.
+def _rank(povm, s, rtol):
+    """Count of descending singular values s of E above rtol * s_max * max(d^2, N*M).
 
-    The numerical rank of E decides informational completeness: the POVM
-    spans the operator space iff rank(E) = (n_max+1)^2.  The spectrum is
-    computed from the phase-class blocks; E itself is never formed.
+    The POVM is informationally complete iff this rank is (n_max+1)^2.
     """
-    s = _block_singular_values(povm)
-    return MeasurementMatrix(povm, s, _rank(s, (povm.dim**2, povm.n_outcomes), rtol))
-
-
-def _rank(s, shape, rtol):
-    """Count of descending singular values s above rtol * s_max * max(shape)."""
     if rtol <= 0:
         raise ValueError("rtol must be positive, got %g" % rtol)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.count_nonzero(s > rtol * s[0] * max(shape)))
-
-
-def numerical_rank(E, rtol=DEFAULT_RANK_RTOL):
-    """Numerical rank: singular values above rtol * sigma_max * max(shape).
-
-    Accepts a plain array or a :class:`MeasurementMatrix` (whose block
-    spectrum is reused).  Returns ``(rank, singular_values)`` with the
-    spectrum in descending order.
-    """
-    if isinstance(E, MeasurementMatrix):
-        s, shape = E.singular_values, E.shape
-    else:
-        A = np.asarray(E)
-        s = np.linalg.svd(A, compute_uv=False) if A.size else np.zeros(0)
-        shape = A.shape
-    return _rank(s, shape, rtol), s
+    return int(np.count_nonzero(s > rtol * s[0] * max(povm.dim**2, povm.n_outcomes)))
 
 
 class ICReport:
@@ -503,7 +457,8 @@ def is_informationally_complete(povm, rtol=DEFAULT_RANK_RTOL):
     operator as conditioning diagnostics.  Everything comes from the
     phase-class blocks; no d^2-sized matrix is formed.
     """
-    mm = measurement_matrix(povm, rtol=rtol)
+    s = _block_singular_values(povm)
+    rank = _rank(povm, s, rtol)
     required = povm.dim * povm.dim
     w = povm.binning.weights
     lam = np.concatenate(
@@ -511,9 +466,7 @@ def is_informationally_complete(povm, rtol=DEFAULT_RANK_RTOL):
     )
     lam_min, lam_max = float(lam.min()), float(lam.max())
     cond = lam_max / lam_min if lam_min > 0 else math.inf
-    return ICReport(
-        mm.rank == required, mm.rank, required, mm.singular_values, lam_min, cond
-    )
+    return ICReport(rank == required, rank, required, s, lam_min, cond)
 
 
 def sufficient_condition(N, M, n_max):
@@ -601,7 +554,8 @@ def design_bins(
     for t in range(int(max_iter) + 1):
         L = L0 + t * dL
         scheme = BinningScheme.equal_spaced(M, L, tail_mode=tail_mode)
-        rank = measurement_matrix(build_povm(grid, scheme, n_max), rtol=rtol).rank
+        p = build_povm(grid, scheme, n_max)
+        rank = _rank(p, _block_singular_values(p), rtol)
         if rank > best_rank:
             best_rank = rank
         if rank == required:

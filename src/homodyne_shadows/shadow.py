@@ -6,9 +6,9 @@ The measurement frame of a POVM set is the positive self-adjoint map
 
 a (n_max+1)^2 x (n_max+1)^2 matrix acting on column-stacked vectorizations.
 On the uniform phase grid it is real and block-diagonal in the classes
-r = (m - n) mod N of the vec index (``povm._phase_blocks``), so it is built,
-diagonalized and inverted one small real block at a time; the dense matrix
-is assembled only when read.  Inverting it (exactly when informationally
+r = (m - n) mod N of the vec index (``povm._phase_blocks``), so it is held,
+diagonalized and inverted as one small real block per class; the dense
+matrix is never formed.  Inverting it (exactly when informationally
 complete, via Moore-Penrose pseudoinverse otherwise) turns each outcome
 (i, k) into a snapshot matrix rho_hat_{i,k} = C^{-1}(Pi_{i,k}/w_i) whose
 average over measurement records is an unbiased estimator of the state.
@@ -22,13 +22,12 @@ parameter-count bound, and the Bernstein shot-count calculator.
 
 import math
 import warnings
-from functools import cached_property
 
 import numpy as np
 
 from .errors import StrictModeSingularError
 from .povm import _adjoint, _frame_block, _outcome_matrix, _pairing, _phase_blocks
-from .states import Observable, expectation
+from .states import expectation
 
 __all__ = [
     "FrameOperator",
@@ -58,47 +57,23 @@ DEFAULT_THRESHOLD = 1e-12
 DEFAULT_BATCHES = 10
 
 
-def _block_diagonal(d2, blocks):
-    """Dense d2 x d2 matrix with each (vec_index, block) placed on its classes."""
-    out = np.zeros((d2, d2))
-    for idx, A in blocks:
-        out[np.ix_(idx, idx)] = A
-    return out
-
-
 class FrameOperator:
     """Weighted frame operator of a POVM set, with its eigendecomposition.
 
     ``blocks`` holds one (vec_index, C_r, eigenvalues_r, eigenvectors_r) per
-    phase class.  ``eigenvalues`` is the whole ascending spectrum; the dense
-    ``matrix`` and ``eigenvectors`` (columns ordered like ``eigenvalues``)
-    are assembled on first access.
+    phase class, with C_r = C[vec_index, vec_index] and every entry of C
+    outside the blocks zero.  ``eigenvalues`` is the whole ascending spectrum.
     """
 
     def __init__(self, blocks, povm):
         self.blocks = blocks
         self.povm = povm
-        lam = np.concatenate([b[2] for b in blocks])
-        self._order = np.argsort(lam, kind="stable")
-        self.eigenvalues = lam[self._order]
+        self.eigenvalues = np.sort(np.concatenate([b[2] for b in blocks]))
 
     @property
     def dim(self):
         """Size (n_max+1)^2 of the operator."""
         return self.eigenvalues.size
-
-    @cached_property
-    def matrix(self):
-        return _block_diagonal(self.dim, ((idx, C) for idx, C, _, _ in self.blocks))
-
-    @cached_property
-    def eigenvectors(self):
-        V = np.zeros((self.dim, self.dim))
-        col = 0
-        for idx, _, lam, U in self.blocks:
-            V[idx, col:col + lam.size] = U
-            col += lam.size
-        return V[:, self._order]
 
     @property
     def lambda_min(self):
@@ -125,8 +100,8 @@ class FrameOperator:
 class InverseFrame:
     """Strict inverse or Moore-Penrose pseudoinverse of a frame operator.
 
-    ``blocks`` pairs each phase class's vec_index with its inverse block;
-    the dense ``matrix`` is assembled on first access.
+    ``blocks`` pairs each phase class's vec_index with its inverse block,
+    in the order of the frame's blocks.
     """
 
     def __init__(self, mode, blocks, threshold, frame):
@@ -134,10 +109,6 @@ class InverseFrame:
         self.blocks = blocks
         self.threshold = float(threshold)
         self.frame = frame
-
-    @cached_property
-    def matrix(self):
-        return _block_diagonal(self.frame.dim, self.blocks)
 
     def __repr__(self):
         return "InverseFrame(mode=%r, threshold=%g)" % (self.mode, self.threshold)
@@ -303,20 +274,20 @@ def snapshots(povm, inv):
     once per bin and rho_hat_{i,k} = S_i exp(1j*(m-n)*theta_k)/N.  S_i is
     symmetrized ((S + S^T)/2) to scrub roundoff, which makes every snapshot
     exactly Hermitian.  The inverse frame must come from a POVM with the
-    same dimension and phase grid.
+    same cutoff, phase grid and binning (edges, tail mode and weights);
+    any other inverse would silently bias every snapshot.
     """
-    d = povm.dim
     source = inv.frame.povm
-    if source.dim != d:
+    if not (
+        source.n_max == povm.n_max
+        and source.grid == povm.grid
+        and source.binning == povm.binning
+    ):
         raise ValueError(
-            "inverse frame of dimension %d does not match POVM dimension %d"
-            % (source.dim, d)
+            "inverse frame belongs to %r, not to %r: cutoff, phase grid and "
+            "binning (edges, tail mode, weights) must all match" % (source, povm)
         )
-    if source.grid != povm.grid:
-        raise ValueError(
-            "inverse frame built on %r does not match the POVM's %r"
-            % (source.grid, povm.grid)
-        )
+    d = povm.dim
     M = povm.binning.M
     N = povm.grid.N
     w = povm.binning.weights
@@ -338,11 +309,11 @@ def outcome_probabilities(rho, povm):
     return _pairing(rho, povm.G, povm.grid)
 
 
-def _parse_variant(variant, batches):
+def _parse_variant(variant):
     if variant == "plain-mean":
         return "plain-mean", None
     if variant == "median-of-means":
-        return "median-of-means", int(batches)
+        return "median-of-means", DEFAULT_BATCHES
     if isinstance(variant, str) and variant.startswith("median-of-means:"):
         b = int(variant.split(":", 1)[1])
         if b < 1:
@@ -353,17 +324,17 @@ def _parse_variant(variant, batches):
     )
 
 
-def _aggregate(values, variant="plain-mean", batches=DEFAULT_BATCHES):
+def _aggregate(values, variant="plain-mean"):
     """Fold per-shot values into ``(mean, stderr, variant label)``.
 
-    ``"plain-mean"`` averages all T values.  ``"median-of-means"`` (or
-    ``"median-of-means:B"`` inline) splits them into min(B, T) contiguous
-    batches and takes the median of the batch means (Huang, Kueng & Preskill
-    2020); the label names that effective batch count.  ``stderr`` is the
-    plain-mean standard error std(values, ddof=1)/sqrt(T) in both variants,
-    and 0 for a single shot.
+    ``"plain-mean"`` averages all T values.  ``"median-of-means:B"`` splits
+    them into min(B, T) contiguous batches (B = ``DEFAULT_BATCHES`` for a
+    bare ``"median-of-means"``) and takes the median of the batch means
+    (Huang, Kueng & Preskill 2020); the label names that effective batch
+    count.  ``stderr`` is the plain-mean standard error
+    std(values, ddof=1)/sqrt(T) in both variants, and 0 for a single shot.
     """
-    kind, B = _parse_variant(variant, batches)
+    kind, B = _parse_variant(variant)
     T = values.size
     if T == 0:
         raise ValueError("record stream is empty")
@@ -385,20 +356,12 @@ def _single_mode_records(records, table):
     return checked_records(records, table.M, table.N)
 
 
-def estimate_observable(
-    records,
-    table,
-    X,
-    variant="plain-mean",
-    batches=DEFAULT_BATCHES,
-    keep_values=False,
-):
+def estimate_observable(records, table, X, variant="plain-mean", keep_values=False):
     """Fold a single-mode record stream into an observable estimate.
 
     Each record contributes the per-shot value Tr(X rho_hat_{i,k}) of its
-    outcome, aggregated as :func:`_aggregate` describes: plain averaging or
-    median-of-means over ``batches`` contiguous batches (also accepted
-    inline as ``"median-of-means:B"``).
+    outcome, aggregated as :func:`_aggregate` describes: plain averaging, or
+    median-of-means over B contiguous batches for ``"median-of-means:B"``.
 
     ``records`` is a :class:`~homodyne_shadows.sim.Records` or a sequence
     of record-likes.  Records with a negative index, an outcome outside the
@@ -408,7 +371,7 @@ def estimate_observable(
     """
     rec = _single_mode_records(records, table)
     values = snapshot_values(table, X)[rec.i, rec.k]
-    mean, stderr, variant_str = _aggregate(values, variant, batches)
+    mean, stderr, variant_str = _aggregate(values, variant)
     label = X.label if hasattr(X, "label") else "X"
     return EstimateReport(
         mean,

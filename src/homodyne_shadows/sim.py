@@ -453,10 +453,6 @@ class MultiModeConfig:
         """Number of modes."""
         return len(self.povms)
 
-    def outcome_counts(self):
-        """Per-mode flat outcome counts M_j * N_j."""
-        return [p.n_outcomes for p in self.povms]
-
     def __repr__(self):
         return "MultiModeConfig(S=%d, dims=%r)" % (
             self.S,
@@ -574,7 +570,7 @@ def _strict_table(povm):
     return shadow_mod.snapshots(povm, inv)
 
 
-def estimate_local(records, config, tables, observables, variant="plain-mean", batches=10):
+def estimate_local(records, config, tables, observables, variant="plain-mean"):
     """Estimate a tensor-product local observable from multi-mode records.
 
     ``observables`` maps mode index -> Observable for the non-trivially
@@ -630,7 +626,7 @@ def estimate_local(records, config, tables, observables, variant="plain-mean", b
         per_shot = np.empty(shot_t.size)
         per_shot[shot[rows]] = value_tables[j][i[rows], k[rows]]
         values *= per_shot
-    mean, stderr, variant_str = shadow_mod._aggregate(values, variant, batches)
+    mean, stderr, variant_str = shadow_mod._aggregate(values, variant)
     label = " * ".join(
         getattr(observables[j], "label", "X") for j in V
     ) if V else "identity"

@@ -24,7 +24,6 @@ from homodyne_shadows.povm import (
     design_bins,
     devectorize,
     is_informationally_complete,
-    measurement_matrix,
     vectorize,
 )
 from homodyne_shadows.states import Observable
@@ -100,13 +99,12 @@ def case(request):
 
 def test_rank_and_spectrum_match_dense(case):
     p, ref, rank = case
-    mm = measurement_matrix(p)
-    assert mm.shape == ref.E.shape
-    assert mm.rank == ref.rank
+    report = is_informationally_complete(p)
+    assert report.rank == ref.rank
     if rank is not None:
-        assert mm.rank == rank
-    assert mm.singular_values.shape == ref.s.shape
-    assert np.max(np.abs(mm.singular_values - ref.s)) <= 1e-12 * ref.s[0]
+        assert report.rank == rank
+    assert report.singular_values.shape == ref.s.shape
+    assert np.max(np.abs(report.singular_values - ref.s)) <= 1e-12 * ref.s[0]
 
 
 def test_ic_report_matches_dense(case):
@@ -123,10 +121,13 @@ def test_frame_matches_dense(case):
     p, ref, _ = case
     frame = sh.frame_operator(p)
     assert np.max(np.abs(frame.eigenvalues - ref.lam)) <= 1e-14
-    assert np.max(np.abs(frame.matrix - ref.C)) <= 1e-15
-    V = frame.eigenvectors
-    assert np.max(np.abs(V.T @ V - np.eye(p.dim**2))) <= 1e-12
-    assert np.max(np.abs(frame.matrix @ V - V * frame.eigenvalues)) <= 1e-14
+    off_blocks = np.ones(ref.C.shape, dtype=bool)
+    for idx, C, lam, V in frame.blocks:
+        assert np.max(np.abs(C - ref.C[np.ix_(idx, idx)])) <= 1e-15
+        off_blocks[np.ix_(idx, idx)] = False
+        assert np.max(np.abs(V.T @ V - np.eye(idx.size))) <= 1e-12
+        assert np.max(np.abs(C @ V - V * lam)) <= 1e-14
+    assert np.max(np.abs(ref.C[off_blocks]), initial=0.0) <= 1e-15
 
 
 def test_snapshots_match_dense(case):
@@ -176,7 +177,12 @@ def test_inverse_matrix_matches_dense(case):
     keep = ref.lam > inv.threshold
     inv_lam = np.where(keep, 1.0 / np.where(keep, ref.lam, 1.0), 0.0)
     Cinv = (ref.V * inv_lam) @ ref.V.conj().T
-    assert np.max(np.abs(inv.matrix - Cinv)) <= 1e-9 * max(1.0, np.max(np.abs(Cinv)))
+    tol = 1e-9 * max(1.0, np.max(np.abs(Cinv)))
+    off_blocks = np.ones(Cinv.shape, dtype=bool)
+    for idx, Cinv_r in inv.blocks:
+        assert np.max(np.abs(Cinv_r - Cinv[np.ix_(idx, idx)])) <= tol
+        off_blocks[np.ix_(idx, idx)] = False
+    assert np.max(np.abs(Cinv[off_blocks]), initial=0.0) <= tol
 
 
 def test_snapshots_reject_other_phase_grid():
@@ -185,3 +191,35 @@ def test_snapshots_reject_other_phase_grid():
     inv = sh.invert_frame(sh.frame_operator(a), mode=sh.MODE_PSEUDO)
     with pytest.raises(ValueError):
         sh.snapshots(b, inv)
+
+
+def _rebinned(scheme, **changes):
+    kw = dict(edges=scheme.edges, tail_mode=scheme.tail_mode, weights=scheme.weights)
+    kw.update(changes)
+    return BinningScheme(**kw)
+
+
+@pytest.mark.parametrize(
+    "other",
+    [
+        lambda s: BinningScheme.equal_spaced(5, 4.0),
+        lambda s: _rebinned(s, weights=2.0 * s.weights),
+        lambda s: _rebinned(s, tail_mode=pv.TAIL_STRICT),
+    ],
+    ids=["edges", "weights", "tail-mode"],
+)
+def test_snapshots_reject_other_binning(other):
+    # Both POVMs are complete with the same n_max and phase grid, so only the
+    # binning tells the inverse frame of one from that of the other; applied
+    # to the wrong POVM it gives snapshots that no longer average to rho.
+    scheme = design_bins(3, 7, 5)
+    a = build_povm(PhaseGrid(7), scheme, 3)
+    b = build_povm(PhaseGrid(7), other(scheme), 3)
+    assert is_informationally_complete(b).complete
+    inv = sh.invert_frame(sh.frame_operator(a))
+    with pytest.raises(ValueError, match="binning"):
+        sh.snapshots(b, inv)
+    same = build_povm(PhaseGrid(7), _rebinned(scheme), 3)
+    rho = random_density(3, np.random.default_rng(11))
+    avg = sh.exact_average_snapshot(sh.outcome_probabilities(rho, same), sh.snapshots(same, inv))
+    assert np.max(np.abs(avg - rho.matrix)) <= 1e-8

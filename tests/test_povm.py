@@ -20,10 +20,8 @@ from homodyne_shadows.povm import (
     devectorize,
     is_informationally_complete,
     load_povm,
-    measurement_matrix,
     necessary_condition,
     normalization_residual,
-    numerical_rank,
     save_povm,
     sufficient_condition,
     vectorize,
@@ -116,9 +114,7 @@ class TestMeasurementMatrix:
     def test_scalar_space_rank_one(self):
         edges = np.array([-1.0, 0.0, 1.0])
         p = build_povm(PhaseGrid(2), BinningScheme(edges, tail_mode=pv.TAIL_STRICT), 0)
-        mm = measurement_matrix(p)
-        assert mm.shape == (1, 4)
-        assert mm.rank == 1
+        assert is_informationally_complete(p).rank == 1
         probs = 0.5 * (special.erf(edges[1:]) - special.erf(edges[:-1])) / 2.0
         E00 = [p.element(i, 0).matrix[0, 0] for i in range(2)]
         assert np.allclose(np.real(E00), probs, atol=1e-12)
@@ -131,9 +127,9 @@ class TestMeasurementMatrix:
         p = build_povm(
             PhaseGrid(3), BinningScheme([-4.0, 0.0, 4.0], tail_mode=pv.TAIL_STRICT), 1
         )
-        mm = measurement_matrix(p)
-        assert mm.rank == 3
-        assert mm.singular_values[-1] < 1e-14
+        report = is_informationally_complete(p)
+        assert report.rank == 3
+        assert report.singular_values[-1] < 1e-14
 
     def test_too_few_phases_never_complete(self):
         rng = np.random.default_rng(5)
@@ -141,7 +137,7 @@ class TestMeasurementMatrix:
             edges = np.sort(rng.uniform(-4.5, 4.5, size=8))
             edges += rng.uniform(0.1, 0.5)  # avoid accidental symmetry
             p = build_povm(PhaseGrid(5), BinningScheme(edges), 5)
-            assert measurement_matrix(p).rank < 36
+            assert is_informationally_complete(p).rank < 36
 
     def test_column_ordering_bijection(self):
         p = build_povm(PhaseGrid(3), BinningScheme.equal_spaced(2, 1.5), 1)
@@ -153,24 +149,10 @@ class TestMeasurementMatrix:
 
 
 class TestNumericalRank:
-    def test_zero_matrix(self):
-        rank, spectrum = numerical_rank(np.zeros((3, 5)))
-        assert rank == 0
-
-    def test_identity_block(self):
-        rank, spectrum = numerical_rank(np.eye(7))
-        assert rank == 7
-        assert spectrum.shape == (7,)
-
-    def test_near_degenerate_column(self):
-        A = np.eye(4)
-        A[:, 3] = A[:, 2] + 1e-14
-        rank, _ = numerical_rank(A)
-        assert rank == 3
-
     def test_invalid_rtol(self):
+        p = build_povm(PhaseGrid(3), BinningScheme.equal_spaced(2, 1.5), 1)
         with pytest.raises(ValueError):
-            numerical_rank(np.eye(2), rtol=0.0)
+            is_informationally_complete(p, rtol=0.0)
 
 
 class TestCompletenessPredicates:
@@ -217,12 +199,12 @@ class TestDesignBins:
         assert scheme.edges[0] == pytest.approx(-1.0)
         assert scheme.M == 2
         p = build_povm(PhaseGrid(3), scheme, 1)
-        assert measurement_matrix(p).rank == 4
+        assert is_informationally_complete(p).rank == 4
 
     def test_full_scale_case(self):
         scheme = design_bins(5, 11, 6, L0=3.0, dL=0.5, max_iter=100)
         p = build_povm(PhaseGrid(11), scheme, 5)
-        assert measurement_matrix(p).rank == 36
+        assert is_informationally_complete(p).rank == 36
 
     def test_exhaustion_carries_diagnostics(self):
         with pytest.warns(UserWarning):

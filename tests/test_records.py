@@ -13,6 +13,7 @@ from homodyne_shadows.cli import EXIT_DATA, EXIT_OK, main
 from homodyne_shadows.errors import MalformedRecordError
 from homodyne_shadows.povm import BinningScheme, PhaseGrid, build_povm, design_bins
 from homodyne_shadows.shadow import (
+    DEFAULT_BATCHES,
     estimate_observable,
     frame_operator,
     invert_frame,
@@ -231,8 +232,22 @@ class TestMedianOfMeansBatches:
     def test_local_label_reports_effective_batches(self, local_33):
         cfg, table = local_33
         recs = [R(t, j, 0, 0) for t in range(3) for j in range(2)]
-        rep = estimate_local(recs, cfg, {}, {}, variant="median-of-means", batches=10)
+        rep = estimate_local(recs, cfg, {}, {}, variant="median-of-means")
         assert rep.variant == "median-of-means:3"
+
+    def test_variant_is_the_only_batch_setting(self, setup_223, local_33):
+        # A separate batch-count argument could contradict the inline one.
+        _, table = setup_223
+        n_op = number_operator(2)
+        recs = [R(t, 0, t % 5, t % 4) for t in range(12)]
+        rep = estimate_observable(recs, table, n_op, variant="median-of-means")
+        assert rep.variant == "median-of-means:%d" % DEFAULT_BATCHES
+        with pytest.raises(TypeError):
+            estimate_observable(recs, table, n_op, variant="median-of-means:5", batches=20)
+        cfg, _ = local_33
+        local = [R(t, j, 0, 0) for t in range(3) for j in range(2)]
+        with pytest.raises(TypeError):
+            estimate_local(local, cfg, {}, {}, variant="median-of-means:5", batches=20)
 
 
 class TestRecordFormat:

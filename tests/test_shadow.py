@@ -65,8 +65,8 @@ class TestFrameOperator:
             for i in range(2)
             for k in range(2)
         )
-        assert frame.matrix.shape == (1, 1)
-        assert frame.matrix[0, 0].real == pytest.approx(expected, rel=1e-12)
+        assert frame.dim == 1
+        assert frame.blocks[0][1][0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_doubling_weights_halves_operator(self, small_povm):
         p = small_povm
@@ -74,13 +74,15 @@ class TestFrameOperator:
             p.binning.edges, tail_mode=p.binning.tail_mode, weights=2.0 * p.binning.weights
         )
         p2 = build_povm(p.grid, doubled, p.n_max)
-        C1 = frame_operator(p).matrix
-        C2 = frame_operator(p2).matrix
-        assert np.allclose(C2, 0.5 * C1, atol=1e-14)
+        for (_, C1, _, _), (_, C2, _, _) in zip(
+            frame_operator(p).blocks, frame_operator(p2).blocks
+        ):
+            assert np.allclose(C2, 0.5 * C1, atol=1e-14)
 
     def test_self_adjoint_and_psd(self, small_povm):
         frame = frame_operator(small_povm)
-        assert np.array_equal(frame.matrix, frame.matrix.conj().T)
+        for _, C, _, _ in frame.blocks:
+            assert np.array_equal(C, C.T)
         assert frame.lambda_min > 0
         assert frame.lambda_max >= frame.lambda_min
         assert frame.condition_number == pytest.approx(
@@ -97,8 +99,8 @@ class TestInvertFrame:
     def test_strict_inverse_is_exact(self, small_povm):
         frame = frame_operator(small_povm)
         inv = invert_frame(frame)
-        d2 = frame.matrix.shape[0]
-        assert np.max(np.abs(inv.matrix @ frame.matrix - np.eye(d2))) <= 1e-8
+        for (idx, C, _, _), (_, Cinv) in zip(frame.blocks, inv.blocks):
+            assert np.max(np.abs(Cinv @ C - np.eye(idx.size))) <= 1e-8
 
     def test_strict_mode_rejects_singular_frame(self, degenerate_povm):
         frame = frame_operator(degenerate_povm)
@@ -110,9 +112,9 @@ class TestInvertFrame:
     def test_pseudo_inverse_satisfies_penrose_identity(self, degenerate_povm):
         frame = frame_operator(degenerate_povm)
         inv = invert_frame(frame, mode=sh.MODE_PSEUDO)
-        C = frame.matrix
-        assert np.max(np.abs(C @ inv.matrix @ C - C)) <= 1e-9
-        assert np.max(np.abs(inv.matrix @ C @ inv.matrix - inv.matrix)) <= 1e-9
+        for (_, C, _, _), (_, Cinv) in zip(frame.blocks, inv.blocks):
+            assert np.max(np.abs(C @ Cinv @ C - C)) <= 1e-9
+            assert np.max(np.abs(Cinv @ C @ Cinv - Cinv)) <= 1e-9
 
     def test_invalid_mode(self, small_povm):
         with pytest.raises(ValueError):
@@ -176,9 +178,10 @@ class TestPseudoMode:
         frame = frame_operator(degenerate_povm)
         inv = invert_frame(frame, mode=sh.MODE_PSEUDO)
         table = snapshots(degenerate_povm, inv)
-        lam, V = frame.eigenvalues, frame.eigenvectors
-        keep = lam > inv.threshold
-        proj = (V[:, keep]) @ (V[:, keep]).conj().T
+        proj = np.zeros((frame.dim, frame.dim))
+        for idx, _, lam, V in frame.blocks:
+            keep = lam > inv.threshold
+            proj[np.ix_(idx, idx)] = V[:, keep] @ V[:, keep].T
         rng = np.random.default_rng(9)
         rho = random_density(1, rng)
         P = outcome_probabilities(rho, degenerate_povm)
@@ -190,7 +193,9 @@ class TestPseudoMode:
         # Perturbing a state along the frame's null direction changes
         # neither the outcome distribution nor the pseudo reconstruction.
         frame = frame_operator(degenerate_povm)
-        null_vec = frame.eigenvectors[:, 0]
+        idx, _, lam, V = min(frame.blocks, key=lambda b: b[2][0])
+        null_vec = np.zeros(frame.dim)
+        null_vec[idx] = V[:, 0]
         assert frame.eigenvalues[0] < 1e-14
         A = devectorize(null_vec, 2)
         A = 0.5 * (A + A.conj().T)
