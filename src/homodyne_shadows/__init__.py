@@ -52,7 +52,6 @@ from .shadow import (
     variance_bound,
 )
 from .sim import (
-    MeasurementRecord,
     Records,
     MultiModeConfig,
     OutcomeDistribution,

@@ -465,6 +465,10 @@ def _cmd_simulate(args):
 
 
 def _cmd_estimate(args):
+    try:
+        shadow_mod._parse_variant(args.variant)
+    except ValueError as exc:
+        raise UsageError("bad --variant: %s" % exc) from exc
     povm, _ = _resolve_povm(args)
     X = _parse_observable_spec(args.observable, povm.n_max)
     records = sim_mod.ingest_records(args.records)

@@ -38,7 +38,6 @@ __all__ = [
     "TAIL_STRICT",
     "PhaseGrid",
     "BinningScheme",
-    "PovmElement",
     "PovmSet",
     "build_povm",
     "is_informationally_complete",
@@ -211,18 +210,6 @@ class BinningScheme:
         )
 
 
-class PovmElement:
-    """Single POVM element: outcome (bin i, phase k) with its Fock matrix."""
-
-    def __init__(self, i, k, matrix):
-        self.i = int(i)
-        self.k = int(k)
-        self.matrix = matrix
-
-    def __repr__(self):
-        return "PovmElement(i=%d, k=%d, dim=%d)" % (self.i, self.k, self.matrix.shape[0])
-
-
 class PovmSet:
     """All M*N POVM elements for one (grid, binning, n_max) configuration.
 
@@ -255,8 +242,8 @@ class PovmSet:
         return self.binning.M * self.grid.N
 
     def element(self, i, k):
-        """The PovmElement for outcome (bin i, phase k)."""
-        return PovmElement(i, k, _outcome_matrix(self.G, self.grid, i, k))
+        """The complex d x d matrix of outcome (bin i, phase k)."""
+        return _outcome_matrix(self.G, self.grid, i, k)
 
     @property
     def cache_key(self):
@@ -608,7 +595,7 @@ def save_povm(povm, path):
         "weights": [float(w) for w in povm.binning.weights],
         "cache_key": povm.cache_key,
         "elements": [
-            {"i": i, "k": k, "matrix": _matrix_to_json(povm.element(i, k).matrix)}
+            {"i": i, "k": k, "matrix": _matrix_to_json(povm.element(i, k))}
             for k in range(povm.grid.N)
             for i in range(povm.binning.M)
         ],
@@ -677,7 +664,7 @@ def load_povm(path, expected_key=None):
                 "element (%r, %r) with shape %r does not fit cache %s"
                 % (i, k, A.shape, path)
             )
-        dev = float(np.max(np.abs(A - povm.element(i, k).matrix)))
+        dev = float(np.max(np.abs(A - povm.element(i, k))))
         if not dev <= CACHE_ATOL:
             raise CacheKeyMismatchError(
                 "element (%d, %d) in cache %s deviates from the POVM its key "

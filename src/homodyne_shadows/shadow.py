@@ -310,17 +310,21 @@ def outcome_probabilities(rho, povm):
 
 
 def _parse_variant(variant):
+    """``(kind, batches)`` of a variant string; ValueError naming the accepted forms."""
     if variant == "plain-mean":
         return "plain-mean", None
     if variant == "median-of-means":
         return "median-of-means", DEFAULT_BATCHES
     if isinstance(variant, str) and variant.startswith("median-of-means:"):
-        b = int(variant.split(":", 1)[1])
-        if b < 1:
-            raise ValueError("batch count must be >= 1, got %d" % b)
-        return "median-of-means", b
+        try:
+            b = int(variant.split(":", 1)[1])
+        except ValueError:
+            b = 0
+        if b >= 1:
+            return "median-of-means", b
     raise ValueError(
-        "variant must be 'plain-mean' or 'median-of-means[:batches]', got %r" % (variant,)
+        "variant must be 'plain-mean', 'median-of-means' or 'median-of-means:B' "
+        "with an integer batch count B >= 1, got %r" % (variant,)
     )
 
 
@@ -363,8 +367,8 @@ def estimate_observable(records, table, X, variant="plain-mean", keep_values=Fal
     outcome, aggregated as :func:`_aggregate` describes: plain averaging, or
     median-of-means over B contiguous batches for ``"median-of-means:B"``.
 
-    ``records`` is a :class:`~homodyne_shadows.sim.Records` or a sequence
-    of record-likes.  Records with a negative index, an outcome outside the
+    ``records`` is a :class:`~homodyne_shadows.sim.Records`; any other type
+    raises ``TypeError``.  Records with a negative index, an outcome outside the
     table, or a mode other than the stream's first raise
     :class:`~homodyne_shadows.errors.MalformedRecordError` with the record's
     position in the stream.

@@ -13,14 +13,13 @@ and CSV ingestion of externally produced (or raw quadrature) records.
 
 Records are columnar: a :class:`Records` holds four equal-length int64
 arrays ``t``, ``mode``, ``k``, ``i``.  Every producer returns one and every
-consumer accepts one (or any sequence of record-likes, converted once) and
-validates it with a single vectorized check, :func:`checked_records`.
+consumer takes one and validates it with a single vectorized check,
+:func:`checked_records`.
 """
 
 import contextlib
 import csv
 import os
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -36,9 +35,7 @@ from .shadow import EstimateReport, outcome_probabilities, snapshot_values
 from .states import superposition_pair, trace_distance
 
 __all__ = [
-    "MeasurementRecord",
     "Records",
-    "as_records",
     "checked_records",
     "OutcomeDistribution",
     "outcome_distribution",
@@ -64,18 +61,7 @@ RAW_HEADER = ("t", "mode", "k", "x")
 _NEGATIVE_CLAMP = -1e-12
 
 
-class MeasurementRecord(NamedTuple):
-    """One shot: ordinal t, mode index, phase index k, bin index i."""
-
-    t: int
-    mode: int
-    k: int
-    i: int
-
-
-_record_fields = attrgetter(*RECORD_HEADER)
-# Rows handled at a time when iterating (as Python objects) or writing (as
-# one uint8 matrix of at most _CHUNK x 80 bytes).
+# Rows written at a time, as one uint8 matrix of at most _CHUNK x 80 bytes.
 _CHUNK = 100_000
 
 
@@ -83,25 +69,39 @@ class Records:
     """Columnar measurement records: equal-length int64 arrays t, mode, k, i.
 
     Row j is shot ``t[j]`` of mode ``mode[j]`` landing in phase ``k[j]`` and
-    bin ``i[j]``.  The type stands in for a list of
-    :class:`MeasurementRecord`: ``len``, truthiness, ``records[j]`` (a
-    MeasurementRecord) and iteration (yielding MeasurementRecords) behave
-    like the list's; ``records[a:b]`` gives a Records that shares memory
-    with this one; ``==`` compares rows with another Records or any
-    sequence of record-likes and returns a bool.
+    bin ``i[j]``.  The constructor is where outside data becomes records:
+    integer columns are taken as int64 (int64 ones without a copy), and a
+    column of any other dtype must hold whole numbers in the int64 range,
+    else the first row that does not raises
+    :class:`~homodyne_shadows.errors.MalformedRecordError` with its ordinal.
+    ``len`` and truthiness count rows, ``records[a:b]`` gives a Records that
+    shares memory with this one, and ``==`` compares the rows of two
+    Records and returns a bool.
     """
 
     __slots__ = ("t", "mode", "k", "i")
 
     def __init__(self, t, mode, k, i):
-        cols = [np.asarray(c, dtype=np.int64) for c in (t, mode, k, i)]
+        cols = [np.asarray(c) for c in (t, mode, k, i)]
         T = cols[0].shape
         if len(T) != 1 or any(c.shape != T for c in cols):
             raise ValueError(
                 "record columns must be 1-D of equal length, got shapes %r"
                 % ([c.shape for c in cols],)
             )
-        self.t, self.mode, self.k, self.i = cols
+        bad = False
+        for c in cols:
+            if c.dtype.kind not in "iu":
+                x = c.astype(np.float64)
+                bad = bad | ~((x >= -(2.0**63)) & (x < 2.0**63)) | (x != np.trunc(x))
+        if np.any(bad):
+            j = int(np.argmax(bad))
+            raise MalformedRecordError(
+                "record %d (t=%r, mode=%r, k=%r, i=%r) has a field that is not a "
+                "whole number in the int64 range" % ((j,) + tuple(c[j].item() for c in cols)),
+                ordinal=j,
+            )
+        self.t, self.mode, self.k, self.i = (np.asarray(c, dtype=np.int64) for c in cols)
 
     def columns(self):
         """The four columns in ``RECORD_HEADER`` order."""
@@ -110,26 +110,14 @@ class Records:
     def __len__(self):
         return self.t.size
 
-    def __getitem__(self, j):
-        if isinstance(j, slice):
-            return Records(*(c[j] for c in self.columns()))
-        return MeasurementRecord(*(int(c[j]) for c in self.columns()))
-
-    def __iter__(self):
-        for start in range(0, len(self), _CHUNK):
-            rows = zip(*(c[start:start + _CHUNK].tolist() for c in self.columns()))
-            yield from map(MeasurementRecord._make, rows)
+    def __getitem__(self, rows):
+        if not isinstance(rows, slice):
+            raise TypeError("Records take slices, not %s" % type(rows).__name__)
+        return Records(*(c[rows] for c in self.columns()))
 
     def __eq__(self, other):
         if not isinstance(other, Records):
-            if isinstance(other, (str, bytes)) or not hasattr(other, "__len__"):
-                return NotImplemented
-            if len(other) != len(self):
-                return False
-            try:
-                other = as_records(other)
-            except MalformedRecordError:
-                return False
+            return NotImplemented
         return len(self) == len(other) and all(
             np.array_equal(a, b) for a, b in zip(self.columns(), other.columns())
         )
@@ -140,34 +128,6 @@ class Records:
         return "Records(T=%d)" % len(self)
 
 
-def as_records(records):
-    """``records`` as a :class:`Records`, converting a sequence of record-likes once.
-
-    Any item with integer-valued ``t``, ``mode``, ``k`` and ``i`` attributes
-    is a record-like; the first item that is not raises
-    :class:`~homodyne_shadows.errors.MalformedRecordError` with its ordinal.
-    """
-    if isinstance(records, Records):
-        return records
-    items = records if isinstance(records, (list, tuple)) else list(records)
-    try:
-        rows = np.array(list(map(_record_fields, items)), dtype=np.int64)
-        if rows.shape != (len(items), 4) and len(items):
-            raise ValueError("record fields are not scalars")
-    except (AttributeError, TypeError, ValueError, OverflowError):
-        for ordinal, rec in enumerate(items):
-            try:
-                if np.array(_record_fields(rec), dtype=np.int64).shape != (4,):
-                    raise ValueError("record fields are not scalars")
-            except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-                raise MalformedRecordError(
-                    "record %d is not a measurement record: %s" % (ordinal, exc),
-                    ordinal=ordinal,
-                ) from exc
-        raise
-    return Records(*rows.reshape(-1, 4).T)
-
-
 def _shot_order(t, mode):
     """Stable permutation sorting rows by (t, mode); None if already strictly sorted."""
     step = (t[1:] > t[:-1]) | ((t[1:] == t[:-1]) & (mode[1:] > mode[:-1]))
@@ -175,26 +135,29 @@ def _shot_order(t, mode):
 
 
 def checked_records(records, M=None, N=None):
-    """Convert ``records`` once and validate every row in one vectorized pass.
+    """Validate every row of a :class:`Records` in one vectorized pass.
 
-    Every index must be non-negative.  With ``M`` and ``N`` given as ints
-    the stream is single-mode: each outcome must lie on the M x N grid and
-    every record must carry the mode of the first.  With per-mode sequences
+    Any other ``records`` raises ``TypeError``.  Every index must be
+    non-negative.  With ``M`` and ``N`` given as ints the stream is
+    single-mode: each outcome must lie on the M x N grid and every record
+    must carry the mode of the first.  With per-mode sequences
     ``M[j]``, ``N[j]`` the stream is multi-mode: each mode must lie in
     0..len(M)-1, each outcome on its mode's grid, and no (t, mode) pair may
     repeat.  The first offending record raises
     :class:`~homodyne_shadows.errors.MalformedRecordError` with its ordinal
     (for a repeat, the ordinal of the second occurrence).
     """
-    rec = as_records(records)
-    if not rec:
-        return rec
-    t, mode, k, i = rec.columns()
+    if not isinstance(records, Records):
+        raise TypeError("expected Records, got %s" % type(records).__name__)
+    if not records:
+        return records
+    t, mode, k, i = records.columns()
     rules = [(t < 0, lambda j: "has negative shot index %d" % t[j])]
     if M is None:
         rules.append((
             (mode < 0) | (k < 0) | (i < 0),
-            lambda j: "has a negative index in %r" % (rec[j],),
+            lambda j: "has a negative index in (t=%d, mode=%d, k=%d, i=%d)"
+            % (t[j], mode[j], k[j], i[j]),
         ))
     elif np.ndim(M) == 1:
         S = len(M)
@@ -211,7 +174,7 @@ def checked_records(records, M=None, N=None):
             % (i[j], k[j], mode[j], Mj[j], Nj[j]),
         ))
         order = _shot_order(t, mode)
-        repeat = np.zeros(len(rec), dtype=bool)
+        repeat = np.zeros(len(records), dtype=bool)
         if order is not None:
             later = order[1:]
             repeat[later[(t[later] == t[order[:-1]]) & (mode[later] == mode[order[:-1]])]] = True
@@ -233,7 +196,7 @@ def checked_records(records, M=None, N=None):
         j = int(bad[0])
         describe = next(msg for mask, msg in rules if mask[j])
         raise MalformedRecordError("record %d %s" % (j, describe(j)), ordinal=j)
-    return rec
+    return records
 
 
 class OutcomeDistribution:
@@ -528,7 +491,7 @@ def joint_distribution(rho_multi, config):
     # are (m_j.., n_j.., o_0..o_{j-1}) with flat outcome index o = k*M + i.
     P = R.reshape(dims * 2)
     for j, p in enumerate(config.povms):
-        stack = [p.element(i, k).matrix for k in range(p.grid.N) for i in range(p.binning.M)]
+        stack = [p.element(i, k) for k in range(p.grid.N) for i in range(p.binning.M)]
         P = np.tensordot(P, np.array(stack), axes=([0, config.S - j], [2, 1]))
     P, _ = _checked_probabilities(np.real(P), config.povms)
     return MultiOutcomeDistribution(config, joint=P)

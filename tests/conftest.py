@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
+from homodyne_shadows.sim import Records
 from homodyne_shadows.states import DensityMatrix
+
+
+def records_of(rows):
+    """A :class:`Records` stream of ``(t, mode, k, i)`` row tuples."""
+    return Records(*np.array(rows).reshape(-1, 4).T)
 
 
 def random_density(n_max, rng):

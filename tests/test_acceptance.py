@@ -134,7 +134,7 @@ def test_criterion_5_monte_carlo():
     T = 100_000
     records = sample(dist, T, seed=20240501)
     vals_table = snapshot_values(table, X)
-    vals = np.array([vals_table[r.i, r.k] for r in records])
+    vals = vals_table[records.i, records.k]
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(T))
     exact = expectation(rho, X)

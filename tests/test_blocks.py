@@ -61,7 +61,7 @@ class DenseReference:
         d, M, N = povm.dim, povm.binning.M, povm.grid.N
         self.d, self.M, self.N = d, M, N
         self.E = np.stack(
-            [vectorize(povm.element(i, k).matrix) for k in range(N) for i in range(M)],
+            [vectorize(povm.element(i, k)) for k in range(N) for i in range(M)],
             axis=1,
         )
         self.s = np.linalg.svd(self.E, compute_uv=False)

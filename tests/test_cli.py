@@ -261,6 +261,26 @@ class TestEstimate:
         doc = json.loads(out.read_text())
         assert doc["variant"] == "median-of-means:4"
 
+    @pytest.mark.parametrize(
+        "variant", ["median-of-means:abc", "median-of-means:", "median-of-means:0", "bogus"]
+    )
+    def test_malformed_variant_exits_64_before_reading_records(self, variant, tmp_path, capsys):
+        records = self._simulate(tmp_path)
+        capsys.readouterr()
+        for path in (records, tmp_path / "missing.csv"):
+            code = run(
+                [
+                    "estimate",
+                    "--records", str(path),
+                    "--nmax", "1", "--phases", "3", "--bins", "3",
+                    "--variant", variant,
+                ]
+            )
+            assert code == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert repr(variant) in err and "median-of-means:B" in err
+            assert "invalid literal" not in err
+
     def test_malformed_records_exit_65(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("t,mode,k,i\n0,0,zero,0\n")

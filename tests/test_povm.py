@@ -85,14 +85,14 @@ class TestBuildPovm:
         for i in range(3):
             expected = 0.5 * (special.erf(edges[i + 1]) - special.erf(edges[i])) / 3.0
             for k in range(3):
-                assert p.element(i, k).matrix[0, 0] == pytest.approx(expected, abs=1e-12)
+                assert p.element(i, k)[0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_phase_factor(self):
         # At N=4, k=1 (theta = pi/2) the (0,1) entry carries e^{-i pi/2} = -i.
         b = BinningScheme([-2.0, 0.5, 2.0], tail_mode=pv.TAIL_STRICT)
         p = build_povm(PhaseGrid(4), b, 1)
-        real_part = build_povm(PhaseGrid(1), b, 1).element(0, 0).matrix[0, 1].real
-        assert p.element(0, 1).matrix[0, 1] == pytest.approx(
+        real_part = build_povm(PhaseGrid(1), b, 1).element(0, 0)[0, 1].real
+        assert p.element(0, 1)[0, 1] == pytest.approx(
             -1j * real_part / 4.0 * 1.0, abs=1e-12
         )
 
@@ -116,7 +116,7 @@ class TestMeasurementMatrix:
         p = build_povm(PhaseGrid(2), BinningScheme(edges, tail_mode=pv.TAIL_STRICT), 0)
         assert is_informationally_complete(p).rank == 1
         probs = 0.5 * (special.erf(edges[1:]) - special.erf(edges[:-1])) / 2.0
-        E00 = [p.element(i, 0).matrix[0, 0] for i in range(2)]
+        E00 = [p.element(i, 0)[0, 0] for i in range(2)]
         assert np.allclose(np.real(E00), probs, atol=1e-12)
 
     def test_mirror_symmetric_edges_rank(self):
@@ -144,7 +144,7 @@ class TestMeasurementMatrix:
         M = p.binning.M
         for k in range(3):
             for i in range(M):
-                A = p.element(i, k).matrix
+                A = p.element(i, k)
                 assert np.array_equal(devectorize(vectorize(A), p.dim), A)
 
 
@@ -244,7 +244,7 @@ class TestDesignBins:
             scheme = design_bins(n_max, N, M, tail_mode=pv.TAIL_STRICT)
             p = build_povm(PhaseGrid(N), scheme, n_max)
             E = np.stack(
-                [vectorize(p.element(i, k).matrix) for k in range(N) for i in range(M)],
+                [vectorize(p.element(i, k)) for k in range(N) for i in range(M)],
                 axis=1,
             )
             w = np.tile(scheme.weights, N)

@@ -23,10 +23,8 @@ from homodyne_shadows.shadow import (
 )
 from homodyne_shadows.sim import (
     _CHUNK,
-    MeasurementRecord,
     MultiModeConfig,
     Records,
-    as_records,
     bin_raw,
     checked_records,
     estimate_local,
@@ -39,7 +37,7 @@ from homodyne_shadows.sim import (
 )
 from homodyne_shadows.states import fock, number_operator
 
-R = MeasurementRecord
+from conftest import records_of
 
 # sha256 of `hshadow simulate --nmax 3 --phases 7 --bins 5 --state fock:2
 # --T 2000 --seed 424242`, taken before records became columnar.
@@ -61,29 +59,28 @@ def local_33():
 
 
 class TestRecordsType:
-    def test_behaves_like_a_list_of_records(self):
-        rows = [R(0, 0, 1, 2), R(1, 0, 3, 4), R(2, 1, 0, 0)]
-        rec = as_records(rows)
+    def test_len_truthiness_and_slicing(self):
+        rows = [(0, 0, 1, 2), (1, 0, 3, 4), (2, 1, 0, 0)]
+        rec = records_of(rows)
         assert isinstance(rec, Records)
         assert len(rec) == 3 and rec
-        assert not as_records([])
-        assert rec[1] == R(1, 0, 3, 4) and type(rec[1]) is R
-        assert type(rec[-1].t) is int
-        assert isinstance(rec[:2], Records) and rec[:2] == rows[:2]
-        assert list(rec) == rows
-        assert all(type(r) is R for r in rec)
+        assert not records_of([])
+        assert isinstance(rec[:2], Records) and rec[:2] == records_of(rows[:2])
+        assert np.shares_memory(rec[1:].k, rec.k)
+        with pytest.raises(TypeError, match="slice"):
+            rec[1]
+        with pytest.raises(TypeError):
+            list(rec)
 
     def test_equality_is_a_python_bool(self):
-        rows = [R(0, 0, 1, 2), R(1, 0, 3, 4)]
-        rec = as_records(rows)
-        assert (rec == rows) is True
-        assert (rows == rec) is True
-        assert (rec == as_records(rows)) is True
-        assert (rec == rows[:1]) is False
-        assert (rec != [R(0, 0, 1, 2), R(1, 0, 3, 5)]) is True
-        assert (as_records([]) == []) is True
-        assert (rec == []) is False
-        assert (rec == [1, 2]) is False
+        rows = [(0, 0, 1, 2), (1, 0, 3, 4)]
+        rec = records_of(rows)
+        assert (rec == records_of(rows)) is True
+        assert (rec == records_of(rows[:1])) is False
+        assert (rec != records_of([(0, 0, 1, 2), (1, 0, 3, 5)])) is True
+        assert (records_of([]) == records_of([])) is True
+        assert (rec == records_of([])) is False
+        assert (rec == rows) is False
         assert (rec == "ab") is False
         with pytest.raises(TypeError):
             hash(rec)
@@ -94,50 +91,76 @@ class TestRecordsType:
         with pytest.raises(ValueError):
             Records([0, 1], [0], [2, 3], [4, 5])
 
-    def test_non_record_item_carries_its_ordinal(self):
+    @pytest.mark.parametrize(
+        "k, ordinal",
+        [([1.7], 0), ([0.0, 1.0, -0.5], 2), ([0, np.nan], 1), ([np.inf], 0), ([2.0**63], 0)],
+    )
+    def test_non_integral_field_carries_its_ordinal(self, k, ordinal):
+        T = len(k)
         with pytest.raises(MalformedRecordError) as excinfo:
-            as_records([R(0, 0, 0, 0), R(1, 0, 0, 0), (2, 0, 0, 0)])
-        assert excinfo.value.ordinal == 2
-        with pytest.raises(MalformedRecordError) as excinfo:
-            as_records([R(0, 0, 0, 0), R(1, 0, "zero", 0)])
-        assert excinfo.value.ordinal == 1
+            Records(np.arange(T), np.zeros(T, dtype=int), k, np.zeros(T, dtype=int))
+        assert excinfo.value.ordinal == ordinal
 
-    def test_record_likes_convert_by_attribute(self):
-        class Shot:
-            def __init__(self, t, mode, k, i):
-                self.i, self.k, self.mode, self.t = i, k, mode, t
+    def test_integral_and_empty_columns_are_accepted(self):
+        t = np.arange(3)
+        rec = Records(t, [0.0, 0.0, 0.0], np.array([2, 1, 0], dtype=np.int32), [True, False, True])
+        assert rec == records_of([(0, 0, 2, 1), (1, 0, 1, 0), (2, 0, 0, 1)])
+        assert rec.t is t
+        empty = Records(np.empty(0), np.empty(0, dtype=np.float32), [], np.empty(0, dtype=int))
+        assert len(empty) == 0
 
-        rec = as_records(iter([Shot(0, 1, 2, 3), Shot(1, 1, 0, np.int64(2))]))
-        assert rec == [R(0, 1, 2, 3), R(1, 1, 0, 2)]
+    def test_consumers_reject_row_lists(self, setup_223, local_33, tmp_path):
+        _, table = setup_223
+        cfg, _ = local_33
+        rows = [(0, 0, 1, 2), (1, 0, 3, 1)]
+        calls = [
+            lambda: checked_records(rows),
+            lambda: write_records(tmp_path / "records.csv", rows),
+            lambda: estimate_observable(rows, table, number_operator(2)),
+            lambda: reconstruct_state(rows, table),
+            lambda: estimate_local(rows, cfg, {}, {}),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError, match="Records"):
+                call()
+        assert not (tmp_path / "records.csv").exists()
 
 
 class TestValidator:
     def test_single_mode_reports_first_bad_ordinal(self):
         cases = [
-            ([R(0, 0, 0, 0), R(-1, 0, 0, 0)], 1),
-            ([R(0, 0, 0, 0), R(1, 0, 0, 0), R(2, 0, -1, 0)], 2),
-            ([R(0, 0, 0, 0), R(1, 0, 0, 3)], 1),  # bin outside M = 3
-            ([R(0, 0, 5, 0)], 0),  # phase outside N = 5
-            ([R(0, 2, 0, 0), R(1, 2, 0, 0), R(2, 1, 0, 0), R(3, 0, 9, 9)], 2),
+            ([(0, 0, 0, 0), (-1, 0, 0, 0)], 1),
+            ([(0, 0, 0, 0), (1, 0, 0, 0), (2, 0, -1, 0)], 2),
+            ([(0, 0, 0, 0), (1, 0, 0, 3)], 1),  # bin outside M = 3
+            ([(0, 0, 5, 0)], 0),  # phase outside N = 5
+            ([(0, 2, 0, 0), (1, 2, 0, 0), (2, 1, 0, 0), (3, 0, 9, 9)], 2),
         ]
         for rows, ordinal in cases:
             with pytest.raises(MalformedRecordError) as excinfo:
-                checked_records(rows, 3, 5)
+                checked_records(records_of(rows), 3, 5)
             assert excinfo.value.ordinal == ordinal, rows
 
     def test_multi_mode_checks_mode_range_and_repeats(self):
         with pytest.raises(MalformedRecordError) as excinfo:
-            checked_records([R(0, 0, 0, 0), R(0, 2, 0, 0)], [3, 3], [5, 5])
+            checked_records(records_of([(0, 0, 0, 0), (0, 2, 0, 0)]), [3, 3], [5, 5])
         assert excinfo.value.ordinal == 1
         with pytest.raises(MalformedRecordError) as excinfo:
             checked_records(
-                [R(1, 0, 0, 0), R(0, 1, 0, 0), R(0, 0, 0, 0), R(1, 0, 1, 1)], [3, 3], [5, 5]
+                records_of([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 0), (1, 0, 1, 1)]),
+                [3, 3],
+                [5, 5],
             )
         assert excinfo.value.ordinal == 3
         assert "repeats mode 0 of shot 1" in str(excinfo.value)
 
+    def test_negative_index_names_the_row(self):
+        with pytest.raises(MalformedRecordError, match=r"^record 1 has a negative index in "
+                           r"\(t=1, mode=0, k=-2, i=3\)$") as excinfo:
+            checked_records(records_of([(0, 0, 0, 0), (1, 0, -2, 3)]))
+        assert excinfo.value.ordinal == 1
+
     def test_valid_streams_pass_unchanged(self):
-        rec = as_records([R(0, 1, 4, 2), R(1, 1, 0, 0)])
+        rec = records_of([(0, 1, 4, 2), (1, 1, 0, 0)])
         assert checked_records(rec, 3, 5) is rec
         assert checked_records(rec, [1, 3], [1, 5]) is rec
 
@@ -161,12 +184,12 @@ class TestMixedModeStreams:
     def test_reconstruct_state_rejects_mixed_modes(self, setup_223, mixed):
         _, table = setup_223
         with pytest.raises(MalformedRecordError) as excinfo:
-            reconstruct_state(list(mixed[:4]), table)
+            reconstruct_state(mixed[:4], table)
         assert excinfo.value.ordinal == 1
 
     def test_one_mode_of_the_stream_is_accepted(self, setup_223, mixed):
         _, table = setup_223
-        mode1 = as_records(mixed)[1::2]
+        mode1 = mixed[1::2]
         est = estimate_observable(mode1, table, number_operator(2))
         assert est.shots == 20_000
         assert abs(est.mean - 2.0) <= 5 * est.stderr
@@ -188,7 +211,7 @@ class TestEstimateLocalRecords:
     def test_duplicate_shot_mode_raises_at_second_occurrence(self, local_33):
         cfg, table = local_33
         n_op = number_operator(1)
-        recs = [R(0, 0, 0, 0), R(0, 1, 1, 1), R(0, 0, 2, 2)]
+        recs = records_of([(0, 0, 0, 0), (0, 1, 1, 1), (0, 0, 2, 2)])
         with pytest.raises(MalformedRecordError) as excinfo:
             estimate_local(recs, cfg, {0: table, 1: table}, {0: n_op, 1: n_op})
         assert excinfo.value.ordinal == 2
@@ -199,7 +222,7 @@ class TestEstimateLocalRecords:
         dist = joint_distribution([fock(1, 1), fock(0, 1)], cfg)
         recs = sample_multi(dist, 500, seed=8)
         perm = np.random.default_rng(2).permutation(len(recs))
-        shuffled = [recs[int(j)] for j in perm]
+        shuffled = Records(*(c[perm] for c in recs.columns()))
         a = estimate_local(recs, cfg, {0: table, 1: table}, {0: n_op, 1: n_op})
         b = estimate_local(shuffled, cfg, {0: table, 1: table}, {0: n_op, 1: n_op})
         assert (a.mean, a.stderr, a.shots) == (b.mean, b.stderr, b.shots)
@@ -208,7 +231,7 @@ class TestEstimateLocalRecords:
         cfg, table = local_33
         n_op = number_operator(1)
         vals = snapshot_values(table, n_op)
-        recs = [R(3, 1, 2, 0), R(3, 0, 1, 2), R(0, 0, 0, 1), R(0, 1, 1, 1)]
+        recs = records_of([(3, 1, 2, 0), (3, 0, 1, 2), (0, 0, 0, 1), (0, 1, 1, 1)])
         rep = estimate_local(recs, cfg, {0: table, 1: table}, {0: n_op, 1: n_op})
         v0 = 1.0 * vals[1, 0] * vals[1, 1]
         v3 = 1.0 * vals[2, 1] * vals[0, 2]
@@ -220,7 +243,7 @@ class TestMedianOfMeansBatches:
     def test_label_reports_effective_batches(self, setup_223):
         _, table = setup_223
         n_op = number_operator(2)
-        recs = [R(t, 0, t % 5, t % 4) for t in range(6)]
+        recs = records_of([(t, 0, t % 5, t % 4) for t in range(6)])
         mom = estimate_observable(recs, table, n_op, variant="median-of-means:10")
         plain = estimate_observable(recs, table, n_op)
         assert mom.variant == "median-of-means:6"
@@ -231,7 +254,7 @@ class TestMedianOfMeansBatches:
 
     def test_local_label_reports_effective_batches(self, local_33):
         cfg, table = local_33
-        recs = [R(t, j, 0, 0) for t in range(3) for j in range(2)]
+        recs = records_of([(t, j, 0, 0) for t in range(3) for j in range(2)])
         rep = estimate_local(recs, cfg, {}, {}, variant="median-of-means")
         assert rep.variant == "median-of-means:3"
 
@@ -239,13 +262,13 @@ class TestMedianOfMeansBatches:
         # A separate batch-count argument could contradict the inline one.
         _, table = setup_223
         n_op = number_operator(2)
-        recs = [R(t, 0, t % 5, t % 4) for t in range(12)]
+        recs = records_of([(t, 0, t % 5, t % 4) for t in range(12)])
         rep = estimate_observable(recs, table, n_op, variant="median-of-means")
         assert rep.variant == "median-of-means:%d" % DEFAULT_BATCHES
         with pytest.raises(TypeError):
             estimate_observable(recs, table, n_op, variant="median-of-means:5", batches=20)
         cfg, _ = local_33
-        local = [R(t, j, 0, 0) for t in range(3) for j in range(2)]
+        local = records_of([(t, j, 0, 0) for t in range(3) for j in range(2)])
         with pytest.raises(TypeError):
             estimate_local(local, cfg, {}, {}, variant="median-of-means:5", batches=20)
 
@@ -272,7 +295,6 @@ class TestRecordFormat:
     )
     def test_write_ingest_round_trip(self, rows):
         rec = Records(*np.array(rows, dtype=np.int64).reshape(-1, 4).T)
-        expected = [R(*row) for row in rows]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "records.csv"
             write_records(path, rec)
@@ -281,14 +303,14 @@ class TestRecordFormat:
             )
             back = ingest_records(path)
         assert back == rec
-        assert list(back) == expected
+        assert back == records_of(rows)
 
     def test_blank_lines_and_padded_fields(self, tmp_path):
         path = tmp_path / "records.csv"
         path.write_text("t,mode,k,i\n0, 0 ,1,2\n\n 1,0,3 , 4\n\n")
-        assert ingest_records(path) == [R(0, 0, 1, 2), R(1, 0, 3, 4)]
+        assert ingest_records(path) == records_of([(0, 0, 1, 2), (1, 0, 3, 4)])
         path.write_text("\n\n")
-        assert ingest_records(path) == []
+        assert ingest_records(path) == records_of([])
 
     def test_bad_row_after_blank_lines_reports_its_file_line(self, tmp_path):
         path = tmp_path / "records.csv"
@@ -317,7 +339,7 @@ class TestRecordFormat:
         assert excinfo.value.ordinal == 4
         path.write_text("t,mode,k,x\n0,0,0,0.5\n\n1,0,0,0.2\n")
         recs, dropped = bin_raw(path, PhaseGrid(2), BinningScheme([-1.0, 0.0, 1.0]))
-        assert isinstance(recs, Records) and recs == [R(0, 0, 0, 1), R(1, 0, 0, 1)]
+        assert isinstance(recs, Records) and recs == records_of([(0, 0, 0, 1), (1, 0, 0, 1)])
 
     def test_producers_return_records(self, setup_223):
         povm, _ = setup_223
@@ -370,7 +392,7 @@ class TestRecordEncoder:
 
     def test_empty_stream_writes_the_header(self, tmp_path):
         path = tmp_path / "records.csv"
-        write_records(path, [])
+        write_records(path, records_of([]))
         assert path.read_bytes() == b"t,mode,k,i\n"
 
 
@@ -423,7 +445,7 @@ class TestIngestEdgeCases:
         path = tmp_path / "records.csv"
         path.write_bytes(body)
         if isinstance(expected, list):
-            assert ingest_records(path) == [R(*row) for row in expected]
+            assert ingest_records(path) == records_of(expected)
             return
         message, line = expected
         with pytest.raises(MalformedRecordError) as excinfo:
@@ -434,7 +456,7 @@ class TestIngestEdgeCases:
     def test_plain_text_named_like_an_archive(self, suffix, tmp_path):
         path = tmp_path / ("records.csv" + suffix)
         path.write_bytes(b"t,mode,k,i\r\n0,0,1,2\r\n\r\n1,0,3,4\r\n")
-        assert ingest_records(path) == [R(0, 0, 1, 2), R(1, 0, 3, 4)]
+        assert ingest_records(path) == records_of([(0, 0, 1, 2), (1, 0, 3, 4)])
         path.write_bytes(b"t,mode,k,i\n0,0,1,2\n\n1,0,x,4\n")
         with pytest.raises(MalformedRecordError) as excinfo:
             ingest_records(path)
@@ -446,6 +468,6 @@ class TestIngestEdgeCases:
         path.write_bytes(b"t,mode,k,x\r\n0,0,0,0.5\r\n\r\n1,0,1, -2E0 \r\n2,0,1,-0.5")
         recs, dropped = bin_raw(path, PhaseGrid(2), BinningScheme([-1.0, 0.0, 1.0], tail_mode))
         if tail_mode == "extend-tails":
-            assert (recs, dropped) == ([R(0, 0, 0, 1), R(1, 0, 1, 0), R(2, 0, 1, 0)], 0.0)
+            assert (recs, dropped) == (records_of([(0, 0, 0, 1), (1, 0, 1, 0), (2, 0, 1, 0)]), 0.0)
         else:
-            assert (recs, dropped) == ([R(0, 0, 0, 1), R(2, 0, 1, 0)], 1 / 3)
+            assert (recs, dropped) == (records_of([(0, 0, 0, 1), (2, 0, 1, 0)]), 1 / 3)

@@ -31,10 +31,9 @@ from homodyne_shadows.shadow import (
     snapshots,
     variance_bound,
 )
-from homodyne_shadows.sim import MeasurementRecord
 from homodyne_shadows.states import Observable, expectation, fock, number_operator
 
-from conftest import random_density, random_hermitian
+from conftest import random_density, random_hermitian, records_of
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +60,7 @@ class TestFrameOperator:
         p = build_povm(PhaseGrid(2), b, 0)
         frame = frame_operator(p)
         expected = sum(
-            abs(p.element(i, k).matrix[0, 0]) ** 2 / b.weights[i]
+            abs(p.element(i, k)[0, 0]) ** 2 / b.weights[i]
             for i in range(2)
             for k in range(2)
         )
@@ -158,7 +157,7 @@ class TestSnapshots:
         # Unbiasedness applied to the maximally mixed state: weighting each
         # snapshot by its element's trace resolves the identity.
         total = sum(
-            np.trace(small_povm.element(i, k).matrix).real * small_table.snapshot(i, k)
+            np.trace(small_povm.element(i, k)).real * small_table.snapshot(i, k)
             for i in range(small_table.M)
             for k in range(small_table.N)
         )
@@ -217,11 +216,11 @@ class TestEstimateObservable:
     def test_plain_mean_matches_hand_average(self, small_table):
         n_op = number_operator(2)
         vals = snapshot_values(small_table, n_op)
-        records = [
-            MeasurementRecord(0, 0, 1, 0),
-            MeasurementRecord(1, 0, 4, 2),
-            MeasurementRecord(2, 0, 0, 1),
-        ]
+        records = records_of([
+            (0, 0, 1, 0),
+            (1, 0, 4, 2),
+            (2, 0, 0, 1),
+        ])
         report = estimate_observable(records, small_table, n_op)
         expected = (vals[0, 1] + vals[2, 4] + vals[1, 0]) / 3.0
         assert report.mean == pytest.approx(expected, rel=1e-12)
@@ -231,7 +230,7 @@ class TestEstimateObservable:
     def test_median_of_means(self, small_table):
         n_op = number_operator(2)
         vals = snapshot_values(small_table, n_op)
-        records = [MeasurementRecord(t, 0, t % 5, t % 3) for t in range(12)]
+        records = records_of([(t, 0, t % 5, t % 3) for t in range(12)])
         report = estimate_observable(
             records, small_table, n_op, variant="median-of-means:3"
         )
@@ -242,7 +241,7 @@ class TestEstimateObservable:
 
     def test_variant_validation(self, small_table):
         n_op = number_operator(2)
-        records = [MeasurementRecord(0, 0, 0, 0)]
+        records = records_of([(0, 0, 0, 0)])
         with pytest.raises(ValueError):
             estimate_observable(records, small_table, n_op, variant="mode")
         with pytest.raises(ValueError):
@@ -252,20 +251,20 @@ class TestEstimateObservable:
 
     def test_out_of_range_record_carries_ordinal(self, small_table):
         n_op = number_operator(2)
-        records = [
-            MeasurementRecord(0, 0, 0, 0),
-            MeasurementRecord(1, 0, 99, 0),
-        ]
+        records = records_of([
+            (0, 0, 0, 0),
+            (1, 0, 99, 0),
+        ])
         with pytest.raises(MalformedRecordError) as excinfo:
             estimate_observable(records, small_table, n_op)
         assert excinfo.value.ordinal == 1
 
     def test_empty_stream_rejected(self, small_table):
         with pytest.raises(ValueError):
-            estimate_observable([], small_table, number_operator(2))
+            estimate_observable(records_of([]), small_table, number_operator(2))
 
     def test_report_serialization_keys(self, small_table):
-        records = [MeasurementRecord(0, 0, 0, 0)]
+        records = records_of([(0, 0, 0, 0)])
         report = estimate_observable(records, small_table, number_operator(2))
         doc = report.to_json()
         assert set(doc) == {
@@ -293,7 +292,7 @@ class TestExactVariance:
         acc = 0.0
         for i in range(small_table.M):
             for k in range(small_table.N):
-                p = float(np.real(np.trace(rho.matrix @ small_povm.element(i, k).matrix)))
+                p = float(np.real(np.trace(rho.matrix @ small_povm.element(i, k))))
                 val = float(
                     np.real(np.trace(n_op.matrix @ small_table.snapshot(i, k)))
                 )
@@ -381,16 +380,16 @@ class TestBernsteinSamples:
 
 class TestReconstructState:
     def test_single_record_returns_its_snapshot(self, small_table):
-        records = [MeasurementRecord(0, 0, 2, 1)]
+        records = records_of([(0, 0, 2, 1)])
         est = reconstruct_state(records, small_table)
         assert np.allclose(est, small_table.snapshot(1, 2))
 
     def test_average_weights_by_counts(self, small_table):
-        records = [
-            MeasurementRecord(0, 0, 0, 0),
-            MeasurementRecord(1, 0, 0, 0),
-            MeasurementRecord(2, 0, 1, 2),
-        ]
+        records = records_of([
+            (0, 0, 0, 0),
+            (1, 0, 0, 0),
+            (2, 0, 1, 2),
+        ])
         est = reconstruct_state(records, small_table)
         expected = (
             2.0 * small_table.snapshot(0, 0) + small_table.snapshot(2, 1)
@@ -399,17 +398,17 @@ class TestReconstructState:
 
     def test_projection_yields_density_matrix(self, small_table):
         rng = np.random.default_rng(3)
-        records = [
-            MeasurementRecord(t, 0, rng.integers(0, 5), rng.integers(0, 3))
+        records = records_of([
+            (t, 0, rng.integers(0, 5), rng.integers(0, 3))
             for t in range(40)
-        ]
+        ])
         est = reconstruct_state(records, small_table, project=True)
         assert np.trace(est).real == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(est)[0] >= -1e-12
 
     def test_empty_stream_rejected(self, small_table):
         with pytest.raises(ValueError):
-            reconstruct_state([], small_table)
+            reconstruct_state(records_of([]), small_table)
 
 
 class TestGuaranteesAtScale:

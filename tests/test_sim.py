@@ -29,7 +29,6 @@ from homodyne_shadows.shadow import (
     snapshots,
 )
 from homodyne_shadows.sim import (
-    MeasurementRecord,
     MultiModeConfig,
     OutcomeDistribution,
     bin_raw,
@@ -44,6 +43,8 @@ from homodyne_shadows.sim import (
     write_records,
 )
 from homodyne_shadows.states import DensityMatrix, fock, number_operator
+
+from conftest import records_of
 
 
 @pytest.fixture(scope="module")
@@ -136,24 +137,23 @@ class TestSample:
     def test_record_structure(self, tiny_povm):
         dist = outcome_distribution(fock(0, 1), tiny_povm)
         recs = sample(dist, 10, seed=5, mode=3)
-        assert [r.t for r in recs] == list(range(10))
-        assert all(r.mode == 3 for r in recs)
-        assert all(0 <= r.i < dist.M and 0 <= r.k < dist.N for r in recs)
+        assert recs.t.tolist() == list(range(10))
+        assert np.all(recs.mode == 3)
+        assert np.all((0 <= recs.i) & (recs.i < dist.M) & (0 <= recs.k) & (recs.k < dist.N))
 
     def test_point_mass(self):
         P = np.zeros((3, 2))
         P[2, 1] = 1.0
         dist = OutcomeDistribution(P, deficit=0.0)
         recs = sample(dist, 50, seed=1)
-        assert all(r.i == 2 and r.k == 1 for r in recs)
+        assert np.all((recs.i == 2) & (recs.k == 1))
 
     def test_frequencies_match_probabilities(self, tiny_povm, plus_state):
         dist = outcome_distribution(plus_state, tiny_povm)
         T = 200_000
         recs = sample(dist, T, seed=123)
         counts = np.zeros((dist.M, dist.N))
-        for r in recs:
-            counts[r.i, r.k] += 1
+        np.add.at(counts, (recs.i, recs.k), 1)
         freq = counts / T
         sigma = np.sqrt(dist.probabilities * (1 - dist.probabilities) / T)
         assert np.all(np.abs(freq - dist.probabilities) <= 4 * sigma + 1e-12)
@@ -266,7 +266,7 @@ class TestJointDistribution:
         reduced = 0.5 * np.eye(2)  # partial trace over the second mode
         p = cfg.povms[0]
         expected = np.array([
-            np.trace(reduced @ p.element(i, k).matrix).real
+            np.trace(reduced @ p.element(i, k)).real
             for k in range(p.grid.N)
             for i in range(p.binning.M)
         ])
@@ -315,7 +315,7 @@ class TestSampleMulti:
         dist = joint_distribution([fock(0, 1), fock(1, 1)], pair_config)
         recs = sample_multi(dist, 7, seed=2)
         assert len(recs) == 14
-        assert [(r.t, r.mode) for r in recs] == [
+        assert list(zip(recs.t.tolist(), recs.mode.tolist())) == [
             (t, j) for t in range(7) for j in range(2)
         ]
 
@@ -337,8 +337,8 @@ class TestSampleMulti:
         recs = sample_multi(dist, T, seed=31)
         counts = np.zeros_like(joint)
         by_shot = {}
-        for r in recs:
-            by_shot.setdefault(r.t, {})[r.mode] = r.k * 3 + r.i
+        for t, mode, k, i in zip(*(c.tolist() for c in recs.columns())):
+            by_shot.setdefault(t, {})[mode] = k * 3 + i
         for outc in by_shot.values():
             counts[outc[0], outc[1]] += 1
         freq = counts / T
@@ -349,12 +349,12 @@ class TestSampleMulti:
 class TestEstimateLocal:
     def test_empty_observable_set_gives_unit_mean(self, local_setup):
         cfg, table = local_setup
-        recs = [
-            MeasurementRecord(0, 0, 0, 0),
-            MeasurementRecord(0, 1, 1, 1),
-            MeasurementRecord(1, 0, 2, 0),
-            MeasurementRecord(1, 1, 0, 1),
-        ]
+        recs = records_of([
+            (0, 0, 0, 0),
+            (0, 1, 1, 1),
+            (1, 0, 2, 0),
+            (1, 1, 0, 1),
+        ])
         rep = estimate_local(recs, cfg, {}, {})
         assert rep.mean == 1.0
         assert rep.stderr == 0.0
@@ -365,12 +365,12 @@ class TestEstimateLocal:
         cfg, table = local_setup
         n_op = number_operator(1)
         vals = snapshot_values(table, n_op)
-        recs = [
-            MeasurementRecord(0, 0, 1, 0),
-            MeasurementRecord(0, 1, 2, 1),
-            MeasurementRecord(1, 0, 0, 1),
-            MeasurementRecord(1, 1, 1, 0),
-        ]
+        recs = records_of([
+            (0, 0, 1, 0),
+            (0, 1, 2, 1),
+            (1, 0, 0, 1),
+            (1, 1, 1, 0),
+        ])
         rep = estimate_local(recs, cfg, {0: table, 1: table}, {0: n_op, 1: n_op})
         expected = (vals[0, 1] * vals[1, 2] + vals[1, 0] * vals[0, 1]) / 2.0
         assert rep.mean == pytest.approx(expected, rel=1e-12)
@@ -387,7 +387,7 @@ class TestEstimateLocal:
 
     def test_missing_table_rejected(self, local_setup):
         cfg, table = local_setup
-        recs = [MeasurementRecord(0, 0, 0, 0), MeasurementRecord(0, 1, 0, 0)]
+        recs = records_of([(0, 0, 0, 0), (0, 1, 0, 0)])
         with pytest.raises(ValueError, match="mode 1"):
             estimate_local(recs, cfg, {0: table}, {0: number_operator(1), 1: number_operator(1)})
 
@@ -397,25 +397,25 @@ class TestEstimateLocal:
         pseudo = snapshots(
             povm, invert_frame(frame_operator(povm), mode=MODE_PSEUDO)
         )
-        recs = [MeasurementRecord(0, 0, 0, 0)]
+        recs = records_of([(0, 0, 0, 0)])
         with pytest.raises(ValueError, match="strict"):
             estimate_local(recs, cfg, {0: pseudo}, {0: number_operator(1)})
 
     def test_shot_missing_a_mode_carries_ordinal(self, local_setup):
         cfg, table = local_setup
         n_op = number_operator(1)
-        recs = [
-            MeasurementRecord(0, 0, 0, 0),
-            MeasurementRecord(0, 1, 0, 0),
-            MeasurementRecord(1, 0, 0, 0),  # mode 1 missing for shot 1
-        ]
+        recs = records_of([
+            (0, 0, 0, 0),
+            (0, 1, 0, 0),
+            (1, 0, 0, 0),  # mode 1 missing for shot 1
+        ])
         with pytest.raises(MalformedRecordError) as excinfo:
             estimate_local(recs, cfg, {0: table, 1: table}, {0: n_op, 1: n_op})
         assert excinfo.value.ordinal == 1
 
     def test_out_of_range_mode_in_record(self, local_setup):
         cfg, table = local_setup
-        recs = [MeasurementRecord(0, 5, 0, 0)]
+        recs = records_of([(0, 5, 0, 0)])
         with pytest.raises(MalformedRecordError):
             estimate_local(recs, cfg, {0: table}, {0: number_operator(1)})
 
@@ -437,16 +437,16 @@ class TestMultiShadowNorm:
 
 class TestRecordIO:
     def test_round_trip(self, tmp_path):
-        recs = [MeasurementRecord(0, 0, 2, 1), MeasurementRecord(1, 1, 0, 3)]
+        recs = records_of([(0, 0, 2, 1), (1, 1, 0, 3)])
         path = tmp_path / "records.csv"
         write_records(path, recs)
         assert ingest_records(path) == recs
 
     def test_header_only_file_is_empty_stream(self, tmp_path):
         path = tmp_path / "records.csv"
-        write_records(path, [])
+        write_records(path, records_of([]))
         assert path.read_text() == "t,mode,k,i\n"
-        assert ingest_records(path) == []
+        assert ingest_records(path) == records_of([])
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -482,8 +482,8 @@ class TestBinRaw:
         path = tmp_path / "raw.csv"
         self._write_raw(path, [(0, 0, 0, "0.0"), (1, 0, 0, "-0.5")])
         recs, dropped = bin_raw(path, PhaseGrid(2), b)
-        assert recs[0].i == 1  # exactly on the interior edge
-        assert recs[1].i == 0
+        assert recs.i[0] == 1  # exactly on the interior edge
+        assert recs.i[1] == 0
         assert dropped == 0.0
 
     def test_strict_mode_drops_out_of_range(self, tmp_path):
@@ -495,7 +495,7 @@ class TestBinRaw:
         )
         recs, dropped = bin_raw(path, PhaseGrid(2), b)
         assert len(recs) == 1
-        assert recs[0] == MeasurementRecord(1, 0, 1, 1)
+        assert recs == records_of([(1, 0, 1, 1)])
         assert dropped == pytest.approx(0.75)
 
     def test_extend_mode_clamps_into_edge_bins(self, tmp_path):
@@ -504,7 +504,7 @@ class TestBinRaw:
         self._write_raw(path, [(0, 0, 0, "-5.0"), (1, 0, 0, "5.0"), (2, 0, 1, "1.0")])
         recs, dropped = bin_raw(path, PhaseGrid(2), b)
         assert dropped == 0.0
-        assert [r.i for r in recs] == [0, 1, 1]
+        assert recs.i.tolist() == [0, 1, 1]
 
     def test_phase_index_and_value_validation(self, tmp_path):
         b = BinningScheme([-1.0, 1.0])
