@@ -328,29 +328,60 @@ def _parse_variant(variant):
     )
 
 
-def _aggregate(values, variant="plain-mean"):
-    """Fold per-shot values into ``(mean, stderr, variant label)``.
+def _batching(variant, T):
+    """``(B, label)`` of a variant over T shots: B contiguous batches, 1 for a plain mean.
 
-    ``"plain-mean"`` averages all T values.  ``"median-of-means:B"`` splits
-    them into min(B, T) contiguous batches (B = ``DEFAULT_BATCHES`` for a
-    bare ``"median-of-means"``) and takes the median of the batch means
-    (Huang, Kueng & Preskill 2020); the label names that effective batch
-    count.  ``stderr`` is the plain-mean standard error
-    std(values, ddof=1)/sqrt(T) in both variants, and 0 for a single shot.
+    ``"median-of-means:B"`` uses min(B, T) batches (B = ``DEFAULT_BATCHES``
+    for a bare ``"median-of-means"``), and the label names that effective
+    count.  An empty stream raises ``ValueError``.
     """
     kind, B = _parse_variant(variant)
-    T = values.size
     if T == 0:
         raise ValueError("record stream is empty")
     if kind == "plain-mean":
-        mean = float(np.mean(values))
-        label = "plain-mean"
-    else:
-        B = min(B, T)
-        mean = float(np.median([np.mean(chunk) for chunk in np.array_split(values, B)]))
-        label = "median-of-means:%d" % B
+        return 1, "plain-mean"
+    B = min(B, T)
+    return B, "median-of-means:%d" % B
+
+
+def _aggregate(values, variant="plain-mean"):
+    """Fold per-shot values into ``(mean, stderr, variant label)``.
+
+    The mean is the median of the means of the contiguous batches of
+    :func:`_batching`, split by ``np.array_split`` (Huang, Kueng & Preskill
+    2020): the plain mean for one batch.  ``stderr`` is the plain-mean
+    standard error std(values, ddof=1)/sqrt(T) in both variants, and 0 for
+    a single shot.
+    """
+    T = values.size
+    B, label = _batching(variant, T)
+    mean = float(np.median([np.mean(chunk) for chunk in np.array_split(values, B)]))
     stderr = float(np.std(values, ddof=1) / math.sqrt(T)) if T > 1 else 0.0
     return mean, stderr, label
+
+
+def _aggregate_counts(flat, v, variant="plain-mean"):
+    """:func:`_aggregate` of the values ``v[flat]``, folded through outcome counts.
+
+    A batch's mean is sum(C*v)/n for its count table C = bincount(flat); the
+    batches are those of ``np.array_split`` (the first T mod B hold one
+    extra shot).  The whole stream's counts C give the plain mean m and
+    stderr = sqrt(sum(C*(v - m)**2)/(T - 1)/T).  The results equal
+    :func:`_aggregate`'s up to summation-order roundoff.
+    """
+    T = flat.size
+    B, label = _batching(variant, T)
+    q, r = divmod(T, B)
+    bounds = [b * q + min(b, r) for b in range(B + 1)]
+    counts = np.zeros(v.size, dtype=np.int64)
+    means = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        c = np.bincount(flat[lo:hi], minlength=v.size)
+        counts += c
+        means.append(c @ v / (hi - lo))
+    plain = counts @ v / T
+    stderr = math.sqrt(counts @ (v - plain) ** 2 / (T - 1) / T) if T > 1 else 0.0
+    return float(np.median(means)), stderr, label
 
 
 def _single_mode_records(records, table):
@@ -360,12 +391,22 @@ def _single_mode_records(records, table):
     return checked_records(records, table.M, table.N)
 
 
+def _outcome_index(rec, N):
+    """Flat outcome index i*N + k of every record, indexing an (M, N) table's ravel."""
+    flat = rec.i * N
+    flat += rec.k
+    return flat
+
+
 def estimate_observable(records, table, X, variant="plain-mean", keep_values=False):
     """Fold a single-mode record stream into an observable estimate.
 
     Each record contributes the per-shot value Tr(X rho_hat_{i,k}) of its
     outcome, aggregated as :func:`_aggregate` describes: plain averaging, or
     median-of-means over B contiguous batches for ``"median-of-means:B"``.
+    Only the outcome counts enter, so the stream is folded into one count
+    table per batch (:func:`_aggregate_counts`); the per-shot values are
+    built only for ``keep_values=True``.
 
     ``records`` is a :class:`~homodyne_shadows.sim.Records`; any other type
     raises ``TypeError``.  Records with a negative index, an outcome outside the
@@ -374,16 +415,17 @@ def estimate_observable(records, table, X, variant="plain-mean", keep_values=Fal
     position in the stream.
     """
     rec = _single_mode_records(records, table)
-    values = snapshot_values(table, X)[rec.i, rec.k]
-    mean, stderr, variant_str = _aggregate(values, variant)
+    v = snapshot_values(table, X).ravel()
+    flat = _outcome_index(rec, table.N)
+    mean, stderr, variant_str = _aggregate_counts(flat, v, variant)
     label = X.label if hasattr(X, "label") else "X"
     return EstimateReport(
         mean,
         stderr,
-        values.size,
+        flat.size,
         variant_str,
         observable_label=label,
-        values=values if keep_values else None,
+        values=v[flat] if keep_values else None,
         inversion=table.mode,
         threshold=table.threshold,
     )
@@ -487,7 +529,7 @@ def reconstruct_state(records, table, project=False):
     total = len(rec)
     if total == 0:
         raise ValueError("record stream is empty")
-    counts = np.bincount(rec.i * table.N + rec.k, minlength=table.M * table.N)
+    counts = np.bincount(_outcome_index(rec, table.N), minlength=table.M * table.N)
     counts = counts.reshape(table.M, table.N).astype(float)
     avg = _adjoint(counts / total, table.S, table.grid)
     if project:

@@ -19,6 +19,8 @@ consumer takes one and validates it with a single vectorized check,
 
 import contextlib
 import csv
+import math
+import numbers
 import os
 from typing import NamedTuple
 
@@ -65,14 +67,36 @@ _NEGATIVE_CLAMP = -1e-12
 _CHUNK = 100_000
 
 
+def _not_int64(c):
+    """Mask of the rows of a non-int column that are not whole numbers in the int64 range."""
+    if c.dtype.kind == "u":
+        return c >= np.uint64(2**63)
+    if c.dtype.kind in "bf":
+        x = c.astype(np.float64)
+        return ~((x >= -(2.0**63)) & (x < 2.0**63)) | (x != np.trunc(x))
+    if c.dtype.kind == "O":
+        return np.array([not _is_int64(v) for v in c], dtype=bool)
+    return np.ones(c.shape, dtype=bool)
+
+
+def _is_int64(v):
+    """Whether a Python or numpy scalar is a whole number in the int64 range."""
+    if isinstance(v, numbers.Integral):
+        return -(2**63) <= v < 2**63
+    return isinstance(v, numbers.Real) and math.isfinite(v) and float(v).is_integer() and (
+        -(2.0**63) <= v < 2.0**63
+    )
+
+
 class Records:
     """Columnar measurement records: equal-length int64 arrays t, mode, k, i.
 
     Row j is shot ``t[j]`` of mode ``mode[j]`` landing in phase ``k[j]`` and
     bin ``i[j]``.  The constructor is where outside data becomes records:
-    integer columns are taken as int64 (int64 ones without a copy), and a
-    column of any other dtype must hold whole numbers in the int64 range,
-    else the first row that does not raises
+    signed integer columns are taken as int64 (int64 ones without a copy),
+    and unsigned, boolean, real and object columns must hold whole numbers
+    in the int64 range; complex, string and other columns hold none.  The
+    first row with a field that is not such a number raises
     :class:`~homodyne_shadows.errors.MalformedRecordError` with its ordinal.
     ``len`` and truthiness count rows, ``records[a:b]`` gives a Records that
     shares memory with this one, and ``==`` compares the rows of two
@@ -91,14 +115,14 @@ class Records:
             )
         bad = False
         for c in cols:
-            if c.dtype.kind not in "iu":
-                x = c.astype(np.float64)
-                bad = bad | ~((x >= -(2.0**63)) & (x < 2.0**63)) | (x != np.trunc(x))
+            if c.dtype.kind != "i":
+                bad = bad | _not_int64(c)
         if np.any(bad):
             j = int(np.argmax(bad))
+            fields = tuple(c[j:j + 1].tolist()[0] for c in cols)
             raise MalformedRecordError(
                 "record %d (t=%r, mode=%r, k=%r, i=%r) has a field that is not a "
-                "whole number in the int64 range" % ((j,) + tuple(c[j].item() for c in cols)),
+                "whole number in the int64 range" % ((j,) + fields),
                 ordinal=j,
             )
         self.t, self.mode, self.k, self.i = (np.asarray(c, dtype=np.int64) for c in cols)
@@ -147,56 +171,83 @@ def checked_records(records, M=None, N=None):
     :class:`~homodyne_shadows.errors.MalformedRecordError` with its ordinal
     (for a repeat, the ordinal of the second occurrence).
     """
+    return _checked(records, M, N)[0]
+
+
+def _checked(records, M, N):
+    """:func:`checked_records`, also returning the ``_shot_order`` of a multi-mode stream.
+
+    The rows are tested with one combined mask built in place; a negative
+    int64 reads as at least 2**63 through a uint64 view, so "negative or
+    too large" is one comparison.  Only the first bad row is then tested
+    rule by rule, in the order below, to pick its message.
+    """
     if not isinstance(records, Records):
         raise TypeError("expected Records, got %s" % type(records).__name__)
     if not records:
-        return records
+        return records, None
     t, mode, k, i = records.columns()
-    rules = [(t < 0, lambda j: "has negative shot index %d" % t[j])]
+    k_u, i_u = k.view(np.uint64), i.view(np.uint64)
+    bad = t < 0
+    rules = [(lambda j: t[j] < 0, lambda j: "has negative shot index %d" % t[j])]
+    order = None
     if M is None:
+        for c in (mode, k, i):
+            bad |= c < 0
         rules.append((
-            (mode < 0) | (k < 0) | (i < 0),
+            lambda j: min(mode[j], k[j], i[j]) < 0,
             lambda j: "has a negative index in (t=%d, mode=%d, k=%d, i=%d)"
             % (t[j], mode[j], k[j], i[j]),
         ))
     elif np.ndim(M) == 1:
         S = len(M)
+        bad |= mode.view(np.uint64) >= np.uint64(S)
         rules.append((
-            (mode < 0) | (mode >= S),
+            lambda j: not 0 <= mode[j] < S,
             lambda j: "references mode %d outside 0..%d" % (mode[j], S - 1),
         ))
-        m = np.clip(mode, 0, S - 1)
-        Mj = np.asarray(M, dtype=np.int64)[m]
-        Nj = np.asarray(N, dtype=np.int64)[m]
+        grids = np.asarray([M, N], dtype=np.uint64)
+        if (grids == grids[:, :1]).all():  # one grid for every mode
+            bad |= i_u >= grids[0, 0]
+            bad |= k_u >= grids[1, 0]
+        else:  # a bad mode reads the grid of mode 0 or S - 1
+            bad |= i_u >= np.take(grids[0], mode, mode="clip")
+            bad |= k_u >= np.take(grids[1], mode, mode="clip")
         rules.append((
-            (i < 0) | (i >= Mj) | (k < 0) | (k >= Nj),
+            lambda j: not (0 <= i[j] < M[mode[j]] and 0 <= k[j] < N[mode[j]]),
             lambda j: "references outcome (i=%d, k=%d) outside mode %d's %d x %d grid"
-            % (i[j], k[j], mode[j], Mj[j], Nj[j]),
+            % (i[j], k[j], mode[j], M[mode[j]], N[mode[j]]),
         ))
         order = _shot_order(t, mode)
-        repeat = np.zeros(len(records), dtype=bool)
         if order is not None:
             later = order[1:]
-            repeat[later[(t[later] == t[order[:-1]]) & (mode[later] == mode[order[:-1]])]] = True
-        rules.append((repeat, lambda j: "repeats mode %d of shot %d" % (mode[j], t[j])))
+            repeat = later[(t[later] == t[order[:-1]]) & (mode[later] == mode[order[:-1]])]
+            bad[repeat] = True
+            rules.append((
+                lambda j: j in repeat,
+                lambda j: "repeats mode %d of shot %d" % (mode[j], t[j]),
+            ))
     else:
-        rules.append((mode < 0, lambda j: "has negative mode index %d" % mode[j]))
+        bad |= mode != mode[0]
+        bad[0] |= mode[0] < 0
+        bad |= i_u >= np.uint64(M)
+        bad |= k_u >= np.uint64(N)
+        rules.append((lambda j: mode[j] < 0, lambda j: "has negative mode index %d" % mode[j]))
         rules.append((
-            (i < 0) | (i >= M) | (k < 0) | (k >= N),
+            lambda j: not (0 <= i[j] < M and 0 <= k[j] < N),
             lambda j: "references outcome (i=%d, k=%d) outside the %d x %d outcome grid"
             % (i[j], k[j], M, N),
         ))
         rules.append((
-            mode != mode[0],
+            lambda j: mode[j] != mode[0],
             lambda j: "has mode %d but the stream began with mode %d; a single-mode "
             "estimate takes one mode at a time" % (mode[j], mode[0]),
         ))
-    bad = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in rules]))
-    if bad.size:
-        j = int(bad[0])
-        describe = next(msg for mask, msg in rules if mask[j])
+    j = int(np.argmax(bad))
+    if bad[j]:
+        describe = next(msg for test, msg in rules if test(j))
         raise MalformedRecordError("record %d %s" % (j, describe(j)), ordinal=j)
-    return records
+    return records, order
 
 
 class OutcomeDistribution:
@@ -280,52 +331,97 @@ def outcome_distribution(rho, povm):
 _SM_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SM_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM_MIX2 = np.uint64(0x94D049BB133111EB)
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def _mix64(z):
-    z = (z ^ (z >> np.uint64(30))) * _SM_MIX1
-    z = (z ^ (z >> np.uint64(27))) * _SM_MIX2
-    return z ^ (z >> np.uint64(31))
+    """The splitmix64 output function, applied in place to a uint64 array."""
+    tmp = np.empty_like(z)
+    for shift, mult in ((30, _SM_MIX1), (27, _SM_MIX2), (31, None)):
+        np.right_shift(z, np.uint64(shift), out=tmp)
+        z ^= tmp
+        if mult is not None:
+            z *= mult
+    return z
 
 
-def _uniforms(seed, count, start=0):
-    """``count`` uniforms in [0, 1) for shots start..start+count-1."""
-    seed = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
-    t = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = _mix64(seed + t * _SM_GAMMA)
-    # Top 53 bits -> double-precision uniform.
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+def _bits(seed, start, stop):
+    """Mixed 64-bit words of shots start+1..stop of stream ``seed``.
+
+    A shot's uniform in [0, 1) is its word's top 53 bits times 2**-53.
+    """
+    z = np.arange(start + 1, stop + 1, dtype=np.uint64)
+    z *= _SM_GAMMA
+    z += np.uint64(int(seed) & _MASK64)
+    return _mix64(z)
 
 
 def _derive_seed(seed, salt):
     """Independent 64-bit substream seed for (seed, salt)."""
-    seed = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
-    salt = np.uint64((int(salt) + 0x5851F42D) & 0xFFFFFFFFFFFFFFFF)
-    with np.errstate(over="ignore"):
-        return int(_mix64(seed ^ (salt * _SM_GAMMA)))
+    salt = (int(salt) + 0x5851F42D) & _MASK64
+    z = np.array([(int(seed) ^ salt * int(_SM_GAMMA)) & _MASK64], dtype=np.uint64)
+    return int(_mix64(z)[0])
 
 
-def _draw_flat(cumulative, uniforms):
-    """Inverse-CDF lookup of flat outcome indices for given uniforms.
+def _uniform(z):
+    """Uniforms in [0, 1) of mixed words: their top 53 bits times 2**-53."""
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
-    Equals ``np.searchsorted(cumulative, uniforms * total, side="right")``
-    for every uniform in [0, 1), with ``total = cumulative[-1]``.  A guide
-    table over B >= 4K equal buckets of [0, 1) (K outcomes, B a power of
-    two) brackets each answer: u*B is exact and rounding of ``u * total`` is
-    monotone, so the answer for u lies between the answers at the bucket's
-    ends.  Only uniforms whose bucket holds a CDF step are searched.
+
+def _guide(cumulative, T):
+    """Guide table for T draws from a cumulative table; None if T is below its size.
+
+    It splits [0, 1) into B = 2**b >= 16K equal buckets (K outcomes).  At
+    most K - 1 buckets hold a CDF step, so on average at most one draw in 16
+    lands in one and needs a search.  As rounding of ``u * total`` is
+    monotone, the draw of a uniform u lies between the draws at its
+    bucket's ends.  Entry j is that draw when the two agree, and -1 when
+    bucket j holds a CDF step.
     """
-    x = uniforms * cumulative[-1]
-    B = 1 << (4 * cumulative.size - 1).bit_length()
-    if uniforms.size < B:
-        return np.searchsorted(cumulative, x, side="right")
-    guide = np.searchsorted(cumulative, np.arange(B + 1) / B * cumulative[-1], side="right")
-    b = (uniforms * B).astype(np.intp)
-    out = guide[b]
-    step = np.flatnonzero(out != guide[b + 1])
-    out[step] = np.searchsorted(cumulative, x[step], side="right")
+    B = 1 << (16 * cumulative.size - 1).bit_length()
+    if T < B:
+        return None
+    ends = np.searchsorted(cumulative, np.arange(B + 1) / B * cumulative[-1], side="right")
+    return np.where(ends[:-1] == ends[1:], ends[:-1], -1)
+
+
+def _draw_flat(cumulative, z, guide):
+    """Inverse-CDF lookup of flat outcome indices for mixed 64-bit words z.
+
+    Equals ``np.searchsorted(cumulative, u * total, side="right")`` with
+    ``total = cumulative[-1]`` for the uniforms u of z (:func:`_uniform`).
+    With a :func:`_guide` table, u's bucket floor(u*B) is the top b bits of
+    z, and only draws whose bucket holds a CDF step become floats and are
+    searched.
+    """
+    if guide is None:
+        return np.searchsorted(cumulative, _uniform(z) * cumulative[-1], side="right")
+    bucket = z >> np.uint64(65 - guide.size.bit_length())
+    out = np.take(guide, bucket.view(np.int64))
+    step = np.flatnonzero(out < 0)
+    out[step] = np.searchsorted(cumulative, _uniform(z[step]) * cumulative[-1], side="right")
     return out
+
+
+# Shots drawn at a time: a block's words and temporaries stay in a core's cache.
+_BLOCK = 1 << 15
+
+
+def _draws(cumulative, seed, T):
+    """Flat outcome indices of shots 1..T of stream ``seed``, as ``(rows, o)`` blocks.
+
+    The shots go ``_BLOCK`` at a time through every step, and the caller
+    writes each block's outcomes before the next is drawn.
+    """
+    guide = _guide(cumulative, T)
+    for start in range(0, T, _BLOCK):
+        stop = min(start + _BLOCK, T)
+        yield slice(start, stop), _draw_flat(cumulative, _bits(seed, start, stop), guide)
+
+
+def _outcome_tables(M, N):
+    """Phase and bin of each flat outcome index o = k*M + i, as int64 arrays."""
+    return np.divmod(np.arange(M * N, dtype=np.int64), M)
 
 
 def sample(dist, T, seed, mode=0):
@@ -338,8 +434,11 @@ def sample(dist, T, seed, mode=0):
         raise ValueError("shot count T must be >= 1, got %r" % (T,))
     if dist.total <= 0.0:
         raise ValueError("cannot sample from an all-zero outcome distribution")
-    u = _uniforms(seed, T)
-    k, i = np.divmod(_draw_flat(dist.cumulative, u), dist.M)
+    k_of, i_of = _outcome_tables(dist.M, dist.N)
+    k = np.empty(T, dtype=np.int64)
+    i = np.empty(T, dtype=np.int64)
+    for rows, o in _draws(dist.cumulative, seed, T):
+        k[rows], i[rows] = k_of[o], i_of[o]
     return Records(np.arange(T), np.full(T, mode), k, i)
 
 
@@ -506,24 +605,27 @@ def sample_multi(dist, T, seed):
     """
     if T < 1:
         raise ValueError("shot count T must be >= 1, got %r" % (T,))
-    config = dist.config
+    # Shot-major, mode-minor rows: row t*S + j is mode j of shot t.
+    S = dist.config.S
+    k = np.empty((T, S), dtype=np.int64)
+    i = np.empty((T, S), dtype=np.int64)
+    tables = [_outcome_tables(p.binning.M, p.grid.N) for p in dist.config.povms]
     if dist.factors is not None:
-        per_mode = []
         for j, f in enumerate(dist.factors):
             if f.total <= 0.0:
                 raise ValueError("mode %d has an all-zero outcome distribution" % j)
-            u = _uniforms(_derive_seed(seed, j), T)
-            per_mode.append(_draw_flat(f.cumulative, u))
+            k_of, i_of = tables[j]
+            for rows, o in _draws(f.cumulative, _derive_seed(seed, j), T):
+                k[rows, j], i[rows, j] = k_of[o], i_of[o]
     else:
         joint = dist.joint
         cum = np.cumsum(joint.ravel(order="F"))
         if cum.size == 0 or cum[-1] <= 0.0:
             raise ValueError("cannot sample from an all-zero outcome distribution")
-        per_mode = np.unravel_index(_draw_flat(cum, _uniforms(seed, T)), joint.shape, order="F")
-    # Shot-major, mode-minor rows: row t*S + j is mode j of shot t.
-    S = config.S
-    Ms = np.array([p.binning.M for p in config.povms])
-    k, i = np.divmod(np.stack(per_mode, axis=1), Ms)
+        for rows, o in _draws(cum, seed, T):
+            per_mode = np.unravel_index(o, joint.shape, order="F")
+            for j, ((k_of, i_of), o_j) in enumerate(zip(tables, per_mode)):
+                k[rows, j], i[rows, j] = k_of[o_j], i_of[o_j]
     return Records(np.repeat(np.arange(T), S), np.tile(np.arange(S), T), k.ravel(), i.ravel())
 
 
@@ -548,7 +650,12 @@ def estimate_local(records, config, tables, observables, variant="plain-mean"):
             raise ValueError("observable mode %d outside 0..%d" % (j, config.S - 1))
         if j not in tables:
             raise ValueError("no snapshot table supplied for mode %d" % j)
-    value_tables = {}
+    Ms = [p.binning.M for p in config.povms]
+    Ns = [p.grid.N for p in config.povms]
+    # Per-mode value tables, padded to max(M) x max(N) and stacked so that
+    # row (mode, k, i) reads entry (mode*Mp + i)*Np + k; 1.0 off V.
+    Mp, Np = max(Ms), max(Ns)
+    lookup = np.ones((config.S, Mp, Np))
     for j in V:
         table = tables[j]
         if table.mode != shadow_mod.MODE_STRICT:
@@ -556,39 +663,39 @@ def estimate_local(records, config, tables, observables, variant="plain-mean"):
                 "mode %d snapshot table is %r; local estimation requires "
                 "strict-mode tables" % (j, table.mode)
             )
-        value_tables[j] = snapshot_values(table, observables[j])
-    rec = checked_records(
-        records,
-        [p.binning.M for p in config.povms],
-        [p.grid.N for p in config.povms],
-    )
-    # Group rows into shots by sorting on (t, mode); shots run in ascending t.
-    order = _shot_order(rec.t, rec.mode)
+        if (table.M, table.N) != (Ms[j], Ns[j]):
+            raise ValueError(
+                "mode %d snapshot table has a %d x %d outcome grid, the mode a %d x %d one"
+                % (j, table.M, table.N, Ms[j], Ns[j])
+            )
+        lookup[j, :Ms[j], :Ns[j]] = snapshot_values(table, observables[j])
+    rec, order = _checked(records, Ms, Ns)
+    # Group rows into shots by sorting on (t, mode); shots run in ascending t
+    # and each shot's rows in ascending mode.
     t, mode, k, i = (c if order is None else c[order] for c in rec.columns())
     first = np.ones(t.size, dtype=bool)
-    first[1:] = t[1:] != t[:-1]
-    shot = np.cumsum(first) - 1
-    shot_t = t[first]
-    picks = []
-    for j in V:
-        rows = mode == j
-        has = np.zeros(shot_t.size, dtype=bool)
-        has[shot[rows]] = True
-        picks.append((j, rows, has))
-    if picks:
-        gaps = np.flatnonzero(~np.logical_and.reduce([has for _, _, has in picks]))
+    np.not_equal(t[1:], t[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    # (t, mode) pairs are unique, so a shot has every mode iff there are S
+    # rows per shot, and every mode of V iff it has len(V) rows in V.
+    if V and starts.size * config.S != t.size:
+        in_V = np.zeros(config.S, dtype=np.intp)
+        in_V[V] = 1
+        gaps = np.flatnonzero(np.add.reduceat(np.take(in_V, mode), starts) < len(V))
         if gaps.size:
-            t_gap = int(shot_t[gaps[0]])
-            j = next(j for j, _, has in picks if not has[gaps[0]])
+            lo, hi = np.append(starts, t.size)[gaps[0]:gaps[0] + 2]
+            t_gap = int(t[lo])
+            j = next(j for j in V if j not in mode[lo:hi])
             raise MalformedRecordError(
                 "shot %d has no record for mode %d" % (t_gap, j), ordinal=t_gap
             )
-    # Multiply per-mode values in sorted-V order, as the per-shot product does.
-    values = np.ones(shot_t.size)
-    for j, rows, _ in picks:
-        per_shot = np.empty(shot_t.size)
-        per_shot[shot[rows]] = value_tables[j][i[rows], k[rows]]
-        values *= per_shot
+    # A shot's value is the product of its rows' values in ascending mode
+    # order; the 1.0 factors off V are exact, so this is the sorted-V product.
+    index = mode * Mp
+    index += i
+    index *= Np
+    index += k
+    values = np.multiply.reduceat(np.take(lookup, index), starts)
     mean, stderr, variant_str = shadow_mod._aggregate(values, variant)
     label = " * ".join(
         getattr(observables[j], "label", "X") for j in V

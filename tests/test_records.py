@@ -101,6 +101,32 @@ class TestRecordsType:
             Records(np.arange(T), np.zeros(T, dtype=int), k, np.zeros(T, dtype=int))
         assert excinfo.value.ordinal == ordinal
 
+    @pytest.mark.parametrize(
+        "k, ordinal",
+        [
+            # int64 would wrap 2**63 + 1 to a negative number.
+            (np.array([0, 2**63 + 1], dtype=np.uint64), 1),
+            # Casting would keep only the real part, 1.
+            (np.array([1 + 2j]), 0),
+            (np.array(["1", "a"]), 0),
+            (np.array([0, None], dtype=object), 1),
+        ],
+        ids=["uint64-beyond-int64", "complex", "string", "object-None"],
+    )
+    def test_unusable_column_carries_its_ordinal(self, k, ordinal):
+        T = len(k)
+        with pytest.raises(MalformedRecordError) as excinfo:
+            Records(np.arange(T), np.zeros(T, dtype=int), k, np.zeros(T, dtype=int))
+        assert excinfo.value.ordinal == ordinal
+
+    def test_unsigned_and_object_integers_are_accepted(self):
+        k = np.array([2**63 - 1, 0], dtype=np.uint64)
+        rec = Records([0, 1], np.array([0, 0], dtype=object), k, np.array([1, 2**63 - 1], dtype=object))
+        assert rec.k.tolist() == [2**63 - 1, 0] and rec.i.tolist() == [1, 2**63 - 1]
+        with pytest.raises(MalformedRecordError) as excinfo:
+            Records([0, 1], [0, 0], [0, 0], np.array([0, 2**63], dtype=object))
+        assert excinfo.value.ordinal == 1
+
     def test_integral_and_empty_columns_are_accepted(self):
         t = np.arange(3)
         rec = Records(t, [0.0, 0.0, 0.0], np.array([2, 1, 0], dtype=np.int32), [True, False, True])

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homodyne_shadows import shadow as sh
@@ -281,6 +281,41 @@ class TestEstimateObservable:
         assert doc["T"] == 1
         assert doc["inversion"] == small_table.mode
         assert doc["threshold"] == small_table.threshold
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 300),
+        st.one_of(
+            st.just("plain-mean"),
+            st.just("median-of-means"),
+            st.integers(1, 40).map("median-of-means:{}".format),
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(103, "median-of-means:10", 0)  # B does not divide T
+    @example(7, "median-of-means:20", 1)  # B > T: one shot per batch
+    @example(1, "median-of-means", 2)  # a single shot
+    def test_count_fold_equals_per_shot_formulas(self, small_table, T, variant, seed):
+        rng = np.random.default_rng(seed)
+        X = Observable(random_hermitian(small_table.dim, rng))
+        records = records_of(np.column_stack([
+            np.arange(T), np.zeros(T, dtype=int),
+            rng.integers(0, small_table.N, T), rng.integers(0, small_table.M, T),
+        ]))
+        rep = estimate_observable(records, small_table, X, variant=variant, keep_values=True)
+        values = snapshot_values(small_table, X)[records.i, records.k]
+        assert np.array_equal(rep.values, values)
+        assert estimate_observable(records, small_table, X, variant=variant).values is None
+        batches = int(variant.partition(":")[2] or sh.DEFAULT_BATCHES)
+        B = 1 if variant == "plain-mean" else min(T, batches)
+        mean = np.median([np.mean(batch) for batch in np.array_split(values, B)])
+        stderr = np.std(values, ddof=1) / np.sqrt(T) if T > 1 else 0.0
+        # Sums of equal values are exact only up to roundoff of their size,
+        # so a mean or stderr near 0 is compared on the scale of the values.
+        scale = 1e-12 * np.max(np.abs(values))
+        assert rep.mean == pytest.approx(mean, rel=1e-12, abs=scale)
+        assert rep.stderr == pytest.approx(stderr, rel=1e-12, abs=scale)
+        assert rep.shots == T
 
 
 class TestExactVariance:

@@ -192,20 +192,24 @@ class TestDrawFlat:
     def test_equals_searchsorted(self, weights, scale, seed):
         cum = np.cumsum(np.array(weights) * scale)
         assume(cum[-1] > 0.0)
-        # Every bucket end and its float neighbours, the extremes 0 and
-        # 1 - 2**-53, and stream uniforms; at least 8K of them, so the guide
-        # table (B < 8K buckets) is used.
-        B = 1 << (4 * cum.size - 1).bit_length()
-        ends = np.arange(B) / B
-        u = np.concatenate([
+        # Words whose uniforms u = (z >> 11) * 2**-53 are every end of the
+        # guide table's B buckets and its +-2**-53 neighbours, the extremes 0
+        # and 1 - 2**-53, and stream draws.  The low 11 bits, which u
+        # ignores, are set at random.
+        guide = sim._guide(cum, 2**62)  # the table for any T >= B draws
+        B = guide.size
+        ends = np.arange(B, dtype=np.uint64) * np.uint64(2**53 // B)  # u = j/B
+        top = np.concatenate([
             ends,
-            np.nextafter(ends[1:], 0.0),
-            np.nextafter(ends, 1.0),
-            [0.0, 1.0 - 2.0**-53],
-            sim._uniforms(seed, 8 * cum.size),
+            ends[1:] - np.uint64(1),
+            ends + np.uint64(1),
+            np.array([0, 2**53 - 1], dtype=np.uint64),
         ])
+        low = np.random.default_rng(seed).integers(0, 2**11, top.size, dtype=np.uint64)
+        z = np.concatenate([(top << np.uint64(11)) | low, sim._bits(seed, 0, 8 * cum.size)])
+        u = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
         assert np.array_equal(
-            sim._draw_flat(cum, u), np.searchsorted(cum, u * cum[-1], side="right")
+            sim._draw_flat(cum, z, guide), np.searchsorted(cum, u * cum[-1], side="right")
         )
 
 
@@ -418,6 +422,82 @@ class TestEstimateLocal:
         recs = records_of([(0, 5, 0, 0)])
         with pytest.raises(MalformedRecordError):
             estimate_local(recs, cfg, {0: table}, {0: number_operator(1)})
+
+
+def _local_reference(records, value_tables):
+    """Per-shot loop: shots in ascending t, each 1.0 times its values over sorted V."""
+    shots = {}
+    for t, mode, k, i in zip(*(c.tolist() for c in records.columns())):
+        shots.setdefault(t, {})[mode] = (k, i)
+    values = []
+    for t in sorted(shots):
+        v = 1.0
+        for j in sorted(value_tables):
+            k, i = shots[t][j]
+            v *= value_tables[j][i, k]
+        values.append(v)
+    values = np.array(values)
+    return np.mean(values), np.std(values, ddof=1) / np.sqrt(values.size)
+
+
+class TestEstimateLocalEdgeCases:
+    """The segmented shot product against a per-shot loop, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def mixed_setup(self):
+        # Three modes on two different grids, (M, N) = (2, 3) and (4, 5).
+        povms = [build_povm(PhaseGrid(N), design_bins(n, N, M), n)
+                 for n, N, M in [(1, 3, 2), (2, 5, 4), (1, 3, 2)]]
+        cfg = MultiModeConfig(povms)
+        tables = {j: snapshots(p, invert_frame(frame_operator(p))) for j, p in enumerate(povms)}
+        observables = {j: number_operator(p.n_max) for j, p in enumerate(povms)}
+        dist = joint_distribution([fock(1, 1), fock(2, 2), fock(0, 1)], cfg)
+        return cfg, tables, observables, sample_multi(dist, 3000, seed=21)
+
+    def _check(self, recs, cfg, tables, observables, V):
+        rep = estimate_local(recs, cfg, tables, {j: observables[j] for j in V})
+        value_tables = {j: snapshot_values(tables[j], observables[j]) for j in V}
+        assert (rep.mean, rep.stderr) == _local_reference(recs, value_tables)
+
+    def test_shuffled_rows(self, mixed_setup):
+        cfg, tables, observables, recs = mixed_setup
+        perm = np.random.default_rng(5).permutation(len(recs))
+        shuffled = sim.Records(*(c[perm] for c in recs.columns()))
+        self._check(shuffled, cfg, tables, observables, [0, 1, 2])
+
+    def test_unmeasured_mode_in_the_middle(self, mixed_setup):
+        cfg, tables, observables, recs = mixed_setup
+        self._check(recs, cfg, tables, observables, [0, 2])
+        # Shots may lack the unmeasured mode 1.
+        keep = (recs.mode != 1) | (recs.t % 3 != 0)
+        partial = sim.Records(*(c[keep] for c in recs.columns()))
+        self._check(partial, cfg, tables, observables, [0, 2])
+
+    def test_no_measured_mode(self, mixed_setup):
+        cfg, tables, observables, recs = mixed_setup
+        rep = estimate_local(recs, cfg, tables, {})
+        assert (rep.mean, rep.stderr, rep.shots) == (1.0, 0.0, 3000)
+
+    def test_shot_missing_a_measured_mode(self, mixed_setup):
+        cfg, tables, observables, recs = mixed_setup
+        drop = np.flatnonzero((recs.t >= 17) & (recs.mode == 2))[[0, 5]]
+        keep = np.ones(len(recs), dtype=bool)
+        keep[drop] = False
+        partial = sim.Records(*(c[keep] for c in recs.columns()))
+        with pytest.raises(MalformedRecordError, match="^shot 17 has no record for mode 2$") as excinfo:
+            estimate_local(partial, cfg, tables, {0: observables[0], 2: observables[2]})
+        assert excinfo.value.ordinal == 17
+
+    def test_table_of_another_grid_rejected(self, mixed_setup):
+        cfg, tables, observables, recs = mixed_setup
+        with pytest.raises(ValueError, match="mode 0 snapshot table has a 4 x 5 outcome grid"):
+            estimate_local(recs, cfg, {0: tables[1]}, {0: number_operator(2)})
+
+    def test_empty_stream(self, mixed_setup):
+        cfg, tables, observables, recs = mixed_setup
+        for V in ([], [0, 2]):
+            with pytest.raises(ValueError, match="^record stream is empty$"):
+                estimate_local(recs[:0], cfg, tables, {j: observables[j] for j in V})
 
 
 class TestMultiShadowNorm:
