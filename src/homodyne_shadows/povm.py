@@ -14,14 +14,18 @@ identity on the truncated space (exactly so in extend-tails mode).
 Because the phases form a uniform grid, a discrete Fourier transform over k
 block-diagonalizes every quantity built from the elements: entries (m, n)
 only couple to entries (m', n') with m - n = m' - n' (mod N).  This module
-stores the real overlaps G and certifies completeness from the singular
-values of these small real blocks (``_phase_blocks``).  Every sum over
-outcomes goes through one pairing of a matrix with all outcomes and its
-adjoint (``_pairing``, ``_adjoint``); a single element matrix is built only
-on request.  It also designs bin edges that achieve completeness and
-(de)serializes POVMs through a versioned JSON cache.
+stores the real overlaps G, exactly symmetric, and certifies completeness
+from the singular values of these small real blocks (``_phase_blocks``).
+Class N - r holds the transposes of class r's entries, so by the symmetry
+of G the two classes share one block: spectral work runs once per mirror
+pair r <-> N - r.  Every sum over outcomes goes through one pairing of a
+matrix with all outcomes and its adjoint (``_pairing``, ``_adjoint``); a
+single element matrix is built only on request.  It also designs bin edges
+that achieve completeness and (de)serializes POVMs through a versioned JSON
+cache.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -216,19 +220,33 @@ class PovmSet:
     The POVM is held as the real overlap array ``G`` of shape
     (M, n_max+1, n_max+1); the complex matrix of outcome (i, k) is
     G_i exp(1j*(m-n)*theta_k)/N, built on request by ``element(i, k)``.
+    Every G_i is stored exactly symmetric, so every element is Hermitian: a
+    G further than 1e-12*N from symmetric raises ``ValueError``, and the
+    rest is symmetrized, which leaves the exactly symmetric overlaps of
+    :func:`fockcore.bin_overlaps` bit for bit unchanged.
     """
 
     def __init__(self, grid, binning, n_max, G):
         self.grid = grid
         self.binning = binning
         self.n_max = int(n_max)
-        self.G = np.asarray(G, dtype=float)
+        G = np.asarray(G, dtype=float)
         d = self.n_max + 1
-        if self.G.shape != (binning.M, d, d):
+        if G.shape != (binning.M, d, d):
             raise ValueError(
                 "overlap array of shape %r does not match M=%d, n_max=%d"
-                % (self.G.shape, binning.M, self.n_max)
+                % (G.shape, binning.M, self.n_max)
             )
+        Gt = G.transpose(0, 2, 1)
+        if not np.array_equal(G, Gt):
+            asym = np.max(np.abs(G - Gt))
+            if not asym <= 1e-12 * grid.N:
+                raise ValueError(
+                    "overlap array is not symmetric (max |G - G^T| = %.3e), so the "
+                    "elements would not be Hermitian" % asym
+                )
+            G = 0.5 * (G + Gt)
+        self.G = G
         self.G.setflags(write=False)
 
     @property
@@ -253,18 +271,17 @@ class PovmSet:
         )
 
     def validate_elements(self, atol=1e-10):
-        """Check Hermiticity, positivity, and the operator bound <= identity/N.
+        """Check positivity and the operator bound <= identity/N.
 
         Pi_{i,k} = D_k G_i D_k^dagger / N with the unitary
         D_k = diag(exp(1j*m*theta_k)), so every phase of bin i has the
-        spectrum of G_i/N and the checks run on the real blocks G_i.
+        spectrum of G_i/N and the checks run on the real blocks G_i, which
+        the constructor keeps symmetric (so the elements are Hermitian).
         Raises ``ValueError`` naming the first failed check; intended as a
         diagnostic, not part of the construction hot path.
         """
         N = self.grid.N
         for i, A in enumerate(self.G):
-            if np.max(np.abs(A - A.T)) > 1e-12 * N:
-                raise ValueError("elements of bin %d are not Hermitian" % i)
             lam = np.linalg.eigvalsh(A) / N
             if lam[0] < -atol:
                 raise ValueError(
@@ -297,42 +314,81 @@ def build_povm(grid, binning, n_max):
     return PovmSet(grid, binning, n_max, G)
 
 
+@functools.lru_cache(maxsize=32)
+def _phase_classes(d, N):
+    """Read-only vec positions of each mirror pair of classes r <-> N - r, r = 0..N//2.
+
+    Row 0 lists class r's column-stacked positions m + n*d in row-major
+    (m, n) order; when N - r != r, row 1 lists the mirror class's positions
+    n + m*d of the transposed entries in the same order.
+    """
+    m, n = np.indices((d, d))
+    cls = (m - n) % N
+    pairs = []
+    for r in np.unique(cls):
+        if 2 * r > N:
+            break
+        sel = cls == r
+        rows = [m[sel] + n[sel] * d, n[sel] + m[sel] * d]
+        idx = np.array(rows[: 2 if 0 < 2 * r < N else 1])
+        idx.setflags(write=False)
+        pairs.append(idx)
+    return tuple(pairs)
+
+
 def _phase_blocks(povm):
-    """Yield (vec_index, B) for each class r = (m - n) mod N of the vec index.
+    """Yield (vec_index, B) for each mirror pair of classes r = (m - n) mod N.
 
     The measurement matrix E has column k*M + i = vec(Pi_{i,k}); it is never
     formed.  A DFT over the phase index k makes it block-diagonal: column
     (i, k) restricted to class r is exp(1j*r*theta_k)/N times the real
     vector G_i[class r], so class r contributes the real block
     B[(m, n), i] = G_i[m, n] / sqrt(N) of shape (|class r|, M), with the same
-    singular values as its part of E.  ``vec_index`` holds the column-stacked
-    positions m + n*d of the class.  The frame splits the same way into the
-    blocks (B / w) @ B.T.
+    singular values as its part of E.  The frame splits the same way into the
+    blocks (B / w) @ B.T.  Every G_i is symmetric (``PovmSet`` enforces it),
+    so class N - r, listed as the transposes (n, m) of class r's entries, has
+    the very same block: one B serves both classes, and ``vec_index``
+    (from ``_phase_classes``) carries one row of positions per class.
     """
-    d = povm.dim
-    N = povm.grid.N
-    m, n = np.indices((d, d))
-    cls = (m - n) % N
-    for r in np.unique(cls):
-        sel = cls == r
-        yield (m + n * d)[sel], povm.G[:, m[sel], n[sel]].T / math.sqrt(N)
+    d, N = povm.dim, povm.grid.N
+    # Row-major position m + n*d of G_i holds G_i[n, m], which is G_i[m, n].
+    flat = povm.G.reshape(-1, d * d)
+    for idx in _phase_classes(d, N):
+        yield idx, flat[:, idx[0]].T / math.sqrt(N)
 
 
+@functools.lru_cache(maxsize=32)
 def _offsets(d):
     """Row index (m - n) + d - 1 of ``_offset_phases`` for each entry (m, n)."""
     mn = np.arange(d)
-    return mn[:, None] - mn[None, :] + d - 1
+    out = mn[:, None] - mn[None, :] + d - 1
+    out.setflags(write=False)
+    return out
 
 
-def _offset_phases(grid, d):
-    """exp(1j*delta*theta_k) as a (2d-1, N) array, row delta + d - 1.
+@functools.lru_cache(maxsize=32)
+def _offset_order(d):
+    """Row-major positions m*d + n grouped by offset m - n = 1-d..d-1, and group starts."""
+    order = np.argsort(_offsets(d).ravel(), kind="stable")
+    sizes = d - np.abs(np.arange(1 - d, d))
+    starts = np.cumsum(sizes) - sizes
+    for a in (order, starts):
+        a.setflags(write=False)
+    return order, starts
+
+
+@functools.lru_cache(maxsize=32)
+def _offset_phases(N, d):
+    """Read-only exp(1j*delta*theta_k) as a (2d-1, N) array, row delta + d - 1.
 
     Rows of negative delta are the conjugates of those of -delta, so every
     element and snapshot is exactly Hermitian.
     """
     delta = np.arange(1 - d, d)
-    phase = np.exp(1j * np.abs(delta)[:, None] * grid.thetas[None, :])
-    return np.where(delta[:, None] >= 0, phase, phase.conj())
+    phase = np.exp(1j * np.abs(delta)[:, None] * PhaseGrid(N).thetas[None, :])
+    out = np.where(delta[:, None] >= 0, phase, phase.conj())
+    out.setflags(write=False)
+    return out
 
 
 def _outcome_matrix(F, grid, i, k):
@@ -342,7 +398,7 @@ def _outcome_matrix(F, grid, i, k):
     if not 0 <= k < grid.N:
         raise ValueError("phase index %r outside 0..%d" % (k, grid.N - 1))
     d = F.shape[1]
-    return F[i] * _offset_phases(grid, d)[_offsets(d), k] / grid.N
+    return F[i] * _offset_phases(grid.N, d)[_offsets(d), k] / grid.N
 
 
 def _pairing(A, F, grid):
@@ -350,16 +406,19 @@ def _pairing(A, F, grid):
 
     ``A`` is a state, an observable or a d x d array; ``F`` is a real
     (M, d, d) array, the overlaps G or the snapshot factors S.  The products
-    A[n, m] F_i[m, n] are summed along each diagonal offset delta = m - n,
-    then one phase table gives every k: O(M d^2 + M d N).
+    A[n, m] F_i[m, n] are gathered d^2-major, grouped by diagonal offset
+    delta = m - n, and summed per offset in one reduction; then one phase
+    table gives every k: O(M d^2 + M d N).
     """
     A = A.matrix if hasattr(A, "matrix") else np.asarray(A)
-    d = F.shape[1]
+    M, d = F.shape[:2]
     if A.shape != (d, d):
         raise ValueError("operator of shape %r does not match POVM dimension %d" % (A.shape, d))
-    terms = F * A.T
-    diag = np.stack([np.trace(terms, -delta, 1, 2) for delta in range(1 - d, d)], axis=1)
-    return (diag @ _offset_phases(grid, d)).real / grid.N
+    order, starts = _offset_order(d)
+    terms = F.reshape(M, d * d).T[order]
+    terms = terms * A.T.ravel()[order, None]
+    diag = np.add.reduceat(terms, starts, axis=0)
+    return (diag.T @ _offset_phases(grid.N, d)).real / grid.N
 
 
 def _adjoint(W, F, grid):
@@ -368,7 +427,7 @@ def _adjoint(W, F, grid):
     The phase sum over k is taken once per bin and diagonal offset.
     """
     d = F.shape[1]
-    c = (W @ _offset_phases(grid, d).T)[:, _offsets(d)]
+    c = (W @ _offset_phases(grid.N, d).T)[:, _offsets(d)]
     return np.einsum("imn,imn->mn", F, c) / grid.N
 
 
@@ -381,9 +440,13 @@ def _frame_block(B, weights):
 def _block_singular_values(povm):
     """Singular values of E in descending order, from the phase-class blocks.
 
-    Padded with zeros to min(d^2, N*M), the length of E's own spectrum.
+    A mirror pair's block counts once for each of its classes.  Padded with
+    zeros to min(d^2, N*M), the length of E's own spectrum.
     """
-    s = [np.linalg.svd(B, compute_uv=False) for _, B in _phase_blocks(povm)]
+    s = [
+        np.tile(np.linalg.svd(B, compute_uv=False), len(idx))
+        for idx, B in _phase_blocks(povm)
+    ]
     s = np.sort(np.concatenate(s))[::-1]
     return np.concatenate([s, np.zeros(min(povm.dim**2, povm.n_outcomes) - s.size)])
 
@@ -442,7 +505,7 @@ def is_informationally_complete(povm, rtol=DEFAULT_RANK_RTOL):
     the required dimension (n_max+1)^2, the singular-value spectrum, and
     the minimum eigenvalue and condition number of the weighted frame
     operator as conditioning diagnostics.  Everything comes from the
-    phase-class blocks; no d^2-sized matrix is formed.
+    phase-class blocks, one per mirror pair; no d^2-sized matrix is formed.
     """
     s = _block_singular_values(povm)
     rank = _rank(povm, s, rtol)
@@ -457,10 +520,13 @@ def is_informationally_complete(povm, rtol=DEFAULT_RANK_RTOL):
 
 
 def sufficient_condition(N, M, n_max):
-    """Existence guarantee for complete binnings: N >= 2*n_max+1 and M >= n_max+1.
+    """The paper's sufficient counts for completeness: N >= 2*n_max+1 and M >= n_max+1.
 
-    When both hold, some equal-spaced binning achieves completeness; the
-    predicate says nothing about any particular edge placement.
+    The predicate only compares the phase and bin counts with these
+    thresholds; it certifies no binning.  In particular equal-spaced bins
+    are not enough near M = n_max+1 (see :func:`design_bins` for the
+    working range M >= ceil(1.5*(n_max+1)) and the failures below it);
+    :func:`is_informationally_complete` certifies a concrete POVM.
     """
     return N >= 2 * n_max + 1 and M >= n_max + 1
 

@@ -8,10 +8,13 @@ a (n_max+1)^2 x (n_max+1)^2 matrix acting on column-stacked vectorizations.
 On the uniform phase grid it is real and block-diagonal in the classes
 r = (m - n) mod N of the vec index (``povm._phase_blocks``), so it is held,
 diagonalized and inverted as one small real block per class; the dense
-matrix is never formed.  Inverting it (exactly when informationally
-complete, via Moore-Penrose pseudoinverse otherwise) turns each outcome
-(i, k) into a snapshot matrix rho_hat_{i,k} = C^{-1}(Pi_{i,k}/w_i) whose
-average over measurement records is an unbiased estimator of the state.
+matrix is never formed.  Class N - r holds the transposes of class r's
+entries and the overlaps are symmetric, so the two classes share one block:
+the spectral work runs once per mirror pair r <-> N - r.  Inverting the
+frame (exactly when informationally complete, via Moore-Penrose
+pseudoinverse otherwise) turns each outcome (i, k) into a snapshot matrix
+rho_hat_{i,k} = C^{-1}(Pi_{i,k}/w_i) whose average over measurement
+records is an unbiased estimator of the state.
 The snapshots factor like the elements, rho_hat_{i,k} = S_i[m, n]
 exp(1j*(m-n)*theta_k)/N with real S_i, and are stored as S alone; sums over
 outcomes use the pairing and adjoint of ``povm``.
@@ -57,18 +60,34 @@ DEFAULT_THRESHOLD = 1e-12
 DEFAULT_BATCHES = 10
 
 
+def _per_class(pairs):
+    """Entries of mirror pairs (one row of vec_index per class) as one entry per class.
+
+    Classes come in ascending order r = 0..N-1; the entry of a mirror class
+    N - r holds the same (read-only) arrays as class r's.
+    """
+    first = [(p[0][0],) + p[1:] for p in pairs]
+    mirrors = [(p[0][1],) + p[1:] for p in pairs if len(p[0]) == 2]
+    return first + mirrors[::-1]
+
+
 class FrameOperator:
     """Weighted frame operator of a POVM set, with its eigendecomposition.
 
     ``blocks`` holds one (vec_index, C_r, eigenvalues_r, eigenvectors_r) per
     phase class, with C_r = C[vec_index, vec_index] and every entry of C
-    outside the blocks zero.  ``eigenvalues`` is the whole ascending spectrum.
+    outside the blocks zero.  ``pairs`` holds the same per mirror pair of
+    classes r <-> N - r, with one row of vec_index per class
+    (``povm._phase_blocks``); a mirror class's entry in ``blocks`` shares
+    its pair's read-only arrays.  ``eigenvalues`` is the whole ascending
+    spectrum.
     """
 
-    def __init__(self, blocks, povm):
-        self.blocks = blocks
+    def __init__(self, pairs, povm):
+        self.pairs = pairs
+        self.blocks = _per_class(pairs)
         self.povm = povm
-        self.eigenvalues = np.sort(np.concatenate([b[2] for b in blocks]))
+        self.eigenvalues = np.sort(np.concatenate([b[2] for b in self.blocks]))
 
     @property
     def dim(self):
@@ -100,13 +119,14 @@ class FrameOperator:
 class InverseFrame:
     """Strict inverse or Moore-Penrose pseudoinverse of a frame operator.
 
-    ``blocks`` pairs each phase class's vec_index with its inverse block,
-    in the order of the frame's blocks.
+    ``pairs`` and ``blocks`` hold (vec_index, inverse block) per mirror pair
+    and per phase class, in the order of the frame's.
     """
 
-    def __init__(self, mode, blocks, threshold, frame):
+    def __init__(self, mode, pairs, threshold, frame):
         self.mode = mode
-        self.blocks = blocks
+        self.pairs = pairs
+        self.blocks = _per_class(pairs)
         self.threshold = float(threshold)
         self.frame = frame
 
@@ -222,17 +242,19 @@ def frame_operator(povm):
     The matrix is sum_{i,k} vec(Pi_{i,k}) vec(Pi_{i,k})^dagger / w_i.  The
     sum over the uniform phase grid leaves one real block
     sum_i G_i[r] G_i[r]^T / (N w_i) per phase class r; each is symmetrized
-    to scrub roundoff and diagonalized on its own.  Eigenvalues are returned
-    ascending.  Doubling all weights halves the operator (it is linear in
-    1/w_i).
+    to scrub roundoff and diagonalized on its own, once per mirror pair
+    r <-> N - r.  Eigenvalues are returned ascending.  Doubling all weights
+    halves the operator (it is linear in 1/w_i).
     """
     w = povm.binning.weights
-    blocks = []
+    pairs = []
     for idx, B in _phase_blocks(povm):
         C = _frame_block(B, w)
         lam, V = np.linalg.eigh(C)
-        blocks.append((idx, C, lam, V))
-    return FrameOperator(blocks, povm)
+        for a in (C, lam, V):
+            a.setflags(write=False)
+        pairs.append((idx, C, lam, V))
+    return FrameOperator(pairs, povm)
 
 
 def invert_frame(frame, mode=MODE_STRICT, threshold=DEFAULT_THRESHOLD):
@@ -240,8 +262,8 @@ def invert_frame(frame, mode=MODE_STRICT, threshold=DEFAULT_THRESHOLD):
 
     Strict mode demands lambda_min > threshold and inverts every eigenvalue;
     pseudo mode inverts only eigenvalues above the threshold and zeroes the
-    rest, projecting onto the frame's range.  Each phase-class block is
-    inverted separately.
+    rest, projecting onto the frame's range.  Each mirror pair of
+    phase-class blocks is inverted once.
     """
     if mode not in (MODE_STRICT, MODE_PSEUDO):
         raise ValueError("mode must be 'strict' or 'pseudo', got %r" % (mode,))
@@ -253,16 +275,18 @@ def invert_frame(frame, mode=MODE_STRICT, threshold=DEFAULT_THRESHOLD):
                 "the measurable subspace" % (frame.lambda_min, threshold),
                 lambda_min=frame.lambda_min,
             )
-    blocks = []
-    for idx, _, lam, V in frame.blocks:
+    pairs = []
+    for idx, _, lam, V in frame.pairs:
         if mode == MODE_STRICT:
             inv_lam = 1.0 / lam
         else:
             keep = lam > threshold
             inv_lam = np.where(keep, 1.0 / np.where(keep, lam, 1.0), 0.0)
         Cinv = (V * inv_lam) @ V.T
-        blocks.append((idx, 0.5 * (Cinv + Cinv.T)))
-    return InverseFrame(mode, blocks, threshold, frame)
+        Cinv = 0.5 * (Cinv + Cinv.T)
+        Cinv.setflags(write=False)
+        pairs.append((idx, Cinv))
+    return InverseFrame(mode, pairs, threshold, frame)
 
 
 def snapshots(povm, inv):
@@ -271,7 +295,8 @@ def snapshots(povm, inv):
     Returns the table of snapshot matrices C^{-1}(Pi_{i,k}/w_i).  On phase
     class r the weighted element is exp(1j*r*theta_k)/N times the real
     vector G_i[class r]/w_i, so the inverse blocks give real matrices S_i
-    once per bin and rho_hat_{i,k} = S_i exp(1j*(m-n)*theta_k)/N.  S_i is
+    once per bin and rho_hat_{i,k} = S_i exp(1j*(m-n)*theta_k)/N.  A mirror
+    pair's columns are computed once and written to both classes.  S_i is
     symmetrized ((S + S^T)/2) to scrub roundoff, which makes every snapshot
     exactly Hermitian.  The inverse frame must come from a POVM with the
     same cutoff, phase grid and binning (edges, tail mode and weights);
@@ -292,8 +317,8 @@ def snapshots(povm, inv):
     N = povm.grid.N
     w = povm.binning.weights
     S = np.empty((M, d * d))  # column-stacked vec(S_i) per row
-    for (idx, B), (_, Cinv) in zip(_phase_blocks(povm), inv.blocks):
-        S[:, idx] = (Cinv @ (B * (math.sqrt(N) / w))).T
+    for (idx, B), (_, Cinv) in zip(_phase_blocks(povm), inv.pairs):
+        S[:, idx] = (Cinv @ (B * (math.sqrt(N) / w))).T[:, None, :]
     S = S.reshape(M, d, d)  # row-major reshape of vec(S_i) gives S_i^T
     S = 0.5 * (S + S.transpose(0, 2, 1))  # symmetric, so the order is moot
     return SnapshotTable(S, povm.grid, inv.mode, inv.threshold)

@@ -642,7 +642,10 @@ def estimate_local(records, config, tables, observables, variant="plain-mean"):
     measured modes V; every other mode carries the identity.  The per-shot
     value is the product over V of the per-mode snapshot values, so V = {}
     makes every shot contribute exactly 1.  ``tables`` maps mode index ->
-    strict-mode SnapshotTable (only modes in V are required).
+    strict-mode SnapshotTable (only modes in V are required).  The report's
+    ``inversion`` is ``"strict"`` and its ``threshold`` the tables' common
+    eigenvalue threshold, or a {mode: threshold} map when they differ; both
+    are ``None`` for V = {}.
     """
     V = sorted(observables)
     for j in V:
@@ -700,7 +703,13 @@ def estimate_local(records, config, tables, observables, variant="plain-mean"):
     label = " * ".join(
         getattr(observables[j], "label", "X") for j in V
     ) if V else "identity"
-    return EstimateReport(mean, stderr, values.size, variant_str, observable_label=label)
+    thresholds = {j: tables[j].threshold for j in V}
+    common = set(thresholds.values())
+    threshold = thresholds if len(common) > 1 else next(iter(common), None)
+    return EstimateReport(
+        mean, stderr, values.size, variant_str, observable_label=label,
+        inversion=shadow_mod.MODE_STRICT if V else None, threshold=threshold,
+    )
 
 
 def multi_shadow_norm(config, observables, tables=None):

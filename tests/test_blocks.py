@@ -6,13 +6,19 @@ rank, the frame (E/w) E^dagger with ``eigh``, the snapshots C^{-1}(E/w)
 devectorized one column at a time, and every sum over outcomes as an
 explicit trace or weighted sum of these dense matrices.  The library
 computes all of these from small real blocks, one per phase class
-(m - n) mod N, and from one pairing over diagonal offsets m - n.
+(m - n) mod N, and from one pairing over diagonal offsets m - n.  Class
+N - r holds the transposes of class r's entries, so the library computes
+one block per mirror pair r <-> N - r; the mirror tests below check each
+class against the blocks built from that class's own rows.
 """
 
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from homodyne_shadows import povm as pv
 from homodyne_shadows import shadow as sh
@@ -183,6 +189,91 @@ def test_inverse_matrix_matches_dense(case):
         assert np.max(np.abs(Cinv_r - Cinv[np.ix_(idx, idx)])) <= tol
         off_blocks[np.ix_(idx, idx)] = False
     assert np.max(np.abs(Cinv[off_blocks]), initial=0.0) <= tol
+
+
+# Non-aliased grids at benchmark size, next to the CONFIGS cases.
+MIRROR_SIZES = {"20-41-100": (20, 41, 100), "30-61-40": (30, 61, 40)}
+
+
+@pytest.fixture(scope="module", params=sorted(CONFIGS) + sorted(MIRROR_SIZES))
+def mirror_case(request):
+    if request.param in MIRROR_SIZES:
+        n_max, N, M = MIRROR_SIZES[request.param]
+        return build_povm(PhaseGrid(N), design_bins(n_max, N, M), n_max)
+    factory, N, n_max, _ = CONFIGS[request.param]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return build_povm(PhaseGrid(N), factory(), n_max)
+
+
+def _own_blocks(p, r, threshold):
+    """vec index, B, frame block and pseudo-inverse block of class r from its own rows."""
+    d, N = p.dim, p.grid.N
+    m, n = np.indices((d, d))
+    sel = (m - n) % N == r
+    B = p.G[:, m[sel], n[sel]].T / math.sqrt(N)
+    C = pv._frame_block(B, p.binning.weights)
+    lam, V = np.linalg.eigh(C)
+    keep = lam > threshold
+    Cinv = (V * np.where(keep, 1.0 / np.where(keep, lam, 1.0), 0.0)) @ V.T
+    return (m + n * d)[sel], B, C, 0.5 * (Cinv + Cinv.T)
+
+
+def test_mirror_blocks_match_own_rows(mirror_case):
+    p = mirror_case
+    d, N = p.dim, p.grid.N
+    aliased = N < 2 * d - 1
+    frame = sh.frame_operator(p)
+    inv = sh.invert_frame(frame, mode=sh.MODE_PSEUDO)
+    classes = [int(r) for r in np.unique(np.subtract.outer(np.arange(d), np.arange(d)) % N)]
+    block_of = {}
+    for (idx, B), (fidx, *_), (iidx, _) in zip(pv._phase_blocks(p), frame.pairs, inv.pairs):
+        assert idx is fidx is iidx
+        block_of.update({int(row[0]): B for row in idx})
+    assert len(block_of) == len(frame.blocks) == len(inv.blocks) == len(classes)
+    for r, (idx, C, lam, V), (iidx, Cinv) in zip(classes, frame.blocks, inv.blocks):
+        assert np.array_equal(idx, iidx)
+        assert not (C.flags.writeable or V.flags.writeable or Cinv.flags.writeable)
+        B = block_of[int(idx[0])]
+        own_idx, own_B, own_C, own_inv = _own_blocks(p, r, inv.threshold)
+        # The order in which the library lists this class's rows.
+        order = np.argsort(idx)[np.argsort(np.argsort(own_idx))]
+        assert np.array_equal(idx[order], own_idx)
+        assert np.array_equal(B[order], own_B)
+        if not aliased:
+            assert np.array_equal(order, np.arange(idx.size))
+            assert np.array_equal(C, own_C)
+            assert np.array_equal(Cinv, own_inv)
+            continue
+        assert np.max(np.abs(C[np.ix_(order, order)] - own_C)) <= 1e-15
+        tol = 1e-9 * max(1.0, np.max(np.abs(own_inv)))
+        assert np.max(np.abs(Cinv[np.ix_(order, order)] - own_inv)) <= tol
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    d=st.integers(1, 12),
+    N=st.integers(1, 30),
+    M=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+# Aliased with N even and odd, then non-aliased with N even and odd.
+@example(d=12, N=6, M=3, seed=1)
+@example(d=12, N=7, M=3, seed=2)
+@example(d=12, N=24, M=3, seed=3)
+@example(d=12, N=23, M=3, seed=4)
+@example(d=1, N=1, M=1, seed=5)
+def test_pairing_matches_per_offset_trace(d, N, M, seed):
+    rng = np.random.default_rng(seed)
+    F = rng.normal(size=(M, d, d))
+    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    terms = F * A.T
+    diag = np.stack([np.trace(terms, -delta, 1, 2) for delta in range(1 - d, d)], axis=1)
+    delta = np.arange(1 - d, d)
+    phases = np.exp(1j * delta[:, None] * PhaseGrid(N).thetas[None, :])
+    expected = (diag @ phases).real / N
+    scale = np.max(np.abs(terms).sum(axis=(1, 2))) / N
+    assert np.max(np.abs(pv._pairing(A, F, PhaseGrid(N)) - expected)) <= 1e-14 * scale
 
 
 def test_snapshots_reject_other_phase_grid():

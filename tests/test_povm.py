@@ -105,6 +105,24 @@ class TestBuildPovm:
         p = build_povm(PhaseGrid(3), BinningScheme.equal_spaced(3, 2.0), 2)
         p.validate_elements()  # raises on any violation
 
+    def test_overlaps_must_be_symmetric(self):
+        p = build_povm(PhaseGrid(5), BinningScheme.equal_spaced(3, 2.0), 2)
+        skewed = p.G.copy()
+        skewed[1, 0, 2] += 1e-6
+        with pytest.raises(ValueError, match="not symmetric"):
+            pv.PovmSet(p.grid, p.binning, p.n_max, skewed)
+        with pytest.raises(ValueError, match="not symmetric"):
+            pv.PovmSet(p.grid, p.binning, p.n_max, np.full_like(p.G, np.nan))
+        # Roundoff-level asymmetry is scrubbed, so every element is Hermitian.
+        nudged = p.G.copy()
+        nudged[1, 0, 2] += 1e-14
+        q = pv.PovmSet(p.grid, p.binning, p.n_max, nudged)
+        assert np.array_equal(q.G, q.G.transpose(0, 2, 1))
+        A = q.element(1, 3)
+        assert np.array_equal(A, A.conj().T)
+        # Exactly symmetric overlaps are stored unchanged.
+        assert np.array_equal(pv.PovmSet(p.grid, p.binning, p.n_max, p.G).G, p.G)
+
     def test_cutoff_envelope(self):
         with pytest.raises(ValueError):
             build_povm(PhaseGrid(2), BinningScheme.equal_spaced(2, 1.0), 65)

@@ -423,6 +423,21 @@ class TestEstimateLocal:
         with pytest.raises(MalformedRecordError):
             estimate_local(recs, cfg, {0: table}, {0: number_operator(1)})
 
+    def test_report_names_strict_inversion_and_threshold(self, local_setup):
+        cfg, table = local_setup
+        povm = cfg.povms[0]
+        n_op = number_operator(1)
+        recs = records_of([(0, 0, 1, 0), (0, 1, 2, 1), (1, 0, 0, 1), (1, 1, 1, 0)])
+        doc = estimate_local(recs, cfg, {0: table, 1: table}, {0: n_op, 1: n_op}).to_json()
+        assert doc["inversion"] == "strict"
+        assert doc["threshold"] == table.threshold
+        looser = snapshots(povm, invert_frame(frame_operator(povm), threshold=1e-9))
+        doc = estimate_local(recs, cfg, {0: table, 1: looser}, {0: n_op, 1: n_op}).to_json()
+        assert doc["inversion"] == "strict"
+        assert doc["threshold"] == {0: table.threshold, 1: 1e-9}
+        doc = estimate_local(recs, cfg, {}, {}).to_json()
+        assert doc["inversion"] is None and doc["threshold"] is None
+
 
 def _local_reference(records, value_tables):
     """Per-shot loop: shots in ascending t, each 1.0 times its values over sorted V."""
