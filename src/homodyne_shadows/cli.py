@@ -220,6 +220,21 @@ def build_parser():
     return parser, table
 
 
+def _check_tolerances(args):
+    """UsageError unless --threshold is finite and >= 0 and --rtol finite and > 0."""
+    for flag, positive in (("threshold", False), ("rtol", True)):
+        if not hasattr(args, flag):
+            continue
+        value = getattr(args, flag)
+        try:
+            ok = math.isfinite(value) and (value > 0 if positive else value >= 0)
+        except TypeError:  # a null or non-number from --config
+            ok = False
+        if not ok:
+            bound = "> 0" if positive else ">= 0"
+            raise UsageError("--%s must be finite and %s, got %r" % (flag, bound, value))
+
+
 def _apply_config(parser, table, argv, args):
     """Merge --config JSON beneath explicit flags by re-parsing with new defaults."""
     path = getattr(args, "config", None)
@@ -442,7 +457,10 @@ def _cmd_check_ic(args):
         )
     else:
         print("rank: %d of %d required" % (report.rank, report.required))
-        print("spectrum tail (5 smallest singular values): %s" % tail)
+        print(
+            "spectrum tail (5 smallest singular values of the weighted "
+            "measurement matrix): %s" % tail
+        )
         print("frame lambda_min: %.6e" % report.lambda_min)
         print("frame condition number: %.6e" % report.condition_number)
         print("verdict: %s" % ("complete" if report.complete else "incomplete"))
@@ -567,6 +585,7 @@ def main(argv=None):
         return EXIT_USAGE
     try:
         args = _apply_config(parser, table, argv, args)
+        _check_tolerances(args)
         return args.func(args)
     except UsageError as exc:
         print("%s: error: %s" % (parser.prog, exc), file=sys.stderr)

@@ -14,15 +14,16 @@ identity on the truncated space (exactly so in extend-tails mode).
 Because the phases form a uniform grid, a discrete Fourier transform over k
 block-diagonalizes every quantity built from the elements: entries (m, n)
 only couple to entries (m', n') with m - n = m' - n' (mod N).  This module
-stores the real overlaps G, exactly symmetric, and certifies completeness
-from the singular values of these small real blocks (``_phase_blocks``).
-Class N - r holds the transposes of class r's entries, so by the symmetry
-of G the two classes share one block: spectral work runs once per mirror
-pair r <-> N - r.  Every sum over outcomes goes through one pairing of a
-matrix with all outcomes and its adjoint (``_pairing``, ``_adjoint``); a
-single element matrix is built only on request.  It also designs bin edges
-that achieve completeness and (de)serializes POVMs through a versioned JSON
-cache.
+stores the real overlaps G, exactly symmetric, and splits the weighted
+measurement matrix into small real blocks (``_phase_blocks``).  Class N - r
+holds the transposes of class r's entries, so by the symmetry of G the two
+classes share one block; each POVM takes one thin SVD per mirror pair
+r <-> N - r (``PovmSet._svd``), which certifies completeness here and gives
+the frame, inverse and snapshots of ``shadow``.  Every sum over outcomes
+goes through one pairing of a matrix with all outcomes and its adjoint
+(``_pairing``, ``_adjoint``); a single element matrix is built only on
+request.  It also designs bin edges that achieve completeness and
+(de)serializes POVMs through a versioned JSON cache.
 """
 
 import functools
@@ -223,7 +224,8 @@ class PovmSet:
     Every G_i is stored exactly symmetric, so every element is Hermitian: a
     G further than 1e-12*N from symmetric raises ``ValueError``, and the
     rest is symmetrized, which leaves the exactly symmetric overlaps of
-    :func:`fockcore.bin_overlaps` bit for bit unchanged.
+    :func:`fockcore.bin_overlaps` bit for bit unchanged.  The POVM owns its
+    read-only G: it copies the caller's array unless that is another POVM's.
     """
 
     def __init__(self, grid, binning, n_max, G):
@@ -246,8 +248,24 @@ class PovmSet:
                     "elements would not be Hermitian" % asym
                 )
             G = 0.5 * (G + Gt)
+        elif G.flags.writeable or not G.flags.owndata:  # not frozen by its owner
+            G = G.copy()
         self.G = G
         self.G.setflags(write=False)
+
+    @functools.cached_property
+    def _svd(self):
+        """Read-only thin SVD (vec_index, U, s, Wt) of each ``_phase_blocks`` block.
+
+        Computed on first use; the IC check, frame, inverse and snapshots read it.
+        """
+        pairs = []
+        for idx, B in _phase_blocks(self):
+            U, s, Wt = np.linalg.svd(B, full_matrices=False)
+            for a in (U, s, Wt):
+                a.setflags(write=False)
+            pairs.append((idx, U, s, Wt))
+        return tuple(pairs)
 
     @property
     def dim(self):
@@ -311,6 +329,7 @@ def build_povm(grid, binning, n_max):
     nominal finite values.
     """
     G = fockcore.bin_overlaps(n_max, binning.integration_edges())
+    G.setflags(write=False)  # handed over, so PovmSet need not copy it
     return PovmSet(grid, binning, n_max, G)
 
 
@@ -343,18 +362,18 @@ def _phase_blocks(povm):
     formed.  A DFT over the phase index k makes it block-diagonal: column
     (i, k) restricted to class r is exp(1j*r*theta_k)/N times the real
     vector G_i[class r], so class r contributes the real block
-    B[(m, n), i] = G_i[m, n] / sqrt(N) of shape (|class r|, M), with the same
-    singular values as its part of E.  The frame splits the same way into the
-    blocks (B / w) @ B.T.  Every G_i is symmetric (``PovmSet`` enforces it),
-    so class N - r, listed as the transposes (n, m) of class r's entries, has
-    the very same block: one B serves both classes, and ``vec_index``
-    (from ``_phase_classes``) carries one row of positions per class.
+    B[(m, n), i] = G_i[m, n] / sqrt(N w_i) of shape (|class r|, M), with the
+    same singular values as its part of E diag(w)^(-1/2).  The frame splits
+    the same way into the blocks B @ B.T.  Every G_i is symmetric
+    (``PovmSet`` enforces it), so class N - r, listed as the transposes (n, m)
+    of class r's entries, has the very same block: one B serves both classes,
+    and ``vec_index`` (from ``_phase_classes``) has one row per class.
     """
     d, N = povm.dim, povm.grid.N
     # Row-major position m + n*d of G_i holds G_i[n, m], which is G_i[m, n].
-    flat = povm.G.reshape(-1, d * d)
+    flat = povm.G.reshape(-1, d * d) / np.sqrt(N * povm.binning.weights)[:, None]
     for idx in _phase_classes(d, N):
-        yield idx, flat[:, idx[0]].T / math.sqrt(N)
+        yield idx, flat[:, idx[0]].T
 
 
 @functools.lru_cache(maxsize=32)
@@ -431,23 +450,13 @@ def _adjoint(W, F, grid):
     return np.einsum("imn,imn->mn", F, c) / grid.N
 
 
-def _frame_block(B, weights):
-    """Real symmetric frame block (B / w) @ B.T, symmetrized against roundoff."""
-    C = (B / weights) @ B.T
-    return 0.5 * (C + C.T)
+def _singular_values(povm, pairs):
+    """Singular values of E diag(w)^(-1/2), descending, from (vec_index, s) per mirror pair.
 
-
-def _block_singular_values(povm):
-    """Singular values of E in descending order, from the phase-class blocks.
-
-    A mirror pair's block counts once for each of its classes.  Padded with
-    zeros to min(d^2, N*M), the length of E's own spectrum.
+    A pair's values count once for each of its classes.  Padded with zeros
+    to min(d^2, N*M), the length of the whole matrix's own spectrum.
     """
-    s = [
-        np.tile(np.linalg.svd(B, compute_uv=False), len(idx))
-        for idx, B in _phase_blocks(povm)
-    ]
-    s = np.sort(np.concatenate(s))[::-1]
+    s = np.sort(np.concatenate([np.tile(s, len(idx)) for idx, s in pairs]))[::-1]
     return np.concatenate([s, np.zeros(min(povm.dim**2, povm.n_outcomes) - s.size)])
 
 
@@ -466,8 +475,8 @@ def _rank(povm, s, rtol):
 
     The POVM is informationally complete iff this rank is (n_max+1)^2.
     """
-    if rtol <= 0:
-        raise ValueError("rtol must be positive, got %g" % rtol)
+    if not (math.isfinite(rtol) and rtol > 0):
+        raise ValueError("rtol must be finite and positive, got %g" % rtol)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > rtol * s[0] * max(povm.dim**2, povm.n_outcomes)))
@@ -502,20 +511,16 @@ def is_informationally_complete(povm, rtol=DEFAULT_RANK_RTOL):
     """Certify completeness by the measurement-matrix rank.
 
     Returns an :class:`ICReport` (truthy iff complete) carrying the rank,
-    the required dimension (n_max+1)^2, the singular-value spectrum, and
-    the minimum eigenvalue and condition number of the weighted frame
-    operator as conditioning diagnostics.  Everything comes from the
-    phase-class blocks, one per mirror pair; no d^2-sized matrix is formed.
+    the required dimension (n_max+1)^2, the singular values s of
+    E diag(w)^(-1/2) (positive weights keep E's rank), and the frame's
+    lambda_min = s_min^2 (0 below (n_max+1)^2 outcomes) and condition number.
+    All come from the POVM's one SVD per mirror pair (``PovmSet._svd``).
     """
-    s = _block_singular_values(povm)
+    s = _singular_values(povm, ((idx, s) for idx, _, s, _ in povm._svd))
     rank = _rank(povm, s, rtol)
     required = povm.dim * povm.dim
-    w = povm.binning.weights
-    lam = np.concatenate(
-        [np.linalg.eigvalsh(_frame_block(B, w)) for _, B in _phase_blocks(povm)]
-    )
-    lam_min, lam_max = float(lam.min()), float(lam.max())
-    cond = lam_max / lam_min if lam_min > 0 else math.inf
+    lam_min = float(s[-1]) ** 2 if s.size == required else 0.0
+    cond = float(s[0]) ** 2 / lam_min if lam_min > 0 else math.inf
     return ICReport(rank == required, rank, required, s, lam_min, cond)
 
 
@@ -583,8 +588,9 @@ def design_bins(
     not enough: the search raises ``BinDesignError`` at (n_max, N, M) =
     (12,25,13), (20,41,21), (32,65,33), (48,97,49) and (64,129,65); the
     design found at (8,17,9) has lambda_min = 5.7e-13, so strict inversion
-    raises ``StrictModeSingularError``; and (7,15,8) inverts with a frame
-    condition number of 9.4e9.
+    raises ``StrictModeSingularError``; and (7,15,8) has a frame condition
+    number of 9.4e9, yet inverts unbiased to about 1e-12, because the
+    snapshots apply the blocks' SVD and never square it.
     """
     if L0 is None:
         L0 = default_half_width(n_max)
@@ -608,7 +614,9 @@ def design_bins(
         L = L0 + t * dL
         scheme = BinningScheme.equal_spaced(M, L, tail_mode=tail_mode)
         p = build_povm(grid, scheme, n_max)
-        rank = _rank(p, _block_singular_values(p), rtol)
+        # Values only: U and Wt would double the search time.
+        s = ((idx, np.linalg.svd(B, compute_uv=False)) for idx, B in _phase_blocks(p))
+        rank = _rank(p, _singular_values(p, s), rtol)
         if rank > best_rank:
             best_rank = rank
         if rank == required:

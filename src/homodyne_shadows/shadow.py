@@ -6,15 +6,15 @@ The measurement frame of a POVM set is the positive self-adjoint map
 
 a (n_max+1)^2 x (n_max+1)^2 matrix acting on column-stacked vectorizations.
 On the uniform phase grid it is real and block-diagonal in the classes
-r = (m - n) mod N of the vec index (``povm._phase_blocks``), so it is held,
-diagonalized and inverted as one small real block per class; the dense
-matrix is never formed.  Class N - r holds the transposes of class r's
-entries and the overlaps are symmetric, so the two classes share one block:
-the spectral work runs once per mirror pair r <-> N - r.  Inverting the
-frame (exactly when informationally complete, via Moore-Penrose
-pseudoinverse otherwise) turns each outcome (i, k) into a snapshot matrix
-rho_hat_{i,k} = C^{-1}(Pi_{i,k}/w_i) whose average over measurement
-records is an unbiased estimator of the state.
+r = (m - n) mod N of the vec index, with block B B^T for the weighted block
+B of ``povm._phase_blocks``; class N - r shares class r's block.  No block
+is formed: the POVM's thin SVD B = U diag(s) Wt, one per mirror pair
+(``PovmSet._svd``), gives the eigenvalues s^2, and the inverse is applied as
+U diag(1/s) Wt, so no condition number is squared.  Inverting the frame
+(exactly when informationally complete, via Moore-Penrose pseudoinverse
+otherwise) turns each outcome (i, k) into a snapshot matrix
+rho_hat_{i,k} = C^{-1}(Pi_{i,k}/w_i) whose average over measurement records
+is an unbiased estimator of the state.
 The snapshots factor like the elements, rho_hat_{i,k} = S_i[m, n]
 exp(1j*(m-n)*theta_k)/N with real S_i, and are stored as S alone; sums over
 outcomes use the pairing and adjoint of ``povm``.
@@ -29,7 +29,7 @@ import warnings
 import numpy as np
 
 from .errors import StrictModeSingularError
-from .povm import _adjoint, _frame_block, _outcome_matrix, _pairing, _phase_blocks
+from .povm import _adjoint, _outcome_matrix, _pairing
 from .states import expectation
 
 __all__ = [
@@ -60,34 +60,21 @@ DEFAULT_THRESHOLD = 1e-12
 DEFAULT_BATCHES = 10
 
 
-def _per_class(pairs):
-    """Entries of mirror pairs (one row of vec_index per class) as one entry per class.
-
-    Classes come in ascending order r = 0..N-1; the entry of a mirror class
-    N - r holds the same (read-only) arrays as class r's.
-    """
-    first = [(p[0][0],) + p[1:] for p in pairs]
-    mirrors = [(p[0][1],) + p[1:] for p in pairs if len(p[0]) == 2]
-    return first + mirrors[::-1]
-
-
 class FrameOperator:
-    """Weighted frame operator of a POVM set, with its eigendecomposition.
+    """Weighted frame operator of a POVM set, held as the POVM's SVD.
 
-    ``blocks`` holds one (vec_index, C_r, eigenvalues_r, eigenvectors_r) per
-    phase class, with C_r = C[vec_index, vec_index] and every entry of C
-    outside the blocks zero.  ``pairs`` holds the same per mirror pair of
-    classes r <-> N - r, with one row of vec_index per class
-    (``povm._phase_blocks``); a mirror class's entry in ``blocks`` shares
-    its pair's read-only arrays.  ``eigenvalues`` is the whole ascending
-    spectrum.
+    ``pairs`` holds the read-only (vec_index, U, s, Wt) per mirror pair of
+    classes, one row of vec_index per class: each class has the block
+    C[vec_index, vec_index] = (U s^2) U^T, and C is zero outside the blocks.
+    ``eigenvalues`` is the ascending spectrum: s^2 per class, and a zero for
+    each row a class has beyond M.
     """
 
-    def __init__(self, pairs, povm):
-        self.pairs = pairs
-        self.blocks = _per_class(pairs)
+    def __init__(self, povm):
         self.povm = povm
-        self.eigenvalues = np.sort(np.concatenate([b[2] for b in self.blocks]))
+        self.pairs = povm._svd
+        lam = np.concatenate([np.tile(s**2, len(idx)) for idx, _, s, _ in self.pairs])
+        self.eigenvalues = np.concatenate([np.zeros(povm.dim**2 - lam.size), np.sort(lam)])
 
     @property
     def dim(self):
@@ -119,14 +106,13 @@ class FrameOperator:
 class InverseFrame:
     """Strict inverse or Moore-Penrose pseudoinverse of a frame operator.
 
-    ``pairs`` and ``blocks`` hold (vec_index, inverse block) per mirror pair
-    and per phase class, in the order of the frame's.
+    Held as the frame, mode and threshold: a class block's inverse is
+    (U_k / s_k^2) U_k^T over the k with s_k^2 > threshold (all in strict
+    mode), which :func:`snapshots` applies without forming it.
     """
 
-    def __init__(self, mode, pairs, threshold, frame):
+    def __init__(self, mode, threshold, frame):
         self.mode = mode
-        self.pairs = pairs
-        self.blocks = _per_class(pairs)
         self.threshold = float(threshold)
         self.frame = frame
 
@@ -237,24 +223,17 @@ class EstimateReport:
 
 
 def frame_operator(povm):
-    """Build the weighted frame operator and its eigendecomposition.
+    """The weighted frame operator and its eigendecomposition.
 
     The matrix is sum_{i,k} vec(Pi_{i,k}) vec(Pi_{i,k})^dagger / w_i.  The
     sum over the uniform phase grid leaves one real block
-    sum_i G_i[r] G_i[r]^T / (N w_i) per phase class r; each is symmetrized
-    to scrub roundoff and diagonalized on its own, once per mirror pair
-    r <-> N - r.  Eigenvalues are returned ascending.  Doubling all weights
-    halves the operator (it is linear in 1/w_i).
+    sum_i G_i[r] G_i[r]^T / (N w_i) = B B^T per phase class r, with the
+    weighted block B of ``povm._phase_blocks``.  The POVM's thin SVD
+    B = U diag(s) Wt, one per mirror pair r <-> N - r, gives each block's
+    eigenvalues s^2 and eigenvectors U without forming it.  Doubling all
+    weights halves the operator (it is linear in 1/w_i).
     """
-    w = povm.binning.weights
-    pairs = []
-    for idx, B in _phase_blocks(povm):
-        C = _frame_block(B, w)
-        lam, V = np.linalg.eigh(C)
-        for a in (C, lam, V):
-            a.setflags(write=False)
-        pairs.append((idx, C, lam, V))
-    return FrameOperator(pairs, povm)
+    return FrameOperator(povm)
 
 
 def invert_frame(frame, mode=MODE_STRICT, threshold=DEFAULT_THRESHOLD):
@@ -262,31 +241,21 @@ def invert_frame(frame, mode=MODE_STRICT, threshold=DEFAULT_THRESHOLD):
 
     Strict mode demands lambda_min > threshold and inverts every eigenvalue;
     pseudo mode inverts only eigenvalues above the threshold and zeroes the
-    rest, projecting onto the frame's range.  Each mirror pair of
-    phase-class blocks is inverted once.
+    rest, projecting onto the frame's range.  The threshold must be finite
+    and >= 0; :func:`snapshots` applies the inverse.
     """
     if mode not in (MODE_STRICT, MODE_PSEUDO):
         raise ValueError("mode must be 'strict' or 'pseudo', got %r" % (mode,))
-    if mode == MODE_STRICT:
-        if frame.lambda_min <= threshold:
-            raise StrictModeSingularError(
-                "frame operator is singular at the working threshold "
-                "(lambda_min = %.3e <= %.3e); use pseudo mode to project onto "
-                "the measurable subspace" % (frame.lambda_min, threshold),
-                lambda_min=frame.lambda_min,
-            )
-    pairs = []
-    for idx, _, lam, V in frame.pairs:
-        if mode == MODE_STRICT:
-            inv_lam = 1.0 / lam
-        else:
-            keep = lam > threshold
-            inv_lam = np.where(keep, 1.0 / np.where(keep, lam, 1.0), 0.0)
-        Cinv = (V * inv_lam) @ V.T
-        Cinv = 0.5 * (Cinv + Cinv.T)
-        Cinv.setflags(write=False)
-        pairs.append((idx, Cinv))
-    return InverseFrame(mode, pairs, threshold, frame)
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ValueError("threshold must be finite and >= 0, got %r" % (threshold,))
+    if mode == MODE_STRICT and frame.lambda_min <= threshold:
+        raise StrictModeSingularError(
+            "frame operator is singular at the working threshold "
+            "(lambda_min = %.3e <= %.3e); use pseudo mode to project onto "
+            "the measurable subspace" % (frame.lambda_min, threshold),
+            lambda_min=frame.lambda_min,
+        )
+    return InverseFrame(mode, threshold, frame)
 
 
 def snapshots(povm, inv):
@@ -294,13 +263,14 @@ def snapshots(povm, inv):
 
     Returns the table of snapshot matrices C^{-1}(Pi_{i,k}/w_i).  On phase
     class r the weighted element is exp(1j*r*theta_k)/N times the real
-    vector G_i[class r]/w_i, so the inverse blocks give real matrices S_i
-    once per bin and rho_hat_{i,k} = S_i exp(1j*(m-n)*theta_k)/N.  A mirror
-    pair's columns are computed once and written to both classes.  S_i is
-    symmetrized ((S + S^T)/2) to scrub roundoff, which makes every snapshot
-    exactly Hermitian.  The inverse frame must come from a POVM with the
-    same cutoff, phase grid and binning (edges, tail mode and weights);
-    any other inverse would silently bias every snapshot.
+    vector G_i[class r]/w_i = B[:, i] sqrt(N/w_i), which the inverse maps to
+    U diag(1/s) Wt[:, i] sqrt(N/w_i) (dropping the s^2 <= threshold): real
+    matrices S_i once per bin, with rho_hat_{i,k} = S_i exp(1j*(m-n)*theta_k)/N.
+    A mirror pair's columns are computed once and written to both classes.  S_i is symmetrized
+    ((S + S^T)/2) to scrub roundoff, which makes every snapshot exactly
+    Hermitian.  The inverse frame must come from a POVM with the same
+    cutoff, phase grid and binning (edges, tail mode and weights); any
+    other inverse would silently bias every snapshot.
     """
     source = inv.frame.povm
     if not (
@@ -314,11 +284,11 @@ def snapshots(povm, inv):
         )
     d = povm.dim
     M = povm.binning.M
-    N = povm.grid.N
-    w = povm.binning.weights
+    scale = np.sqrt(povm.grid.N / povm.binning.weights)
     S = np.empty((M, d * d))  # column-stacked vec(S_i) per row
-    for (idx, B), (_, Cinv) in zip(_phase_blocks(povm), inv.pairs):
-        S[:, idx] = (Cinv @ (B * (math.sqrt(N) / w))).T[:, None, :]
+    for idx, U, s, Wt in inv.frame.pairs:
+        keep = s**2 > inv.threshold
+        S[:, idx] = ((U[:, keep] / s[keep]) @ (Wt[keep] * scale)).T[:, None, :]
     S = S.reshape(M, d, d)  # row-major reshape of vec(S_i) gives S_i^T
     S = 0.5 * (S + S.transpose(0, 2, 1))  # symmetric, so the order is moot
     return SnapshotTable(S, povm.grid, inv.mode, inv.threshold)

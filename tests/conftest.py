@@ -27,6 +27,34 @@ def random_hermitian(d, rng):
     return 0.5 * (G + G.conj().T)
 
 
+def frame_blocks(frame):
+    """(vec_index, C_r, eigenvalues_r, U_r) per phase class, rebuilt from ``frame.pairs``.
+
+    C_r = (U s^2) U^T, symmetrized; the eigenvalues s^2 omit the zeros of a
+    class with more rows than M.  A mirror pair yields one entry per class.
+    """
+    for idx, U, s, _ in frame.pairs:
+        C = (U * s**2) @ U.T
+        C = 0.5 * (C + C.T)
+        for row in idx:
+            yield row, C, s**2, U
+
+
+def pinv_block(U, s, threshold):
+    """(U_k / s_k^2) U_k^T over the k with s_k^2 > threshold, symmetrized."""
+    keep = s**2 > threshold
+    Cinv = (U[:, keep] / s[keep] ** 2) @ U[:, keep].T
+    return 0.5 * (Cinv + Cinv.T)
+
+
+def pinv_blocks(inv):
+    """(vec_index, C_r^+) per phase class, rebuilt from ``inv.frame.pairs``."""
+    for idx, U, s, _ in inv.frame.pairs:
+        Cinv = pinv_block(U, s, inv.threshold)
+        for row in idx:
+            yield row, Cinv
+
+
 _criterion_results = {}
 
 

@@ -1,15 +1,17 @@
 """The phase-class block path against a dense reference.
 
 The reference keeps the dense formulas: the measurement matrix E with
-column k*M + i = vec(Pi_{i,k}) built from ``element(i, k)`` and its SVD
-rank, the frame (E/w) E^dagger with ``eigh``, the snapshots C^{-1}(E/w)
-devectorized one column at a time, and every sum over outcomes as an
-explicit trace or weighted sum of these dense matrices.  The library
-computes all of these from small real blocks, one per phase class
-(m - n) mod N, and from one pairing over diagonal offsets m - n.  Class
-N - r holds the transposes of class r's entries, so the library computes
-one block per mirror pair r <-> N - r; the mirror tests below check each
-class against the blocks built from that class's own rows.
+column k*M + i = vec(Pi_{i,k}) built from ``element(i, k)``, the SVD of
+E diag(w)^(-1/2) and its rank, the frame (E/w) E^dagger with ``eigh``, the
+snapshots C^{-1}(E/w) devectorized one column at a time, and every sum over
+outcomes as an explicit trace or weighted sum of these dense matrices.  The
+library computes all of these from one thin SVD U diag(s) Wt of a small
+real block per phase class (m - n) mod N, and from one pairing over
+diagonal offsets m - n; the tests rebuild the frame blocks (U s^2) U^T and
+the inverse blocks from it (``conftest.frame_blocks``, ``pinv_blocks``).
+Class N - r holds the transposes of class r's entries, so the library
+computes one block per mirror pair r <-> N - r; the mirror tests below
+check each class against the blocks built from that class's own rows.
 """
 
 import math
@@ -34,7 +36,7 @@ from homodyne_shadows.povm import (
 )
 from homodyne_shadows.states import Observable
 
-from conftest import random_density, random_hermitian
+from conftest import frame_blocks, pinv_block, pinv_blocks, random_density, random_hermitian
 
 
 def _weighted(scheme, seed):
@@ -59,6 +61,8 @@ CONFIGS = {
         lambda: BinningScheme([-4.0, 0.0, 4.0], tail_mode=pv.TAIL_STRICT), 3, 1, 3
     ),
     "weighted": (lambda: _weighted(design_bins(2, 5, 3), 42), 5, 2, 9),
+    # Class r = 0 has 4 rows but M = 2: zero-padded spectrum, pseudo mode.
+    "tall": (lambda: BinningScheme.equal_spaced(2, 2.5), 7, 3, 8),
 }
 
 
@@ -70,9 +74,9 @@ class DenseReference:
             [vectorize(povm.element(i, k)) for k in range(N) for i in range(M)],
             axis=1,
         )
-        self.s = np.linalg.svd(self.E, compute_uv=False)
-        self.rank = int(np.count_nonzero(self.s > rtol * self.s[0] * max(self.E.shape)))
         self.w = np.tile(povm.binning.weights, N)
+        self.s = np.linalg.svd(self.E / np.sqrt(self.w), compute_uv=False)
+        self.rank = int(np.count_nonzero(self.s > rtol * self.s[0] * max(self.E.shape)))
         C = (self.E / self.w) @ self.E.conj().T
         self.C = 0.5 * (C + C.conj().T)
         self.lam, self.V = np.linalg.eigh(self.C)
@@ -119,6 +123,7 @@ def test_ic_report_matches_dense(case):
     assert report.rank == ref.rank
     assert report.complete == (ref.rank == p.dim**2)
     assert report.lambda_min == pytest.approx(ref.lam[0], abs=1e-14)
+    assert report.lambda_min == report.singular_values[-1] ** 2
     if ref.lam[0] > sh.DEFAULT_THRESHOLD:
         assert report.condition_number == pytest.approx(ref.lam[-1] / ref.lam[0], rel=1e-8)
 
@@ -128,11 +133,11 @@ def test_frame_matches_dense(case):
     frame = sh.frame_operator(p)
     assert np.max(np.abs(frame.eigenvalues - ref.lam)) <= 1e-14
     off_blocks = np.ones(ref.C.shape, dtype=bool)
-    for idx, C, lam, V in frame.blocks:
+    for idx, C, lam, U in frame_blocks(frame):
         assert np.max(np.abs(C - ref.C[np.ix_(idx, idx)])) <= 1e-15
         off_blocks[np.ix_(idx, idx)] = False
-        assert np.max(np.abs(V.T @ V - np.eye(idx.size))) <= 1e-12
-        assert np.max(np.abs(C @ V - V * lam)) <= 1e-14
+        assert np.max(np.abs(U.T @ U - np.eye(lam.size))) <= 1e-12
+        assert np.max(np.abs(ref.C[np.ix_(idx, idx)] @ U - U * lam)) <= 1e-14
     assert np.max(np.abs(ref.C[off_blocks]), initial=0.0) <= 1e-15
 
 
@@ -176,6 +181,20 @@ def test_snapshots_match_dense(case):
     assert np.max(np.abs(sh.reconstruct_state(records, table) - state)) <= 1e-9 * scale
 
 
+def test_pseudo_threshold_inside_spectrum_matches_dense(case):
+    # A threshold in the widest gap of the positive spectrum drops real
+    # directions, so dropping by s rather than by s^2 would show.
+    p, ref, _ = case
+    lam = ref.lam[ref.lam > sh.DEFAULT_THRESHOLD]
+    j = int(np.argmax(lam[1:] / lam[:-1]))
+    threshold = math.sqrt(lam[j] * lam[j + 1])
+    table = sh.snapshots(p, sh.invert_frame(sh.frame_operator(p), sh.MODE_PSEUDO, threshold))
+    expected = ref.snapshots(sh.MODE_PSEUDO, threshold)
+    scale = max(1.0, float(np.max(np.abs(expected))))
+    dense = np.array([[table.snapshot(i, k) for k in range(ref.N)] for i in range(ref.M)])
+    assert np.max(np.abs(dense - expected)) <= 1e-9 * scale
+
+
 def test_inverse_matrix_matches_dense(case):
     p, ref, _ = case
     frame = sh.frame_operator(p)
@@ -185,7 +204,7 @@ def test_inverse_matrix_matches_dense(case):
     Cinv = (ref.V * inv_lam) @ ref.V.conj().T
     tol = 1e-9 * max(1.0, np.max(np.abs(Cinv)))
     off_blocks = np.ones(Cinv.shape, dtype=bool)
-    for idx, Cinv_r in inv.blocks:
+    for idx, Cinv_r in pinv_blocks(inv):
         assert np.max(np.abs(Cinv_r - Cinv[np.ix_(idx, idx)])) <= tol
         off_blocks[np.ix_(idx, idx)] = False
     assert np.max(np.abs(Cinv[off_blocks]), initial=0.0) <= tol
@@ -206,17 +225,13 @@ def mirror_case(request):
         return build_povm(PhaseGrid(N), factory(), n_max)
 
 
-def _own_blocks(p, r, threshold):
-    """vec index, B, frame block and pseudo-inverse block of class r from its own rows."""
+def _own_blocks(p, r):
+    """vec index, weighted block B and its thin SVD (U, s, Wt) of class r from its own rows."""
     d, N = p.dim, p.grid.N
     m, n = np.indices((d, d))
     sel = (m - n) % N == r
-    B = p.G[:, m[sel], n[sel]].T / math.sqrt(N)
-    C = pv._frame_block(B, p.binning.weights)
-    lam, V = np.linalg.eigh(C)
-    keep = lam > threshold
-    Cinv = (V * np.where(keep, 1.0 / np.where(keep, lam, 1.0), 0.0)) @ V.T
-    return (m + n * d)[sel], B, C, 0.5 * (Cinv + Cinv.T)
+    B = p.G[:, m[sel], n[sel]].T / np.sqrt(N * p.binning.weights)
+    return (m + n * d)[sel], B, np.linalg.svd(B, full_matrices=False)
 
 
 def test_mirror_blocks_match_own_rows(mirror_case):
@@ -224,30 +239,34 @@ def test_mirror_blocks_match_own_rows(mirror_case):
     d, N = p.dim, p.grid.N
     aliased = N < 2 * d - 1
     frame = sh.frame_operator(p)
-    inv = sh.invert_frame(frame, mode=sh.MODE_PSEUDO)
+    threshold = sh.DEFAULT_THRESHOLD
     classes = [int(r) for r in np.unique(np.subtract.outer(np.arange(d), np.arange(d)) % N)]
-    block_of = {}
-    for (idx, B), (fidx, *_), (iidx, _) in zip(pv._phase_blocks(p), frame.pairs, inv.pairs):
-        assert idx is fidx is iidx
-        block_of.update({int(row[0]): B for row in idx})
-    assert len(block_of) == len(frame.blocks) == len(inv.blocks) == len(classes)
-    for r, (idx, C, lam, V), (iidx, Cinv) in zip(classes, frame.blocks, inv.blocks):
-        assert np.array_equal(idx, iidx)
-        assert not (C.flags.writeable or V.flags.writeable or Cinv.flags.writeable)
-        B = block_of[int(idx[0])]
-        own_idx, own_B, own_C, own_inv = _own_blocks(p, r, inv.threshold)
-        # The order in which the library lists this class's rows.
-        order = np.argsort(idx)[np.argsort(np.argsort(own_idx))]
-        assert np.array_equal(idx[order], own_idx)
-        assert np.array_equal(B[order], own_B)
-        if not aliased:
-            assert np.array_equal(order, np.arange(idx.size))
-            assert np.array_equal(C, own_C)
-            assert np.array_equal(Cinv, own_inv)
-            continue
-        assert np.max(np.abs(C[np.ix_(order, order)] - own_C)) <= 1e-15
-        tol = 1e-9 * max(1.0, np.max(np.abs(own_inv)))
-        assert np.max(np.abs(Cinv[np.ix_(order, order)] - own_inv)) <= tol
+    seen = []
+    for (idx, B), (fidx, U, s, Wt) in zip(pv._phase_blocks(p), frame.pairs):
+        assert idx is fidx
+        assert not (U.flags.writeable or s.flags.writeable or Wt.flags.writeable)
+        for row in idx:
+            r = int((row[0] % d - row[0] // d) % N)  # row[0] = m + n*d
+            seen.append(r)
+            own_idx, own_B, own_svd = _own_blocks(p, r)
+            # The order in which the library lists this class's rows.
+            order = np.argsort(row)[np.argsort(np.argsort(own_idx))]
+            assert np.array_equal(row[order], own_idx)
+            assert np.array_equal(B[order], own_B)
+            if not aliased:
+                assert np.array_equal(order, np.arange(row.size))
+                for a, b in zip((U, s, Wt), own_svd):
+                    assert np.array_equal(a, b)
+                continue
+            own_U, own_s, _ = own_svd
+            C = (U * s**2) @ U.T
+            own_C = (own_U * own_s**2) @ own_U.T
+            assert np.max(np.abs(C[np.ix_(order, order)] - own_C)) <= 1e-15
+            own_inv = pinv_block(own_U, own_s, threshold)
+            tol = 1e-9 * max(1.0, np.max(np.abs(own_inv)))
+            Cinv = pinv_block(U, s, threshold)
+            assert np.max(np.abs(Cinv[np.ix_(order, order)] - own_inv)) <= tol
+    assert sorted(seen) == classes
 
 
 @settings(max_examples=80, deadline=None)

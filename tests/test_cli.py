@@ -92,6 +92,21 @@ class TestCheckIC:
         assert code == EXIT_INCOMPLETE
         assert "incomplete" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("rtol", ["nan", "inf", "-inf", "0", "-1e-10"])
+    def test_bad_rtol_exits_64(self, rtol, capsys):
+        # A NaN rtol used to count no singular value as nonzero (rank 0, exit 3).
+        code = run(["check-ic", "--nmax", "1", "--phases", "3", "--bins", "3", "--rtol=" + rtol])
+        assert code == EXIT_USAGE
+        assert "--rtol must be finite and > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rtol", [float("nan"), None, "nan", [1e-10]])
+    def test_bad_rtol_from_config_exits_64(self, rtol, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rtol": rtol}))
+        code = run(["check-ic", "--nmax", "1", "--phases", "3", "--bins", "3", "--config", str(cfg)])
+        assert code == EXIT_USAGE
+        assert "--rtol" in capsys.readouterr().err
+
     def test_missing_scheme_file_exits_65(self, tmp_path, capsys):
         code = run(["check-ic", "--scheme", str(tmp_path / "nope.json")])
         assert code == EXIT_DATA
@@ -281,6 +296,28 @@ class TestEstimate:
             assert repr(variant) in err and "median-of-means:B" in err
             assert "invalid literal" not in err
 
+    @pytest.mark.parametrize("inversion", ["strict", "pseudo"])
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
+    def test_bad_threshold_exits_64_before_reading_records(
+        self, threshold, inversion, tmp_path, capsys
+    ):
+        # NaN or inf in pseudo mode used to drop every direction and report
+        # a mean of 0; -1 in strict mode divided by zero on a singular frame.
+        records = self._simulate(tmp_path)
+        capsys.readouterr()
+        for path in (records, tmp_path / "missing.csv"):
+            code = run(
+                [
+                    "estimate",
+                    "--records", str(path),
+                    "--nmax", "1", "--phases", "3", "--bins", "3",
+                    "--inversion", inversion,
+                    "--threshold=" + threshold,
+                ]
+            )
+            assert code == EXIT_USAGE
+            assert "--threshold must be finite and >= 0" in capsys.readouterr().err
+
     def test_malformed_records_exit_65(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("t,mode,k,i\n0,0,zero,0\n")
@@ -362,6 +399,12 @@ class TestVarianceScan:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 3
         assert [line.split(",")[1] for line in lines[1:]] == ["3", "5"]
+
+    @pytest.mark.parametrize("flag", ["--threshold=nan", "--threshold=-1", "--rtol=nan"])
+    def test_bad_tolerance_exits_64(self, flag, capsys):
+        base = ["variance-scan", "--sweep", "bins", "--values", "3", "--nmax", "1"]
+        assert run(base + [flag]) == EXIT_USAGE
+        assert flag.split("=")[0] in capsys.readouterr().err
 
     def test_grid_flag_validation(self, capsys):
         base = ["variance-scan", "--sweep", "bins", "--nmax", "1", "--phases", "3"]

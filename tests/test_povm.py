@@ -123,6 +123,17 @@ class TestBuildPovm:
         # Exactly symmetric overlaps are stored unchanged.
         assert np.array_equal(pv.PovmSet(p.grid, p.binning, p.n_max, p.G).G, p.G)
 
+    def test_povm_owns_its_overlaps(self):
+        p = build_povm(PhaseGrid(5), BinningScheme.equal_spaced(3, 2.0), 2)
+        G = p.G.copy()
+        q = pv.PovmSet(p.grid, p.binning, p.n_max, G)
+        assert G.flags.writeable and q.G is not G
+        G *= 2.0  # a later write to the caller's array does not reach q
+        s = is_informationally_complete(q).singular_values
+        assert np.array_equal(s, is_informationally_complete(p).singular_values)
+        # Another POVM's frozen G is shared, not copied.
+        assert pv.PovmSet(p.grid, p.binning, p.n_max, p.G).G is p.G
+
     def test_cutoff_envelope(self):
         with pytest.raises(ValueError):
             build_povm(PhaseGrid(2), BinningScheme.equal_spaced(2, 1.0), 65)
@@ -169,8 +180,11 @@ class TestMeasurementMatrix:
 class TestNumericalRank:
     def test_invalid_rtol(self):
         p = build_povm(PhaseGrid(3), BinningScheme.equal_spaced(2, 1.5), 1)
-        with pytest.raises(ValueError):
-            is_informationally_complete(p, rtol=0.0)
+        for rtol in (0.0, -1e-10, np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                is_informationally_complete(p, rtol=rtol)
+            with pytest.raises(ValueError, match="finite and positive"):
+                design_bins(1, 3, 2, rtol=rtol)
 
 
 class TestCompletenessPredicates:
@@ -188,6 +202,16 @@ class TestCompletenessPredicates:
         report = is_informationally_complete(p)
         assert report.complete
         assert report.lambda_min > 0
+
+    def test_lambda_min_is_zero_below_dimension_outcomes(self):
+        # One phase and three bins: 3 outcomes for a 4-dimensional operator
+        # space, so all 3 singular values are positive but the frame is singular.
+        p = build_povm(PhaseGrid(1), BinningScheme.equal_spaced(3, 2.0), 1)
+        report = is_informationally_complete(p)
+        assert report.rank == 3 and report.singular_values.size == 3
+        assert report.singular_values[-1] > 0.1
+        assert report.lambda_min == 0.0 == frame_operator(p).lambda_min
+        assert report.condition_number == math.inf
 
     def test_sufficient_condition(self):
         assert sufficient_condition(11, 6, 5)

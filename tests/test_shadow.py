@@ -33,7 +33,7 @@ from homodyne_shadows.shadow import (
 )
 from homodyne_shadows.states import Observable, expectation, fock, number_operator
 
-from conftest import random_density, random_hermitian, records_of
+from conftest import frame_blocks, pinv_blocks, random_density, random_hermitian, records_of
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +65,7 @@ class TestFrameOperator:
             for k in range(2)
         )
         assert frame.dim == 1
-        assert frame.blocks[0][1][0, 0] == pytest.approx(expected, rel=1e-12)
+        assert next(frame_blocks(frame))[1][0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_doubling_weights_halves_operator(self, small_povm):
         p = small_povm
@@ -74,14 +74,15 @@ class TestFrameOperator:
         )
         p2 = build_povm(p.grid, doubled, p.n_max)
         for (_, C1, _, _), (_, C2, _, _) in zip(
-            frame_operator(p).blocks, frame_operator(p2).blocks
+            frame_blocks(frame_operator(p)), frame_blocks(frame_operator(p2))
         ):
             assert np.allclose(C2, 0.5 * C1, atol=1e-14)
 
     def test_self_adjoint_and_psd(self, small_povm):
         frame = frame_operator(small_povm)
-        for _, C, _, _ in frame.blocks:
+        for _, C, lam, _ in frame_blocks(frame):
             assert np.array_equal(C, C.T)
+            assert np.all(lam >= 0)
         assert frame.lambda_min > 0
         assert frame.lambda_max >= frame.lambda_min
         assert frame.condition_number == pytest.approx(
@@ -98,7 +99,7 @@ class TestInvertFrame:
     def test_strict_inverse_is_exact(self, small_povm):
         frame = frame_operator(small_povm)
         inv = invert_frame(frame)
-        for (idx, C, _, _), (_, Cinv) in zip(frame.blocks, inv.blocks):
+        for (idx, C, _, _), (_, Cinv) in zip(frame_blocks(frame), pinv_blocks(inv)):
             assert np.max(np.abs(Cinv @ C - np.eye(idx.size))) <= 1e-8
 
     def test_strict_mode_rejects_singular_frame(self, degenerate_povm):
@@ -111,9 +112,15 @@ class TestInvertFrame:
     def test_pseudo_inverse_satisfies_penrose_identity(self, degenerate_povm):
         frame = frame_operator(degenerate_povm)
         inv = invert_frame(frame, mode=sh.MODE_PSEUDO)
-        for (_, C, _, _), (_, Cinv) in zip(frame.blocks, inv.blocks):
+        for (_, C, _, _), (_, Cinv) in zip(frame_blocks(frame), pinv_blocks(inv)):
             assert np.max(np.abs(C @ Cinv @ C - C)) <= 1e-9
             assert np.max(np.abs(Cinv @ C @ Cinv - Cinv)) <= 1e-9
+
+    @pytest.mark.parametrize("mode", [sh.MODE_STRICT, sh.MODE_PSEUDO])
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf, -1.0])
+    def test_threshold_must_be_finite_and_nonnegative(self, degenerate_povm, mode, threshold):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            invert_frame(frame_operator(degenerate_povm), mode=mode, threshold=threshold)
 
     def test_invalid_mode(self, small_povm):
         with pytest.raises(ValueError):
@@ -135,6 +142,20 @@ class TestSnapshots:
             P = outcome_probabilities(rho, small_povm)
             avg = exact_average_snapshot(P, small_table)
             assert np.max(np.abs(avg - rho.matrix)) <= 1e-8
+
+    def test_unbiasedness_on_ill_conditioned_design(self):
+        # design_bins(7, 15, 8) has a frame condition number of 9.4e9.  The
+        # snapshots apply the blocks' SVD and never square it, so the
+        # inversion stays unbiased to roundoff.
+        p = build_povm(PhaseGrid(15), design_bins(7, 15, 8), 7)
+        frame = frame_operator(p)
+        assert frame.condition_number > 1e9
+        table = snapshots(p, invert_frame(frame))
+        rng = np.random.default_rng(43)
+        for _ in range(3):
+            rho = random_density(7, rng)
+            avg = exact_average_snapshot(outcome_probabilities(rho, p), table)
+            assert np.max(np.abs(avg - rho.matrix)) <= 1e-10
 
     def test_unbiasedness_with_arbitrary_weights(self):
         # The inversion is self-consistent in the weights: any positive
@@ -178,9 +199,9 @@ class TestPseudoMode:
         inv = invert_frame(frame, mode=sh.MODE_PSEUDO)
         table = snapshots(degenerate_povm, inv)
         proj = np.zeros((frame.dim, frame.dim))
-        for idx, _, lam, V in frame.blocks:
+        for idx, _, lam, U in frame_blocks(frame):
             keep = lam > inv.threshold
-            proj[np.ix_(idx, idx)] = V[:, keep] @ V[:, keep].T
+            proj[np.ix_(idx, idx)] = U[:, keep] @ U[:, keep].T
         rng = np.random.default_rng(9)
         rho = random_density(1, rng)
         P = outcome_probabilities(rho, degenerate_povm)
@@ -192,9 +213,11 @@ class TestPseudoMode:
         # Perturbing a state along the frame's null direction changes
         # neither the outcome distribution nor the pseudo reconstruction.
         frame = frame_operator(degenerate_povm)
-        idx, _, lam, V = min(frame.blocks, key=lambda b: b[2][0])
+        # The thin SVD lists s descending, so a block's last U column is its
+        # weakest direction.
+        idx, _, lam, U = min(frame_blocks(frame), key=lambda b: b[2][-1])
         null_vec = np.zeros(frame.dim)
-        null_vec[idx] = V[:, 0]
+        null_vec[idx] = U[:, -1]
         assert frame.eigenvalues[0] < 1e-14
         A = devectorize(null_vec, 2)
         A = 0.5 * (A + A.conj().T)
