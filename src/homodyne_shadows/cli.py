@@ -6,8 +6,9 @@ design-bins
     Search for equal-spaced quadrature bins that make the binned-phase POVM
     informationally complete; write the resulting scheme as JSON.
 check-ic
-    Certify informational completeness of a POVM (from parameters or a
-    cache file) and report rank, spectrum tail, and frame conditioning.
+    Certify informational completeness of a POVM (from parameters, a scheme
+    file or a cache file) and report rank, spectrum tail, and frame
+    conditioning.
 simulate
     Sample seeded measurement records of a chosen state into a CSV file.
 estimate
@@ -17,6 +18,12 @@ variance-scan
     single-shot variance of the photon-number estimator for a coherent
     state, using the strict inverse where complete and the pseudoinverse
     elsewhere (flagged per row).
+
+check-ic, simulate and estimate accept ``--povm-cache PATH``: a JSON file of
+the POVM's parameters (the fields of a ``design-bins`` scheme file plus the
+cache key), so it also serves as ``--scheme``.  An existing file is loaded,
+the POVM rebuilt from it and compared with whatever POVM the other flags
+describe; otherwise the built POVM's parameters are written there.
 
 Exit codes: 0 success, 2 bin-design exhaustion, 3 negative completeness
 verdict, 64 usage error, 65 unusable data (corrupt cache, malformed or
@@ -303,34 +310,31 @@ def _resolve_povm(args):
     """Build (or load from cache) the POVM described by the common flags.
 
     An existing ``--povm-cache`` file is loaded.  When the other flags
-    describe a POVM too, the cache must hold exactly that one; when they
-    describe only part of one, each ``--nmax``/``--phases``/``--bins`` given
-    must match it.  A mismatch raises :class:`CacheKeyMismatchError`.
+    describe a POVM too, the cache must hold exactly that one: the same
+    cutoff, phase count and binning (edges, tail mode and weights); when
+    they describe only part of one, each ``--nmax``/``--phases``/``--bins``
+    given must match it.  A mismatch raises :class:`CacheKeyMismatchError`.
     """
     cache = getattr(args, "povm_cache", None)
-    if cache and os.path.exists(cache):
-        try:
-            n_max, N, scheme = _requested_povm(args)
-        except UsageError:  # the flags describe no POVM, or only part of one
-            povm = povm_mod.load_povm(cache)
-            for flag, want, have in (
-                ("--nmax", args.nmax, povm.n_max),
-                ("--phases", args.phases, povm.grid.N),
-                ("--bins", args.bins, povm.binning.M),
-            ):
-                if want is not None and want != have:
-                    raise CacheKeyMismatchError(
-                        "cache %s holds a POVM with %s %d, but %d was requested"
-                        % (cache, flag, have, want)
-                    ) from None
-            return povm, True
-        key = povm_mod.povm_cache_key(n_max, N, scheme.edges, scheme.tail_mode)
-        return povm_mod.load_povm(cache, expected_key=key), True
-    n_max, N, scheme = _requested_povm(args)
-    built = povm_mod.build_povm(povm_mod.PhaseGrid(N), scheme, n_max)
-    if cache:
-        povm_mod.save_povm(built, cache)
-    return built, False
+    if not (cache and os.path.exists(cache)):
+        n_max, N, scheme = _requested_povm(args)
+        built = povm_mod.build_povm(povm_mod.PhaseGrid(N), scheme, n_max)
+        if cache:
+            povm_mod.save_povm(built, cache)
+        return built
+    povm = povm_mod.load_povm(cache)
+    try:
+        wanted = _requested_povm(args)
+        held = (povm.n_max, povm.grid.N, povm.binning)
+    except UsageError:  # the flags describe no POVM, or only part of one
+        wanted = (args.nmax, args.phases, args.bins)
+        held = (povm.n_max, povm.grid.N, povm.binning.M)
+    if any(w is not None and w != h for w, h in zip(wanted, held)):
+        raise CacheKeyMismatchError(
+            "cache %s holds %r, but the flags describe another POVM: cutoff, phase "
+            "count and binning (edges, tail mode, weights) must all match" % (cache, povm)
+        )
+    return povm
 
 
 def _requested_povm(args):
@@ -431,7 +435,7 @@ def _cmd_design_bins(args):
 
 
 def _cmd_check_ic(args):
-    povm, _ = _resolve_povm(args)
+    povm = _resolve_povm(args)
     report = povm_mod.is_informationally_complete(povm, rtol=args.rtol)
     tail = [float(s) for s in report.singular_values[-5:]]
     if args.json:
@@ -470,7 +474,7 @@ def _cmd_check_ic(args):
 def _cmd_simulate(args):
     if args.T < 1:
         raise UsageError("--T must be >= 1")
-    povm, _ = _resolve_povm(args)
+    povm = _resolve_povm(args)
     rho = _parse_state_spec(args.state, povm.n_max)
     dist = sim_mod.outcome_distribution(rho, povm)
     records = sim_mod.sample(dist, args.T, args.seed)
@@ -487,7 +491,7 @@ def _cmd_estimate(args):
         shadow_mod._parse_variant(args.variant)
     except ValueError as exc:
         raise UsageError("bad --variant: %s" % exc) from exc
-    povm, _ = _resolve_povm(args)
+    povm = _resolve_povm(args)
     X = _parse_observable_spec(args.observable, povm.n_max)
     records = sim_mod.ingest_records(args.records)
     if not records:

@@ -67,7 +67,11 @@ class InvariantViolationError(HomodyneShadowsError):
 
 
 class CacheKeyMismatchError(HomodyneShadowsError):
-    """A cached POVM file does not match the key derived from its contents."""
+    """A POVM cache file is malformed, fails its content hash, or holds another POVM.
+
+    "Another POVM" is one whose cutoff, phase count or binning differs from
+    the one the command-line flags describe.
+    """
 
 
 class UnsupportedConfigurationError(HomodyneShadowsError):

@@ -22,8 +22,9 @@ r <-> N - r (``PovmSet._svd``), which certifies completeness here and gives
 the frame, inverse and snapshots of ``shadow``.  Every sum over outcomes
 goes through one pairing of a matrix with all outcomes and its adjoint
 (``_pairing``, ``_adjoint``); a single element matrix is built only on
-request.  It also designs bin edges that achieve completeness and
-(de)serializes POVMs through a versioned JSON cache.
+request.  It also designs bin edges that achieve completeness and saves a
+POVM as a versioned JSON file of its defining parameters (cutoff, phase
+count, bin edges, tail mode and weights), from which a load rebuilds it.
 """
 
 import functools
@@ -36,7 +37,6 @@ import numpy as np
 
 from . import fockcore
 from .errors import BinDesignError, CacheKeyMismatchError
-from .states import _matrix_from_json, _matrix_to_json
 
 __all__ = [
     "TAIL_EXTEND",
@@ -64,11 +64,7 @@ TAIL_STRICT = "strict-finite"
 _TAIL_MODES = (TAIL_EXTEND, TAIL_STRICT)
 
 DEFAULT_RANK_RTOL = 1e-10
-CACHE_VERSION = 1
-# Largest absolute deviation tolerated between a cached element matrix and
-# the rebuilt one; caches written by quadrature-based builds differ from the
-# closed form at roundoff level.
-CACHE_ATOL = 1e-12
+CACHE_VERSION = 2
 
 # Fractional offset applied to the right end of equal-spaced bin intervals.
 # An exactly mirror-symmetric grid makes whole families of POVM columns
@@ -482,6 +478,19 @@ def _rank(povm, s, rtol):
     return int(np.count_nonzero(s > rtol * s[0] * max(povm.dim**2, povm.n_outcomes)))
 
 
+def _conditioning(povm, s):
+    """Frame (lambda_min, condition number) from the descending s of E diag(w)^(-1/2).
+
+    Below rank (n_max+1)^2 at ``DEFAULT_RANK_RTOL`` the frame is singular
+    and its smallest s are roundoff, so lambda_min reads 0 and the
+    condition number infinity; otherwise lambda_min = s_min^2.
+    """
+    if _rank(povm, s, DEFAULT_RANK_RTOL) < povm.dim**2:
+        return 0.0, math.inf
+    lam_min = float(s[-1]) ** 2
+    return lam_min, float(s[0]) ** 2 / lam_min
+
+
 class ICReport:
     """Verdict and diagnostics of an informational-completeness check."""
 
@@ -513,15 +522,14 @@ def is_informationally_complete(povm, rtol=DEFAULT_RANK_RTOL):
     Returns an :class:`ICReport` (truthy iff complete) carrying the rank,
     the required dimension (n_max+1)^2, the singular values s of
     E diag(w)^(-1/2) (positive weights keep E's rank), and the frame's
-    lambda_min = s_min^2 (0 below (n_max+1)^2 outcomes) and condition number.
-    All come from the POVM's one SVD per mirror pair (``PovmSet._svd``).
+    lambda_min = s_min^2 and condition number, which read 0 and infinity
+    when the rank at ``DEFAULT_RANK_RTOL`` is below (n_max+1)^2.  All come
+    from the POVM's one SVD per mirror pair (``PovmSet._svd``).
     """
     s = _singular_values(povm, ((idx, s) for idx, _, s, _ in povm._svd))
     rank = _rank(povm, s, rtol)
     required = povm.dim * povm.dim
-    lam_min = float(s[-1]) ** 2 if s.size == required else 0.0
-    cond = float(s[0]) ** 2 / lam_min if lam_min > 0 else math.inf
-    return ICReport(rank == required, rank, required, s, lam_min, cond)
+    return ICReport(rank == required, rank, required, s, *_conditioning(povm, s))
 
 
 def sufficient_condition(N, M, n_max):
@@ -659,48 +667,45 @@ def povm_cache_key(n_max, N, edges, tail_mode):
 
 
 def save_povm(povm, path):
-    """Write a versioned JSON cache of the POVM (bit-exact round trip)."""
+    """Write the POVM's defining parameters as a versioned JSON cache.
+
+    The file holds ``n_max``, ``N``, ``M``, ``tail_mode``, ``edges``,
+    ``weights`` (the fields of a ``design-bins`` scheme file) and
+    ``cache_key``; :func:`load_povm` rebuilds the POVM from them bit for bit.
+    """
     doc = {
         "version": CACHE_VERSION,
         "n_max": povm.n_max,
         "N": povm.grid.N,
+        "M": povm.binning.M,
         "tail_mode": povm.binning.tail_mode,
         "edges": [float(e) for e in povm.binning.edges],
         "weights": [float(w) for w in povm.binning.weights],
         "cache_key": povm.cache_key,
-        "elements": [
-            {"i": i, "k": k, "matrix": _matrix_to_json(povm.element(i, k))}
-            for k in range(povm.grid.N)
-            for i in range(povm.binning.M)
-        ],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
 
 
-def load_povm(path, expected_key=None):
-    """Load a cached POVM, verifying its stored content hash and elements.
+def load_povm(path):
+    """Rebuild the POVM that a cache file describes, after checking its content hash.
 
-    A stored key that disagrees with the hash recomputed from the cached
-    parameters (or with ``expected_key``, when given) raises
-    :class:`~homodyne_shadows.errors.CacheKeyMismatchError`.  The POVM is
-    then rebuilt from those parameters; a stored element matrix further than
-    ``CACHE_ATOL`` from the rebuilt one raises the same error.  The rebuilt
-    POVM is returned, so cached and fresh runs compute identical numbers.
+    Versions 1 and 2 load alike: version 1's ``elements`` list is never read.
+    A malformed file, an unknown version, or a stored ``cache_key`` that
+    disagrees with the hash recomputed from the stored parameters raises
+    :class:`~homodyne_shadows.errors.CacheKeyMismatchError`.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("version") != CACHE_VERSION:
-        raise CacheKeyMismatchError(
-            "unsupported cache version %r in %s" % (doc.get("version"), path)
-        )
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if version not in (1, CACHE_VERSION):
+        raise CacheKeyMismatchError("unsupported cache version %r in %s" % (version, path))
     try:
         n_max = int(doc["n_max"])
         N = int(doc["N"])
         tail_mode = doc["tail_mode"]
         edges = np.array(doc["edges"], dtype=float)
         weights = np.array(doc["weights"], dtype=float)
-        entries = doc["elements"]
         stored_key = doc["cache_key"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CacheKeyMismatchError("malformed POVM cache %s: %s" % (path, exc)) from exc
@@ -710,41 +715,6 @@ def load_povm(path, expected_key=None):
             "cache key mismatch in %s: stored %s, recomputed %s"
             % (path, stored_key, recomputed)
         )
-    if expected_key is not None and recomputed != expected_key:
-        raise CacheKeyMismatchError(
-            "cache %s holds key %s but %s was requested" % (path, recomputed, expected_key)
-        )
-    povm = build_povm(
+    return build_povm(
         PhaseGrid(N), BinningScheme(edges, tail_mode=tail_mode, weights=weights), n_max
     )
-    d = povm.dim
-    M = povm.binning.M
-    if len(entries) != M * N:
-        raise CacheKeyMismatchError(
-            "cache %s holds %d elements, expected %d" % (path, len(entries), M * N)
-        )
-    seen = np.zeros((M, N), dtype=bool)
-    for entry in entries:
-        try:
-            i = int(entry["i"])
-            k = int(entry["k"])
-            A = _matrix_from_json(entry["matrix"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CacheKeyMismatchError(
-                "malformed element entry in %s: %s" % (path, exc)
-            ) from exc
-        if not (0 <= i < M and 0 <= k < N) or A.shape != (d, d):
-            raise CacheKeyMismatchError(
-                "element (%r, %r) with shape %r does not fit cache %s"
-                % (i, k, A.shape, path)
-            )
-        dev = float(np.max(np.abs(A - povm.element(i, k))))
-        if not dev <= CACHE_ATOL:
-            raise CacheKeyMismatchError(
-                "element (%d, %d) in cache %s deviates from the POVM its key "
-                "describes by %.3e" % (i, k, path, dev)
-            )
-        seen[i, k] = True
-    if not seen.all():
-        raise CacheKeyMismatchError("cache %s is missing POVM elements" % path)
-    return povm

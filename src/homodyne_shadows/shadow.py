@@ -29,7 +29,7 @@ import warnings
 import numpy as np
 
 from .errors import StrictModeSingularError
-from .povm import _adjoint, _outcome_matrix, _pairing
+from .povm import _adjoint, _conditioning, _outcome_matrix, _pairing, _singular_values
 from .states import expectation
 
 __all__ = [
@@ -67,14 +67,18 @@ class FrameOperator:
     classes, one row of vec_index per class: each class has the block
     C[vec_index, vec_index] = (U s^2) U^T, and C is zero outside the blocks.
     ``eigenvalues`` is the ascending spectrum: s^2 per class, and a zero for
-    each row a class has beyond M.
+    each row a class has beyond M.  ``lambda_min`` and ``condition_number``
+    are those of :func:`~homodyne_shadows.povm.is_informationally_complete`:
+    0 and infinity for a POVM of rank below (n_max+1)^2, whose smallest
+    eigenvalues are roundoff.
     """
 
     def __init__(self, povm):
         self.povm = povm
         self.pairs = povm._svd
-        lam = np.concatenate([np.tile(s**2, len(idx)) for idx, _, s, _ in self.pairs])
-        self.eigenvalues = np.concatenate([np.zeros(povm.dim**2 - lam.size), np.sort(lam)])
+        s = _singular_values(povm, ((idx, s) for idx, _, s, _ in self.pairs))
+        self.eigenvalues = np.concatenate([np.zeros(povm.dim**2 - s.size), s[::-1] ** 2])
+        self.lambda_min, self.condition_number = _conditioning(povm, s)
 
     @property
     def dim(self):
@@ -82,18 +86,8 @@ class FrameOperator:
         return self.eigenvalues.size
 
     @property
-    def lambda_min(self):
-        return float(self.eigenvalues[0])
-
-    @property
     def lambda_max(self):
         return float(self.eigenvalues[-1])
-
-    @property
-    def condition_number(self):
-        if self.lambda_min <= 0:
-            return math.inf
-        return self.lambda_max / self.lambda_min
 
     def __repr__(self):
         return "FrameOperator(dim=%d, lambda_min=%.3e, cond=%.3e)" % (

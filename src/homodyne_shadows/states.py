@@ -5,8 +5,7 @@ trace, with the discarded probability mass recorded as the truncation
 deficit.  Loaders validate Hermiticity/positivity and reject anything that
 fails, naming the violated check.
 
-Matrix file format (shared by states and observables; POVM cache elements use
-the same rows of ``[re, im]`` pairs): JSON
+Matrix file format (shared by states and observables): JSON
 ``{"n_max": d-1, "matrix": [[[re, im], ...], ...]}`` row-major, square of
 size n_max+1.
 """
@@ -270,18 +269,9 @@ def trace_distance(rho1, rho2):
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T)))))
 
 
-def _matrix_to_json(A):
-    """Rows of ``[re, im]`` pairs: the JSON form of a complex matrix."""
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(A)]
-
-
-def _matrix_from_json(rows):
-    """Inverse of :func:`_matrix_to_json`."""
-    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
-
-
 def _write_matrix_file(path, A, label=None):
-    doc = {"n_max": int(A.shape[0] - 1), "matrix": _matrix_to_json(A)}
+    rows = [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(A)]
+    doc = {"n_max": int(A.shape[0] - 1), "matrix": rows}
     if label is not None:
         doc["label"] = label
     with open(path, "w", encoding="utf-8") as fh:
@@ -293,7 +283,9 @@ def _read_matrix_file(path):
         doc = json.load(fh)
     try:
         n_max = int(doc["n_max"])
-        A = _matrix_from_json(doc["matrix"])
+        A = np.array(
+            [[complex(re, im) for re, im in row] for row in doc["matrix"]], dtype=complex
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvariantViolationError(
             "cannot parse matrix file %s: %s" % (path, exc), check="parse"

@@ -123,7 +123,12 @@ def test_ic_report_matches_dense(case):
     assert report.rank == ref.rank
     assert report.complete == (ref.rank == p.dim**2)
     assert report.lambda_min == pytest.approx(ref.lam[0], abs=1e-14)
-    assert report.lambda_min == report.singular_values[-1] ** 2
+    if report.complete:
+        assert report.lambda_min == report.singular_values[-1] ** 2
+    else:
+        # Below full rank the smallest singular values are roundoff: the frame is singular.
+        assert report.lambda_min == 0.0 == sh.frame_operator(p).lambda_min
+        assert report.condition_number == math.inf
     if ref.lam[0] > sh.DEFAULT_THRESHOLD:
         assert report.condition_number == pytest.approx(ref.lam[-1] / ref.lam[0], rel=1e-8)
 

@@ -92,6 +92,16 @@ class TestCheckIC:
         assert code == EXIT_INCOMPLETE
         assert "incomplete" in capsys.readouterr().out
 
+    def test_rank_deficient_povm_reports_singular_frame(self, capsys):
+        # Rank 21 of 25: lambda_min and the condition number used to report
+        # the roundoff of the missing directions (9.8e-35 and 1.45e33).
+        code = run(["check-ic", "--nmax", "4", "--phases", "6", "--bins", "9", "--json"])
+        assert code == EXIT_INCOMPLETE
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["rank"] == 21
+        assert doc["lambda_min"] == 0.0
+        assert doc["condition_number"] is None
+
     @pytest.mark.parametrize("rtol", ["nan", "inf", "-inf", "0", "-1e-10"])
     def test_bad_rtol_exits_64(self, rtol, capsys):
         # A NaN rtol used to count no singular value as nonzero (rank 0, exit 3).
@@ -356,6 +366,18 @@ class TestEstimate:
         assert "pseudo" in capsys.readouterr().err
         assert run(base + ["--inversion", "pseudo"]) == EXIT_OK
 
+    def test_strict_inversion_of_incomplete_povm_exits_65_at_threshold_0(self, tmp_path, capsys):
+        records = tmp_path / "records.csv"
+        grid = ["--nmax", "4", "--phases", "6", "--bins", "9"]
+        assert run(
+            ["simulate"] + grid
+            + ["--state", "fock:1", "--T", "2000", "--seed", "3", "--out", str(records)]
+        ) == EXIT_OK
+        capsys.readouterr()
+        code = run(["estimate", "--records", str(records), "--threshold", "0"] + grid)
+        assert code == EXIT_DATA
+        assert "singular" in capsys.readouterr().err
+
 
 class TestVarianceScan:
     # At a cutoff of 1 the unit coherent probe is heavily truncated and
@@ -492,6 +514,55 @@ class TestPovmCache:
         # The same POVM, or no description at all, still loads the cache.
         assert run(["check-ic"] + small + ["--povm-cache", str(cache)]) == EXIT_OK
         assert run(["check-ic", "--povm-cache", str(cache)]) == EXIT_OK
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # coherent:1.0 truncated at n_max = 3
+    def test_cache_of_other_weights_exits_65(self, tmp_path, capsys):
+        # The cache key omits the estimator weights, so only a comparison of
+        # the whole binning keeps a weighted cache from overriding --scheme.
+        plain, weighted = tmp_path / "s.json", tmp_path / "w.json"
+        cache, records = tmp_path / "c.json", tmp_path / "r.csv"
+        assert run(
+            ["design-bins", "--nmax", "3", "--phases", "7", "--bins", "5", "--out", str(plain)]
+        ) == EXIT_OK
+        doc = json.loads(plain.read_text())
+        doc["weights"] = [1, 2, 3, 4, 5]
+        weighted.write_text(json.dumps(doc))
+        assert run(
+            [
+                "simulate", "--scheme", str(weighted), "--povm-cache", str(cache),
+                "--state", "coherent:1.0", "--T", "20000", "--seed", "3",
+                "--out", str(records),
+            ]
+        ) == EXIT_OK
+        estimate = ["estimate", "--records", str(records), "--scheme", str(plain), "--json"]
+        assert run(estimate) == EXIT_OK
+        capsys.readouterr()
+        assert run(estimate + ["--povm-cache", str(cache)]) == EXIT_DATA
+        assert "weights" in capsys.readouterr().err
+        assert run(
+            ["estimate", "--records", str(records), "--scheme", str(weighted),
+             "--povm-cache", str(cache)]
+        ) == EXIT_OK
+
+    def test_cache_file_serves_as_scheme(self, tmp_path, capsys):
+        scheme, cache, records = (tmp_path / n for n in ("s.json", "c.json", "r.csv"))
+        assert run(
+            ["design-bins", "--nmax", "3", "--phases", "7", "--bins", "5", "--out", str(scheme)]
+        ) == EXIT_OK
+        assert run(
+            [
+                "simulate", "--scheme", str(scheme), "--povm-cache", str(cache),
+                "--state", "fock:1", "--T", "5000", "--seed", "3",
+                "--out", str(records),
+            ]
+        ) == EXIT_OK
+        capsys.readouterr()
+        outputs = []
+        for source in (["--scheme", str(scheme)], ["--povm-cache", str(cache)],
+                       ["--scheme", str(cache)]):
+            assert run(["estimate", "--records", str(records), "--json"] + source) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestTopLevel:

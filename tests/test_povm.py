@@ -338,38 +338,59 @@ class TestPovmCache:
         with pytest.raises(CacheKeyMismatchError):
             load_povm(path)
 
-    def test_expected_key_mismatch_rejected(self, tmp_path):
-        p = build_povm(PhaseGrid(2), BinningScheme.equal_spaced(2, 1.0), 1)
-        path = tmp_path / "povm.json"
-        save_povm(p, path)
-        with pytest.raises(CacheKeyMismatchError):
-            load_povm(path, expected_key="0" * 64)
-
-    def test_tampered_element_rejected(self, tmp_path):
-        # The key covers the parameters only; a changed element matrix under
-        # a valid key must not load.
+    def test_unknown_version_and_malformed_file_rejected(self, tmp_path):
         p = build_povm(PhaseGrid(3), BinningScheme.equal_spaced(3, 1.5), 1)
         path = tmp_path / "povm.json"
         save_povm(p, path)
         doc = json.loads(path.read_text())
-        doc["elements"][4]["matrix"][0][1][0] += 1e-6
-        path.write_text(json.dumps(doc))
-        with pytest.raises(CacheKeyMismatchError):
-            load_povm(path)
+        for bad in ({**doc, "version": 3}, {k: v for k, v in doc.items() if k != "edges"}, [doc]):
+            path.write_text(json.dumps(bad))
+            with pytest.raises(CacheKeyMismatchError):
+                load_povm(path)
+
+    def test_file_holds_parameters_only(self, tmp_path):
+        # The file does not grow with the element count M*N*(n_max+1)^2.
+        n_max, N, M = 20, 41, 100
+        scheme = BinningScheme.equal_spaced(M, pv.default_half_width(n_max))
+        p = build_povm(PhaseGrid(N), scheme, n_max)
+        path = tmp_path / "povm.json"
+        save_povm(p, path)
+        assert path.stat().st_size < 16 * 1024
+        doc = json.loads(path.read_text())
+        assert set(doc) == {
+            "version", "n_max", "N", "M", "tail_mode", "edges", "weights", "cache_key"
+        }
+        assert (doc["version"], doc["M"], doc["cache_key"]) == (2, M, p.cache_key)
+        loaded = load_povm(path)
+        assert np.array_equal(loaded.G, p.G)
+        assert loaded.binning == p.binning
 
     def test_roundoff_level_deviation_loads_rebuilt_povm(self, tmp_path):
-        # Caches whose elements differ from the closed-form build at roundoff
-        # level (as quadrature-built ones do) still load, and the returned
-        # POVM is the rebuilt one.
+        # A version-1 file also stored every element matrix.  Its elements
+        # are never read: entries off by roundoff (as quadrature-built ones
+        # were) still load, and the POVM rebuilt from the parameters returns.
         p = build_povm(PhaseGrid(3), BinningScheme.equal_spaced(3, 1.5), 1)
+        elements = []
+        for k in range(3):
+            for i in range(3):
+                A = p.element(i, k) + 3e-13
+                rows = [[[float(z.real), float(z.imag)] for z in row] for row in A]
+                elements.append({"i": i, "k": k, "matrix": rows})
+        doc = {
+            "version": 1,
+            "n_max": 1,
+            "N": 3,
+            "tail_mode": p.binning.tail_mode,
+            "edges": [float(e) for e in p.binning.edges],
+            "weights": [float(w) for w in p.binning.weights],
+            "cache_key": p.cache_key,
+            "elements": elements,
+        }
         path = tmp_path / "povm.json"
-        save_povm(p, path)
-        doc = json.loads(path.read_text())
-        for entry in doc["elements"]:
-            entry["matrix"][0][0][0] += 3e-13
         path.write_text(json.dumps(doc))
         loaded = load_povm(path)
         assert np.array_equal(loaded.G, p.G)
+        assert loaded.binning == p.binning
 
 
 class TestStructuredPath:

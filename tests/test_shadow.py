@@ -13,6 +13,7 @@ from homodyne_shadows.povm import (
     BinningScheme,
     PhaseGrid,
     build_povm,
+    default_half_width,
     design_bins,
     devectorize,
     vectorize,
@@ -108,6 +109,18 @@ class TestInvertFrame:
             invert_frame(frame)
         assert "pseudo" in str(excinfo.value)
         assert excinfo.value.lambda_min == frame.lambda_min
+
+    @pytest.mark.parametrize("threshold", [0.0, 1e-40, 1e-12])
+    def test_strict_mode_rejects_rank_deficient_povm(self, threshold):
+        # (n_max, N, M) = (4, 6, 9) has rank 21 of 25.  Its smallest frame
+        # eigenvalues are roundoff near 1e-34; strict inversion at threshold 0
+        # once inverted them into snapshots of size 1e17.
+        p = build_povm(PhaseGrid(6), BinningScheme.equal_spaced(9, default_half_width(4)), 4)
+        frame = frame_operator(p)
+        assert frame.lambda_min == 0.0
+        assert frame.condition_number == np.inf
+        with pytest.raises(StrictModeSingularError):
+            invert_frame(frame, threshold=threshold)
 
     def test_pseudo_inverse_satisfies_penrose_identity(self, degenerate_povm):
         frame = frame_operator(degenerate_povm)
