@@ -11,18 +11,17 @@ observable estimation with exact variance and shot-count accounting
 simulation and record handling (``sim``), and a CLI (``hshadow``).
 """
 
-from . import cli, errors, fockcore, povm, shadow, sim, states
+from . import errors, fockcore, povm, shadow, sim, states
 from .errors import (
     BinDesignError,
     CacheKeyMismatchError,
     HomodyneShadowsError,
     InvariantViolationError,
     MalformedRecordError,
-    QuadratureConvergenceError,
     StrictModeSingularError,
     UnsupportedConfigurationError,
 )
-from .fockcore import bin_overlap, bin_overlaps, hermite_eval, wavefunction
+from .fockcore import bin_overlap, bin_overlaps, wavefunction
 from .povm import (
     BinningScheme,
     PhaseGrid,

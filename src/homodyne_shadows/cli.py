@@ -47,7 +47,6 @@ from .errors import (
     CacheKeyMismatchError,
     InvariantViolationError,
     MalformedRecordError,
-    QuadratureConvergenceError,
     StrictModeSingularError,
     UnsupportedConfigurationError,
 )
@@ -603,7 +602,6 @@ def main(argv=None):
         InvariantViolationError,
         StrictModeSingularError,
         UnsupportedConfigurationError,
-        QuadratureConvergenceError,
     ) as exc:
         print("%s: %s" % (parser.prog, exc), file=sys.stderr)
         return EXIT_DATA

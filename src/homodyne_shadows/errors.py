@@ -10,18 +10,6 @@ class HomodyneShadowsError(Exception):
     """Base class for all package-specific errors."""
 
 
-class QuadratureConvergenceError(HomodyneShadowsError):
-    """Adaptive quadrature failed to reach the requested tolerance.
-
-    Carries the achieved error estimate so the caller can judge how far
-    off the result is.
-    """
-
-    def __init__(self, message, achieved_error):
-        super().__init__(message)
-        self.achieved_error = float(achieved_error)
-
-
 class BinDesignError(HomodyneShadowsError):
     """Bin-design iteration exhausted without reaching full rank.
 

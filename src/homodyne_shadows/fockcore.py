@@ -1,71 +1,31 @@
 """Special-function kernel for the truncated Fock space.
 
-Provides physicists' Hermite polynomials, the harmonic-oscillator
-(Fock-state) wavefunctions psi_n, and the normalized Gaussian-Hermite
-bin integrals
+Provides the harmonic-oscillator (Fock-state) wavefunctions psi_n and the
+normalized Gaussian-Hermite bin integrals
 
     G[m, n] = integral_a^b psi_m(x) psi_n(x) dx,
 
 which are the real building blocks of every discretized-homodyne POVM
 matrix element.
 
-``bin_overlaps`` is the library path.  It evaluates all bins of a grid in
-closed form from the cumulative integrals F(x) = integral_{-inf}^x psi_m psi_n:
-off-diagonal entries from the Wronskian of the oscillator equation, diagonal
-entries from a ladder recurrence seeded by the error function, so one
-evaluation of psi_0 .. psi_{n_max+1} at the bin edges gives every overlap.
-
-``bin_overlap`` computes a single integral by adaptive Gauss-Legendre
-quadrature with an absolute tolerance of 1e-12; infinite edges are truncated
-at a point far beyond the classically allowed region.  It is independent of
-the closed form and serves as the reference the tests compare it against.
+``bin_overlaps`` evaluates all bins of a grid in closed form from the
+cumulative integrals F(x) = integral_{-inf}^x psi_m psi_n: off-diagonal
+entries from the Wronskian of the oscillator equation, diagonal entries
+from a ladder recurrence seeded by the error function, so one evaluation of
+psi_0 .. psi_{n_max+1} at the bin edges gives every overlap.
+``bin_overlap`` reads one entry of it.  The tests check the closed form
+against an independent adaptive quadrature kept beside them.
 """
 
 import math
 
 import numpy as np
 
-from .errors import QuadratureConvergenceError
-
 __all__ = [
-    "hermite_eval",
     "wavefunction",
     "bin_overlap",
     "bin_overlaps",
-    "numeric_support",
-    "DEFAULT_TOL",
 ]
-
-# Absolute tolerance for all bin integrals.
-DEFAULT_TOL = 1e-12
-
-# Fixed 24-node Gauss-Legendre rule used for each adaptive panel.  24 nodes
-# integrate polynomials up to degree 47 exactly, so a single panel already
-# nails low-order Hermite products over moderate intervals.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
-
-# Hard cap on bisection depth; at tolerance 1e-12 convergence happens within
-# a handful of levels, so hitting this indicates a genuinely bad integrand.
-_MAX_DEPTH = 48
-
-
-def hermite_eval(n, x):
-    """Physicists' Hermite polynomial H_n(x) by the three-term recurrence.
-
-    Uses H_{j+1}(x) = 2x H_j(x) - 2j H_{j-1}(x) starting from H_0 = 1,
-    H_1 = 2x.  Accepts scalar or array ``x``.  Intended for n <= 64; the
-    raw recurrence overflows for much larger orders.
-    """
-    if n < 0:
-        raise ValueError("Hermite order must be non-negative, got %r" % (n,))
-    x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
-    if n == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = 2.0 * x
-    for j in range(1, n):
-        h, h_prev = 2.0 * x * h - 2.0 * j * h_prev, h
-    return h if h.ndim else float(h)
 
 
 def wavefunction(n, x):
@@ -98,88 +58,19 @@ def _wavefunctions(n_max, x):
     return psi
 
 
-def numeric_support(m, n):
-    """Truncation point substituting for infinite integration limits.
-
-    The Hermite function psi_n has essentially all its mass inside the
-    classically allowed region |x| < sqrt(2n+1); ten extra units of
-    quadrature put the integrand magnitude far below 1e-12 resolution
-    for every order up to 64.
-    """
-    return math.sqrt(2.0 * max(m, n) + 1.0) + 10.0
-
-
-def _pair_values(m, n, x):
-    """psi_m(x) * psi_n(x) for an array x, from one upward recurrence."""
-    hi = max(m, n)
-    psi_prev = math.pi ** (-0.25) * np.exp(-0.5 * x * x)
-    psi = x * math.sqrt(2.0) * psi_prev if hi >= 1 else psi_prev
-    kept = {}
-    if m == 0 or n == 0:
-        kept[0] = psi_prev
-    if hi >= 1 and (m == 1 or n == 1):
-        kept[1] = psi
-    for j in range(1, hi):
-        psi, psi_prev = (
-            x * math.sqrt(2.0 / (j + 1)) * psi - math.sqrt(j / (j + 1)) * psi_prev,
-            psi,
-        )
-        if j + 1 == m or j + 1 == n:
-            kept[j + 1] = psi
-    return kept[m] * kept[n]
-
-
-def _panel(m, n, a, b):
-    """24-node Gauss-Legendre estimate of the pair integral over [a, b]."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    x = mid + half * _GL_NODES
-    return half * float(np.dot(_GL_WEIGHTS, _pair_values(m, n, x)))
-
-
-def _adaptive(m, n, a, b, tol, depth):
-    """Recursive panel bisection: accept when whole vs. split agree within tol."""
-    whole = _panel(m, n, a, b)
-    mid = 0.5 * (a + b)
-    left = _panel(m, n, a, mid)
-    right = _panel(m, n, mid, b)
-    refined = left + right
-    err = abs(whole - refined)
-    if err <= tol:
-        return refined
-    if depth >= _MAX_DEPTH:
-        raise QuadratureConvergenceError(
-            "bin integral (%d,%d) over [%g, %g] did not converge: "
-            "achieved error %.3e > tolerance %.3e" % (m, n, a, b, err, tol),
-            achieved_error=err,
-        )
-    return _adaptive(m, n, a, mid, 0.5 * tol, depth + 1) + _adaptive(
-        m, n, mid, b, 0.5 * tol, depth + 1
-    )
-
-
-def _bin_overlap_truncated(m, n, a, b, tol):
-    lo = max(a, -numeric_support(m, n))
-    hi = min(b, numeric_support(m, n))
-    if hi <= lo:
-        # The requested interval lies entirely beyond the numeric support;
-        # the integrand is zero to working precision there.
-        return 0.0
-    return _adaptive(m, n, lo, hi, tol, 0)
-
-
-def bin_overlap(m, n, a, b, tol=DEFAULT_TOL):
+def bin_overlap(m, n, a, b):
     """Normalized Hermite-pair integral of psi_m psi_n over the bin [a, b].
+
+    One entry of :func:`bin_overlaps`, exact to roundoff.  It serves callers
+    that want a single integral, such as a per-call timing probe; a grid of
+    bins is cheaper through ``bin_overlaps`` directly.
 
     Parameters
     ----------
     m, n : int
-        Fock indices (non-negative, <= 64).
+        Fock indices (0 <= m, n <= 64).
     a, b : float
-        Bin edges; ``-inf``/``+inf`` are allowed and are truncated at the
-        numeric support of the integrand.  Requires a <= b.
-    tol : float
-        Absolute integration tolerance (default 1e-12).
+        Bin edges with a <= b; ``-inf``/``+inf`` are allowed.
 
     Returns
     -------
@@ -188,21 +79,12 @@ def bin_overlap(m, n, a, b, tol=DEFAULT_TOL):
 
     Raises
     ------
-    QuadratureConvergenceError
-        If the adaptive scheme cannot reach ``tol``; the error carries the
-        achieved estimate.
+    ValueError
+        For a negative or above-64 index, and for NaN or reversed edges.
     """
     if m < 0 or n < 0:
         raise ValueError("Fock indices must be non-negative, got (%r, %r)" % (m, n))
-    a = float(a)
-    b = float(b)
-    if a > b:
-        raise ValueError("bin edges must satisfy a <= b, got a=%g > b=%g" % (a, b))
-    if a == b:
-        return 0.0
-    if m > n:
-        m, n = n, m  # the integrand is symmetric; integrate one ordering
-    return _bin_overlap_truncated(m, n, a, b, float(tol))
+    return float(bin_overlaps(max(m, n), [a, b])[0, m, n])
 
 
 def _cumulative_overlaps(n_max, x):

@@ -1,9 +1,14 @@
 """End-to-end tests of the hshadow command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import homodyne_shadows
 from homodyne_shadows import cli
 from homodyne_shadows.cli import (
     EXIT_DATA,
@@ -578,3 +583,22 @@ class TestTopLevel:
         codes = [EXIT_OK, EXIT_DESIGN_FAILED, EXIT_INCOMPLETE, EXIT_USAGE, EXIT_DATA]
         assert len(set(codes)) == len(codes)
         assert cli.EXIT_OK == 0
+
+    def test_module_run_is_warning_free(self):
+        # ``python -m homodyne_shadows.cli`` must not find the module already
+        # imported by the package, which makes runpy warn on every call.
+        src = str(Path(homodyne_shadows.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [
+                sys.executable, "-W", "error::RuntimeWarning", "-m", "homodyne_shadows.cli",
+                "check-ic", "--nmax", "1", "--phases", "3", "--bins", "3", "--json",
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stderr == ""

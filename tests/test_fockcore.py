@@ -6,39 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special
+from scipy.integrate import trapezoid
 
 from homodyne_shadows import fockcore
-from homodyne_shadows.errors import QuadratureConvergenceError
-from homodyne_shadows.fockcore import bin_overlap, bin_overlaps, hermite_eval, wavefunction
+from homodyne_shadows.fockcore import bin_overlaps, wavefunction
 
-
-class TestHermiteEval:
-    def test_h0_is_one(self):
-        assert hermite_eval(0, 0.7) == 1.0
-
-    def test_h1_is_2x(self):
-        assert hermite_eval(1, 0.5) == pytest.approx(1.0, abs=0)
-
-    def test_h3_at_one(self):
-        # H_3(x) = 8x^3 - 12x, evaluated by hand at x = 1.
-        assert hermite_eval(3, 1.0) == pytest.approx(-4.0, abs=1e-12)
-
-    def test_matches_scipy_reference(self):
-        rng = np.random.default_rng(11)
-        xs = rng.uniform(-4.0, 4.0, size=12)
-        for n in range(0, 21, 4):
-            ours = hermite_eval(n, xs)
-            ref = special.eval_hermite(n, xs)
-            assert np.allclose(ours, ref, rtol=1e-10, atol=1e-8)
-
-    def test_accepts_arrays(self):
-        out = hermite_eval(2, np.array([0.0, 1.0]))
-        assert out.shape == (2,)
-        assert out[0] == pytest.approx(-2.0)
-
-    def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
-            hermite_eval(-1, 0.0)
+import quadrature
 
 
 class TestWavefunction:
@@ -70,33 +43,12 @@ class TestWavefunction:
         assert np.isfinite(val) and abs(val) < 1.0
 
 
-class TestBinOverlap:
-    def test_full_line_normalization(self):
-        assert bin_overlap(0, 0, -np.inf, np.inf) == pytest.approx(1.0, abs=1e-12)
+def _parity_relation_test():
+    """psi_m psi_n has parity (-1)^(m+n), so mirroring the bin flips the sign.
 
-    @pytest.mark.parametrize("L", [0.5, 1.0, 3.7])
-    def test_odd_parity_integrand_vanishes(self, L):
-        assert bin_overlap(2, 3, -L, L) == pytest.approx(0.0, abs=1e-12)
-
-    def test_half_line_cross_term(self):
-        # integral_0^inf psi_0 psi_1 = 1/sqrt(2 pi), from the closed-form
-        # antiderivative of the integrand (a pure Gaussian times x).
-        assert bin_overlap(0, 1, 0.0, np.inf) == pytest.approx(
-            1.0 / math.sqrt(2.0 * math.pi), abs=1e-12
-        )
-
-    def test_orthonormality(self):
-        for m in range(9):
-            for n in range(m, 9):
-                val = bin_overlap(m, n, -np.inf, np.inf)
-                assert val == pytest.approx(1.0 if m == n else 0.0, abs=1e-10)
-
-    def test_additivity(self):
-        pts = (-1.7, 0.3, 2.2)
-        for m, n in [(0, 0), (1, 4), (3, 3)]:
-            whole = bin_overlap(m, n, pts[0], pts[2])
-            split = bin_overlap(m, n, pts[0], pts[1]) + bin_overlap(m, n, pts[1], pts[2])
-            assert whole == pytest.approx(split, abs=1e-11)
+    Each class gets its own copy: Hypothesis refuses to run one ``@given``
+    function under two classes.
+    """
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -107,43 +59,96 @@ class TestBinOverlap:
     )
     def test_parity_relation(self, m, n, a, width):
         b = a + width
-        mirrored = bin_overlap(m, n, -b, -a)
-        direct = bin_overlap(m, n, a, b)
+        mirrored = self.overlap(m, n, -b, -a)
+        direct = self.overlap(m, n, a, b)
         assert mirrored == pytest.approx((-1.0) ** (m + n) * direct, abs=1e-11)
 
+    return test_parity_relation
+
+
+class _BinOverlapProperties:
+    """Properties every single-bin overlap must have, run against ``overlap``."""
+
+    def test_full_line_normalization(self):
+        assert self.overlap(0, 0, -np.inf, np.inf) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("L", [0.5, 1.0, 3.7])
+    def test_odd_parity_integrand_vanishes(self, L):
+        assert self.overlap(2, 3, -L, L) == pytest.approx(0.0, abs=1e-12)
+
+    def test_half_line_cross_term(self):
+        # integral_0^inf psi_0 psi_1 = 1/sqrt(2 pi), from the closed-form
+        # antiderivative of the integrand (a pure Gaussian times x).
+        assert self.overlap(0, 1, 0.0, np.inf) == pytest.approx(
+            1.0 / math.sqrt(2.0 * math.pi), abs=1e-12
+        )
+
+    def test_orthonormality(self):
+        for m in range(9):
+            for n in range(m, 9):
+                val = self.overlap(m, n, -np.inf, np.inf)
+                assert val == pytest.approx(1.0 if m == n else 0.0, abs=1e-10)
+
+    def test_additivity(self):
+        pts = (-1.7, 0.3, 2.2)
+        for m, n in [(0, 0), (1, 4), (3, 3)]:
+            whole = self.overlap(m, n, pts[0], pts[2])
+            split = (
+                self.overlap(m, n, pts[0], pts[1]) + self.overlap(m, n, pts[1], pts[2])
+            )
+            assert whole == pytest.approx(split, abs=1e-11)
+
     def test_symmetry_in_indices(self):
-        assert bin_overlap(2, 5, -0.4, 1.1) == bin_overlap(5, 2, -0.4, 1.1)
+        assert self.overlap(2, 5, -0.4, 1.1) == self.overlap(5, 2, -0.4, 1.1)
 
     def test_agrees_with_dense_trapezoid(self):
-        # Independent oracle: fixed-step trapezoid at step 1e-4 over the
-        # numeric support.
+        # Independent oracle: fixed-step trapezoid at step 1e-4 over the bin.
         cases = [(0, 0, -1.0, 1.0), (2, 4, -2.5, 0.7), (5, 5, 0.0, 3.0)]
         for m, n, a, b in cases:
             xs = np.arange(a, b + 1e-4, 1e-4)
-            ref = np.trapezoid(
+            ref = trapezoid(
                 fockcore.wavefunction(m, xs) * fockcore.wavefunction(n, xs), xs
             )
-            assert bin_overlap(m, n, a, b) == pytest.approx(ref, abs=1e-8)
+            assert self.overlap(m, n, a, b) == pytest.approx(ref, abs=1e-8)
 
     def test_empty_interval_is_zero(self):
-        assert bin_overlap(3, 3, 1.2, 1.2) == 0.0
+        assert self.overlap(3, 3, 1.2, 1.2) == 0.0
 
     def test_interval_beyond_support_is_zero(self):
-        assert bin_overlap(0, 0, 80.0, 90.0) == 0.0
+        assert self.overlap(0, 0, 80.0, 90.0) == 0.0
 
     def test_reversed_edges_rejected(self):
         with pytest.raises(ValueError):
-            bin_overlap(0, 0, 1.0, -1.0)
+            self.overlap(0, 0, 1.0, -1.0)
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
-            bin_overlap(-1, 0, 0.0, 1.0)
+            self.overlap(-1, 0, 0.0, 1.0)
+
+
+class TestBinOverlap(_BinOverlapProperties):
+    """The quadrature oracle."""
+
+    overlap = staticmethod(quadrature.bin_overlap)
+    test_parity_relation = _parity_relation_test()
 
     def test_nonconvergence_reports_achieved_error(self, monkeypatch):
-        monkeypatch.setattr(fockcore, "_MAX_DEPTH", 1)
-        with pytest.raises(QuadratureConvergenceError) as excinfo:
-            bin_overlap(6, 6, -3.0, 3.0, tol=1e-33)
-        assert excinfo.value.achieved_error > 0.0
+        monkeypatch.setattr(quadrature, "_MAX_DEPTH", 1)
+        with pytest.raises(RuntimeError, match="achieved error"):
+            quadrature.bin_overlap(6, 6, -3.0, 3.0, tol=1e-33)
+
+
+class TestClosedFormBinOverlap(_BinOverlapProperties):
+    """The library accessor, one entry of ``bin_overlaps``."""
+
+    overlap = staticmethod(fockcore.bin_overlap)
+    test_parity_relation = _parity_relation_test()
+
+    def test_outside_envelope_rejected(self):
+        with pytest.raises(ValueError):
+            fockcore.bin_overlap(70, 0, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            fockcore.bin_overlap(0, 0, math.nan, 1.0)
 
 
 # Left edges for the closed-form comparison: the -inf tail, the central
@@ -176,7 +181,7 @@ class TestBinOverlaps:
         index = st.integers(0, n_max)
         pairs = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=5))
         for m, n in pairs + [(n_max, n_max)]:
-            assert abs(G[0, m, n] - bin_overlap(m, n, a, b)) <= 1e-13
+            assert abs(G[0, m, n] - quadrature.bin_overlap(m, n, a, b)) <= 1e-13
 
     def test_grid_matches_quadrature_entrywise(self):
         edges = [-np.inf, -2.5, -0.4, -0.3995, 1.1, 4.0, np.inf]
@@ -184,7 +189,7 @@ class TestBinOverlaps:
         for i in range(len(edges) - 1):
             for m in range(7):
                 for n in range(7):
-                    ref = bin_overlap(m, n, edges[i], edges[i + 1])
+                    ref = quadrature.bin_overlap(m, n, edges[i], edges[i + 1])
                     assert abs(G[i, m, n] - ref) <= 1e-13
 
     def test_blocks_are_exactly_symmetric(self):

@@ -410,7 +410,7 @@ class TestStructuredPath:
         assert is_informationally_complete(p).condition_number > 1e12
 
     def test_overlaps_match_quadrature(self):
-        from homodyne_shadows.fockcore import bin_overlap
+        from quadrature import bin_overlap
 
         scheme = BinningScheme.equal_spaced(4, 2.0)
         p = build_povm(PhaseGrid(3), scheme, 3)
