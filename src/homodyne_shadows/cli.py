@@ -76,8 +76,8 @@ def _add_config_flag(sub):
     sub.add_argument(
         "--config",
         metavar="PATH",
-        help="JSON file of defaults for this command (flag names with "
-        "dashes or underscores); explicit flags win",
+        help="JSON file of flags for this command (flag names with dashes or "
+        "underscores), parsed like flags given before the explicit ones, which win",
     )
 
 
@@ -232,34 +232,46 @@ def _check_tolerances(args):
         if not hasattr(args, flag):
             continue
         value = getattr(args, flag)
-        try:
-            ok = math.isfinite(value) and (value > 0 if positive else value >= 0)
-        except TypeError:  # a null or non-number from --config
-            ok = False
-        if not ok:
+        if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
             bound = "> 0" if positive else ">= 0"
             raise UsageError("--%s must be finite and %s, got %r" % (flag, bound, value))
 
 
-def _apply_config(parser, table, argv, args):
-    """Merge --config JSON beneath explicit flags by re-parsing with new defaults."""
-    path = getattr(args, "config", None)
+def _config_flags(table, argv):
+    """The entries of the ``--config`` file that ``argv`` names, as flags.
+
+    Each key names a flag of the subcommand ``argv[0]`` (dashes or
+    underscores).  A switch such as ``--json`` takes a JSON boolean; any
+    other flag becomes ``--flag=value``, a string as it stands and any other
+    JSON value as JSON text, so argparse converts and checks it as it does
+    an explicit flag.  Returns ``[]`` when ``argv`` names no config file.
+    """
+    sub = table.get(argv[0]) if argv else None
+    if sub is None:
+        return []
+    finder = _Parser(add_help=False)
+    finder.add_argument("--config")
+    path = finder.parse_known_args(argv[1:])[0].config
     if not path:
-        return args
+        return []
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise UsageError("config %s must hold a JSON object" % path)
-    sub = table[args.command]
-    dests = {a.dest for a in sub._actions}
-    updates = {}
+    flags = {a.dest: a for a in sub._actions if a.option_strings}
+    tokens = []
     for key, value in data.items():
-        dest = key.replace("-", "_")
-        if dest not in dests:
-            raise UsageError("config %s: unknown key %r for %s" % (path, key, args.command))
-        updates[dest] = value
-    sub.set_defaults(**updates)
-    return parser.parse_args(argv)
+        action = flags.get(key.replace("-", "_"))
+        if action is None:
+            raise UsageError("config %s: unknown key %r for %s" % (path, key, argv[0]))
+        flag = action.option_strings[-1]
+        if action.nargs == 0:
+            if not isinstance(value, bool):
+                raise UsageError("config %s: %s takes true or false, got %r" % (path, flag, value))
+            tokens += [flag] if value else []
+        else:
+            tokens.append("%s=%s" % (flag, value if isinstance(value, str) else json.dumps(value)))
+    return tokens
 
 
 def _write_scheme(path_or_none, scheme, meta):
@@ -582,12 +594,18 @@ def _cmd_variance_scan(args):
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, table = build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
     try:
-        args = _apply_config(parser, table, argv, args)
+        config = _config_flags(table, argv)
+        if config:
+            try:
+                args = parser.parse_args(argv[:1] + config + argv[1:])
+            except SystemExit as exc:  # a config entry argparse rejects is a usage
+                return exc.code  # error, which main returns rather than raises
+        else:
+            args = parser.parse_args(argv)
+        if args.command is None:
+            parser.print_usage(sys.stderr)
+            return EXIT_USAGE
         _check_tolerances(args)
         return args.func(args)
     except UsageError as exc:

@@ -172,7 +172,6 @@ class EstimateReport:
         shots,
         variant,
         observable_label="X",
-        values=None,
         seed=None,
         povm_cache_key=None,
         inversion=None,
@@ -187,14 +186,13 @@ class EstimateReport:
         self.shots = int(shots)
         self.variant = variant
         self.observable_label = observable_label
-        self.values = values
         self.seed = seed
         self.povm_cache_key = povm_cache_key
         self.inversion = inversion
         self.threshold = threshold
 
     def to_json(self):
-        """JSON-ready dict (per-shot values are not serialized)."""
+        """JSON-ready dict."""
         return {
             "observable_label": self.observable_label,
             "mean": self.mean,
@@ -387,19 +385,18 @@ def _outcome_index(rec, N):
     return flat
 
 
-def estimate_observable(records, table, X, variant="plain-mean", keep_values=False):
+def estimate_observable(records, table, X, variant="plain-mean"):
     """Fold a single-mode record stream into an observable estimate.
 
     Each record contributes the per-shot value Tr(X rho_hat_{i,k}) of its
     outcome, aggregated as :func:`_aggregate` describes: plain averaging, or
     median-of-means over B contiguous batches for ``"median-of-means:B"``.
     Only the outcome counts enter, so the stream is folded into one count
-    table per batch (:func:`_aggregate_counts`); the per-shot values are
-    built only for ``keep_values=True``.
+    table per batch (:func:`_aggregate_counts`) and no per-shot value is built.
 
     ``records`` is a :class:`~homodyne_shadows.sim.Records`; any other type
-    raises ``TypeError``.  Records with a negative index, an outcome outside the
-    table, or a mode other than the stream's first raise
+    raises ``TypeError``.  Records with an outcome outside the table, or a
+    mode other than the stream's first, raise
     :class:`~homodyne_shadows.errors.MalformedRecordError` with the record's
     position in the stream.
     """
@@ -414,7 +411,6 @@ def estimate_observable(records, table, X, variant="plain-mean", keep_values=Fal
         flat.size,
         variant_str,
         observable_label=label,
-        values=v[flat] if keep_values else None,
         inversion=table.mode,
         threshold=table.threshold,
     )

@@ -12,14 +12,14 @@ tensor-product multi-mode distributions and local-observable estimation,
 and CSV ingestion of externally produced (or raw quadrature) records.
 
 Records are columnar: a :class:`Records` holds four equal-length int64
-arrays ``t``, ``mode``, ``k``, ``i``.  Every producer returns one and every
-consumer takes one and validates it with a single vectorized check,
+arrays ``t``, ``mode``, ``k``, ``i`` whose every entry is an index (its
+constructor checks that).  Every producer returns one, and every consumer
+takes one and checks it against its outcome grid in one vectorized pass,
 :func:`checked_records`.
 """
 
 import contextlib
 import csv
-import math
 import numbers
 import os
 from typing import NamedTuple
@@ -67,36 +67,34 @@ _NEGATIVE_CLAMP = -1e-12
 _CHUNK = 100_000
 
 
-def _not_int64(c):
-    """Mask of the rows of a non-int column that are not whole numbers in the int64 range."""
+def _not_index(c):
+    """Mask of the rows of a column that are not whole numbers in 0..2**63-1."""
+    if c.dtype.kind == "i":
+        return c < 0
     if c.dtype.kind == "u":
         return c >= np.uint64(2**63)
     if c.dtype.kind in "bf":
         x = c.astype(np.float64)
-        return ~((x >= -(2.0**63)) & (x < 2.0**63)) | (x != np.trunc(x))
+        return ~((x >= 0) & (x < 2.0**63)) | (x != np.trunc(x))
     if c.dtype.kind == "O":
-        return np.array([not _is_int64(v) for v in c], dtype=bool)
+        return np.array([not _is_index(v) for v in c], dtype=bool)
     return np.ones(c.shape, dtype=bool)
 
 
-def _is_int64(v):
-    """Whether a Python or numpy scalar is a whole number in the int64 range."""
-    if isinstance(v, numbers.Integral):
-        return -(2**63) <= v < 2**63
-    return isinstance(v, numbers.Real) and math.isfinite(v) and float(v).is_integer() and (
-        -(2.0**63) <= v < 2.0**63
-    )
+def _is_index(v):
+    """Whether a Python or numpy scalar is a whole number in 0..2**63-1."""
+    return isinstance(v, numbers.Real) and 0 <= v < 2**63 and float(v).is_integer()
 
 
 class Records:
     """Columnar measurement records: equal-length int64 arrays t, mode, k, i.
 
     Row j is shot ``t[j]`` of mode ``mode[j]`` landing in phase ``k[j]`` and
-    bin ``i[j]``.  The constructor is where outside data becomes records:
-    signed integer columns are taken as int64 (int64 ones without a copy),
-    and unsigned, boolean, real and object columns must hold whole numbers
-    in the int64 range; complex, string and other columns hold none.  The
-    first row with a field that is not such a number raises
+    bin ``i[j]``.  The constructor is where outside data becomes records,
+    and every field must be an index: a whole number in 0..2**63-1.  Signed
+    integer columns are taken as int64 (int64 ones without a copy); complex,
+    string and other non-real columns hold no index.  The first row with a
+    field that is not an index raises
     :class:`~homodyne_shadows.errors.MalformedRecordError` with its ordinal.
     ``len`` and truthiness count rows, ``records[a:b]`` gives a Records that
     shares memory with this one, and ``==`` compares the rows of two
@@ -115,14 +113,16 @@ class Records:
             )
         bad = False
         for c in cols:
-            if c.dtype.kind != "i":
-                bad = bad | _not_int64(c)
+            # An int column gets a row mask only when its minimum is negative:
+            # a mask over every row of a valid column would raise ingest's peak.
+            if c.dtype.kind != "i" or (c.size and c.min() < 0):
+                bad = bad | _not_index(c)
         if np.any(bad):
             j = int(np.argmax(bad))
             fields = tuple(c[j:j + 1].tolist()[0] for c in cols)
             raise MalformedRecordError(
-                "record %d (t=%r, mode=%r, k=%r, i=%r) has a field that is not a "
-                "whole number in the int64 range" % ((j,) + fields),
+                "record %d (t=%r, mode=%r, k=%r, i=%r) has a field that is not an "
+                "index, a whole number in 0..2**63-1" % ((j,) + fields),
                 ordinal=j,
             )
         self.t, self.mode, self.k, self.i = (np.asarray(c, dtype=np.int64) for c in cols)
@@ -159,15 +159,16 @@ def _shot_order(t, mode):
 
 
 def checked_records(records, M=None, N=None):
-    """Validate every row of a :class:`Records` in one vectorized pass.
+    """Check a :class:`Records` against an outcome grid in one vectorized pass.
 
-    Any other ``records`` raises ``TypeError``.  Every index must be
-    non-negative.  With ``M`` and ``N`` given as ints the stream is
-    single-mode: each outcome must lie on the M x N grid and every record
-    must carry the mode of the first.  With per-mode sequences
-    ``M[j]``, ``N[j]`` the stream is multi-mode: each mode must lie in
-    0..len(M)-1, each outcome on its mode's grid, and no (t, mode) pair may
-    repeat.  The first offending record raises
+    Any other ``records`` raises ``TypeError``; without ``M`` and ``N``
+    that is the whole check, as every field of a Records is an index.
+    With ``M`` and ``N`` given as ints the stream is single-mode: each
+    outcome must lie on the M x N grid and every record must carry the
+    mode of the first.  With per-mode sequences ``M[j]``, ``N[j]`` the
+    stream is multi-mode: each mode must lie in 0..len(M)-1, each outcome
+    on its mode's grid, and no (t, mode) pair may repeat.  The first
+    offending record raises
     :class:`~homodyne_shadows.errors.MalformedRecordError` with its ordinal
     (for a repeat, the ordinal of the second occurrence).
     """
@@ -177,75 +178,44 @@ def checked_records(records, M=None, N=None):
 def _checked(records, M, N):
     """:func:`checked_records`, also returning the ``_shot_order`` of a multi-mode stream.
 
-    The rows are tested with one combined mask built in place; a negative
-    int64 reads as at least 2**63 through a uint64 view, so "negative or
-    too large" is one comparison.  Only the first bad row is then tested
-    rule by rule, in the order below, to pick its message.
+    Each grid rule is one (mask of the rows it rejects, message) pair.  The
+    first row that any mask flags raises with the message of the first rule,
+    in the order below, that flags it.
     """
     if not isinstance(records, Records):
         raise TypeError("expected Records, got %s" % type(records).__name__)
-    if not records:
+    if M is None or not records:
         return records, None
     t, mode, k, i = records.columns()
-    k_u, i_u = k.view(np.uint64), i.view(np.uint64)
-    bad = t < 0
-    rules = [(lambda j: t[j] < 0, lambda j: "has negative shot index %d" % t[j])]
     order = None
-    if M is None:
-        for c in (mode, k, i):
-            bad |= c < 0
-        rules.append((
-            lambda j: min(mode[j], k[j], i[j]) < 0,
-            lambda j: "has a negative index in (t=%d, mode=%d, k=%d, i=%d)"
-            % (t[j], mode[j], k[j], i[j]),
-        ))
-    elif np.ndim(M) == 1:
-        S = len(M)
-        bad |= mode.view(np.uint64) >= np.uint64(S)
-        rules.append((
-            lambda j: not 0 <= mode[j] < S,
-            lambda j: "references mode %d outside 0..%d" % (mode[j], S - 1),
-        ))
-        grids = np.asarray([M, N], dtype=np.uint64)
-        if (grids == grids[:, :1]).all():  # one grid for every mode
-            bad |= i_u >= grids[0, 0]
-            bad |= k_u >= grids[1, 0]
-        else:  # a bad mode reads the grid of mode 0 or S - 1
-            bad |= i_u >= np.take(grids[0], mode, mode="clip")
-            bad |= k_u >= np.take(grids[1], mode, mode="clip")
-        rules.append((
-            lambda j: not (0 <= i[j] < M[mode[j]] and 0 <= k[j] < N[mode[j]]),
-            lambda j: "references outcome (i=%d, k=%d) outside mode %d's %d x %d grid"
-            % (i[j], k[j], mode[j], M[mode[j]], N[mode[j]]),
-        ))
-        order = _shot_order(t, mode)
-        if order is not None:
-            later = order[1:]
-            repeat = later[(t[later] == t[order[:-1]]) & (mode[later] == mode[order[:-1]])]
-            bad[repeat] = True
-            rules.append((
-                lambda j: j in repeat,
-                lambda j: "repeats mode %d of shot %d" % (mode[j], t[j]),
-            ))
+    if np.ndim(M) == 0:
+        rules = [
+            ((i >= M) | (k >= N), lambda j: "references outcome (i=%d, k=%d) outside the "
+             "%d x %d outcome grid" % (i[j], k[j], M, N)),
+            (mode != mode[0], lambda j: "has mode %d but the stream began with mode %d; a "
+             "single-mode estimate takes one mode at a time" % (mode[j], mode[0])),
+        ]
     else:
-        bad |= mode != mode[0]
-        bad[0] |= mode[0] < 0
-        bad |= i_u >= np.uint64(M)
-        bad |= k_u >= np.uint64(N)
-        rules.append((lambda j: mode[j] < 0, lambda j: "has negative mode index %d" % mode[j]))
-        rules.append((
-            lambda j: not (0 <= i[j] < M and 0 <= k[j] < N),
-            lambda j: "references outcome (i=%d, k=%d) outside the %d x %d outcome grid"
-            % (i[j], k[j], M, N),
-        ))
-        rules.append((
-            lambda j: mode[j] != mode[0],
-            lambda j: "has mode %d but the stream began with mode %d; a single-mode "
-            "estimate takes one mode at a time" % (mode[j], mode[0]),
-        ))
-    j = int(np.argmax(bad))
-    if bad[j]:
-        describe = next(msg for test, msg in rules if test(j))
+        S = len(M)
+        # Each row's (M, N): one pair when every mode has the same grid, else a
+        # gather in which a mode outside 0..S-1 reads the grid of mode S - 1.
+        grids = np.asarray([M, N])
+        uniform = (grids == grids[:, :1]).all()
+        Mj, Nj = grids[:, 0] if uniform else np.take(grids, mode, axis=1, mode="clip")
+        order = _shot_order(t, mode)
+        repeat = np.zeros(t.size, dtype=bool)
+        if order is not None:  # the later row of each (t, mode) pair adjacent in order
+            later, earlier = order[1:], order[:-1]
+            repeat[later[(t[later] == t[earlier]) & (mode[later] == mode[earlier])]] = True
+        rules = [
+            (mode >= S, lambda j: "references mode %d outside 0..%d" % (mode[j], S - 1)),
+            ((i >= Mj) | (k >= Nj), lambda j: "references outcome (i=%d, k=%d) outside "
+             "mode %d's %d x %d grid" % (i[j], k[j], mode[j], M[mode[j]], N[mode[j]])),
+            (repeat, lambda j: "repeats mode %d of shot %d" % (mode[j], t[j])),
+        ]
+    j = min((int(np.argmax(mask)) for mask, _ in rules if mask.any()), default=None)
+    if j is not None:
+        describe = next(message for mask, message in rules if mask[j])
         raise MalformedRecordError("record %d %s" % (j, describe(j)), ordinal=j)
     return records, order
 
@@ -735,7 +705,7 @@ def multi_shadow_norm(config, observables, tables=None):
 
 
 def _encode_rows(cols):
-    """ASCII bytes of ``"%d,%d,%d,%d\\n"`` per row of non-negative int64 columns.
+    """ASCII bytes of ``"%d,%d,%d,%d\\n"`` per row of index columns (int64 >= 0).
 
     Each row fills one line of a uint8 matrix: every field is right-aligned
     in a fixed width (the digit count of its column's maximum), the
@@ -875,10 +845,10 @@ def ingest_records(path):
     """
     checks = [_index_problem] * 4
     data = _load_table(path, RECORD_HEADER, _RECORD_DTYPE, checks)
-    rec = Records(*(np.ascontiguousarray(data[name]) for name in RECORD_HEADER))
-    if rec and min(int(c.min()) for c in rec.columns()) < 0:
-        _raise_first_bad_row(path, RECORD_HEADER, checks)
-    return rec
+    try:
+        return Records(*(np.ascontiguousarray(data[name]) for name in RECORD_HEADER))
+    except MalformedRecordError as exc:  # a negative field
+        _raise_first_bad_row(path, RECORD_HEADER, checks, exc)
 
 
 def bin_raw(path, grid, binning):

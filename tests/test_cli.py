@@ -476,6 +476,49 @@ class TestConfigFile:
         assert code == EXIT_USAGE
         assert "unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "entry, flag",
+        [
+            ({"nmax": 3.7}, "--nmax"),  # used to run with n_max = 3
+            ({"bins": 7.9}, "--bins"),  # used to run with 7 bins
+            ({"tail_mode": "bogus"}, "--tail-mode"),  # used to exit 65
+            ({"edges": [-2, 0, 2]}, "--edges"),  # used to crash with an AttributeError
+            ({"json": "yes"}, "--json"),
+            ({"json": 1}, "--json"),
+        ],
+        ids=["float-nmax", "float-bins", "bad-choice", "edge-list", "switch-string",
+             "switch-number"],
+    )
+    def test_entry_is_parsed_like_its_flag(self, entry, flag, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict({"nmax": 3, "bins": 9}, **entry)))
+        code = run(["check-ic", "--phases", "9", "--config", str(cfg)])
+        assert code == EXIT_USAGE
+        assert flag in capsys.readouterr().err
+
+    def test_config_supplies_required_flags(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "records.csv"
+        cfg.write_text(json.dumps({
+            "nmax": 1, "phases": 3, "bins": 3, "state": "fock:1", "T": 20, "seed": 4,
+            "out": str(out),
+        }))
+        assert run(["simulate", "--config", str(cfg)]) == EXIT_OK
+        explicit = tmp_path / "explicit.csv"
+        assert run(["simulate", "--nmax", "1", "--phases", "3", "--bins", "3", "--state",
+                    "fock:1", "--T", "20", "--seed", "4", "--out", str(explicit)]) == EXIT_OK
+        assert out.read_bytes() == explicit.read_bytes()
+
+    def test_switch_from_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        base = ["check-ic", "--nmax", "1", "--phases", "3", "--bins", "3", "--config", str(cfg)]
+        cfg.write_text(json.dumps({"json": True}))
+        assert run(base) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["rank"] == 4
+        cfg.write_text(json.dumps({"json": False}))
+        assert run(base) == EXIT_OK
+        assert "verdict: complete" in capsys.readouterr().out
+
 
 class TestPovmCache:
     def test_cache_round_trip(self, tmp_path):

@@ -1,6 +1,7 @@
 """Tests for columnar records: the Records type, its validator and its CSV format."""
 
 import hashlib
+import re
 import tempfile
 from pathlib import Path
 
@@ -127,6 +128,35 @@ class TestRecordsType:
             Records([0, 1], [0, 0], [0, 0], np.array([0, 2**63], dtype=object))
         assert excinfo.value.ordinal == 1
 
+    @pytest.mark.parametrize(
+        "k, ordinal",
+        [
+            (np.array([0, 3, -2, -1], dtype=np.int64), 2),
+            (np.array([5, -(2**63)], dtype=np.int64), 1),
+            (np.array([1, 2, -1], dtype=np.int8), 2),
+            (np.array([0, 2**63, 2**64 - 1], dtype=np.uint64), 1),
+            (np.array([0.0, -1.0, 1.5]), 1),
+            (np.array([-0.5]), 0),
+            (np.array([0, 2**63 - 1, -1], dtype=object), 2),
+            (np.array([0, 2**63], dtype=object), 1),
+            (np.array([1.0, -3.0], dtype=object), 1),
+        ],
+        ids=["int64", "int64-min", "int8", "uint64", "float", "float-fraction",
+             "object-negative", "object-beyond-int64", "object-float"],
+    )
+    def test_field_that_is_not_an_index_names_the_first_bad_row(self, k, ordinal):
+        T = len(k)
+        with pytest.raises(MalformedRecordError, match=r"^record %d \(t=.*\) has a field "
+                           r"that is not an index" % ordinal) as excinfo:
+            Records(np.arange(T), np.zeros(T, dtype=int), k, np.zeros(T, dtype=int))
+        assert excinfo.value.ordinal == ordinal
+
+    def test_first_bad_row_over_all_columns(self):
+        # Row 2's t is the first bad field in column order; row 1's i comes first by row.
+        with pytest.raises(MalformedRecordError) as excinfo:
+            Records([0, 1, -1], [0, 0, 0], [0, 0, 0], np.array([0, -1, 0], dtype=np.int16))
+        assert excinfo.value.ordinal == 1
+
     def test_integral_and_empty_columns_are_accepted(self):
         t = np.arange(3)
         rec = Records(t, [0.0, 0.0, 0.0], np.array([2, 1, 0], dtype=np.int32), [True, False, True])
@@ -154,7 +184,7 @@ class TestRecordsType:
 
 class TestValidator:
     def test_single_mode_reports_first_bad_ordinal(self):
-        cases = [
+        cases = [  # the first two raise at the Records constructor
             ([(0, 0, 0, 0), (-1, 0, 0, 0)], 1),
             ([(0, 0, 0, 0), (1, 0, 0, 0), (2, 0, -1, 0)], 2),
             ([(0, 0, 0, 0), (1, 0, 0, 3)], 1),  # bin outside M = 3
@@ -179,11 +209,49 @@ class TestValidator:
         assert excinfo.value.ordinal == 3
         assert "repeats mode 0 of shot 1" in str(excinfo.value)
 
+    def test_multi_mode_checks_each_modes_grid(self):
+        grids = [3, 2], [5, 3]  # mode 0 on a 3 x 5 grid, mode 1 on a 2 x 3 one
+        rows = [(0, 0, 4, 2), (0, 1, 2, 1)]
+        assert checked_records(records_of(rows), *grids) == records_of(rows)
+        for row, outcome in [((1, 1, 3, 0), "(i=0, k=3)"), ((1, 1, 0, 2), "(i=2, k=0)")]:
+            with pytest.raises(MalformedRecordError, match=re.escape(
+                    "record 2 references outcome %s outside mode 1's 2 x 3 grid" % outcome)):
+                checked_records(records_of(rows + [row]), *grids)
+        for row in [(1, 0, 0, 3), (1, 1, 5, 0)]:  # one grid for both modes
+            with pytest.raises(MalformedRecordError, match="outside mode") as excinfo:
+                checked_records(records_of(rows + [row]), [3, 3], [5, 5])
+            assert excinfo.value.ordinal == 2
+
+    @pytest.mark.parametrize(
+        "rows, M, N, message",
+        [
+            # The first bad row raises, whichever rule flags it ...
+            ([(0, 0, 0, 0), (1, 1, 0, 0), (2, 0, 9, 0)], 3, 5, "record 1 has mode 1"),
+            # ... with the message of the first rule that flags it.
+            ([(0, 0, 0, 0), (1, 1, 9, 0)], 3, 5, "record 1 references outcome (i=0, k=9) "
+             "outside the 3 x 5 outcome grid"),
+            ([(0, 0, 0, 0), (0, 2, 9, 9), (0, 2, 0, 0)], [3, 3], [5, 5],
+             "record 1 references mode 2 outside 0..1"),
+            ([(0, 1, 0, 0), (0, 1, 0, 7)], [3, 3], [5, 5],
+             "record 1 references outcome (i=7, k=0) outside mode 1's 3 x 5 grid"),
+        ],
+        ids=["earliest-row", "grid-before-mode", "mode-range-first", "grid-before-repeat"],
+    )
+    def test_rule_order(self, rows, M, N, message):
+        with pytest.raises(MalformedRecordError, match="^" + re.escape(message)):
+            checked_records(records_of(rows), M, N)
+
     def test_negative_index_names_the_row(self):
-        with pytest.raises(MalformedRecordError, match=r"^record 1 has a negative index in "
-                           r"\(t=1, mode=0, k=-2, i=3\)$") as excinfo:
-            checked_records(records_of([(0, 0, 0, 0), (1, 0, -2, 3)]))
+        # A negative field never reaches the validator: the constructor rejects it.
+        with pytest.raises(MalformedRecordError, match=r"^record 1 \(t=1, mode=0, k=-2, i=3\) "
+                           r"has a field that is not an index, a whole number in "
+                           r"0\.\.2\*\*63-1$") as excinfo:
+            Records([0, 1], [0, 0], [0, -2], [0, 3])
         assert excinfo.value.ordinal == 1
+
+    def test_without_a_grid_only_the_type_is_checked(self):
+        rec = records_of([(7, 3, 2**40, 9), (0, 0, 0, 2**62)])
+        assert checked_records(rec) is rec
 
     def test_valid_streams_pass_unchanged(self):
         rec = records_of([(0, 1, 4, 2), (1, 1, 0, 0)])
@@ -415,6 +483,24 @@ class TestRecordEncoder:
         path = tmp_path / "records.csv"
         write_records(path, Records(*cols))
         assert path.read_bytes() == ("t,mode,k,i\n" + _percent_d(cols)).encode()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(*[_field] * 4), max_size=30),
+        st.integers(-35, 35) | st.none(),
+        st.integers(-35, 35) | st.none(),
+        st.sampled_from([None, 1, 2, 3, -1, -2]),
+    )
+    def test_any_slice_of_valid_records_writes(self, rows, start, stop, step):
+        rec = Records(*np.array(rows, dtype=np.int64).reshape(-1, 4).T)
+        part = rec[start:stop:step]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "records.csv"
+            write_records(path, part)
+            text = path.read_text()
+        assert text == "t,mode,k,i\n" + "".join(
+            "%d,%d,%d,%d\n" % row for row in rows[start:stop:step]
+        )
 
     def test_empty_stream_writes_the_header(self, tmp_path):
         path = tmp_path / "records.csv"

@@ -338,10 +338,8 @@ class TestEstimateObservable:
             np.arange(T), np.zeros(T, dtype=int),
             rng.integers(0, small_table.N, T), rng.integers(0, small_table.M, T),
         ]))
-        rep = estimate_observable(records, small_table, X, variant=variant, keep_values=True)
+        rep = estimate_observable(records, small_table, X, variant=variant)
         values = snapshot_values(small_table, X)[records.i, records.k]
-        assert np.array_equal(rep.values, values)
-        assert estimate_observable(records, small_table, X, variant=variant).values is None
         batches = int(variant.partition(":")[2] or sh.DEFAULT_BATCHES)
         B = 1 if variant == "plain-mean" else min(T, batches)
         mean = np.median([np.mean(batch) for batch in np.array_split(values, B)])
