@@ -37,7 +37,6 @@ from .povm import (
 )
 from .shadow import (
     EstimateReport,
-    FrameOperator,
     InverseFrame,
     SnapshotTable,
     bernstein_samples,

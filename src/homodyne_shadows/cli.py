@@ -571,9 +571,8 @@ def _cmd_variance_scan(args):
         )
         povm = povm_mod.build_povm(povm_mod.PhaseGrid(N), scheme, n_max)
         ic = povm_mod.is_informationally_complete(povm, rtol=args.rtol)
-        frame = shadow_mod.frame_operator(povm)
         mode = shadow_mod.MODE_STRICT if ic.complete else shadow_mod.MODE_PSEUDO
-        inv = shadow_mod.invert_frame(frame, mode=mode, threshold=args.threshold)
+        inv = shadow_mod.invert_frame(ic, mode=mode, threshold=args.threshold)
         table = shadow_mod.snapshots(povm, inv)
         rho = states_mod.coherent(alpha, n_max)
         X = states_mod.number_operator(n_max)

@@ -306,6 +306,41 @@ class PovmSet:
                     "elements of bin %d exceed identity/N by %g" % (i, lam[-1] - 1.0 / N)
                 )
 
+    def _difference(self, other):
+        """The first defining part in which POVM ``other`` differs from this one, or None."""
+        if other is self:
+            return None
+        b, c = self.binning, other.binning
+        for part, x, y in (
+            ("cutoffs", self.n_max, other.n_max),
+            ("phase grids", self.grid.N, other.grid.N),
+            ("bin edges", b.edges, c.edges),
+            ("tail modes", b.tail_mode, c.tail_mode),
+            ("bin weights", b.weights, c.weights),
+            ("overlaps G", self.G, other.G),
+        ):
+            if not np.array_equal(x, y):
+                return part
+        return None
+
+    def __eq__(self, other):
+        """The same POVM: the same cutoff, phase grid, binning (edges, tail mode, weights) and G."""
+        if not isinstance(other, PovmSet):
+            return NotImplemented
+        return self._difference(other) is None
+
+    __hash__ = None
+
+    def _require(self, other, what):
+        """Raise ``ValueError`` unless ``other == self``; ``what`` names what ``other`` built."""
+        part = self._difference(other)
+        if part is not None:
+            raise ValueError(
+                "%s comes from another POVM than %r: their %s differ (cutoff, phase grid, "
+                "binning (edges, tail mode, weights) and overlaps G must all match)"
+                % (what, self, part)
+            )
+
     def __repr__(self):
         return "PovmSet(n_max=%d, N=%d, M=%d, tail_mode=%r)" % (
             self.n_max,
@@ -478,31 +513,34 @@ def _rank(povm, s, rtol):
     return int(np.count_nonzero(s > rtol * s[0] * max(povm.dim**2, povm.n_outcomes)))
 
 
-def _conditioning(povm, s):
-    """Frame (lambda_min, condition number) from the descending s of E diag(w)^(-1/2).
-
-    Below rank (n_max+1)^2 at ``DEFAULT_RANK_RTOL`` the frame is singular
-    and its smallest s are roundoff, so lambda_min reads 0 and the
-    condition number infinity; otherwise lambda_min = s_min^2.
-    """
-    if _rank(povm, s, DEFAULT_RANK_RTOL) < povm.dim**2:
-        return 0.0, math.inf
-    lam_min = float(s[-1]) ** 2
-    return lam_min, float(s[0]) ** 2 / lam_min
-
-
 class ICReport:
-    """Verdict and diagnostics of an informational-completeness check."""
+    """Completeness verdict of ``povm``, which is also its weighted frame operator C.
 
-    def __init__(
-        self, complete, rank, required, singular_values, lambda_min, condition_number=math.inf
-    ):
-        self.complete = bool(complete)
-        self.rank = int(rank)
-        self.required = int(required)
-        self.singular_values = singular_values
-        self.lambda_min = float(lambda_min)
-        self.condition_number = float(condition_number)
+    ``complete`` (the truth value) says whether ``rank``, counted at the
+    check's rtol, reaches ``required`` = (n_max+1)^2; ``singular_values``
+    are those of E diag(w)^(-1/2), descending.  ``pairs`` is the POVM's
+    read-only (vec_index, U, s, Wt) per mirror pair, one row of vec_index
+    per class, each with the block (U s^2) U^T of C; ``eigenvalues`` is C's
+    ascending spectrum, s^2 per class and a zero for each row a class has
+    beyond M.  ``lambda_min`` = s_min^2 and the condition number read 0 and
+    infinity below rank (n_max+1)^2 at ``DEFAULT_RANK_RTOL``, where the
+    smallest s are roundoff.
+    """
+
+    def __init__(self, povm, rtol=DEFAULT_RANK_RTOL):
+        self.povm = povm
+        self.pairs = povm._svd
+        s = _singular_values(povm, ((idx, s) for idx, _, s, _ in self.pairs))
+        self.singular_values = s
+        self.required = povm.dim**2
+        self.rank = _rank(povm, s, rtol)
+        self.complete = self.rank == self.required
+        self.eigenvalues = np.concatenate([np.zeros(self.required - s.size), s[::-1] ** 2])
+        if _rank(povm, s, DEFAULT_RANK_RTOL) < self.required:
+            self.lambda_min, self.condition_number = 0.0, math.inf
+        else:
+            self.lambda_min = float(s[-1]) ** 2
+            self.condition_number = float(s[0]) ** 2 / self.lambda_min
 
     def __bool__(self):
         return self.complete
@@ -521,15 +559,11 @@ def is_informationally_complete(povm, rtol=DEFAULT_RANK_RTOL):
 
     Returns an :class:`ICReport` (truthy iff complete) carrying the rank,
     the required dimension (n_max+1)^2, the singular values s of
-    E diag(w)^(-1/2) (positive weights keep E's rank), and the frame's
-    lambda_min = s_min^2 and condition number, which read 0 and infinity
-    when the rank at ``DEFAULT_RANK_RTOL`` is below (n_max+1)^2.  All come
-    from the POVM's one SVD per mirror pair (``PovmSet._svd``).
+    E diag(w)^(-1/2) (positive weights keep E's rank) and the frame
+    operator they give.  All come from the POVM's one SVD per mirror pair
+    (``PovmSet._svd``).
     """
-    s = _singular_values(povm, ((idx, s) for idx, _, s, _ in povm._svd))
-    rank = _rank(povm, s, rtol)
-    required = povm.dim * povm.dim
-    return ICReport(rank == required, rank, required, s, *_conditioning(povm, s))
+    return ICReport(povm, rtol)
 
 
 def sufficient_condition(N, M, n_max):

@@ -29,11 +29,10 @@ import warnings
 import numpy as np
 
 from .errors import StrictModeSingularError
-from .povm import _adjoint, _conditioning, _outcome_matrix, _pairing, _singular_values
+from .povm import _adjoint, _outcome_matrix, _pairing, is_informationally_complete
 from .states import expectation
 
 __all__ = [
-    "FrameOperator",
     "InverseFrame",
     "SnapshotTable",
     "EstimateReport",
@@ -60,47 +59,11 @@ DEFAULT_THRESHOLD = 1e-12
 DEFAULT_BATCHES = 10
 
 
-class FrameOperator:
-    """Weighted frame operator of a POVM set, held as the POVM's SVD.
-
-    ``pairs`` holds the read-only (vec_index, U, s, Wt) per mirror pair of
-    classes, one row of vec_index per class: each class has the block
-    C[vec_index, vec_index] = (U s^2) U^T, and C is zero outside the blocks.
-    ``eigenvalues`` is the ascending spectrum: s^2 per class, and a zero for
-    each row a class has beyond M.  ``lambda_min`` and ``condition_number``
-    are those of :func:`~homodyne_shadows.povm.is_informationally_complete`:
-    0 and infinity for a POVM of rank below (n_max+1)^2, whose smallest
-    eigenvalues are roundoff.
-    """
-
-    def __init__(self, povm):
-        self.povm = povm
-        self.pairs = povm._svd
-        s = _singular_values(povm, ((idx, s) for idx, _, s, _ in self.pairs))
-        self.eigenvalues = np.concatenate([np.zeros(povm.dim**2 - s.size), s[::-1] ** 2])
-        self.lambda_min, self.condition_number = _conditioning(povm, s)
-
-    @property
-    def dim(self):
-        """Size (n_max+1)^2 of the operator."""
-        return self.eigenvalues.size
-
-    @property
-    def lambda_max(self):
-        return float(self.eigenvalues[-1])
-
-    def __repr__(self):
-        return "FrameOperator(dim=%d, lambda_min=%.3e, cond=%.3e)" % (
-            self.dim,
-            self.lambda_min,
-            self.condition_number,
-        )
-
-
 class InverseFrame:
     """Strict inverse or Moore-Penrose pseudoinverse of a frame operator.
 
-    Held as the frame, mode and threshold: a class block's inverse is
+    Held as the frame (an :class:`~homodyne_shadows.povm.ICReport`), mode
+    and threshold: a class block's inverse is
     (U_k / s_k^2) U_k^T over the k with s_k^2 > threshold (all in strict
     mode), which :func:`snapshots` applies without forming it.
     """
@@ -117,16 +80,21 @@ class InverseFrame:
 class SnapshotTable:
     """Snapshot matrices rho_hat_{i,k} = S_i exp(1j*(m-n)*theta_k)/N, indexed like the POVM.
 
-    ``S`` is the real (M, d, d) array of snapshot factors and ``grid`` the
-    phase grid; ``snapshot(i, k)`` builds one matrix on request.
+    ``S`` is the real (M, d, d) array of snapshot factors and ``povm`` the
+    POVM whose inverse frame made them; ``snapshot(i, k)`` builds one
+    matrix on request.
     """
 
-    def __init__(self, S, grid, mode, threshold):
+    def __init__(self, S, povm, mode, threshold):
         self.S = S
         self.S.setflags(write=False)
-        self.grid = grid
+        self.povm = povm
         self.mode = mode
         self.threshold = float(threshold)
+
+    @property
+    def grid(self):
+        return self.povm.grid
 
     @property
     def M(self):
@@ -215,7 +183,7 @@ class EstimateReport:
 
 
 def frame_operator(povm):
-    """The weighted frame operator and its eigendecomposition.
+    """The weighted frame operator and its eigendecomposition: the POVM's IC report.
 
     The matrix is sum_{i,k} vec(Pi_{i,k}) vec(Pi_{i,k})^dagger / w_i.  The
     sum over the uniform phase grid leaves one real block
@@ -225,7 +193,7 @@ def frame_operator(povm):
     eigenvalues s^2 and eigenvectors U without forming it.  Doubling all
     weights halves the operator (it is linear in 1/w_i).
     """
-    return FrameOperator(povm)
+    return is_informationally_complete(povm)
 
 
 def invert_frame(frame, mode=MODE_STRICT, threshold=DEFAULT_THRESHOLD):
@@ -260,20 +228,11 @@ def snapshots(povm, inv):
     matrices S_i once per bin, with rho_hat_{i,k} = S_i exp(1j*(m-n)*theta_k)/N.
     A mirror pair's columns are computed once and written to both classes.  S_i is symmetrized
     ((S + S^T)/2) to scrub roundoff, which makes every snapshot exactly
-    Hermitian.  The inverse frame must come from a POVM with the same
-    cutoff, phase grid and binning (edges, tail mode and weights); any
-    other inverse would silently bias every snapshot.
+    Hermitian.  The inverse frame must come from this POVM
+    (``PovmSet.__eq__``): any other inverse would silently bias every
+    snapshot, so it raises ``ValueError``.
     """
-    source = inv.frame.povm
-    if not (
-        source.n_max == povm.n_max
-        and source.grid == povm.grid
-        and source.binning == povm.binning
-    ):
-        raise ValueError(
-            "inverse frame belongs to %r, not to %r: cutoff, phase grid and "
-            "binning (edges, tail mode, weights) must all match" % (source, povm)
-        )
+    povm._require(inv.frame.povm, "inverse frame")
     d = povm.dim
     M = povm.binning.M
     scale = np.sqrt(povm.grid.N / povm.binning.weights)
@@ -283,7 +242,7 @@ def snapshots(povm, inv):
         S[:, idx] = ((U[:, keep] / s[keep]) @ (Wt[keep] * scale)).T[:, None, :]
     S = S.reshape(M, d, d)  # row-major reshape of vec(S_i) gives S_i^T
     S = 0.5 * (S + S.transpose(0, 2, 1))  # symmetric, so the order is moot
-    return SnapshotTable(S, povm.grid, inv.mode, inv.threshold)
+    return SnapshotTable(S, povm, inv.mode, inv.threshold)
 
 
 def snapshot_values(table, X):
@@ -438,8 +397,9 @@ def exact_variance(rho, X, table, povm):
     force over all M*N outcomes.  A pseudo-mode table is accepted with a
     warning: its estimator is generally biased, so the value is the exact
     second-moment spread around the *true* expectation, not around the
-    estimator's own limit.
+    estimator's own limit.  ``povm`` must be the table's POVM.
     """
+    povm._require(table.povm, "snapshot table")
     if table.mode != MODE_STRICT:
         warnings.warn(
             "exact_variance on a pseudo-mode snapshot table: the estimator "
@@ -457,8 +417,10 @@ def shadow_norm(X, table, povm):
 
     For every density matrix rho, exact_variance(rho, X) <= shadow_norm(X):
     the variance's first term is the expectation of the operator built here,
-    which its top eigenvalue bounds uniformly over states.
+    which its top eigenvalue bounds uniformly over states.  ``povm`` must
+    be the table's POVM: with another one, the value bounds nothing.
     """
+    povm._require(table.povm, "snapshot table")
     vals = snapshot_values(table, X)
     Xt = _adjoint(vals**2, povm.G, povm.grid)
     Xt = 0.5 * (Xt + Xt.conj().T)

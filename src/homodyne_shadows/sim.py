@@ -599,12 +599,6 @@ def sample_multi(dist, T, seed):
     return Records(np.repeat(np.arange(T), S), np.tile(np.arange(S), T), k.ravel(), i.ravel())
 
 
-def _strict_table(povm):
-    frame = shadow_mod.frame_operator(povm)
-    inv = shadow_mod.invert_frame(frame, mode=shadow_mod.MODE_STRICT)
-    return shadow_mod.snapshots(povm, inv)
-
-
 def estimate_local(records, config, tables, observables, variant="plain-mean"):
     """Estimate a tensor-product local observable from multi-mode records.
 
@@ -612,7 +606,8 @@ def estimate_local(records, config, tables, observables, variant="plain-mean"):
     measured modes V; every other mode carries the identity.  The per-shot
     value is the product over V of the per-mode snapshot values, so V = {}
     makes every shot contribute exactly 1.  ``tables`` maps mode index ->
-    strict-mode SnapshotTable (only modes in V are required).  The report's
+    strict-mode SnapshotTable of that mode's POVM (only modes in V are
+    required); a table of another POVM raises ``ValueError``.  The report's
     ``inversion`` is ``"strict"`` and its ``threshold`` the tables' common
     eigenvalue threshold, or a {mode: threshold} map when they differ; both
     are ``None`` for V = {}.
@@ -636,11 +631,7 @@ def estimate_local(records, config, tables, observables, variant="plain-mean"):
                 "mode %d snapshot table is %r; local estimation requires "
                 "strict-mode tables" % (j, table.mode)
             )
-        if (table.M, table.N) != (Ms[j], Ns[j]):
-            raise ValueError(
-                "mode %d snapshot table has a %d x %d outcome grid, the mode a %d x %d one"
-                % (j, table.M, table.N, Ms[j], Ns[j])
-            )
+        config.povms[j]._require(table.povm, "mode %d snapshot table" % j)
         lookup[j, :Ms[j], :Ns[j]] = snapshot_values(table, observables[j])
     rec, order = _checked(records, Ms, Ns)
     # Group rows into shots by sorting on (t, mode); shots run in ascending t
@@ -699,7 +690,8 @@ def multi_shadow_norm(config, observables, tables=None):
                 raise ValueError("no snapshot table supplied for mode %d" % j)
             table = tables[j]
         else:
-            table = _strict_table(povm)
+            inv = shadow_mod.invert_frame(shadow_mod.frame_operator(povm))
+            table = shadow_mod.snapshots(povm, inv)
         out *= shadow_mod.shadow_norm(observables[j], table, povm)
     return float(out)
 
@@ -845,8 +837,8 @@ def ingest_records(path):
     """
     checks = [_index_problem] * 4
     data = _load_table(path, RECORD_HEADER, _RECORD_DTYPE, checks)
-    try:
-        return Records(*(np.ascontiguousarray(data[name]) for name in RECORD_HEADER))
+    try:  # views of the parsed array: copies would double the call's peak memory
+        return Records(*(data[name] for name in RECORD_HEADER))
     except MalformedRecordError as exc:  # a negative field
         _raise_first_bad_row(path, RECORD_HEADER, checks, exc)
 

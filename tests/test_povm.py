@@ -11,7 +11,8 @@ from scipy import special
 
 from homodyne_shadows import povm as pv
 from homodyne_shadows.errors import BinDesignError, CacheKeyMismatchError
-from homodyne_shadows.shadow import frame_operator, invert_frame
+from homodyne_shadows.shadow import frame_operator, invert_frame, shadow_norm, snapshots
+from homodyne_shadows.states import number_operator
 from homodyne_shadows.povm import (
     BinningScheme,
     PhaseGrid,
@@ -137,6 +138,56 @@ class TestBuildPovm:
     def test_cutoff_envelope(self):
         with pytest.raises(ValueError):
             build_povm(PhaseGrid(2), BinningScheme.equal_spaced(2, 1.0), 65)
+
+
+class TestPovmIdentity:
+    """``PovmSet.__eq__``: the same cutoff, phase grid, binning and overlaps G."""
+
+    @pytest.fixture(scope="class")
+    def povm(self):
+        return build_povm(PhaseGrid(7), design_bins(3, 7, 5), 3)
+
+    def test_rebuild_from_same_parameters_is_equal(self, povm):
+        b = povm.binning
+        again = build_povm(PhaseGrid(7), BinningScheme(b.edges, b.tail_mode, b.weights), 3)
+        assert again is not povm and again == povm
+        assert pv.PovmSet(povm.grid, b, 3, povm.G.copy()) == povm
+        assert povm != "povm"
+
+    def _other(self, povm, part):
+        if part == "bin weights":
+            # Same edges and tail mode, so the same G and the same cache key.
+            b = povm.binning
+            doubled = BinningScheme(b.edges, b.tail_mode, 2.0 * b.weights)
+            other = build_povm(povm.grid, doubled, povm.n_max)
+            assert other.cache_key == povm.cache_key
+            return other
+        G = povm.G.copy()
+        G[0] *= 0.5
+        return pv.PovmSet(povm.grid, povm.binning, povm.n_max, G)
+
+    @pytest.mark.parametrize("part", ["bin weights", "overlaps G"])
+    def test_pairs_that_differ_in_one_part(self, povm, part):
+        other = self._other(povm, part)
+        assert other != povm and povm != other
+        inv = invert_frame(frame_operator(povm))
+        with pytest.raises(ValueError, match="^inverse frame .* their %s differ" % part):
+            snapshots(other, inv)
+        table = snapshots(povm, inv)
+        with pytest.raises(ValueError, match="^snapshot table .* their %s differ" % part):
+            shadow_norm(number_operator(3), table, other)
+
+    def test_frame_operator_is_the_ic_report(self, povm):
+        frame = frame_operator(povm)
+        assert isinstance(frame, pv.ICReport) and frame.povm is povm
+        assert frame.pairs is povm._svd
+        report = is_informationally_complete(povm)
+        for name in ("singular_values", "eigenvalues"):
+            assert np.array_equal(getattr(frame, name), getattr(report, name))
+        s = report.singular_values
+        assert np.array_equal(report.eigenvalues, np.sort(s**2))
+        assert report.lambda_min == s[-1] ** 2
+        assert report.condition_number == s[0] ** 2 / s[-1] ** 2
 
 
 class TestMeasurementMatrix:

@@ -65,7 +65,7 @@ class TestFrameOperator:
             for i in range(2)
             for k in range(2)
         )
-        assert frame.dim == 1
+        assert frame.required == 1
         assert next(frame_blocks(frame))[1][0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_doubling_weights_halves_operator(self, small_povm):
@@ -85,10 +85,9 @@ class TestFrameOperator:
             assert np.array_equal(C, C.T)
             assert np.all(lam >= 0)
         assert frame.lambda_min > 0
-        assert frame.lambda_max >= frame.lambda_min
-        assert frame.condition_number == pytest.approx(
-            frame.lambda_max / frame.lambda_min
-        )
+        lambda_max = frame.singular_values[0] ** 2
+        assert lambda_max >= frame.lambda_min
+        assert frame.condition_number == pytest.approx(lambda_max / frame.lambda_min)
 
     def test_degenerate_frame_has_null_direction(self, degenerate_povm):
         frame = frame_operator(degenerate_povm)
@@ -206,12 +205,39 @@ class TestSnapshots:
             snapshots(other, inv)
 
 
+class TestTableOfAnotherPovm:
+    """A table read with another POVM than its own raises instead of returning a wrong number."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        # The same (n_max, N, M) = (3, 7, 5); only the half-width differs.
+        p1, p2 = (
+            build_povm(PhaseGrid(7), BinningScheme.equal_spaced(5, L), 3) for L in (3.0, 4.5)
+        )
+        return p1, p2, snapshots(p1, invert_frame(frame_operator(p1))), number_operator(3)
+
+    def test_shadow_norm(self, setup):
+        # The (3.0) table read with the (4.5) POVM once gave 5.23, not 17.2.
+        p1, p2, t1, X = setup
+        with pytest.raises(ValueError, match="^snapshot table .* their bin edges differ"):
+            shadow_norm(X, t1, p2)
+        assert shadow_norm(X, t1, p1) > 0
+
+    def test_exact_variance(self, setup):
+        # Once 0.606, not 4.84, at coherent alpha = 1.
+        p1, p2, t1, X = setup
+        rho = random_density(3, np.random.default_rng(3))
+        with pytest.raises(ValueError, match="^snapshot table .* their bin edges differ"):
+            exact_variance(rho, X, t1, p2)
+        assert exact_variance(rho, X, t1, p1) <= shadow_norm(X, t1, p1)
+
+
 class TestPseudoMode:
     def test_pseudo_average_is_range_projection(self, degenerate_povm):
         frame = frame_operator(degenerate_povm)
         inv = invert_frame(frame, mode=sh.MODE_PSEUDO)
         table = snapshots(degenerate_povm, inv)
-        proj = np.zeros((frame.dim, frame.dim))
+        proj = np.zeros((frame.required, frame.required))
         for idx, _, lam, U in frame_blocks(frame):
             keep = lam > inv.threshold
             proj[np.ix_(idx, idx)] = U[:, keep] @ U[:, keep].T
@@ -229,7 +255,7 @@ class TestPseudoMode:
         # The thin SVD lists s descending, so a block's last U column is its
         # weakest direction.
         idx, _, lam, U = min(frame_blocks(frame), key=lambda b: b[2][-1])
-        null_vec = np.zeros(frame.dim)
+        null_vec = np.zeros(frame.required)
         null_vec[idx] = U[:, -1]
         assert frame.eigenvalues[0] < 1e-14
         A = devectorize(null_vec, 2)

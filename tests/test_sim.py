@@ -505,8 +505,25 @@ class TestEstimateLocalEdgeCases:
 
     def test_table_of_another_grid_rejected(self, mixed_setup):
         cfg, tables, observables, recs = mixed_setup
-        with pytest.raises(ValueError, match="mode 0 snapshot table has a 4 x 5 outcome grid"):
+        with pytest.raises(ValueError, match="^mode 0 snapshot table comes from another POVM"):
             estimate_local(recs, cfg, {0: tables[1]}, {0: number_operator(2)})
+
+    def test_table_of_another_povm_on_the_same_grid_rejected(self):
+        # Both POVMs have (n_max, N, M) = (3, 7, 5); only the half-width
+        # differs.  The (3.0) table on (4.5) records of coherent alpha = 1
+        # once read <n> = 0.135 against the true 0.9375.
+        p1, p2 = (
+            build_povm(PhaseGrid(7), BinningScheme.equal_spaced(5, L), 3) for L in (3.0, 4.5)
+        )
+        t1, t2 = (snapshots(p, invert_frame(frame_operator(p))) for p in (p1, p2))
+        cfg = MultiModeConfig([p2])
+        recs = sample_multi(joint_distribution([fock(1, 3)], cfg), 2000, seed=5)
+        X = {0: number_operator(3)}
+        with pytest.raises(ValueError, match="^mode 0 snapshot table .* their bin edges differ"):
+            estimate_local(recs, cfg, {0: t1}, X)
+        with pytest.raises(ValueError, match="^snapshot table .* their bin edges differ"):
+            multi_shadow_norm(cfg, X, tables={0: t1})
+        assert estimate_local(recs, cfg, {0: t2}, X).shots == 2000
 
     def test_empty_stream(self, mixed_setup):
         cfg, tables, observables, recs = mixed_setup
