@@ -29,6 +29,7 @@ from .povm import (
     build_povm,
     design_bins,
     is_informationally_complete,
+    load_parameters,
     load_povm,
     necessary_condition,
     normalization_residual,

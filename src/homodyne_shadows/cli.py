@@ -19,10 +19,12 @@ variance-scan
     state, using the strict inverse where complete and the pseudoinverse
     elsewhere (flagged per row).
 
-check-ic, simulate and estimate accept ``--povm-cache PATH``: a JSON file of
-the POVM's parameters (the fields of a ``design-bins`` scheme file plus the
-cache key), so it also serves as ``--scheme``.  An existing file is loaded,
-the POVM rebuilt from it and compared with whatever POVM the other flags
+check-ic, simulate and estimate take the POVM from flags, from ``--scheme
+PATH`` or from ``--povm-cache PATH``.  Scheme and cache files are the same
+JSON parameter file, written by ``povm.save_povm`` and read by
+``povm.load_parameters``; a scheme fixes the binning, so binning flags
+given with it are a usage error.  An existing cache file is loaded, the
+POVM rebuilt from it and compared with whatever POVM the other flags
 describe; otherwise the built POVM's parameters are written there.
 
 Exit codes: 0 success, 2 bin-design exhaustion, 3 negative completeness
@@ -56,8 +58,6 @@ EXIT_DESIGN_FAILED = 2
 EXIT_INCOMPLETE = 3
 EXIT_USAGE = 64
 EXIT_DATA = 65
-
-SCHEME_VERSION = 1
 
 
 class UsageError(Exception):
@@ -108,7 +108,7 @@ def _add_binning_flags(sub):
     sub.add_argument(
         "--tail-mode",
         choices=[povm_mod.TAIL_EXTEND, povm_mod.TAIL_STRICT],
-        default=povm_mod.TAIL_EXTEND,
+        default=None,
         help="edge-bin tail policy (default: extend-tails)",
     )
     sub.add_argument(
@@ -274,39 +274,6 @@ def _config_flags(table, argv):
     return tokens
 
 
-def _write_scheme(path_or_none, scheme, meta):
-    doc = {
-        "version": SCHEME_VERSION,
-        "M": scheme.M,
-        "edges": [float(e) for e in scheme.edges],
-        "weights": [float(w) for w in scheme.weights],
-        "tail_mode": scheme.tail_mode,
-    }
-    doc.update(meta)
-    text = json.dumps(doc, indent=2)
-    if path_or_none:
-        with open(path_or_none, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-
-
-def _load_scheme(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    try:
-        scheme = povm_mod.BinningScheme(
-            np.array(doc["edges"], dtype=float),
-            tail_mode=doc.get("tail_mode", povm_mod.TAIL_EXTEND),
-            weights=np.array(doc["weights"], dtype=float) if "weights" in doc else None,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvariantViolationError(
-            "cannot parse binning scheme %s: %s" % (path, exc), check="parse"
-        ) from exc
-    return scheme, doc
-
-
 def _parse_edges(text):
     try:
         edges = [float(tok) for tok in text.split(",")]
@@ -317,16 +284,25 @@ def _parse_edges(text):
     return np.array(edges)
 
 
+# The flags that describe a binning, which a --scheme file fixes.
+_BINNING_FLAGS = ("--bins", "--edges", "--half-width", "--tail-mode")
+
+
 def _resolve_povm(args):
     """Build (or load from cache) the POVM described by the common flags.
 
-    An existing ``--povm-cache`` file is loaded.  When the other flags
-    describe a POVM too, the cache must hold exactly that one: the same
-    cutoff, phase count and binning (edges, tail mode and weights); when
-    they describe only part of one, each ``--nmax``/``--phases``/``--bins``
-    given must match it.  A mismatch raises :class:`CacheKeyMismatchError`.
+    A binning flag given with ``--scheme`` raises :class:`UsageError`
+    before any file is read.  An existing ``--povm-cache`` file is loaded.
+    When the other flags describe a POVM too, the cache must hold exactly
+    that one: the same cutoff, phase count and binning (edges and tail
+    mode); when they describe only part of one, each
+    ``--nmax``/``--phases``/``--bins``/``--tail-mode`` given must match it.
+    A mismatch raises :class:`CacheKeyMismatchError`.
     """
-    cache = getattr(args, "povm_cache", None)
+    given = [f for f in _BINNING_FLAGS if getattr(args, f[2:].replace("-", "_")) is not None]
+    if args.scheme and given:
+        raise UsageError("--scheme fixes the binning; drop %s" % ", ".join(given))
+    cache = args.povm_cache
     if not (cache and os.path.exists(cache)):
         n_max, N, scheme = _requested_povm(args)
         built = povm_mod.build_povm(povm_mod.PhaseGrid(N), scheme, n_max)
@@ -338,47 +314,41 @@ def _resolve_povm(args):
         wanted = _requested_povm(args)
         held = (povm.n_max, povm.grid.N, povm.binning)
     except UsageError:  # the flags describe no POVM, or only part of one
-        wanted = (args.nmax, args.phases, args.bins)
-        held = (povm.n_max, povm.grid.N, povm.binning.M)
+        wanted = (args.nmax, args.phases, args.bins, args.tail_mode)
+        held = (povm.n_max, povm.grid.N, povm.binning.M, povm.binning.tail_mode)
     if any(w is not None and w != h for w, h in zip(wanted, held)):
         raise CacheKeyMismatchError(
             "cache %s holds %r, but the flags describe another POVM: cutoff, phase "
-            "count and binning (edges, tail mode, weights) must all match" % (cache, povm)
+            "count and binning (edges, tail mode) must all match" % (cache, povm)
         )
     return povm
 
 
 def _requested_povm(args):
-    """(n_max, N, scheme) described by the flags; UsageError when incomplete."""
-    if getattr(args, "scheme", None):
-        scheme, doc = _load_scheme(args.scheme)
-        n_max = args.nmax if args.nmax is not None else doc.get("n_max")
-        N = args.phases if args.phases is not None else doc.get("N")
-        if n_max is None or N is None:
-            raise UsageError(
-                "scheme %s does not record n_max/N; pass --nmax/--phases" % args.scheme
-            )
+    """(n_max, N, scheme) described by the flags; UsageError when incomplete.
+
+    ``--nmax`` and ``--phases`` override a scheme file's cutoff and phase count.
+    """
+    if args.scheme:
+        n_max, N, scheme = povm_mod.load_parameters(args.scheme)
+        n_max = n_max if args.nmax is None else args.nmax
+        N = N if args.phases is None else args.phases
+        return n_max, N, scheme
+    if args.nmax is None or args.phases is None:
+        raise UsageError("need --nmax and --phases (or --scheme/--povm-cache)")
+    tail_mode = args.tail_mode or povm_mod.TAIL_EXTEND
+    if args.edges:
+        scheme = povm_mod.BinningScheme(_parse_edges(args.edges), tail_mode=tail_mode)
     else:
-        n_max = args.nmax
-        N = args.phases
-        if n_max is None or N is None:
-            raise UsageError("need --nmax and --phases (or --scheme/--povm-cache)")
-        if getattr(args, "edges", None):
-            scheme = povm_mod.BinningScheme(
-                _parse_edges(args.edges), tail_mode=args.tail_mode
-            )
-        else:
-            if args.bins is None:
-                raise UsageError("need --bins (or --edges/--scheme/--povm-cache)")
-            half = (
-                args.half_width
-                if args.half_width is not None
-                else povm_mod.default_half_width(n_max)
-            )
-            scheme = povm_mod.BinningScheme.equal_spaced(
-                args.bins, half, tail_mode=args.tail_mode
-            )
-    return int(n_max), int(N), scheme
+        if args.bins is None:
+            raise UsageError("need --bins (or --edges/--scheme/--povm-cache)")
+        half = (
+            args.half_width
+            if args.half_width is not None
+            else povm_mod.default_half_width(args.nmax)
+        )
+        scheme = povm_mod.BinningScheme.equal_spaced(args.bins, half, tail_mode=tail_mode)
+    return args.nmax, args.phases, scheme
 
 
 def _parse_state_spec(spec, n_max):
@@ -427,16 +397,12 @@ def _cmd_design_bins(args):
         return EXIT_DESIGN_FAILED
     built = povm_mod.build_povm(povm_mod.PhaseGrid(args.phases), scheme, args.nmax)
     report = povm_mod.is_informationally_complete(built)
-    _write_scheme(
-        args.out,
-        scheme,
-        {
-            "n_max": args.nmax,
-            "N": args.phases,
-            "rank": report.rank,
-            "required": report.required,
-            "half_width": float(-scheme.edges[0]),
-        },
+    povm_mod.save_povm(
+        built,
+        args.out or sys.stdout,
+        rank=report.rank,
+        required=report.required,
+        half_width=float(-scheme.edges[0]),
     )
     print(
         "design-bins: complete scheme with rank %d/%d over [%.6g, %.6g]"

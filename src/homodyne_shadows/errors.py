@@ -55,8 +55,10 @@ class InvariantViolationError(HomodyneShadowsError):
 
 
 class CacheKeyMismatchError(HomodyneShadowsError):
-    """A POVM cache file is malformed, fails its content hash, or holds another POVM.
+    """A POVM parameter file is malformed, its fields disagree, or it holds another POVM.
 
+    Scheme and cache files are both parameter files.  Fields disagree when,
+    for example, the stored content hash or ``M`` does not match the edges.
     "Another POVM" is one whose cutoff, phase count or binning differs from
     the one the command-line flags describe.
     """

@@ -24,7 +24,7 @@ goes through one pairing of a matrix with all outcomes and its adjoint
 (``_pairing``, ``_adjoint``); a single element matrix is built only on
 request.  It also designs bin edges that achieve completeness and saves a
 POVM as a versioned JSON file of its defining parameters (cutoff, phase
-count, bin edges, tail mode and weights), from which a load rebuilds it.
+count, bin edges and tail mode), from which a load rebuilds it.
 """
 
 import functools
@@ -55,6 +55,7 @@ __all__ = [
     "vectorize",
     "devectorize",
     "save_povm",
+    "load_parameters",
     "load_povm",
     "povm_cache_key",
 ]
@@ -103,7 +104,7 @@ class PhaseGrid:
 
 
 class BinningScheme:
-    """Quadrature bins: edges x_1 < ... < x_{M+1}, tail policy, and weights.
+    """Quadrature bins: edges x_1 < ... < x_{M+1} and a tail policy.
 
     Parameters
     ----------
@@ -115,12 +116,14 @@ class BinningScheme:
         absorbs (-inf, x_2) and the last [x_M, +inf), so the POVM resolves
         identity/N per phase exactly.  ``"strict-finite"``: bins are taken
         literally, leaving Gaussian tail mass unmeasured.
-    weights : array_like, optional
-        M positive estimator weights; defaults to the nominal (finite) bin
-        widths regardless of tail mode.
+
+    The estimator weights w_i of the frame are the nominal (finite) bin
+    widths, whatever the tail mode.  Other positive weights would pick
+    another dual frame, just as unbiased, but on these designs they barely
+    move the shadow norm, so the edges alone fix the estimator.
     """
 
-    def __init__(self, edges, tail_mode=TAIL_EXTEND, weights=None):
+    def __init__(self, edges, tail_mode=TAIL_EXTEND):
         edges = np.asarray(edges, dtype=float)
         if edges.ndim != 1 or edges.size < 2:
             raise ValueError("need at least two bin edges, got shape %r" % (edges.shape,))
@@ -130,21 +133,9 @@ class BinningScheme:
             raise ValueError("bin edges must be strictly increasing")
         if tail_mode not in _TAIL_MODES:
             raise ValueError("tail_mode must be one of %r, got %r" % (_TAIL_MODES, tail_mode))
-        if weights is None:
-            weights = np.diff(edges)
-        else:
-            weights = np.asarray(weights, dtype=float)
-            if weights.shape != (edges.size - 1,):
-                raise ValueError(
-                    "expected %d weights, got shape %r" % (edges.size - 1, weights.shape)
-                )
-            if not np.all(weights > 0):
-                raise ValueError("estimator weights must be strictly positive")
         self.edges = edges.copy()
         self.edges.setflags(write=False)
         self.tail_mode = tail_mode
-        self.weights = np.array(weights, dtype=float)
-        self.weights.setflags(write=False)
 
     @property
     def M(self):
@@ -153,13 +144,8 @@ class BinningScheme:
 
     @property
     def widths(self):
-        """Nominal finite bin widths x_{i+1} - x_i."""
+        """Nominal finite bin widths x_{i+1} - x_i, the estimator weights."""
         return np.diff(self.edges)
-
-    @property
-    def total_length(self):
-        """Sum of estimator weights (total nominal length)."""
-        return float(np.sum(self.weights))
 
     def integration_edges(self):
         """Edges actually used for the overlap integrals.
@@ -174,7 +160,7 @@ class BinningScheme:
         return eff
 
     @classmethod
-    def equal_spaced(cls, M, half_width, tail_mode=TAIL_EXTEND, weights=None):
+    def equal_spaced(cls, M, half_width, tail_mode=TAIL_EXTEND):
         """Equal-spaced bins covering [-L, L] with a deterministic stretch.
 
         The M+1 edges run from -L to L + c*(2L/M) with c irrational
@@ -192,7 +178,7 @@ class BinningScheme:
             raise ValueError("half_width must be positive, got %g" % L)
         hi = L + EDGE_OFFSET_FRACTION * (2.0 * L / M)
         edges = np.linspace(-L, hi, M + 1)
-        return cls(edges, tail_mode=tail_mode, weights=weights)
+        return cls(edges, tail_mode=tail_mode)
 
     def __repr__(self):
         return "BinningScheme(M=%d, range=[%g, %g], tail_mode=%r)" % (
@@ -207,7 +193,6 @@ class BinningScheme:
             isinstance(other, BinningScheme)
             and other.tail_mode == self.tail_mode
             and np.array_equal(other.edges, self.edges)
-            and np.array_equal(other.weights, self.weights)
         )
 
 
@@ -279,7 +264,11 @@ class PovmSet:
 
     @property
     def cache_key(self):
-        """Content hash identifying this POVM's defining parameters."""
+        """Content hash of the cutoff, phase count, edges and tail mode.
+
+        These fix G and the weights, so equal keys mean equal POVMs
+        (``__eq__``) unless one was built from other overlaps G.
+        """
         return povm_cache_key(
             self.n_max, self.grid.N, self.binning.edges, self.binning.tail_mode
         )
@@ -316,7 +305,6 @@ class PovmSet:
             ("phase grids", self.grid.N, other.grid.N),
             ("bin edges", b.edges, c.edges),
             ("tail modes", b.tail_mode, c.tail_mode),
-            ("bin weights", b.weights, c.weights),
             ("overlaps G", self.G, other.G),
         ):
             if not np.array_equal(x, y):
@@ -324,7 +312,7 @@ class PovmSet:
         return None
 
     def __eq__(self, other):
-        """The same POVM: the same cutoff, phase grid, binning (edges, tail mode, weights) and G."""
+        """The same POVM: the same cutoff, phase grid, binning (edges, tail mode) and G."""
         if not isinstance(other, PovmSet):
             return NotImplemented
         return self._difference(other) is None
@@ -337,7 +325,7 @@ class PovmSet:
         if part is not None:
             raise ValueError(
                 "%s comes from another POVM than %r: their %s differ (cutoff, phase grid, "
-                "binning (edges, tail mode, weights) and overlaps G must all match)"
+                "binning (edges, tail mode) and overlaps G must all match)"
                 % (what, self, part)
             )
 
@@ -402,7 +390,7 @@ def _phase_blocks(povm):
     """
     d, N = povm.dim, povm.grid.N
     # Row-major position m + n*d of G_i holds G_i[n, m], which is G_i[m, n].
-    flat = povm.G.reshape(-1, d * d) / np.sqrt(N * povm.binning.weights)[:, None]
+    flat = povm.G.reshape(-1, d * d) / np.sqrt(N * povm.binning.widths)[:, None]
     for idx in _phase_classes(d, N):
         yield idx, flat[:, idx[0]].T
 
@@ -573,7 +561,10 @@ def sufficient_condition(N, M, n_max):
     thresholds; it certifies no binning.  In particular equal-spaced bins
     are not enough near M = n_max+1 (see :func:`design_bins` for the
     working range M >= ceil(1.5*(n_max+1)) and the failures below it);
-    :func:`is_informationally_complete` certifies a concrete POVM.
+    :func:`is_informationally_complete` certifies a concrete POVM.  Nor
+    are the counts necessary: odd N with n_max < N <= 2*n_max can be
+    complete too (:func:`necessary_condition`), at N = n_max+1 in
+    extend-tails mode only from M = n_max+2 on.
     """
     return N >= 2 * n_max + 1 and M >= n_max + 1
 
@@ -585,6 +576,15 @@ def necessary_condition(N, n_max):
     N >= 2*n_max + 1, or n_max < N <= 2*n_max with N odd.  ``False`` means
     provably incomplete for every binning (explicit indistinguishable state
     pairs exist; see ``sim.indistinguishability_experiment``).
+
+    ``True`` does not bound M.  At N = n_max+1 (odd) each phase class
+    r != 0 holds n_max+1 entries, but extend-tails bins tile the whole
+    line, so the columns of its block sum to an overlap integral of two
+    orthogonal Hermite functions, zero, and the block has rank <= M-1.
+    There M = n_max+1 bins cannot be complete: ``design_bins(4, 5, 5)``
+    peaks at rank 21 of 25 and (2, 3, 3) at 7 of 9, while (4, 5, 6),
+    (2, 3, 4) and strict-finite (4, 5, 5) (condition number 7.9e11)
+    certify.
     """
     if N >= 2 * n_max + 1:
         return True
@@ -633,6 +633,9 @@ def design_bins(
     raises ``StrictModeSingularError``; and (7,15,8) has a frame condition
     number of 9.4e9, yet inverts unbiased to about 1e-12, because the
     snapshots apply the blocks' SVD and never square it.
+    At N = n_max+1 in extend-tails mode, M = n_max+1 bins cannot be
+    complete (:func:`necessary_condition` says why), so the search spends
+    all its steps and raises: best rank 21 of 25 at (4, 5, 5).
     """
     if L0 is None:
         L0 = default_half_width(n_max)
@@ -700,12 +703,13 @@ def povm_cache_key(n_max, N, edges, tail_mode):
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def save_povm(povm, path):
-    """Write the POVM's defining parameters as a versioned JSON cache.
+def save_povm(povm, path, **extra):
+    """Write the POVM's parameter file, from which :func:`load_povm` rebuilds it bit for bit.
 
-    The file holds ``n_max``, ``N``, ``M``, ``tail_mode``, ``edges``,
-    ``weights`` (the fields of a ``design-bins`` scheme file) and
-    ``cache_key``; :func:`load_povm` rebuilds the POVM from them bit for bit.
+    The JSON object holds ``version``, ``n_max``, ``N``, ``M``,
+    ``tail_mode``, ``edges`` and ``cache_key``, then the ``extra`` fields
+    (``design-bins`` adds its rank report).  ``path`` is a file name or an
+    open text stream.
     """
     doc = {
         "version": CACHE_VERSION,
@@ -714,41 +718,60 @@ def save_povm(povm, path):
         "M": povm.binning.M,
         "tail_mode": povm.binning.tail_mode,
         "edges": [float(e) for e in povm.binning.edges],
-        "weights": [float(w) for w in povm.binning.weights],
         "cache_key": povm.cache_key,
     }
+    doc.update(extra)
+    text = json.dumps(doc, indent=2) + "\n"
+    if hasattr(path, "write"):
+        path.write(text)
+        return
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(text)
 
 
-def load_povm(path):
-    """Rebuild the POVM that a cache file describes, after checking its content hash.
+def _integer(doc, field):
+    """``doc[field]`` if it is a JSON integer (not a float or a boolean)."""
+    value = doc[field]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError("%s must be an integer, got %r" % (field, value))
+    return value
 
-    Versions 1 and 2 load alike: version 1's ``elements`` list is never read.
-    A malformed file, an unknown version, or a stored ``cache_key`` that
-    disagrees with the hash recomputed from the stored parameters raises
+
+def load_parameters(path):
+    """The ``(n_max, N, binning)`` of a scheme or cache file, after checking its fields.
+
+    Both are the file :func:`save_povm` writes; versions 1 and 2 load
+    alike.  ``n_max`` and ``N`` must be integers and ``tail_mode`` a valid
+    mode.  ``M``, ``cache_key`` and ``weights`` may be missing (version-1
+    scheme files lack the key, version-1 cache files ``M``, new files the
+    weights), but each one present must agree with the edges: ``M`` =
+    len(edges) - 1, the recomputed key, and weights bit-equal to the
+    widths.  Anything else raises
     :class:`~homodyne_shadows.errors.CacheKeyMismatchError`.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     version = doc.get("version") if isinstance(doc, dict) else None
     if version not in (1, CACHE_VERSION):
-        raise CacheKeyMismatchError("unsupported cache version %r in %s" % (version, path))
+        raise CacheKeyMismatchError("unsupported file version %r in %s" % (version, path))
     try:
-        n_max = int(doc["n_max"])
-        N = int(doc["N"])
-        tail_mode = doc["tail_mode"]
-        edges = np.array(doc["edges"], dtype=float)
-        weights = np.array(doc["weights"], dtype=float)
-        stored_key = doc["cache_key"]
+        n_max, N = _integer(doc, "n_max"), _integer(doc, "N")
+        binning = BinningScheme(doc["edges"], tail_mode=doc["tail_mode"])
+        if "M" in doc and _integer(doc, "M") != binning.M:
+            raise ValueError("M is %d, but the edges give %d bins" % (doc["M"], binning.M))
+        key = povm_cache_key(n_max, N, binning.edges, binning.tail_mode)
+        if doc.get("cache_key", key) != key:
+            raise ValueError("stored cache_key %s, recomputed %s" % (doc["cache_key"], key))
+        if "weights" in doc and not np.array_equal(
+            np.array(doc["weights"], dtype=float), binning.widths
+        ):
+            raise ValueError("the weights are not the bin widths")
     except (KeyError, TypeError, ValueError) as exc:
-        raise CacheKeyMismatchError("malformed POVM cache %s: %s" % (path, exc)) from exc
-    recomputed = povm_cache_key(n_max, N, edges, tail_mode)
-    if stored_key != recomputed:
-        raise CacheKeyMismatchError(
-            "cache key mismatch in %s: stored %s, recomputed %s"
-            % (path, stored_key, recomputed)
-        )
-    return build_povm(
-        PhaseGrid(N), BinningScheme(edges, tail_mode=tail_mode, weights=weights), n_max
-    )
+        raise CacheKeyMismatchError("bad parameter file %s: %s" % (path, exc)) from exc
+    return n_max, N, binning
+
+
+def load_povm(path):
+    """Rebuild the POVM that a parameter file describes (see :func:`load_parameters`)."""
+    n_max, N, binning = load_parameters(path)
+    return build_povm(PhaseGrid(N), binning, n_max)

@@ -190,8 +190,8 @@ def frame_operator(povm):
     sum_i G_i[r] G_i[r]^T / (N w_i) = B B^T per phase class r, with the
     weighted block B of ``povm._phase_blocks``.  The POVM's thin SVD
     B = U diag(s) Wt, one per mirror pair r <-> N - r, gives each block's
-    eigenvalues s^2 and eigenvectors U without forming it.  Doubling all
-    weights halves the operator (it is linear in 1/w_i).
+    eigenvalues s^2 and eigenvectors U without forming it.  The weights
+    w_i are the bin widths.
     """
     return is_informationally_complete(povm)
 
@@ -235,7 +235,7 @@ def snapshots(povm, inv):
     povm._require(inv.frame.povm, "inverse frame")
     d = povm.dim
     M = povm.binning.M
-    scale = np.sqrt(povm.grid.N / povm.binning.weights)
+    scale = np.sqrt(povm.grid.N / povm.binning.widths)
     S = np.empty((M, d * d))  # column-stacked vec(S_i) per row
     for idx, U, s, Wt in inv.frame.pairs:
         keep = s**2 > inv.threshold

@@ -39,13 +39,6 @@ from homodyne_shadows.states import Observable
 from conftest import frame_blocks, pinv_block, pinv_blocks, random_density, random_hermitian
 
 
-def _weighted(scheme, seed):
-    rng = np.random.default_rng(seed)
-    return BinningScheme(
-        scheme.edges, tail_mode=scheme.tail_mode, weights=rng.uniform(0.2, 3.0, scheme.M)
-    )
-
-
 # name -> (scheme factory, N, n_max, expected rank)
 CONFIGS = {
     "extend": (lambda: design_bins(3, 7, 5), 7, 3, 16),
@@ -60,7 +53,8 @@ CONFIGS = {
     "degenerate": (
         lambda: BinningScheme([-4.0, 0.0, 4.0], tail_mode=pv.TAIL_STRICT), 3, 1, 3
     ),
-    "weighted": (lambda: _weighted(design_bins(2, 5, 3), 42), 5, 2, 9),
+    # Unequal edges, so the estimator weights (the widths 1.1, 1.5, 2.5) differ.
+    "weighted": (lambda: BinningScheme([-2.0, -0.9, 0.6, 3.1]), 5, 2, 9),
     # Class r = 0 has 4 rows but M = 2: zero-padded spectrum, pseudo mode.
     "tall": (lambda: BinningScheme.equal_spaced(2, 2.5), 7, 3, 8),
 }
@@ -74,7 +68,7 @@ class DenseReference:
             [vectorize(povm.element(i, k)) for k in range(N) for i in range(M)],
             axis=1,
         )
-        self.w = np.tile(povm.binning.weights, N)
+        self.w = np.tile(povm.binning.widths, N)
         self.s = np.linalg.svd(self.E / np.sqrt(self.w), compute_uv=False)
         self.rank = int(np.count_nonzero(self.s > rtol * self.s[0] * max(self.E.shape)))
         C = (self.E / self.w) @ self.E.conj().T
@@ -171,6 +165,8 @@ def test_snapshots_match_dense(case):
     assert np.max(np.abs(sh.snapshot_values(table, X) - vals)) <= 1e-9 * v_scale
     avg = np.einsum("ik,ikmn->mn", P, expected)
     assert np.max(np.abs(sh.exact_average_snapshot(P, table) - avg)) <= 1e-9 * scale
+    if complete:  # strict snapshots are unbiased, whatever the bin widths
+        assert np.max(np.abs(avg - rho.matrix)) <= 1e-8
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # pseudo-mode tables warn
         variance = sh.exact_variance(rho, X, table, p)
@@ -235,7 +231,7 @@ def _own_blocks(p, r):
     d, N = p.dim, p.grid.N
     m, n = np.indices((d, d))
     sel = (m - n) % N == r
-    B = p.G[:, m[sel], n[sel]].T / np.sqrt(N * p.binning.weights)
+    B = p.G[:, m[sel], n[sel]].T / np.sqrt(N * p.binning.widths)
     return (m + n * d)[sel], B, np.linalg.svd(B, full_matrices=False)
 
 
@@ -308,20 +304,13 @@ def test_snapshots_reject_other_phase_grid():
         sh.snapshots(b, inv)
 
 
-def _rebinned(scheme, **changes):
-    kw = dict(edges=scheme.edges, tail_mode=scheme.tail_mode, weights=scheme.weights)
-    kw.update(changes)
-    return BinningScheme(**kw)
-
-
 @pytest.mark.parametrize(
     "other",
     [
         lambda s: BinningScheme.equal_spaced(5, 4.0),
-        lambda s: _rebinned(s, weights=2.0 * s.weights),
-        lambda s: _rebinned(s, tail_mode=pv.TAIL_STRICT),
+        lambda s: BinningScheme(s.edges, tail_mode=pv.TAIL_STRICT),
     ],
-    ids=["edges", "weights", "tail-mode"],
+    ids=["edges", "tail-mode"],
 )
 def test_snapshots_reject_other_binning(other):
     # Both POVMs are complete with the same n_max and phase grid, so only the
@@ -334,7 +323,7 @@ def test_snapshots_reject_other_binning(other):
     inv = sh.invert_frame(sh.frame_operator(a))
     with pytest.raises(ValueError, match="binning"):
         sh.snapshots(b, inv)
-    same = build_povm(PhaseGrid(7), _rebinned(scheme), 3)
+    same = build_povm(PhaseGrid(7), BinningScheme(scheme.edges, scheme.tail_mode), 3)
     rho = random_density(3, np.random.default_rng(11))
     avg = sh.exact_average_snapshot(sh.outcome_probabilities(rho, same), sh.snapshots(same, inv))
     assert np.max(np.abs(avg - rho.matrix)) <= 1e-8

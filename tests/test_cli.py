@@ -559,38 +559,43 @@ class TestPovmCache:
         assert "cache" in capsys.readouterr().err
         partial = ["--nmax", "2", "--phases", "5"]
         assert run(["check-ic"] + partial + ["--povm-cache", str(cache)]) == EXIT_DATA
+        tail = ["--tail-mode", "strict-finite"]
+        assert run(["check-ic"] + tail + ["--povm-cache", str(cache)]) == EXIT_DATA
         # The same POVM, or no description at all, still loads the cache.
         assert run(["check-ic"] + small + ["--povm-cache", str(cache)]) == EXIT_OK
         assert run(["check-ic", "--povm-cache", str(cache)]) == EXIT_OK
 
     @pytest.mark.filterwarnings("ignore::UserWarning")  # coherent:1.0 truncated at n_max = 3
     def test_cache_of_other_weights_exits_65(self, tmp_path, capsys):
-        # The cache key omits the estimator weights, so only a comparison of
-        # the whole binning keeps a weighted cache from overriding --scheme.
-        plain, weighted = tmp_path / "s.json", tmp_path / "w.json"
-        cache, records = tmp_path / "c.json", tmp_path / "r.csv"
+        # The estimator weights are the bin widths.  A file whose weights
+        # differ from them is rejected, where it used to select another
+        # estimator under the same cache key; a file that holds the widths,
+        # as files written before the field was dropped do, still loads.
+        plain, weighted, widths = (tmp_path / n for n in ("s.json", "w.json", "widths.json"))
+        records = tmp_path / "r.csv"
         assert run(
             ["design-bins", "--nmax", "3", "--phases", "7", "--bins", "5", "--out", str(plain)]
         ) == EXIT_OK
         doc = json.loads(plain.read_text())
-        doc["weights"] = [1, 2, 3, 4, 5]
-        weighted.write_text(json.dumps(doc))
+        edges = doc["edges"]
+        weighted.write_text(json.dumps(dict(doc, weights=[1, 2, 3, 4, 5])))
+        widths.write_text(json.dumps(dict(doc, weights=[b - a for a, b in zip(edges, edges[1:])])))
         assert run(
             [
-                "simulate", "--scheme", str(weighted), "--povm-cache", str(cache),
-                "--state", "coherent:1.0", "--T", "20000", "--seed", "3",
-                "--out", str(records),
+                "simulate", "--scheme", str(plain), "--state", "coherent:1.0",
+                "--T", "20000", "--seed", "3", "--out", str(records),
             ]
         ) == EXIT_OK
-        estimate = ["estimate", "--records", str(records), "--scheme", str(plain), "--json"]
-        assert run(estimate) == EXIT_OK
-        capsys.readouterr()
-        assert run(estimate + ["--povm-cache", str(cache)]) == EXIT_DATA
-        assert "weights" in capsys.readouterr().err
-        assert run(
-            ["estimate", "--records", str(records), "--scheme", str(weighted),
-             "--povm-cache", str(cache)]
-        ) == EXIT_OK
+        estimate = ["estimate", "--records", str(records), "--json"]
+        for flag in ("--scheme", "--povm-cache"):
+            capsys.readouterr()
+            assert run(estimate + [flag, str(weighted)]) == EXIT_DATA
+            assert "weights are not the bin widths" in capsys.readouterr().err
+        outputs = []
+        for source in (plain, widths):
+            assert run(estimate + ["--scheme", str(source)]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_cache_file_serves_as_scheme(self, tmp_path, capsys):
         scheme, cache, records = (tmp_path / n for n in ("s.json", "c.json", "r.csv"))
@@ -611,6 +616,54 @@ class TestPovmCache:
             assert run(["estimate", "--records", str(records), "--json"] + source) == EXIT_OK
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+class TestParameterFile:
+    """Scheme and cache files share one reader, which checks that their fields agree."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        scheme, cache = tmp_path / "s.json", tmp_path / "c.json"
+        grid = ["--nmax", "3", "--phases", "7", "--bins", "5"]
+        assert run(["design-bins"] + grid + ["--out", str(scheme)]) == EXIT_OK
+        assert run(["check-ic"] + grid + ["--povm-cache", str(cache)]) == EXIT_OK
+        return {"--scheme": scheme, "--povm-cache": cache}
+
+    @pytest.mark.parametrize("flag", ["--scheme", "--povm-cache"])
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"n_max": 3.7},  # used to run at n_max 3
+            {"N": 7.9},  # used to run at N 7
+            {"n_max": True},  # used to run at n_max 1
+            {"M": 9},  # used to be ignored next to 6 edges
+            {"tail_mode": "bogus"},
+            {"cache_key": "0" * 64},  # used to be ignored in a scheme file
+            {"weights": [1, 2, 3, 4, 5]},  # used to select another estimator
+        ],
+        ids=["float-nmax", "float-N", "bool-nmax", "M", "tail-mode", "cache-key", "weights"],
+    )
+    def test_disagreeing_field_exits_65(self, files, flag, change, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(json.loads(files[flag].read_text()), **change)))
+        capsys.readouterr()
+        assert run(["check-ic", flag, str(bad)]) == EXIT_DATA
+        assert "bad parameter file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--bins", "9"], ["--edges=-2,0,2"], ["--half-width", "3"],
+         ["--tail-mode", "strict-finite"], ["--tail-mode", "extend-tails"]],
+        ids=["bins", "edges", "half-width", "strict", "extend"],
+    )
+    def test_binning_flag_with_scheme_exits_64(self, files, extra, tmp_path, capsys):
+        # The scheme fixes the binning: the flag used to be dropped silently.
+        # The check comes before any file is read, so a missing file exits 64 too.
+        flag = extra[0].split("=")[0]
+        for scheme in (files["--scheme"], tmp_path / "missing.json"):
+            capsys.readouterr()
+            assert run(["check-ic", "--scheme", str(scheme)] + extra) == EXIT_USAGE
+            assert flag in capsys.readouterr().err
 
 
 class TestTopLevel:

@@ -45,19 +45,14 @@ class TestPhaseGrid:
 
 
 class TestBinningScheme:
-    def test_default_weights_are_widths(self):
+    def test_widths_are_edge_differences(self):
         b = BinningScheme([-2.0, -0.5, 1.0, 4.0])
-        assert np.allclose(b.weights, [1.5, 1.5, 3.0])
+        assert np.array_equal(b.widths, [1.5, 1.5, 3.0])
         assert b.M == 3
-        assert b.total_length == pytest.approx(6.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             BinningScheme([0.0, 0.0, 1.0])
-        with pytest.raises(ValueError):
-            BinningScheme([0.0, 1.0], weights=[-1.0])
-        with pytest.raises(ValueError):
-            BinningScheme([0.0, 1.0], weights=[1.0, 2.0])
         with pytest.raises(ValueError):
             BinningScheme([0.0, np.inf])
         with pytest.raises(ValueError):
@@ -149,26 +144,17 @@ class TestPovmIdentity:
 
     def test_rebuild_from_same_parameters_is_equal(self, povm):
         b = povm.binning
-        again = build_povm(PhaseGrid(7), BinningScheme(b.edges, b.tail_mode, b.weights), 3)
+        again = build_povm(PhaseGrid(7), BinningScheme(b.edges, b.tail_mode), 3)
         assert again is not povm and again == povm
         assert pv.PovmSet(povm.grid, b, 3, povm.G.copy()) == povm
         assert povm != "povm"
 
-    def _other(self, povm, part):
-        if part == "bin weights":
-            # Same edges and tail mode, so the same G and the same cache key.
-            b = povm.binning
-            doubled = BinningScheme(b.edges, b.tail_mode, 2.0 * b.weights)
-            other = build_povm(povm.grid, doubled, povm.n_max)
-            assert other.cache_key == povm.cache_key
-            return other
+    # Every other part is fixed by the parameters that the cache key hashes.
+    @pytest.mark.parametrize("part", ["overlaps G"])
+    def test_pairs_that_differ_in_one_part(self, povm, part):
         G = povm.G.copy()
         G[0] *= 0.5
-        return pv.PovmSet(povm.grid, povm.binning, povm.n_max, G)
-
-    @pytest.mark.parametrize("part", ["bin weights", "overlaps G"])
-    def test_pairs_that_differ_in_one_part(self, povm, part):
-        other = self._other(povm, part)
+        other = pv.PovmSet(povm.grid, povm.binning, povm.n_max, G)
         assert other != povm and povm != other
         inv = invert_frame(frame_operator(povm))
         with pytest.raises(ValueError, match="^inverse frame .* their %s differ" % part):
@@ -340,9 +326,9 @@ class TestDesignBins:
                 [vectorize(p.element(i, k)) for k in range(N) for i in range(M)],
                 axis=1,
             )
-            w = np.tile(scheme.weights, N)
+            w = np.tile(scheme.widths, N)
             C = (E / w) @ E.conj().T
-            bound = 1.0 / (N * scheme.total_length)
+            bound = 1.0 / (N * scheme.widths.sum())
             for _ in range(6):
                 A = random_hermitian(n_max + 1, rng)
                 a = vectorize(A)
@@ -409,12 +395,26 @@ class TestPovmCache:
         assert path.stat().st_size < 16 * 1024
         doc = json.loads(path.read_text())
         assert set(doc) == {
-            "version", "n_max", "N", "M", "tail_mode", "edges", "weights", "cache_key"
+            "version", "n_max", "N", "M", "tail_mode", "edges", "cache_key"
         }
         assert (doc["version"], doc["M"], doc["cache_key"]) == (2, M, p.cache_key)
         loaded = load_povm(path)
         assert np.array_equal(loaded.G, p.G)
         assert loaded.binning == p.binning
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_files_with_width_weights_load(self, version, tmp_path):
+        # Files written before the weights field was dropped hold the widths:
+        # design-bins wrote version 1 without a cache key, save_povm version 2.
+        p = build_povm(PhaseGrid(7), BinningScheme([-2.0, -0.9, 0.6, 3.1, 3.5]), 3)
+        path = tmp_path / "povm.json"
+        save_povm(p, path, rank=16, required=16, half_width=2.0)
+        doc = dict(json.loads(path.read_text()), version=version)
+        doc["weights"] = [float(w) for w in p.binning.widths]
+        if version == 1:
+            del doc["cache_key"]
+        path.write_text(json.dumps(doc))
+        assert load_povm(path) == p
 
     def test_roundoff_level_deviation_loads_rebuilt_povm(self, tmp_path):
         # A version-1 file also stored every element matrix.  Its elements
@@ -433,7 +433,7 @@ class TestPovmCache:
             "N": 3,
             "tail_mode": p.binning.tail_mode,
             "edges": [float(e) for e in p.binning.edges],
-            "weights": [float(w) for w in p.binning.weights],
+            "weights": [float(w) for w in p.binning.widths],
             "cache_key": p.cache_key,
             "elements": elements,
         }
