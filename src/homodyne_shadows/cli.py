@@ -296,8 +296,9 @@ def _resolve_povm(args):
     When the other flags describe a POVM too, the cache must hold exactly
     that one: the same cutoff, phase count and binning (edges and tail
     mode); when they describe only part of one, each
-    ``--nmax``/``--phases``/``--bins``/``--tail-mode`` given must match it.
-    A mismatch raises :class:`CacheKeyMismatchError`.
+    ``--nmax``/``--phases``/``--bins``/``--tail-mode`` given must match it
+    (``--edges``/``--half-width`` raise :class:`UsageError`).  A mismatch
+    raises :class:`CacheKeyMismatchError`.
     """
     given = [f for f in _BINNING_FLAGS if getattr(args, f[2:].replace("-", "_")) is not None]
     if args.scheme and given:
@@ -313,7 +314,10 @@ def _resolve_povm(args):
     try:
         wanted = _requested_povm(args)
         held = (povm.n_max, povm.grid.N, povm.binning)
-    except UsageError:  # the flags describe no POVM, or only part of one
+    except UsageError as exc:  # the flags describe no POVM, or only part of one
+        if args.edges is not None or args.half_width is not None:
+            raise UsageError("--edges and --half-width are compared with a cache only in "
+                             "a whole POVM: give --nmax, --phases and the bins") from exc
         wanted = (args.nmax, args.phases, args.bins, args.tail_mode)
         held = (povm.n_max, povm.grid.N, povm.binning.M, povm.binning.tail_mode)
     if any(w is not None and w != h for w, h in zip(wanted, held)):

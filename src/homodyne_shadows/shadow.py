@@ -275,73 +275,35 @@ def _parse_variant(variant):
 
 
 def _batching(variant, T):
-    """``(B, label)`` of a variant over T shots: B contiguous batches, 1 for a plain mean.
+    """``(bounds, label)`` of a variant over T shots: batch b is shots bounds[b]..bounds[b+1]-1.
 
-    ``"median-of-means:B"`` uses min(B, T) batches (B = ``DEFAULT_BATCHES``
-    for a bare ``"median-of-means"``), and the label names that effective
-    count.  An empty stream raises ``ValueError``.
+    ``"median-of-means:B"`` uses the min(B, T) batches of ``np.array_split``
+    (B = ``DEFAULT_BATCHES`` for a bare ``"median-of-means"``), and the label
+    names that effective count.  An empty stream raises ``ValueError``.
     """
     kind, B = _parse_variant(variant)
     if T == 0:
         raise ValueError("record stream is empty")
     if kind == "plain-mean":
-        return 1, "plain-mean"
+        return [0, T], "plain-mean"
     B = min(B, T)
-    return B, "median-of-means:%d" % B
+    q, r = divmod(T, B)
+    return [b * q + min(b, r) for b in range(B + 1)], "median-of-means:%d" % B
 
 
 def _aggregate(values, variant="plain-mean"):
     """Fold per-shot values into ``(mean, stderr, variant label)``.
 
     The mean is the median of the means of the contiguous batches of
-    :func:`_batching`, split by ``np.array_split`` (Huang, Kueng & Preskill
-    2020): the plain mean for one batch.  ``stderr`` is the plain-mean
-    standard error std(values, ddof=1)/sqrt(T) in both variants, and 0 for
-    a single shot.
+    :func:`_batching` (Huang, Kueng & Preskill 2020): the plain mean for
+    one batch.  ``stderr`` is the plain-mean standard error
+    std(values, ddof=1)/sqrt(T) in both variants, and 0 for a single shot.
     """
     T = values.size
-    B, label = _batching(variant, T)
-    mean = float(np.median([np.mean(chunk) for chunk in np.array_split(values, B)]))
+    bounds, label = _batching(variant, T)
+    mean = float(np.median([np.mean(chunk) for chunk in np.split(values, bounds[1:-1])]))
     stderr = float(np.std(values, ddof=1) / math.sqrt(T)) if T > 1 else 0.0
     return mean, stderr, label
-
-
-def _aggregate_counts(flat, v, variant="plain-mean"):
-    """:func:`_aggregate` of the values ``v[flat]``, folded through outcome counts.
-
-    A batch's mean is sum(C*v)/n for its count table C = bincount(flat); the
-    batches are those of ``np.array_split`` (the first T mod B hold one
-    extra shot).  The whole stream's counts C give the plain mean m and
-    stderr = sqrt(sum(C*(v - m)**2)/(T - 1)/T).  The results equal
-    :func:`_aggregate`'s up to summation-order roundoff.
-    """
-    T = flat.size
-    B, label = _batching(variant, T)
-    q, r = divmod(T, B)
-    bounds = [b * q + min(b, r) for b in range(B + 1)]
-    counts = np.zeros(v.size, dtype=np.int64)
-    means = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        c = np.bincount(flat[lo:hi], minlength=v.size)
-        counts += c
-        means.append(c @ v / (hi - lo))
-    plain = counts @ v / T
-    stderr = math.sqrt(counts @ (v - plain) ** 2 / (T - 1) / T) if T > 1 else 0.0
-    return float(np.median(means)), stderr, label
-
-
-def _single_mode_records(records, table):
-    """Records validated against the table's M x N grid, one mode per stream."""
-    from .sim import checked_records  # sim imports this module
-
-    return checked_records(records, table.M, table.N)
-
-
-def _outcome_index(rec, N):
-    """Flat outcome index i*N + k of every record, indexing an (M, N) table's ravel."""
-    flat = rec.i * N
-    flat += rec.k
-    return flat
 
 
 def estimate_observable(records, table, X, variant="plain-mean"):
@@ -350,8 +312,10 @@ def estimate_observable(records, table, X, variant="plain-mean"):
     Each record contributes the per-shot value Tr(X rho_hat_{i,k}) of its
     outcome, aggregated as :func:`_aggregate` describes: plain averaging, or
     median-of-means over B contiguous batches for ``"median-of-means:B"``.
-    Only the outcome counts enter, so the stream is folded into one count
-    table per batch (:func:`_aggregate_counts`) and no per-shot value is built.
+    Only the outcome counts enter, so no per-shot value is built: a batch's
+    mean is sum(C*v)/n for its count table C, and the whole stream's counts
+    give the plain mean m and stderr = sqrt(sum(C*(v - m)**2)/(T - 1)/T).
+    These equal the per-shot formulas up to summation-order roundoff.
 
     ``records`` is a :class:`~homodyne_shadows.sim.Records`; any other type
     raises ``TypeError``.  Records with an outcome outside the table, or a
@@ -359,17 +323,24 @@ def estimate_observable(records, table, X, variant="plain-mean"):
     :class:`~homodyne_shadows.errors.MalformedRecordError` with the record's
     position in the stream.
     """
-    rec = _single_mode_records(records, table)
+    from .sim import _outcome_counts, checked_records  # sim imports this module
+
+    T = len(checked_records(records))
+    bounds, variant_str = _batching(variant, T)
     v = snapshot_values(table, X).ravel()
-    flat = _outcome_index(rec, table.N)
-    mean, stderr, variant_str = _aggregate_counts(flat, v, variant)
-    label = X.label if hasattr(X, "label") else "X"
+    counts = np.zeros(v.size, dtype=np.int64)
+    means = []
+    for c, n in zip(_outcome_counts(records, table.M, table.N, bounds), np.diff(bounds)):
+        counts += c
+        means.append(c @ v / n)
+    plain = counts @ v / T
+    stderr = math.sqrt(counts @ (v - plain) ** 2 / (T - 1) / T) if T > 1 else 0.0
     return EstimateReport(
-        mean,
+        float(np.median(means)),
         stderr,
-        flat.size,
+        T,
         variant_str,
-        observable_label=label,
+        observable_label=getattr(X, "label", "X"),
         inversion=table.mode,
         threshold=table.threshold,
     )
@@ -472,13 +443,13 @@ def reconstruct_state(records, table, project=False):
     positive semidefinite trace-one matrices, which is a biased
     post-processing step and therefore off by default.
     """
-    rec = _single_mode_records(records, table)
-    total = len(rec)
+    from .sim import _outcome_counts, checked_records  # sim imports this module
+
+    total = len(checked_records(records))
     if total == 0:
         raise ValueError("record stream is empty")
-    counts = np.bincount(_outcome_index(rec, table.N), minlength=table.M * table.N)
-    counts = counts.reshape(table.M, table.N).astype(float)
-    avg = _adjoint(counts / total, table.S, table.grid)
+    counts = next(_outcome_counts(records, table.M, table.N, (0, total)))
+    avg = _adjoint(counts.reshape(table.M, table.N) / total, table.S, table.grid)
     if project:
         lam, V = np.linalg.eigh(avg)
         lam = _project_simplex(lam)

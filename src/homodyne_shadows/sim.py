@@ -14,8 +14,8 @@ and CSV ingestion of externally produced (or raw quadrature) records.
 Records are columnar: a :class:`Records` holds four equal-length int64
 arrays ``t``, ``mode``, ``k``, ``i`` whose every entry is an index (its
 constructor checks that).  Every producer returns one, and every consumer
-takes one and checks it against its outcome grid in one vectorized pass,
-:func:`checked_records`.
+takes one and checks it against its outcome grid with the rules of
+:func:`checked_records`, single-mode ones ``_BLOCK`` rows at a time.
 """
 
 import contextlib
@@ -63,8 +63,9 @@ RAW_HEADER = ("t", "mode", "k", "x")
 _NEGATIVE_CLAMP = -1e-12
 
 
-# Rows written at a time, as one uint8 matrix of at most _CHUNK x 80 bytes.
-_CHUNK = 100_000
+# Rows drawn, counted or written at a time: a block's columns and temporaries
+# stay in a core's cache, and no temporary grows with the stream.
+_BLOCK = 1 << 15
 
 
 def _not_index(c):
@@ -98,7 +99,10 @@ class Records:
     :class:`~homodyne_shadows.errors.MalformedRecordError` with its ordinal.
     ``len`` and truthiness count rows, ``records[a:b]`` gives a Records that
     shares memory with this one, and ``==`` compares the rows of two
-    Records and returns a bool.
+    Records and returns a bool.  Columns may be views, some of them
+    read-only: the ``mode`` of :func:`sample` is one value broadcast to
+    every row (stride 0), and the columns of :func:`ingest_records` are
+    fields of the parsed array.  Copy a column before writing into it.
     """
 
     __slots__ = ("t", "mode", "k", "i")
@@ -159,7 +163,7 @@ def _shot_order(t, mode):
 
 
 def checked_records(records, M=None, N=None):
-    """Check a :class:`Records` against an outcome grid in one vectorized pass.
+    """Check a :class:`Records` against an outcome grid with vectorized passes.
 
     Any other ``records`` raises ``TypeError``; without ``M`` and ``N``
     that is the whole check, as every field of a Records is an index.
@@ -176,48 +180,73 @@ def checked_records(records, M=None, N=None):
 
 
 def _checked(records, M, N):
-    """:func:`checked_records`, also returning the ``_shot_order`` of a multi-mode stream.
-
-    Each grid rule is one (mask of the rows it rejects, message) pair.  The
-    first row that any mask flags raises with the message of the first rule,
-    in the order below, that flags it.
-    """
+    """:func:`checked_records`, also returning the ``_shot_order`` of a multi-mode stream."""
     if not isinstance(records, Records):
         raise TypeError("expected Records, got %s" % type(records).__name__)
     if M is None or not records:
         return records, None
+    if np.ndim(M) == 0:  # the fold states the single-mode rules; drop its counts
+        next(_outcome_counts(records, M, N, (0, len(records))))
+        return records, None
     t, mode, k, i = records.columns()
-    order = None
-    if np.ndim(M) == 0:
-        rules = [
-            ((i >= M) | (k >= N), lambda j: "references outcome (i=%d, k=%d) outside the "
-             "%d x %d outcome grid" % (i[j], k[j], M, N)),
-            (mode != mode[0], lambda j: "has mode %d but the stream began with mode %d; a "
-             "single-mode estimate takes one mode at a time" % (mode[j], mode[0])),
-        ]
-    else:
-        S = len(M)
-        # Each row's (M, N): one pair when every mode has the same grid, else a
-        # gather in which a mode outside 0..S-1 reads the grid of mode S - 1.
-        grids = np.asarray([M, N])
-        uniform = (grids == grids[:, :1]).all()
-        Mj, Nj = grids[:, 0] if uniform else np.take(grids, mode, axis=1, mode="clip")
-        order = _shot_order(t, mode)
-        repeat = np.zeros(t.size, dtype=bool)
-        if order is not None:  # the later row of each (t, mode) pair adjacent in order
-            later, earlier = order[1:], order[:-1]
-            repeat[later[(t[later] == t[earlier]) & (mode[later] == mode[earlier])]] = True
-        rules = [
-            (mode >= S, lambda j: "references mode %d outside 0..%d" % (mode[j], S - 1)),
-            ((i >= Mj) | (k >= Nj), lambda j: "references outcome (i=%d, k=%d) outside "
-             "mode %d's %d x %d grid" % (i[j], k[j], mode[j], M[mode[j]], N[mode[j]])),
-            (repeat, lambda j: "repeats mode %d of shot %d" % (mode[j], t[j])),
-        ]
+    S = len(M)
+    # Each row's (M, N): one pair when every mode has the same grid, else a
+    # gather in which a mode outside 0..S-1 reads the grid of mode S - 1.
+    grids = np.asarray([M, N])
+    uniform = (grids == grids[:, :1]).all()
+    Mj, Nj = grids[:, 0] if uniform else np.take(grids, mode, axis=1, mode="clip")
+    order = _shot_order(t, mode)
+    repeat = np.zeros(t.size, dtype=bool)
+    if order is not None:  # the later row of each (t, mode) pair adjacent in order
+        later, earlier = order[1:], order[:-1]
+        repeat[later[(t[later] == t[earlier]) & (mode[later] == mode[earlier])]] = True
+    _raise_first_flagged([
+        (mode >= S, lambda j: "references mode %d outside 0..%d" % (mode[j], S - 1)),
+        ((i >= Mj) | (k >= Nj), lambda j: "references outcome (i=%d, k=%d) outside "
+         "mode %d's %d x %d grid" % (i[j], k[j], mode[j], M[mode[j]], N[mode[j]])),
+        (repeat, lambda j: "repeats mode %d of shot %d" % (mode[j], t[j])),
+    ])
+    return records, order
+
+
+def _raise_first_flagged(rules, start=0):
+    """Raise at the first row flagged by a rule, a (mask of rows from ``start``, message) pair.
+
+    The message is that of the first rule, in list order, that flags the row.
+    """
     j = min((int(np.argmax(mask)) for mask, _ in rules if mask.any()), default=None)
     if j is not None:
         describe = next(message for mask, message in rules if mask[j])
-        raise MalformedRecordError("record %d %s" % (j, describe(j)), ordinal=j)
-    return records, order
+        raise MalformedRecordError("record %d %s" % (start + j, describe(j)), ordinal=start + j)
+
+
+def _outcome_counts(records, M, N, bounds):
+    """Yield the int64 table C[i*N + k] of outcome counts of each batch of a single-mode stream.
+
+    Batch b is rows bounds[b]..bounds[b+1]-1 of a non-empty stream.  The
+    columns are read ``_BLOCK`` rows at a time, so no temporary grows with
+    the stream, and each block is checked against the single-mode rules of
+    :func:`checked_records` (outcome on the M x N grid, mode of the first
+    record) before it is counted.
+    """
+    _, mode, k, i = records.columns()
+    first = mode[0]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        counts = np.zeros(M * N, dtype=np.int64)
+        for start in range(lo, hi, _BLOCK):
+            rows = slice(start, min(start + _BLOCK, hi))
+            i_b, k_b, mode_b = i[rows], k[rows], mode[rows]
+            _raise_first_flagged([
+                ((i_b >= M) | (k_b >= N), lambda j: "references outcome (i=%d, k=%d) outside "
+                 "the %d x %d outcome grid" % (i_b[j], k_b[j], M, N)),
+                (mode_b != first, lambda j: "has mode %d but the stream began with mode %d; "
+                 "a single-mode estimate takes one mode at a time" % (mode_b[j], first)),
+            ], start)
+            flat = i_b * N
+            flat += k_b
+            counts += np.bincount(flat, minlength=M * N)
+            del flat  # else it lives on beside the next block's index
+        yield counts
 
 
 class OutcomeDistribution:
@@ -373,10 +402,6 @@ def _draw_flat(cumulative, z, guide):
     return out
 
 
-# Shots drawn at a time: a block's words and temporaries stay in a core's cache.
-_BLOCK = 1 << 15
-
-
 def _draws(cumulative, seed, T):
     """Flat outcome indices of shots 1..T of stream ``seed``, as ``(rows, o)`` blocks.
 
@@ -409,7 +434,7 @@ def sample(dist, T, seed, mode=0):
     i = np.empty(T, dtype=np.int64)
     for rows, o in _draws(dist.cumulative, seed, T):
         k[rows], i[rows] = k_of[o], i_of[o]
-    return Records(np.arange(T), np.full(T, mode), k, i)
+    return Records(np.arange(T), np.broadcast_to(np.asarray(mode), T), k, i)
 
 
 class IndistinguishabilityReport(NamedTuple):
@@ -726,15 +751,15 @@ def write_records(path, records):
     """Write records as CSV with header ``t,mode,k,i`` (LF line endings).
 
     The bytes are those of ``"%d,%d,%d,%d\\n"`` per row.  Rows are encoded
-    ``_CHUNK`` at a time as a numpy byte matrix (see :func:`_encode_rows`),
+    ``_BLOCK`` at a time as a numpy byte matrix (see :func:`_encode_rows`),
     so memory stays bounded and no row becomes a Python integer.
     """
     rec = checked_records(records)
     cols = rec.columns()
     with open(path, "wb") as fh:
         fh.write((",".join(RECORD_HEADER) + "\n").encode("ascii"))
-        for start in range(0, len(rec), _CHUNK):
-            fh.write(_encode_rows([c[start:start + _CHUNK] for c in cols]))
+        for start in range(0, len(rec), _BLOCK):
+            fh.write(_encode_rows([c[start:start + _BLOCK] for c in cols]))
 
 
 _INT64_RANGE = range(-(2**63), 2**63)
@@ -854,7 +879,7 @@ def bin_raw(path, grid, binning):
     checks = [_index_problem, _index_problem, lambda f: _index_problem(f, grid.N),
               _quadrature_problem]
     data = _load_table(path, RAW_HEADER, _RAW_DTYPE, checks)
-    t, mode, k, x = (np.ascontiguousarray(data[name]) for name in data.dtype.names)
+    t, mode, k, x = (data[name] for name in data.dtype.names)  # views, as in ingest_records
     if np.any((t < 0) | (mode < 0) | (k < 0) | (k >= grid.N) | ~np.isfinite(x)):
         _raise_first_bad_row(path, RAW_HEADER, checks)
     edges = binning.edges

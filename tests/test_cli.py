@@ -565,6 +565,25 @@ class TestPovmCache:
         assert run(["check-ic"] + small + ["--povm-cache", str(cache)]) == EXIT_OK
         assert run(["check-ic", "--povm-cache", str(cache)]) == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--edges=-1,0,1"],
+            ["--half-width", "9"],
+            ["--nmax", "1", "--edges=-1,0,1"],
+            ["--nmax", "1", "--phases", "3", "--half-width", "9"],  # no --bins
+        ],
+    )
+    def test_edges_outside_a_whole_povm_exit_64(self, tmp_path, capsys, flags):
+        # A partial description is compared field by field with the cache,
+        # and the edges are not one of those fields: they used to be ignored.
+        cache = tmp_path / "povm.json"
+        small = ["--nmax", "1", "--phases", "3", "--bins", "3"]
+        assert run(["check-ic"] + small + ["--povm-cache", str(cache)]) == EXIT_OK
+        capsys.readouterr()
+        assert run(["check-ic", "--povm-cache", str(cache)] + flags) == EXIT_USAGE
+        assert "compared with a cache only in a whole POVM" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore::UserWarning")  # coherent:1.0 truncated at n_max = 3
     def test_cache_of_other_weights_exits_65(self, tmp_path, capsys):
         # The estimator weights are the bin widths.  A file whose weights

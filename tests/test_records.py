@@ -1,8 +1,10 @@
 """Tests for columnar records: the Records type, its validator and its CSV format."""
 
 import hashlib
+import math
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ from homodyne_shadows.povm import BinningScheme, PhaseGrid, build_povm, design_b
 from homodyne_shadows.shadow import (
     DEFAULT_BATCHES,
     estimate_observable,
+    exact_average_snapshot,
     frame_operator,
     invert_frame,
     reconstruct_state,
@@ -23,7 +26,8 @@ from homodyne_shadows.shadow import (
     snapshots,
 )
 from homodyne_shadows.sim import (
-    _CHUNK,
+    _BLOCK,
+    RECORD_HEADER,
     MultiModeConfig,
     Records,
     bin_raw,
@@ -367,6 +371,159 @@ class TestMedianOfMeansBatches:
             estimate_local(local, cfg, {}, {}, variant="median-of-means:5", batches=20)
 
 
+# A stream of three whole blocks and a partial one; T mod 7 = 5, so the
+# bounds of seven median-of-means batches fall inside blocks.
+_FOLD_T = 3 * _BLOCK + 100
+_FOLD_ORDINALS = [_BLOCK - 1, _BLOCK, _BLOCK + 1, _FOLD_T - 2]
+
+
+def _whole_stream_error(records, M, N):
+    """(message, ordinal) of the single-mode rules applied to all rows at once."""
+    _, mode, k, i = records.columns()
+    rules = [
+        ((i >= M) | (k >= N), lambda j: "references outcome (i=%d, k=%d) outside the "
+         "%d x %d outcome grid" % (i[j], k[j], M, N)),
+        (mode != mode[0], lambda j: "has mode %d but the stream began with mode %d; a "
+         "single-mode estimate takes one mode at a time" % (mode[j], mode[0])),
+    ]
+    j = min(int(np.argmax(mask)) for mask, _ in rules if mask.any())
+    describe = next(message for mask, message in rules if mask[j])
+    return "record %d %s" % (j, describe(j)), j
+
+
+def _whole_stream_counts(records, M, N, B):
+    """Count tables of the B batches of ``np.array_split``, from one index array."""
+    flat = records.i * N + records.k
+    return [np.bincount(part, minlength=M * N) for part in np.array_split(flat, B)]
+
+
+def _whole_stream_estimate(records, table, X, B):
+    """(mean, stderr) of the count-table estimator, folded from whole-stream counts."""
+    T = len(records)
+    v = snapshot_values(table, X).ravel()
+    tables = _whole_stream_counts(records, table.M, table.N, B)
+    counts = sum(tables)
+    means = [c @ v / c.sum() for c in tables]
+    plain = counts @ v / T
+    return float(np.median(means)), math.sqrt(counts @ (v - plain) ** 2 / (T - 1) / T)
+
+
+def _traced_peak(call):
+    """Bytes that ``call()`` allocates at its peak, beyond what existed before."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockFold:
+    """Single-mode consumers read streams ``_BLOCK`` rows at a time.
+
+    Each result must equal the whole-stream reference bit for bit, and each
+    bad record must raise the reference's message and ordinal, wherever it
+    falls relative to the block and batch bounds.
+    """
+
+    @pytest.fixture(scope="class")
+    def streams(self, setup_223, tmp_path_factory):
+        povm, _ = setup_223
+        sampled = sample(outcome_distribution(fock(1, 2), povm), _FOLD_T, seed=17, mode=3)
+        path = tmp_path_factory.mktemp("fold") / "records.csv"
+        write_records(path, sampled)
+        return {"sampled": sampled, "ingested": ingest_records(path)}
+
+    def test_columns_are_views(self, streams):
+        assert streams["sampled"].mode.strides == (0,)
+        assert streams["ingested"].k.strides == (32,)  # a field of the parsed rows
+
+    @pytest.mark.parametrize("source", ["sampled", "ingested"])
+    def test_results_equal_whole_stream_fold(self, setup_223, streams, source):
+        _, table = setup_223
+        rec, X = streams[source], number_operator(2)
+        for variant, B in [("plain-mean", 1), ("median-of-means:7", 7), ("median-of-means", 10)]:
+            est = estimate_observable(rec, table, X, variant=variant)
+            assert (est.mean, est.stderr) == _whole_stream_estimate(rec, table, X, B), variant
+            assert est.shots == _FOLD_T
+        (counts,) = _whole_stream_counts(rec, table.M, table.N, 1)
+        expected = exact_average_snapshot(counts.reshape(table.M, table.N) / _FOLD_T, table)
+        assert np.array_equal(reconstruct_state(rec, table), expected)
+
+    @pytest.mark.parametrize("source", ["sampled", "ingested"])
+    # On the 4 x 5 grid of setup_223, in a stream of mode 3.
+    @pytest.mark.parametrize("name, value", [("i", 4), ("k", 7), ("mode", 1)],
+                             ids=["bin", "phase", "mode"])
+    @pytest.mark.parametrize("ordinal", _FOLD_ORDINALS)
+    def test_bad_record_names_the_whole_stream_ordinal(
+        self, setup_223, streams, source, name, value, ordinal, tmp_path
+    ):
+        _, table = setup_223
+        rec = streams[source]
+        cols = dict(zip(RECORD_HEADER, rec.columns()))
+        cols[name] = cols[name].copy()
+        cols[name][ordinal] = value
+        bad = Records(*cols.values())
+        if source == "ingested":
+            write_records(tmp_path / "bad.csv", bad)
+            bad = ingest_records(tmp_path / "bad.csv")
+        message, expected = _whole_stream_error(bad, table.M, table.N)
+        assert expected == ordinal
+        calls = [
+            lambda: checked_records(bad, table.M, table.N),
+            lambda: estimate_observable(bad, table, number_operator(2)),
+            lambda: estimate_observable(bad, table, number_operator(2), "median-of-means:7"),
+            lambda: reconstruct_state(bad, table),
+        ]
+        for call in calls:
+            with pytest.raises(MalformedRecordError, match="^%s$" % re.escape(message)) as exc:
+                call()
+            assert exc.value.ordinal == ordinal
+
+    def test_sampled_mode_is_one_read_only_value(self, setup_223):
+        povm, _ = setup_223
+        rec = sample(outcome_distribution(fock(1, 2), povm), 10, seed=1, mode=2)
+        assert rec.mode.tolist() == [2] * 10 and rec.mode.strides == (0,)
+        with pytest.raises(ValueError, match="read-only"):
+            rec.mode[0] = 1
+        with pytest.raises(MalformedRecordError):
+            sample(outcome_distribution(fock(1, 2), povm), 10, seed=1, mode=1.5)
+
+
+class TestFoldMemory:
+    """At T = 10**6 the consumers hold no stream-sized temporary."""
+
+    T = 10**6
+
+    @pytest.fixture(scope="class")
+    def stream(self, setup_223):
+        povm, _ = setup_223
+        return sample(outcome_distribution(fock(1, 2), povm), self.T, seed=4)
+
+    @pytest.mark.parametrize("variant", ["plain-mean", "median-of-means"])
+    def test_estimate_peak(self, setup_223, stream, variant):
+        _, table = setup_223
+        X = number_operator(2)
+        peak = _traced_peak(lambda: estimate_observable(stream, table, X, variant=variant))
+        assert peak <= 2 * 2**20  # a stream-sized int64 index alone is 7.6 MiB
+
+    def test_reconstruct_peak(self, setup_223, stream):
+        _, table = setup_223
+        assert _traced_peak(lambda: reconstruct_state(stream, table)) <= 2 * 2**20
+
+    def test_sampled_records_hold_three_columns(self, setup_223):
+        povm, _ = setup_223
+        dist = outcome_distribution(fock(1, 2), povm)
+        tracemalloc.start()
+        try:
+            rec = sample(dist, self.T, seed=4)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(rec) == self.T
+        assert held <= 24.5 * 2**20  # t, k and i; the mode column is one value
+
+
 class TestRecordFormat:
     def test_golden_simulate_bytes(self, tmp_path):
         out = tmp_path / "golden.csv"
@@ -471,7 +628,7 @@ class TestRecordEncoder:
             write_records(path, Records(*cols))
             assert path.read_bytes() == ("t,mode,k,i\n" + _percent_d(cols)).encode()
 
-    @pytest.mark.parametrize("T", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1])
+    @pytest.mark.parametrize("T", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1])
     def test_chunk_boundaries(self, T, tmp_path):
         rng = np.random.default_rng(T)
         cols = [
