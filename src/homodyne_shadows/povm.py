@@ -273,28 +273,6 @@ class PovmSet:
             self.n_max, self.grid.N, self.binning.edges, self.binning.tail_mode
         )
 
-    def validate_elements(self, atol=1e-10):
-        """Check positivity and the operator bound <= identity/N.
-
-        Pi_{i,k} = D_k G_i D_k^dagger / N with the unitary
-        D_k = diag(exp(1j*m*theta_k)), so every phase of bin i has the
-        spectrum of G_i/N and the checks run on the real blocks G_i, which
-        the constructor keeps symmetric (so the elements are Hermitian).
-        Raises ``ValueError`` naming the first failed check; intended as a
-        diagnostic, not part of the construction hot path.
-        """
-        N = self.grid.N
-        for i, A in enumerate(self.G):
-            lam = np.linalg.eigvalsh(A) / N
-            if lam[0] < -atol:
-                raise ValueError(
-                    "elements of bin %d have negative eigenvalue %g" % (i, lam[0])
-                )
-            if lam[-1] > 1.0 / N + atol:
-                raise ValueError(
-                    "elements of bin %d exceed identity/N by %g" % (i, lam[-1] - 1.0 / N)
-                )
-
     def _difference(self, other):
         """The first defining part in which POVM ``other`` differs from this one, or None."""
         if other is self:

@@ -15,11 +15,12 @@ Records are columnar: a :class:`Records` holds four equal-length int64
 arrays ``t``, ``mode``, ``k``, ``i`` whose every entry is an index (its
 constructor checks that).  Every producer returns one, and every consumer
 takes one and checks it against its outcome grid with the rules of
-:func:`checked_records`, single-mode ones ``_BLOCK`` rows at a time.
+:func:`checked_records`, ``_BLOCK`` rows at a time.
 """
 
 import contextlib
 import csv
+import functools
 import numbers
 import os
 from typing import NamedTuple
@@ -100,9 +101,9 @@ class Records:
     ``len`` and truthiness count rows, ``records[a:b]`` gives a Records that
     shares memory with this one, and ``==`` compares the rows of two
     Records and returns a bool.  Columns may be views, some of them
-    read-only: the ``mode`` of :func:`sample` is one value broadcast to
-    every row (stride 0), and the columns of :func:`ingest_records` are
-    fields of the parsed array.  Copy a column before writing into it.
+    read-only: the ``mode`` of :func:`sample`, and of a single-mode file
+    that :func:`ingest_records` decodes, is one value broadcast to every
+    row (stride 0).  Copy a column before writing into it.
     """
 
     __slots__ = ("t", "mode", "k", "i")
@@ -158,8 +159,11 @@ class Records:
 
 def _shot_order(t, mode):
     """Stable permutation sorting rows by (t, mode); None if already strictly sorted."""
-    step = (t[1:] > t[:-1]) | ((t[1:] == t[:-1]) & (mode[1:] > mode[:-1]))
-    return None if step.all() else np.lexsort((mode, t))
+    for lo in range(0, t.size - 1, _BLOCK):  # the steps from rows a to rows b = a + 1
+        a, b = slice(lo, min(lo + _BLOCK, t.size - 1)), slice(lo + 1, lo + 1 + _BLOCK)
+        if not ((t[b] > t[a]) | ((t[b] == t[a]) & (mode[b] > mode[a]))).all():
+            return np.lexsort((mode, t))
+    return None
 
 
 def checked_records(records, M=None, N=None):
@@ -190,22 +194,25 @@ def _checked(records, M, N):
         return records, None
     t, mode, k, i = records.columns()
     S = len(M)
-    # Each row's (M, N): one pair when every mode has the same grid, else a
-    # gather in which a mode outside 0..S-1 reads the grid of mode S - 1.
     grids = np.asarray([M, N])
     uniform = (grids == grids[:, :1]).all()
-    Mj, Nj = grids[:, 0] if uniform else np.take(grids, mode, axis=1, mode="clip")
     order = _shot_order(t, mode)
     repeat = np.zeros(t.size, dtype=bool)
     if order is not None:  # the later row of each (t, mode) pair adjacent in order
         later, earlier = order[1:], order[:-1]
         repeat[later[(t[later] == t[earlier]) & (mode[later] == mode[earlier])]] = True
-    _raise_first_flagged([
-        (mode >= S, lambda j: "references mode %d outside 0..%d" % (mode[j], S - 1)),
-        ((i >= Mj) | (k >= Nj), lambda j: "references outcome (i=%d, k=%d) outside "
-         "mode %d's %d x %d grid" % (i[j], k[j], mode[j], M[mode[j]], N[mode[j]])),
-        (repeat, lambda j: "repeats mode %d of shot %d" % (mode[j], t[j])),
-    ])
+    for start in range(0, t.size, _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        t_b, mode_b, k_b, i_b, repeat_b = (c[rows] for c in (t, mode, k, i, repeat))
+        # Each row's (M, N): one pair when every mode has the same grid, else a
+        # gather in which a mode outside 0..S-1 reads the grid of mode S - 1.
+        Mj, Nj = grids[:, 0] if uniform else np.take(grids, mode_b, axis=1, mode="clip")
+        _raise_first_flagged([
+            (mode_b >= S, lambda j: "references mode %d outside 0..%d" % (mode_b[j], S - 1)),
+            ((i_b >= Mj) | (k_b >= Nj), lambda j: "references outcome (i=%d, k=%d) outside "
+             "mode %d's %d x %d grid" % (i_b[j], k_b[j], mode_b[j], M[mode_b[j]], N[mode_b[j]])),
+            (repeat_b, lambda j: "repeats mode %d of shot %d" % (mode_b[j], t_b[j])),
+        ], start)
     return records, order
 
 
@@ -536,22 +543,6 @@ class MultiOutcomeDistribution:
     def S(self):
         return self.config.S
 
-    def dense(self):
-        """Full joint probability tensor (S <= 3 only)."""
-        if self.joint is not None:
-            return self.joint
-        if self.S > 3:
-            raise UnsupportedConfigurationError(
-                "dense joint tensor over %d modes exceeds the S <= 3 envelope" % self.S
-            )
-        out = np.array([1.0])
-        shape = []
-        for f in self.factors:
-            flat = f.probabilities.ravel(order="F")
-            out = np.multiply.outer(out, flat)
-            shape.append(flat.size)
-        return out.reshape(shape)
-
 
 def joint_distribution(rho_multi, config):
     """Joint outcome distribution of a multi-mode state.
@@ -659,32 +650,33 @@ def estimate_local(records, config, tables, observables, variant="plain-mean"):
         config.povms[j]._require(table.povm, "mode %d snapshot table" % j)
         lookup[j, :Ms[j], :Ns[j]] = snapshot_values(table, observables[j])
     rec, order = _checked(records, Ms, Ns)
-    # Group rows into shots by sorting on (t, mode); shots run in ascending t
-    # and each shot's rows in ascending mode.
-    t, mode, k, i = (c if order is None else c[order] for c in rec.columns())
-    first = np.ones(t.size, dtype=bool)
-    np.not_equal(t[1:], t[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    # (t, mode) pairs are unique, so a shot has every mode iff there are S
-    # rows per shot, and every mode of V iff it has len(V) rows in V.
-    if V and starts.size * config.S != t.size:
-        in_V = np.zeros(config.S, dtype=np.intp)
-        in_V[V] = 1
-        gaps = np.flatnonzero(np.add.reduceat(np.take(in_V, mode), starts) < len(V))
-        if gaps.size:
-            lo, hi = np.append(starts, t.size)[gaps[0]:gaps[0] + 2]
-            t_gap = int(t[lo])
-            j = next(j for j in V if j not in mode[lo:hi])
-            raise MalformedRecordError(
-                "shot %d has no record for mode %d" % (t_gap, j), ordinal=t_gap
-            )
-    # A shot's value is the product of its rows' values in ascending mode
-    # order; the 1.0 factors off V are exact, so this is the sorted-V product.
-    index = mode * Mp
-    index += i
-    index *= Np
-    index += k
-    values = np.multiply.reduceat(np.take(lookup, index), starts)
+    # Rows in (t, mode) order, the stream's own when sorted: a shot's rows in ascending mode.
+    t, mode, k, i = rec.columns() if order is None else (c[order] for c in rec.columns())
+    # Blocks of about _BLOCK rows (at least S: a shot's most) cut where a shot
+    # starts; the empty first part leaves an empty stream to _aggregate's error.
+    parts, lo, size = [np.empty(0)], 0, max(_BLOCK, config.S)
+    while lo < t.size:
+        end = lo + size
+        hi = t.size if end >= t.size else lo + int(np.searchsorted(t[lo:end], t[end]))
+        t_b, mode_b, k_b, i_b = t[lo:hi], mode[lo:hi], k[lo:hi], i[lo:hi]
+        starts = np.flatnonzero(np.concatenate(([True], t_b[1:] != t_b[:-1])))
+        # (t, mode) pairs are unique, so a shot has every mode iff there are S
+        # rows per shot, and every mode of V iff it has len(V) rows in V.
+        if V and starts.size * config.S != t_b.size:
+            gaps = np.flatnonzero(np.add.reduceat(np.isin(mode_b, V), starts) < len(V))
+            if gaps.size:
+                a, b = np.append(starts, t_b.size)[gaps[0]:gaps[0] + 2]
+                t_gap = int(t_b[a])
+                j = next(j for j in V if j not in mode_b[a:b])
+                raise MalformedRecordError("shot %d has no record for mode %d" % (t_gap, j),
+                                           ordinal=t_gap)
+        # A shot's value is the product of its rows' values in ascending mode
+        # order; the 1.0 factors off V are exact, so this is the sorted-V product.
+        index = (mode_b * Mp + i_b) * Np + k_b
+        parts.append(np.multiply.reduceat(np.take(lookup, index), starts))
+        lo = hi
+    values = np.concatenate(parts)
+    del parts  # else the blocks live on beside the temporary of np.std
     mean, stderr, variant_str = shadow_mod._aggregate(values, variant)
     label = " * ".join(
         getattr(observables[j], "label", "X") for j in V
@@ -853,13 +845,79 @@ _RECORD_DTYPE = np.dtype([(name, np.int64) for name in RECORD_HEADER])
 _RAW_DTYPE = np.dtype([(name, np.int64) for name in RAW_HEADER[:3]] + [("x", np.float64)])
 
 
+def _decoded_fields(buf):
+    """(4, n) int64 fields of the n canonical lines in uint8 ``buf``, or None for other bytes.
+
+    ',' (44) and '\\n' (10) are the only bytes below '0' (48) there, so one
+    ``flatnonzero`` finds every field's end; fields are summed a place at a time.
+    """
+    ends = np.flatnonzero(buf < 48)
+    if ends.size % 4 or buf.max() > 57 or not (buf[ends].reshape(-1, 4) == [44, 44, 44, 10]).all():
+        return None
+    widths = np.diff(ends, prepend=-1)
+    widths -= 1
+    if widths.min() < 1 or widths.max() > 18:
+        return None
+    # Row c of each: column c's fields, contiguous for the place loop.
+    ends = ends.reshape(-1, 4).T.copy()
+    widths = widths.reshape(-1, 4).T.copy()
+    fields = np.zeros(ends.shape, dtype=np.int64)
+    for out, end, width in zip(fields, ends, widths):
+        W = int(width.max())
+        for place in range(W):
+            end -= 1
+            byte = buf.take(end)
+            if place >= width.min():
+                byte[width <= place] = 48  # a short field is padded with '0'
+            out += np.multiply(byte, 10**place, dtype=np.int64)
+        out -= 48 * (10**W - 1) // 9  # the '0' byte at each of the W places
+    return fields
+
+
+def _decoded_records(path):
+    """:class:`Records` of a file in :func:`write_records`' exact format, else None.
+
+    That is the header line, then lines of four fields of 1-18 ASCII digits
+    split by ',' and ended by '\\n'.  A line count sizes one (3, T) block for
+    t, k and i, filled from pieces of ``8 * _BLOCK`` bytes; the mode is
+    stored once unless it changes.
+    """
+    header = (",".join(RECORD_HEADER) + "\n").encode("ascii")
+    with open(path, "rb") as fh:
+        if fh.read(len(header)) != header:
+            return None
+        read = functools.partial(fh.read, 8 * _BLOCK)
+        T = sum(piece.count(b"\n") for piece in iter(read, b""))
+        fh.seek(len(header))
+        t, k, i = np.empty((3, T), dtype=np.int64)
+        first, mode, rows, tail = 0, None, slice(0, 0), b""
+        for piece in iter(read, b""):
+            data = tail + piece
+            cut = data.rfind(b"\n") + 1
+            fields = _decoded_fields(np.frombuffer(data, np.uint8, cut)) if cut else None
+            if fields is None or rows.stop + fields.shape[1] > T:
+                return None
+            tail, rows = data[cut:], slice(rows.stop, rows.stop + fields.shape[1])
+            t[rows], modes, k[rows], i[rows] = fields
+            first = modes[0] if rows.start == 0 else first
+            if mode is not None or (modes != first).any():  # once the mode changes, store it
+                mode = np.full(T, first) if mode is None else mode
+                mode[rows] = modes
+    mode = np.broadcast_to(first, T) if mode is None else mode
+    return None if tail or rows.stop != T else Records(t, mode, k, i)
+
+
 def ingest_records(path):
     """Read a record CSV back into :class:`Records`.
 
-    Empty files yield an empty stream; blank lines are skipped and fields
-    may carry surrounding spaces.  Malformed rows and negative indices raise
-    with their 1-based line number.
+    A file in :func:`write_records`' exact format is decoded in blocks
+    (:func:`_decoded_records`); any other goes to ``np.loadtxt``, whose path
+    gives every error.  Empty files yield an empty stream; blank lines are
+    skipped and fields may carry surrounding spaces.  Malformed rows and
+    negative indices raise with their 1-based line number.
     """
+    if (decoded := _decoded_records(path)) is not None:
+        return decoded
     checks = [_index_problem] * 4
     data = _load_table(path, RECORD_HEADER, _RECORD_DTYPE, checks)
     try:  # views of the parsed array: copies would double the call's peak memory
@@ -880,15 +938,18 @@ def bin_raw(path, grid, binning):
               _quadrature_problem]
     data = _load_table(path, RAW_HEADER, _RAW_DTYPE, checks)
     t, mode, k, x = (data[name] for name in data.dtype.names)  # views, as in ingest_records
-    if np.any((t < 0) | (mode < 0) | (k < 0) | (k >= grid.N) | ~np.isfinite(x)):
+    if x.size and (min(t.min(), mode.min(), k.min()) < 0 or k.max() >= grid.N
+                   or not np.isfinite([x.min(), x.max()]).all()):  # NaN and inf reach min or max
         _raise_first_bad_row(path, RAW_HEADER, checks)
-    edges = binning.edges
-    M = binning.M
-    idx = np.searchsorted(edges, x, side="right") - 1
-    outside = (idx < 0) | (idx >= M) | (x >= edges[-1])
+    M, edges = binning.M, binning.edges
+    idx = np.empty(x.size, dtype=np.intp)
+    for start in range(0, x.size, _BLOCK):  # searchsorted copies a strided x: a block at a time
+        idx[start:start + _BLOCK] = np.searchsorted(edges, x[start:start + _BLOCK], "right")
+    idx -= 1  # -1 below the first edge, M from the last edge on
     if binning.tail_mode == "extend-tails":
-        idx[outside] = np.where(x[outside] < edges[0], 0, M - 1)
-        outside[:] = False
+        np.clip(idx, 0, M - 1, out=idx)
+    outside = (idx < 0) | (idx >= M)
     fraction = np.count_nonzero(outside) / x.size if x.size else 0.0
-    keep = ~outside
-    return Records(t[keep], mode[keep], k[keep], idx[keep]), fraction
+    if fraction:  # copy the kept rows; with none dropped, return the views
+        t, mode, k, idx = (c[~outside] for c in (t, mode, k, idx))
+    return Records(t, mode, k, idx), fraction

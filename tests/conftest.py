@@ -12,6 +12,20 @@ def records_of(rows):
     return Records(*np.array(rows).reshape(-1, 4).T)
 
 
+def dense_joint(dist):
+    """The full joint probability tensor of a ``MultiOutcomeDistribution``.
+
+    One axis per mode, over its flat outcome index o = k*M + i; product
+    states are expanded from their factors.
+    """
+    if dist.joint is not None:
+        return dist.joint
+    out = np.array(1.0)
+    for f in dist.factors:
+        out = np.multiply.outer(out, f.probabilities.ravel(order="F"))
+    return out
+
+
 def random_density(n_max, rng):
     """Random full-rank density matrix (Ginibre construction)."""
     d = n_max + 1

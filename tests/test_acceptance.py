@@ -42,7 +42,7 @@ from homodyne_shadows.sim import (
 )
 from homodyne_shadows.states import coherent, expectation, number_operator
 
-from conftest import random_density
+from conftest import dense_joint, random_density
 
 
 def _strict_table(povm):
@@ -222,7 +222,7 @@ def test_criterion_8_multimode_products():
 
     vals = snapshot_values(table, X)
     dist = joint_distribution([rho, rho], cfg)
-    joint = dist.dense()
+    joint = dense_joint(dist)
     flat_vals = vals.ravel(order="F")
     weighted = float(np.einsum("a,b,ab->", flat_vals, flat_vals, joint))
     single = expectation(rho, X)

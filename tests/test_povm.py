@@ -98,8 +98,12 @@ class TestBuildPovm:
         assert normalization_residual(p).max() <= 1e-10
 
     def test_elements_satisfy_operator_bounds(self):
+        # Pi_{i,k} = D_k G_i D_k^dagger / N with a unitary D_k, so every phase
+        # of bin i has the spectrum of G_i/N, which must lie in [0, 1/N].
         p = build_povm(PhaseGrid(3), BinningScheme.equal_spaced(3, 2.0), 2)
-        p.validate_elements()  # raises on any violation
+        for G in p.G:
+            lam = np.linalg.eigvalsh(G) / p.grid.N
+            assert lam[0] >= -1e-10 and lam[-1] <= 1.0 / p.grid.N + 1e-10
 
     def test_overlaps_must_be_symmetric(self):
         p = build_povm(PhaseGrid(5), BinningScheme.equal_spaced(3, 2.0), 2)

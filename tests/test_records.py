@@ -27,6 +27,7 @@ from homodyne_shadows.shadow import (
 )
 from homodyne_shadows.sim import (
     _BLOCK,
+    _decoded_records,
     RECORD_HEADER,
     MultiModeConfig,
     Records,
@@ -408,6 +409,12 @@ def _whole_stream_estimate(records, table, X, B):
     return float(np.median(means)), math.sqrt(counts @ (v - plain) ** 2 / (T - 1) / T)
 
 
+def _crlf_copy(path, out):
+    """Write ``path`` with CRLF line ends to ``out``: numpy's reader then parses it."""
+    out.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    return out
+
+
 def _traced_peak(call):
     """Bytes that ``call()`` allocates at its peak, beyond what existed before."""
     tracemalloc.start()
@@ -423,7 +430,9 @@ class TestBlockFold:
 
     Each result must equal the whole-stream reference bit for bit, and each
     bad record must raise the reference's message and ordinal, wherever it
-    falls relative to the block and batch bounds.
+    falls relative to the block and batch bounds.  The streams are sampled,
+    decoded from a written file (contiguous columns) and parsed by numpy
+    from a CRLF copy of it (strided columns).
     """
 
     @pytest.fixture(scope="class")
@@ -432,13 +441,17 @@ class TestBlockFold:
         sampled = sample(outcome_distribution(fock(1, 2), povm), _FOLD_T, seed=17, mode=3)
         path = tmp_path_factory.mktemp("fold") / "records.csv"
         write_records(path, sampled)
-        return {"sampled": sampled, "ingested": ingest_records(path)}
+        crlf = _crlf_copy(path, path.with_suffix(".crlf.csv"))
+        return {"sampled": sampled, "ingested": ingest_records(path), "crlf": ingest_records(crlf)}
 
     def test_columns_are_views(self, streams):
         assert streams["sampled"].mode.strides == (0,)
-        assert streams["ingested"].k.strides == (32,)  # a field of the parsed rows
+        decoded = streams["ingested"]
+        assert all(c.flags.c_contiguous for c in (decoded.t, decoded.k, decoded.i))
+        assert decoded.mode.strides == (0,) and not decoded.mode.flags.writeable
+        assert streams["crlf"].k.strides == (32,)  # a field of numpy's parsed rows
 
-    @pytest.mark.parametrize("source", ["sampled", "ingested"])
+    @pytest.mark.parametrize("source", ["sampled", "ingested", "crlf"])
     def test_results_equal_whole_stream_fold(self, setup_223, streams, source):
         _, table = setup_223
         rec, X = streams[source], number_operator(2)
@@ -450,7 +463,7 @@ class TestBlockFold:
         expected = exact_average_snapshot(counts.reshape(table.M, table.N) / _FOLD_T, table)
         assert np.array_equal(reconstruct_state(rec, table), expected)
 
-    @pytest.mark.parametrize("source", ["sampled", "ingested"])
+    @pytest.mark.parametrize("source", ["sampled", "ingested", "crlf"])
     # On the 4 x 5 grid of setup_223, in a stream of mode 3.
     @pytest.mark.parametrize("name, value", [("i", 4), ("k", 7), ("mode", 1)],
                              ids=["bin", "phase", "mode"])
@@ -464,8 +477,10 @@ class TestBlockFold:
         cols[name] = cols[name].copy()
         cols[name][ordinal] = value
         bad = Records(*cols.values())
-        if source == "ingested":
+        if source != "sampled":
             write_records(tmp_path / "bad.csv", bad)
+            if source == "crlf":
+                _crlf_copy(tmp_path / "bad.csv", tmp_path / "bad.csv")
             bad = ingest_records(tmp_path / "bad.csv")
         message, expected = _whole_stream_error(bad, table.M, table.N)
         assert expected == ordinal
@@ -491,7 +506,7 @@ class TestBlockFold:
 
 
 class TestFoldMemory:
-    """At T = 10**6 the consumers hold no stream-sized temporary."""
+    """At T = 10**6 rows no consumer holds a stream-sized temporary; a stream holds 3 columns."""
 
     T = 10**6
 
@@ -522,6 +537,44 @@ class TestFoldMemory:
             tracemalloc.stop()
         assert len(rec) == self.T
         assert held <= 24.5 * 2**20  # t, k and i; the mode column is one value
+
+    def test_ingest_holds_three_columns(self, setup_223, tmp_path):
+        povm, _ = setup_223
+        path = tmp_path / "records.csv"
+        write_records(path, sample(outcome_distribution(fock(1, 2), povm), self.T, seed=4))
+        tracemalloc.start()
+        try:
+            rec = ingest_records(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rec) == self.T
+        assert held <= 23.5 * 2**20  # t, k and i; the mode column is one value
+        assert peak <= 27 * 2**20
+
+    def test_local_estimate_peak(self, setup_223):
+        povm, table = setup_223
+        cfg = MultiModeConfig([povm, povm])
+        rec = sample_multi(joint_distribution([fock(1, 2)] * 2, cfg), self.T // 2, seed=4)
+        X = number_operator(2)
+        peak = _traced_peak(lambda: estimate_local(rec, cfg, {0: table, 1: table}, {0: X, 1: X}))
+        assert peak <= 8 * 2**20  # the per-shot values (3.8 MiB) and one temporary of np.std
+
+    @pytest.mark.parametrize("tail_mode", ["extend-tails", "strict-finite"])
+    def test_bin_raw_peak(self, tail_mode, tmp_path):
+        x = np.linspace(-1.9, 1.9, 1000)  # inside the edges: strict-finite drops none
+        lines = ["%d,0,%d,%.4f\n" % (j, j % 5, v) for j, v in enumerate(x)]
+        path = tmp_path / "raw.csv"
+        path.write_text("t,mode,k,x\n" + "".join(lines) * (self.T // 1000))
+        binning = BinningScheme.equal_spaced(4, 2.0, tail_mode=tail_mode)
+        tracemalloc.start()
+        try:
+            rec, dropped = bin_raw(path, PhaseGrid(5), binning)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(rec), dropped) == (self.T, 0.0)
+        assert peak <= 45 * 2**20  # the parsed rows (30.5 MiB) and the bin column
 
 
 class TestRecordFormat:
@@ -665,8 +718,173 @@ class TestRecordEncoder:
         assert path.read_bytes() == b"t,mode,k,i\n"
 
 
+class TestRecordDecoder:
+    """Files in ``write_records``' exact format are decoded in 2**18-byte pieces.
+
+    Each must give the Records that were written; a file that leaves the
+    format anywhere goes to numpy's reader instead.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(_field, st.sampled_from([0, 1, 7]), _field, _field), max_size=40),
+           st.booleans())
+    def test_round_trip(self, rows, one_mode):
+        rows = [(t, 7 if one_mode else mode, k, i) for t, mode, k, i in rows]
+        rec = Records(*np.array(rows, dtype=np.int64).reshape(-1, 4).T)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "records.csv"
+            write_records(path, rec)
+            back = ingest_records(path)
+            decoded = _decoded_records(path)
+        assert back == rec
+        # A field of 19 digits leaves the format; fields of 1-18 digits do not.
+        assert (decoded is None) == any(v >= 10**18 for row in rows for v in row)
+        if decoded is not None and len(set(r[1] for r in rows)) == 1:
+            assert decoded.mode.strides == (0,)
+
+    # The first line holds a t of d digits and every later one 14 bytes, so
+    # the first piece of 2**18 bytes ends d - 1 bytes into a line (d = 1: at
+    # a line's end; d = 15: at the first byte of the next line).
+    @pytest.mark.parametrize("digits", [1, 2, 8, 14, 15])
+    def test_line_straddling_a_piece_boundary(self, digits, tmp_path):
+        T = 40_000
+        t = np.arange(10**6, 10**6 + T)
+        t[0] = 10 ** (digits - 1)
+        rec = Records(t, np.zeros(T, dtype=np.int64), t % 5, t % 4)
+        path = tmp_path / "records.csv"
+        write_records(path, rec)
+        decoded = ingest_records(path)
+        assert decoded == rec and decoded.k.flags.c_contiguous
+        # A bad byte in the line that holds the boundary reaches numpy's reader,
+        # which names that line.
+        body = bytearray(path.read_bytes())
+        line = body.count(b"\n", 0, len("t,mode,k,i\n") + 2**18) + 1
+        start = body.rindex(b"\n", 0, len("t,mode,k,i\n") + 2**18) + 1
+        body[start + 10] = ord("x")  # the k digit of a 14-byte line
+        path.write_bytes(body)
+        with pytest.raises(MalformedRecordError) as excinfo:
+            ingest_records(path)
+        assert (str(excinfo.value), excinfo.value.ordinal) == (
+            "line %d: k 'x' is not a 64-bit decimal integer" % line, line
+        )
+
+    # Lines of 14 bytes: 18,724 fill the first piece, so the mode changes at
+    # the first line of the second piece, or inside the fourth.
+    @pytest.mark.parametrize("change", [2**18 // 14, 2 * _BLOCK + 5])
+    def test_mode_that_changes_mid_file(self, setup_223, change, tmp_path):
+        T = 3 * _BLOCK
+        t = np.arange(10**6, 10**6 + T)
+        rec = Records(t, np.where(t - 10**6 < change, 2, 0), t % 5, t % 4)
+        path = tmp_path / "records.csv"
+        write_records(path, rec)
+        back = ingest_records(path)
+        assert back == rec and back.mode.strides == (8,)
+        with pytest.raises(MalformedRecordError, match="^record %d has mode 0 but the stream "
+                           "began with mode 2" % change):
+            estimate_observable(back, setup_223[1], number_operator(2))
+
+    def test_multi_mode_stream_round_trip(self, local_33, tmp_path):
+        cfg, table = local_33
+        rec = sample_multi(joint_distribution([fock(1, 1), fock(0, 1)], cfg), 50_000, seed=5)
+        path = tmp_path / "records.csv"
+        write_records(path, rec)
+        back = ingest_records(path)
+        assert back == rec and back.mode.flags.c_contiguous
+        n_op = number_operator(1)
+        tables, obs = {0: table, 1: table}, {0: n_op, 1: n_op}
+        a, b = (estimate_local(r, cfg, tables, obs) for r in (rec, back))
+        assert (a.mean, a.stderr) == (b.mean, b.stderr)
+
+    @pytest.mark.parametrize("body, rows", [
+        (b"t,mode,k,i\n", []),
+        (b"t,mode,k,i\n007,0,01,2\n", [(7, 0, 1, 2)]),
+        (b"t,mode,k,i\n999999999999999999,0,1,2\n", [(10**18 - 1, 0, 1, 2)]),
+    ], ids=["header-only", "leading-zeros", "18-digit"])
+    def test_canonical_edge_files(self, body, rows, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_bytes(body)
+        assert _decoded_records(path) == ingest_records(path) == records_of(rows)
+
+
+class TestLocalBlockFold:
+    """``estimate_local`` folds a (t, mode)-sorted stream in blocks cut at shot starts.
+
+    Three modes, so _BLOCK rows end inside a shot (2**15 mod 3 = 2).
+    """
+
+    SHOTS = _BLOCK + 500  # three blocks of rows
+
+    @pytest.fixture(scope="class")
+    def local(self, setup_223):
+        povm, table = setup_223
+        cfg = MultiModeConfig([povm] * 3)
+        dist = joint_distribution([fock(1, 2), fock(0, 2), fock(2, 2)], cfg)
+        return cfg, {j: table for j in range(3)}, sample_multi(dist, self.SHOTS, seed=6)
+
+    @pytest.mark.parametrize("V", [[0], [0, 2], [0, 1, 2], []])
+    def test_values_equal_whole_stream_product(self, setup_223, local, V):
+        _, table = setup_223
+        cfg, tables, rec = local
+        vals = snapshot_values(table, number_operator(2))
+        # Each shot's three rows in ascending mode, multiplied left to right.
+        v = np.where(np.isin(rec.mode, V), vals[rec.i, rec.k], 1.0).reshape(-1, 3)
+        values = v[:, 0] * v[:, 1] * v[:, 2]
+        obs = {j: number_operator(2) for j in V}
+        for variant, B in [("plain-mean", 1), ("median-of-means:7", 7)]:
+            est = estimate_local(rec, cfg, tables, obs, variant=variant)
+            mean = np.median([np.mean(c) for c in np.array_split(values, B)])
+            stderr = np.std(values, ddof=1) / math.sqrt(self.SHOTS)
+            assert (est.mean, est.stderr, est.shots) == (mean, stderr, self.SHOTS), variant
+
+    # Rows _BLOCK - 1 and _BLOCK are modes 1 and 2 of one shot: swapped, the
+    # stream is out of order only across the first block's last step.
+    @pytest.mark.parametrize("row", [_BLOCK - 2, _BLOCK - 1, _BLOCK])
+    def test_stream_out_of_order_at_one_step(self, local, row):
+        cfg, tables, rec = local
+        perm = np.arange(len(rec))
+        perm[[row, row + 1]] = row + 1, row
+        swapped = Records(*(c[perm] for c in rec.columns()))
+        obs = {j: number_operator(2) for j in range(3)}
+        a, b = (estimate_local(r, cfg, tables, obs) for r in (rec, swapped))
+        assert (a.mean, a.stderr, a.shots) == (b.mean, b.stderr, b.shots)
+
+    @pytest.mark.parametrize("row", [_BLOCK - 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * SHOTS - 1])
+    def test_missing_row_names_its_shot(self, local, row):
+        cfg, tables, rec = local
+        keep = np.arange(len(rec)) != row
+        gap = Records(*(c[keep] for c in rec.columns()))
+        obs = {j: number_operator(2) for j in range(3)}
+        with pytest.raises(MalformedRecordError, match="^shot %d has no record for mode %d$"
+                           % (row // 3, row % 3)) as excinfo:
+            estimate_local(gap, cfg, tables, obs)
+        assert excinfo.value.ordinal == row // 3
+
+    @pytest.mark.parametrize("row", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * SHOTS - 1])
+    @pytest.mark.parametrize("field, value, message", [
+        ("mode", 3, "references mode 3 outside 0..2"),
+        ("i", 4, "references outcome (i=4, k=%d) outside mode %d's 4 x 5 grid"),
+    ], ids=["mode", "bin"])
+    def test_rule_names_the_row_before_an_earlier_gap(self, local, row, field, value, message):
+        cfg, tables, rec = local
+        cols = dict(zip(RECORD_HEADER, (c.copy() for c in rec.columns())))
+        cols[field][row] = value
+        if field == "i":
+            message %= (cols["k"][row], cols["mode"][row])
+        keep = np.arange(len(rec)) != 4  # shot 1 lacks mode 1, but rules come first
+        bad = Records(*(c[keep] for c in cols.values()))
+        obs = {j: number_operator(2) for j in range(3)}
+        for call in (lambda: checked_records(bad, [4] * 3, [5] * 3),
+                     lambda: estimate_local(bad, cfg, tables, obs)):
+            with pytest.raises(MalformedRecordError, match="^record %d %s$"
+                               % (row - 1, re.escape(message))) as excinfo:
+                call()
+            assert excinfo.value.ordinal == row - 1
+
+
+
 # Edge-case record files: the records, or the error text and file line, that
 # the line-by-line reader gave before ingest moved to numpy's block reader.
+# None of them is in write_records' exact format, so each goes to numpy.
 _INGEST_CASES = {
     "crlf": (b"t,mode,k,i\r\n0,0,1,2\r\n1,0,3,4\r\n", [(0, 0, 1, 2), (1, 0, 3, 4)]),
     "cr-only": (b"t,mode,k,i\r0,0,1,2\r1,0,3,4\r", [(0, 0, 1, 2), (1, 0, 3, 4)]),
@@ -704,6 +922,21 @@ _INGEST_CASES = {
     ),
     "short-row": (b"t,mode,k,i\n0,0,1,2\n1,0,3\n", ("line 3: expected 4 fields, got 3", 3)),
     "trailing-comma": (b"t,mode,k,i\n0,0,1,2,\n", ("line 2: expected 4 fields, got 5", 2)),
+    "crlf-blank-only": (b"t,mode,k,i\r\n\r\n\r\n", []),
+    "whitespace-line": (
+        b"t,mode,k,i\n0,0,1,2\n  \n1,0,3,4\n", ("line 3: expected 4 fields, got 1", 3)
+    ),
+    "19-digit": (b"t,mode,k,i\n0,0,1,1234567890123456789\n", [(0, 0, 1, 1234567890123456789)]),
+    "empty-field": (
+        b"t,mode,k,i\n0,,1,2\n", ("line 2: mode '' is not a 64-bit decimal integer", 2)
+    ),
+    "five-fields": (b"t,mode,k,i\n0,0,1,2,3\n", ("line 2: expected 4 fields, got 5", 2)),
+    "exponent": (
+        b"t,mode,k,i\n0,0,1e3,2\n", ("line 2: k '1e3' is not a 64-bit decimal integer", 2)
+    ),
+    "no-header": (
+        b"0,0,1,2\n1,0,3,4\n", ("line 1: expected header t,mode,k,i, got '0,0,1,2'", 1)
+    ),
 }
 
 
@@ -713,6 +946,7 @@ class TestIngestEdgeCases:
         body, expected = _INGEST_CASES[name]
         path = tmp_path / "records.csv"
         path.write_bytes(body)
+        assert _decoded_records(path) is None
         if isinstance(expected, list):
             assert ingest_records(path) == records_of(expected)
             return

@@ -44,7 +44,7 @@ from homodyne_shadows.sim import (
 )
 from homodyne_shadows.states import DensityMatrix, fock, number_operator
 
-from conftest import records_of
+from conftest import dense_joint, records_of
 
 
 @pytest.fixture(scope="module")
@@ -249,15 +249,15 @@ class TestJointDistribution:
             outcome_distribution(r, p).probabilities.ravel(order="F")
             for r, p in zip(rhos, cfg.povms)
         ]
-        dense = dist.dense()
+        dense = dense_joint(dist)
         assert np.max(np.abs(dense - np.outer(singles[0], singles[1]))) <= 1e-12
 
     def test_dense_product_state_agrees_with_factorized(self, two_mode_config):
         cfg = two_mode_config
         rhos = [fock(0, 1), fock(1, 1)]
         R = np.kron(rhos[0].matrix, rhos[1].matrix)
-        dense = joint_distribution(R, cfg).dense()
-        fact = joint_distribution(rhos, cfg).dense()
+        dense = dense_joint(joint_distribution(R, cfg))
+        fact = dense_joint(joint_distribution(rhos, cfg))
         assert np.max(np.abs(dense - fact)) <= 1e-12
 
     def test_entangled_marginal_matches_partial_trace(self, two_mode_config):
@@ -265,7 +265,7 @@ class TestJointDistribution:
         psi = np.zeros(4, dtype=complex)
         psi[0] = psi[3] = 1.0 / np.sqrt(2.0)  # (|00> + |11>)/sqrt(2)
         R = np.outer(psi, psi.conj())
-        joint = joint_distribution(R, cfg).dense()
+        joint = dense_joint(joint_distribution(R, cfg))
         marginal = joint.sum(axis=1)
         reduced = 0.5 * np.eye(2)  # partial trace over the second mode
         p = cfg.povms[0]
@@ -291,7 +291,7 @@ class TestJointDistribution:
             joint_distribution(0.5 * R, two_mode_config)
         strict = BinningScheme.equal_spaced(3, 2.5, tail_mode="strict-finite")
         mixed = MultiModeConfig([two_mode_config.povms[0], (1, PhaseGrid(3), strict)])
-        assert 0.9 < joint_distribution(R, mixed).dense().sum() < 1.0 - 1e-6
+        assert 0.9 < dense_joint(joint_distribution(R, mixed)).sum() < 1.0 - 1e-6
 
     def test_mode_count_mismatch(self, two_mode_config):
         with pytest.raises(ValueError):
@@ -310,8 +310,6 @@ class TestJointDistribution:
         dist = joint_distribution([fock(0, 0)] * 4, cfg)
         recs = sample_multi(dist, 3, seed=9)
         assert len(recs) == 12
-        with pytest.raises(UnsupportedConfigurationError):
-            dist.dense()
 
 
 class TestSampleMulti:
@@ -336,7 +334,7 @@ class TestSampleMulti:
         psi = np.zeros(4, dtype=complex)
         psi[0] = psi[3] = 1.0 / np.sqrt(2.0)
         dist = joint_distribution(np.outer(psi, psi.conj()), pair_config)
-        joint = dist.dense()
+        joint = dense_joint(dist)
         T = 100_000
         recs = sample_multi(dist, T, seed=31)
         counts = np.zeros_like(joint)
