@@ -11,11 +11,13 @@ state pairs with identical statistics when the phase count is too small,
 tensor-product multi-mode distributions and local-observable estimation,
 and CSV ingestion of externally produced (or raw quadrature) records.
 
-Records are columnar: a :class:`Records` holds four equal-length int64
-arrays ``t``, ``mode``, ``k``, ``i`` whose every entry is an index (its
-constructor checks that).  Every producer returns one, and every consumer
-takes one and checks it against its outcome grid with the rules of
-:func:`checked_records`, ``_BLOCK`` rows at a time.
+Records are columnar: a :class:`Records` holds four equal-length arrays
+``t``, ``mode``, ``k``, ``i`` whose every entry is an index (its
+constructor checks that).  Every producer returns each column in the
+narrowest of uint8, uint16 and uint32 that holds it (int64 beyond), and
+every consumer takes a Records and checks it against its outcome grid with
+the rules of :func:`checked_records`, ``_BLOCK`` rows at a time, doing its
+index arithmetic in ``intp``.
 """
 
 import contextlib
@@ -69,6 +71,21 @@ _NEGATIVE_CLAMP = -1e-12
 _BLOCK = 1 << 15
 
 
+# Column dtypes that hold only indices.  A Records keeps these and int64 as
+# given; not uint64, which numpy 1.24 compares with int64 through float64.
+_NARROW = (np.dtype(np.uint8), np.dtype(np.uint16), np.dtype(np.uint32))
+
+
+def _index_dtype(top):
+    """The narrowest record column dtype that holds 0..top: uint8, uint16, uint32 or int64."""
+    return np.min_scalar_type(top) if top < 2**32 else np.dtype(np.int64)
+
+
+def _narrowed(c):
+    """A copy of an index column in the narrowest record column dtype that holds it."""
+    return c.astype(_index_dtype(int(c.max()) if c.size else 0))
+
+
 def _not_index(c):
     """Mask of the rows of a column that are not whole numbers in 0..2**63-1."""
     if c.dtype.kind == "i":
@@ -89,21 +106,24 @@ def _is_index(v):
 
 
 class Records:
-    """Columnar measurement records: equal-length int64 arrays t, mode, k, i.
+    """Columnar measurement records: equal-length index arrays t, mode, k, i.
 
     Row j is shot ``t[j]`` of mode ``mode[j]`` landing in phase ``k[j]`` and
     bin ``i[j]``.  The constructor is where outside data becomes records,
-    and every field must be an index: a whole number in 0..2**63-1.  Signed
-    integer columns are taken as int64 (int64 ones without a copy); complex,
-    string and other non-real columns hold no index.  The first row with a
-    field that is not an index raises
+    and every field must be an index: a whole number in 0..2**63-1.  A
+    uint8, uint16, uint32 or int64 column is kept as given, without a copy;
+    any other becomes int64.  Complex, string and other non-real columns
+    hold no index.  The first row with a field that is not an index raises
     :class:`~homodyne_shadows.errors.MalformedRecordError` with its ordinal.
     ``len`` and truthiness count rows, ``records[a:b]`` gives a Records that
     shares memory with this one, and ``==`` compares the rows of two
-    Records and returns a bool.  Columns may be views, some of them
-    read-only: the ``mode`` of :func:`sample`, and of a single-mode file
-    that :func:`ingest_records` decodes, is one value broadcast to every
-    row (stride 0).  Copy a column before writing into it.
+    Records and returns a bool.  The producers give each column the
+    narrowest of uint8, uint16 and uint32 that holds it, so cast a column to
+    ``intp`` before arithmetic that may leave its dtype: ``i * N + k``
+    wraps in uint8.  Columns may be views, some of them read-only: the
+    ``mode`` of :func:`sample`, and of a single-mode file that
+    :func:`ingest_records` decodes, is one value broadcast to every row
+    (stride 0).  Copy a column before writing into it.
     """
 
     __slots__ = ("t", "mode", "k", "i")
@@ -118,9 +138,10 @@ class Records:
             )
         bad = False
         for c in cols:
-            # An int column gets a row mask only when its minimum is negative:
-            # a mask over every row of a valid column would raise ingest's peak.
-            if c.dtype.kind != "i" or (c.size and c.min() < 0):
+            # A narrow column holds only indices, and an int column gets a row
+            # mask only when its minimum is negative: a mask over every row of
+            # a valid column would raise ingest's peak.
+            if c.dtype not in _NARROW and (c.dtype.kind != "i" or (c.size and c.min() < 0)):
                 bad = bad | _not_index(c)
         if np.any(bad):
             j = int(np.argmax(bad))
@@ -130,7 +151,9 @@ class Records:
                 "index, a whole number in 0..2**63-1" % ((j,) + fields),
                 ordinal=j,
             )
-        self.t, self.mode, self.k, self.i = (np.asarray(c, dtype=np.int64) for c in cols)
+        self.t, self.mode, self.k, self.i = (
+            c if c.dtype in _NARROW else np.asarray(c, dtype=np.int64) for c in cols
+        )
 
     def columns(self):
         """The four columns in ``RECORD_HEADER`` order."""
@@ -249,7 +272,7 @@ def _outcome_counts(records, M, N, bounds):
                 (mode_b != first, lambda j: "has mode %d but the stream began with mode %d; "
                  "a single-mode estimate takes one mode at a time" % (mode_b[j], first)),
             ], start)
-            flat = i_b * N
+            flat = np.multiply(i_b, N, dtype=np.intp)  # narrow columns would wrap
             flat += k_b
             counts += np.bincount(flat, minlength=M * N)
             del flat  # else it lives on beside the next block's index
@@ -422,8 +445,9 @@ def _draws(cumulative, seed, T):
 
 
 def _outcome_tables(M, N):
-    """Phase and bin of each flat outcome index o = k*M + i, as int64 arrays."""
-    return np.divmod(np.arange(M * N, dtype=np.int64), M)
+    """Phase and bin of each flat outcome index o = k*M + i, in the narrowest column dtypes."""
+    k, i = np.divmod(np.arange(M * N), M)
+    return k.astype(_index_dtype(N - 1)), i.astype(_index_dtype(M - 1))
 
 
 def sample(dist, T, seed, mode=0):
@@ -437,11 +461,12 @@ def sample(dist, T, seed, mode=0):
     if dist.total <= 0.0:
         raise ValueError("cannot sample from an all-zero outcome distribution")
     k_of, i_of = _outcome_tables(dist.M, dist.N)
-    k = np.empty(T, dtype=np.int64)
-    i = np.empty(T, dtype=np.int64)
+    k = np.empty(T, dtype=k_of.dtype)
+    i = np.empty(T, dtype=i_of.dtype)
     for rows, o in _draws(dist.cumulative, seed, T):
         k[rows], i[rows] = k_of[o], i_of[o]
-    return Records(np.arange(T), np.broadcast_to(np.asarray(mode), T), k, i)
+    t = np.arange(T, dtype=_index_dtype(T - 1))
+    return Records(t, np.broadcast_to(np.asarray(mode), T), k, i)
 
 
 class IndistinguishabilityReport(NamedTuple):
@@ -593,9 +618,9 @@ def sample_multi(dist, T, seed):
         raise ValueError("shot count T must be >= 1, got %r" % (T,))
     # Shot-major, mode-minor rows: row t*S + j is mode j of shot t.
     S = dist.config.S
-    k = np.empty((T, S), dtype=np.int64)
-    i = np.empty((T, S), dtype=np.int64)
     tables = [_outcome_tables(p.binning.M, p.grid.N) for p in dist.config.povms]
+    k = np.empty((T, S), dtype=np.result_type(*(k_of for k_of, _ in tables)))
+    i = np.empty((T, S), dtype=np.result_type(*(i_of for _, i_of in tables)))
     if dist.factors is not None:
         for j, f in enumerate(dist.factors):
             if f.total <= 0.0:
@@ -612,7 +637,9 @@ def sample_multi(dist, T, seed):
             per_mode = np.unravel_index(o, joint.shape, order="F")
             for j, ((k_of, i_of), o_j) in enumerate(zip(tables, per_mode)):
                 k[rows, j], i[rows, j] = k_of[o_j], i_of[o_j]
-    return Records(np.repeat(np.arange(T), S), np.tile(np.arange(S), T), k.ravel(), i.ravel())
+    t = np.repeat(np.arange(T, dtype=_index_dtype(T - 1)), S)
+    mode = np.tile(np.arange(S, dtype=_index_dtype(S - 1)), T)
+    return Records(t, mode, k.ravel(), i.ravel())
 
 
 def estimate_local(records, config, tables, observables, variant="plain-mean"):
@@ -672,7 +699,10 @@ def estimate_local(records, config, tables, observables, variant="plain-mean"):
                                            ordinal=t_gap)
         # A shot's value is the product of its rows' values in ascending mode
         # order; the 1.0 factors off V are exact, so this is the sorted-V product.
-        index = (mode_b * Mp + i_b) * Np + k_b
+        index = np.multiply(mode_b, Mp, dtype=np.intp)  # (mode*Mp + i)*Np + k, unwrapped
+        index += i_b
+        index *= Np
+        index += k_b
         parts.append(np.multiply.reduceat(np.take(lookup, index), starts))
         lo = hi
     values = np.concatenate(parts)
@@ -780,7 +810,19 @@ def _quadrature_problem(field):
     return None
 
 
+def _undecoded_problem(row):
+    """Why a row read with errors="surrogateescape" is not UTF-8 text; None if it is."""
+    text = ",".join(row)
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:  # surrogateescape reads byte b as U+DC00 + b
+        return "byte 0x%02x is not UTF-8 text" % (ord(text[exc.start]) - 0xDC00)
+    return None
+
+
 def _row_problem(row, header, checks):
+    if problem := _undecoded_problem(row):
+        return problem
     if len(row) != len(checks):
         return "expected %d fields, got %d" % (len(checks), len(row))
     for name, check, field in zip(header, checks, row):
@@ -795,9 +837,10 @@ def _raise_first_bad_row(path, header, checks, cause=None):
 
     Only called once a vectorized pass has found a bad row, so this
     per-line rescan runs on error paths alone; it names the row's 1-based
-    file line, counting blank lines, which numpy's reader does not.
+    file line, counting empty lines, which numpy's reader does not.  A
+    byte that is not UTF-8 makes its row bad.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or lineno == 1:
                 continue
@@ -812,18 +855,19 @@ def _raise_first_bad_row(path, header, checks, cause=None):
 def _load_table(path, header, dtype, checks):
     """Data rows of a headed four-column CSV, parsed by numpy's C reader.
 
-    Line 1 must hold ``header`` unless it is blank; blank lines are skipped
-    and fields may carry surrounding spaces.  Rows numpy cannot parse raise
-    through :func:`_raise_first_bad_row` with ``checks``.
+    Line 1 must hold ``header`` unless it is empty; empty lines are skipped
+    and fields may carry surrounding spaces, but a line of spaces is a row
+    of one field.  Rows numpy cannot parse, a byte that is not UTF-8 among
+    them, raise through :func:`_raise_first_bad_row` with ``checks``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         row = next(csv.reader([fh.readline()]), [])
         if row and tuple(c.strip() for c in row) != header:
-            raise MalformedRecordError(
-                "line 1: expected header %s, got %r" % (",".join(header), ",".join(row)),
-                ordinal=1,
-            )
-        # numpy warns on input without data, so stop at an all-blank remainder.
+            raise MalformedRecordError("line 1: %s" % (
+                _undecoded_problem(row)
+                or "expected header %s, got %r" % (",".join(header), ",".join(row))
+            ), ordinal=1)
+        # numpy warns on input without data, so stop at an all-empty remainder.
         if not any(line.strip("\n") for line in fh):
             return np.empty(0, dtype=dtype)
     # numpy reads a file name in blocks but a handle line by line.  It would
@@ -878,43 +922,53 @@ def _decoded_records(path):
     """:class:`Records` of a file in :func:`write_records`' exact format, else None.
 
     That is the header line, then lines of four fields of 1-18 ASCII digits
-    split by ',' and ended by '\\n'.  A line count sizes one (3, T) block for
-    t, k and i, filled from pieces of ``8 * _BLOCK`` bytes; the mode is
-    stored once unless it changes.
+    split by ',' and ended by '\\n'.  Pieces of ``8 * _BLOCK`` bytes are
+    decoded in turn, each field narrowed to the dtype of its piece's maximum,
+    and each column is joined once at the end.  The mode is stored once
+    unless it changes.
     """
     header = (",".join(RECORD_HEADER) + "\n").encode("ascii")
+    columns, first, changed, tail = [[], [], [], []], None, False, b""
     with open(path, "rb") as fh:
         if fh.read(len(header)) != header:
             return None
-        read = functools.partial(fh.read, 8 * _BLOCK)
-        T = sum(piece.count(b"\n") for piece in iter(read, b""))
-        fh.seek(len(header))
-        t, k, i = np.empty((3, T), dtype=np.int64)
-        first, mode, rows, tail = 0, None, slice(0, 0), b""
-        for piece in iter(read, b""):
+        for piece in iter(functools.partial(fh.read, 8 * _BLOCK), b""):
             data = tail + piece
             cut = data.rfind(b"\n") + 1
             fields = _decoded_fields(np.frombuffer(data, np.uint8, cut)) if cut else None
-            if fields is None or rows.stop + fields.shape[1] > T:
+            if fields is None:
                 return None
-            tail, rows = data[cut:], slice(rows.stop, rows.stop + fields.shape[1])
-            t[rows], modes, k[rows], i[rows] = fields
-            first = modes[0] if rows.start == 0 else first
-            if mode is not None or (modes != first).any():  # once the mode changes, store it
-                mode = np.full(T, first) if mode is None else mode
-                mode[rows] = modes
-    mode = np.broadcast_to(first, T) if mode is None else mode
-    return None if tail or rows.stop != T else Records(t, mode, k, i)
+            tail = data[cut:]
+            t, modes, k, i = map(_narrowed, fields)
+            first = modes[:1] if first is None else first
+            if (modes == first).all():  # a view of the first mode, until one differs
+                modes = np.broadcast_to(first, modes.size)
+            else:
+                changed = True
+            for column, field in zip(columns, (t, modes, k, i)):
+                column.append(field)
+    if tail:
+        return None
+    if first is None:  # the header alone
+        return Records(*[np.empty(0, dtype=np.uint8)] * 4)
+    if not changed:
+        columns[1] = [first]  # broadcast to every row below
+    for j, pieces in enumerate(columns):  # each column's pieces go once it is joined
+        columns[j] = np.concatenate(pieces)
+    t, mode, k, i = columns
+    return Records(t, mode if changed else np.broadcast_to(mode, t.size), k, i)
 
 
 def ingest_records(path):
     """Read a record CSV back into :class:`Records`.
 
     A file in :func:`write_records`' exact format is decoded in blocks
-    (:func:`_decoded_records`); any other goes to ``np.loadtxt``, whose path
-    gives every error.  Empty files yield an empty stream; blank lines are
-    skipped and fields may carry surrounding spaces.  Malformed rows and
-    negative indices raise with their 1-based line number.
+    (:func:`_decoded_records`) into narrow columns; any other goes to
+    ``np.loadtxt``, whose path gives every error and whose columns are int64
+    fields of its parsed rows.  Empty files yield an empty stream; empty
+    lines are skipped (a line of spaces is not empty) and fields may carry
+    surrounding spaces.  Malformed rows, negative indices and bytes that are
+    not UTF-8 raise with their 1-based line number.
     """
     if (decoded := _decoded_records(path)) is not None:
         return decoded
@@ -932,7 +986,8 @@ def bin_raw(path, grid, binning):
     Bins are right-open ([x_i, x_{i+1})), so a value exactly on an interior
     edge belongs to the bin on its right.  Out-of-range values follow the
     binning's tail policy: extend-tails clamps them into the adjacent edge
-    bin, strict-finite drops them.  Returns ``(records, dropped_fraction)``.
+    bin, strict-finite drops them.  Returns ``(records, dropped_fraction)``;
+    the columns are narrow copies, so the parsed rows are freed.
     """
     checks = [_index_problem, _index_problem, lambda f: _index_problem(f, grid.N),
               _quadrature_problem]
@@ -942,14 +997,14 @@ def bin_raw(path, grid, binning):
                    or not np.isfinite([x.min(), x.max()]).all()):  # NaN and inf reach min or max
         _raise_first_bad_row(path, RAW_HEADER, checks)
     M, edges = binning.M, binning.edges
-    idx = np.empty(x.size, dtype=np.intp)
+    above = np.empty(x.size, dtype=_index_dtype(M + 1))  # one past the bin: 0 .. M + 1
     for start in range(0, x.size, _BLOCK):  # searchsorted copies a strided x: a block at a time
-        idx[start:start + _BLOCK] = np.searchsorted(edges, x[start:start + _BLOCK], "right")
-    idx -= 1  # -1 below the first edge, M from the last edge on
+        above[start:start + _BLOCK] = np.searchsorted(edges, x[start:start + _BLOCK], "right")
     if binning.tail_mode == "extend-tails":
-        np.clip(idx, 0, M - 1, out=idx)
-    outside = (idx < 0) | (idx >= M)
+        np.clip(above, 1, M, out=above)
+    outside = (above == 0) | (above > M)
     fraction = np.count_nonzero(outside) / x.size if x.size else 0.0
-    if fraction:  # copy the kept rows; with none dropped, return the views
-        t, mode, k, idx = (c[~outside] for c in (t, mode, k, idx))
-    return Records(t, mode, k, idx), fraction
+    rows = ~outside if fraction else slice(None)
+    t, mode, k, i = (_narrowed(c[rows]) for c in (t, mode, k, above))
+    i -= 1
+    return Records(t, mode, k, i), fraction

@@ -345,6 +345,19 @@ class TestEstimate:
         )
         assert code == EXIT_DATA
 
+    def test_non_utf8_records_exit_65_naming_the_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"t,mode,k,i\n0,0,\xff,2\n")
+        code = run(
+            [
+                "estimate",
+                "--records", str(bad),
+                "--nmax", "1", "--phases", "3", "--bins", "3",
+            ]
+        )
+        assert code == EXIT_DATA
+        assert "line 2: byte 0xff is not UTF-8 text" in capsys.readouterr().err
+
     def test_empty_records_exit_65(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text("t,mode,k,i\n")

@@ -28,6 +28,7 @@ from homodyne_shadows.shadow import (
 from homodyne_shadows.sim import (
     _BLOCK,
     _decoded_records,
+    _narrowed,
     RECORD_HEADER,
     MultiModeConfig,
     Records,
@@ -96,6 +97,16 @@ class TestRecordsType:
         assert all(c.dtype == np.int64 for c in rec.columns())
         with pytest.raises(ValueError):
             Records([0, 1], [0], [2, 3], [4, 5])
+
+    def test_narrow_unsigned_columns_are_kept(self):
+        cols = [np.array([0, 2**32 - 1], dtype=np.uint32), np.array([0, 1], dtype=np.uint8),
+                np.array([0, 2**16 - 1], dtype=np.uint16), np.array([4, 5], dtype=np.int64)]
+        rec = Records(*cols)
+        assert all(c is d for c, d in zip(rec.columns(), cols))
+        # Other integer dtypes become int64; uint64 too, as numpy 1.24 compares
+        # uint64 with int64 through float64.
+        for dtype in (np.int8, np.int32, np.uint64):
+            assert Records(*[np.array([1, 2], dtype=dtype)] * 4).k.dtype == np.int64
 
     @pytest.mark.parametrize(
         "k, ordinal",
@@ -506,7 +517,11 @@ class TestBlockFold:
 
 
 class TestFoldMemory:
-    """At T = 10**6 rows no consumer holds a stream-sized temporary; a stream holds 3 columns."""
+    """At T = 10**6 rows no consumer holds a stream-sized temporary.
+
+    A producer's stream holds 3 narrow columns: uint32 t, uint8 k and i
+    (5.7 MiB, where int64 columns took 22.9 MiB).
+    """
 
     T = 10**6
 
@@ -514,6 +529,15 @@ class TestFoldMemory:
     def stream(self, setup_223):
         povm, _ = setup_223
         return sample(outcome_distribution(fock(1, 2), povm), self.T, seed=4)
+
+    @pytest.fixture(scope="class")
+    def raw_path(self, tmp_path_factory):
+        """10**6 raw rows t,0,k,x with x inside the edges, so strict-finite drops none."""
+        x = np.linspace(-1.9, 1.9, 1000)
+        lines = ["%d,0,%d,%.4f\n" % (j, j % 5, v) for j, v in enumerate(x)]
+        path = tmp_path_factory.mktemp("raw") / "raw.csv"
+        path.write_text("t,mode,k,x\n" + "".join(lines) * (self.T // 1000))
+        return path
 
     @pytest.mark.parametrize("variant", ["plain-mean", "median-of-means"])
     def test_estimate_peak(self, setup_223, stream, variant):
@@ -536,7 +560,7 @@ class TestFoldMemory:
         finally:
             tracemalloc.stop()
         assert len(rec) == self.T
-        assert held <= 24.5 * 2**20  # t, k and i; the mode column is one value
+        assert held <= 6.5 * 2**20  # t, k and i; the mode column is one value
 
     def test_ingest_holds_three_columns(self, setup_223, tmp_path):
         povm, _ = setup_223
@@ -549,8 +573,20 @@ class TestFoldMemory:
         finally:
             tracemalloc.stop()
         assert len(rec) == self.T
-        assert held <= 23.5 * 2**20  # t, k and i; the mode column is one value
-        assert peak <= 27 * 2**20
+        assert held <= 6.5 * 2**20  # t, k and i; the mode column is one value
+        assert peak <= 12 * 2**20  # the narrow pieces, the joined t and a piece's temporaries
+
+    def test_sampled_multi_mode_records_hold_narrow_columns(self, setup_223):
+        povm, _ = setup_223
+        dist = joint_distribution([fock(1, 2)] * 2, MultiModeConfig([povm, povm]))
+        tracemalloc.start()
+        try:
+            rec = sample_multi(dist, self.T // 2, seed=4)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(rec) == self.T
+        assert held <= 7.5 * 2**20  # uint32 t, uint8 mode, k and i
 
     def test_local_estimate_peak(self, setup_223):
         povm, table = setup_223
@@ -561,20 +597,158 @@ class TestFoldMemory:
         assert peak <= 8 * 2**20  # the per-shot values (3.8 MiB) and one temporary of np.std
 
     @pytest.mark.parametrize("tail_mode", ["extend-tails", "strict-finite"])
-    def test_bin_raw_peak(self, tail_mode, tmp_path):
-        x = np.linspace(-1.9, 1.9, 1000)  # inside the edges: strict-finite drops none
-        lines = ["%d,0,%d,%.4f\n" % (j, j % 5, v) for j, v in enumerate(x)]
-        path = tmp_path / "raw.csv"
-        path.write_text("t,mode,k,x\n" + "".join(lines) * (self.T // 1000))
+    def test_bin_raw_peak(self, tail_mode, raw_path):
         binning = BinningScheme.equal_spaced(4, 2.0, tail_mode=tail_mode)
         tracemalloc.start()
         try:
-            rec, dropped = bin_raw(path, PhaseGrid(5), binning)
+            rec, dropped = bin_raw(raw_path, PhaseGrid(5), binning)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert (len(rec), dropped) == (self.T, 0.0)
-        assert peak <= 45 * 2**20  # the parsed rows (30.5 MiB) and the bin column
+        assert peak <= 45 * 2**20  # the parsed rows (30.5 MiB) and the narrow columns
+
+    @pytest.mark.parametrize("tail_mode", ["extend-tails", "strict-finite"])
+    def test_bin_raw_holds_narrow_copies(self, tail_mode, raw_path):
+        binning = BinningScheme.equal_spaced(4, 2.0, tail_mode=tail_mode)
+        tracemalloc.start()
+        try:
+            rec, _ = bin_raw(raw_path, PhaseGrid(5), binning)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(rec) == self.T
+        # uint16 t, uint8 mode, k and i: views would keep the parsed rows (30.5 MiB).
+        assert held <= 8 * 2**20
+        assert [c.dtype for c in rec.columns()] == [np.uint16] + [np.uint8] * 3
+
+
+# A grid whose outcome index i*N + k reaches 299, beyond uint8, while i and
+# k fit in it: n_max = 1, N = 3, M = 100.
+_WIDE_N, _WIDE_M = 3, 100
+
+
+@pytest.fixture(scope="module")
+def wide_grid():
+    povm = build_povm(PhaseGrid(_WIDE_N), design_bins(1, _WIDE_N, _WIDE_M), 1)
+    return povm, snapshots(povm, invert_frame(frame_operator(povm)))
+
+
+def _narrow_copy(draw, c):
+    """A copy of index column ``c`` in an unsigned dtype, drawn from those that hold it."""
+    fits = [d for d in (np.uint8, np.uint16, np.uint32) if int(c.max()) <= np.iinfo(d).max]
+    return c.astype(draw(st.sampled_from(fits)))
+
+
+@st.composite
+def _narrow_and_wide(draw, S):
+    """(narrow, wide): one stream of S modes a shot as uint columns and as int64 copies.
+
+    Shots are in (t, mode) order; on the wide grid, and the last row's
+    outcome index i*N + k is 299.
+    """
+    T = draw(st.integers(1, 120))
+    k, i = (np.array(draw(st.lists(st.integers(0, top - 1), min_size=T * S, max_size=T * S)))
+            for top in (_WIDE_N, _WIDE_M))
+    k[-1], i[-1] = _WIDE_N - 1, _WIDE_M - 1
+    first_t = draw(st.sampled_from([0, 250, 70_000, 2**32 - 121]))
+    mode = np.tile(np.arange(S), T) if S > 1 else np.full(T, draw(st.sampled_from([0, 7, 300])))
+    cols = [np.repeat(np.arange(first_t, first_t + T), S), mode, k, i]
+    narrow = Records(*(_narrow_copy(draw, c) for c in cols))
+    assert all(c.dtype.kind == "u" and c.itemsize < 8 for c in narrow.columns())
+    return narrow, Records(*(c.astype(np.int64) for c in cols))
+
+
+class TestNarrowColumns:
+    """A stream in narrow unsigned columns gives what its int64 copy gives, bit for bit.
+
+    Every sum and product of columns is formed in intp: in uint8 the outcome
+    index 99*3 + 2 of the wide grid would wrap to 43.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_single_mode_results_and_bytes(self, wide_grid, data):
+        _, table = wide_grid
+        narrow, wide = data.draw(_narrow_and_wide(1))
+        X = number_operator(1)
+        for variant in ("plain-mean", "median-of-means:7"):
+            a, b = (estimate_observable(r, table, X, variant=variant) for r in (narrow, wide))
+            assert (a.mean, a.stderr, a.shots, a.variant) == (b.mean, b.stderr, b.shots, b.variant)
+        assert np.array_equal(reconstruct_state(narrow, table), reconstruct_state(wide, table))
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [Path(tmp) / name for name in ("narrow.csv", "wide.csv")]
+            for path, rec in zip(paths, (narrow, wide)):
+                write_records(path, rec)
+            assert paths[0].read_bytes() == paths[1].read_bytes()
+            assert ingest_records(paths[0]) == wide
+        assert narrow == wide
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_local_estimate(self, wide_grid, data):
+        povm, table = wide_grid
+        cfg = MultiModeConfig([povm, povm])
+        narrow, wide = data.draw(_narrow_and_wide(2))
+        tables, obs = {0: table, 1: table}, {0: number_operator(1), 1: number_operator(1)}
+        for variant in ("plain-mean", "median-of-means:7"):
+            a, b = (estimate_local(r, cfg, tables, obs, variant=variant) for r in (narrow, wide))
+            assert (a.mean, a.stderr, a.shots, a.variant) == (b.mean, b.stderr, b.shots, b.variant)
+
+    # name: (modes a shot, field, value, message after "record <ordinal> ").
+    # One mode is checked on the 100 x 3 grid, two on two copies of it; a
+    # repeat (field None) copies the (t, mode) of the row before.
+    _FAULTS = {
+        "bin": (1, "i", _WIDE_M,
+                "references outcome (i=100, k=%(k)d) outside the 100 x 3 outcome grid"),
+        "phase": (1, "k", _WIDE_N,
+                  "references outcome (i=%(i)d, k=3) outside the 100 x 3 outcome grid"),
+        "mode": (1, "mode", 1, "has mode 1 but the stream began with mode 0; a single-mode "
+                 "estimate takes one mode at a time"),
+        "mode-range": (2, "mode", 2, "references mode 2 outside 0..1"),
+        "repeat": (2, None, None, "repeats mode %(mode)d of shot %(t)d"),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(_FAULTS))
+    @pytest.mark.parametrize("ordinal", _FOLD_ORDINALS)
+    def test_fault_message_and_ordinal(self, fault, ordinal):
+        S, field, value, message = self._FAULTS[fault]
+        rng = np.random.default_rng(ordinal)
+        rows = np.arange(_FOLD_T)
+        cols = {"t": rows // S, "mode": rows % S, "k": rng.integers(0, _WIDE_N, _FOLD_T),
+                "i": rng.integers(0, _WIDE_M, _FOLD_T)}
+        if field is None:
+            for name in ("t", "mode"):
+                cols[name][ordinal] = cols[name][ordinal - 1]
+        else:
+            cols[field][ordinal] = value
+        message = "record %d " % ordinal + message % {n: c[ordinal] for n, c in cols.items()}
+        grids = (_WIDE_M, _WIDE_N) if S == 1 else ([_WIDE_M] * S, [_WIDE_N] * S)
+        wide = Records(*(cols[n] for n in RECORD_HEADER))
+        narrow = Records(*(_narrowed(c) for c in wide.columns()))
+        assert [c.dtype for c in narrow.columns()[1:]] == [np.uint8] * 3
+        for rec in (narrow, wide):
+            with pytest.raises(MalformedRecordError, match="^%s$" % re.escape(message)) as excinfo:
+                checked_records(rec, *grids)
+            assert excinfo.value.ordinal == ordinal
+
+    def test_uint64_input_is_compared_as_int64(self):
+        top = Records(*[np.array([2**63 - 1], dtype=np.uint64)] * 4)
+        below = Records(*[np.array([2**63 - 2], dtype=np.int64)] * 4)
+        assert (top == below) is False
+        assert (top == Records(*[np.array([2**63 - 1], dtype=np.int64)] * 4)) is True
+
+    def test_producers_give_narrow_columns(self, setup_223, tmp_path):
+        povm, _ = setup_223
+        rec = sample(outcome_distribution(fock(1, 2), povm), 300, seed=1)
+        assert [c.dtype for c in (rec.t, rec.k, rec.i)] == [np.uint16, np.uint8, np.uint8]
+        multi = sample_multi(joint_distribution([fock(1, 2)] * 2, MultiModeConfig([povm] * 2)),
+                             300, seed=1)
+        assert [c.dtype for c in multi.columns()] == [np.uint16] + [np.uint8] * 3
+        path = tmp_path / "records.csv"
+        write_records(path, Records(np.arange(3) + 2**32, [0, 0, 0], [0, 1, 2], [300, 2, 1]))
+        back = ingest_records(path)
+        assert [c.dtype for c in (back.t, back.k, back.i)] == [np.int64, np.uint8, np.uint16]
 
 
 class TestRecordFormat:
@@ -778,7 +952,7 @@ class TestRecordDecoder:
         path = tmp_path / "records.csv"
         write_records(path, rec)
         back = ingest_records(path)
-        assert back == rec and back.mode.strides == (8,)
+        assert back == rec and back.mode.strides == (back.mode.itemsize,)
         with pytest.raises(MalformedRecordError, match="^record %d has mode 0 but the stream "
                            "began with mode 2" % change):
             estimate_observable(back, setup_223[1], number_operator(2))
@@ -923,9 +1097,16 @@ _INGEST_CASES = {
     "short-row": (b"t,mode,k,i\n0,0,1,2\n1,0,3\n", ("line 3: expected 4 fields, got 3", 3)),
     "trailing-comma": (b"t,mode,k,i\n0,0,1,2,\n", ("line 2: expected 4 fields, got 5", 2)),
     "crlf-blank-only": (b"t,mode,k,i\r\n\r\n\r\n", []),
+    # Only empty lines are skipped: a line of spaces is a row of one field.
     "whitespace-line": (
         b"t,mode,k,i\n0,0,1,2\n  \n1,0,3,4\n", ("line 3: expected 4 fields, got 1", 3)
     ),
+    "whitespace-last-line": (b"t,mode,k,i\n0,0,1,2\n \n", ("line 3: expected 4 fields, got 1", 3)),
+    "non-utf8": (b"t,mode,k,i\n0,0,\xff,2\n", ("line 2: byte 0xff is not UTF-8 text", 2)),
+    "non-utf8-after-bad-row": (
+        b"t,mode,k,i\n0,0,x,2\n1,0,\xc3,2\n", ("line 2: k 'x' is not a 64-bit decimal integer", 2)
+    ),
+    "non-utf8-header": (b"t,mode,\xe9,i\n0,0,1,2\n", ("line 1: byte 0xe9 is not UTF-8 text", 1)),
     "19-digit": (b"t,mode,k,i\n0,0,1,1234567890123456789\n", [(0, 0, 1, 1234567890123456789)]),
     "empty-field": (
         b"t,mode,k,i\n0,,1,2\n", ("line 2: mode '' is not a 64-bit decimal integer", 2)
@@ -964,6 +1145,18 @@ class TestIngestEdgeCases:
         with pytest.raises(MalformedRecordError) as excinfo:
             ingest_records(path)
         assert excinfo.value.ordinal == 4
+
+    @pytest.mark.parametrize("body, message, line", [
+        (b"t,mode,k,x\n0,0,\xff,2\n", "line 2: byte 0xff is not UTF-8 text", 2),
+        (b"t,mode,k,x\n0,0,0,0.5\n1,0,0,0.\xb5\n", "line 3: byte 0xb5 is not UTF-8 text", 3),
+        (b"t,mode,k,x\n0,0,0,0.5\n   \n1,0,0,0.5\n", "line 3: expected 4 fields, got 1", 3),
+    ], ids=["non-utf8", "non-utf8-quadrature", "whitespace-line"])
+    def test_bin_raw_error_line(self, body, message, line, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_bytes(body)
+        with pytest.raises(MalformedRecordError) as excinfo:
+            bin_raw(path, PhaseGrid(2), BinningScheme([-1.0, 0.0, 1.0]))
+        assert (str(excinfo.value), excinfo.value.ordinal) == (message, line)
 
     @pytest.mark.parametrize("tail_mode", ["extend-tails", "strict-finite"])
     def test_bin_raw_crlf_and_blank_lines(self, tail_mode, tmp_path):
