@@ -4,7 +4,8 @@ Subcommands
 -----------
 design-bins
     Search for equal-spaced quadrature bins that make the binned-phase POVM
-    informationally complete; write the resulting scheme as JSON.
+    informationally complete; write the resulting scheme as JSON (to stdout
+    without ``--out``, with the status line on stderr).
 check-ic
     Certify informational completeness of a POVM (from parameters, a scheme
     file or a cache file) and report rank, spectrum tail, and frame
@@ -47,10 +48,8 @@ from . import states as states_mod
 from .errors import (
     BinDesignError,
     CacheKeyMismatchError,
-    InvariantViolationError,
+    HomodyneShadowsError,
     MalformedRecordError,
-    StrictModeSingularError,
-    UnsupportedConfigurationError,
 )
 
 EXIT_OK = 0
@@ -125,7 +124,6 @@ def build_parser():
         description="Classical-shadow estimation for discretized homodyne detection",
     )
     subs = parser.add_subparsers(dest="command", metavar="COMMAND")
-    table = {}
 
     p = subs.add_parser(
         "design-bins",
@@ -146,7 +144,6 @@ def build_parser():
     p.add_argument("--out", default=None, metavar="PATH", help="scheme JSON output")
     _add_config_flag(p)
     p.set_defaults(func=_cmd_design_bins)
-    table["design-bins"] = p
 
     p = subs.add_parser("check-ic", help="certify informational completeness")
     _add_binning_flags(p)
@@ -154,7 +151,6 @@ def build_parser():
     p.add_argument("--json", action="store_true", help="machine-readable output")
     _add_config_flag(p)
     p.set_defaults(func=_cmd_check_ic)
-    table["check-ic"] = p
 
     p = subs.add_parser("simulate", help="sample seeded measurement records")
     _add_binning_flags(p)
@@ -168,7 +164,6 @@ def build_parser():
     p.add_argument("--out", required=True, metavar="PATH", help="records CSV output")
     _add_config_flag(p)
     p.set_defaults(func=_cmd_simulate)
-    table["simulate"] = p
 
     p = subs.add_parser("estimate", help="estimate an observable from records")
     _add_binning_flags(p)
@@ -192,7 +187,6 @@ def build_parser():
     p.add_argument("--out", default=None, metavar="PATH", help="report JSON output file")
     _add_config_flag(p)
     p.set_defaults(func=_cmd_estimate)
-    table["estimate"] = p
 
     p = subs.add_parser(
         "variance-scan", help="exact single-shot variance across a parameter sweep"
@@ -221,9 +215,8 @@ def build_parser():
     p.add_argument("--out", default=None, metavar="PATH", help="CSV output (default stdout)")
     _add_config_flag(p)
     p.set_defaults(func=_cmd_variance_scan)
-    table["variance-scan"] = p
 
-    return parser, table
+    return parser, subs.choices
 
 
 def _check_tolerances(args):
@@ -237,7 +230,7 @@ def _check_tolerances(args):
             raise UsageError("--%s must be finite and %s, got %r" % (flag, bound, value))
 
 
-def _config_flags(table, argv):
+def _config_flags(subcommands, argv):
     """The entries of the ``--config`` file that ``argv`` names, as flags.
 
     Each key names a flag of the subcommand ``argv[0]`` (dashes or
@@ -246,7 +239,7 @@ def _config_flags(table, argv):
     JSON value as JSON text, so argparse converts and checks it as it does
     an explicit flag.  Returns ``[]`` when ``argv`` names no config file.
     """
-    sub = table.get(argv[0]) if argv else None
+    sub = subcommands.get(argv[0]) if argv else None
     if sub is None:
         return []
     finder = _Parser(add_help=False)
@@ -408,9 +401,10 @@ def _cmd_design_bins(args):
         required=report.required,
         half_width=float(-scheme.edges[0]),
     )
-    print(
+    print(  # on stderr when the scheme itself goes to stdout
         "design-bins: complete scheme with rank %d/%d over [%.6g, %.6g]"
-        % (report.rank, report.required, scheme.edges[0], scheme.edges[-1])
+        % (report.rank, report.required, scheme.edges[0], scheme.edges[-1]),
+        file=sys.stdout if args.out else sys.stderr,
     )
     return EXIT_OK
 
@@ -562,9 +556,9 @@ def _cmd_variance_scan(args):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, table = build_parser()
+    parser, subcommands = build_parser()
     try:
-        config = _config_flags(table, argv)
+        config = _config_flags(subcommands, argv)
         if config:
             try:
                 args = parser.parse_args(argv[:1] + config + argv[1:])
@@ -580,19 +574,7 @@ def main(argv=None):
     except UsageError as exc:
         print("%s: error: %s" % (parser.prog, exc), file=sys.stderr)
         return EXIT_USAGE
-    except BinDesignError as exc:
-        print("%s: %s" % (parser.prog, exc), file=sys.stderr)
-        return EXIT_DESIGN_FAILED
-    except (
-        CacheKeyMismatchError,
-        MalformedRecordError,
-        InvariantViolationError,
-        StrictModeSingularError,
-        UnsupportedConfigurationError,
-    ) as exc:
-        print("%s: %s" % (parser.prog, exc), file=sys.stderr)
-        return EXIT_DATA
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (HomodyneShadowsError, OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print("%s: %s" % (parser.prog, exc), file=sys.stderr)
         return EXIT_DATA
 

@@ -420,13 +420,12 @@ def _outcome_matrix(F, grid, i, k):
 def _pairing(A, F, grid):
     """Re Tr(A F_i exp(1j*(m-n)*theta_k))/N for every outcome (i, k), as a real (M, N) array.
 
-    ``A`` is a state, an observable or a d x d array; ``F`` is a real
-    (M, d, d) array, the overlaps G or the snapshot factors S.  The products
-    A[n, m] F_i[m, n] are gathered d^2-major, grouped by diagonal offset
-    delta = m - n, and summed per offset in one reduction; then one phase
-    table gives every k: O(M d^2 + M d N).
+    ``A`` is a d x d array; ``F`` is a real (M, d, d) array, the overlaps G
+    or the snapshot factors S.  The products A[n, m] F_i[m, n] are gathered
+    d^2-major, grouped by diagonal offset delta = m - n, and summed per
+    offset in one reduction; then one phase table gives every k:
+    O(M d^2 + M d N).
     """
-    A = A.matrix if hasattr(A, "matrix") else np.asarray(A)
     M, d = F.shape[:2]
     if A.shape != (d, d):
         raise ValueError("operator of shape %r does not match POVM dimension %d" % (A.shape, d))

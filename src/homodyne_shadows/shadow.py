@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import StrictModeSingularError
 from .povm import _adjoint, _outcome_matrix, _pairing, is_informationally_complete
-from .states import expectation
+from .states import _matrix, expectation
 
 __all__ = [
     "InverseFrame",
@@ -247,12 +247,12 @@ def snapshots(povm, inv):
 
 def snapshot_values(table, X):
     """Per-outcome estimator values Tr(X rho_hat_{i,k}) as a real (M, N) array."""
-    return _pairing(X, table.S, table.grid)
+    return _pairing(_matrix(X), table.S, table.grid)
 
 
 def outcome_probabilities(rho, povm):
     """Exact outcome probabilities Tr(rho Pi_{i,k}) as a real (M, N) array."""
-    return _pairing(rho, povm.G, povm.grid)
+    return _pairing(_matrix(rho), povm.G, povm.grid)
 
 
 def _parse_variant(variant):

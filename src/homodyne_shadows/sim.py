@@ -37,7 +37,7 @@ from .errors import (
 )
 from .povm import BinningScheme, PhaseGrid, PovmSet, build_povm, default_half_width
 from .shadow import EstimateReport, outcome_probabilities, snapshot_values
-from .states import superposition_pair, trace_distance
+from .states import _matrix, superposition_pair, trace_distance
 
 __all__ = [
     "Records",
@@ -590,7 +590,7 @@ def joint_distribution(rho_multi, config):
             "dense joint states are supported for at most 3 modes; "
             "factorize product states instead (got S=%d)" % config.S
         )
-    R = rho_multi.matrix if hasattr(rho_multi, "matrix") else np.asarray(rho_multi)
+    R = _matrix(rho_multi)
     dims = [p.dim for p in config.povms]
     D = int(np.prod(dims))
     if R.shape != (D, D):
@@ -642,6 +642,17 @@ def sample_multi(dist, T, seed):
     return Records(t, mode, k.ravel(), i.ravel())
 
 
+def _measured_modes(config, observables, tables):
+    """Sorted observable modes; ValueError for one outside 0..S-1 or, given tables, without one."""
+    V = sorted(observables)
+    for j in V:
+        if not 0 <= j < config.S:
+            raise ValueError("observable mode %d outside 0..%d" % (j, config.S - 1))
+        if tables is not None and j not in tables:
+            raise ValueError("no snapshot table supplied for mode %d" % j)
+    return V
+
+
 def estimate_local(records, config, tables, observables, variant="plain-mean"):
     """Estimate a tensor-product local observable from multi-mode records.
 
@@ -655,12 +666,7 @@ def estimate_local(records, config, tables, observables, variant="plain-mean"):
     eigenvalue threshold, or a {mode: threshold} map when they differ; both
     are ``None`` for V = {}.
     """
-    V = sorted(observables)
-    for j in V:
-        if not 0 <= j < config.S:
-            raise ValueError("observable mode %d outside 0..%d" % (j, config.S - 1))
-        if j not in tables:
-            raise ValueError("no snapshot table supplied for mode %d" % j)
+    V = _measured_modes(config, observables, tables)
     Ms = [p.binning.M for p in config.povms]
     Ns = [p.grid.N for p in config.povms]
     # Per-mode value tables, padded to max(M) x max(N) and stacked so that
@@ -728,13 +734,9 @@ def multi_shadow_norm(config, observables, tables=None):
     estimator just as the single-mode norm does in one mode.
     """
     out = 1.0
-    for j in sorted(observables):
-        if not 0 <= j < config.S:
-            raise ValueError("observable mode %d outside 0..%d" % (j, config.S - 1))
+    for j in _measured_modes(config, observables, tables):
         povm = config.povms[j]
         if tables is not None:
-            if j not in tables:
-                raise ValueError("no snapshot table supplied for mode %d" % j)
             table = tables[j]
         else:
             inv = shadow_mod.invert_frame(shadow_mod.frame_operator(povm))

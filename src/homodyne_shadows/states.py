@@ -36,6 +36,32 @@ __all__ = [
 _DEFICIT_WARN = 1e-6
 
 
+def _hermitian(matrix, what):
+    """A read-only complex copy of ``matrix``; it must be square and Hermitian within 1e-12."""
+    A = np.array(matrix, dtype=complex)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise InvariantViolationError(
+            "%s must be square, got shape %r" % (what, A.shape), check="square"
+        )
+    if np.max(np.abs(A - A.conj().T)) > 1e-12:
+        raise InvariantViolationError("%s is not Hermitian within 1e-12" % what, check="hermitian")
+    A.setflags(write=False)
+    return A
+
+
+def _truncation_deficit(kept, full, what):
+    """The mass 1 - kept/full lost to the cutoff, warning at the factory's caller above 1e-6."""
+    deficit = max(0.0, 1.0 - kept / full)
+    if deficit > _DEFICIT_WARN:
+        warnings.warn("%s loses probability %.3e to truncation" % (what, deficit), stacklevel=3)
+    return deficit
+
+
+def _matrix(A):
+    """The matrix of a state or observable, or ``A`` itself as an array."""
+    return A.matrix if hasattr(A, "matrix") else np.asarray(A)
+
+
 class DensityMatrix:
     """Validated density matrix on the truncated Fock space.
 
@@ -50,15 +76,7 @@ class DensityMatrix:
     """
 
     def __init__(self, matrix, truncation_deficit=None):
-        A = np.array(matrix, dtype=complex)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise InvariantViolationError(
-                "density matrix must be square, got shape %r" % (A.shape,), check="square"
-            )
-        if np.max(np.abs(A - A.conj().T)) > 1e-12:
-            raise InvariantViolationError(
-                "density matrix is not Hermitian within 1e-12", check="hermitian"
-            )
+        A = _hermitian(matrix, "density matrix")
         if abs(np.trace(A).real - 1.0) > 1e-10 or abs(np.trace(A).imag) > 1e-10:
             raise InvariantViolationError(
                 "density matrix trace %r is not 1 within 1e-10" % (np.trace(A),),
@@ -70,7 +88,6 @@ class DensityMatrix:
                 "density matrix has eigenvalue %g < -1e-10" % lo, check="positive"
             )
         self.matrix = A
-        self.matrix.setflags(write=False)
         self.truncation_deficit = (
             None if truncation_deficit is None else float(truncation_deficit)
         )
@@ -95,17 +112,7 @@ class Observable:
     """Hermitian observable on the truncated Fock space with a label."""
 
     def __init__(self, matrix, label="X"):
-        A = np.array(matrix, dtype=complex)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise InvariantViolationError(
-                "observable must be square, got shape %r" % (A.shape,), check="square"
-            )
-        if np.max(np.abs(A - A.conj().T)) > 1e-12:
-            raise InvariantViolationError(
-                "observable is not Hermitian within 1e-12", check="hermitian"
-            )
-        self.matrix = A
-        self.matrix.setflags(write=False)
+        self.matrix = _hermitian(matrix, "observable")
         self.label = str(label)
 
     @property
@@ -144,13 +151,7 @@ def coherent(alpha, n_max):
     log_fact = np.cumsum(np.log(np.maximum(n, 1)))
     amps = np.exp(-0.5 * abs(alpha) ** 2) * alpha**n * np.exp(-0.5 * log_fact)
     kept = float(np.sum(np.abs(amps) ** 2))
-    deficit = max(0.0, 1.0 - kept)
-    if deficit > _DEFICIT_WARN:
-        warnings.warn(
-            "coherent(alpha=%s, n_max=%d) loses probability %.3e to truncation"
-            % (alpha, n_max, deficit),
-            stacklevel=2,
-        )
+    deficit = _truncation_deficit(kept, 1.0, "coherent(alpha=%s, n_max=%d)" % (alpha, n_max))
     return _pure(amps / math.sqrt(kept), deficit=deficit)
 
 
@@ -207,13 +208,7 @@ def thermal(nbar, n_max):
     n = np.arange(n_max + 1)
     p = (nbar / (1.0 + nbar)) ** n / (1.0 + nbar)
     kept = float(np.sum(p))
-    deficit = max(0.0, 1.0 - kept)
-    if deficit > _DEFICIT_WARN:
-        warnings.warn(
-            "thermal(nbar=%g, n_max=%d) loses probability %.3e to truncation"
-            % (nbar, n_max, deficit),
-            stacklevel=2,
-        )
+    deficit = _truncation_deficit(kept, 1.0, "thermal(nbar=%g, n_max=%d)" % (nbar, n_max))
     return DensityMatrix(np.diag(p / kept).astype(complex), truncation_deficit=deficit)
 
 
@@ -234,13 +229,8 @@ def cat(alpha, parity=1, n_max=10):
     amps = base * (alpha**n + parity * (-alpha) ** n)
     full_norm = 2.0 * (1.0 + parity * math.exp(-2.0 * abs(alpha) ** 2))
     kept = float(np.sum(np.abs(amps) ** 2))
-    deficit = max(0.0, 1.0 - kept / full_norm)
-    if deficit > _DEFICIT_WARN:
-        warnings.warn(
-            "cat(alpha=%s, parity=%+d, n_max=%d) loses probability %.3e to "
-            "truncation" % (alpha, parity, n_max, deficit),
-            stacklevel=2,
-        )
+    what = "cat(alpha=%s, parity=%+d, n_max=%d)" % (alpha, parity, n_max)
+    deficit = _truncation_deficit(kept, full_norm, what)
     return _pure(amps / math.sqrt(kept), deficit=deficit)
 
 
@@ -253,9 +243,7 @@ def number_operator(n_max):
 
 def expectation(rho, X):
     """Tr(rho X) as a real number (imaginary part must be roundoff)."""
-    R = rho.matrix if hasattr(rho, "matrix") else np.asarray(rho)
-    A = X.matrix if hasattr(X, "matrix") else np.asarray(X)
-    val = complex(np.trace(R @ A))
+    val = complex(np.trace(_matrix(rho) @ _matrix(X)))
     if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
         raise ValueError("expectation value %r has a non-negligible imaginary part" % val)
     return float(val.real)
@@ -263,9 +251,7 @@ def expectation(rho, X):
 
 def trace_distance(rho1, rho2):
     """Trace distance (1/2)*||rho1 - rho2||_1 between two states."""
-    A = rho1.matrix if hasattr(rho1, "matrix") else np.asarray(rho1)
-    B = rho2.matrix if hasattr(rho2, "matrix") else np.asarray(rho2)
-    diff = A - B
+    diff = _matrix(rho1) - _matrix(rho2)
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T)))))
 
 

@@ -10,6 +10,7 @@ import pytest
 
 import homodyne_shadows
 from homodyne_shadows import cli
+from homodyne_shadows import states as states_mod
 from homodyne_shadows.cli import (
     EXIT_DATA,
     EXIT_DESIGN_FAILED,
@@ -63,6 +64,18 @@ class TestDesignBins:
         with pytest.raises(SystemExit) as excinfo:
             run(["design-bins", "--phases", "3", "--bins", "2"])
         assert excinfo.value.code == EXIT_USAGE
+
+    def test_scheme_on_stdout_is_readable(self, tmp_path, capsys):
+        # Without --out the scheme goes to stdout and the status line to
+        # stderr, so `design-bins ... > s.json` gives a loadable file.
+        assert run(["design-bins", "--nmax", "3", "--phases", "7", "--bins", "5"]) == EXIT_OK
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert doc["rank"] == doc["required"] == 16
+        assert captured.err.startswith("design-bins: complete scheme with rank 16/16 over [")
+        scheme = tmp_path / "piped.json"
+        scheme.write_text(captured.out)
+        assert run(["check-ic", "--scheme", str(scheme)]) == EXIT_OK
 
 
 class TestCheckIC:
@@ -215,6 +228,50 @@ class TestSimulate:
     def test_unknown_state_spec_exits_64(self, tmp_path, capsys):
         args = [v if v != "fock:1" else "squeezed:2" for v in self.ARGS]
         assert run(args + ["--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
+
+
+# Each spec is truncated at n_max = 3, so most of them warn.
+@pytest.mark.filterwarnings("ignore::UserWarning")
+class TestStateAndObservableSpecs:
+    GEOMETRY = ["--nmax", "3", "--phases", "7", "--bins", "5"]
+
+    def _simulate(self, spec, out, T=300):
+        return run(["simulate", *self.GEOMETRY, "--state", spec,
+                    "--T", str(T), "--seed", "5", "--out", str(out)])
+
+    @pytest.mark.parametrize("spec", ["thermal:0.5", "cat:1.0", "cat:1.0:-1", "cat:1.0:1"])
+    def test_valid_spec_writes_T_rows(self, spec, tmp_path):
+        out = tmp_path / "records.csv"
+        assert self._simulate(spec, out) == EXIT_OK
+        lines = out.read_text().splitlines()
+        assert lines[0] == "t,mode,k,i" and len(lines) == 301
+
+    def test_file_spec_matches_the_factory(self, tmp_path):
+        path = tmp_path / "state.json"
+        states_mod.cat(1.0, -1, 3).to_file(path)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert self._simulate("cat:1.0:-1", a) == EXIT_OK
+        assert self._simulate("file:%s" % path, b) == EXIT_OK
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("spec", ["cat:0:-1", "cat:1:2", "thermal:-1"])
+    def test_invalid_spec_exits_64(self, spec, tmp_path, capsys):
+        assert self._simulate(spec, tmp_path / "x.csv") == EXIT_USAGE
+        assert "bad state spec %r" % spec in capsys.readouterr().err
+
+    def test_observable_file_matches_number(self, tmp_path, capsys):
+        records = tmp_path / "records.csv"
+        assert self._simulate("cat:1.0:-1", records, T=2000) == EXIT_OK
+        path = tmp_path / "n.json"
+        states_mod.number_operator(3).to_file(path)
+        reports = []
+        for spec in ("number", "file:%s" % path):
+            capsys.readouterr()
+            assert run(["estimate", *self.GEOMETRY, "--records", str(records),
+                        "--observable", spec, "--json"]) == EXIT_OK
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["observable_label"] == "n"
 
 
 class TestEstimate:

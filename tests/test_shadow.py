@@ -176,6 +176,18 @@ class TestSnapshots:
         with pytest.raises(ValueError):
             snapshots(other, inv)
 
+    def test_pairings_take_plain_arrays(self, small_povm, small_table):
+        rho = random_density(2, np.random.default_rng(47))
+        X = number_operator(2)
+        for A in (rho.matrix, rho.matrix.tolist()):
+            assert np.array_equal(outcome_probabilities(A, small_povm),
+                                  outcome_probabilities(rho, small_povm))
+        for A in (X.matrix, X.matrix.tolist()):
+            assert np.array_equal(snapshot_values(small_table, A), snapshot_values(small_table, X))
+        with pytest.raises(ValueError, match="^operator of shape \\(2, 2\\) does not match "
+                                             "POVM dimension 3$"):
+            snapshot_values(small_table, np.eye(2))
+
 
 class TestTableOfAnotherPovm:
     """A table read with another POVM than its own raises instead of returning a wrong number."""

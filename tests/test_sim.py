@@ -545,6 +545,50 @@ class TestMultiShadowNorm:
         assert explicit == internal
 
 
+class TestMeasuredModes:
+    """estimate_local and multi_shadow_norm share one check of the observables' modes."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        p1, p2 = (
+            build_povm(PhaseGrid(7), BinningScheme.equal_spaced(5, L), 3) for L in (3.0, 4.5)
+        )
+        t1, t2 = (snapshots(p, invert_frame(frame_operator(p))) for p in (p1, p2))
+        cfg = MultiModeConfig([p2, p2])
+        recs = sample_multi(joint_distribution([fock(1, 3)] * 2, cfg), 50, seed=5)
+        return cfg, t1, t2, recs
+
+    @pytest.mark.parametrize("observed, tables, text", [
+        ([0, 2], [0, 1], "observable mode 2 outside 0..1"),
+        ([-1], [0, 1], "observable mode -1 outside 0..1"),
+        ([0, 1], [0], "no snapshot table supplied for mode 1"),
+    ], ids=["mode-above-range", "negative-mode", "missing-table"])
+    def test_texts(self, setup, observed, tables, text):
+        cfg, _, t2, recs = setup
+        X = {j: number_operator(3) for j in observed}
+        given = {j: t2 for j in tables}
+        for call in (lambda: estimate_local(recs, cfg, given, X),
+                     lambda: multi_shadow_norm(cfg, X, tables=given)):
+            with pytest.raises(ValueError) as excinfo:
+                call()
+            assert str(excinfo.value) == text
+
+    def test_out_of_range_mode_without_tables(self, setup):
+        cfg = setup[0]
+        with pytest.raises(ValueError, match="^observable mode 2 outside 0..1$"):
+            multi_shadow_norm(cfg, {0: number_operator(3), 2: number_operator(3)})
+
+    def test_every_mode_is_checked_before_any_norm(self, setup):
+        # Mode 0's table comes from another POVM, and mode 2 does not exist:
+        # the mode check runs first, as in estimate_local.
+        cfg, t1, t2, recs = setup
+        X = {0: number_operator(3), 2: number_operator(3)}
+        for call in (lambda: estimate_local(recs, cfg, {0: t1, 2: t2}, X),
+                     lambda: multi_shadow_norm(cfg, X, tables={0: t1, 2: t2})):
+            with pytest.raises(ValueError, match="^observable mode 2 outside 0..1$"):
+                call()
+
+
 class TestRecordIO:
     def test_round_trip(self, tmp_path):
         recs = records_of([(0, 0, 2, 1), (1, 1, 0, 3)])

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -236,3 +237,62 @@ class TestFileRoundTrip:
         path.write_text(json.dumps(doc))
         with pytest.raises(InvariantViolationError):
             observable_from_file(path)
+
+
+class TestSharedRules:
+    """The exact texts, check names and warning sites of the shared input rules."""
+
+    @pytest.mark.parametrize("cls, what", [(DensityMatrix, "density matrix"),
+                                           (Observable, "observable")])
+    def test_non_square_text(self, cls, what):
+        with pytest.raises(InvariantViolationError) as excinfo:
+            cls(np.ones((2, 3)) / 6.0)
+        assert str(excinfo.value) == "%s must be square, got shape (2, 3)" % what
+        assert excinfo.value.check == "square"
+
+    @pytest.mark.parametrize("cls, what", [(DensityMatrix, "density matrix"),
+                                           (Observable, "observable")])
+    def test_non_hermitian_text(self, cls, what):
+        with pytest.raises(InvariantViolationError) as excinfo:
+            cls(np.array([[0.5, 0.3], [0.0, 0.5]]))
+        assert str(excinfo.value) == "%s is not Hermitian within 1e-12" % what
+        assert excinfo.value.check == "hermitian"
+
+    @pytest.mark.parametrize("cls", [DensityMatrix, Observable])
+    def test_matrix_is_a_read_only_complex_copy(self, cls):
+        m = np.diag([0.25, 0.75])
+        A = cls(m).matrix
+        m[0, 0] = 1.0
+        assert A.dtype == complex and A[0, 0] == 0.25
+        assert not A.flags.writeable
+
+    @pytest.mark.parametrize("factory, args, text, deficit", [
+        (coherent, (3.0, 3), "coherent(alpha=(3+0j), n_max=3) loses probability "
+         "9.788e-01 to truncation", 1.0 - 172.0 * math.exp(-9.0)),
+        (thermal, (0.5, 3), "thermal(nbar=0.5, n_max=3) loses probability "
+         "1.235e-02 to truncation", 1.0 / 81.0),
+        (cat, (1.0, -1, 3), "cat(alpha=(1+0j), parity=-1, n_max=3) loses probability "
+         "7.262e-03 to truncation", 1.0 - 7.0 / (6.0 * math.sinh(1.0))),
+    ], ids=["coherent", "thermal", "cat"])
+    def test_truncation_warning(self, factory, args, text, deficit):
+        with pytest.warns(UserWarning) as record:
+            rho = factory(*args)
+        assert [str(w.message) for w in record] == [text]
+        # The warning points at the factory's caller: this file.
+        assert record[0].filename == __file__
+        assert rho.truncation_deficit == pytest.approx(deficit, rel=1e-12)
+
+    @pytest.mark.parametrize("factory, args", [
+        (coherent, (1.0, 20)), (thermal, (0.5, 40)), (cat, (1.0, -1, 20)),
+    ])
+    def test_no_warning_below_threshold(self, factory, args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert 0.0 <= factory(*args).truncation_deficit <= 1e-6
+
+    def test_plain_arrays_match_objects(self):
+        rng = np.random.default_rng(5)
+        a, b = random_density(3, rng), random_density(3, rng)
+        n_op = number_operator(3)
+        assert expectation(a.matrix, n_op.matrix.tolist()) == expectation(a, n_op)
+        assert trace_distance(a.matrix, b.matrix.tolist()) == trace_distance(a, b)
