@@ -8,10 +8,11 @@ package covers the full pipeline: POVM construction and informational-
 completeness certification (``povm``), bin design, frame inversion and
 observable estimation with exact variance and shot-count accounting
 (``shadow``), input states and observables (``states``), exact measurement
-simulation and record handling (``sim``), and a CLI (``hshadow``).
+simulation (``sim``), record streams and their CSV files (``records``), and
+a CLI (``hshadow``).
 """
 
-from . import errors, fockcore, povm, shadow, sim, states
+from . import errors, fockcore, povm, records, shadow, sim, states
 from .errors import (
     BinDesignError,
     CacheKeyMismatchError,
@@ -36,6 +37,7 @@ from .povm import (
     save_povm,
     sufficient_condition,
 )
+from .records import Records, bin_raw, ingest_records, write_records
 from .shadow import (
     EstimateReport,
     InverseFrame,
@@ -51,19 +53,15 @@ from .shadow import (
     variance_bound,
 )
 from .sim import (
-    Records,
     MultiModeConfig,
     OutcomeDistribution,
-    bin_raw,
     estimate_local,
     indistinguishability_experiment,
-    ingest_records,
     joint_distribution,
     multi_shadow_norm,
     outcome_distribution,
     sample,
     sample_multi,
-    write_records,
 )
 from .states import (
     DensityMatrix,

@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import StrictModeSingularError
 from .povm import _adjoint, _outcome_matrix, _pairing, is_informationally_complete
+from .records import _outcome_counts, checked_records
 from .states import _matrix, expectation
 
 __all__ = [
@@ -317,14 +318,12 @@ def estimate_observable(records, table, X, variant="plain-mean"):
     give the plain mean m and stderr = sqrt(sum(C*(v - m)**2)/(T - 1)/T).
     These equal the per-shot formulas up to summation-order roundoff.
 
-    ``records`` is a :class:`~homodyne_shadows.sim.Records`; any other type
+    ``records`` is a :class:`~homodyne_shadows.records.Records`; any other type
     raises ``TypeError``.  Records with an outcome outside the table, or a
     mode other than the stream's first, raise
     :class:`~homodyne_shadows.errors.MalformedRecordError` with the record's
     position in the stream.
     """
-    from .sim import _outcome_counts, checked_records  # sim imports this module
-
     T = len(checked_records(records))
     bounds, variant_str = _batching(variant, T)
     v = snapshot_values(table, X).ravel()
@@ -443,8 +442,6 @@ def reconstruct_state(records, table, project=False):
     positive semidefinite trace-one matrices, which is a biased
     post-processing step and therefore off by default.
     """
-    from .sim import _outcome_counts, checked_records  # sim imports this module
-
     total = len(checked_records(records))
     if total == 0:
         raise ValueError("record stream is empty")

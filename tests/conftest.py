@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from homodyne_shadows.sim import Records
+from homodyne_shadows.records import Records
 from homodyne_shadows.states import DensityMatrix
 
 

@@ -25,22 +25,24 @@ from homodyne_shadows.shadow import (
     snapshot_values,
     snapshots,
 )
-from homodyne_shadows.sim import (
+from homodyne_shadows.records import (
     _BLOCK,
     _decoded_records,
     _narrowed,
     RECORD_HEADER,
-    MultiModeConfig,
     Records,
     bin_raw,
     checked_records,
-    estimate_local,
     ingest_records,
+    write_records,
+)
+from homodyne_shadows.sim import (
+    MultiModeConfig,
+    estimate_local,
     joint_distribution,
     outcome_distribution,
     sample,
     sample_multi,
-    write_records,
 )
 from homodyne_shadows.states import fock, number_operator
 

@@ -28,19 +28,17 @@ from homodyne_shadows.shadow import (
     snapshot_values,
     snapshots,
 )
+from homodyne_shadows.records import bin_raw, ingest_records, write_records
 from homodyne_shadows.sim import (
     MultiModeConfig,
     OutcomeDistribution,
-    bin_raw,
     estimate_local,
     indistinguishability_experiment,
-    ingest_records,
     joint_distribution,
     multi_shadow_norm,
     outcome_distribution,
     sample,
     sample_multi,
-    write_records,
 )
 from homodyne_shadows.states import DensityMatrix, fock, number_operator
 
