@@ -431,7 +431,8 @@ def _cmd_check_ic(args):
                     "N": povm.grid.N,
                     "M": povm.binning.M,
                     "cache_key": povm.cache_key,
-                }
+                },
+                allow_nan=False,
             )
         )
     else:
@@ -454,10 +455,12 @@ def _cmd_simulate(args):
     dist = sim_mod.outcome_distribution(rho, povm)
     records = sim_mod.sample(dist, args.T, args.seed)
     sim_mod.write_records(args.out, records)
-    print(
-        "simulate: wrote %d records to %s (seed %d, deficit %.3e)"
-        % (len(records), args.out, args.seed, dist.deficit)
-    )
+    deficit = rho.truncation_deficit
+    facts = ["seed %d" % args.seed,
+             "truncation deficit " + ("unknown" if deficit is None else "%.3e" % deficit)]
+    if povm.binning.tail_mode == povm_mod.TAIL_STRICT:
+        facts.append("tail mass %.3e" % dist.deficit)
+    print("simulate: wrote %d records to %s (%s)" % (len(records), args.out, ", ".join(facts)))
     return EXIT_OK
 
 
@@ -477,7 +480,7 @@ def _cmd_estimate(args):
     report = shadow_mod.estimate_observable(records, table, X, variant=args.variant)
     report.seed = args.seed
     report.povm_cache_key = povm.cache_key
-    payload = json.dumps(report.to_json())
+    payload = json.dumps(report.to_json(), allow_nan=False)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")

@@ -18,7 +18,7 @@ import numpy as np
 from . import shadow as shadow_mod
 from .errors import InvariantViolationError, MalformedRecordError, UnsupportedConfigurationError
 from .povm import BinningScheme, PhaseGrid, PovmSet, build_povm, default_half_width
-# write_records and ingest_records are also reached as sim.*: the CLI calls them so.
+# write_records and ingest_records stay reachable as sim.*, the names the CLI calls them by.
 from .records import _BLOCK, Records, _checked, _index_dtype, ingest_records, write_records
 from .shadow import EstimateReport, outcome_probabilities, snapshot_values
 from .states import _matrix, superposition_pair, trace_distance

@@ -37,11 +37,16 @@ _DEFICIT_WARN = 1e-6
 
 
 def _hermitian(matrix, what):
-    """A read-only complex copy of ``matrix``; it must be square and Hermitian within 1e-12."""
+    """A read-only complex copy of ``matrix``: square, finite and Hermitian within 1e-12."""
     A = np.array(matrix, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvariantViolationError(
             "%s must be square, got shape %r" % (what, A.shape), check="square"
+        )
+    bad = np.argwhere(~np.isfinite(A))
+    if bad.size:
+        raise InvariantViolationError(
+            "%s has a non-finite entry at (%d, %d)" % ((what,) + tuple(bad[0])), check="finite"
         )
     if np.max(np.abs(A - A.conj().T)) > 1e-12:
         raise InvariantViolationError("%s is not Hermitian within 1e-12" % what, check="hermitian")
@@ -49,8 +54,20 @@ def _hermitian(matrix, what):
     return A
 
 
+def _finite(value, what):
+    """``value``, or ValueError naming ``what`` when it is NaN or infinite."""
+    if not np.isfinite(value):
+        raise ValueError("%s must be finite, got %s" % (what, value))
+    return value
+
+
 def _truncation_deficit(kept, full, what):
-    """The mass 1 - kept/full lost to the cutoff, warning at the factory's caller above 1e-6."""
+    """The mass 1 - kept/full lost to the cutoff, warning at the factory's caller above 1e-6.
+
+    A state that keeps no mass below the cutoff raises ValueError.
+    """
+    if not kept > 0:
+        raise ValueError("%s keeps no probability below the cutoff" % what)
     deficit = max(0.0, 1.0 - kept / full)
     if deficit > _DEFICIT_WARN:
         warnings.warn("%s loses probability %.3e to truncation" % (what, deficit), stacklevel=3)
@@ -146,7 +163,7 @@ def coherent(alpha, n_max):
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0, got %r" % (n_max,))
-    alpha = complex(alpha)
+    alpha = _finite(complex(alpha), "coherent amplitude alpha")
     n = np.arange(n_max + 1)
     log_fact = np.cumsum(np.log(np.maximum(n, 1)))
     amps = np.exp(-0.5 * abs(alpha) ** 2) * alpha**n * np.exp(-0.5 * log_fact)
@@ -200,7 +217,7 @@ def superposition_pair(alpha, beta, n, n_max):
 
 def thermal(nbar, n_max):
     """Thermal state with mean photon number nbar, truncated and renormalized."""
-    nbar = float(nbar)
+    nbar = _finite(float(nbar), "mean photon number nbar")
     if nbar < 0:
         raise ValueError("mean photon number must be >= 0, got %g" % nbar)
     if nbar == 0.0:
@@ -220,7 +237,7 @@ def cat(alpha, parity=1, n_max=10):
     """
     if parity not in (1, -1):
         raise ValueError("parity must be +1 or -1, got %r" % (parity,))
-    alpha = complex(alpha)
+    alpha = _finite(complex(alpha), "cat amplitude alpha")
     if alpha == 0 and parity == -1:
         raise ValueError("odd cat state is undefined at alpha = 0")
     n = np.arange(n_max + 1)

@@ -1,6 +1,7 @@
 """End-to-end tests of the hshadow command-line interface."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -272,6 +273,92 @@ class TestStateAndObservableSpecs:
             reports.append(capsys.readouterr().out)
         assert reports[0] == reports[1]
         assert json.loads(reports[0])["observable_label"] == "n"
+
+
+    @pytest.mark.parametrize("tail, line", [
+        ([], "truncation deficit 7.262e-03"),
+        (["--tail-mode", "strict-finite"], "truncation deficit 7.262e-03, tail mass 5.996e-05"),
+    ], ids=["extend-tails", "strict-finite"])
+    def test_status_line_names_each_deficit(self, tail, line, tmp_path, capsys):
+        # The state loses 7.262e-03 to the cutoff; the unmeasured tail mass
+        # exists only in strict-finite mode.
+        out = tmp_path / "records.csv"
+        assert run(["simulate", *self.GEOMETRY, *tail, "--state", "cat:1.0:-1",
+                    "--T", "300", "--seed", "5", "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "simulate: wrote 300 records to %s (seed 5, %s)\n" % (out, line))
+
+
+class TestNonFiniteInput:
+    """NaN and infinite input exits 64 or 65 naming it, and never prints NaN as JSON."""
+
+    GEOMETRY = ["--nmax", "3", "--phases", "7", "--bins", "5"]
+
+    @pytest.mark.parametrize("spec, text", [
+        ("coherent:nan", "coherent amplitude alpha must be finite, got (nan+0j)"),
+        ("thermal:nan", "mean photon number nbar must be finite, got nan"),
+        ("thermal:inf", "mean photon number nbar must be finite, got inf"),
+        ("cat:nan", "cat amplitude alpha must be finite, got (nan+0j)"),
+        ("coherent:100", "coherent(alpha=(100+0j), n_max=3) keeps no probability below "
+         "the cutoff"),
+    ])
+    def test_state_parameter_exits_64(self, spec, text, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run(["simulate", *self.GEOMETRY, "--state", spec, "--T", "10", "--seed", "1",
+                    "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "hshadow: error: bad state spec %r: %s\n" % (spec, text)
+        assert not out.exists()
+
+    @pytest.fixture
+    def records(self, tmp_path):
+        path = tmp_path / "records.csv"
+        assert run(["simulate", *self.GEOMETRY, "--state", "fock:1", "--T", "200",
+                    "--seed", "1", "--out", str(path)]) == EXIT_OK
+        return path
+
+    def test_nan_observable_file_exits_65(self, records, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        states_mod.number_operator(3).to_file(path)
+        doc = json.loads(path.read_text())
+        doc["matrix"][0][0] = [math.nan, 0.0]
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["estimate", *self.GEOMETRY, "--records", str(records),
+                    "--observable", "file:%s" % path, "--json"]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "hshadow: observable has a non-finite entry at (0, 0)\n"
+
+    @pytest.mark.parametrize("flags", [["--json"], ["--out"], ["--json", "--out"]])
+    def test_nan_estimate_report_exits_65(self, flags, records, tmp_path, capsys, monkeypatch):
+        real = cli.shadow_mod.estimate_observable
+
+        def nan_report(*args, **kwargs):
+            report = real(*args, **kwargs)
+            report.mean = math.nan
+            return report
+
+        monkeypatch.setattr(cli.shadow_mod, "estimate_observable", nan_report)
+        out = tmp_path / "report.json"
+        argv = [f if f != "--out" else "--out=%s" % out for f in flags]
+        capsys.readouterr()
+        assert run(["estimate", *self.GEOMETRY, "--records", str(records), *argv]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not JSON compliant" in captured.err
+        assert not out.exists()
+
+    def test_nan_check_ic_report_exits_65(self, capsys, monkeypatch):
+        real = cli.povm_mod.is_informationally_complete
+
+        def nan_report(*args, **kwargs):
+            report = real(*args, **kwargs)
+            report.lambda_min = math.nan
+            return report
+
+        monkeypatch.setattr(cli.povm_mod, "is_informationally_complete", nan_report)
+        assert run(["check-ic", *self.GEOMETRY, "--json"]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not JSON compliant" in captured.err
 
 
 class TestEstimate:

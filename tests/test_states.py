@@ -296,3 +296,64 @@ class TestSharedRules:
         n_op = number_operator(3)
         assert expectation(a.matrix, n_op.matrix.tolist()) == expectation(a, n_op)
         assert trace_distance(a.matrix, b.matrix.tolist()) == trace_distance(a, b)
+
+
+class TestFiniteInput:
+    """NaN and infinite entries or parameters raise, naming what is not finite."""
+
+    @pytest.mark.parametrize("cls, what", [(DensityMatrix, "density matrix"),
+                                           (Observable, "observable")])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    def test_non_finite_entry_text(self, cls, what, bad):
+        m = np.diag([0.25, 0.75]).astype(complex)
+        m[1, 1] = bad
+        with pytest.raises(InvariantViolationError) as excinfo:
+            cls(m)
+        assert str(excinfo.value) == "%s has a non-finite entry at (1, 1)" % what
+        assert excinfo.value.check == "finite"
+
+    def test_nan_observable_has_no_variance_bound(self):
+        # It used to be accepted, and variance_bound(7, 5, 3, X) gave 6300.0.
+        with pytest.raises(InvariantViolationError, match="non-finite") as excinfo:
+            Observable(np.diag([math.nan, 1.0, 2.0, 3.0]))
+        assert excinfo.value.check == "finite"
+
+    def test_all_nan_density_matrix(self):
+        with pytest.raises(InvariantViolationError) as excinfo:
+            DensityMatrix(np.full((2, 2), math.nan))
+        assert excinfo.value.check == "finite"
+
+    def test_nan_in_a_matrix_file(self, tmp_path):
+        path = tmp_path / "nan.json"
+        number_operator(3).to_file(path)
+        doc = json.loads(path.read_text())
+        doc["matrix"][2][2] = [math.nan, 0.0]
+        path.write_text(json.dumps(doc))
+        for load in (from_file, observable_from_file):
+            with pytest.raises(InvariantViolationError) as excinfo:
+                load(path)
+            assert excinfo.value.check == "finite"
+
+    @pytest.mark.parametrize("factory, args, text", [
+        (coherent, (math.nan, 3), "coherent amplitude alpha must be finite, got (nan+0j)"),
+        (coherent, (complex(1.0, math.inf), 3),
+         "coherent amplitude alpha must be finite, got (1+infj)"),
+        (thermal, (math.nan, 3), "mean photon number nbar must be finite, got nan"),
+        (thermal, (math.inf, 3), "mean photon number nbar must be finite, got inf"),
+        (cat, (math.nan, 1, 3), "cat amplitude alpha must be finite, got (nan+0j)"),
+        (cat, (-math.inf, -1, 3), "cat amplitude alpha must be finite, got (-inf+0j)"),
+    ])
+    def test_non_finite_parameter_text(self, factory, args, text):
+        with pytest.raises(ValueError) as excinfo:
+            factory(*args)
+        assert str(excinfo.value) == text
+
+    @pytest.mark.parametrize("factory, args, what", [
+        (coherent, (100.0, 3), "coherent(alpha=(100+0j), n_max=3)"),
+        (cat, (100.0, 1, 3), "cat(alpha=(100+0j), parity=+1, n_max=3)"),
+    ])
+    def test_state_wholly_lost_to_truncation(self, factory, args, what):
+        # exp(-|alpha|^2 / 2) underflows to 0, so no mass is kept below the cutoff.
+        with pytest.raises(ValueError) as excinfo:
+            factory(*args)
+        assert str(excinfo.value) == "%s keeps no probability below the cutoff" % what
