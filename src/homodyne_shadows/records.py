@@ -5,11 +5,16 @@ A :class:`Records` holds four equal-length arrays ``t``, ``mode``, ``k``,
 the narrowest of uint8, uint16 and uint32 that holds it (int64 beyond), and
 consumers check a Records against their outcome grid with the rules of
 :func:`checked_records`, ``_BLOCK`` rows at a time, in ``intp`` arithmetic.
+A file in :func:`write_records`' exact format is decoded a piece at a time
+into column blocks (:func:`_decoded_blocks`), which either fill exact-size
+columns (:func:`ingest_records`) or go straight into the count tables of
+:func:`_outcome_counts`, so neither holds a stream-sized temporary.
 """
 
 import contextlib
 import csv
 import functools
+import itertools
 import numbers
 import os
 
@@ -84,9 +89,10 @@ class Records:
     narrowest of uint8, uint16 and uint32 that holds it, so cast a column to
     ``intp`` before arithmetic that may leave its dtype: ``i * N + k``
     wraps in uint8.  Columns may be views, some of them read-only: the
-    ``mode`` of :func:`~homodyne_shadows.sim.sample`, and of a single-mode file that
-    :func:`ingest_records` decodes, is one value broadcast to every row
-    (stride 0).  Copy a column before writing into it.
+    ``mode`` of :func:`~homodyne_shadows.sim.sample`, and of a single-mode
+    file that :func:`ingest_records` decodes or :func:`bin_raw` bins, is one
+    value broadcast to every row (stride 0).  Copy a column before writing
+    into it.
     """
 
     __slots__ = ("t", "mode", "k", "i")
@@ -176,7 +182,7 @@ def _checked(records, M, N):
     if M is None or not records:
         return records, None
     if np.ndim(M) == 0:  # the fold states the single-mode rules; drop its counts
-        next(_outcome_counts(records, M, N, (0, len(records))))
+        next(_outcome_counts(_blocks(records), M, N, (0, len(records))))
         return records, None
     t, mode, k, i = records.columns()
     S = len(M)
@@ -213,33 +219,43 @@ def _raise_first_flagged(rules, start=0):
         raise MalformedRecordError("record %d %s" % (start + j, describe(j)), ordinal=start + j)
 
 
-def _outcome_counts(records, M, N, bounds):
+def _blocks(records):
+    """The (t, mode, k, i) column blocks of a :class:`Records`, ``_BLOCK`` rows each."""
+    for start in range(0, len(records), _BLOCK):
+        yield tuple(c[start:start + _BLOCK] for c in records.columns())
+
+
+def _outcome_counts(blocks, M, N, bounds):
     """Yield the int64 table C[i*N + k] of outcome counts of each batch of a single-mode stream.
 
-    Batch b is rows bounds[b]..bounds[b+1]-1 of a non-empty stream.  The
-    columns are read ``_BLOCK`` rows at a time, so no temporary grows with
-    the stream, and each block is checked against the single-mode rules of
-    :func:`checked_records` (outcome on the M x N grid, mode of the first
-    record) before it is counted.
+    ``blocks`` is any iterable of non-empty (t, mode, k, i) column blocks:
+    the ``_blocks`` of a Records, or those of :func:`_decoded_blocks`.
+    Batch b is rows bounds[b]..bounds[b+1]-1 of the stream, and a batch
+    whose rows the blocks do not reach gets no table.  Each block is checked
+    against the single-mode rules of :func:`checked_records` (outcome on the
+    M x N grid, mode of the first record) before it is counted.
     """
-    _, mode, k, i = records.columns()
-    first = mode[0]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        counts = np.zeros(M * N, dtype=np.int64)
-        for start in range(lo, hi, _BLOCK):
-            rows = slice(start, min(start + _BLOCK, hi))
-            i_b, k_b, mode_b = i[rows], k[rows], mode[rows]
-            _raise_first_flagged([
-                ((i_b >= M) | (k_b >= N), lambda j: "references outcome (i=%d, k=%d) outside "
-                 "the %d x %d outcome grid" % (i_b[j], k_b[j], M, N)),
-                (mode_b != first, lambda j: "has mode %d but the stream began with mode %d; "
-                 "a single-mode estimate takes one mode at a time" % (mode_b[j], first)),
-            ], start)
-            flat = np.multiply(i_b, N, dtype=np.intp)  # narrow columns would wrap
-            flat += k_b
+    counts, start, b, first = np.zeros(M * N, dtype=np.int64), 0, 1, None
+    for _, mode_b, k_b, i_b in blocks:
+        first = mode_b[0] if first is None else first
+        _raise_first_flagged([
+            ((i_b >= M) | (k_b >= N), lambda j: "references outcome (i=%d, k=%d) outside "
+             "the %d x %d outcome grid" % (i_b[j], k_b[j], M, N)),
+            (mode_b != first, lambda j: "has mode %d but the stream began with mode %d; "
+             "a single-mode estimate takes one mode at a time" % (mode_b[j], first)),
+        ], start)
+        lo, size = 0, i_b.size
+        while lo < size:  # the block's rows up to the end of the batch that holds row lo
+            hi = min(size, bounds[b] - start)
+            flat = np.multiply(i_b[lo:hi], N, dtype=np.intp)  # narrow columns would wrap
+            flat += k_b[lo:hi]
             counts += np.bincount(flat, minlength=M * N)
-            del flat  # else it lives on beside the next block's index
-        yield counts
+            del flat  # else it lives on beside the next index
+            if start + hi == bounds[b]:
+                yield counts
+                counts, b = np.zeros(M * N, dtype=np.int64), b + 1
+            lo = hi
+        start += size
 
 
 def _encode_rows(cols):
@@ -351,6 +367,19 @@ def _raise_first_bad_row(path, header, checks, cause=None):
     raise MalformedRecordError("%s: %s" % (path, cause), ordinal=0) from cause
 
 
+def _checked_header(fh, header):
+    """Read line 1 of a CSV handle; MalformedRecordError unless it holds ``header`` or is empty."""
+    row = next(csv.reader([fh.readline()]), [])
+    if row and tuple(c.strip() for c in row) != header:
+        raise MalformedRecordError("line 1: %s" % (
+            _undecoded_problem(row)
+            or "expected header %s, got %r" % (",".join(header), ",".join(row))
+        ), ordinal=1)
+
+
+_LOADTXT = {"delimiter": ",", "comments": None, "quotechar": '"', "ndmin": 1, "encoding": "utf-8"}
+
+
 def _load_table(path, header, dtype, checks):
     """Data rows of a headed four-column CSV, parsed by numpy's C reader.
 
@@ -360,12 +389,7 @@ def _load_table(path, header, dtype, checks):
     them, raise through :func:`_raise_first_bad_row` with ``checks``.
     """
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        row = next(csv.reader([fh.readline()]), [])
-        if row and tuple(c.strip() for c in row) != header:
-            raise MalformedRecordError("line 1: %s" % (
-                _undecoded_problem(row)
-                or "expected header %s, got %r" % (",".join(header), ",".join(row))
-            ), ordinal=1)
+        _checked_header(fh, header)
         # numpy warns on input without data, so stop at an all-empty remainder.
         if not any(line.strip("\n") for line in fh):
             return np.empty(0, dtype=dtype)
@@ -376,12 +400,26 @@ def _load_table(path, header, dtype, checks):
     by_name = os.path.splitext(name)[1] not in (".bz2", ".gz", ".lzma", ".xz")
     try:
         with contextlib.nullcontext(name) if by_name else open(name, encoding="utf-8") as src:
-            return np.loadtxt(
-                src, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1,
-                skiprows=1, encoding="utf-8",
-            )
+            return np.loadtxt(src, dtype=dtype, skiprows=1, **_LOADTXT)
     except ValueError as exc:
         _raise_first_bad_row(path, header, checks, exc)
+
+
+def _table_blocks(path, header, dtype, checks):
+    """Yield the data rows of a headed CSV as :func:`_load_table` parses them, in blocks.
+
+    Each block is the rows of the next ``_BLOCK // 4`` lines, read through
+    one handle; a block of empty lines is skipped.  The rows of a quoted
+    field that spans two blocks' lines do not parse.
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        _checked_header(fh, header)
+        try:
+            while lines := list(itertools.islice(fh, _BLOCK // 4)):
+                if any(line.strip("\n") for line in lines):  # numpy warns on lines without data
+                    yield np.loadtxt(lines, dtype=dtype, **_LOADTXT)
+        except ValueError as exc:
+            _raise_first_bad_row(path, header, checks, exc)
 
 
 _RECORD_DTYPE = np.dtype([(name, np.int64) for name in RECORD_HEADER])
@@ -389,84 +427,143 @@ _RAW_DTYPE = np.dtype([(name, np.int64) for name in RAW_HEADER[:3]] + [("x", np.
 
 
 def _decoded_fields(buf):
-    """(4, n) int64 fields of the n canonical lines in uint8 ``buf``, or None for other bytes.
+    """The (t, mode, k, i) fields of the canonical lines in uint8 ``buf``, or None for other bytes.
 
-    ',' (44) and '\\n' (10) are the only bytes below '0' (48) there, so one
-    ``flatnonzero`` finds every field's end; fields are summed a place at a time.
+    ``buf`` is '\\n', then n >= 1 lines of four fields of 1-18 ASCII digits
+    split by ',' and ended by '\\n'.  The separators are checked by counts:
+    the bytes that are not digits are 4n + 1, each fourth of them a '\\n',
+    and 3n bytes are ','.  A field's width is one less than the gap between
+    the separators around it, and fields are summed a place at a time, in
+    uint32 for a column of at most 9 digits and in int64 beyond.
     """
-    ends = np.flatnonzero(buf < 48)
-    if ends.size % 4 or buf.max() > 57 or not (buf[ends].reshape(-1, 4) == [44, 44, 44, 10]).all():
+    digits = np.subtract(buf, 48, dtype=np.uint8)  # bytes below '0' wrap above 9
+    seps = np.flatnonzero(digits > 9)
+    n, rest = divmod(seps.size - 1, 4)
+    if (n < 1 or rest or (buf[seps[::4]] != 10).any()
+            or np.count_nonzero(digits == (44 - 48) % 256) != 3 * n):
         return None
-    widths = np.diff(ends, prepend=-1)
-    widths -= 1
-    if widths.min() < 1 or widths.max() > 18:
+    gaps = np.subtract(seps[1:], seps[:-1])  # width + 1
+    if gaps.min() < 2 or gaps.max() > 19:
         return None
-    # Row c of each: column c's fields, contiguous for the place loop.
-    ends = ends.reshape(-1, 4).T.copy()
-    widths = widths.reshape(-1, 4).T.copy()
-    fields = np.zeros(ends.shape, dtype=np.int64)
-    for out, end, width in zip(fields, ends, widths):
-        W = int(width.max())
-        for place in range(W):
-            end -= 1
-            byte = buf.take(end)
-            if place >= width.min():
-                byte[width <= place] = 48  # a short field is padded with '0'
-            out += np.multiply(byte, 10**place, dtype=np.int64)
-        out -= 48 * (10**W - 1) // 9  # the '0' byte at each of the W places
+    fields = []
+    for c in range(4):
+        end, gap = seps[c + 1::4], gaps[c::4]
+        W, short = int(gap.max()) - 1, int(gap.min()) - 1
+        out = np.zeros(n, dtype=np.uint32 if W <= 9 else np.int64)
+        pos = end - W
+        for place in range(W - 1, -1, -1):  # from the leftmost place: out = 10*out + digit
+            digit = digits.take(pos)
+            if place >= short:
+                digit[gap <= place + 1] = 0  # a field narrower than the place
+            out *= 10
+            out += digit
+            pos += 1
+        fields.append(out)
     return fields
+
+
+# Bytes decoded at a time: about 4,700 lines of a 10**6-shot stream.
+_PIECE = 2 * _BLOCK
+
+
+def _decoded_blocks(path):
+    """Yield the line count n of a file in :func:`write_records`' exact format, then its blocks.
+
+    The format is the header line, then lines of four fields of 1-18 ASCII
+    digits split by ',' and ended by '\\n'.  A newline pass counts the n
+    lines after the header, and nothing is yielded for a file whose header
+    differs or whose last byte is not '\\n'.  Pieces of ``_PIECE`` bytes are
+    then decoded in turn, each into a block of (t, mode, k, i) fields
+    (:func:`_decoded_fields`).  The blocks hold n rows in all if and only if
+    the file is in the format: decoding stops at a piece that leaves it.
+    """
+    header = (",".join(RECORD_HEADER) + "\n").encode("ascii")
+    with open(path, "rb") as fh:
+        if fh.read(len(header)) != header:
+            return
+        n, last = 0, b"\n"
+        for piece in iter(functools.partial(fh.read, _PIECE), b""):
+            n, last = n + np.count_nonzero(np.frombuffer(piece, np.uint8) == 10), piece[-1:]
+        if last != b"\n":
+            return
+        yield n
+        fh.seek(len(header))
+        tail, rows = b"\n", 0  # a piece's lines follow the '\n' that ends the line before
+        for piece in iter(functools.partial(fh.read, _PIECE), b""):
+            data = tail + piece
+            cut = data.rfind(b"\n") + 1
+            fields = _decoded_fields(np.frombuffer(data, np.uint8, cut))
+            if fields is None or rows + fields[0].size > n:
+                return
+            tail, rows = data[cut - 1:], rows + fields[0].size
+            yield fields
+
+
+def _filled_records(blocks, capacity=0):
+    """:class:`Records` of non-empty (t, mode, k, i) column blocks, filled into narrow columns.
+
+    The columns hold ``capacity`` rows from the start and grow in place
+    (``ndarray.resize``) when the blocks pass it, so no column is copied
+    whole.  Each has the narrowest record dtype of its maximum so far: a
+    block that needs a wider one widens only the rows filled before it.
+    The mode stays the first record's, broadcast (stride 0), until a row
+    differs.
+    """
+    cols, first, rows = [None] * 4, None, 0
+    for block in blocks:
+        size = block[0].size
+        if first is None:
+            first = _narrowed(block[1][:1])
+        if rows + size > capacity:
+            capacity = rows + size
+            for col in cols:
+                if col is not None:
+                    col.resize(capacity, refcheck=False)
+        for j, c in enumerate(block):
+            col = cols[j]
+            if j == 1 and col is None:
+                if (c == first).all():
+                    continue
+                col = np.broadcast_to(first, capacity)  # the mode of the rows so far
+            dtype = _index_dtype(int(c.max()))
+            if col is None or not col.flags.writeable or dtype.itemsize > col.dtype.itemsize:
+                if col is not None and col.dtype.itemsize > dtype.itemsize:
+                    dtype = col.dtype  # a broadcast first mode wider than this block's
+                cols[j] = np.empty(capacity, dtype=dtype)
+                if col is not None:
+                    cols[j][:rows] = col[:rows]
+            cols[j][rows:rows + size] = c
+        rows += size
+    if first is None:
+        return Records(*[np.empty(0, dtype=np.uint8)] * 4)
+    if cols[1] is None:
+        cols[1] = np.broadcast_to(first, rows)
+    return Records(*(c[:rows] for c in cols))
 
 
 def _decoded_records(path):
     """:class:`Records` of a file in :func:`write_records`' exact format, else None.
 
-    That is the header line, then lines of four fields of 1-18 ASCII digits
-    split by ',' and ended by '\\n'.  Pieces of ``8 * _BLOCK`` bytes are
-    decoded in turn, each field narrowed to the dtype of its piece's maximum,
-    and each column is joined once at the end.  The mode is stored once
-    unless it changes.
+    The blocks of :func:`_decoded_blocks` fill columns of exactly the
+    file's line count (:func:`_filled_records`).
     """
-    header = (",".join(RECORD_HEADER) + "\n").encode("ascii")
-    columns, first, changed, tail = [[], [], [], []], None, False, b""
-    with open(path, "rb") as fh:
-        if fh.read(len(header)) != header:
-            return None
-        for piece in iter(functools.partial(fh.read, 8 * _BLOCK), b""):
-            data = tail + piece
-            cut = data.rfind(b"\n") + 1
-            fields = _decoded_fields(np.frombuffer(data, np.uint8, cut)) if cut else None
-            if fields is None:
-                return None
-            tail = data[cut:]
-            t, modes, k, i = map(_narrowed, fields)
-            first = modes[:1] if first is None else first
-            if (modes == first).all():  # a view of the first mode, until one differs
-                modes = np.broadcast_to(first, modes.size)
-            else:
-                changed = True
-            for column, field in zip(columns, (t, modes, k, i)):
-                column.append(field)
-    if tail:
+    blocks = _decoded_blocks(path)
+    n = next(blocks, None)
+    if n is None:
         return None
-    if first is None:  # the header alone
-        return Records(*[np.empty(0, dtype=np.uint8)] * 4)
-    if not changed:
-        columns[1] = [first]  # broadcast to every row below
-    for j, pieces in enumerate(columns):  # each column's pieces go once it is joined
-        columns[j] = np.concatenate(pieces)
-    t, mode, k, i = columns
-    return Records(t, mode if changed else np.broadcast_to(mode, t.size), k, i)
+    records = _filled_records(blocks, n)
+    return records if len(records) == n else None
 
 
 def ingest_records(path):
     """Read a record CSV back into :class:`Records`.
 
-    A file in :func:`write_records`' exact format is decoded in blocks
-    (:func:`_decoded_records`) into narrow columns; any other goes to
-    ``np.loadtxt``, whose path gives every error and whose columns are int64
-    fields of its parsed rows.  Empty files yield an empty stream; empty
-    lines are skipped (a line of spaces is not empty) and fields may carry
-    surrounding spaces.  Malformed rows, negative indices and bytes that are
+    A file in :func:`write_records`' exact format is decoded in blocks that
+    fill narrow columns of its exact line count (:func:`_decoded_records`);
+    any other goes to ``np.loadtxt``, whose path gives every error and whose
+    columns are int64 fields of its parsed rows.  Empty files yield an empty
+    stream; empty lines are skipped (a line of spaces is not empty) and
+    fields may carry surrounding spaces.  Malformed rows, negative indices and bytes that are
     not UTF-8 raise with their 1-based line number.
     """
     if (decoded := _decoded_records(path)) is not None:
@@ -485,25 +582,32 @@ def bin_raw(path, grid, binning):
     Bins are right-open ([x_i, x_{i+1})), so a value exactly on an interior
     edge belongs to the bin on its right.  Out-of-range values follow the
     binning's tail policy: extend-tails clamps them into the adjacent edge
-    bin, strict-finite drops them.  Returns ``(records, dropped_fraction)``;
-    the columns are narrow copies, so the parsed rows are freed.
+    bin, strict-finite drops them.  Returns ``(records, dropped_fraction)``.
+    The file is parsed and binned a block of lines at a time
+    (:func:`_table_blocks`), and each block's kept rows fill narrow columns
+    (:func:`_filled_records`), so the call holds its result and one block.
     """
     checks = [_index_problem, _index_problem, lambda f: _index_problem(f, grid.N),
               _quadrature_problem]
-    data = _load_table(path, RAW_HEADER, _RAW_DTYPE, checks)
-    t, mode, k, x = (data[name] for name in data.dtype.names)  # views, as in ingest_records
-    if x.size and (min(t.min(), mode.min(), k.min()) < 0 or k.max() >= grid.N
-                   or not np.isfinite([x.min(), x.max()]).all()):  # NaN and inf reach min or max
-        _raise_first_bad_row(path, RAW_HEADER, checks)
-    M, edges = binning.M, binning.edges
-    above = np.empty(x.size, dtype=_index_dtype(M + 1))  # one past the bin: 0 .. M + 1
-    for start in range(0, x.size, _BLOCK):  # searchsorted copies a strided x: a block at a time
-        above[start:start + _BLOCK] = np.searchsorted(edges, x[start:start + _BLOCK], "right")
-    if binning.tail_mode == "extend-tails":
-        np.clip(above, 1, M, out=above)
-    outside = (above == 0) | (above > M)
-    fraction = np.count_nonzero(outside) / x.size if x.size else 0.0
-    rows = ~outside if fraction else slice(None)
-    t, mode, k, i = (_narrowed(c[rows]) for c in (t, mode, k, above))
-    i -= 1
-    return Records(t, mode, k, i), fraction
+    M, edges, read = binning.M, binning.edges, 0
+
+    def blocks():
+        nonlocal read
+        for data in _table_blocks(path, RAW_HEADER, _RAW_DTYPE, checks):
+            t, mode, k, x = (data[name] for name in data.dtype.names)
+            if (min(t.min(), mode.min(), k.min()) < 0 or k.max() >= grid.N
+                    or not np.isfinite([x.min(), x.max()]).all()):  # NaN and inf reach min or max
+                _raise_first_bad_row(path, RAW_HEADER, checks)
+            above = np.searchsorted(edges, x, "right")  # one past the bin: 0 .. M + 1
+            if binning.tail_mode == "extend-tails":
+                np.clip(above, 1, M, out=above)
+            kept = (above > 0) & (above <= M)
+            above -= 1
+            read += x.size
+            if kept.all():
+                yield t, mode, k, above
+            elif kept.any():
+                yield t[kept], mode[kept], k[kept], above[kept]
+
+    records = _filled_records(blocks())
+    return records, (read - len(records)) / read if read else 0.0

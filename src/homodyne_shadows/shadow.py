@@ -28,9 +28,9 @@ import warnings
 
 import numpy as np
 
-from .errors import StrictModeSingularError
+from .errors import MalformedRecordError, StrictModeSingularError
 from .povm import _adjoint, _outcome_matrix, _pairing, is_informationally_complete
-from .records import _outcome_counts, checked_records
+from .records import _blocks, _decoded_blocks, _outcome_counts, checked_records
 from .states import _matrix, expectation
 
 __all__ = [
@@ -293,17 +293,23 @@ def _batching(variant, T):
 
 
 def _aggregate(values, variant="plain-mean"):
-    """Fold per-shot values into ``(mean, stderr, variant label)``.
+    """Fold per-shot values into ``(mean, stderr, variant label)``, using ``values`` as scratch.
 
     The mean is the median of the means of the contiguous batches of
     :func:`_batching` (Huang, Kueng & Preskill 2020): the plain mean for
     one batch.  ``stderr`` is the plain-mean standard error
     std(values, ddof=1)/sqrt(T) in both variants, and 0 for a single shot.
+    The standard deviation takes ``np.std``'s own steps, in place, so
+    ``values`` is overwritten and no temporary of its size is made.
     """
     T = values.size
     bounds, label = _batching(variant, T)
     mean = float(np.median([np.mean(chunk) for chunk in np.split(values, bounds[1:-1])]))
-    stderr = float(np.std(values, ddof=1) / math.sqrt(T)) if T > 1 else 0.0
+    stderr = 0.0
+    if T > 1:
+        values -= np.add.reduce(values, keepdims=True) / T
+        values *= values
+        stderr = float(np.sqrt(np.add.reduce(values) / (T - 1)) / math.sqrt(T))
     return mean, stderr, label
 
 
@@ -313,10 +319,8 @@ def estimate_observable(records, table, X, variant="plain-mean"):
     Each record contributes the per-shot value Tr(X rho_hat_{i,k}) of its
     outcome, aggregated as :func:`_aggregate` describes: plain averaging, or
     median-of-means over B contiguous batches for ``"median-of-means:B"``.
-    Only the outcome counts enter, so no per-shot value is built: a batch's
-    mean is sum(C*v)/n for its count table C, and the whole stream's counts
-    give the plain mean m and stderr = sqrt(sum(C*(v - m)**2)/(T - 1)/T).
-    These equal the per-shot formulas up to summation-order roundoff.
+    Only the outcome counts enter (:func:`_counted_estimate`), so no
+    per-shot value is built.
 
     ``records`` is a :class:`~homodyne_shadows.records.Records`; any other type
     raises ``TypeError``.  Records with an outcome outside the table, or a
@@ -325,20 +329,55 @@ def estimate_observable(records, table, X, variant="plain-mean"):
     position in the stream.
     """
     T = len(checked_records(records))
-    bounds, variant_str = _batching(variant, T)
+    bounds, label = _batching(variant, T)
+    counts = _outcome_counts(_blocks(records), table.M, table.N, bounds)
+    return _counted_estimate(counts, bounds, label, table, X)
+
+
+def _file_counts(path, M, N, variant):
+    """``(counts, bounds, label)`` of a record file in the writer's exact format, else None.
+
+    The blocks of :func:`~homodyne_shadows.records._decoded_blocks` are
+    folded into the count table of each batch of ``variant`` as they are
+    decoded, so no column of the stream is held.  None stands for a file
+    that is empty, leaves the format, or breaks a single-mode rule: each is
+    for ``ingest_records`` and :func:`estimate_observable` to read and
+    report.
+    """
+    blocks = _decoded_blocks(path)
+    T = next(blocks, 0)
+    if not T:
+        return None
+    bounds, label = _batching(variant, T)
+    try:
+        counts = list(_outcome_counts(blocks, M, N, bounds))
+    except MalformedRecordError:
+        return None
+    return (counts, bounds, label) if len(counts) == len(bounds) - 1 else None
+
+
+def _counted_estimate(counts, bounds, label, table, X):
+    """The :class:`EstimateReport` of the per-batch outcome count tables of a stream.
+
+    Batch b, of bounds[b+1] - bounds[b] shots with count table C, has mean
+    sum(C*v)/n for the per-outcome values v.  The whole stream's counts
+    give the plain mean m and stderr = sqrt(sum(C*(v - m)**2)/(T - 1)/T).
+    These equal the per-shot formulas up to summation-order roundoff.
+    """
+    T = bounds[-1]
     v = snapshot_values(table, X).ravel()
-    counts = np.zeros(v.size, dtype=np.int64)
+    total = np.zeros(v.size, dtype=np.int64)
     means = []
-    for c, n in zip(_outcome_counts(records, table.M, table.N, bounds), np.diff(bounds)):
-        counts += c
+    for c, n in zip(counts, np.diff(bounds)):
+        total += c
         means.append(c @ v / n)
-    plain = counts @ v / T
-    stderr = math.sqrt(counts @ (v - plain) ** 2 / (T - 1) / T) if T > 1 else 0.0
+    plain = total @ v / T
+    stderr = math.sqrt(total @ (v - plain) ** 2 / (T - 1) / T) if T > 1 else 0.0
     return EstimateReport(
         float(np.median(means)),
         stderr,
         T,
-        variant_str,
+        label,
         observable_label=getattr(X, "label", "X"),
         inversion=table.mode,
         threshold=table.threshold,
@@ -445,7 +484,7 @@ def reconstruct_state(records, table, project=False):
     total = len(checked_records(records))
     if total == 0:
         raise ValueError("record stream is empty")
-    counts = next(_outcome_counts(records, table.M, table.N, (0, total)))
+    counts = next(_outcome_counts(_blocks(records), table.M, table.N, (0, total)))
     avg = _adjoint(counts.reshape(table.M, table.N) / total, table.S, table.grid)
     if project:
         lam, V = np.linalg.eigh(avg)

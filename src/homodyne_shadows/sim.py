@@ -414,6 +414,14 @@ def _measured_modes(config, observables, tables):
     return V
 
 
+def _shot_count(t):
+    """The shots of a t column sorted by shot: one more than the steps where t changes."""
+    return int(t.size > 0) + sum(
+        int(np.count_nonzero(t[lo + 1:lo + 1 + _BLOCK] != t[lo:min(lo + _BLOCK, t.size - 1)]))
+        for lo in range(0, t.size - 1, _BLOCK)
+    )
+
+
 def estimate_local(records, config, tables, observables, variant="plain-mean"):
     """Estimate a tensor-product local observable from multi-mode records.
 
@@ -446,17 +454,30 @@ def estimate_local(records, config, tables, observables, variant="plain-mean"):
     rec, order = _checked(records, Ms, Ns)
     # Rows in (t, mode) order, the stream's own when sorted: a shot's rows in ascending mode.
     t, mode, k, i = rec.columns() if order is None else (c[order] for c in rec.columns())
-    # Blocks of about _BLOCK rows (at least S: a shot's most) cut where a shot
-    # starts; the empty first part leaves an empty stream to _aggregate's error.
-    parts, lo, size = [np.empty(0)], 0, max(_BLOCK, config.S)
+    S = config.S
+    values = np.empty(_shot_count(t))
+    # Blocks of about _BLOCK rows (at least S: a shot's most) cut where a shot starts.
+    lo, shot, size = 0, 0, max(_BLOCK, S)
     while lo < t.size:
         end = lo + size
         hi = t.size if end >= t.size else lo + int(np.searchsorted(t[lo:end], t[end]))
         t_b, mode_b, k_b, i_b = t[lo:hi], mode[lo:hi], k[lo:hi], i[lo:hi]
-        starts = np.flatnonzero(np.concatenate(([True], t_b[1:] != t_b[:-1])))
-        # (t, mode) pairs are unique, so a shot has every mode iff there are S
-        # rows per shot, and every mode of V iff it has len(V) rows in V.
-        if V and starts.size * config.S != t_b.size:
+        index = np.multiply(mode_b, Mp, dtype=np.intp)  # (mode*Mp + i)*Np + k, unwrapped
+        index += i_b
+        index *= Np
+        index += k_b
+        # A shot's value is the product of its rows' values in ascending mode
+        # order; the 1.0 factors off V are exact, so this is the sorted-V product.
+        if t_b.size % S == 0 and (t_b[::S] == t_b[S - 1::S]).all():
+            # Every shot has all S rows, as (t, mode) pairs are unique.
+            v = np.take(lookup, index).reshape(-1, S)
+            out = values[shot:shot + v.shape[0]]
+            out[:] = v[:, 0]
+            for j in range(1, S):  # left to right, as multiply.reduceat below
+                out *= v[:, j]
+        else:
+            starts = np.flatnonzero(np.concatenate(([True], t_b[1:] != t_b[:-1])))
+            # A shot has every mode of V iff it has len(V) rows in V.
             gaps = np.flatnonzero(np.add.reduceat(np.isin(mode_b, V), starts) < len(V))
             if gaps.size:
                 a, b = np.append(starts, t_b.size)[gaps[0]:gaps[0] + 2]
@@ -464,16 +485,9 @@ def estimate_local(records, config, tables, observables, variant="plain-mean"):
                 j = next(j for j in V if j not in mode_b[a:b])
                 raise MalformedRecordError("shot %d has no record for mode %d" % (t_gap, j),
                                            ordinal=t_gap)
-        # A shot's value is the product of its rows' values in ascending mode
-        # order; the 1.0 factors off V are exact, so this is the sorted-V product.
-        index = np.multiply(mode_b, Mp, dtype=np.intp)  # (mode*Mp + i)*Np + k, unwrapped
-        index += i_b
-        index *= Np
-        index += k_b
-        parts.append(np.multiply.reduceat(np.take(lookup, index), starts))
-        lo = hi
-    values = np.concatenate(parts)
-    del parts  # else the blocks live on beside the temporary of np.std
+            out = values[shot:shot + starts.size]
+            np.multiply.reduceat(np.take(lookup, index), starts, out=out)
+        lo, shot = hi, shot + out.size
     mean, stderr, variant_str = shadow_mod._aggregate(values, variant)
     label = " * ".join(
         getattr(observables[j], "label", "X") for j in V

@@ -61,6 +61,14 @@ def _finite(value, what):
     return value
 
 
+def _abs2(alpha):
+    """|alpha|^2 as a float, inf where it overflows one."""
+    try:
+        return abs(alpha) ** 2
+    except OverflowError:
+        return math.inf
+
+
 def _truncation_deficit(kept, full, what):
     """The mass 1 - kept/full lost to the cutoff, warning at the factory's caller above 1e-6.
 
@@ -166,7 +174,8 @@ def coherent(alpha, n_max):
     alpha = _finite(complex(alpha), "coherent amplitude alpha")
     n = np.arange(n_max + 1)
     log_fact = np.cumsum(np.log(np.maximum(n, 1)))
-    amps = np.exp(-0.5 * abs(alpha) ** 2) * alpha**n * np.exp(-0.5 * log_fact)
+    base = np.exp(-0.5 * _abs2(alpha))  # 0 leaves no amplitude: the state keeps no probability
+    amps = base * alpha**n * np.exp(-0.5 * log_fact) if base else np.zeros(n_max + 1)
     kept = float(np.sum(np.abs(amps) ** 2))
     deficit = _truncation_deficit(kept, 1.0, "coherent(alpha=%s, n_max=%d)" % (alpha, n_max))
     return _pure(amps / math.sqrt(kept), deficit=deficit)
@@ -242,9 +251,9 @@ def cat(alpha, parity=1, n_max=10):
         raise ValueError("odd cat state is undefined at alpha = 0")
     n = np.arange(n_max + 1)
     log_fact = np.cumsum(np.log(np.maximum(n, 1)))
-    base = np.exp(-0.5 * abs(alpha) ** 2) * np.exp(-0.5 * log_fact)
-    amps = base * (alpha**n + parity * (-alpha) ** n)
-    full_norm = 2.0 * (1.0 + parity * math.exp(-2.0 * abs(alpha) ** 2))
+    base = np.exp(-0.5 * _abs2(alpha)) * np.exp(-0.5 * log_fact)
+    amps = base * (alpha**n + parity * (-alpha) ** n) if base.any() else base
+    full_norm = 2.0 * (1.0 + parity * math.exp(-2.0 * _abs2(alpha)))
     kept = float(np.sum(np.abs(amps) ** 2))
     what = "cat(alpha=%s, parity=%+d, n_max=%d)" % (alpha, parity, n_max)
     deficit = _truncation_deficit(kept, full_norm, what)

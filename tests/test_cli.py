@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import homodyne_shadows
@@ -20,6 +21,7 @@ from homodyne_shadows.cli import (
     EXIT_USAGE,
     main,
 )
+from homodyne_shadows.records import Records, write_records
 
 
 def run(argv):
@@ -309,6 +311,21 @@ class TestNonFiniteInput:
         assert capsys.readouterr().err == "hshadow: error: bad state spec %r: %s\n" % (spec, text)
         assert not out.exists()
 
+    # |alpha|^2 overflows a float: once an OverflowError traceback and exit 1.
+    @pytest.mark.parametrize("spec, what", [
+        ("coherent:1e200", "coherent(alpha=(1e+200+0j), n_max=3)"),
+        ("cat:1e200", "cat(alpha=(1e+200+0j), parity=+1, n_max=3)"),
+        ("cat:1e200:-1", "cat(alpha=(1e+200+0j), parity=-1, n_max=3)"),
+    ])
+    def test_huge_amplitude_exits_64(self, spec, what, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run(["simulate", *self.GEOMETRY, "--state", spec, "--T", "10", "--seed", "1",
+                    "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "hshadow: error: bad state spec %r: %s keeps no probability below the cutoff\n"
+            % (spec, what))
+        assert not out.exists()
+
     @pytest.fixture
     def records(self, tmp_path):
         path = tmp_path / "records.csv"
@@ -331,14 +348,15 @@ class TestNonFiniteInput:
 
     @pytest.mark.parametrize("flags", [["--json"], ["--out"], ["--json", "--out"]])
     def test_nan_estimate_report_exits_65(self, flags, records, tmp_path, capsys, monkeypatch):
-        real = cli.shadow_mod.estimate_observable
+        # Every estimate report, of a decoded fold or of ingested records, comes from here.
+        real = cli.shadow_mod._counted_estimate
 
         def nan_report(*args, **kwargs):
             report = real(*args, **kwargs)
             report.mean = math.nan
             return report
 
-        monkeypatch.setattr(cli.shadow_mod, "estimate_observable", nan_report)
+        monkeypatch.setattr(cli.shadow_mod, "_counted_estimate", nan_report)
         out = tmp_path / "report.json"
         argv = [f if f != "--out" else "--out=%s" % out for f in flags]
         capsys.readouterr()
@@ -527,6 +545,53 @@ class TestEstimate:
         assert run(base) == EXIT_DATA
         assert "pseudo" in capsys.readouterr().err
         assert run(base + ["--inversion", "pseudo"]) == EXIT_OK
+
+    @pytest.mark.parametrize("variant", ["plain-mean", "median-of-means:7"])
+    def test_decoded_fold_reports_as_ingested_records(self, variant, tmp_path, capsys):
+        # The writer's exact format is folded as it is decoded; a CRLF copy is
+        # ingested by numpy and estimated from its records.
+        records = self._simulate(tmp_path, T=20_000)
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(records.read_bytes().replace(b"\n", b"\r\n"))
+        outs = []
+        for path in (records, crlf):
+            capsys.readouterr()
+            assert run(["estimate", "--records", str(path), "--nmax", "1", "--phases", "3",
+                        "--bins", "3", "--variant", variant, "--json"]) == EXIT_OK
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and '"T": 20000' in outs[0]
+
+    # Faults after the first pieces of a decoded file: each exits as it did
+    # when the whole file was ingested first.
+    @pytest.mark.parametrize("faults, message", [
+        ({"i": 15_000}, "record 15000 references outcome (i=3, k=0) outside the 3 x 3 "
+         "outcome grid"),
+        ({"mode": 15_000}, "record 15000 has mode 3 but the stream began with mode 0; a "
+         "single-mode estimate takes one mode at a time"),
+        ({"line": 15_000}, "line 15002: k 'x' is not a 64-bit decimal integer"),
+        ({"i": 15_000, "line": 17_000}, "line 17002: k 'x' is not a 64-bit decimal integer"),
+        ({"i": 15_000, "singular": True}, "frame operator is singular"),
+    ], ids=["grid", "mode", "format", "grid-then-format", "grid-on-singular-frame"])
+    def test_fault_in_a_later_piece_exits_65(self, faults, message, tmp_path, capsys):
+        T = 20_000  # 14 bytes a line: five pieces of 2**16 bytes
+        t = np.arange(T)
+        cols = {"t": t, "mode": np.zeros(T, dtype=np.int64), "k": t % 3, "i": t % 3}
+        for name in ("i", "mode"):
+            if name in faults:
+                cols[name][faults[name]] = 3
+        path = tmp_path / "records.csv"
+        write_records(path, Records(*cols.values()))
+        if "line" in faults:
+            body = path.read_bytes().split(b"\n")
+            body[faults["line"] + 1] = b"%d,0,x,0" % faults["line"]
+            path.write_bytes(b"\n".join(body))
+        geometry = (["--nmax", "1", "--phases", "3", "--edges=-4,-1,1,4",
+                     "--tail-mode", "strict-finite", "--threshold", "1e3"]
+                    if "singular" in faults else ["--nmax", "1", "--phases", "3", "--bins", "3"])
+        capsys.readouterr()
+        assert run(["estimate", "--records", str(path), *geometry]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("hshadow: " + message)
 
     def test_strict_inversion_of_incomplete_povm_exits_65_at_threshold_0(self, tmp_path, capsys):
         records = tmp_path / "records.csv"

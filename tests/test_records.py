@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 from homodyne_shadows.cli import EXIT_DATA, EXIT_OK, main
 from homodyne_shadows.errors import MalformedRecordError
-from homodyne_shadows.povm import BinningScheme, PhaseGrid, build_povm, design_bins
+from homodyne_shadows.povm import BinningScheme, PhaseGrid, build_povm, design_bins, save_povm
 from homodyne_shadows.shadow import (
     DEFAULT_BATCHES,
+    _file_counts,
     estimate_observable,
     exact_average_snapshot,
     frame_operator,
@@ -27,6 +28,8 @@ from homodyne_shadows.shadow import (
 )
 from homodyne_shadows.records import (
     _BLOCK,
+    _PIECE,
+    _decoded_fields,
     _decoded_records,
     _narrowed,
     RECORD_HEADER,
@@ -476,6 +479,21 @@ class TestBlockFold:
         expected = exact_average_snapshot(counts.reshape(table.M, table.N) / _FOLD_T, table)
         assert np.array_equal(reconstruct_state(rec, table), expected)
 
+    # 12,000 lines of at most 12 bytes decode as three pieces; B = 5,000 puts
+    # several batch bounds in each decoded block, and B > T one row in a batch.
+    @pytest.mark.parametrize("T, B", [(1, 1), (2, 5), (299, 7), (12_000, 1), (12_000, 7),
+                                      (12_000, 5_000), (12_000, 12_001)])
+    def test_file_fold_equals_whole_stream_counts(self, setup_223, T, B, tmp_path):
+        povm, table = setup_223
+        rec = sample(outcome_distribution(fock(1, 2), povm), T, seed=T + B)
+        write_records(tmp_path / "records.csv", rec)
+        counts, bounds, label = _file_counts(tmp_path / "records.csv", table.M, table.N,
+                                             "median-of-means:%d" % B)
+        expected = _whole_stream_counts(rec, table.M, table.N, min(B, T))
+        assert len(counts) == len(expected) == len(bounds) - 1 and bounds[-1] == T
+        assert all(np.array_equal(c, e) for c, e in zip(counts, expected))
+        assert label == "median-of-means:%d" % min(B, T)
+
     @pytest.mark.parametrize("source", ["sampled", "ingested", "crlf"])
     # On the 4 x 5 grid of setup_223, in a stream of mode 3.
     @pytest.mark.parametrize("name, value", [("i", 4), ("k", 7), ("mode", 1)],
@@ -576,7 +594,9 @@ class TestFoldMemory:
             tracemalloc.stop()
         assert len(rec) == self.T
         assert held <= 6.5 * 2**20  # t, k and i; the mode column is one value
-        assert peak <= 12 * 2**20  # the narrow pieces, the joined t and a piece's temporaries
+        # Exact-size columns: t widens once from uint16 (2 MiB beside its uint32
+        # successor), and a decoded piece's temporaries are well under 0.5 MiB.
+        assert peak <= held + 2.5 * 2**20
 
     def test_sampled_multi_mode_records_hold_narrow_columns(self, setup_223):
         povm, _ = setup_223
@@ -596,7 +616,7 @@ class TestFoldMemory:
         rec = sample_multi(joint_distribution([fock(1, 2)] * 2, cfg), self.T // 2, seed=4)
         X = number_operator(2)
         peak = _traced_peak(lambda: estimate_local(rec, cfg, {0: table, 1: table}, {0: X, 1: X}))
-        assert peak <= 8 * 2**20  # the per-shot values (3.8 MiB) and one temporary of np.std
+        assert peak <= 5 * 2**20  # the per-shot values (3.8 MiB), with np.std's steps in place
 
     @pytest.mark.parametrize("tail_mode", ["extend-tails", "strict-finite"])
     def test_bin_raw_peak(self, tail_mode, raw_path):
@@ -604,11 +624,36 @@ class TestFoldMemory:
         tracemalloc.start()
         try:
             rec, dropped = bin_raw(raw_path, PhaseGrid(5), binning)
-            peak = tracemalloc.get_traced_memory()[1]
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert (len(rec), dropped) == (self.T, 0.0)
-        assert peak <= 45 * 2**20  # the parsed rows (30.5 MiB) and the narrow columns
+        # The result and one block of 8,192 lines: their text, parsed rows and bins.
+        assert peak <= held + 2 * 2**20
+
+    def test_bin_raw_peak_when_rows_drop(self, raw_path):
+        binning = BinningScheme.equal_spaced(4, 1.5, tail_mode="strict-finite")
+        tracemalloc.start()
+        try:
+            rec, dropped = bin_raw(raw_path, PhaseGrid(5), binning)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rec) == self.T - round(dropped * self.T) and 0.1 < dropped < 0.11
+        assert peak <= held + 2 * 2**20  # the kept rows fill columns grown block by block
+
+    @pytest.mark.parametrize("variant", ["plain-mean", "median-of-means:7"])
+    def test_cli_estimate_peak(self, setup_223, stream, variant, tmp_path, capsys):
+        povm, _ = setup_223
+        save_povm(povm, tmp_path / "scheme.json")
+        write_records(tmp_path / "records.csv", stream)
+        argv = ["estimate", "--records", str(tmp_path / "records.csv"),
+                "--scheme", str(tmp_path / "scheme.json"), "--variant", variant]
+        assert main(argv) == EXIT_OK  # a first run builds the caches of the POVM code
+        capsys.readouterr()
+        # A decoded piece's fields and temporaries; the stream's columns alone are 5.7 MiB.
+        assert _traced_peak(lambda: main(argv)) <= 2 * 2**20
+        assert "over %d shots" % self.T in capsys.readouterr().out
 
     @pytest.mark.parametrize("tail_mode", ["extend-tails", "strict-finite"])
     def test_bin_raw_holds_narrow_copies(self, tail_mode, raw_path):
@@ -894,8 +939,61 @@ class TestRecordEncoder:
         assert path.read_bytes() == b"t,mode,k,i\n"
 
 
+def _reference_fields(buf):
+    """The earlier decoder kernel: (4, n) int64 fields of canonical lines, or None.
+
+    ',' (44) and '\\n' (10) are the only bytes below '0' (48) there, so one
+    ``flatnonzero`` finds every field's end; fields are summed a place at a
+    time.  The block decoder must accept and reject exactly what this does.
+    """
+    ends = np.flatnonzero(buf < 48)
+    if ends.size % 4 or buf.max() > 57 or not (buf[ends].reshape(-1, 4) == [44, 44, 44, 10]).all():
+        return None
+    widths = np.diff(ends, prepend=-1)
+    widths -= 1
+    if widths.min() < 1 or widths.max() > 18:
+        return None
+    ends = ends.reshape(-1, 4).T.copy()
+    widths = widths.reshape(-1, 4).T.copy()
+    fields = np.zeros(ends.shape, dtype=np.int64)
+    for out, end, width in zip(fields, ends, widths):
+        W = int(width.max())
+        for place in range(W):
+            end -= 1
+            byte = buf.take(end)
+            if place >= width.min():
+                byte[width <= place] = 48
+            out += np.multiply(byte, 10**place, dtype=np.int64)
+        out -= 48 * (10**W - 1) // 9
+    return fields
+
+
+# Bytes a mutation puts into a canonical file: the format's own, and bytes
+# next to them or special to a CSV reader.
+_MUTANT_BYTES = b"0123456789,\n\r \t+-./:;\"a\xff"
+
+
+@st.composite
+def _mutated_body(draw):
+    """The body of a canonical record file, with a few bytes replaced, inserted or deleted."""
+    rows = draw(st.lists(st.tuples(*[st.sampled_from(_EDGE_VALUES) | st.integers(0, 10**6)] * 4),
+                         min_size=1, max_size=12))
+    body = bytearray("".join("%d,%d,%d,%d\n" % row for row in rows).encode())
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(body)))
+        byte = draw(st.sampled_from(_MUTANT_BYTES))
+        kind = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if kind == "insert" or at == len(body):
+            body.insert(at, byte)
+        elif kind == "replace":
+            body[at] = byte
+        elif len(body) > 1:
+            del body[at]
+    return bytes(body)
+
+
 class TestRecordDecoder:
-    """Files in ``write_records``' exact format are decoded in 2**18-byte pieces.
+    """Files in ``write_records``' exact format are decoded in ``_PIECE``-byte pieces.
 
     Each must give the Records that were written; a file that leaves the
     format anywhere goes to numpy's reader instead.
@@ -918,24 +1016,30 @@ class TestRecordDecoder:
         if decoded is not None and len(set(r[1] for r in rows)) == 1:
             assert decoded.mode.strides == (0,)
 
-    # The first line holds a t of d digits and every later one 14 bytes, so
-    # the first piece of 2**18 bytes ends d - 1 bytes into a line (d = 1: at
-    # a line's end; d = 15: at the first byte of the next line).
+    # The first line holds a t of d digits and an i of 9 (d + 15 bytes) and
+    # every later one 14 bytes, so the first piece of 2**16 bytes ends
+    # (1 - d) mod 14 bytes into a line: at a line's end for d = 1 and d = 15.
     @pytest.mark.parametrize("digits", [1, 2, 8, 14, 15])
     def test_line_straddling_a_piece_boundary(self, digits, tmp_path):
+        assert _PIECE == 2**16
         T = 40_000
         t = np.arange(10**6, 10**6 + T)
         t[0] = 10 ** (digits - 1)
-        rec = Records(t, np.zeros(T, dtype=np.int64), t % 5, t % 4)
+        i = t % 4
+        i[0] = 10**8
+        rec = Records(t, np.zeros(T, dtype=np.int64), t % 5, i)
         path = tmp_path / "records.csv"
         write_records(path, rec)
         decoded = ingest_records(path)
         assert decoded == rec and decoded.k.flags.c_contiguous
+        body = bytearray(path.read_bytes())
+        first = len("t,mode,k,i\n") + digits + 15
+        assert (_PIECE - digits - 15) % 14 == (1 - digits) % 14
+        assert body[first - 1:first] == b"\n"
         # A bad byte in the line that holds the boundary reaches numpy's reader,
         # which names that line.
-        body = bytearray(path.read_bytes())
-        line = body.count(b"\n", 0, len("t,mode,k,i\n") + 2**18) + 1
-        start = body.rindex(b"\n", 0, len("t,mode,k,i\n") + 2**18) + 1
+        line = body.count(b"\n", 0, len("t,mode,k,i\n") + _PIECE) + 1
+        start = body.rindex(b"\n", 0, len("t,mode,k,i\n") + _PIECE) + 1
         body[start + 10] = ord("x")  # the k digit of a 14-byte line
         path.write_bytes(body)
         with pytest.raises(MalformedRecordError) as excinfo:
@@ -944,8 +1048,8 @@ class TestRecordDecoder:
             "line %d: k 'x' is not a 64-bit decimal integer" % line, line
         )
 
-    # Lines of 14 bytes: 18,724 fill the first piece, so the mode changes at
-    # the first line of the second piece, or inside the fourth.
+    # Lines of 14 bytes: the mode changes at the line that holds the end of
+    # the fourth piece of 2**16 bytes (line 18,724), or inside the fifteenth.
     @pytest.mark.parametrize("change", [2**18 // 14, 2 * _BLOCK + 5])
     def test_mode_that_changes_mid_file(self, setup_223, change, tmp_path):
         T = 3 * _BLOCK
@@ -970,6 +1074,32 @@ class TestRecordDecoder:
         tables, obs = {0: table, 1: table}, {0: n_op, 1: n_op}
         a, b = (estimate_local(r, cfg, tables, obs) for r in (rec, back))
         assert (a.mean, a.stderr) == (b.mean, b.stderr)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_mutated_body())
+    def test_kernel_accepts_what_the_earlier_one_did(self, body):
+        body = body[:body.rfind(b"\n") + 1]  # the decoder's cut at a piece's last line
+        if not body:
+            return
+        fields = _decoded_fields(np.frombuffer(b"\n" + body, np.uint8))
+        expected = _reference_fields(np.frombuffer(body, np.uint8))
+        assert (fields is None) == (expected is None)
+        if fields is not None:
+            assert all(f.dtype in (np.uint32, np.int64) for f in fields)
+            assert all(np.array_equal(f, e) for f, e in zip(fields, expected))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_mutated_body())
+    def test_file_decoded_as_the_earlier_kernel_accepts(self, body):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "records.csv"
+            path.write_bytes(b"t,mode,k,i\n" + body)
+            decoded = _decoded_records(path)
+            cut = body.rfind(b"\n") + 1
+            whole = cut == len(body) and _reference_fields(np.frombuffer(body, np.uint8))
+            assert (decoded is None) == (whole is None or whole is False)
+            if decoded is not None:
+                assert decoded == Records(*whole) == ingest_records(path)
 
     @pytest.mark.parametrize("body, rows", [
         (b"t,mode,k,i\n", []),
@@ -1159,6 +1289,38 @@ class TestIngestEdgeCases:
         with pytest.raises(MalformedRecordError) as excinfo:
             bin_raw(path, PhaseGrid(2), BinningScheme([-1.0, 0.0, 1.0]))
         assert (str(excinfo.value), excinfo.value.ordinal) == (message, line)
+
+    @pytest.mark.parametrize("tail_mode", ["extend-tails", "strict-finite"])
+    def test_bin_raw_across_blocks(self, tail_mode, tmp_path):
+        # bin_raw parses 8,192 lines at a time: here the mode changes inside the
+        # second block, t passes 2**16 in the third, and blank lines move the cuts.
+        T = 3 * 8192 + 500
+        j = np.arange(T)
+        t = np.where(j < 2 * 8192, j, j + 2**16)
+        mode = (j >= 8192 + 7).astype(np.int64)
+        k = j % 3
+        x = np.array([float("%.6f" % v) for v in 1.5 * np.sin(j)])  # about half past +-1
+        lines = ["%d,%d,%d,%.6f\n" % row for row in zip(t, mode, k, x)]
+        for at in (100, 8190, 2 * 8192):
+            lines[at] += "\n"
+        path = tmp_path / "raw.csv"
+        path.write_text("t,mode,k,x\n" + "".join(lines))
+        binning = BinningScheme([-1.0, -0.2, 0.3, 1.0], tail_mode)
+        above = np.searchsorted(binning.edges, x, "right")
+        if tail_mode == "extend-tails":
+            above = np.clip(above, 1, 3)
+        keep = (above > 0) & (above <= 3)
+        recs, dropped = bin_raw(path, PhaseGrid(3), binning)
+        assert recs == Records(t[keep], mode[keep], k[keep], above[keep] - 1)
+        assert dropped == np.count_nonzero(~keep) / T and (dropped > 0.25) == (tail_mode != "extend-tails")
+        assert [c.dtype for c in recs.columns()] == [np.uint32] + [np.uint8] * 3
+        assert recs.mode.strides == (1,)
+        lines[2 * 8192 + 100] = "5,0,9,0.0\n"  # line 16,489 of the file, in the third block
+        path.write_text("t,mode,k,x\n" + "".join(lines))
+        with pytest.raises(MalformedRecordError) as excinfo:
+            bin_raw(path, PhaseGrid(3), binning)
+        assert (str(excinfo.value), excinfo.value.ordinal) == (
+            "line %d: k '9' is outside 0..2" % (2 * 8192 + 105), 2 * 8192 + 105)
 
     @pytest.mark.parametrize("tail_mode", ["extend-tails", "strict-finite"])
     def test_bin_raw_crlf_and_blank_lines(self, tail_mode, tmp_path):

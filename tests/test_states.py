@@ -357,3 +357,18 @@ class TestFiniteInput:
         with pytest.raises(ValueError) as excinfo:
             factory(*args)
         assert str(excinfo.value) == "%s keeps no probability below the cutoff" % what
+
+    # |alpha|^2 overflows a float; amplitudes past n = 3 would overflow too.
+    @pytest.mark.parametrize("factory, args, what", [
+        (coherent, (1e200, 3), "coherent(alpha=(1e+200+0j), n_max=3)"),
+        (coherent, (complex(1e200, -1e200), 8), "coherent(alpha=(1e+200-1e+200j), n_max=8)"),
+        (coherent, (1e100, 8), "coherent(alpha=(1e+100+0j), n_max=8)"),
+        (cat, (1e200, 1, 3), "cat(alpha=(1e+200+0j), parity=+1, n_max=3)"),
+        (cat, (-1e200, -1, 8), "cat(alpha=(-1e+200+0j), parity=-1, n_max=8)"),
+    ])
+    def test_huge_amplitude_keeps_no_probability(self, factory, args, what):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow on the way
+            with pytest.raises(ValueError) as excinfo:
+                factory(*args)
+        assert str(excinfo.value) == "%s keeps no probability below the cutoff" % what
