@@ -471,20 +471,13 @@ def _cmd_estimate(args):
         raise UsageError("bad --variant: %s" % exc) from exc
     povm = _resolve_povm(args)
     X = _parse_observable_spec(args.observable, povm.n_max)
-    # The writer's exact format is folded into count tables as it is decoded;
-    # any other file, and any fault, takes the ingest path that reports it.
-    counted = shadow_mod._file_counts(args.records, povm.binning.M, povm.grid.N, args.variant)
-    if counted is None:
-        records = sim_mod.ingest_records(args.records)
-        if not records:
-            raise MalformedRecordError("record file %s is empty" % args.records, ordinal=0)
+    records = sim_mod.ingest_records(args.records)
+    if not records:
+        raise MalformedRecordError("record file %s is empty" % args.records, ordinal=0)
     frame = shadow_mod.frame_operator(povm)
     inv = shadow_mod.invert_frame(frame, mode=args.inversion, threshold=args.threshold)
     table = shadow_mod.snapshots(povm, inv)
-    if counted is None:
-        report = shadow_mod.estimate_observable(records, table, X, variant=args.variant)
-    else:
-        report = shadow_mod._counted_estimate(*counted, table, X)
+    report = shadow_mod.estimate_observable(records, table, X, variant=args.variant)
     report.seed = args.seed
     report.povm_cache_key = povm.cache_key
     payload = json.dumps(report.to_json(), allow_nan=False)

@@ -6,9 +6,8 @@ the narrowest of uint8, uint16 and uint32 that holds it (int64 beyond), and
 consumers check a Records against their outcome grid with the rules of
 :func:`checked_records`, ``_BLOCK`` rows at a time, in ``intp`` arithmetic.
 A file in :func:`write_records`' exact format is decoded a piece at a time
-into column blocks (:func:`_decoded_blocks`), which either fill exact-size
-columns (:func:`ingest_records`) or go straight into the count tables of
-:func:`_outcome_counts`, so neither holds a stream-sized temporary.
+into column blocks (:func:`_decoded_blocks`) that fill columns of its exact
+line count (:func:`ingest_records`), so no stream-sized temporary is held.
 """
 
 import contextlib
@@ -182,7 +181,7 @@ def _checked(records, M, N):
     if M is None or not records:
         return records, None
     if np.ndim(M) == 0:  # the fold states the single-mode rules; drop its counts
-        next(_outcome_counts(_blocks(records), M, N, (0, len(records))))
+        next(_outcome_counts(records, M, N, (0, len(records))))
         return records, None
     t, mode, k, i = records.columns()
     S = len(M)
@@ -219,43 +218,33 @@ def _raise_first_flagged(rules, start=0):
         raise MalformedRecordError("record %d %s" % (start + j, describe(j)), ordinal=start + j)
 
 
-def _blocks(records):
-    """The (t, mode, k, i) column blocks of a :class:`Records`, ``_BLOCK`` rows each."""
-    for start in range(0, len(records), _BLOCK):
-        yield tuple(c[start:start + _BLOCK] for c in records.columns())
-
-
-def _outcome_counts(blocks, M, N, bounds):
+def _outcome_counts(records, M, N, bounds):
     """Yield the int64 table C[i*N + k] of outcome counts of each batch of a single-mode stream.
 
-    ``blocks`` is any iterable of non-empty (t, mode, k, i) column blocks:
-    the ``_blocks`` of a Records, or those of :func:`_decoded_blocks`.
-    Batch b is rows bounds[b]..bounds[b+1]-1 of the stream, and a batch
-    whose rows the blocks do not reach gets no table.  Each block is checked
-    against the single-mode rules of :func:`checked_records` (outcome on the
-    M x N grid, mode of the first record) before it is counted.
+    Batch b is rows bounds[b]..bounds[b+1]-1 of a non-empty stream.  The
+    columns are read ``_BLOCK`` rows at a time, so no temporary grows with
+    the stream, and each block is checked against the single-mode rules of
+    :func:`checked_records` (outcome on the M x N grid, mode of the first
+    record) before it is counted.
     """
-    counts, start, b, first = np.zeros(M * N, dtype=np.int64), 0, 1, None
-    for _, mode_b, k_b, i_b in blocks:
-        first = mode_b[0] if first is None else first
-        _raise_first_flagged([
-            ((i_b >= M) | (k_b >= N), lambda j: "references outcome (i=%d, k=%d) outside "
-             "the %d x %d outcome grid" % (i_b[j], k_b[j], M, N)),
-            (mode_b != first, lambda j: "has mode %d but the stream began with mode %d; "
-             "a single-mode estimate takes one mode at a time" % (mode_b[j], first)),
-        ], start)
-        lo, size = 0, i_b.size
-        while lo < size:  # the block's rows up to the end of the batch that holds row lo
-            hi = min(size, bounds[b] - start)
-            flat = np.multiply(i_b[lo:hi], N, dtype=np.intp)  # narrow columns would wrap
-            flat += k_b[lo:hi]
+    _, mode, k, i = records.columns()
+    first = mode[0]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        counts = np.zeros(M * N, dtype=np.int64)
+        for start in range(lo, hi, _BLOCK):
+            rows = slice(start, min(start + _BLOCK, hi))
+            i_b, k_b, mode_b = i[rows], k[rows], mode[rows]
+            _raise_first_flagged([
+                ((i_b >= M) | (k_b >= N), lambda j: "references outcome (i=%d, k=%d) outside "
+                 "the %d x %d outcome grid" % (i_b[j], k_b[j], M, N)),
+                (mode_b != first, lambda j: "has mode %d but the stream began with mode %d; "
+                 "a single-mode estimate takes one mode at a time" % (mode_b[j], first)),
+            ], start)
+            flat = np.multiply(i_b, N, dtype=np.intp)  # narrow columns would wrap
+            flat += k_b
             counts += np.bincount(flat, minlength=M * N)
-            del flat  # else it lives on beside the next index
-            if start + hi == bounds[b]:
-                yield counts
-                counts, b = np.zeros(M * N, dtype=np.int64), b + 1
-            lo = hi
-        start += size
+            del flat  # else it lives on beside the next block's index
+        yield counts
 
 
 def _encode_rows(cols):
@@ -409,13 +398,19 @@ def _table_blocks(path, header, dtype, checks):
     """Yield the data rows of a headed CSV as :func:`_load_table` parses them, in blocks.
 
     Each block is the rows of the next ``_BLOCK // 4`` lines, read through
-    one handle; a block of empty lines is skipped.  The rows of a quoted
-    field that spans two blocks' lines do not parse.
+    one handle, and of the lines up to the next that leaves an even count of
+    '"' in the block: in a file numpy parses, every '"' opens, closes or
+    doubles inside a quoted field, so no quoted field spans two blocks.  A
+    block of empty lines is skipped.
     """
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         _checked_header(fh, header)
         try:
             while lines := list(itertools.islice(fh, _BLOCK // 4)):
+                quotes = "".join(lines).count('"')
+                while quotes % 2 and (line := next(fh, "")):
+                    lines.append(line)
+                    quotes += line.count('"')
                 if any(line.strip("\n") for line in lines):  # numpy warns on lines without data
                     yield np.loadtxt(lines, dtype=dtype, **_LOADTXT)
         except ValueError as exc:

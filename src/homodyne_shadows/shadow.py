@@ -28,9 +28,9 @@ import warnings
 
 import numpy as np
 
-from .errors import MalformedRecordError, StrictModeSingularError
+from .errors import StrictModeSingularError
 from .povm import _adjoint, _outcome_matrix, _pairing, is_informationally_complete
-from .records import _blocks, _decoded_blocks, _outcome_counts, checked_records
+from .records import _outcome_counts, checked_records
 from .states import _matrix, expectation
 
 __all__ = [
@@ -319,8 +319,10 @@ def estimate_observable(records, table, X, variant="plain-mean"):
     Each record contributes the per-shot value Tr(X rho_hat_{i,k}) of its
     outcome, aggregated as :func:`_aggregate` describes: plain averaging, or
     median-of-means over B contiguous batches for ``"median-of-means:B"``.
-    Only the outcome counts enter (:func:`_counted_estimate`), so no
-    per-shot value is built.
+    Only the outcome counts enter, so no per-shot value is built: a batch's
+    mean is sum(C*v)/n for its count table C, and the whole stream's counts
+    give the plain mean m and stderr = sqrt(sum(C*(v - m)**2)/(T - 1)/T).
+    These equal the per-shot formulas up to summation-order roundoff.
 
     ``records`` is a :class:`~homodyne_shadows.records.Records`; any other type
     raises ``TypeError``.  Records with an outcome outside the table, or a
@@ -329,55 +331,20 @@ def estimate_observable(records, table, X, variant="plain-mean"):
     position in the stream.
     """
     T = len(checked_records(records))
-    bounds, label = _batching(variant, T)
-    counts = _outcome_counts(_blocks(records), table.M, table.N, bounds)
-    return _counted_estimate(counts, bounds, label, table, X)
-
-
-def _file_counts(path, M, N, variant):
-    """``(counts, bounds, label)`` of a record file in the writer's exact format, else None.
-
-    The blocks of :func:`~homodyne_shadows.records._decoded_blocks` are
-    folded into the count table of each batch of ``variant`` as they are
-    decoded, so no column of the stream is held.  None stands for a file
-    that is empty, leaves the format, or breaks a single-mode rule: each is
-    for ``ingest_records`` and :func:`estimate_observable` to read and
-    report.
-    """
-    blocks = _decoded_blocks(path)
-    T = next(blocks, 0)
-    if not T:
-        return None
-    bounds, label = _batching(variant, T)
-    try:
-        counts = list(_outcome_counts(blocks, M, N, bounds))
-    except MalformedRecordError:
-        return None
-    return (counts, bounds, label) if len(counts) == len(bounds) - 1 else None
-
-
-def _counted_estimate(counts, bounds, label, table, X):
-    """The :class:`EstimateReport` of the per-batch outcome count tables of a stream.
-
-    Batch b, of bounds[b+1] - bounds[b] shots with count table C, has mean
-    sum(C*v)/n for the per-outcome values v.  The whole stream's counts
-    give the plain mean m and stderr = sqrt(sum(C*(v - m)**2)/(T - 1)/T).
-    These equal the per-shot formulas up to summation-order roundoff.
-    """
-    T = bounds[-1]
+    bounds, variant_str = _batching(variant, T)
     v = snapshot_values(table, X).ravel()
-    total = np.zeros(v.size, dtype=np.int64)
+    counts = np.zeros(v.size, dtype=np.int64)
     means = []
-    for c, n in zip(counts, np.diff(bounds)):
-        total += c
+    for c, n in zip(_outcome_counts(records, table.M, table.N, bounds), np.diff(bounds)):
+        counts += c
         means.append(c @ v / n)
-    plain = total @ v / T
-    stderr = math.sqrt(total @ (v - plain) ** 2 / (T - 1) / T) if T > 1 else 0.0
+    plain = counts @ v / T
+    stderr = math.sqrt(counts @ (v - plain) ** 2 / (T - 1) / T) if T > 1 else 0.0
     return EstimateReport(
         float(np.median(means)),
         stderr,
         T,
-        label,
+        variant_str,
         observable_label=getattr(X, "label", "X"),
         inversion=table.mode,
         threshold=table.threshold,
@@ -484,7 +451,7 @@ def reconstruct_state(records, table, project=False):
     total = len(checked_records(records))
     if total == 0:
         raise ValueError("record stream is empty")
-    counts = next(_outcome_counts(_blocks(records), table.M, table.N, (0, total)))
+    counts = next(_outcome_counts(records, table.M, table.N, (0, total)))
     avg = _adjoint(counts.reshape(table.M, table.N) / total, table.S, table.grid)
     if project:
         lam, V = np.linalg.eigh(avg)

@@ -454,30 +454,17 @@ def estimate_local(records, config, tables, observables, variant="plain-mean"):
     rec, order = _checked(records, Ms, Ns)
     # Rows in (t, mode) order, the stream's own when sorted: a shot's rows in ascending mode.
     t, mode, k, i = rec.columns() if order is None else (c[order] for c in rec.columns())
-    S = config.S
     values = np.empty(_shot_count(t))
     # Blocks of about _BLOCK rows (at least S: a shot's most) cut where a shot starts.
-    lo, shot, size = 0, 0, max(_BLOCK, S)
+    lo, shot, size = 0, 0, max(_BLOCK, config.S)
     while lo < t.size:
         end = lo + size
         hi = t.size if end >= t.size else lo + int(np.searchsorted(t[lo:end], t[end]))
         t_b, mode_b, k_b, i_b = t[lo:hi], mode[lo:hi], k[lo:hi], i[lo:hi]
-        index = np.multiply(mode_b, Mp, dtype=np.intp)  # (mode*Mp + i)*Np + k, unwrapped
-        index += i_b
-        index *= Np
-        index += k_b
-        # A shot's value is the product of its rows' values in ascending mode
-        # order; the 1.0 factors off V are exact, so this is the sorted-V product.
-        if t_b.size % S == 0 and (t_b[::S] == t_b[S - 1::S]).all():
-            # Every shot has all S rows, as (t, mode) pairs are unique.
-            v = np.take(lookup, index).reshape(-1, S)
-            out = values[shot:shot + v.shape[0]]
-            out[:] = v[:, 0]
-            for j in range(1, S):  # left to right, as multiply.reduceat below
-                out *= v[:, j]
-        else:
-            starts = np.flatnonzero(np.concatenate(([True], t_b[1:] != t_b[:-1])))
-            # A shot has every mode of V iff it has len(V) rows in V.
+        starts = np.flatnonzero(np.concatenate(([True], t_b[1:] != t_b[:-1])))
+        # (t, mode) pairs are unique, so a shot has every mode iff there are S
+        # rows per shot, and every mode of V iff it has len(V) rows in V.
+        if V and starts.size * config.S != t_b.size:
             gaps = np.flatnonzero(np.add.reduceat(np.isin(mode_b, V), starts) < len(V))
             if gaps.size:
                 a, b = np.append(starts, t_b.size)[gaps[0]:gaps[0] + 2]
@@ -485,9 +472,14 @@ def estimate_local(records, config, tables, observables, variant="plain-mean"):
                 j = next(j for j in V if j not in mode_b[a:b])
                 raise MalformedRecordError("shot %d has no record for mode %d" % (t_gap, j),
                                            ordinal=t_gap)
-            out = values[shot:shot + starts.size]
-            np.multiply.reduceat(np.take(lookup, index), starts, out=out)
-        lo, shot = hi, shot + out.size
+        # A shot's value is the product of its rows' values in ascending mode
+        # order; the 1.0 factors off V are exact, so this is the sorted-V product.
+        index = np.multiply(mode_b, Mp, dtype=np.intp)  # (mode*Mp + i)*Np + k, unwrapped
+        index += i_b
+        index *= Np
+        index += k_b
+        np.multiply.reduceat(np.take(lookup, index), starts, out=values[shot:shot + starts.size])
+        lo, shot = hi, shot + starts.size
     mean, stderr, variant_str = shadow_mod._aggregate(values, variant)
     label = " * ".join(
         getattr(observables[j], "label", "X") for j in V

@@ -348,15 +348,14 @@ class TestNonFiniteInput:
 
     @pytest.mark.parametrize("flags", [["--json"], ["--out"], ["--json", "--out"]])
     def test_nan_estimate_report_exits_65(self, flags, records, tmp_path, capsys, monkeypatch):
-        # Every estimate report, of a decoded fold or of ingested records, comes from here.
-        real = cli.shadow_mod._counted_estimate
+        real = cli.shadow_mod.estimate_observable
 
         def nan_report(*args, **kwargs):
             report = real(*args, **kwargs)
             report.mean = math.nan
             return report
 
-        monkeypatch.setattr(cli.shadow_mod, "_counted_estimate", nan_report)
+        monkeypatch.setattr(cli.shadow_mod, "estimate_observable", nan_report)
         out = tmp_path / "report.json"
         argv = [f if f != "--out" else "--out=%s" % out for f in flags]
         capsys.readouterr()
@@ -547,9 +546,8 @@ class TestEstimate:
         assert run(base + ["--inversion", "pseudo"]) == EXIT_OK
 
     @pytest.mark.parametrize("variant", ["plain-mean", "median-of-means:7"])
-    def test_decoded_fold_reports_as_ingested_records(self, variant, tmp_path, capsys):
-        # The writer's exact format is folded as it is decoded; a CRLF copy is
-        # ingested by numpy and estimated from its records.
+    def test_decoded_file_reports_as_its_crlf_copy(self, variant, tmp_path, capsys):
+        # The writer's exact format is decoded in blocks; a CRLF copy is parsed by numpy.
         records = self._simulate(tmp_path, T=20_000)
         crlf = tmp_path / "crlf.csv"
         crlf.write_bytes(records.read_bytes().replace(b"\n", b"\r\n"))
@@ -561,8 +559,8 @@ class TestEstimate:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1] and '"T": 20000' in outs[0]
 
-    # Faults after the first pieces of a decoded file: each exits as it did
-    # when the whole file was ingested first.
+    # Faults after the first pieces of a decoded file: a format fault sends
+    # the file to numpy's reader, and the rules are checked on its records.
     @pytest.mark.parametrize("faults, message", [
         ({"i": 15_000}, "record 15000 references outcome (i=3, k=0) outside the 3 x 3 "
          "outcome grid"),
