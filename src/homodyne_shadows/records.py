@@ -5,17 +5,18 @@ A :class:`Records` holds four equal-length arrays ``t``, ``mode``, ``k``,
 the narrowest of uint8, uint16 and uint32 that holds it (int64 beyond), and
 consumers check a Records against their outcome grid with the rules of
 :func:`checked_records`, ``_BLOCK`` rows at a time, in ``intp`` arithmetic.
-A file in :func:`write_records`' exact format is decoded a piece at a time
-into column blocks (:func:`_decoded_blocks`) that fill columns of its exact
-line count (:func:`ingest_records`), so no stream-sized temporary is held.
+Record files are read in column blocks that fill narrow columns
+(:func:`_filled_records`), so no stream-sized temporary is held.  A file in
+:func:`write_records`' exact format is decoded a piece at a time
+(:func:`_decoded_blocks`) into columns of its exact line count; any other,
+and every raw quadrature file, is parsed by numpy a block of lines at a time
+(:func:`_table_blocks`).
 """
 
-import contextlib
 import csv
 import functools
 import itertools
 import numbers
-import os
 
 import numpy as np
 
@@ -88,8 +89,8 @@ class Records:
     narrowest of uint8, uint16 and uint32 that holds it, so cast a column to
     ``intp`` before arithmetic that may leave its dtype: ``i * N + k``
     wraps in uint8.  Columns may be views, some of them read-only: the
-    ``mode`` of :func:`~homodyne_shadows.sim.sample`, and of a single-mode
-    file that :func:`ingest_records` decodes or :func:`bin_raw` bins, is one
+    ``mode`` of :func:`~homodyne_shadows.sim.sample`, and of any single-mode
+    file that :func:`ingest_records` reads or :func:`bin_raw` bins, is one
     value broadcast to every row (stride 0).  Copy a column before writing
     into it.
     """
@@ -369,39 +370,18 @@ def _checked_header(fh, header):
 _LOADTXT = {"delimiter": ",", "comments": None, "quotechar": '"', "ndmin": 1, "encoding": "utf-8"}
 
 
-def _load_table(path, header, dtype, checks):
-    """Data rows of a headed four-column CSV, parsed by numpy's C reader.
+def _table_blocks(path, header, dtype, checks):
+    """Yield the data rows of a headed CSV as column blocks, parsed by numpy's C reader.
 
     Line 1 must hold ``header`` unless it is empty; empty lines are skipped
     and fields may carry surrounding spaces, but a line of spaces is a row
-    of one field.  Rows numpy cannot parse, a byte that is not UTF-8 among
-    them, raise through :func:`_raise_first_bad_row` with ``checks``.
-    """
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        _checked_header(fh, header)
-        # numpy warns on input without data, so stop at an all-empty remainder.
-        if not any(line.strip("\n") for line in fh):
-            return np.empty(0, dtype=dtype)
-    # numpy reads a file name in blocks but a handle line by line.  It would
-    # also decompress a name ending in .bz2, .gz, .lzma or .xz, so such a
-    # (plain-text) file goes through a handle.
-    name = os.fsdecode(path)
-    by_name = os.path.splitext(name)[1] not in (".bz2", ".gz", ".lzma", ".xz")
-    try:
-        with contextlib.nullcontext(name) if by_name else open(name, encoding="utf-8") as src:
-            return np.loadtxt(src, dtype=dtype, skiprows=1, **_LOADTXT)
-    except ValueError as exc:
-        _raise_first_bad_row(path, header, checks, exc)
-
-
-def _table_blocks(path, header, dtype, checks):
-    """Yield the data rows of a headed CSV as :func:`_load_table` parses them, in blocks.
-
-    Each block is the rows of the next ``_BLOCK // 4`` lines, read through
-    one handle, and of the lines up to the next that leaves an even count of
-    '"' in the block: in a file numpy parses, every '"' opens, closes or
-    doubles inside a quoted field, so no quoted field spans two blocks.  A
-    block of empty lines is skipped.
+    of one field.  Each block is the rows of the next ``_BLOCK // 4`` lines,
+    read through one handle, and of the lines up to the next that leaves an
+    even count of '"' in the block: in a file numpy parses, every '"' opens,
+    closes or doubles inside a quoted field, so no quoted field spans two
+    blocks.  A block of empty lines is skipped.  Rows numpy cannot parse, a
+    byte that is not UTF-8 among them, and a block with a negative int64
+    field raise through :func:`_raise_first_bad_row` with ``checks``.
     """
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         _checked_header(fh, header)
@@ -412,7 +392,11 @@ def _table_blocks(path, header, dtype, checks):
                     lines.append(line)
                     quotes += line.count('"')
                 if any(line.strip("\n") for line in lines):  # numpy warns on lines without data
-                    yield np.loadtxt(lines, dtype=dtype, **_LOADTXT)
+                    data = np.loadtxt(lines, dtype=dtype, **_LOADTXT)
+                    cols = [data[name] for name in dtype.names]
+                    if any(c.dtype.kind == "i" and c.min() < 0 for c in cols):
+                        _raise_first_bad_row(path, header, checks)
+                    yield cols
         except ValueError as exc:
             _raise_first_bad_row(path, header, checks, exc)
 
@@ -536,39 +520,27 @@ def _filled_records(blocks, capacity=0):
     return Records(*(c[:rows] for c in cols))
 
 
-def _decoded_records(path):
-    """:class:`Records` of a file in :func:`write_records`' exact format, else None.
-
-    The blocks of :func:`_decoded_blocks` fill columns of exactly the
-    file's line count (:func:`_filled_records`).
-    """
-    blocks = _decoded_blocks(path)
-    n = next(blocks, None)
-    if n is None:
-        return None
-    records = _filled_records(blocks, n)
-    return records if len(records) == n else None
-
-
 def ingest_records(path):
     """Read a record CSV back into :class:`Records`.
 
     A file in :func:`write_records`' exact format is decoded in blocks that
-    fill narrow columns of its exact line count (:func:`_decoded_records`);
-    any other goes to ``np.loadtxt``, whose path gives every error and whose
-    columns are int64 fields of its parsed rows.  Empty files yield an empty
-    stream; empty lines are skipped (a line of spaces is not empty) and
-    fields may carry surrounding spaces.  Malformed rows, negative indices and bytes that are
-    not UTF-8 raise with their 1-based line number.
+    fill narrow columns of its exact line count (:func:`_decoded_blocks`);
+    any other is parsed by numpy a block of lines at a time
+    (:func:`_table_blocks`) into narrow columns that grow block by block,
+    and that path gives every error.  Either way no stream-sized temporary
+    is held.  Empty files yield an empty stream; empty lines are skipped (a
+    line of spaces is not empty) and fields may carry surrounding spaces.
+    Malformed rows, negative indices and bytes that are not UTF-8 raise
+    with their 1-based line number.
     """
-    if (decoded := _decoded_records(path)) is not None:
-        return decoded
+    blocks = _decoded_blocks(path)
+    if (n := next(blocks, None)) is not None:
+        records = _filled_records(blocks, n)
+        if len(records) == n:
+            return records
+        del records  # its columns hold n rows: free them before the parse
     checks = [_index_problem] * 4
-    data = _load_table(path, RECORD_HEADER, _RECORD_DTYPE, checks)
-    try:  # views of the parsed array: copies would double the call's peak memory
-        return Records(*(data[name] for name in RECORD_HEADER))
-    except MalformedRecordError as exc:  # a negative field
-        _raise_first_bad_row(path, RECORD_HEADER, checks, exc)
+    return _filled_records(_table_blocks(path, RECORD_HEADER, _RECORD_DTYPE, checks))
 
 
 def bin_raw(path, grid, binning):
@@ -588,10 +560,8 @@ def bin_raw(path, grid, binning):
 
     def blocks():
         nonlocal read
-        for data in _table_blocks(path, RAW_HEADER, _RAW_DTYPE, checks):
-            t, mode, k, x = (data[name] for name in data.dtype.names)
-            if (min(t.min(), mode.min(), k.min()) < 0 or k.max() >= grid.N
-                    or not np.isfinite([x.min(), x.max()]).all()):  # NaN and inf reach min or max
+        for t, mode, k, x in _table_blocks(path, RAW_HEADER, _RAW_DTYPE, checks):
+            if k.max() >= grid.N or not np.isfinite([x.min(), x.max()]).all():  # NaN, inf too
                 _raise_first_bad_row(path, RAW_HEADER, checks)
             above = np.searchsorted(edges, x, "right")  # one past the bin: 0 .. M + 1
             if binning.tail_mode == "extend-tails":

@@ -28,8 +28,9 @@ from homodyne_shadows.shadow import (
 from homodyne_shadows.records import (
     _BLOCK,
     _PIECE,
+    _decoded_blocks,
     _decoded_fields,
-    _decoded_records,
+    _filled_records,
     _narrowed,
     RECORD_HEADER,
     Records,
@@ -430,6 +431,20 @@ def _crlf_copy(path, out):
     return out
 
 
+def _decoded_records(path):
+    """The Records that ``_decoded_blocks`` gives a file in write_records' exact format, else None.
+
+    This is the first of ``ingest_records``' two paths; a file it leaves to
+    the second (numpy's reader) gives None.
+    """
+    blocks = _decoded_blocks(path)
+    n = next(blocks, None)
+    if n is None:
+        return None
+    records = _filled_records(blocks, n)
+    return records if len(records) == n else None
+
+
 def _traced_peak(call):
     """Bytes that ``call()`` allocates at its peak, beyond what existed before."""
     tracemalloc.start()
@@ -446,8 +461,8 @@ class TestBlockFold:
     Each result must equal the whole-stream reference bit for bit, and each
     bad record must raise the reference's message and ordinal, wherever it
     falls relative to the block and batch bounds.  The streams are sampled,
-    decoded from a written file (contiguous columns) and parsed by numpy
-    from a CRLF copy of it (strided columns).
+    decoded from a written file and parsed by numpy from a CRLF copy of it;
+    both paths fill the same narrow contiguous columns.
     """
 
     @pytest.fixture(scope="class")
@@ -462,9 +477,11 @@ class TestBlockFold:
     def test_columns_are_views(self, streams):
         assert streams["sampled"].mode.strides == (0,)
         decoded = streams["ingested"]
-        assert all(c.flags.c_contiguous for c in (decoded.t, decoded.k, decoded.i))
-        assert decoded.mode.strides == (0,) and not decoded.mode.flags.writeable
-        assert streams["crlf"].k.strides == (32,)  # a field of numpy's parsed rows
+        for rec in (decoded, streams["crlf"]):  # no parsed row outlives its block
+            for name in ("t", "k", "i"):
+                col = getattr(rec, name)
+                assert col.flags.c_contiguous and col.dtype == getattr(decoded, name).dtype
+            assert rec.mode.strides == (0,) and not rec.mode.flags.writeable
 
     @pytest.mark.parametrize("source", ["sampled", "ingested", "crlf"])
     def test_results_equal_whole_stream_fold(self, setup_223, streams, source):
@@ -566,10 +583,18 @@ class TestFoldMemory:
         assert len(rec) == self.T
         assert held <= 6.5 * 2**20  # t, k and i; the mode column is one value
 
-    def test_ingest_holds_three_columns(self, setup_223, tmp_path):
+    # The decoded file, its CRLF copy (numpy's reader) and a copy whose last
+    # line alone ends in CRLF: the decoder stops at its last piece, and its
+    # n-row columns must be gone before numpy's reader fills new ones.
+    @pytest.mark.parametrize("ending", ["canonical", "crlf", "crlf-last-line"])
+    def test_ingest_holds_three_columns(self, setup_223, ending, tmp_path):
         povm, _ = setup_223
         path = tmp_path / "records.csv"
         write_records(path, sample(outcome_distribution(fock(1, 2), povm), self.T, seed=4))
+        if ending == "crlf":
+            _crlf_copy(path, path)
+        elif ending == "crlf-last-line":
+            path.write_bytes(path.read_bytes()[:-1] + b"\r\n")
         tracemalloc.start()
         try:
             rec = ingest_records(path)
@@ -578,8 +603,8 @@ class TestFoldMemory:
             tracemalloc.stop()
         assert len(rec) == self.T
         assert held <= 6.5 * 2**20  # t, k and i; the mode column is one value
-        # Exact-size columns: t widens once from uint16 (2 MiB beside its uint32
-        # successor), and a decoded piece's temporaries are well under 0.5 MiB.
+        # Narrow columns: t widens once from uint16 (2 MiB beside its uint32
+        # successor), and a piece's or block's temporaries are under 1 MiB.
         assert peak <= held + 2.5 * 2**20
 
     def test_sampled_multi_mode_records_hold_narrow_columns(self, setup_223):
