@@ -574,6 +574,8 @@ def default_half_width(n_max):
     The highest retained Fock state has turning points at sqrt(2*n_max+1);
     one extra unit of quadrature comfortably covers its evanescent tail.
     """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0, got %r" % (n_max,))
     return math.sqrt(2.0 * n_max + 1.0) + 1.0
 
 

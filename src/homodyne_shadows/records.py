@@ -5,17 +5,17 @@ A :class:`Records` holds four equal-length arrays ``t``, ``mode``, ``k``,
 the narrowest of uint8, uint16 and uint32 that holds it (int64 beyond), and
 consumers check a Records against their outcome grid with the rules of
 :func:`checked_records`, ``_BLOCK`` rows at a time, in ``intp`` arithmetic.
-Record files are read in column blocks that fill narrow columns
-(:func:`_filled_records`), so no stream-sized temporary is held.  A file in
-:func:`write_records`' exact format is decoded a piece at a time
-(:func:`_decoded_blocks`) into columns of its exact line count; any other,
-and every raw quadrature file, is parsed by numpy a block of lines at a time
-(:func:`_table_blocks`).
+Record and raw quadrature files have one reader (:func:`_blocks`): it
+checks line 1, then reads pieces of whole lines of about ``_PIECE`` bytes,
+and turns each into a column block that fills narrow columns
+(:func:`_filled_records`), so no stream-sized temporary is held.  A piece of
+record lines in :func:`write_records`' exact format is decoded
+(:func:`_decoded_fields`); numpy parses any other.
 """
 
 import csv
 import functools
-import itertools
+import io
 import numbers
 
 import numpy as np
@@ -357,48 +357,14 @@ def _raise_first_bad_row(path, header, checks, cause=None):
     raise MalformedRecordError("%s: %s" % (path, cause), ordinal=0) from cause
 
 
-def _checked_header(fh, header):
-    """Read line 1 of a CSV handle; MalformedRecordError unless it holds ``header`` or is empty."""
-    row = next(csv.reader([fh.readline()]), [])
+def _checked_header(line, header):
+    """MalformedRecordError unless ``line`` (line 1, no line end) holds ``header`` or is empty."""
+    row = next(csv.reader([line]), [])
     if row and tuple(c.strip() for c in row) != header:
         raise MalformedRecordError("line 1: %s" % (
             _undecoded_problem(row)
             or "expected header %s, got %r" % (",".join(header), ",".join(row))
         ), ordinal=1)
-
-
-_LOADTXT = {"delimiter": ",", "comments": None, "quotechar": '"', "ndmin": 1, "encoding": "utf-8"}
-
-
-def _table_blocks(path, header, dtype, checks):
-    """Yield the data rows of a headed CSV as column blocks, parsed by numpy's C reader.
-
-    Line 1 must hold ``header`` unless it is empty; empty lines are skipped
-    and fields may carry surrounding spaces, but a line of spaces is a row
-    of one field.  Each block is the rows of the next ``_BLOCK // 4`` lines,
-    read through one handle, and of the lines up to the next that leaves an
-    even count of '"' in the block: in a file numpy parses, every '"' opens,
-    closes or doubles inside a quoted field, so no quoted field spans two
-    blocks.  A block of empty lines is skipped.  Rows numpy cannot parse, a
-    byte that is not UTF-8 among them, and a block with a negative int64
-    field raise through :func:`_raise_first_bad_row` with ``checks``.
-    """
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        _checked_header(fh, header)
-        try:
-            while lines := list(itertools.islice(fh, _BLOCK // 4)):
-                quotes = "".join(lines).count('"')
-                while quotes % 2 and (line := next(fh, "")):
-                    lines.append(line)
-                    quotes += line.count('"')
-                if any(line.strip("\n") for line in lines):  # numpy warns on lines without data
-                    data = np.loadtxt(lines, dtype=dtype, **_LOADTXT)
-                    cols = [data[name] for name in dtype.names]
-                    if any(c.dtype.kind == "i" and c.min() < 0 for c in cols):
-                        _raise_first_bad_row(path, header, checks)
-                    yield cols
-        except ValueError as exc:
-            _raise_first_bad_row(path, header, checks, exc)
 
 
 _RECORD_DTYPE = np.dtype([(name, np.int64) for name in RECORD_HEADER])
@@ -441,41 +407,66 @@ def _decoded_fields(buf):
     return fields
 
 
-# Bytes decoded at a time: about 4,700 lines of a 10**6-shot stream.
+# Bytes read at a time: about 4,700 lines of a 10**6-shot stream.
 _PIECE = 2 * _BLOCK
 
 
-def _decoded_blocks(path):
-    """Yield the line count n of a file in :func:`write_records`' exact format, then its blocks.
+def _parsed_fields(piece, dtype):
+    """numpy's columns of the lines after byte 0 of uint8 ``piece``; None if they hold no data.
 
-    The format is the header line, then lines of four fields of 1-18 ASCII
-    digits split by ',' and ended by '\\n'.  A newline pass counts the n
-    lines after the header, and nothing is yielded for a file whose header
-    differs or whose last byte is not '\\n'.  Pieces of ``_PIECE`` bytes are
-    then decoded in turn, each into a block of (t, mode, k, i) fields
-    (:func:`_decoded_fields`).  The blocks hold n rows in all if and only if
-    the file is in the format: decoding stops at a piece that leaves it.
+    Lines end in '\\n', '\\r\\n' or '\\r', and empty ones are skipped.
     """
-    header = (",".join(RECORD_HEADER) + "\n").encode("ascii")
+    text = str(piece[1:], "utf-8", "surrogateescape")
+    if not text.strip("\r\n"):  # numpy warns on lines without data
+        return None
+    data = np.loadtxt(io.StringIO(text, newline=None).readlines(), dtype=dtype, delimiter=",",
+                      comments=None, quotechar='"', ndmin=1, encoding="utf-8")
+    return [data[name] for name in dtype.names]
+
+
+def _blocks(path, header, dtype, checks, decode=None):
+    """Yield the data rows of a headed CSV file as column blocks, one per piece of lines.
+
+    Line 1 ends at its first '\\n' or '\\r' and must hold ``header`` unless
+    it is empty (:func:`_checked_header`).  The file is read ``_PIECE``
+    bytes at a time and cut after the last '\\n' held, or the last '\\r' if
+    it holds none, where the bytes before the cut hold an even count of '"'
+    (every '"' opens, closes or doubles inside a quoted field), so no quoted
+    field spans two pieces; while no cut is found, each read doubles what
+    is held.  A piece, the line end before its lines and then the lines,
+    becomes ``decode(piece)`` when that gives its fields, else numpy's
+    parse into ``dtype`` (:func:`_parsed_fields`).  Rows numpy cannot parse,
+    a byte that is not UTF-8 among them, and a parsed block with a negative
+    int64 field raise through :func:`_raise_first_bad_row` with ``checks``.
+    """
     with open(path, "rb") as fh:
-        if fh.read(len(header)) != header:
-            return
-        n, last = 0, b"\n"
-        for piece in iter(functools.partial(fh.read, _PIECE), b""):
-            n, last = n + np.count_nonzero(np.frombuffer(piece, np.uint8) == 10), piece[-1:]
-        if last != b"\n":
-            return
-        yield n
-        fh.seek(len(header))
-        tail, rows = b"\n", 0  # a piece's lines follow the '\n' that ends the line before
-        for piece in iter(functools.partial(fh.read, _PIECE), b""):
-            data = tail + piece
-            cut = data.rfind(b"\n") + 1
-            fields = _decoded_fields(np.frombuffer(data, np.uint8, cut))
-            if fields is None or rows + fields[0].size > n:
+        data, start = b"", None  # start: where the next piece begins, once line 1 is read
+        while True:
+            more = fh.read(max(_PIECE, len(data)))  # doubles what is held until it can be cut
+            data += more
+            cut = (data.rfind(b"\n") + 1 or data.rfind(b"\r") + 1) if more else len(data)
+            # find first: the exact format holds no '"', and count is slower.
+            quotes = data.find(b'"', 0, cut) >= 0 and data.count(b'"', 0, cut)
+            if more and (cut <= 1 or quotes % 2):
+                continue
+            if start is None:
+                start = min((j for j in (data.find(b"\n", 0, cut), data.find(b"\r", 0, cut))
+                             if j >= 0), default=cut)  # line 1's end
+                _checked_header(str(data[:start], "utf-8", "surrogateescape"), header)
+            piece = np.frombuffer(data, np.uint8, cut - start, start)
+            cols = decode(piece) if decode else None
+            if cols is None and piece.size > 1:  # more than the line end before the lines
+                try:
+                    cols = _parsed_fields(piece, dtype)
+                except ValueError as exc:
+                    _raise_first_bad_row(path, header, checks, exc)
+                if cols and any(c.dtype.kind == "i" and c.min() < 0 for c in cols):
+                    _raise_first_bad_row(path, header, checks)
+            if cols:
+                yield cols
+            if not more:
                 return
-            tail, rows = data[cut - 1:], rows + fields[0].size
-            yield fields
+            data, start = data[cut - 1:], 0
 
 
 def _filled_records(blocks, capacity=0):
@@ -523,24 +514,21 @@ def _filled_records(blocks, capacity=0):
 def ingest_records(path):
     """Read a record CSV back into :class:`Records`.
 
-    A file in :func:`write_records`' exact format is decoded in blocks that
-    fill narrow columns of its exact line count (:func:`_decoded_blocks`);
-    any other is parsed by numpy a block of lines at a time
-    (:func:`_table_blocks`) into narrow columns that grow block by block,
-    and that path gives every error.  Either way no stream-sized temporary
-    is held.  Empty files yield an empty stream; empty lines are skipped (a
-    line of spaces is not empty) and fields may carry surrounding spaces.
-    Malformed rows, negative indices and bytes that are not UTF-8 raise
-    with their 1-based line number.
+    A pass counts the file's '\\n' bytes, and the rows fill narrow columns
+    of that many rows, grown in place when '\\r' line ends hold more
+    (:func:`_filled_records`).  The file is read a piece of lines at a time
+    (:func:`_blocks`): a piece in :func:`write_records`' exact format is
+    decoded (:func:`_decoded_fields`) and numpy parses any other, so no
+    stream-sized temporary is held.  Empty files yield an empty stream;
+    empty lines are skipped (a line of spaces is not empty) and fields may
+    carry surrounding spaces.  Malformed rows, negative indices and bytes
+    that are not UTF-8 raise with their 1-based line number.
     """
-    blocks = _decoded_blocks(path)
-    if (n := next(blocks, None)) is not None:
-        records = _filled_records(blocks, n)
-        if len(records) == n:
-            return records
-        del records  # its columns hold n rows: free them before the parse
+    with open(path, "rb") as fh:
+        n = sum(np.count_nonzero(np.frombuffer(piece, np.uint8) == 10)
+                for piece in iter(functools.partial(fh.read, _PIECE), b""))
     checks = [_index_problem] * 4
-    return _filled_records(_table_blocks(path, RECORD_HEADER, _RECORD_DTYPE, checks))
+    return _filled_records(_blocks(path, RECORD_HEADER, _RECORD_DTYPE, checks, _decoded_fields), n)
 
 
 def bin_raw(path, grid, binning):
@@ -550,8 +538,8 @@ def bin_raw(path, grid, binning):
     edge belongs to the bin on its right.  Out-of-range values follow the
     binning's tail policy: extend-tails clamps them into the adjacent edge
     bin, strict-finite drops them.  Returns ``(records, dropped_fraction)``.
-    The file is parsed and binned a block of lines at a time
-    (:func:`_table_blocks`), and each block's kept rows fill narrow columns
+    The file is parsed and binned a piece of lines at a time
+    (:func:`_blocks`), and each block's kept rows fill narrow columns
     (:func:`_filled_records`), so the call holds its result and one block.
     """
     checks = [_index_problem, _index_problem, lambda f: _index_problem(f, grid.N),
@@ -560,7 +548,7 @@ def bin_raw(path, grid, binning):
 
     def blocks():
         nonlocal read
-        for t, mode, k, x in _table_blocks(path, RAW_HEADER, _RAW_DTYPE, checks):
+        for t, mode, k, x in _blocks(path, RAW_HEADER, _RAW_DTYPE, checks):
             if k.max() >= grid.N or not np.isfinite([x.min(), x.max()]).all():  # NaN, inf too
                 _raise_first_bad_row(path, RAW_HEADER, checks)
             above = np.searchsorted(edges, x, "right")  # one past the bin: 0 .. M + 1

@@ -142,6 +142,15 @@ class TestCheckIC:
         code = run(["check-ic", "--scheme", str(tmp_path / "nope.json")])
         assert code == EXIT_DATA
 
+    # A negative cutoff used to reach math.sqrt and print "math domain error".
+    @pytest.mark.parametrize("argv, nmax", [
+        (["check-ic", "--nmax", "-2", "--phases", "7", "--bins", "5"], -2),
+        (["design-bins", "--nmax", "-1", "--phases", "7", "--bins", "5"], -1),
+    ], ids=["check-ic", "design-bins"])
+    def test_negative_nmax_exits_65(self, argv, nmax, capsys):
+        assert run(argv) == EXIT_DATA
+        assert capsys.readouterr().err == "hshadow: n_max must be >= 0, got %d\n" % nmax
+
     def test_explicit_edges(self, capsys):
         code = run(
             [
@@ -560,7 +569,7 @@ class TestEstimate:
         assert outs[0] == outs[1] and '"T": 20000' in outs[0]
 
     # Faults after the first pieces of a decoded file: a format fault sends
-    # the file to numpy's reader, and the rules are checked on its records.
+    # its piece to numpy's parse, and the rules are checked on the records.
     @pytest.mark.parametrize("faults, message", [
         ({"i": 15_000}, "record 15000 references outcome (i=3, k=0) outside the 3 x 3 "
          "outcome grid"),

@@ -6,12 +6,14 @@ import re
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homodyne_shadows import records as records_mod
 from homodyne_shadows.cli import EXIT_DATA, EXIT_OK, main
 from homodyne_shadows.errors import MalformedRecordError
 from homodyne_shadows.povm import BinningScheme, PhaseGrid, build_povm, design_bins, save_povm
@@ -28,7 +30,6 @@ from homodyne_shadows.shadow import (
 from homodyne_shadows.records import (
     _BLOCK,
     _PIECE,
-    _decoded_blocks,
     _decoded_fields,
     _filled_records,
     _narrowed,
@@ -426,23 +427,30 @@ def _whole_stream_estimate(records, table, X, B):
 
 
 def _crlf_copy(path, out):
-    """Write ``path`` with CRLF line ends to ``out``: numpy's reader then parses it."""
+    """Write ``path`` with CRLF line ends to ``out``: numpy then parses each of its pieces."""
     out.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
     return out
 
 
-def _decoded_records(path):
-    """The Records that ``_decoded_blocks`` gives a file in write_records' exact format, else None.
+class _NumpyParse(Exception):
+    """Raised in place of numpy's parse of a piece, by :func:`_decoded_records`."""
 
-    This is the first of ``ingest_records``' two paths; a file it leaves to
-    the second (numpy's reader) gives None.
+
+def _decoded_records(path):
+    """The Records that ``ingest_records`` gives when the decoder reads every piece, else None.
+
+    numpy's parse of a piece (``records._parsed_fields``) is swapped for
+    one that raises, so a file with a piece outside write_records' exact
+    format gives None.
     """
-    blocks = _decoded_blocks(path)
-    n = next(blocks, None)
-    if n is None:
-        return None
-    records = _filled_records(blocks, n)
-    return records if len(records) == n else None
+    def parse(piece, dtype):
+        raise _NumpyParse
+
+    with mock.patch.object(records_mod, "_parsed_fields", parse):
+        try:
+            return ingest_records(path)
+        except _NumpyParse:
+            return None
 
 
 def _traced_peak(call):
@@ -583,16 +591,18 @@ class TestFoldMemory:
         assert len(rec) == self.T
         assert held <= 6.5 * 2**20  # t, k and i; the mode column is one value
 
-    # The decoded file, its CRLF copy (numpy's reader) and a copy whose last
-    # line alone ends in CRLF: the decoder stops at its last piece, and its
-    # n-row columns must be gone before numpy's reader fills new ones.
-    @pytest.mark.parametrize("ending", ["canonical", "crlf", "crlf-last-line"])
+    # The decoded file; its CRLF copy, which numpy parses a piece at a time;
+    # its CR-only copy, whose columns grow as it holds no '\n' to count; and
+    # a copy whose last line alone ends in CRLF, decoded but for its last piece.
+    @pytest.mark.parametrize("ending", ["canonical", "crlf", "cr-only", "crlf-last-line"])
     def test_ingest_holds_three_columns(self, setup_223, ending, tmp_path):
         povm, _ = setup_223
         path = tmp_path / "records.csv"
         write_records(path, sample(outcome_distribution(fock(1, 2), povm), self.T, seed=4))
         if ending == "crlf":
             _crlf_copy(path, path)
+        elif ending == "cr-only":
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
         elif ending == "crlf-last-line":
             path.write_bytes(path.read_bytes()[:-1] + b"\r\n")
         tracemalloc.start()
@@ -604,7 +614,7 @@ class TestFoldMemory:
         assert len(rec) == self.T
         assert held <= 6.5 * 2**20  # t, k and i; the mode column is one value
         # Narrow columns: t widens once from uint16 (2 MiB beside its uint32
-        # successor), and a piece's or block's temporaries are under 1 MiB.
+        # successor), and a piece's temporaries are under 0.5 MiB.
         assert peak <= held + 2.5 * 2**20
 
     def test_sampled_multi_mode_records_hold_narrow_columns(self, setup_223):
@@ -637,7 +647,7 @@ class TestFoldMemory:
         finally:
             tracemalloc.stop()
         assert (len(rec), dropped) == (self.T, 0.0)
-        # The result and one block of 8,192 lines: their text, parsed rows and bins.
+        # The result and one piece of 2**16 bytes: its text, parsed rows and bins.
         assert peak <= held + 2 * 2**20
 
     def test_bin_raw_peak_when_rows_drop(self, raw_path):
@@ -1004,10 +1014,10 @@ def _mutated_body(draw):
 
 
 class TestRecordDecoder:
-    """Files in ``write_records``' exact format are decoded in ``_PIECE``-byte pieces.
+    """Files in ``write_records``' exact format are decoded a piece of lines at a time.
 
-    Each must give the Records that were written; a file that leaves the
-    format anywhere goes to numpy's reader instead.
+    Each must give the Records that were written; a piece that leaves the
+    format goes to numpy's parse instead.
     """
 
     @settings(max_examples=80, deadline=None)
@@ -1027,9 +1037,11 @@ class TestRecordDecoder:
         if decoded is not None and len(set(r[1] for r in rows)) == 1:
             assert decoded.mode.strides == (0,)
 
-    # The first line holds a t of d digits and an i of 9 (d + 15 bytes) and
-    # every later one 14 bytes, so the first piece of 2**16 bytes ends
-    # (1 - d) mod 14 bytes into a line: at a line's end for d = 1 and d = 15.
+    # The header (11 bytes) and a first line that holds a t of d digits and an
+    # i of 12 (d + 18 bytes) come first, then lines of 14 bytes, so the first
+    # read of 2**16 bytes ends (1 - d) mod 14 bytes into a line: at a line's
+    # end for d = 1 and d = 15, and just before it, its '\n' first in the
+    # next read, for d = 2.
     @pytest.mark.parametrize("digits", [1, 2, 8, 14, 15])
     def test_line_straddling_a_piece_boundary(self, digits, tmp_path):
         assert _PIECE == 2**16
@@ -1037,20 +1049,20 @@ class TestRecordDecoder:
         t = np.arange(10**6, 10**6 + T)
         t[0] = 10 ** (digits - 1)
         i = t % 4
-        i[0] = 10**8
+        i[0] = 10**11
         rec = Records(t, np.zeros(T, dtype=np.int64), t % 5, i)
         path = tmp_path / "records.csv"
         write_records(path, rec)
         decoded = ingest_records(path)
         assert decoded == rec and decoded.k.flags.c_contiguous
         body = bytearray(path.read_bytes())
-        first = len("t,mode,k,i\n") + digits + 15
-        assert (_PIECE - digits - 15) % 14 == (1 - digits) % 14
+        first = len("t,mode,k,i\n") + digits + 18
+        assert (_PIECE - first) % 14 == (1 - digits) % 14
         assert body[first - 1:first] == b"\n"
-        # A bad byte in the line that holds the boundary reaches numpy's reader,
-        # which names that line.
-        line = body.count(b"\n", 0, len("t,mode,k,i\n") + _PIECE) + 1
-        start = body.rindex(b"\n", 0, len("t,mode,k,i\n") + _PIECE) + 1
+        # A bad byte in the line that holds the boundary reaches numpy's parse,
+        # and the error names that line.
+        line = body.count(b"\n", 0, _PIECE) + 1
+        start = body.rindex(b"\n", 0, _PIECE) + 1
         body[start + 10] = ord("x")  # the k digit of a 14-byte line
         path.write_bytes(body)
         with pytest.raises(MalformedRecordError) as excinfo:
@@ -1059,9 +1071,10 @@ class TestRecordDecoder:
             "line %d: k 'x' is not a 64-bit decimal integer" % line, line
         )
 
-    # Lines of 14 bytes: the mode changes at the line that holds the end of
-    # the fourth piece of 2**16 bytes (line 18,724), or inside the fifteenth.
-    @pytest.mark.parametrize("change", [2**18 // 14, 2 * _BLOCK + 5])
+    # Lines of 14 bytes after the 11-byte header: the mode changes at the line
+    # that holds the fourth read's last byte (row 18,723, the first of the
+    # fifth piece), or inside the fifteenth piece.
+    @pytest.mark.parametrize("change", [(4 * _PIECE - 12) // 14, 2 * _BLOCK + 5])
     def test_mode_that_changes_mid_file(self, setup_223, change, tmp_path):
         T = 3 * _BLOCK
         t = np.arange(10**6, 10**6 + T)
@@ -1073,6 +1086,26 @@ class TestRecordDecoder:
         with pytest.raises(MalformedRecordError, match="^record %d has mode 0 but the stream "
                            "began with mode 2" % change):
             estimate_observable(back, setup_223[1], number_operator(2))
+
+    def test_broadcast_mode_wider_than_a_later_block(self, tmp_path):
+        # Blocks of mode 300 (uint16, kept as one broadcast value) and then
+        # of mode 1 (uint8): the mode column takes the wider dtype of the two.
+        def block(mode, rows):
+            return [np.arange(rows, dtype=np.uint32), np.full(rows, mode, np.uint32),
+                    np.zeros(rows, np.uint32), np.ones(rows, np.uint32)]
+
+        for capacity in (0, 5):
+            rec = _filled_records([block(300, 3), block(1, 2)], capacity)
+            assert rec.mode.tolist() == [300] * 3 + [1] * 2 and rec.mode.dtype == np.uint16
+        # In a file: the first piece holds the lines of mode 300 (16 bytes
+        # each after the 11-byte header), the second only lines of mode 1.
+        first = (_PIECE - len("t,mode,k,i\n")) // 16
+        t = np.arange(10**6, 10**6 + 2 * first)
+        rec = Records(t, np.where(t < 10**6 + first, 300, 1), t % 5, t % 4)
+        path = tmp_path / "records.csv"
+        write_records(path, rec)
+        back = _decoded_records(path)
+        assert back == rec and back.mode.dtype == np.uint16
 
     def test_multi_mode_stream_round_trip(self, local_33, tmp_path):
         cfg, table = local_33
@@ -1201,7 +1234,6 @@ class TestLocalBlockFold:
 
 # Edge-case record files: the records, or the error text and file line, that
 # the line-by-line reader gave before ingest moved to numpy's block reader.
-# None of them is in write_records' exact format, so each goes to numpy.
 _INGEST_CASES = {
     "crlf": (b"t,mode,k,i\r\n0,0,1,2\r\n1,0,3,4\r\n", [(0, 0, 1, 2), (1, 0, 3, 4)]),
     "cr-only": (b"t,mode,k,i\r0,0,1,2\r1,0,3,4\r", [(0, 0, 1, 2), (1, 0, 3, 4)]),
@@ -1262,6 +1294,10 @@ _INGEST_CASES = {
         b"0,0,1,2\n1,0,3,4\n", ("line 1: expected header t,mode,k,i, got '0,0,1,2'", 1)
     ),
 }
+# The cases whose data lines are in write_records' exact format, after a line 1
+# that holds the header in another form or is empty: the decoder reads them.
+# numpy parses a piece of every other case that gives records.
+_DECODED_CASES = {"blank-line-1", "quoted-header"}
 
 
 class TestIngestEdgeCases:
@@ -1270,9 +1306,10 @@ class TestIngestEdgeCases:
         body, expected = _INGEST_CASES[name]
         path = tmp_path / "records.csv"
         path.write_bytes(body)
-        assert _decoded_records(path) is None
         if isinstance(expected, list):
             assert ingest_records(path) == records_of(expected)
+            decoded = _decoded_records(path)
+            assert decoded == (records_of(expected) if name in _DECODED_CASES else None)
             return
         message, line = expected
         with pytest.raises(MalformedRecordError) as excinfo:
@@ -1303,16 +1340,21 @@ class TestIngestEdgeCases:
 
     @pytest.mark.parametrize("tail_mode", ["extend-tails", "strict-finite"])
     def test_bin_raw_across_blocks(self, tail_mode, tmp_path):
-        # bin_raw parses 8,192 lines at a time: here the mode changes inside the
-        # second block, t passes 2**16 in the third, and blank lines move the cuts.
-        T = 3 * 8192 + 500
+        # Lines of 20 bytes after the 11-byte header, read 2**16 bytes at a
+        # time: the mode changes inside the second piece, t passes 2**16
+        # inside the third, and blank lines follow the lines that hold the
+        # first two reads' ends.
+        def holding(byte):  # the row whose line holds a file byte, before any blank line
+            return (byte - len("t,mode,k,x\n")) // 20
+
+        T = holding(5 * _PIECE)
         j = np.arange(T)
-        t = np.where(j < 2 * 8192, j, j + 2**16)
-        mode = (j >= 8192 + 7).astype(np.int64)
+        t = np.where(j < holding(5 * _PIECE // 2), j, j + 2**16)
+        mode = (j >= holding(3 * _PIECE // 2)).astype(np.int64)
         k = j % 3
-        x = np.array([float("%.6f" % v) for v in 1.5 * np.sin(j)])  # about half past +-1
-        lines = ["%d,%d,%d,%.6f\n" % row for row in zip(t, mode, k, x)]
-        for at in (100, 8190, 2 * 8192):
+        x = np.array([float("%+.6f" % v) for v in 1.5 * np.sin(j)])  # about half past +-1
+        lines = ["%05d,%d,%d,%+.6f\n" % row for row in zip(t, mode, k, x)]
+        for at in (100, holding(_PIECE), holding(2 * _PIECE)):
             lines[at] += "\n"
         path = tmp_path / "raw.csv"
         path.write_text("t,mode,k,x\n" + "".join(lines))
@@ -1326,28 +1368,57 @@ class TestIngestEdgeCases:
         assert dropped == np.count_nonzero(~keep) / T and (dropped > 0.25) == (tail_mode != "extend-tails")
         assert [c.dtype for c in recs.columns()] == [np.uint32] + [np.uint8] * 3
         assert recs.mode.strides == (1,)
-        lines[2 * 8192 + 100] = "5,0,9,0.0\n"  # line 16,489 of the file, in the third block
+        bad = holding(7 * _PIECE // 2)  # inside the fourth piece, after the three blank lines
+        lines[bad] = "5,0,9,0.0\n"
         path.write_text("t,mode,k,x\n" + "".join(lines))
         with pytest.raises(MalformedRecordError) as excinfo:
             bin_raw(path, PhaseGrid(3), binning)
         assert (str(excinfo.value), excinfo.value.ordinal) == (
-            "line %d: k '9' is outside 0..2" % (2 * 8192 + 105), 2 * 8192 + 105)
+            "line %d: k '9' is outside 0..2" % (bad + 5), bad + 5)
 
-    # Line 8,193 of the file is the last of bin_raw's first block of 8,192
-    # lines; a quoted x there that goes on over the next lines ends in the
-    # second block, or in the third.
-    @pytest.mark.parametrize("spans", [1, 2, 8193])
+    # The first read of 2**16 bytes ends inside a quoted x whose first line
+    # end is the read's last byte.  The field's `spans` lines end in the next
+    # read (its '"' is that read's first byte for spans = 1), or after it.
+    @pytest.mark.parametrize("spans", [1, 2, 8193, _PIECE + 1])
     def test_bin_raw_quoted_field_across_a_block_cut(self, spans, tmp_path):
-        T = 3 * 8192
+        T = 3 * _PIECE // 10
         j = np.arange(T)
         lines = ["%d,0,%d,0.5\n" % (t, t % 2) for t in j]
-        lines[8191] = '8191,0,1,"-0.5%s"\n' % ("\n" * spans)
+        starts = np.cumsum([len("t,mode,k,x\n")] + [len(line) for line in lines])
+        q = int(np.searchsorted(starts, _PIECE - 40))  # a line that starts 28-40 bytes before the cut
+        quoted = '%d,0,%d,"-0.5' % (q, q % 2)
+        lines[q] = quoted + "0" * (_PIECE - 1 - starts[q] - len(quoted)) + "\n" * spans + '"\n'
+        body = "t,mode,k,x\n" + "".join(lines)
+        assert body[_PIECE - 1] == "\n" and body.count('"', 0, _PIECE) == 1
         path = tmp_path / "raw.csv"
-        path.write_text("t,mode,k,x\n" + "".join(lines))
+        path.write_text(body)
         recs, dropped = bin_raw(path, PhaseGrid(2), BinningScheme([-1.0, 0.0, 1.0]))
         i = np.ones(T, dtype=np.int64)
-        i[8191] = 0
+        i[q] = 0
         assert (recs, dropped) == (Records(j, np.zeros(T, dtype=np.int64), j % 2, i), 0.0)
+
+    def test_cr_ends_a_piece_and_lf_begins_the_next(self, tmp_path):
+        # '\r' line ends but one '\r\n', whose '\r' is the first read's last
+        # byte: that read holds no '\n', so its piece ends at the '\r' and the
+        # next begins with the '\n', which ends an empty line.
+        t = np.arange(10**6, 10**6 + 3 * _PIECE // 14)
+        rows = list(zip(t.tolist(), [0] * t.size, (t % 5).tolist(), (t % 4).tolist()))
+        lines = ["%d,%d,%d,%d\r" % row for row in rows]  # 14 bytes each
+        lines[0] = "0" * ((_PIECE - 1 - len("t,mode,k,i\r") - 13) % 14) + lines[0]
+        body = ("t,mode,k,i\r" + "".join(lines)).encode()
+        assert body[_PIECE - 1:_PIECE] == b"\r" and b"\n" not in body
+        body = body[:_PIECE] + b"\n" + body[_PIECE:]
+        path = tmp_path / "records.csv"
+        path.write_bytes(body)
+        assert ingest_records(path) == records_of(rows)
+        # A bad field after the cut names its line: the '\r\n' ends one line.
+        bad = body.count(b"\r", 0, _PIECE) + 5  # a line of the second piece
+        start = [m.end() for m in re.finditer(rb"\r\n?", body)][bad - 2]
+        path.write_bytes(body[:start + 10] + b"x" + body[start + 11:])  # its k digit
+        with pytest.raises(MalformedRecordError) as excinfo:
+            ingest_records(path)
+        assert (str(excinfo.value), excinfo.value.ordinal) == (
+            "line %d: k 'x' is not a 64-bit decimal integer" % bad, bad)
 
     @pytest.mark.parametrize("tail_mode", ["extend-tails", "strict-finite"])
     def test_bin_raw_crlf_and_blank_lines(self, tail_mode, tmp_path):
