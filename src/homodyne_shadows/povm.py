@@ -452,7 +452,7 @@ def _singular_values(povm, pairs):
     A pair's values count once for each of its classes.  Padded with zeros
     to min(d^2, N*M), the length of the whole matrix's own spectrum.
     """
-    s = np.sort(np.concatenate([np.tile(s, len(idx)) for idx, s in pairs]))[::-1]
+    s = np.sort(np.concatenate([s for idx, s in pairs for _ in idx]))[::-1]
     return np.concatenate([s, np.zeros(min(povm.dim**2, povm.n_outcomes) - s.size)])
 
 

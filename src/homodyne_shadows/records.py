@@ -289,14 +289,11 @@ def write_records(path, records):
             fh.write(_encode_rows([c[start:start + _BLOCK] for c in cols]))
 
 
-_INT64_RANGE = range(-(2**63), 2**63)
-
-
 def _index_problem(field, bound=None):
     """Why ``field`` is not an index in 0..bound-1 (any int64 >= 0 without bound)."""
     text = field.strip()
     digits = text[1:] if text[:1] in ("+", "-") else text
-    if not (digits.isascii() and digits.isdigit()) or int(text) not in _INT64_RANGE:
+    if not (digits.isascii() and digits.isdigit()) or not -(2**63) <= int(text) < 2**63:
         return "%r is not a 64-bit decimal integer" % field
     if int(text) < 0:
         return "%r is negative" % field
@@ -306,65 +303,59 @@ def _index_problem(field, bound=None):
 
 
 def _quadrature_problem(field):
-    """Why ``field`` is not a finite decimal number."""
+    """Why ``field`` is not a finite decimal number, in ASCII digits as numpy reads them."""
     try:
-        if "_" in field or not np.isfinite(float(field)):
+        if "_" in field or not np.isfinite(float(field.strip().encode("ascii"))):
             return "%r is not a finite number" % field
     except ValueError:
         return "%r is not a decimal number" % field
     return None
 
 
-def _undecoded_problem(row):
-    """Why a row read with errors="surrogateescape" is not UTF-8 text; None if it is."""
-    text = ",".join(row)
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError as exc:  # surrogateescape reads byte b as U+DC00 + b
-        return "byte 0x%02x is not UTF-8 text" % (ord(text[exc.start]) - 0xDC00)
-    return None
-
-
-def _row_problem(row, header, checks):
-    if problem := _undecoded_problem(row):
-        return problem
-    if len(row) != len(checks):
-        return "expected %d fields, got %d" % (len(checks), len(row))
-    for name, check, field in zip(header, checks, row):
-        problem = check(field)
-        if problem:
+def _row_problem(row, dtype, bounds):
+    """Why a csv row does not hold ``dtype``'s fields, ints below ``bounds[name]``; else None."""
+    if len(row) != len(dtype.names):
+        return "expected %d fields, got %d" % (len(dtype.names), len(row))
+    for name, field in zip(dtype.names, row):
+        if problem := (_quadrature_problem(field) if dtype[name].kind == "f"
+                       else _index_problem(field, bounds.get(name))):
             return "%s %s" % (name, problem)
-    return None
 
 
-def _raise_first_bad_row(path, header, checks, cause=None):
-    """Raise MalformedRecordError at the first data row a field check rejects.
+def _check_rows(body, line, check, cause=None):
+    """Raise MalformedRecordError at the first csv row of ``body`` that ``check`` finds bad.
 
-    Only called once a vectorized pass has found a bad row, so this
-    per-line rescan runs on error paths alone; it names the row's 1-based
-    file line, counting empty lines, which numpy's reader does not.  A
-    byte that is not UTF-8 makes its row bad.
+    ``body`` begins on file line ``line``; a row is named by the physical
+    line it begins on, and so is a field over csv's size limit.  The first
+    byte that is not UTF-8, and a '"' left open at the end, are named at
+    their own line.  Else ``cause``, if given, is raised at line ``line``.
     """
-    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or lineno == 1:
-                continue
-            problem = _row_problem(row, header, checks)
-            if problem:
-                raise MalformedRecordError(
-                    "line %d: %s" % (lineno, problem), ordinal=lineno
-                ) from cause
-    raise MalformedRecordError("%s: %s" % (path, cause), ordinal=0) from cause
-
-
-def _checked_header(line, header):
-    """MalformedRecordError unless ``line`` (line 1, no line end) holds ``header`` or is empty."""
-    row = next(csv.reader([line]), [])
-    if row and tuple(c.strip() for c in row) != header:
-        raise MalformedRecordError("line 1: %s" % (
-            _undecoded_problem(row)
-            or "expected header %s, got %r" % (",".join(header), ",".join(row))
-        ), ordinal=1)
+    stop, why = len(body), None
+    if body.count(b'"') % 2:  # the quotes after the one that opens it come in doubled pairs
+        q = np.flatnonzero(np.frombuffer(body, np.uint8) == ord('"'))
+        j = q.size - 1
+        while j and q[j] - q[j - 1] == 1:
+            j -= 2
+        stop, why = q[j], "unclosed quote"
+    try:
+        str(body[:stop], "utf-8")
+    except UnicodeDecodeError as exc:
+        stop, why = exc.start, "byte 0x%02x is not UTF-8 text" % body[exc.start]
+    body = body[:stop]
+    ends = body.count(b"\n") + body.count(b"\r") - body.count(b"\r\n")
+    reader = csv.reader(io.StringIO(str(body, "utf-8"), newline=""))
+    first, problem = line, None  # first: the file line of the next row
+    try:
+        for row in reader:
+            if why and reader.line_num > ends or (problem := row and check(row)):
+                break  # at the row that the stop cuts short, or a bad one
+            first = line + reader.line_num
+    except csv.Error as exc:  # a field over csv's size limit
+        problem = str(exc)
+    if problem or why or cause:
+        at = first if problem else line + ends if why else line
+        raise MalformedRecordError("line %d: %s" % (at, problem or why or cause),
+                                   ordinal=at) from cause
 
 
 _RECORD_DTYPE = np.dtype([(name, np.int64) for name in RECORD_HEADER])
@@ -411,36 +402,37 @@ def _decoded_fields(buf):
 _PIECE = 2 * _BLOCK
 
 
-def _parsed_fields(piece, dtype):
-    """numpy's columns of the lines after byte 0 of uint8 ``piece``; None if they hold no data.
+def _parsed_fields(body, dtype):
+    """numpy's columns of the lines in ``body`` (None if they hold no data), and their count.
 
     Lines end in '\\n', '\\r\\n' or '\\r', and empty ones are skipped.
     """
-    text = str(piece[1:], "utf-8", "surrogateescape")
-    if not text.strip("\r\n"):  # numpy warns on lines without data
-        return None
-    data = np.loadtxt(io.StringIO(text, newline=None).readlines(), dtype=dtype, delimiter=",",
-                      comments=None, quotechar='"', ndmin=1, encoding="utf-8")
-    return [data[name] for name in dtype.names]
+    lines = io.StringIO(str(body, "utf-8"), newline=None).readlines()
+    if all(line == "\n" for line in lines):  # numpy warns on lines without data
+        return None, len(lines)
+    data = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, quotechar='"', ndmin=1)
+    return [data[name] for name in dtype.names], len(lines)
 
 
-def _blocks(path, header, dtype, checks, decode=None):
+def _blocks(path, dtype, bounds, decode=None):
     """Yield the data rows of a headed CSV file as column blocks, one per piece of lines.
 
-    Line 1 ends at its first '\\n' or '\\r' and must hold ``header`` unless
-    it is empty (:func:`_checked_header`).  The file is read ``_PIECE``
-    bytes at a time and cut after the last '\\n' held, or the last '\\r' if
-    it holds none, where the bytes before the cut hold an even count of '"'
-    (every '"' opens, closes or doubles inside a quoted field), so no quoted
-    field spans two pieces; while no cut is found, each read doubles what
-    is held.  A piece, the line end before its lines and then the lines,
-    becomes ``decode(piece)`` when that gives its fields, else numpy's
-    parse into ``dtype`` (:func:`_parsed_fields`).  Rows numpy cannot parse,
-    a byte that is not UTF-8 among them, and a parsed block with a negative
-    int64 field raise through :func:`_raise_first_bad_row` with ``checks``.
+    Line 1 ends at its first '\\n' or '\\r' and must hold the names of
+    ``dtype`` unless it is empty.  The file is read ``_PIECE`` bytes at a
+    time and cut after the last '\\n' held, or the last '\\r' if it holds
+    none, where the bytes before the cut hold an even count of '"' (every
+    '"' opens, closes or doubles inside a quoted field), so no quoted field
+    spans two pieces; while no cut is found, each read doubles what is held.
+    A piece, the line end before its lines and then the lines, becomes
+    ``decode(piece)`` when that gives its fields, else numpy's parse into
+    ``dtype``, whose ints must lie below ``bounds[name]`` (any int64 >= 0
+    without one) and floats be finite.  Each piece counts its lines, so one
+    that breaks those rules, or that the file ends inside a quoted field
+    of, is checked row by row (:func:`_check_rows`).
     """
+    header, rules = dtype.names, functools.partial(_row_problem, dtype=dtype, bounds=bounds)
     with open(path, "rb") as fh:
-        data, start = b"", None  # start: where the next piece begins, once line 1 is read
+        data, start, line = b"", None, 2  # line: where the next piece's lines begin
         while True:
             more = fh.read(max(_PIECE, len(data)))  # doubles what is held until it can be cut
             data += more
@@ -452,16 +444,24 @@ def _blocks(path, header, dtype, checks, decode=None):
             if start is None:
                 start = min((j for j in (data.find(b"\n", 0, cut), data.find(b"\r", 0, cut))
                              if j >= 0), default=cut)  # line 1's end
-                _checked_header(str(data[:start], "utf-8", "surrogateescape"), header)
-            piece = np.frombuffer(data, np.uint8, cut - start, start)
-            cols = decode(piece) if decode else None
-            if cols is None and piece.size > 1:  # more than the line end before the lines
+                _check_rows(data[:start], 1, lambda row: tuple(c.strip() for c in row) != header
+                            and "expected header %s, got %r" % (",".join(header), ",".join(row)))
+            begin = start + 1 + (data[start:start + 2] == b"\r\n")  # past the line end, '\r\n' too
+            if quotes % 2:  # the file ends inside a quoted field
+                _check_rows(data[begin:cut], line, rules)
+            cols = decode(np.frombuffer(data, np.uint8, cut - start, start)) if decode else None
+            if cols is not None:
+                line += cols[0].size
+            elif cut > begin:
                 try:
-                    cols = _parsed_fields(piece, dtype)
+                    cols, lines = _parsed_fields(memoryview(data)[begin:cut], dtype)
+                    if cols and any(not np.isfinite([c.min(), c.max()]).all() if c.dtype.kind == "f"
+                                    else c.min() < 0 or c.max() >= bounds.get(name, np.inf)
+                                    for name, c in zip(header, cols)):
+                        raise ValueError("a field is negative, past its bound or not finite")
                 except ValueError as exc:
-                    _raise_first_bad_row(path, header, checks, exc)
-                if cols and any(c.dtype.kind == "i" and c.min() < 0 for c in cols):
-                    _raise_first_bad_row(path, header, checks)
+                    _check_rows(data[begin:cut], line, rules, exc)
+                line += lines
             if cols:
                 yield cols
             if not more:
@@ -514,21 +514,24 @@ def _filled_records(blocks, capacity=0):
 def ingest_records(path):
     """Read a record CSV back into :class:`Records`.
 
-    A pass counts the file's '\\n' bytes, and the rows fill narrow columns
-    of that many rows, grown in place when '\\r' line ends hold more
+    A pass counts the data rows, the lines after line 1 that hold a byte,
+    and the rows fill narrow columns of that many rows
     (:func:`_filled_records`).  The file is read a piece of lines at a time
     (:func:`_blocks`): a piece in :func:`write_records`' exact format is
     decoded (:func:`_decoded_fields`) and numpy parses any other, so no
     stream-sized temporary is held.  Empty files yield an empty stream;
     empty lines are skipped (a line of spaces is not empty) and fields may
-    carry surrounding spaces.  Malformed rows, negative indices and bytes
-    that are not UTF-8 raise with their 1-based line number.
+    carry surrounding spaces.  Malformed rows, negative indices, bytes that
+    are not UTF-8 and an unclosed quote raise with their 1-based file line.
     """
     with open(path, "rb") as fh:
-        n = sum(np.count_nonzero(np.frombuffer(piece, np.uint8) == 10)
-                for piece in iter(functools.partial(fh.read, _PIECE), b""))
-    checks = [_index_problem] * 4
-    return _filled_records(_blocks(path, RECORD_HEADER, _RECORD_DTYPE, checks, _decoded_fields), n)
+        n, after_end = 0, False  # a line end just before this read; not so for line 1
+        for piece in iter(functools.partial(fh.read, _PIECE), b""):
+            end = np.frombuffer(piece, np.uint8)
+            end = (end == 10) | (end == 13)
+            n += np.count_nonzero(end[:-1] > end[1:]) + (after_end and not end[0])
+            after_end = end[-1]
+    return _filled_records(_blocks(path, _RECORD_DTYPE, {}, _decoded_fields), int(n))
 
 
 def bin_raw(path, grid, binning):
@@ -542,15 +545,11 @@ def bin_raw(path, grid, binning):
     (:func:`_blocks`), and each block's kept rows fill narrow columns
     (:func:`_filled_records`), so the call holds its result and one block.
     """
-    checks = [_index_problem, _index_problem, lambda f: _index_problem(f, grid.N),
-              _quadrature_problem]
     M, edges, read = binning.M, binning.edges, 0
 
     def blocks():
         nonlocal read
-        for t, mode, k, x in _blocks(path, RAW_HEADER, _RAW_DTYPE, checks):
-            if k.max() >= grid.N or not np.isfinite([x.min(), x.max()]).all():  # NaN, inf too
-                _raise_first_bad_row(path, RAW_HEADER, checks)
+        for t, mode, k, x in _blocks(path, _RAW_DTYPE, {"k": grid.N}):
             above = np.searchsorted(edges, x, "right")  # one past the bin: 0 .. M + 1
             if binning.tail_mode == "extend-tails":
                 np.clip(above, 1, M, out=above)

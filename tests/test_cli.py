@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,11 @@ from homodyne_shadows.cli import (
     EXIT_USAGE,
     main,
 )
+from homodyne_shadows.povm import load_povm
 from homodyne_shadows.records import Records, write_records
+from homodyne_shadows.shadow import DEFAULT_THRESHOLD
+
+from test_blocks import DenseReference
 
 
 def run(argv):
@@ -946,3 +951,65 @@ class TestTopLevel:
         )
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stderr == ""
+
+
+class TestStatisticalOracle:
+    """``design-bins -> simulate -> estimate --json`` against the estimator's exact limit.
+
+    For the stream the CLI samples, the estimate of X converges to
+    mu = sum_ik P(i,k) v_ik with single-shot variance sigma^2 =
+    sum_ik P(i,k) v_ik^2 - mu^2, where v_ik = Tr(rho_hat_ik X).  Both come
+    from the dense reference of ``test_blocks`` (``element(i, k)`` and a
+    dense inverse), not from the block path the CLI runs.  Each cell must
+    land within 5 sigma / sqrt(T) of mu; on these complete grids, where
+    both inversions invert the whole frame, mu is Tr(rho X) itself.  The
+    number operator ignores the LO phase and the quadrature a + a^dagger
+    does not.
+    """
+
+    T = 10**5
+
+    @pytest.fixture(scope="class", params=[(3, 7, 5), (4, 7, 9)], ids=["3-7-5", "aliased-4-7-9"])
+    def chain(self, request, tmp_path_factory):
+        """The scheme and records that design-bins and simulate write for a grid (n_max, N, M)."""
+        n_max, N, M = request.param
+        d = tmp_path_factory.mktemp("oracle")
+        scheme, records = str(d / "scheme.json"), str(d / "records.csv")
+        with warnings.catch_warnings():
+            # The aliased grid sits below the sufficiency threshold on purpose.
+            warnings.simplefilter("ignore", UserWarning)
+            assert run(["design-bins", "--nmax", str(n_max), "--phases", str(N), "--bins", str(M),
+                        "--out", scheme]) == EXIT_OK
+        with pytest.warns(UserWarning, match="truncation"):
+            assert run(["simulate", "--scheme", scheme, "--state", "coherent:1.0",
+                        "--T", str(self.T), "--seed", "11", "--out", records]) == EXIT_OK
+        a = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1)
+        observables = {"number": ("number", np.diag(np.arange(n_max + 1.0))),
+                       "quadrature": ("file:" + str(d / "x.json"), a + a.T)}
+        states_mod._write_matrix_file(d / "x.json", a + a.T)
+        return n_max, scheme, records, observables
+
+    @pytest.mark.filterwarnings("ignore:coherent.*loses probability:UserWarning")
+    @pytest.mark.parametrize("inversion", ["strict", "pseudo"])
+    @pytest.mark.parametrize("variant", ["plain-mean", "median-of-means:7"])
+    @pytest.mark.parametrize("observable", ["number", "quadrature"])
+    def test_estimate_is_near_the_exact_limit(self, chain, observable, variant, inversion, capsys):
+        n_max, scheme, records, observables = chain
+        spec, X = observables[observable]
+        capsys.readouterr()
+        assert run(["estimate", "--records", records, "--scheme", scheme, "--observable", spec,
+                    "--inversion", inversion, "--variant", variant, "--json"]) == EXIT_OK
+        estimate = json.loads(capsys.readouterr().out)["mean"]
+
+        povm = load_povm(scheme)
+        ref = DenseReference(povm)
+        assert ref.rank == povm.dim**2
+        rho = states_mod.coherent(1.0, n_max).matrix
+        snaps = ref.snapshots(inversion, DEFAULT_THRESHOLD)
+        P = np.array([[np.trace(rho @ povm.element(i, k)).real for k in range(ref.N)]
+                      for i in range(ref.M)])
+        v = np.einsum("ikab,ba->ik", snaps, X).real
+        mu = float(np.sum(P * v))
+        sigma = math.sqrt(np.sum(P * v**2) - mu**2)
+        assert abs(mu - np.trace(rho @ X).real) <= 1e-9
+        assert abs(estimate - mu) <= 5 * sigma / math.sqrt(self.T)

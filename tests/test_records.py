@@ -441,7 +441,8 @@ def _decoded_records(path):
 
     numpy's parse of a piece (``records._parsed_fields``) is swapped for
     one that raises, so a file with a piece outside write_records' exact
-    format gives None.
+    format gives None.  So does a file that ends inside a quoted field,
+    which the reader rejects without a parse.
     """
     def parse(piece, dtype):
         raise _NumpyParse
@@ -449,7 +450,7 @@ def _decoded_records(path):
     with mock.patch.object(records_mod, "_parsed_fields", parse):
         try:
             return ingest_records(path)
-        except _NumpyParse:
+        except (_NumpyParse, MalformedRecordError):
             return None
 
 
@@ -560,6 +561,12 @@ class TestFoldMemory:
         return sample(outcome_distribution(fock(1, 2), povm), self.T, seed=4)
 
     @pytest.fixture(scope="class")
+    def record_path(self, stream, tmp_path_factory):
+        path = tmp_path_factory.mktemp("records") / "records.csv"
+        write_records(path, stream)
+        return path
+
+    @pytest.fixture(scope="class")
     def raw_path(self, tmp_path_factory):
         """10**6 raw rows t,0,k,x with x inside the edges, so strict-finite drops none."""
         x = np.linspace(-1.9, 1.9, 1000)
@@ -592,19 +599,24 @@ class TestFoldMemory:
         assert held <= 6.5 * 2**20  # t, k and i; the mode column is one value
 
     # The decoded file; its CRLF copy, which numpy parses a piece at a time;
-    # its CR-only copy, whose columns grow as it holds no '\n' to count; and
-    # a copy whose last line alone ends in CRLF, decoded but for its last piece.
-    @pytest.mark.parametrize("ending", ["canonical", "crlf", "cr-only", "crlf-last-line"])
-    def test_ingest_holds_three_columns(self, setup_223, ending, tmp_path):
-        povm, _ = setup_223
+    # its CR-only copy; a copy whose last line alone ends in CRLF, decoded but
+    # for its last piece; and a copy with an empty line after each line (`sed
+    # G`), which holds twice as many '\n' bytes as rows.
+    @pytest.mark.parametrize("ending", ["canonical", "crlf", "cr-only", "crlf-last-line", "blank"])
+    def test_ingest_holds_three_columns(self, record_path, ending, tmp_path):
+        body = record_path.read_bytes()
         path = tmp_path / "records.csv"
-        write_records(path, sample(outcome_distribution(fock(1, 2), povm), self.T, seed=4))
-        if ending == "crlf":
-            _crlf_copy(path, path)
+        if ending == "canonical":
+            path = record_path
+        elif ending == "crlf":
+            _crlf_copy(record_path, path)
         elif ending == "cr-only":
-            path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+            path.write_bytes(body.replace(b"\n", b"\r"))
         elif ending == "crlf-last-line":
-            path.write_bytes(path.read_bytes()[:-1] + b"\r\n")
+            path.write_bytes(body[:-1] + b"\r\n")
+        else:
+            path.write_bytes(body.replace(b"\n", b"\n\n"))
+        del body
         tracemalloc.start()
         try:
             rec = ingest_records(path)
@@ -637,15 +649,27 @@ class TestFoldMemory:
         peak = _traced_peak(lambda: estimate_local(rec, cfg, {0: table, 1: table}, {0: X, 1: X}))
         assert peak <= 5 * 2**20  # the per-shot values (3.8 MiB), with np.std's steps in place
 
+    @pytest.fixture(scope="class")
+    def binned(self, raw_path):
+        """``binned(tail_mode)``: bin_raw of raw_path, run once per tail mode under
+        tracemalloc, as (records, dropped fraction, bytes held, peak bytes)."""
+        runs = {}
+
+        def run(tail_mode):
+            if tail_mode not in runs:
+                binning = BinningScheme.equal_spaced(4, 2.0, tail_mode=tail_mode)
+                tracemalloc.start()
+                try:
+                    rec, dropped = bin_raw(raw_path, PhaseGrid(5), binning)
+                    runs[tail_mode] = (rec, dropped) + tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+            return runs[tail_mode]
+        return run
+
     @pytest.mark.parametrize("tail_mode", ["extend-tails", "strict-finite"])
-    def test_bin_raw_peak(self, tail_mode, raw_path):
-        binning = BinningScheme.equal_spaced(4, 2.0, tail_mode=tail_mode)
-        tracemalloc.start()
-        try:
-            rec, dropped = bin_raw(raw_path, PhaseGrid(5), binning)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+    def test_bin_raw_peak(self, tail_mode, binned):
+        rec, dropped, held, peak = binned(tail_mode)
         assert (len(rec), dropped) == (self.T, 0.0)
         # The result and one piece of 2**16 bytes: its text, parsed rows and bins.
         assert peak <= held + 2 * 2**20
@@ -662,11 +686,10 @@ class TestFoldMemory:
         assert peak <= held + 2 * 2**20  # the kept rows fill columns grown block by block
 
     @pytest.mark.parametrize("variant", ["plain-mean", "median-of-means:7"])
-    def test_cli_estimate_peak(self, setup_223, stream, variant, tmp_path, capsys):
+    def test_cli_estimate_peak(self, setup_223, record_path, variant, tmp_path, capsys):
         povm, _ = setup_223
         save_povm(povm, tmp_path / "scheme.json")
-        write_records(tmp_path / "records.csv", stream)
-        argv = ["estimate", "--records", str(tmp_path / "records.csv"),
+        argv = ["estimate", "--records", str(record_path),
                 "--scheme", str(tmp_path / "scheme.json"), "--variant", variant]
         assert main(argv) == EXIT_OK  # a first run builds the caches of the POVM code
         capsys.readouterr()
@@ -676,15 +699,23 @@ class TestFoldMemory:
         assert _traced_peak(lambda: main(argv)) <= 8.5 * 2**20
         assert "over %d shots" % self.T in capsys.readouterr().out
 
+    def test_cli_stray_quote_names_its_line(self, setup_223, record_path, tmp_path, capsys):
+        # A '"' before line 2 opens a field that the file's end leaves open:
+        # a data error that names the quote's line, however far the field runs.
+        povm, _ = setup_223
+        save_povm(povm, tmp_path / "scheme.json")
+        body = record_path.read_bytes()
+        cut = body.index(b"\n") + 1
+        (tmp_path / "stray.csv").write_bytes(body[:cut] + b'"' + body[cut:])
+        del body
+        argv = ["estimate", "--records", str(tmp_path / "stray.csv"),
+                "--scheme", str(tmp_path / "scheme.json"), "--observable", "number"]
+        assert main(argv) == EXIT_DATA
+        assert capsys.readouterr().err == "hshadow: line 2: unclosed quote\n"
+
     @pytest.mark.parametrize("tail_mode", ["extend-tails", "strict-finite"])
-    def test_bin_raw_holds_narrow_copies(self, tail_mode, raw_path):
-        binning = BinningScheme.equal_spaced(4, 2.0, tail_mode=tail_mode)
-        tracemalloc.start()
-        try:
-            rec, _ = bin_raw(raw_path, PhaseGrid(5), binning)
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
+    def test_bin_raw_holds_narrow_copies(self, tail_mode, binned):
+        rec, _, held, _ = binned(tail_mode)
         assert len(rec) == self.T
         # uint16 t, uint8 mode, k and i: views would keep the parsed rows (30.5 MiB).
         assert held <= 8 * 2**20
@@ -1326,17 +1357,57 @@ class TestIngestEdgeCases:
             ingest_records(path)
         assert excinfo.value.ordinal == 4
 
+    # A rejected piece is checked row by row from its own first line.  Lines
+    # are physical: a quoted field over several lines moves the lines after
+    # it, and a file that ends inside a quoted field names the quote's line.
     @pytest.mark.parametrize("body, message, line", [
         (b"t,mode,k,x\n0,0,\xff,2\n", "line 2: byte 0xff is not UTF-8 text", 2),
         (b"t,mode,k,x\n0,0,0,0.5\n1,0,0,0.\xb5\n", "line 3: byte 0xb5 is not UTF-8 text", 3),
         (b"t,mode,k,x\n0,0,0,0.5\n   \n1,0,0,0.5\n", "line 3: expected 4 fields, got 1", 3),
-    ], ids=["non-utf8", "non-utf8-quadrature", "whitespace-line"])
+        (b't,mode,k,x\n0,0,0,0.5\n1,0,1,"0.5\n2,0,1,0.5\n', "line 3: unclosed quote", 3),
+        (b't,mode,k,x\n0,0,0,"0.5\n""\n', "line 2: unclosed quote", 2),
+        (b't,mode,k,x\n0,0,"1\n","0.5\n', "line 3: unclosed quote", 3),
+        (b't,mode,k,x\n0,0,x,0.5\n1,0,1,"0.5\n',
+         "line 2: k 'x' is not a 64-bit decimal integer", 2),
+        (b'"t,mode,k,x\n0,0,0,0.5\n', "line 1: unclosed quote", 1),
+        (b't,mode,k,x\n0,0,0,"0.5\n\n"\n1,0,0,0.5\n2,0,9,0.5\n',
+         "line 6: k '9' is outside 0..1", 6),
+        (b"t,mode,k,x\n0,0,0,0.5\n" + b"x" * 2**18 + b"\n",
+         "line 3: field larger than field limit (131072)", 3),
+        (b"x" * 2**18 + b"\n0,0,0,0.5\n", "line 1: field larger than field limit (131072)", 1),
+        ("t,mode,k,x\n0,0,0,\u0661\n".encode(), "line 2: x '\u0661' is not a decimal number", 2),
+    ], ids=["non-utf8", "non-utf8-quadrature", "whitespace-line", "unclosed", "unclosed-doubled",
+            "unclosed-after-multi-line-field", "bad-row-before-unclosed", "unclosed-header",
+            "after-multi-line-field", "over-field-limit", "header-over-field-limit",
+            "non-ascii-digit"])
     def test_bin_raw_error_line(self, body, message, line, tmp_path):
         path = tmp_path / "raw.csv"
         path.write_bytes(body)
         with pytest.raises(MalformedRecordError) as excinfo:
             bin_raw(path, PhaseGrid(2), BinningScheme([-1.0, 0.0, 1.0]))
         assert (str(excinfo.value), excinfo.value.ordinal) == (message, line)
+
+    @pytest.mark.parametrize("body, message, line", [
+        (b't,mode,k,i\n0,0,1,2\n"1,0,3,4\n2,0,1,1\n', "line 3: unclosed quote", 3),
+        (b'\r\n0,0,1,2\r\n\r\n1,0,3,"4\r\n', "line 4: unclosed quote", 4),
+        (b't,mode,k,i\n"0\n",0,1,2\n1,-1,3,4\n', "line 4: mode '-1' is negative", 4),
+    ], ids=["unclosed", "unclosed-crlf", "after-multi-line-field"])
+    def test_ingest_rejected_piece(self, body, message, line, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_bytes(body)
+        with pytest.raises(MalformedRecordError) as excinfo:
+            ingest_records(path)
+        assert (str(excinfo.value), excinfo.value.ordinal) == (message, line)
+
+    def test_rows_numpy_rejects_but_the_field_rules_accept(self, tmp_path):
+        # The field rules are meant to reject all that numpy does; where they
+        # would not, the error names the rejected piece's first line.
+        path = tmp_path / "records.csv"
+        path.write_bytes(b"t,mode,k,i\r\n0,0,1,2\r\n\r\n1,0,3,4\r\n")
+        with mock.patch.object(records_mod, "_parsed_fields", side_effect=ValueError("rejected")):
+            with pytest.raises(MalformedRecordError) as excinfo:
+                ingest_records(path)
+        assert (str(excinfo.value), excinfo.value.ordinal) == ("line 2: rejected", 2)
 
     @pytest.mark.parametrize("tail_mode", ["extend-tails", "strict-finite"])
     def test_bin_raw_across_blocks(self, tail_mode, tmp_path):
