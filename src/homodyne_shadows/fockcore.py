@@ -121,7 +121,7 @@ def _cumulative_overlaps(n_max, x):
 
 
 def bin_overlaps(n_max, edges):
-    """All bin overlaps G[i, m, n] = integral_{x_i}^{x_{i+1}} psi_m psi_n in closed form.
+    """Every bin overlap G[i, m, n] = integral_{x_i}^{x_{i+1}} psi_m psi_n in closed form.
 
     Parameters
     ----------

@@ -14,7 +14,7 @@ identity on the truncated space (exactly so in extend-tails mode).
 Because the phases form a uniform grid, a discrete Fourier transform over k
 block-diagonalizes every quantity built from the elements: entries (m, n)
 only couple to entries (m', n') with m - n = m' - n' (mod N).  This module
-stores the real overlaps G, exactly symmetric, and splits the weighted
+stores G, the real bin overlaps, exactly symmetric, and splits the weighted
 measurement matrix into small real blocks (``_phase_blocks``).  Class N - r
 holds the transposes of class r's entries, so by the symmetry of G the two
 classes share one block; each POVM takes one thin SVD per mirror pair
@@ -199,39 +199,19 @@ class BinningScheme:
 class PovmSet:
     """All M*N POVM elements for one (grid, binning, n_max) configuration.
 
-    The POVM is held as the real overlap array ``G`` of shape
-    (M, n_max+1, n_max+1); the complex matrix of outcome (i, k) is
-    G_i exp(1j*(m-n)*theta_k)/N, built on request by ``element(i, k)``.
-    Every G_i is stored exactly symmetric, so every element is Hermitian: a
-    G further than 1e-12*N from symmetric raises ``ValueError``, and the
-    rest is symmetrized, which leaves the exactly symmetric overlaps of
-    :func:`fockcore.bin_overlaps` bit for bit unchanged.  The POVM owns its
-    read-only G: it copies the caller's array unless that is another POVM's.
+    The POVM is held as the read-only real overlap array ``G`` of shape
+    (M, n_max+1, n_max+1), the closed form of :func:`fockcore.bin_overlaps`
+    over the binning's integration edges; the complex matrix of outcome
+    (i, k) is G_i exp(1j*(m-n)*theta_k)/N, built on request by
+    ``element(i, k)``.  Every G_i is exactly symmetric, so every element is
+    Hermitian.
     """
 
-    def __init__(self, grid, binning, n_max, G):
+    def __init__(self, grid, binning, n_max):
         self.grid = grid
         self.binning = binning
         self.n_max = int(n_max)
-        G = np.asarray(G, dtype=float)
-        d = self.n_max + 1
-        if G.shape != (binning.M, d, d):
-            raise ValueError(
-                "overlap array of shape %r does not match M=%d, n_max=%d"
-                % (G.shape, binning.M, self.n_max)
-            )
-        Gt = G.transpose(0, 2, 1)
-        if not np.array_equal(G, Gt):
-            asym = np.max(np.abs(G - Gt))
-            if not asym <= 1e-12 * grid.N:
-                raise ValueError(
-                    "overlap array is not symmetric (max |G - G^T| = %.3e), so the "
-                    "elements would not be Hermitian" % asym
-                )
-            G = 0.5 * (G + Gt)
-        elif G.flags.writeable or not G.flags.owndata:  # not frozen by its owner
-            G = G.copy()
-        self.G = G
+        self.G = fockcore.bin_overlaps(self.n_max, binning.integration_edges())
         self.G.setflags(write=False)
 
     @functools.cached_property
@@ -266,8 +246,7 @@ class PovmSet:
     def cache_key(self):
         """Content hash of the cutoff, phase count, edges and tail mode.
 
-        These fix G and the weights, so equal keys mean equal POVMs
-        (``__eq__``) unless one was built from other overlaps G.
+        These fix G and the weights, so equal keys mean equal POVMs (``__eq__``).
         """
         return povm_cache_key(
             self.n_max, self.grid.N, self.binning.edges, self.binning.tail_mode
@@ -283,14 +262,13 @@ class PovmSet:
             ("phase grids", self.grid.N, other.grid.N),
             ("bin edges", b.edges, c.edges),
             ("tail modes", b.tail_mode, c.tail_mode),
-            ("overlaps G", self.G, other.G),
         ):
             if not np.array_equal(x, y):
                 return part
         return None
 
     def __eq__(self, other):
-        """The same POVM: the same cutoff, phase grid, binning (edges, tail mode) and G."""
+        """The same POVM: the same cutoff, phase grid and binning (edges, tail mode)."""
         if not isinstance(other, PovmSet):
             return NotImplemented
         return self._difference(other) is None
@@ -302,8 +280,8 @@ class PovmSet:
         part = self._difference(other)
         if part is not None:
             raise ValueError(
-                "%s comes from another POVM than %r: their %s differ (cutoff, phase grid, "
-                "binning (edges, tail mode) and overlaps G must all match)"
+                "%s comes from another POVM than %r: their %s differ (cutoff, phase grid "
+                "and binning (edges, tail mode) must all match)"
                 % (what, self, part)
             )
 
@@ -325,9 +303,7 @@ def build_povm(grid, binning, n_max):
     bins integrate from -inf/to +inf while the estimator weights keep their
     nominal finite values.
     """
-    G = fockcore.bin_overlaps(n_max, binning.integration_edges())
-    G.setflags(write=False)  # handed over, so PovmSet need not copy it
-    return PovmSet(grid, binning, n_max, G)
+    return PovmSet(grid, binning, n_max)
 
 
 @functools.lru_cache(maxsize=32)
@@ -361,10 +337,11 @@ def _phase_blocks(povm):
     vector G_i[class r], so class r contributes the real block
     B[(m, n), i] = G_i[m, n] / sqrt(N w_i) of shape (|class r|, M), with the
     same singular values as its part of E diag(w)^(-1/2).  The frame splits
-    the same way into the blocks B @ B.T.  Every G_i is symmetric
-    (``PovmSet`` enforces it), so class N - r, listed as the transposes (n, m)
-    of class r's entries, has the very same block: one B serves both classes,
-    and ``vec_index`` (from ``_phase_classes``) has one row per class.
+    the same way into the blocks B @ B.T.  Every G_i is exactly symmetric
+    (:func:`fockcore.bin_overlaps` builds it so), so class N - r, listed as
+    the transposes (n, m) of class r's entries, has the very same block: one
+    B serves both classes, and ``vec_index`` (from ``_phase_classes``) has
+    one row per class.
     """
     d, N = povm.dim, povm.grid.N
     # Row-major position m + n*d of G_i holds G_i[n, m], which is G_i[m, n].
@@ -420,7 +397,7 @@ def _outcome_matrix(F, grid, i, k):
 def _pairing(A, F, grid):
     """Re Tr(A F_i exp(1j*(m-n)*theta_k))/N for every outcome (i, k), as a real (M, N) array.
 
-    ``A`` is a d x d array; ``F`` is a real (M, d, d) array, the overlaps G
+    ``A`` is a d x d array; ``F`` is a real (M, d, d) array, the POVM's G
     or the snapshot factors S.  The products A[n, m] F_i[m, n] are gathered
     d^2-major, grouped by diagonal offset delta = m - n, and summed per
     offset in one reduction; then one phase table gives every k:

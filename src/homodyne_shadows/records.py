@@ -499,9 +499,13 @@ def _filled_records(blocks, capacity=0):
             if col is None or not col.flags.writeable or dtype.itemsize > col.dtype.itemsize:
                 if col is not None and col.dtype.itemsize > dtype.itemsize:
                     dtype = col.dtype  # a broadcast first mode wider than this block's
+                # Copy only the filled rows, and free the narrow column before
+                # the wide one is allocated.
+                filled = None if col is None else col[:rows].copy()
+                cols[j] = col = None
                 cols[j] = np.empty(capacity, dtype=dtype)
-                if col is not None:
-                    cols[j][:rows] = col[:rows]
+                if filled is not None:
+                    cols[j][:rows] = filled
             cols[j][rows:rows + size] = c
         rows += size
     if first is None:

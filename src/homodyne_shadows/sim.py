@@ -17,7 +17,7 @@ import numpy as np
 
 from . import shadow as shadow_mod
 from .errors import InvariantViolationError, MalformedRecordError, UnsupportedConfigurationError
-from .povm import BinningScheme, PhaseGrid, PovmSet, build_povm, default_half_width
+from .povm import TAIL_EXTEND, BinningScheme, PhaseGrid, PovmSet, build_povm, default_half_width
 # write_records and ingest_records stay reachable as sim.*, the names the CLI calls them by.
 from .records import _BLOCK, Records, _checked, _index_dtype, ingest_records, write_records
 from .shadow import EstimateReport, outcome_probabilities, snapshot_values
@@ -94,7 +94,7 @@ def _checked_probabilities(P, povms):
         raise InvariantViolationError(
             "outcome probabilities sum to %.12f > 1" % total, check="probability-sum"
         )
-    extend_tails = all(p.binning.tail_mode == "extend-tails" for p in povms)
+    extend_tails = all(p.binning.tail_mode == TAIL_EXTEND for p in povms)
     if extend_tails and abs(total - 1.0) > 1e-10:
         raise InvariantViolationError(
             "extend-tails probabilities sum to %.12f, expected 1 within 1e-10" % total,

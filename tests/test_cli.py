@@ -22,9 +22,10 @@ from homodyne_shadows.cli import (
     EXIT_USAGE,
     main,
 )
-from homodyne_shadows.povm import load_povm
+from homodyne_shadows.povm import PhaseGrid, build_povm, design_bins, load_povm
 from homodyne_shadows.records import Records, write_records
-from homodyne_shadows.shadow import DEFAULT_THRESHOLD
+from homodyne_shadows.shadow import DEFAULT_THRESHOLD, frame_operator, invert_frame, snapshots
+from homodyne_shadows.sim import MultiModeConfig, estimate_local, joint_distribution, sample_multi
 
 from test_blocks import DenseReference
 
@@ -964,52 +965,111 @@ class TestStatisticalOracle:
     land within 5 sigma / sqrt(T) of mu; on these complete grids, where
     both inversions invert the whole frame, mu is Tr(rho X) itself.  The
     number operator ignores the LO phase and the quadrature a + a^dagger
-    does not.
+    does not.  Two-mode cells run ``sample_multi -> estimate_local`` on a
+    product state, where the per-shot value is the product of independent
+    mode values: mu = prod mu_j and sigma^2 = prod E[v_j^2] - mu^2.
     """
 
     T = 10**5
+    GRIDS = [(3, 7, 5), (4, 7, 9)]
 
-    @pytest.fixture(scope="class", params=[(3, 7, 5), (4, 7, 9)], ids=["3-7-5", "aliased-4-7-9"])
-    def chain(self, request, tmp_path_factory):
-        """The scheme and records that design-bins and simulate write for a grid (n_max, N, M)."""
-        n_max, N, M = request.param
-        d = tmp_path_factory.mktemp("oracle")
-        scheme, records = str(d / "scheme.json"), str(d / "records.csv")
-        with warnings.catch_warnings():
-            # The aliased grid sits below the sufficiency threshold on purpose.
-            warnings.simplefilter("ignore", UserWarning)
-            assert run(["design-bins", "--nmax", str(n_max), "--phases", str(N), "--bins", str(M),
-                        "--out", scheme]) == EXIT_OK
-        with pytest.warns(UserWarning, match="truncation"):
-            assert run(["simulate", "--scheme", scheme, "--state", "coherent:1.0",
-                        "--T", str(self.T), "--seed", "11", "--out", records]) == EXIT_OK
-        a = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1)
-        observables = {"number": ("number", np.diag(np.arange(n_max + 1.0))),
-                       "quadrature": ("file:" + str(d / "x.json"), a + a.T)}
-        states_mod._write_matrix_file(d / "x.json", a + a.T)
-        return n_max, scheme, records, observables
-
-    @pytest.mark.filterwarnings("ignore:coherent.*loses probability:UserWarning")
-    @pytest.mark.parametrize("inversion", ["strict", "pseudo"])
-    @pytest.mark.parametrize("variant", ["plain-mean", "median-of-means:7"])
-    @pytest.mark.parametrize("observable", ["number", "quadrature"])
-    def test_estimate_is_near_the_exact_limit(self, chain, observable, variant, inversion, capsys):
-        n_max, scheme, records, observables = chain
-        spec, X = observables[observable]
-        capsys.readouterr()
-        assert run(["estimate", "--records", records, "--scheme", scheme, "--observable", spec,
-                    "--inversion", inversion, "--variant", variant, "--json"]) == EXIT_OK
-        estimate = json.loads(capsys.readouterr().out)["mean"]
-
-        povm = load_povm(scheme)
+    @staticmethod
+    def limit(povm, rho, X, inversion="strict"):
+        """The exact mean mu and second moment E[v^2] of one shot's value, from the dense path."""
         ref = DenseReference(povm)
         assert ref.rank == povm.dim**2
-        rho = states_mod.coherent(1.0, n_max).matrix
         snaps = ref.snapshots(inversion, DEFAULT_THRESHOLD)
         P = np.array([[np.trace(rho @ povm.element(i, k)).real for k in range(ref.N)]
                       for i in range(ref.M)])
         v = np.einsum("ikab,ba->ik", snaps, X).real
         mu = float(np.sum(P * v))
-        sigma = math.sqrt(np.sum(P * v**2) - mu**2)
         assert abs(mu - np.trace(rho @ X).real) <= 1e-9
+        return mu, float(np.sum(P * v**2))
+
+    @staticmethod
+    def observables(n_max):
+        """The number operator and the quadrature a + a^dagger at cutoff n_max."""
+        a = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), 1)
+        return {"number": np.diag(np.arange(n_max + 1.0)), "quadrature": a + a.T}
+
+    @pytest.fixture(scope="class", params=GRIDS, ids=["3-7-5", "aliased-4-7-9"])
+    def chain(self, request, tmp_path_factory):
+        """The scheme design-bins writes for a grid (n_max, N, M), ``records(state)``,
+        the records simulate writes for a state spec (one run per spec), and the
+        observables with their ``--observable`` specs."""
+        n_max, N, M = request.param
+        d = tmp_path_factory.mktemp("oracle")
+        scheme = str(d / "scheme.json")
+        with warnings.catch_warnings():
+            # The aliased grid sits below the sufficiency threshold on purpose.
+            warnings.simplefilter("ignore", UserWarning)
+            assert run(["design-bins", "--nmax", str(n_max), "--phases", str(N), "--bins", str(M),
+                        "--out", scheme]) == EXIT_OK
+        runs = {}
+
+        def records(state):
+            if state not in runs:
+                runs[state] = str(d / ("records-%d.csv" % len(runs)))
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    assert run(["simulate", "--scheme", scheme, "--state", state, "--T",
+                                str(self.T), "--seed", "11", "--out", runs[state]]) == EXIT_OK
+                # Coherent and cat states lose probability to the cutoff; a Fock state does not.
+                lossy = any("truncation" in str(w.message) for w in caught)
+                assert lossy == (not state.startswith("fock:"))
+            return runs[state]
+
+        X = self.observables(n_max)
+        observables = {"number": ("number", X["number"]),
+                       "quadrature": ("file:" + str(d / "x.json"), X["quadrature"])}
+        states_mod._write_matrix_file(d / "x.json", X["quadrature"])
+        return n_max, scheme, records, observables
+
+    def check_cell(self, chain, state, observable, variant, inversion, capsys):
+        n_max, scheme, records, observables = chain
+        spec, X = observables[observable]
+        path = records(state)
+        capsys.readouterr()
+        assert run(["estimate", "--records", path, "--scheme", scheme, "--observable", spec,
+                    "--inversion", inversion, "--variant", variant, "--json"]) == EXIT_OK
+        estimate = json.loads(capsys.readouterr().out)["mean"]
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", ".*loses probability", UserWarning)
+            rho = cli._parse_state_spec(state, n_max).matrix
+        mu, second = self.limit(load_povm(scheme), rho, X, inversion)
+        assert abs(estimate - mu) <= 5 * math.sqrt(second - mu**2) / math.sqrt(self.T)
+
+    @pytest.mark.parametrize("inversion", ["strict", "pseudo"])
+    @pytest.mark.parametrize("variant", ["plain-mean", "median-of-means:7"])
+    @pytest.mark.parametrize("observable", ["number", "quadrature"])
+    def test_estimate_is_near_the_exact_limit(self, chain, observable, variant, inversion, capsys):
+        self.check_cell(chain, "coherent:1.0", observable, variant, inversion, capsys)
+
+    @pytest.mark.parametrize("inversion", ["strict", "pseudo"])
+    @pytest.mark.parametrize("observable", ["number", "quadrature"])
+    @pytest.mark.parametrize("state", ["fock:2", "cat:1.0:-1"], ids=["fock-2", "odd-cat-1"])
+    def test_other_states_are_near_the_exact_limit(self, chain, state, observable, inversion,
+                                                   capsys):
+        self.check_cell(chain, state, observable, "plain-mean", inversion, capsys)
+
+    # (state, observable) of mode 0 on the 3-7-5 grid and of mode 1 on the aliased 4-7-9 grid.
+    @pytest.mark.parametrize("modes", [
+        (("coherent:1.0", "quadrature"), ("fock:2", "number")),
+        (("cat:1.0:-1", "number"), ("coherent:1.0", "quadrature")),
+    ], ids=["coherent-x-fock-n", "odd-cat-n-coherent-x"])
+    def test_two_mode_local_estimate_is_near_the_exact_limit(self, modes):
+        povms, rhos, Xs = [], [], {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # aliased grid; truncated states
+            for j, ((n_max, N, M), (state, observable)) in enumerate(zip(self.GRIDS, modes)):
+                povms.append(build_povm(PhaseGrid(N), design_bins(n_max, N, M), n_max))
+                rhos.append(cli._parse_state_spec(state, n_max))
+                Xs[j] = self.observables(n_max)[observable]
+        config = MultiModeConfig(povms)
+        records = sample_multi(joint_distribution(rhos, config), self.T, seed=11)
+        tables = {j: snapshots(p, invert_frame(frame_operator(p))) for j, p in enumerate(povms)}
+        estimate = estimate_local(records, config, tables, Xs).mean
+        limits = [self.limit(p, r.matrix, Xs[j]) for j, (p, r) in enumerate(zip(povms, rhos))]
+        mu = math.prod(m for m, _ in limits)
+        sigma = math.sqrt(math.prod(e for _, e in limits) - mu**2)
         assert abs(estimate - mu) <= 5 * sigma / math.sqrt(self.T)

@@ -192,8 +192,14 @@ class TestBinOverlaps:
                     ref = quadrature.bin_overlap(m, n, edges[i], edges[i + 1])
                     assert abs(G[i, m, n] - ref) <= 1e-13
 
-    def test_blocks_are_exactly_symmetric(self):
-        G = bin_overlaps(20, np.linspace(-7.0, 7.0, 9))
+    # PovmSet relies on this: class N - r shares class r's block.
+    @pytest.mark.parametrize("tails", ["finite", "extend-tails"])
+    @pytest.mark.parametrize("n_max", [0, 1, 7, 20, 64])
+    def test_blocks_are_exactly_symmetric(self, n_max, tails):
+        edges = np.linspace(-7.0, 7.0, 9)
+        if tails == "extend-tails":
+            edges[[0, -1]] = -np.inf, np.inf
+        G = bin_overlaps(n_max, edges)
         assert np.array_equal(G, G.transpose(0, 2, 1))
 
     def test_full_line_is_identity(self):

@@ -105,42 +105,13 @@ class TestBuildPovm:
             lam = np.linalg.eigvalsh(G) / p.grid.N
             assert lam[0] >= -1e-10 and lam[-1] <= 1.0 / p.grid.N + 1e-10
 
-    def test_overlaps_must_be_symmetric(self):
-        p = build_povm(PhaseGrid(5), BinningScheme.equal_spaced(3, 2.0), 2)
-        skewed = p.G.copy()
-        skewed[1, 0, 2] += 1e-6
-        with pytest.raises(ValueError, match="not symmetric"):
-            pv.PovmSet(p.grid, p.binning, p.n_max, skewed)
-        with pytest.raises(ValueError, match="not symmetric"):
-            pv.PovmSet(p.grid, p.binning, p.n_max, np.full_like(p.G, np.nan))
-        # Roundoff-level asymmetry is scrubbed, so every element is Hermitian.
-        nudged = p.G.copy()
-        nudged[1, 0, 2] += 1e-14
-        q = pv.PovmSet(p.grid, p.binning, p.n_max, nudged)
-        assert np.array_equal(q.G, q.G.transpose(0, 2, 1))
-        A = q.element(1, 3)
-        assert np.array_equal(A, A.conj().T)
-        # Exactly symmetric overlaps are stored unchanged.
-        assert np.array_equal(pv.PovmSet(p.grid, p.binning, p.n_max, p.G).G, p.G)
-
-    def test_povm_owns_its_overlaps(self):
-        p = build_povm(PhaseGrid(5), BinningScheme.equal_spaced(3, 2.0), 2)
-        G = p.G.copy()
-        q = pv.PovmSet(p.grid, p.binning, p.n_max, G)
-        assert G.flags.writeable and q.G is not G
-        G *= 2.0  # a later write to the caller's array does not reach q
-        s = is_informationally_complete(q).singular_values
-        assert np.array_equal(s, is_informationally_complete(p).singular_values)
-        # Another POVM's frozen G is shared, not copied.
-        assert pv.PovmSet(p.grid, p.binning, p.n_max, p.G).G is p.G
-
     def test_cutoff_envelope(self):
         with pytest.raises(ValueError):
             build_povm(PhaseGrid(2), BinningScheme.equal_spaced(2, 1.0), 65)
 
 
 class TestPovmIdentity:
-    """``PovmSet.__eq__``: the same cutoff, phase grid, binning and overlaps G."""
+    """``PovmSet.__eq__``: the same cutoff, phase grid and binning (edges, tail mode)."""
 
     @pytest.fixture(scope="class")
     def povm(self):
@@ -150,16 +121,24 @@ class TestPovmIdentity:
         b = povm.binning
         again = build_povm(PhaseGrid(7), BinningScheme(b.edges, b.tail_mode), 3)
         assert again is not povm and again == povm
-        assert pv.PovmSet(povm.grid, b, 3, povm.G.copy()) == povm
+        assert again.cache_key == povm.cache_key
         assert povm != "povm"
 
-    # Every other part is fixed by the parameters that the cache key hashes.
-    @pytest.mark.parametrize("part", ["overlaps G"])
+    # The four parameters that the cache key hashes; they fix G and the weights.
+    @pytest.mark.parametrize("part", ["cutoffs", "phase grids", "bin edges", "tail modes"])
     def test_pairs_that_differ_in_one_part(self, povm, part):
-        G = povm.G.copy()
-        G[0] *= 0.5
-        other = pv.PovmSet(povm.grid, povm.binning, povm.n_max, G)
+        grid, b, n_max = povm.grid, povm.binning, povm.n_max
+        if part == "cutoffs":
+            n_max = 2
+        elif part == "phase grids":
+            grid = PhaseGrid(9)
+        elif part == "bin edges":
+            b = BinningScheme(1.01 * b.edges, b.tail_mode)
+        else:
+            b = BinningScheme(b.edges, pv.TAIL_STRICT)
+        other = build_povm(grid, b, n_max)
         assert other != povm and povm != other
+        assert other.cache_key != povm.cache_key
         inv = invert_frame(frame_operator(povm))
         with pytest.raises(ValueError, match="^inverse frame .* their %s differ" % part):
             snapshots(other, inv)

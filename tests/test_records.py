@@ -625,9 +625,21 @@ class TestFoldMemory:
             tracemalloc.stop()
         assert len(rec) == self.T
         assert held <= 6.5 * 2**20  # t, k and i; the mode column is one value
-        # Narrow columns: t widens once from uint16 (2 MiB beside its uint32
-        # successor), and a piece's temporaries are under 0.5 MiB.
+        # Narrow columns: t widens once from uint16, and a piece's temporaries
+        # are under 0.5 MiB.
         assert peak <= held + 2.5 * 2**20
+
+    def test_ingest_widens_t_without_its_narrow_column(self, record_path):
+        tracemalloc.start()
+        try:
+            rec = ingest_records(record_path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rec) == self.T and rec.t.dtype == np.uint32
+        # The full-length uint16 t (1.9 MiB) is gone before its uint32
+        # successor is allocated; only its 65,536 filled rows are copied.
+        assert peak <= held + 1.5 * 2**20
 
     def test_sampled_multi_mode_records_hold_narrow_columns(self, setup_223):
         povm, _ = setup_223

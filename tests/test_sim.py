@@ -15,7 +15,6 @@ from homodyne_shadows.errors import (
 from homodyne_shadows.povm import (
     BinningScheme,
     PhaseGrid,
-    PovmSet,
     build_povm,
     design_bins,
 )
@@ -115,11 +114,10 @@ class TestOutcomeDistribution:
             outcome_distribution(fock(0, 4), tiny_povm)
 
     def test_genuinely_negative_probability_rejected(self, tiny_povm):
-        flipped = PovmSet(
-            tiny_povm.grid, tiny_povm.binning, tiny_povm.n_max, -tiny_povm.G
-        )
+        # Hermitian with unit trace but an eigenvalue -1, not a state: the
+        # upper bin, where |1> has over twice the weight of |0>, gets -3.9e-2.
         with pytest.raises(InvariantViolationError) as excinfo:
-            outcome_distribution(fock(0, 1), flipped)
+            outcome_distribution(np.diag([2.0, -1.0]), tiny_povm)
         assert excinfo.value.check == "probability-positivity"
 
 
