@@ -103,13 +103,14 @@ def _cumulative_overlaps(n_max, x):
     psi = _wavefunctions(n_max + 1, x)
     lowered = np.zeros_like(psi)  # sqrt(2n) psi_{n-1}
     lowered[1:] = np.sqrt(2.0 * np.arange(1, top))[:, None] * psi[:-1]
-    # W[j, m, n] = psi_m sqrt(2n) psi_{n-1} - sqrt(2m) psi_{m-1} psi_n, exactly antisymmetric.
-    A = psi.T[:, :, None] * lowered.T[:, None, :]
-    W = A - A.transpose(0, 2, 1)
+    # W[j, m, n] = psi_m sqrt(2n) psi_{n-1} - sqrt(2m) psi_{m-1} psi_n, exactly
+    # antisymmetric, built in place (numpy copies the overlapping operand once).
+    F = psi.T[:, :, None] * lowered.T[:, None, :]
+    F -= F.transpose(0, 2, 1)
     idx = np.arange(top)
     gap = 2.0 * (idx[:, None] - idx[None, :])
     np.fill_diagonal(gap, 1.0)
-    F = W / gap
+    F /= gap
     F[:, 0, 0] = 0.5 * (1.0 + np.array([math.erf(v) for v in x]))
     for n in range(1, n_max + 1):
         ladder = psi[n] * psi[n - 1] + math.sqrt((n + 1) / 2.0) * F[:, n + 1, n - 1]
@@ -136,7 +137,9 @@ def bin_overlaps(n_max, edges):
     ndarray
         Real array of shape (M, n_max+1, n_max+1), each block exactly
         symmetric, computed as differences of the cumulative integrals at
-        consecutive edges.
+        consecutive edges.  Beyond it a call holds one stack of those
+        integrals, (M+1, n_max+2, n_max+2), and while the stack is built a
+        copy of it.
     """
     n_max = int(n_max)
     if not 0 <= n_max <= 64:
@@ -146,10 +149,8 @@ def bin_overlaps(n_max, edges):
         raise ValueError("need at least two bin edges, got shape %r" % (edges.shape,))
     if np.any(np.isnan(edges)) or np.any(np.diff(edges) < 0):
         raise ValueError("bin edges must be non-decreasing")
-    d = n_max + 1
-    F = np.empty((edges.size, d, d))
-    finite = np.isfinite(edges)
-    F[finite] = _cumulative_overlaps(n_max, edges[finite])
+    # Infinite edges are evaluated at 0, then overwritten with their limits.
+    F = _cumulative_overlaps(n_max, np.where(np.isfinite(edges), edges, 0.0))
     F[edges == -np.inf] = 0.0
-    F[edges == np.inf] = np.eye(d)
+    F[edges == np.inf] = np.eye(n_max + 1)
     return F[1:] - F[:-1]

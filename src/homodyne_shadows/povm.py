@@ -341,13 +341,15 @@ def _phase_blocks(povm):
     (:func:`fockcore.bin_overlaps` builds it so), so class N - r, listed as
     the transposes (n, m) of class r's entries, has the very same block: one
     B serves both classes, and ``vec_index`` (from ``_phase_classes``) has
-    one row per class.
+    one row per class.  Each block is gathered from G and scaled on its own,
+    so beyond G a caller holds only the blocks it keeps.
     """
     d, N = povm.dim, povm.grid.N
     # Row-major position m + n*d of G_i holds G_i[n, m], which is G_i[m, n].
-    flat = povm.G.reshape(-1, d * d) / np.sqrt(N * povm.binning.widths)[:, None]
+    flat = povm.G.reshape(-1, d * d)
+    scale = np.sqrt(N * povm.binning.widths)[:, None]
     for idx in _phase_classes(d, N):
-        yield idx, flat[:, idx[0]].T
+        yield idx, (flat[:, idx[0]] / scale).T
 
 
 @functools.lru_cache(maxsize=32)
@@ -360,14 +362,13 @@ def _offsets(d):
 
 
 @functools.lru_cache(maxsize=32)
-def _offset_order(d):
-    """Row-major positions m*d + n grouped by offset m - n = 1-d..d-1, and group starts."""
-    order = np.argsort(_offsets(d).ravel(), kind="stable")
-    sizes = d - np.abs(np.arange(1 - d, d))
-    starts = np.cumsum(sizes) - sizes
-    for a in (order, starts):
-        a.setflags(write=False)
-    return order, starts
+def _diagonals(d):
+    """Slices of the row-major positions m*d + n on each diagonal offset m - n = 1-d..d-1."""
+    out = []
+    for delta in range(1 - d, d):
+        start = delta * d if delta >= 0 else -delta
+        out.append(slice(start, start + (d + 1) * (d - abs(delta) - 1) + 1, d + 1))
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=32)
@@ -398,29 +399,39 @@ def _pairing(A, F, grid):
     """Re Tr(A F_i exp(1j*(m-n)*theta_k))/N for every outcome (i, k), as a real (M, N) array.
 
     ``A`` is a d x d array; ``F`` is a real (M, d, d) array, the POVM's G
-    or the snapshot factors S.  The products A[n, m] F_i[m, n] are gathered
-    d^2-major, grouped by diagonal offset delta = m - n, and summed per
-    offset in one reduction; then one phase table gives every k:
-    O(M d^2 + M d N).
+    or the snapshot factors S.  For each diagonal offset delta = m - n one
+    product of F's delta-th diagonals (a strided view) with the real and
+    imaginary parts of A^T's gives sum_{m-n=delta} A[n, m] F_i[m, n] for
+    every bin; then one phase table gives every k: O(M d^2 + M d N).
+    Beyond the (M, N) output it holds only (M, 2d-1) complex offset sums.
     """
     M, d = F.shape[:2]
     if A.shape != (d, d):
         raise ValueError("operator of shape %r does not match POVM dimension %d" % (A.shape, d))
-    order, starts = _offset_order(d)
-    terms = F.reshape(M, d * d).T[order]
-    terms = terms * A.T.ravel()[order, None]
-    diag = np.add.reduceat(terms, starts, axis=0)
-    return (diag.T @ _offset_phases(grid.N, d)).real / grid.N
+    a = np.ascontiguousarray(A.T, dtype=complex).reshape(d * d).view(float).reshape(d * d, 2)
+    sums = np.empty((M, 2 * d - 1), dtype=complex)
+    parts = sums.view(float).reshape(M, 2 * d - 1, 2)
+    flat = F.reshape(M, d * d)
+    for j, diag in enumerate(_diagonals(d)):
+        np.matmul(flat[:, diag], a[diag], out=parts[:, j])
+    return (sums @ _offset_phases(grid.N, d)).real / grid.N
 
 
 def _adjoint(W, F, grid):
     """sum_{i,k} W[i, k] F_i exp(1j*(m-n)*theta_k)/N, the adjoint of ``_pairing``.
 
-    The phase sum over k is taken once per bin and diagonal offset.
+    The phase sum over k is taken once per bin and diagonal offset, giving
+    c[i, delta]; a sliding window over its offsets is the strided view
+    V[i, m, n] = c[i, m - n], and each of its real and imaginary parts
+    meets F in one sum over bins.  Beyond the d x d output it holds only
+    the (M, 2d-1) complex phase sums.
     """
     d = F.shape[1]
-    c = (W @ _offset_phases(grid.N, d).T)[:, _offsets(d)]
-    return np.einsum("imn,imn->mn", F, c) / grid.N
+    c = W @ _offset_phases(grid.N, d).T
+    V = np.lib.stride_tricks.sliding_window_view(c[:, ::-1], d, axis=1)[:, ::-1]
+    out = np.einsum("imn,imn->mn", F, V.real) + 1j * np.einsum("imn,imn->mn", F, V.imag)
+    out /= grid.N
+    return out
 
 
 def _singular_values(povm, pairs):

@@ -227,9 +227,13 @@ def snapshots(povm, inv):
     vector G_i[class r]/w_i = B[:, i] sqrt(N/w_i), which the inverse maps to
     U diag(1/s) Wt[:, i] sqrt(N/w_i) (dropping the s^2 <= threshold): real
     matrices S_i once per bin, with rho_hat_{i,k} = S_i exp(1j*(m-n)*theta_k)/N.
-    A mirror pair's columns are computed once and written to both classes.  S_i is symmetrized
-    ((S + S^T)/2) to scrub roundoff, which makes every snapshot exactly
-    Hermitian.  The inverse frame must come from this POVM
+    A mirror pair's columns are computed once and written to both classes,
+    so S_i[m, n] = S_i[n, m] there bit for bit.  A class that is its own
+    mirror (r = 0, and r = N/2 for even N) holds both (m, n) and (n, m):
+    only its entries are averaged with their transposes, to scrub
+    roundoff.  So every S_i is exactly symmetric and every snapshot exactly
+    Hermitian.  Beyond the S it returns, a call holds one class's columns
+    at a time.  The inverse frame must come from this POVM
     (``PovmSet.__eq__``): any other inverse would silently bias every
     snapshot, so it raises ``ValueError``.
     """
@@ -241,9 +245,11 @@ def snapshots(povm, inv):
     for idx, U, s, Wt in inv.frame.pairs:
         keep = s**2 > inv.threshold
         S[:, idx] = ((U[:, keep] / s[keep]) @ (Wt[keep] * scale)).T[:, None, :]
-    S = S.reshape(M, d, d)  # row-major reshape of vec(S_i) gives S_i^T
-    S = 0.5 * (S + S.transpose(0, 2, 1))  # symmetric, so the order is moot
-    return SnapshotTable(S, povm, inv.mode, inv.threshold)
+        if len(idx) == 1:  # class 0 or N/2: its own mirror, holding (m, n) and (n, m)
+            p = idx[0]
+            S[:, p] = 0.5 * (S[:, p] + S[:, p % d * d + p // d])
+    # Row-major reshape of vec(S_i) gives S_i^T, which is S_i.
+    return SnapshotTable(S.reshape(M, d, d), povm, inv.mode, inv.threshold)
 
 
 def snapshot_values(table, X):

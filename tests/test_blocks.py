@@ -296,6 +296,30 @@ def test_pairing_matches_per_offset_trace(d, N, M, seed):
     assert np.max(np.abs(pv._pairing(A, F, PhaseGrid(N)) - expected)) <= 1e-14 * scale
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    d=st.integers(1, 12),
+    N=st.integers(1, 30),
+    M=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=12, N=6, M=3, seed=1)
+@example(d=12, N=23, M=3, seed=4)
+@example(d=1, N=1, M=1, seed=5)
+def test_adjoint_is_the_adjoint_of_pairing(d, N, M, seed):
+    # sum W * pairing(A, F) = Re Tr(A adjoint(W, F)) for any real F, symmetric
+    # or not, so the two kernels agree on every diagonal offset and phase.
+    rng = np.random.default_rng(seed)
+    F = rng.normal(size=(M, d, d))
+    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    W = rng.normal(size=(M, N))
+    grid = PhaseGrid(N)
+    lhs = np.sum(W * pv._pairing(A, F, grid))
+    rhs = np.trace(A @ pv._adjoint(W, F, grid)).real
+    scale = np.sum(np.abs(W).sum(axis=1) * np.abs(F * A.T).sum(axis=(1, 2))) / N
+    assert abs(lhs - rhs) <= 1e-12 * scale
+
+
 def test_snapshots_reject_other_phase_grid():
     a = build_povm(PhaseGrid(5), BinningScheme.equal_spaced(3, 2.0), 2)
     b = build_povm(PhaseGrid(7), BinningScheme.equal_spaced(3, 2.0), 2)

@@ -22,11 +22,12 @@ from homodyne_shadows.cli import (
     EXIT_USAGE,
     main,
 )
-from homodyne_shadows.povm import PhaseGrid, build_povm, design_bins, load_povm
+from homodyne_shadows.povm import BinningScheme, PhaseGrid, build_povm, design_bins, load_povm
 from homodyne_shadows.records import Records, write_records
 from homodyne_shadows.shadow import DEFAULT_THRESHOLD, frame_operator, invert_frame, snapshots
 from homodyne_shadows.sim import MultiModeConfig, estimate_local, joint_distribution, sample_multi
 
+from conftest import random_hermitian
 from test_blocks import DenseReference
 
 
@@ -1051,6 +1052,55 @@ class TestStatisticalOracle:
     def test_other_states_are_near_the_exact_limit(self, chain, state, observable, inversion,
                                                    capsys):
         self.check_cell(chain, state, observable, "plain-mean", inversion, capsys)
+
+    # (n_max, N, M) = (3, 6, 8) over [-3.5, 3.5]: N is even and below 2 n_max + 1,
+    # so no binning is complete, and only the pseudo inverse runs.
+    INCOMPLETE = ["--nmax", "3", "--phases", "6", "--bins", "8", "--half-width", "3.5"]
+
+    @pytest.fixture(scope="class")
+    def incomplete_records(self, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("incomplete") / "records.csv")
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", ".*loses probability", UserWarning)
+            assert run(["simulate", *self.INCOMPLETE, "--state", "coherent:1.0", "--T",
+                        str(self.T), "--seed", "11", "--out", path]) == EXIT_OK
+        return path
+
+    # The default threshold drops only the null direction; 0.01 drops five
+    # directions of the spectrum as well, so a threshold that is ignored shows.
+    @pytest.mark.parametrize("threshold", [DEFAULT_THRESHOLD, 0.01])
+    @pytest.mark.parametrize("observable", ["quadrature", "random"])
+    def test_aliased_incomplete_grid_is_near_its_biased_limit(self, incomplete_records,
+                                                              observable, threshold, tmp_path,
+                                                              capsys):
+        # The pseudo estimator converges to mu = Tr(rho Y) with Y = sum_ik v_ik Pi_ik,
+        # the part of X the POVM sees, so |mu - Tr(rho X)| <= beta = ||Y - X||_inf.
+        if observable == "quadrature":
+            X = self.observables(3)["quadrature"]
+        else:
+            X = random_hermitian(4, np.random.default_rng(6))
+            X /= np.max(np.abs(np.linalg.eigvalsh(X)))  # ||X||_inf = 1
+        states_mod._write_matrix_file(tmp_path / "x.json", X)
+        capsys.readouterr()
+        assert run(["estimate", "--records", incomplete_records, *self.INCOMPLETE,
+                    "--observable", "file:" + str(tmp_path / "x.json"), "--inversion", "pseudo",
+                    "--threshold", repr(threshold), "--json"]) == EXIT_OK
+        estimate = json.loads(capsys.readouterr().out)["mean"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # below the sufficiency threshold
+            povm = build_povm(PhaseGrid(6), BinningScheme.equal_spaced(8, 3.5), 3)
+            rho = cli._parse_state_spec("coherent:1.0", 3).matrix
+        ref = DenseReference(povm)
+        assert ref.rank < povm.dim**2
+        snaps = ref.snapshots("pseudo", threshold)
+        v = np.einsum("ikab,ba->ik", snaps, X).real
+        elements = [[povm.element(i, k) for k in range(ref.N)] for i in range(ref.M)]
+        P = np.array([[np.trace(rho @ E).real for E in row] for row in elements])
+        Y = sum(v[i, k] * elements[i][k] for i in range(ref.M) for k in range(ref.N))
+        beta = np.max(np.abs(np.linalg.eigvalsh(Y - X)))
+        mu = float(np.sum(P * v))
+        assert abs(mu - np.trace(rho @ X).real) <= beta + 1e-12
+        assert abs(estimate - mu) <= 5 * math.sqrt(np.sum(P * v**2) - mu**2) / math.sqrt(self.T)
 
     # (state, observable) of mode 0 on the 3-7-5 grid and of mode 1 on the aliased 4-7-9 grid.
     @pytest.mark.parametrize("modes", [

@@ -486,7 +486,7 @@ class TestStructuredPath:
         assert variance <= norm
         assert np.linalg.norm(average - rho.matrix) <= 1e-8
         assert abs(est.mean - expectation(rho, X)) <= 5.0 * math.sqrt(variance / 10_000)
-        # About 25 MB; the dense arrays would need two 1.1 GB allocations.
+        # About 15 MB; the dense arrays would need two 1.1 GB allocations.
         assert peak < 100e6
         # About 0.5 s on a 2-core machine; the bound leaves room for load.
         assert elapsed < 5.0

@@ -1,5 +1,7 @@
 """Tests for frame inversion, snapshots, and estimator statistics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +20,7 @@ from homodyne_shadows.povm import (
     devectorize,
     vectorize,
 )
+from homodyne_shadows import sim
 from homodyne_shadows.shadow import (
     bernstein_samples,
     estimate_observable,
@@ -518,3 +521,62 @@ class TestGuaranteesAtScale:
             assert abs(P.sum() - 1.0) <= 1e-10
         variance = exact_variance(rho, X, table, p)
         assert variance <= shadow_norm(X, table, p) * (1.0 + 1e-12)
+
+
+class TestKernelMemory:
+    """Traced peak of one call, after a warm-up call, in units of the POVM's G.
+
+    Every sum over outcomes works per diagonal offset on the (M, d, d)
+    arrays G and S, so no call holds an (M, d, d) complex stack: each holds
+    less than one G beyond its inputs and output.  ``snapshots`` returns
+    one G-sized S and ``build_povm`` one G-sized G.
+    """
+
+    @pytest.fixture(scope="class", params=[(20, 41, 100), (30, 61, 40)],
+                    ids=["20-41-100", "30-61-40"])
+    def chain(self, request):
+        n_max, N, M = request.param
+        grid, scheme = PhaseGrid(N), design_bins(n_max, N, M)
+        p = build_povm(grid, scheme, n_max)
+        inv = invert_frame(frame_operator(p))
+        table = snapshots(p, inv)
+        rng = np.random.default_rng(n_max)
+        rho = random_density(n_max, rng)
+        X = Observable(random_hermitian(n_max + 1, rng))
+        P = outcome_probabilities(rho, p)
+        records = sim.sample(sim.outcome_distribution(rho, p), 2000, seed=1)
+        calls = {
+            "outcome_probabilities": lambda: outcome_probabilities(rho, p),
+            "snapshot_values": lambda: snapshot_values(table, X),
+            "shadow_norm": lambda: shadow_norm(X, table, p),
+            "exact_variance": lambda: exact_variance(rho, X, table, p),
+            "exact_average_snapshot": lambda: exact_average_snapshot(P, table),
+            "reconstruct_state": lambda: reconstruct_state(records, table),
+            "snapshots": lambda: snapshots(p, inv),
+            "build_povm": lambda: build_povm(grid, scheme, n_max),
+        }
+        return p.G.nbytes, calls
+
+    @staticmethod
+    def peak(call):
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("name, bound", [
+        ("outcome_probabilities", 2.0),
+        ("snapshot_values", 2.0),
+        ("shadow_norm", 2.0),
+        ("exact_variance", 2.0),
+        ("exact_average_snapshot", 2.0),
+        ("reconstruct_state", 2.0),
+        ("snapshots", 1.5),
+        ("build_povm", 4.0),
+    ])
+    def test_peak_in_units_of_G(self, chain, name, bound):
+        G_bytes, calls = chain
+        assert self.peak(calls[name]) <= bound * G_bytes
