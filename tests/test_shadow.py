@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homodyne_shadows import shadow as sh
+from homodyne_shadows import sim
 from homodyne_shadows.errors import MalformedRecordError, StrictModeSingularError
 from homodyne_shadows.povm import (
     TAIL_EXTEND,
@@ -20,7 +21,6 @@ from homodyne_shadows.povm import (
     devectorize,
     vectorize,
 )
-from homodyne_shadows import sim
 from homodyne_shadows.shadow import (
     bernstein_samples,
     estimate_observable,
@@ -527,9 +527,10 @@ class TestKernelMemory:
     """Traced peak of one call, after a warm-up call, in units of the POVM's G.
 
     Every sum over outcomes works per diagonal offset on the (M, d, d)
-    arrays G and S, so no call holds an (M, d, d) complex stack: each holds
-    less than one G beyond its inputs and output.  ``snapshots`` returns
-    one G-sized S and ``build_povm`` one G-sized G.
+    arrays G and S, so it holds no (M, d, d) stack, only arrays of the
+    output's size.  ``snapshots`` returns one G-sized S and holds one
+    class's columns besides; ``build_povm`` returns G and holds one stack
+    of cumulative integrals, G-sized, and briefly a copy of it.
     """
 
     @pytest.fixture(scope="class", params=[(20, 41, 100), (30, 61, 40)],
