@@ -11,8 +11,9 @@ matrix element.
 ``bin_overlaps`` evaluates all bins of a grid in closed form from the
 cumulative integrals F(x) = integral_{-inf}^x psi_m psi_n: off-diagonal
 entries from the Wronskian of the oscillator equation, diagonal entries
-from a ladder recurrence seeded by the error function, so one evaluation of
-psi_0 .. psi_{n_max+1} at the bin edges gives every overlap.
+from the two-term ladder identity (psi_n psi_{n-1})' =
+sqrt(2n)(psi_{n-1}^2 - psi_n^2) seeded by the error function, so one
+evaluation of psi_0 .. psi_{n_max} at the bin edges gives every overlap.
 ``bin_overlap`` reads one entry of it.  The tests check the closed form
 against an independent adaptive quadrature kept beside them.
 """
@@ -90,35 +91,29 @@ def bin_overlap(m, n, a, b):
 def _cumulative_overlaps(n_max, x):
     """F[j, m, n] = integral_{-inf}^{x_j} psi_m psi_n for finite edges x_j.
 
-    With psi_n' = sqrt(2n) psi_{n-1} - x psi_n (the ladder relation with
-    psi_{n+1} eliminated) the Wronskian identity
-    (psi_m psi_n' - psi_m' psi_n)' = 2(m - n) psi_m psi_n gives every
-    off-diagonal entry.  The diagonal follows from integrating
-    (psi_n psi_{n-1})' = sqrt(n/2)(psi_{n-1}^2 - psi_n^2)
-    - sqrt((n+1)/2) psi_{n+1} psi_{n-1} + sqrt((n-1)/2) psi_n psi_{n-2},
-    seeded by F_00 = (1 + erf x)/2; the recurrence needs the off-diagonal
-    entries one order above n_max, hence psi up to n_max + 1.
+    The ladder relations psi_n' = sqrt(2n) psi_{n-1} - x psi_n and
+    psi_{n-1}' = x psi_{n-1} - sqrt(2n) psi_n give the Wronskian identity
+    (psi_m psi_n' - psi_m' psi_n)' = 2(m - n) psi_m psi_n for every
+    off-diagonal entry, and (psi_n psi_{n-1})' = sqrt(2n)(psi_{n-1}^2 - psi_n^2)
+    for the diagonal: F_nn = F_{n-1,n-1} - psi_n psi_{n-1} / sqrt(2n), seeded
+    by F_00 = (1 + erf x)/2.  Both need psi up to n_max only.
     """
-    top = n_max + 2
-    psi = _wavefunctions(n_max + 1, x)
+    d = n_max + 1
+    psi = _wavefunctions(n_max, x)
     lowered = np.zeros_like(psi)  # sqrt(2n) psi_{n-1}
-    lowered[1:] = np.sqrt(2.0 * np.arange(1, top))[:, None] * psi[:-1]
+    lowered[1:] = np.sqrt(2.0 * np.arange(1, d))[:, None] * psi[:-1]
     # W[j, m, n] = psi_m sqrt(2n) psi_{n-1} - sqrt(2m) psi_{m-1} psi_n, exactly
     # antisymmetric, built in place (numpy copies the overlapping operand once).
     F = psi.T[:, :, None] * lowered.T[:, None, :]
     F -= F.transpose(0, 2, 1)
-    idx = np.arange(top)
+    idx = np.arange(d)
     gap = 2.0 * (idx[:, None] - idx[None, :])
     np.fill_diagonal(gap, 1.0)
     F /= gap
     F[:, 0, 0] = 0.5 * (1.0 + np.array([math.erf(v) for v in x]))
-    for n in range(1, n_max + 1):
-        ladder = psi[n] * psi[n - 1] + math.sqrt((n + 1) / 2.0) * F[:, n + 1, n - 1]
-        if n >= 2:
-            ladder -= math.sqrt((n - 1) / 2.0) * F[:, n, n - 2]
-        F[:, n, n] = F[:, n - 1, n - 1] - ladder / math.sqrt(n / 2.0)
-    d = n_max + 1
-    return F[:, :d, :d]
+    for n in range(1, d):
+        F[:, n, n] = F[:, n - 1, n - 1] - psi[n] * psi[n - 1] / math.sqrt(2.0 * n)
+    return F
 
 
 def bin_overlaps(n_max, edges):
@@ -138,7 +133,7 @@ def bin_overlaps(n_max, edges):
         Real array of shape (M, n_max+1, n_max+1), each block exactly
         symmetric, computed as differences of the cumulative integrals at
         consecutive edges.  Beyond it a call holds one stack of those
-        integrals, (M+1, n_max+2, n_max+2), and while the stack is built a
+        integrals, (M+1, n_max+1, n_max+1), and while the stack is built a
         copy of it.
     """
     n_max = int(n_max)
