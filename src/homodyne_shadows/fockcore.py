@@ -136,9 +136,11 @@ def bin_overlaps(n_max, edges):
         integrals, (M+1, n_max+1, n_max+1), and while the stack is built a
         copy of it.
     """
+    if not (float(n_max).is_integer() and 0 <= n_max <= 64):
+        raise ValueError(
+            "n_max must be a whole number in the supported envelope 0..64, got %r" % (n_max,)
+        )
     n_max = int(n_max)
-    if not 0 <= n_max <= 64:
-        raise ValueError("n_max must lie in the supported envelope 0..64, got %d" % n_max)
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2:
         raise ValueError("need at least two bin edges, got shape %r" % (edges.shape,))

@@ -37,6 +37,7 @@ import numpy as np
 
 from . import fockcore
 from .errors import BinDesignError, CacheKeyMismatchError
+from .states import _whole
 
 __all__ = [
     "TAIL_EXTEND",
@@ -80,10 +81,7 @@ class PhaseGrid:
     """Uniform local-oscillator phase grid theta_k = 2*pi*k/N, k = 0..N-1."""
 
     def __init__(self, N):
-        N = int(N)
-        if N < 1:
-            raise ValueError("phase count N must be >= 1, got %d" % N)
-        self.N = N
+        self.N = _whole(N, "phase count N", 1)
 
     def theta(self, k):
         """Phase angle of grid point k (radians)."""
@@ -170,12 +168,10 @@ class BinningScheme:
         informational completeness at small M; the stretched grid keeps
         equal spacing and full coverage of [-L, L] while avoiding it.
         """
-        M = int(M)
-        if M < 1:
-            raise ValueError("bin count M must be >= 1, got %d" % M)
+        M = _whole(M, "bin count M", 1)
         L = float(half_width)
-        if L <= 0:
-            raise ValueError("half_width must be positive, got %g" % L)
+        if not 0 < L < math.inf:
+            raise ValueError("half_width must be finite and positive, got %g" % L)
         hi = L + EDGE_OFFSET_FRACTION * (2.0 * L / M)
         edges = np.linspace(-L, hi, M + 1)
         return cls(edges, tail_mode=tail_mode)
@@ -210,8 +206,8 @@ class PovmSet:
     def __init__(self, grid, binning, n_max):
         self.grid = grid
         self.binning = binning
+        self.G = fockcore.bin_overlaps(n_max, binning.integration_edges())
         self.n_max = int(n_max)
-        self.G = fockcore.bin_overlaps(self.n_max, binning.integration_edges())
         self.G.setflags(write=False)
 
     @functools.cached_property
@@ -608,8 +604,8 @@ def design_bins(
         L0 = default_half_width(n_max)
     L0 = float(L0)
     dL = float(dL)
-    if L0 <= 0 or dL <= 0:
-        raise ValueError("L0 and dL must be positive, got L0=%g, dL=%g" % (L0, dL))
+    if not (0 < L0 < math.inf and 0 < dL < math.inf):
+        raise ValueError("L0 and dL must be finite and positive, got L0=%g, dL=%g" % (L0, dL))
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0, got %r" % (max_iter,))
     if not sufficient_condition(N, M, n_max):

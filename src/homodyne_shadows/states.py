@@ -12,6 +12,7 @@ size n_max+1.
 
 import json
 import math
+import numbers
 import warnings
 
 import numpy as np
@@ -59,6 +60,19 @@ def _finite(value, what):
     if not np.isfinite(value):
         raise ValueError("%s must be finite, got %s" % (what, value))
     return value
+
+
+def _whole(value, what, low=0):
+    """``value`` as an int, or ValueError naming ``what`` unless it is a whole number >= ``low``.
+
+    Python and numpy integers and integral floats such as 3.0 pass; 3.7 is
+    refused rather than truncated.
+    """
+    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise ValueError("%s must be a whole number, got %r" % (what, value))
+    if value < low:
+        raise ValueError("%s must be >= %d, got %d" % (what, low, value))
+    return int(value)
 
 
 def _abs2(alpha):
@@ -169,8 +183,7 @@ def coherent(alpha, n_max):
     lost beyond the cutoff is recorded as the truncation deficit, with a
     warning once it exceeds 1e-6.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0, got %r" % (n_max,))
+    n_max = _whole(n_max, "n_max")
     alpha = _finite(complex(alpha), "coherent amplitude alpha")
     n = np.arange(n_max + 1)
     log_fact = np.cumsum(np.log(np.maximum(n, 1)))
@@ -183,6 +196,7 @@ def coherent(alpha, n_max):
 
 def fock(n, n_max):
     """Photon-number eigenstate |n><n| at cutoff n_max."""
+    n_max = _whole(n_max, "n_max")
     if n < 0:
         raise ValueError("photon number must be >= 0, got %r" % (n,))
     if n > n_max:
@@ -206,6 +220,7 @@ def superposition_pair(alpha, beta, n, n_max):
         raise ValueError("the |0> amplitude must be real, got %r" % (alpha,))
     alpha = alpha_c.real
     beta = complex(beta)
+    n_max = _whole(n_max, "n_max")
     if n <= 0:
         raise ValueError("superposition level must be >= 1, got %r" % (n,))
     if n > n_max:
@@ -226,6 +241,7 @@ def superposition_pair(alpha, beta, n, n_max):
 
 def thermal(nbar, n_max):
     """Thermal state with mean photon number nbar, truncated and renormalized."""
+    n_max = _whole(n_max, "n_max")
     nbar = _finite(float(nbar), "mean photon number nbar")
     if nbar < 0:
         raise ValueError("mean photon number must be >= 0, got %g" % nbar)
@@ -246,6 +262,7 @@ def cat(alpha, parity=1, n_max=10):
     """
     if parity not in (1, -1):
         raise ValueError("parity must be +1 or -1, got %r" % (parity,))
+    n_max = _whole(n_max, "n_max")
     alpha = _finite(complex(alpha), "cat amplitude alpha")
     if alpha == 0 and parity == -1:
         raise ValueError("odd cat state is undefined at alpha = 0")
@@ -262,8 +279,7 @@ def cat(alpha, parity=1, n_max=10):
 
 def number_operator(n_max):
     """The photon-number observable diag(0, 1, ..., n_max)."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0, got %r" % (n_max,))
+    n_max = _whole(n_max, "n_max")
     return Observable(np.diag(np.arange(n_max + 1, dtype=float)), label="n")
 
 

@@ -158,6 +158,18 @@ class TestCheckIC:
         assert run(argv) == EXIT_DATA
         assert capsys.readouterr().err == "hshadow: n_max must be >= 0, got %d\n" % nmax
 
+    # A non-finite half-width used to be reported as non-finite bin edges.
+    @pytest.mark.parametrize("flags, name", [
+        (["design-bins", "--l0", "nan"], "L0"),
+        (["design-bins", "--dl", "inf"], "dL"),
+        (["check-ic", "--half-width", "inf"], "half_width"),
+    ], ids=["l0-nan", "dl-inf", "half-width-inf"])
+    def test_non_finite_half_width_exits_65(self, flags, name, capsys):
+        argv = flags[:1] + ["--nmax", "3", "--phases", "7", "--bins", "5"] + flags[1:]
+        assert run(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert name in err and "must be finite and positive" in err
+
     def test_explicit_edges(self, capsys):
         code = run(
             [

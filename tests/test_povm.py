@@ -44,6 +44,25 @@ class TestPhaseGrid:
             PhaseGrid(3).theta(3)
 
 
+# int() used to truncate these counts: PhaseGrid(2.5) had N = 2, and a
+# cutoff of 3.7 built a 4 x 4 POVM.
+@pytest.mark.parametrize("build, what", [
+    (lambda: PhaseGrid(2.5), "phase count N"),
+    (lambda: BinningScheme.equal_spaced(4.5, 3.0), "bin count M"),
+    (lambda: build_povm(PhaseGrid(7), BinningScheme.equal_spaced(5, 3.0), 3.7), "n_max"),
+    (lambda: pv.fockcore.bin_overlaps(np.float64(3.7), [0.0, 1.0]), "n_max"),
+], ids=["PhaseGrid", "equal_spaced", "build_povm", "bin_overlaps"])
+def test_fractional_count_is_refused(build, what):
+    with pytest.raises(ValueError, match="^%s must be a whole number" % what):
+        build()
+
+
+def test_integral_counts_of_any_type_are_accepted():
+    p = build_povm(PhaseGrid(7.0), BinningScheme.equal_spaced(np.int64(5), 3.0), np.float64(3.0))
+    assert (p.grid.N, p.binning.M, p.n_max) == (7, 5, 3)
+    assert np.array_equal(p.G, build_povm(PhaseGrid(7), BinningScheme.equal_spaced(5, 3.0), 3).G)
+
+
 class TestBinningScheme:
     def test_widths_are_edge_differences(self):
         b = BinningScheme([-2.0, -0.5, 1.0, 4.0])
@@ -295,6 +314,24 @@ class TestDesignBins:
             design_bins(1, 3, 2, L0=-1.0)
         with pytest.raises(ValueError):
             design_bins(1, 3, 2, dL=0.0)
+
+    # These used to blame "bin edges must be finite", edges the caller never gave.
+    @pytest.mark.parametrize("build, text", [
+        (lambda: design_bins(3, 7, 5, L0=math.nan), "got L0=nan, dL=0.5"),
+        (lambda: design_bins(3, 7, 5, L0=math.inf), "got L0=inf, dL=0.5"),
+        (lambda: design_bins(3, 7, 5, L0=2.0, dL=math.nan), "got L0=2, dL=nan"),
+        (lambda: design_bins(3, 7, 5, L0=2.0, dL=math.inf), "got L0=2, dL=inf"),
+    ], ids=["L0-nan", "L0-inf", "dL-nan", "dL-inf"])
+    def test_non_finite_half_width_names_it(self, build, text):
+        with pytest.raises(ValueError) as excinfo:
+            build()
+        assert str(excinfo.value) == "L0 and dL must be finite and positive, " + text
+
+    @pytest.mark.parametrize("L", [math.inf, -math.inf, math.nan])
+    def test_non_finite_equal_spaced_half_width_names_it(self, L):
+        with pytest.raises(ValueError) as excinfo:
+            BinningScheme.equal_spaced(5, L)
+        assert str(excinfo.value) == "half_width must be finite and positive, got %g" % L
 
     def test_trace_sector_frame_bound(self):
         # For designed strict-finite schemes, the frame operator restricted

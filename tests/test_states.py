@@ -348,6 +348,24 @@ class TestFiniteInput:
             factory(*args)
         assert str(excinfo.value) == text
 
+    # np.arange(4.7) used to build dimension 5 from a cutoff of 3.7.
+    @pytest.mark.parametrize("factory, args", [
+        (coherent, (1.0, 3.7)),
+        (fock, (1, 3.7)),
+        (superposition_pair, (1.0, 1.0, 1, 3.7)),
+        (thermal, (0.5, 3.7)),
+        (cat, (1.0, 1, 3.7)),
+        (number_operator, (3.7,)),
+    ], ids=["coherent", "fock", "superposition_pair", "thermal", "cat", "number_operator"])
+    def test_fractional_cutoff_text(self, factory, args):
+        with pytest.raises(ValueError) as excinfo:
+            factory(*args)
+        assert str(excinfo.value) == "n_max must be a whole number, got 3.7"
+
+    def test_integral_cutoff_of_any_type(self):
+        assert coherent(0.0, 3.0).dim == coherent(0.0, np.int64(3)).dim == 4
+        assert np.array_equal(number_operator(np.float64(3.0)).matrix, number_operator(3).matrix)
+
     @pytest.mark.parametrize("factory, args, what", [
         (coherent, (100.0, 3), "coherent(alpha=(100+0j), n_max=3)"),
         (cat, (100.0, 1, 3), "cat(alpha=(100+0j), parity=+1, n_max=3)"),
