@@ -606,8 +606,7 @@ def design_bins(
     dL = float(dL)
     if not (0 < L0 < math.inf and 0 < dL < math.inf):
         raise ValueError("L0 and dL must be finite and positive, got L0=%g, dL=%g" % (L0, dL))
-    if max_iter < 0:
-        raise ValueError("max_iter must be >= 0, got %r" % (max_iter,))
+    max_iter = _whole(max_iter, "max_iter")
     if not sufficient_condition(N, M, n_max):
         warnings.warn(
             "N=%d, M=%d below the sufficiency threshold (N >= %d, M >= %d) for "
@@ -618,7 +617,7 @@ def design_bins(
     required = (n_max + 1) ** 2
     best_rank = -1
     L = L0
-    for t in range(int(max_iter) + 1):
+    for t in range(max_iter + 1):
         L = L0 + t * dL
         scheme = BinningScheme.equal_spaced(M, L, tail_mode=tail_mode)
         p = build_povm(grid, scheme, n_max)

@@ -65,8 +65,7 @@ def _finite(value, what):
 def _whole(value, what, low=0):
     """``value`` as an int, or ValueError naming ``what`` unless it is a whole number >= ``low``.
 
-    Python and numpy integers and integral floats such as 3.0 pass; 3.7 is
-    refused rather than truncated.
+    Integral floats such as 3.0 pass; 3.7 is refused, not truncated.
     """
     if not (isinstance(value, numbers.Real) and float(value).is_integer()):
         raise ValueError("%s must be a whole number, got %r" % (what, value))
@@ -197,8 +196,7 @@ def coherent(alpha, n_max):
 def fock(n, n_max):
     """Photon-number eigenstate |n><n| at cutoff n_max."""
     n_max = _whole(n_max, "n_max")
-    if n < 0:
-        raise ValueError("photon number must be >= 0, got %r" % (n,))
+    n = _whole(n, "photon number")
     if n > n_max:
         raise ValueError("photon number %d exceeds cutoff n_max=%d" % (n, n_max))
     v = np.zeros(n_max + 1, dtype=complex)
@@ -221,8 +219,7 @@ def superposition_pair(alpha, beta, n, n_max):
     alpha = alpha_c.real
     beta = complex(beta)
     n_max = _whole(n_max, "n_max")
-    if n <= 0:
-        raise ValueError("superposition level must be >= 1, got %r" % (n,))
+    n = _whole(n, "superposition level", 1)
     if n > n_max:
         raise ValueError("superposition level %d exceeds cutoff n_max=%d" % (n, n_max))
     norm = alpha**2 + abs(beta) ** 2

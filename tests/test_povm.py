@@ -51,7 +51,8 @@ class TestPhaseGrid:
     (lambda: BinningScheme.equal_spaced(4.5, 3.0), "bin count M"),
     (lambda: build_povm(PhaseGrid(7), BinningScheme.equal_spaced(5, 3.0), 3.7), "n_max"),
     (lambda: pv.fockcore.bin_overlaps(np.float64(3.7), [0.0, 1.0]), "n_max"),
-], ids=["PhaseGrid", "equal_spaced", "build_povm", "bin_overlaps"])
+    (lambda: design_bins(1, 3, 2, max_iter=3.7), "max_iter"),
+], ids=["PhaseGrid", "equal_spaced", "build_povm", "bin_overlaps", "design_bins"])
 def test_fractional_count_is_refused(build, what):
     with pytest.raises(ValueError, match="^%s must be a whole number" % what):
         build()

@@ -348,19 +348,23 @@ class TestFiniteInput:
             factory(*args)
         assert str(excinfo.value) == text
 
-    # np.arange(4.7) used to build dimension 5 from a cutoff of 3.7.
-    @pytest.mark.parametrize("factory, args", [
-        (coherent, (1.0, 3.7)),
-        (fock, (1, 3.7)),
-        (superposition_pair, (1.0, 1.0, 1, 3.7)),
-        (thermal, (0.5, 3.7)),
-        (cat, (1.0, 1, 3.7)),
-        (number_operator, (3.7,)),
-    ], ids=["coherent", "fock", "superposition_pair", "thermal", "cat", "number_operator"])
-    def test_fractional_cutoff_text(self, factory, args):
+    # np.arange(4.7) used to build dimension 5 from a cutoff of 3.7, and a
+    # fractional level failed as an IndexError.
+    @pytest.mark.parametrize("factory, args, what", [
+        (coherent, (1.0, 3.7), "n_max"),
+        (fock, (1, 3.7), "n_max"),
+        (superposition_pair, (1.0, 1.0, 1, 3.7), "n_max"),
+        (thermal, (0.5, 3.7), "n_max"),
+        (cat, (1.0, 1, 3.7), "n_max"),
+        (number_operator, (3.7,), "n_max"),
+        (fock, (3.7, 4), "photon number"),
+        (superposition_pair, (1.0, 1.0, 3.7, 4), "superposition level"),
+    ], ids=["coherent", "fock", "superposition_pair", "thermal", "cat", "number_operator",
+            "fock-level", "superposition_pair-level"])
+    def test_fractional_count_text(self, factory, args, what):
         with pytest.raises(ValueError) as excinfo:
             factory(*args)
-        assert str(excinfo.value) == "n_max must be a whole number, got 3.7"
+        assert str(excinfo.value) == "%s must be a whole number, got 3.7" % what
 
     def test_integral_cutoff_of_any_type(self):
         assert coherent(0.0, 3.0).dim == coherent(0.0, np.int64(3)).dim == 4
