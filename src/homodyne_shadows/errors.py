@@ -1,9 +1,27 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one check of counts.
 
 Every failure mode that a caller might want to catch programmatically gets
 its own class here; generic precondition violations (bad parameter ranges,
-mismatched dimensions) raise plain ``ValueError``.
+mismatched dimensions) raise plain ``ValueError``, and ``_whole`` checks
+every count and index that a public entry takes.
 """
+
+import numbers
+
+
+def _whole(value, what, low=0, high=None):
+    """``value`` as an int, or ValueError naming ``what`` unless it is a whole number in low..high.
+
+    Integral floats such as 3.0 pass; 3.7 is refused, not truncated.
+    ``high=None`` sets no upper bound.
+    """
+    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
+        raise ValueError("%s must be a whole number, got %r" % (what, value))
+    if high is None and value < low:
+        raise ValueError("%s must be >= %d, got %d" % (what, low, value))
+    if high is not None and not low <= value <= high:
+        raise ValueError("%s must lie in %d..%d, got %d" % (what, low, high, value))
+    return int(value)
 
 
 class HomodyneShadowsError(Exception):

@@ -22,6 +22,8 @@ import math
 
 import numpy as np
 
+from .errors import _whole
+
 __all__ = [
     "wavefunction",
     "bin_overlap",
@@ -40,8 +42,7 @@ def wavefunction(n, x):
     supported orders (n <= 64), unlike forming 2^n n! explicitly.
     Accepts scalar or array ``x``.
     """
-    if n < 0:
-        raise ValueError("Fock index must be non-negative, got %r" % (n,))
+    n = _whole(n, "Fock index n")
     psi = _wavefunctions(n, np.asarray(x, dtype=float))[n]
     return psi if psi.ndim else float(psi)
 
@@ -81,10 +82,10 @@ def bin_overlap(m, n, a, b):
     Raises
     ------
     ValueError
-        For a negative or above-64 index, and for NaN or reversed edges.
+        For an index that is not a whole number in 0..64, and for NaN or
+        reversed edges.
     """
-    if m < 0 or n < 0:
-        raise ValueError("Fock indices must be non-negative, got (%r, %r)" % (m, n))
+    m, n = _whole(m, "Fock index m", 0, 64), _whole(n, "Fock index n", 0, 64)
     return float(bin_overlaps(max(m, n), [a, b])[0, m, n])
 
 
@@ -136,11 +137,7 @@ def bin_overlaps(n_max, edges):
         integrals, (M+1, n_max+1, n_max+1), and while the stack is built a
         copy of it.
     """
-    if not (float(n_max).is_integer() and 0 <= n_max <= 64):
-        raise ValueError(
-            "n_max must be a whole number in the supported envelope 0..64, got %r" % (n_max,)
-        )
-    n_max = int(n_max)
+    n_max = _whole(n_max, "n_max", 0, 64)
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2:
         raise ValueError("need at least two bin edges, got shape %r" % (edges.shape,))

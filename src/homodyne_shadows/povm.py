@@ -36,8 +36,7 @@ import warnings
 import numpy as np
 
 from . import fockcore
-from .errors import BinDesignError, CacheKeyMismatchError
-from .states import _whole
+from .errors import BinDesignError, CacheKeyMismatchError, _whole
 
 __all__ = [
     "TAIL_EXTEND",
@@ -85,9 +84,7 @@ class PhaseGrid:
 
     def theta(self, k):
         """Phase angle of grid point k (radians)."""
-        if not 0 <= k < self.N:
-            raise ValueError("phase index %r outside 0..%d" % (k, self.N - 1))
-        return 2.0 * math.pi * k / self.N
+        return 2.0 * math.pi * _whole(k, "phase index k", 0, self.N - 1) / self.N
 
     @property
     def thetas(self):
@@ -383,10 +380,7 @@ def _offset_phases(N, d):
 
 def _outcome_matrix(F, grid, i, k):
     """F_i exp(1j*(m-n)*theta_k)/N: the element (F = G) or snapshot (F = S) of (i, k)."""
-    if not 0 <= i < F.shape[0]:
-        raise ValueError("bin index %r outside 0..%d" % (i, F.shape[0] - 1))
-    if not 0 <= k < grid.N:
-        raise ValueError("phase index %r outside 0..%d" % (k, grid.N - 1))
+    i, k = _whole(i, "bin index i", 0, F.shape[0] - 1), _whole(k, "phase index k", 0, grid.N - 1)
     d = F.shape[1]
     return F[i] * _offset_phases(grid.N, d)[_offsets(d), k] / grid.N
 
@@ -515,6 +509,11 @@ def is_informationally_complete(povm, rtol=DEFAULT_RANK_RTOL):
     return ICReport(povm, rtol)
 
 
+def _counts(N, M, n_max):
+    """The phase count, bin count and cutoff as ints, each checked by ``errors._whole``."""
+    return _whole(N, "phase count N", 1), _whole(M, "bin count M", 1), _whole(n_max, "n_max")
+
+
 def sufficient_condition(N, M, n_max):
     """The paper's sufficient counts for completeness: N >= 2*n_max+1 and M >= n_max+1.
 
@@ -527,6 +526,7 @@ def sufficient_condition(N, M, n_max):
     complete too (:func:`necessary_condition`), at N = n_max+1 in
     extend-tails mode only from M = n_max+2 on.
     """
+    N, M, n_max = _counts(N, M, n_max)
     return N >= 2 * n_max + 1 and M >= n_max + 1
 
 
@@ -547,6 +547,7 @@ def necessary_condition(N, n_max):
     (2, 3, 4) and strict-finite (4, 5, 5) (condition number 7.9e11)
     certify.
     """
+    N, n_max = _whole(N, "phase count N", 1), _whole(n_max, "n_max")
     if N >= 2 * n_max + 1:
         return True
     return n_max < N <= 2 * n_max and N % 2 == 1
@@ -558,9 +559,7 @@ def default_half_width(n_max):
     The highest retained Fock state has turning points at sqrt(2*n_max+1);
     one extra unit of quadrature comfortably covers its evanescent tail.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0, got %r" % (n_max,))
-    return math.sqrt(2.0 * n_max + 1.0) + 1.0
+    return math.sqrt(2.0 * _whole(n_max, "n_max") + 1.0) + 1.0
 
 
 def design_bins(
@@ -600,13 +599,14 @@ def design_bins(
     complete (:func:`necessary_condition` says why), so the search spends
     all its steps and raises: best rank 21 of 25 at (4, 5, 5).
     """
+    N, M, n_max = _counts(N, M, n_max)
+    max_iter = _whole(max_iter, "max_iter")
     if L0 is None:
         L0 = default_half_width(n_max)
     L0 = float(L0)
     dL = float(dL)
     if not (0 < L0 < math.inf and 0 < dL < math.inf):
         raise ValueError("L0 and dL must be finite and positive, got L0=%g, dL=%g" % (L0, dL))
-    max_iter = _whole(max_iter, "max_iter")
     if not sufficient_condition(N, M, n_max):
         warnings.warn(
             "N=%d, M=%d below the sufficiency threshold (N >= %d, M >= %d) for "

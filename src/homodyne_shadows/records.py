@@ -189,8 +189,9 @@ def _checked(records, M, N):
     grids = np.asarray([M, N])
     uniform = (grids == grids[:, :1]).all()
     order = _shot_order(t, mode)
-    repeat = np.zeros(t.size, dtype=bool)
+    repeat = np.broadcast_to(False, t.size)  # strictly sorted rows repeat no pair
     if order is not None:  # the later row of each (t, mode) pair adjacent in order
+        repeat = np.zeros(t.size, dtype=bool)
         later, earlier = order[1:], order[:-1]
         repeat[later[(t[later] == t[earlier]) & (mode[later] == mode[earlier])]] = True
     for start in range(0, t.size, _BLOCK):

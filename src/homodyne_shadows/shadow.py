@@ -28,8 +28,8 @@ import warnings
 
 import numpy as np
 
-from .errors import StrictModeSingularError
-from .povm import _adjoint, _outcome_matrix, _pairing, is_informationally_complete
+from .errors import StrictModeSingularError, _whole
+from .povm import _adjoint, _counts, _outcome_matrix, _pairing, is_informationally_complete
 from .records import _outcome_counts, checked_records
 from .states import _matrix, expectation
 
@@ -146,13 +146,11 @@ class EstimateReport:
         inversion=None,
         threshold=None,
     ):
-        if shots < 1:
-            raise ValueError("shot count must be >= 1, got %r" % (shots,))
+        self.shots = _whole(shots, "shot count", 1)
         if stderr < 0:
             raise ValueError("standard error must be >= 0, got %g" % stderr)
         self.mean = float(mean)
         self.stderr = float(stderr)
-        self.shots = int(shots)
         self.variant = variant
         self.observable_label = observable_label
         self.seed = seed
@@ -410,12 +408,15 @@ def shadow_norm(X, table, povm):
 
 
 def variance_bound(N, M, n_max, X):
-    """Closed-form worst-case bound N * (n_max+1) * M^2 * ||X||_inf^2."""
-    if N < 1 or M < 1 or n_max < 0:
-        raise ValueError(
-            "need N >= 1, M >= 1, n_max >= 0; got N=%r, M=%r, n_max=%r" % (N, M, n_max)
-        )
+    """Closed-form worst-case bound N * (n_max+1) * M^2 * ||X||_inf^2.
+
+    ``X`` is an observable or its operator norm ||X||_inf, which must be
+    finite and >= 0.
+    """
+    N, M, n_max = _counts(N, M, n_max)
     norm = X.operator_norm if hasattr(X, "operator_norm") else float(X)
+    if not 0 <= norm < math.inf:
+        raise ValueError("operator norm must be finite and >= 0, got %g" % norm)
     return float(N * (n_max + 1) * M**2 * norm**2)
 
 
@@ -426,12 +427,12 @@ def bernstein_samples(shadow_norm_value, eps, delta):
     variance proxy v (the shadow norm):
     T = ceil(2*(v + 2*eps/3)*ln(2/delta)/eps^2).
     """
-    if eps <= 0:
-        raise ValueError("accuracy eps must be positive, got %g" % eps)
+    if not 0 < eps < math.inf:
+        raise ValueError("accuracy eps must be finite and positive, got %g" % eps)
     if not 0.0 < delta < 1.0:
         raise ValueError("failure probability delta must lie in (0, 1), got %g" % delta)
-    if shadow_norm_value < 0:
-        raise ValueError("shadow norm must be >= 0, got %g" % shadow_norm_value)
+    if not 0 <= shadow_norm_value < math.inf:
+        raise ValueError("shadow norm must be finite and >= 0, got %g" % shadow_norm_value)
     T = math.ceil(2.0 * (shadow_norm_value + 2.0 * eps / 3.0) * math.log(2.0 / delta) / eps**2)
     return max(1, int(T))
 

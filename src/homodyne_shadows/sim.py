@@ -17,7 +17,9 @@ import numpy as np
 
 from . import shadow as shadow_mod
 from .errors import InvariantViolationError, MalformedRecordError, UnsupportedConfigurationError
+from .errors import _whole
 from .povm import TAIL_EXTEND, BinningScheme, PhaseGrid, PovmSet, build_povm, default_half_width
+from .povm import _counts
 # write_records and ingest_records stay reachable as sim.*, the names the CLI calls them by.
 from .records import _BLOCK, Records, _checked, _index_dtype, ingest_records, write_records
 from .shadow import EstimateReport, outcome_probabilities, snapshot_values
@@ -217,8 +219,7 @@ def sample(dist, T, seed, mode=0):
     Deterministic for fixed (dist, T, seed): shot t consumes the t-th value
     of the counter-based stream, independent of batching or worker count.
     """
-    if T < 1:
-        raise ValueError("shot count T must be >= 1, got %r" % (T,))
+    T = _whole(T, "shot count T", 1)
     if dist.total <= 0.0:
         raise ValueError("cannot sample from an all-zero outcome distribution")
     k_of, i_of = _outcome_tables(dist.M, dist.N)
@@ -253,8 +254,9 @@ def indistinguishability_experiment(n_max, N, M, binning=None, fock_level=None):
     regimes pass ``fock_level`` explicitly to run the same construction as a
     control (an informationally complete POVM then shows a finite gap).
     """
+    N, M, n_max = _counts(N, M, n_max)
     if fock_level is not None:
-        level = int(fock_level)
+        level = _whole(fock_level, "fock_level", 1)
     elif N <= n_max:
         level = N
     elif n_max < N <= 2 * n_max and N % 2 == 0:
@@ -375,8 +377,7 @@ def sample_multi(dist, T, seed):
     derived from (seed, mode); dense joint states are sampled on the flat
     joint index.  Deterministic either way.
     """
-    if T < 1:
-        raise ValueError("shot count T must be >= 1, got %r" % (T,))
+    T = _whole(T, "shot count T", 1)
     # Shot-major, mode-minor rows: row t*S + j is mode j of shot t.
     S = dist.config.S
     tables = [_outcome_tables(p.binning.M, p.grid.N) for p in dist.config.povms]

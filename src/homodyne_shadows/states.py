@@ -12,12 +12,11 @@ size n_max+1.
 
 import json
 import math
-import numbers
 import warnings
 
 import numpy as np
 
-from .errors import InvariantViolationError
+from .errors import InvariantViolationError, _whole
 
 __all__ = [
     "DensityMatrix",
@@ -60,18 +59,6 @@ def _finite(value, what):
     if not np.isfinite(value):
         raise ValueError("%s must be finite, got %s" % (what, value))
     return value
-
-
-def _whole(value, what, low=0):
-    """``value`` as an int, or ValueError naming ``what`` unless it is a whole number >= ``low``.
-
-    Integral floats such as 3.0 pass; 3.7 is refused, not truncated.
-    """
-    if not (isinstance(value, numbers.Real) and float(value).is_integer()):
-        raise ValueError("%s must be a whole number, got %r" % (what, value))
-    if value < low:
-        raise ValueError("%s must be >= %d, got %d" % (what, low, value))
-    return int(value)
 
 
 def _abs2(alpha):

@@ -31,12 +31,14 @@ def _package_imports(node):
 
 
 def test_import_graph():
-    graph, nested = {}, []
+    graph, nested, whole = {}, [], []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         top = set(map(id, tree.body))
         graph[path.stem] = set()
         for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_whole":
+                whole.append(path.stem)
             names = _package_imports(node)
             graph[path.stem].update(names)
             if names and id(node) not in top:
@@ -51,3 +53,6 @@ def test_import_graph():
         left = {name: deps - leaves for name, deps in left.items() if name not in leaves}
     # The record stream depends on nothing in the package but its error types.
     assert graph["records"] == {"errors"}
+    # One rule for every count, errors._whole, so the POVM needs nothing from states.
+    assert whole == ["errors"]
+    assert "states" not in graph["povm"]

@@ -1,5 +1,6 @@
 """Tests for POVM construction, completeness certification, and bin design."""
 
+import functools
 import json
 import math
 import time
@@ -9,10 +10,27 @@ import numpy as np
 import pytest
 from scipy import special
 
+from homodyne_shadows import fockcore
 from homodyne_shadows import povm as pv
 from homodyne_shadows.errors import BinDesignError, CacheKeyMismatchError
-from homodyne_shadows.shadow import frame_operator, invert_frame, shadow_norm, snapshots
-from homodyne_shadows.states import number_operator
+from homodyne_shadows.records import Records
+from homodyne_shadows.shadow import (
+    EstimateReport,
+    frame_operator,
+    invert_frame,
+    shadow_norm,
+    snapshots,
+    variance_bound,
+)
+from homodyne_shadows.sim import (
+    MultiModeConfig,
+    indistinguishability_experiment,
+    joint_distribution,
+    outcome_distribution,
+    sample,
+    sample_multi,
+)
+from homodyne_shadows.states import fock, number_operator
 from homodyne_shadows.povm import (
     BinningScheme,
     PhaseGrid,
@@ -44,18 +62,127 @@ class TestPhaseGrid:
             PhaseGrid(3).theta(3)
 
 
-# int() used to truncate these counts: PhaseGrid(2.5) had N = 2, and a
-# cutoff of 3.7 built a 4 x 4 POVM.
+@functools.cache
+def _small():
+    """An IC (n_max=1, N=3, M=3) POVM, its snapshot table and one- and two-mode distributions."""
+    p = build_povm(PhaseGrid(3), design_bins(1, 3, 3), 1)
+    table = snapshots(p, invert_frame(frame_operator(p)))
+    dist = outcome_distribution(fock(1, 1), p)
+    multi = joint_distribution([fock(1, 1), fock(0, 1)], MultiModeConfig([p, p]))
+    return p, table, dist, multi
+
+
+# Every count and index that a public entry takes goes through one rule,
+# errors._whole, before any other work.  int() used to truncate some of these
+# (PhaseGrid(2.5) had N = 2, a cutoff of 3.7 built a 4 x 4 POVM), others were
+# used as given (variance_bound(7.5, 5, 3, 1.0) gave 750.0) or checked only
+# after design_bins warned about them.
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("build, what", [
     (lambda: PhaseGrid(2.5), "phase count N"),
     (lambda: BinningScheme.equal_spaced(4.5, 3.0), "bin count M"),
     (lambda: build_povm(PhaseGrid(7), BinningScheme.equal_spaced(5, 3.0), 3.7), "n_max"),
     (lambda: pv.fockcore.bin_overlaps(np.float64(3.7), [0.0, 1.0]), "n_max"),
     (lambda: design_bins(1, 3, 2, max_iter=3.7), "max_iter"),
-], ids=["PhaseGrid", "equal_spaced", "build_povm", "bin_overlaps", "design_bins"])
+    (lambda: design_bins(3.7, 7, 5), "n_max"),
+    (lambda: design_bins(3, 7.5, 5), "phase count N"),
+    (lambda: design_bins(3, 7, 5.5), "bin count M"),
+    (lambda: design_bins(3.7, 7, 5, L0=math.nan), "n_max"),
+    (lambda: fockcore.wavefunction(2.5, 0.3), "Fock index n"),
+    (lambda: fockcore.bin_overlap(1.5, 0, 0.0, 1.0), "Fock index m"),
+    (lambda: fockcore.bin_overlap(0, 1.5, 0.0, 1.0), "Fock index n"),
+    (lambda: pv.default_half_width(3.5), "n_max"),
+    (lambda: sufficient_condition(7.5, 5, 3), "phase count N"),
+    (lambda: sufficient_condition(7, 5.5, 3), "bin count M"),
+    (lambda: sufficient_condition(7, 5, 3.5), "n_max"),
+    (lambda: necessary_condition(7.5, 3), "phase count N"),
+    (lambda: necessary_condition(7, 3.5), "n_max"),
+    (lambda: variance_bound(7.5, 5, 3, 1.0), "phase count N"),
+    (lambda: variance_bound(7, 5.5, 3, 1.0), "bin count M"),
+    (lambda: variance_bound(7, 5, 3.5, 1.0), "n_max"),
+    (lambda: EstimateReport(1.0, 0.1, 2.5, "plain-mean"), "shot count"),
+    (lambda: sample(_small()[2], 2.5, 1), "shot count T"),
+    (lambda: sample_multi(_small()[3], 2.5, 1), "shot count T"),
+    (lambda: indistinguishability_experiment(3.5, 6, 4), "n_max"),
+    (lambda: indistinguishability_experiment(3, 6.5, 4), "phase count N"),
+    (lambda: indistinguishability_experiment(3, 6, 4.5), "bin count M"),
+    (lambda: indistinguishability_experiment(2, 5, 3, fock_level=2.5), "fock_level"),
+    (lambda: PhaseGrid(7).theta(1.5), "phase index k"),
+    (lambda: _small()[0].element(0.5, 0), "bin index i"),
+    (lambda: _small()[0].element(0, 0.5), "phase index k"),
+    (lambda: _small()[1].snapshot(0.5, 0), "bin index i"),
+    (lambda: _small()[1].snapshot(0, 0.5), "phase index k"),
+], ids=[
+    "PhaseGrid", "equal_spaced", "build_povm", "bin_overlaps", "design_bins",
+    "design_bins-n_max", "design_bins-N", "design_bins-M", "design_bins-before-L0",
+    "wavefunction", "bin_overlap-m", "bin_overlap-n", "default_half_width",
+    "sufficient-N", "sufficient-M", "sufficient-n_max", "necessary-N", "necessary-n_max",
+    "variance_bound-N", "variance_bound-M", "variance_bound-n_max", "EstimateReport",
+    "sample", "sample_multi", "indistinguishability-n_max", "indistinguishability-N",
+    "indistinguishability-M", "indistinguishability-fock_level", "theta",
+    "element-i", "element-k", "snapshot-i", "snapshot-k",
+])
 def test_fractional_count_is_refused(build, what):
     with pytest.raises(ValueError, match="^%s must be a whole number" % what):
         build()
+
+
+def _exact(x):
+    """A key equal for two results only when they are bit-identical and of the same types."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, Records):
+        return tuple(_exact(c) for c in x.columns())
+    if isinstance(x, BinningScheme):
+        return _exact(x.edges), x.tail_mode
+    if isinstance(x, EstimateReport):
+        return repr(x.to_json())
+    return type(x), repr(x)
+
+
+# The twin of the table above: an integral float gives the int's result.
+# Before, the first six raised TypeError or IndexError, and the report kept
+# the float counts.
+@pytest.mark.parametrize("call", [
+    lambda c: fockcore.wavefunction(c(2), np.linspace(-2.0, 2.0, 5)),
+    lambda c: fockcore.bin_overlap(c(1), c(0), 0.0, 1.0),
+    lambda c: sample(_small()[2], c(3), 1),
+    lambda c: sample_multi(_small()[3], c(2), 1),
+    lambda c: _small()[0].element(c(1), c(2)),
+    lambda c: _small()[1].snapshot(c(1), c(2)),
+    lambda c: indistinguishability_experiment(c(3), c(6), c(4)),
+    lambda c: indistinguishability_experiment(c(2), c(5), c(3), fock_level=c(2)),
+    lambda c: fockcore.bin_overlaps(c(3), [0.0, 1.0]),
+    lambda c: design_bins(c(3), c(7), c(5), max_iter=c(3)),
+    lambda c: pv.default_half_width(c(3)),
+    lambda c: sufficient_condition(c(7), c(5), c(3)),
+    lambda c: necessary_condition(c(7), c(3)),
+    lambda c: variance_bound(c(7), c(5), c(3), 1.0),
+    lambda c: EstimateReport(1.0, 0.1, c(3), "plain-mean"),
+    lambda c: PhaseGrid(7).theta(c(2)),
+], ids=[
+    "wavefunction", "bin_overlap", "sample", "sample_multi", "element", "snapshot",
+    "indistinguishability", "indistinguishability-fock_level", "bin_overlaps", "design_bins",
+    "default_half_width", "sufficient", "necessary", "variance_bound", "EstimateReport", "theta",
+])
+def test_integral_float_count_gives_the_int_result(call):
+    assert _exact(call(float)) == _exact(call(int))
+
+
+# A whole number out of range names the index, not the cutoff it would set.
+@pytest.mark.parametrize("call, message", [
+    (lambda: fockcore.bin_overlap(0, 65, 0.0, 1.0), "Fock index n must lie in 0..64, got 65"),
+    (lambda: fockcore.bin_overlap(-1, 0, 0.0, 1.0), "Fock index m must lie in 0..64, got -1"),
+    (lambda: fockcore.bin_overlaps(65, [0.0, 1.0]), "n_max must lie in 0..64, got 65"),
+    (lambda: fockcore.wavefunction(-1, 0.0), "Fock index n must be >= 0, got -1"),
+    (lambda: PhaseGrid(7).theta(7), "phase index k must lie in 0..6, got 7"),
+    (lambda: _small()[0].element(3, 0), "bin index i must lie in 0..2, got 3"),
+    (lambda: _small()[1].snapshot(0, -1), "phase index k must lie in 0..2, got -1"),
+], ids=["bin_overlap-n", "bin_overlap-m", "bin_overlaps", "wavefunction", "theta", "element",
+        "snapshot"])
+def test_index_out_of_range_is_named(call, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        call()
 
 
 def test_integral_counts_of_any_type_are_accepted():

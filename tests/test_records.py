@@ -586,6 +586,16 @@ class TestFoldMemory:
         _, table = setup_223
         assert _traced_peak(lambda: reconstruct_state(stream, table)) <= 2 * 2**20
 
+    def test_sorted_multi_mode_check_peak(self, setup_223):
+        # sample_multi's rows are strictly sorted by (t, mode), so no pair can
+        # repeat and the check needs no repeat mask over the stream.
+        povm, _ = setup_223
+        dist = joint_distribution([fock(1, 2), fock(0, 2)], MultiModeConfig([povm, povm]))
+        stream = sample_multi(dist, self.T // 2, seed=4)
+        M, N = [povm.binning.M] * 2, [povm.grid.N] * 2
+        assert len(stream) == self.T
+        assert _traced_peak(lambda: checked_records(stream, M, N)) <= 0.5 * 2**20  # mask: 0.95 MiB
+
     def test_sampled_records_hold_three_columns(self, setup_223):
         povm, _ = setup_223
         dist = outcome_distribution(fock(1, 2), povm)

@@ -1,5 +1,6 @@
 """Tests for frame inversion, snapshots, and estimator statistics."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -438,6 +439,12 @@ class TestVarianceBound:
         with pytest.raises(ValueError):
             variance_bound(0, 4, 1, obs)
 
+    # A NaN norm gave a NaN bound, and a negative one the bound of its absolute value.
+    @pytest.mark.parametrize("norm", [math.nan, math.inf, -1.0])
+    def test_unusable_norm_is_refused(self, norm):
+        with pytest.raises(ValueError, match="^operator norm must be finite and >= 0, got "):
+            variance_bound(7, 5, 3, norm)
+
 
 class TestBernsteinSamples:
     def test_reference_point(self):
@@ -458,6 +465,17 @@ class TestBernsteinSamples:
             bernstein_samples(1.0, 0.1, 1.0)
         with pytest.raises(ValueError):
             bernstein_samples(-1.0, 0.1, 0.05)
+
+    # These raised "cannot convert float NaN to integer" or OverflowError.
+    @pytest.mark.parametrize("args, what", [
+        ((1.0, math.nan, 0.05), "accuracy eps"),
+        ((1.0, math.inf, 0.05), "accuracy eps"),
+        ((math.nan, 0.1, 0.05), "shadow norm"),
+        ((math.inf, 0.1, 0.05), "shadow norm"),
+    ], ids=["eps-nan", "eps-inf", "norm-nan", "norm-inf"])
+    def test_non_finite_input_is_named(self, args, what):
+        with pytest.raises(ValueError, match="^%s must be finite" % what):
+            bernstein_samples(*args)
 
 
 class TestReconstructState:
