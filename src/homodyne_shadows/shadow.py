@@ -199,9 +199,10 @@ def invert_frame(frame, mode=MODE_STRICT, threshold=DEFAULT_THRESHOLD):
     """Invert a frame operator strictly or by Moore-Penrose pseudoinverse.
 
     Strict mode demands lambda_min > threshold and inverts every eigenvalue;
-    pseudo mode inverts only eigenvalues above the threshold and zeroes the
-    rest, projecting onto the frame's range.  The threshold must be finite
-    and >= 0; :func:`snapshots` applies the inverse.
+    pseudo mode demands lambda_max > threshold, inverts only eigenvalues
+    above the threshold and zeroes the rest, projecting onto the frame's
+    range.  The threshold must be finite and >= 0; :func:`snapshots`
+    applies the inverse.
     """
     if mode not in (MODE_STRICT, MODE_PSEUDO):
         raise ValueError("mode must be 'strict' or 'pseudo', got %r" % (mode,))
@@ -213,6 +214,11 @@ def invert_frame(frame, mode=MODE_STRICT, threshold=DEFAULT_THRESHOLD):
             "(lambda_min = %.3e <= %.3e); use pseudo mode to project onto "
             "the measurable subspace" % (frame.lambda_min, threshold),
             lambda_min=frame.lambda_min,
+        )
+    if mode == MODE_PSEUDO and frame.eigenvalues[-1] <= threshold:
+        raise ValueError(
+            "pseudo inverse keeps no frame direction: threshold %.3e >= lambda_max = %.3e, "
+            "so every snapshot would be zero" % (threshold, frame.eigenvalues[-1])
         )
     return InverseFrame(mode, threshold, frame)
 
@@ -296,6 +302,20 @@ def _batching(variant, T):
     return [b * q + min(b, r) for b in range(B + 1)], "median-of-means:%d" % B
 
 
+def _median(values):
+    """``np.median`` of a non-empty 1-D sequence of floats, bit for bit.
+
+    These are ``np.median``'s own steps: the same partition, then the mean
+    of the middle value or of the middle two (so a zero median is +0.0),
+    and NaN if the partition's last value is NaN.
+    """
+    # Not np.median, which loads numpy.ma (+1.2 MB RSS) on first call.
+    a = np.asarray(values, dtype=float)
+    h, odd = divmod(a.size, 2)
+    part = np.partition(a, [h, -1] if odd else [h - 1, h, -1])
+    return float(part[-1] if np.isnan(part[-1]) else np.mean(part[h - 1 + odd:h + 1]))
+
+
 def _aggregate(values, variant="plain-mean"):
     """Fold per-shot values into ``(mean, stderr, variant label)``, using ``values`` as scratch.
 
@@ -308,7 +328,7 @@ def _aggregate(values, variant="plain-mean"):
     """
     T = values.size
     bounds, label = _batching(variant, T)
-    mean = float(np.median([np.mean(chunk) for chunk in np.split(values, bounds[1:-1])]))
+    mean = _median([np.mean(chunk) for chunk in np.split(values, bounds[1:-1])])
     stderr = 0.0
     if T > 1:
         values -= np.add.reduce(values, keepdims=True) / T
@@ -345,7 +365,7 @@ def estimate_observable(records, table, X, variant="plain-mean"):
     plain = counts @ v / T
     stderr = math.sqrt(counts @ (v - plain) ** 2 / (T - 1) / T) if T > 1 else 0.0
     return EstimateReport(
-        float(np.median(means)),
+        _median(means),
         stderr,
         T,
         variant_str,
@@ -425,7 +445,8 @@ def bernstein_samples(shadow_norm_value, eps, delta):
 
     Solves 2*exp(-T*eps^2/2 / (v + 2*eps/3)) <= delta for the Bernstein
     variance proxy v (the shadow norm):
-    T = ceil(2*(v + 2*eps/3)*ln(2/delta)/eps^2).
+    T = ceil(2*(v + 2*eps/3)*ln(2/delta)/eps^2).  A T beyond the float
+    range raises ``ValueError``.
     """
     if not 0 < eps < math.inf:
         raise ValueError("accuracy eps must be finite and positive, got %g" % eps)
@@ -433,8 +454,16 @@ def bernstein_samples(shadow_norm_value, eps, delta):
         raise ValueError("failure probability delta must lie in (0, 1), got %g" % delta)
     if not 0 <= shadow_norm_value < math.inf:
         raise ValueError("shadow norm must be finite and >= 0, got %g" % shadow_norm_value)
-    T = math.ceil(2.0 * (shadow_norm_value + 2.0 * eps / 3.0) * math.log(2.0 / delta) / eps**2)
-    return max(1, int(T))
+    # eps**2 and 2/delta (subnormal delta) can leave the float range while T
+    # does not.  Here a step overflows only if T does: a division by eps >= 1
+    # cannot, and every later factor is > 1 when eps < 1.
+    T = (shadow_norm_value / eps + 2.0 / 3.0) / eps * (2.0 * (math.log(2.0) - math.log(delta)))
+    if T == math.inf:
+        raise ValueError(
+            "shot count for shadow norm %g, eps %g and delta %g exceeds the float range"
+            % (shadow_norm_value, eps, delta)
+        )
+    return max(1, math.ceil(T))
 
 
 def _project_simplex(lam):

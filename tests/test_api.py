@@ -1,6 +1,10 @@
 """The public names each module exports, and how the modules import each other."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,3 +60,69 @@ def test_import_graph():
     # One rule for every count, errors._whole, so the POVM needs nothing from states.
     assert whole == ["errors"]
     assert "states" not in graph["povm"]
+
+
+# Every public entry, then ``hshadow``'s five subcommands, in one process.
+# The last line printed is {"preloaded": ..., "loaded": [...]}: whether
+# ``import numpy`` alone loaded numpy.ma, and which numpy.ma modules the
+# package loaded after it.
+_ENTRIES = r"""
+import contextlib, io, json, os, sys, tempfile, warnings
+import numpy as np
+preloaded = "numpy.ma" in sys.modules
+warnings.simplefilter("ignore")
+import homodyne_shadows as hs
+from homodyne_shadows import cli
+
+with tempfile.TemporaryDirectory() as d, contextlib.redirect_stdout(io.StringIO()):
+    path = lambda name: os.path.join(d, name)
+    binning = hs.design_bins(3, 7, 5)
+    povm = hs.build_povm(hs.PhaseGrid(7), binning, 3)
+    hs.is_informationally_complete(povm)
+    frame = hs.frame_operator(povm)
+    strict = hs.snapshots(povm, hs.invert_frame(frame))
+    pseudo = hs.snapshots(povm, hs.invert_frame(frame, "pseudo", 1e-3))
+    rho, X = hs.coherent(1.0, 3), hs.number_operator(3)
+    hs.shadow_norm(X, strict, povm)
+    hs.exact_variance(rho, X, strict, povm)
+    hs.write_records(path("r.csv"), hs.sample(hs.outcome_distribution(rho, povm), 1000, seed=1))
+    records = hs.ingest_records(path("r.csv"))
+    for table in (strict, pseudo):
+        for variant in ("plain-mean", "median-of-means:7"):
+            hs.estimate_observable(records, table, X, variant)
+    hs.reconstruct_state(records, strict, project=True)
+    config = hs.MultiModeConfig([povm, povm])
+    hs.joint_distribution(np.kron(rho.matrix, rho.matrix), config)
+    multi = hs.sample_multi(hs.joint_distribution([rho, rho], config), 500, seed=1)
+    for variant in ("plain-mean", "median-of-means:7"):
+        hs.estimate_local(multi, config, {0: strict, 1: strict}, {0: X, 1: X}, variant)
+    with open(path("raw.csv"), "w") as fh:
+        fh.write("t,mode,k,x\n0,0,0,0.5\n1,0,3,-9.0\n")
+    hs.bin_raw(path("raw.csv"), povm.grid, binning)
+    scheme = ["--scheme", path("s.json")]
+    for argv in (
+        ["design-bins", "--nmax", "3", "--phases", "7", "--bins", "5", "--out", path("s.json")],
+        ["check-ic", *scheme, "--json"],
+        ["simulate", *scheme, "--state", "cat:1.0", "--T", "700", "--seed", "2",
+         "--out", path("c.csv")],
+        ["estimate", *scheme, "--records", path("c.csv"), "--variant", "median-of-means:7"],
+        ["variance-scan", "--sweep", "phases", "--values", "6,7", "--nmax", "3", "--bins", "8"],
+    ):
+        assert cli.main(argv) == cli.EXIT_OK, argv
+print(json.dumps({"preloaded": preloaded,
+                  "loaded": sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"])}))
+"""
+
+
+def test_no_entry_loads_numpy_ma():
+    # np.median and np.unique import numpy.ma on first call under numpy >= 2:
+    # about 1.2 MB of max RSS and 8-11 ms in every process that reaches them.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _ENTRIES], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    if result["preloaded"]:
+        pytest.skip("import numpy alone loads numpy.ma (numpy 1.x)")
+    assert result["loaded"] == []

@@ -226,6 +226,27 @@ def mirror_case(request):
         return build_povm(PhaseGrid(N), factory(), n_max)
 
 
+# d <= 9 and N <= 2d + 2 hold aliased grids (N < 2d - 1), complete ones and the
+# self-mirror class N/2 of even N.
+@pytest.mark.parametrize("d", range(1, 10))
+def test_phase_classes_match_unique_enumeration(d):
+    m, n = np.indices((d, d))
+    for N in range(1, 2 * d + 3):
+        cls = (m - n) % N
+        expected = []
+        for r in np.unique(cls):
+            if 2 * r > N:
+                break
+            sel = cls == r
+            rows = [m[sel] + n[sel] * d, n[sel] + m[sel] * d]
+            expected.append(np.array(rows[: 2 if 0 < 2 * r < N else 1]))
+        got = pv._phase_classes(d, N)
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert not a.flags.writeable
+
+
 def _own_blocks(p, r):
     """vec index, weighted block B and its thin SVD (U, s, Wt) of class r from its own rows."""
     d, N = p.dim, p.grid.N

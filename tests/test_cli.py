@@ -631,6 +631,22 @@ class TestEstimate:
         assert code == EXIT_DATA
         assert "singular" in capsys.readouterr().err
 
+    # The threshold passes lambda_max = 0.105 of the designed (3,7,5) frame.
+    # Every snapshot was zero, and the report read 0.0 +- 0.0 with exit 0.
+    def test_pseudo_threshold_above_the_spectrum_exits_65(self, tmp_path, capsys):
+        records = tmp_path / "records.csv"
+        grid = ["--nmax", "3", "--phases", "7", "--bins", "5"]
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", ".*loses probability", UserWarning)
+            assert run(["simulate", *grid, "--state", "coherent:1.0", "--T", "500", "--seed", "1",
+                        "--out", str(records)]) == EXIT_OK
+        capsys.readouterr()
+        code = run(["estimate", "--records", str(records), *grid, "--inversion", "pseudo",
+                    "--threshold", "1e300", "--json"])
+        captured = capsys.readouterr()
+        assert code == EXIT_DATA and captured.out == ""
+        assert "threshold 1.000e+300 >= lambda_max = 1.049e-01" in captured.err
+
 
 class TestVarianceScan:
     # At a cutoff of 1 the unit coherent probe is heavily truncated and

@@ -131,6 +131,19 @@ class TestInvertFrame:
         with pytest.raises(ValueError):
             invert_frame(frame_operator(small_povm), mode="exact")
 
+    # A pseudo threshold at or above lambda_max kept no direction: every
+    # snapshot was zero, and so was every estimate.
+    def test_pseudo_threshold_must_keep_a_direction(self, small_povm):
+        frame = frame_operator(small_povm)
+        lambda_max = float(frame.eigenvalues[-1])
+        for threshold in (lambda_max, 1e300):
+            with pytest.raises(ValueError, match="keeps no frame direction: threshold .* >= "
+                               "lambda_max = %.3e" % lambda_max):
+                invert_frame(frame, mode=sh.MODE_PSEUDO, threshold=threshold)
+        below = np.nextafter(lambda_max, 0.0)
+        table = snapshots(small_povm, invert_frame(frame, mode=sh.MODE_PSEUDO, threshold=below))
+        assert np.count_nonzero(table.S) > 0
+
 
 class TestSnapshots:
     def test_snapshots_are_hermitian(self, small_table):
@@ -260,6 +273,31 @@ class TestPseudoMode:
         avg0 = exact_average_snapshot(P0, table)
         avg1 = exact_average_snapshot(P1, table)
         assert np.max(np.abs(avg0 - avg1)) <= 1e-9
+
+
+_signed_magnitudes = st.builds(lambda sign, m: sign * m, st.sampled_from([-1.0, 1.0]),
+                               st.floats(1e-6, 1e6))
+
+
+class TestMedian:
+    """``shadow._median`` against ``np.median``, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 64), data=st.data())
+    def test_equals_np_median(self, n, data):
+        # Values drawn from a pool of at most n, so smaller pools give ties.
+        pool = data.draw(st.lists(_signed_magnitudes, min_size=1, max_size=n))
+        values = data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+        expected = float(np.median(values)).hex()
+        assert sh._median(values).hex() == expected
+        assert sh._median([np.float64(v) for v in values]).hex() == expected
+
+    @pytest.mark.parametrize("values", [
+        [0.0, -0.0, 1.0], [-0.0, 0.0, -1.0], [-0.0, -0.0], [0.0, -0.0],
+        [1.0, np.nan, 2.0], [np.nan], [3.0, 1.0, np.inf, -np.inf],
+    ])
+    def test_signed_zero_nan_and_inf(self, values):
+        assert sh._median(values).hex() == float(np.median(values)).hex()
 
 
 class TestEstimateObservable:
@@ -476,6 +514,21 @@ class TestBernsteinSamples:
     def test_non_finite_input_is_named(self, args, what):
         with pytest.raises(ValueError, match="^%s must be finite" % what):
             bernstein_samples(*args)
+
+    # These raised ZeroDivisionError (eps**2 underflowed) or OverflowError.
+    @pytest.mark.parametrize("args", [(1.0, 1e-200, 0.05), (1e308, 1e-3, 0.05)],
+                             ids=["eps-tiny", "norm-huge"])
+    def test_count_beyond_the_float_range_is_named(self, args):
+        with pytest.raises(ValueError, match="^shot count for shadow norm .* exceeds the float"):
+            bernstein_samples(*args)
+
+    def test_extreme_finite_input_gives_the_count(self):
+        # These raised OverflowError, from 2/1e-320 or eps**2, though T is finite.
+        T = bernstein_samples(1.0, 0.1, 1e-320)
+        expected = 2 * (1.0 + 0.2 / 3) * (math.log(2.0) - math.log(1e-320)) / 0.01
+        assert T == math.ceil(expected) == 157338
+        assert bernstein_samples(1.0, 1e200, 0.05) == 1
+        assert bernstein_samples(1e308, 1e300, 0.05) == 1
 
 
 class TestReconstructState:
