@@ -31,7 +31,6 @@ from .povm import (
     design_bins,
     is_informationally_complete,
     load_parameters,
-    load_povm,
     necessary_condition,
     normalization_residual,
     save_povm,

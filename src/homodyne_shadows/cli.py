@@ -297,13 +297,13 @@ def _resolve_povm(args):
     if args.scheme and given:
         raise UsageError("--scheme fixes the binning; drop %s" % ", ".join(given))
     cache = args.povm_cache
-    if not (cache and os.path.exists(cache)):
-        n_max, N, scheme = _requested_povm(args)
-        built = povm_mod.build_povm(povm_mod.PhaseGrid(N), scheme, n_max)
+    cached = bool(cache) and os.path.exists(cache)
+    n_max, N, scheme = povm_mod.load_parameters(cache) if cached else _requested_povm(args)
+    povm = povm_mod.build_povm(povm_mod.PhaseGrid(N), scheme, n_max)
+    if not cached:
         if cache:
-            povm_mod.save_povm(built, cache)
-        return built
-    povm = povm_mod.load_povm(cache)
+            povm_mod.save_povm(povm, cache)
+        return povm
     try:
         wanted = _requested_povm(args)
         held = (povm.n_max, povm.grid.N, povm.binning)

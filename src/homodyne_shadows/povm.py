@@ -24,11 +24,10 @@ goes through one pairing of a matrix with all outcomes and its adjoint
 (``_pairing``, ``_adjoint``); a single element matrix is built only on
 request.  It also designs bin edges that achieve completeness and saves a
 POVM as a versioned JSON file of its defining parameters (cutoff, phase
-count, bin edges and tail mode), from which a load rebuilds it.
+count, bin edges and tail mode), from which ``build_povm`` rebuilds it.
 """
 
 import functools
-import hashlib
 import json
 import math
 import warnings
@@ -52,11 +51,8 @@ __all__ = [
     "default_half_width",
     "design_bins",
     "normalization_residual",
-    "vectorize",
-    "devectorize",
     "save_povm",
     "load_parameters",
-    "load_povm",
     "povm_cache_key",
 ]
 
@@ -436,16 +432,6 @@ def _singular_values(povm, pairs):
     return np.concatenate([s, np.zeros(min(povm.dim**2, povm.n_outcomes) - s.size)])
 
 
-def vectorize(A):
-    """Column-stacking vectorization of a square matrix."""
-    return np.asarray(A).reshape(-1, order="F")
-
-
-def devectorize(v, d):
-    """Inverse of :func:`vectorize` for a d x d matrix."""
-    return np.asarray(v).reshape((d, d), order="F")
-
-
 def _rank(povm, s, rtol):
     """Count of descending singular values s of E above rtol * s_max * max(d^2, N*M).
 
@@ -655,6 +641,8 @@ def normalization_residual(povm):
 
 def povm_cache_key(n_max, N, edges, tail_mode):
     """Deterministic content hash of the POVM-defining parameters."""
+    import hashlib  # here, not at the top: +3.5 MB RSS in every run that hashes nothing
+
     payload = json.dumps(
         {
             "n_max": int(n_max),
@@ -668,7 +656,7 @@ def povm_cache_key(n_max, N, edges, tail_mode):
 
 
 def save_povm(povm, path, **extra):
-    """Write the POVM's parameter file, from which :func:`load_povm` rebuilds it bit for bit.
+    """Write the POVM's parameter file, which :func:`load_parameters` reads back bit for bit.
 
     The JSON object holds ``version``, ``n_max``, ``N``, ``M``,
     ``tail_mode``, ``edges`` and ``cache_key``, then the ``extra`` fields
@@ -733,9 +721,3 @@ def load_parameters(path):
     except (KeyError, TypeError, ValueError) as exc:
         raise CacheKeyMismatchError("bad parameter file %s: %s" % (path, exc)) from exc
     return n_max, N, binning
-
-
-def load_povm(path):
-    """Rebuild the POVM that a parameter file describes (see :func:`load_parameters`)."""
-    n_max, N, binning = load_parameters(path)
-    return build_povm(PhaseGrid(N), binning, n_max)

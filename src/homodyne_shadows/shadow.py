@@ -131,20 +131,13 @@ class EstimateReport:
 
     ``inversion`` and ``threshold`` name how the frame behind the snapshots
     was inverted (the :class:`SnapshotTable`'s mode and eigenvalue
-    threshold); :func:`estimate_observable` fills them in.
+    threshold, keyword-only); :func:`estimate_observable` fills them in.
+    ``seed`` and ``povm_cache_key`` start as ``None``; ``hshadow estimate``
+    sets them.
     """
 
     def __init__(
-        self,
-        mean,
-        stderr,
-        shots,
-        variant,
-        observable_label="X",
-        seed=None,
-        povm_cache_key=None,
-        inversion=None,
-        threshold=None,
+        self, mean, stderr, shots, variant, observable_label="X", *, inversion=None, threshold=None
     ):
         self.shots = _whole(shots, "shot count", 1)
         if stderr < 0:
@@ -153,8 +146,8 @@ class EstimateReport:
         self.stderr = float(stderr)
         self.variant = variant
         self.observable_label = observable_label
-        self.seed = seed
-        self.povm_cache_key = povm_cache_key
+        self.seed = None
+        self.povm_cache_key = None
         self.inversion = inversion
         self.threshold = threshold
 
@@ -488,7 +481,7 @@ def reconstruct_state(records, table, project=False):
     if total == 0:
         raise ValueError("record stream is empty")
     counts = next(_outcome_counts(records, table.M, table.N, (0, total)))
-    avg = _adjoint(counts.reshape(table.M, table.N) / total, table.S, table.grid)
+    avg = exact_average_snapshot(counts.reshape(table.M, table.N) / total, table)
     if project:
         lam, V = np.linalg.eigh(avg)
         lam = _project_simplex(lam)

@@ -43,19 +43,16 @@ _NEGATIVE_CLAMP = -1e-12
 
 
 class OutcomeDistribution:
-    """Exact outcome probabilities with a cumulative table for sampling.
+    """Exact outcome probabilities of one mode.
 
-    ``probabilities[i, k]`` is P(i, k); the flat cumulative table runs over
-    outcomes in column order (index k*M + i).  ``deficit`` is the
-    probability mass missing from 1 (nonzero in strict-finite mode, where
-    the Gaussian tails are unmeasured).
+    ``probabilities[i, k]`` is P(i, k).  ``deficit`` is the probability
+    mass missing from 1 (nonzero in strict-finite mode, where the Gaussian
+    tails are unmeasured).
     """
 
     def __init__(self, probabilities, deficit):
         self.probabilities = probabilities
         self.probabilities.setflags(write=False)
-        flat = probabilities.ravel(order="F")
-        self.cumulative = np.cumsum(flat)
         self.deficit = float(deficit)
 
     @property
@@ -65,10 +62,6 @@ class OutcomeDistribution:
     @property
     def N(self):
         return self.probabilities.shape[1]
-
-    @property
-    def total(self):
-        return float(self.cumulative[-1]) if self.cumulative.size else 0.0
 
     def __repr__(self):
         return "OutcomeDistribution(M=%d, N=%d, deficit=%.3e)" % (
@@ -160,6 +153,18 @@ def _uniform(z):
     return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
+def _cumulative(P, what="an"):
+    """Running sums of P over the flat outcomes o = k*M + i: the table that draws search.
+
+    ``P`` is an (M, N) table or a joint one with an axis per mode.  An
+    all-zero table raises ``ValueError``; ``what`` names it in the message.
+    """
+    cumulative = np.cumsum(P.ravel(order="F"))
+    if cumulative.size == 0 or cumulative[-1] <= 0.0:
+        raise ValueError("cannot sample from %s all-zero outcome distribution" % what)
+    return cumulative
+
+
 def _guide(cumulative, T):
     """Guide table for T draws from a cumulative table; None if T is below its size.
 
@@ -220,12 +225,10 @@ def sample(dist, T, seed, mode=0):
     of the counter-based stream, independent of batching or worker count.
     """
     T = _whole(T, "shot count T", 1)
-    if dist.total <= 0.0:
-        raise ValueError("cannot sample from an all-zero outcome distribution")
     k_of, i_of = _outcome_tables(dist.M, dist.N)
     k = np.empty(T, dtype=k_of.dtype)
     i = np.empty(T, dtype=i_of.dtype)
-    for rows, o in _draws(dist.cumulative, seed, T):
+    for rows, o in _draws(_cumulative(dist.probabilities), seed, T):
         k[rows], i[rows] = k_of[o], i_of[o]
     t = np.arange(T, dtype=_index_dtype(T - 1))
     return Records(t, np.broadcast_to(np.asarray(mode), T), k, i)
@@ -385,17 +388,13 @@ def sample_multi(dist, T, seed):
     i = np.empty((T, S), dtype=np.result_type(*(i_of for _, i_of in tables)))
     if dist.factors is not None:
         for j, f in enumerate(dist.factors):
-            if f.total <= 0.0:
-                raise ValueError("mode %d has an all-zero outcome distribution" % j)
+            cumulative = _cumulative(f.probabilities, "mode %d's" % j)
             k_of, i_of = tables[j]
-            for rows, o in _draws(f.cumulative, _derive_seed(seed, j), T):
+            for rows, o in _draws(cumulative, _derive_seed(seed, j), T):
                 k[rows, j], i[rows, j] = k_of[o], i_of[o]
     else:
         joint = dist.joint
-        cum = np.cumsum(joint.ravel(order="F"))
-        if cum.size == 0 or cum[-1] <= 0.0:
-            raise ValueError("cannot sample from an all-zero outcome distribution")
-        for rows, o in _draws(cum, seed, T):
+        for rows, o in _draws(_cumulative(joint), seed, T):
             per_mode = np.unravel_index(o, joint.shape, order="F")
             for j, ((k_of, i_of), o_j) in enumerate(zip(tables, per_mode)):
                 k[rows, j], i[rows, j] = k_of[o_j], i_of[o_j]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from homodyne_shadows.povm import PhaseGrid, build_povm, load_parameters
 from homodyne_shadows.records import Records
 from homodyne_shadows.states import DensityMatrix
 
@@ -10,6 +11,12 @@ from homodyne_shadows.states import DensityMatrix
 def records_of(rows):
     """A :class:`Records` stream of ``(t, mode, k, i)`` row tuples."""
     return Records(*np.array(rows).reshape(-1, 4).T)
+
+
+def rebuild_povm(path):
+    """The POVM that a scheme or cache file describes, rebuilt from its parameters."""
+    n_max, N, binning = load_parameters(path)
+    return build_povm(PhaseGrid(N), binning, n_max)
 
 
 def dense_joint(dist):

@@ -3,8 +3,10 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -13,14 +15,57 @@ import homodyne_shadows
 from homodyne_shadows import fockcore, povm, records, shadow, sim, states
 
 PACKAGE = Path(homodyne_shadows.__file__).parent
+REPO = Path(__file__).resolve().parents[1]
+MODULES = [fockcore, povm, records, shadow, sim, states]
 
 
-@pytest.mark.parametrize(
-    "module", [fockcore, povm, records, shadow, sim, states], ids=lambda m: m.__name__
-)
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
 def test_all_names_resolve(module):
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+def _readme():
+    """The README without its migration notes, which name removed and changed names."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    return re.sub(r"\n## Migrating from earlier versions\n.*?(?=\n## )", "", text, flags=re.S)
+
+
+def _code_names(path):
+    """The names a file's code reads: loaded variables and attributes, not definitions or text."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_public_name_has_a_caller():
+    # Each public name is read by code in src/ or perfbench/ (a re-export is
+    # not a read) or documented in the README: a helper that only the tests
+    # call belongs in the tests.
+    paths = [*(REPO / "src").rglob("*.py"), *(REPO / "perfbench").glob("*.py")]
+    used = set().union(*map(_code_names, paths))
+    readme = _readme()
+    unused = [
+        "%s.%s" % (module.__name__.split(".")[-1], name)
+        for module in MODULES
+        for name in module.__all__
+        if name not in used and not re.search(r"\b%s\b" % re.escape(name), readme)
+    ]
+    assert unused == []
+
+
+def test_readme_library_tour_runs():
+    # The tour's `assert is_informationally_complete(povm)` is the one use of
+    # ICReport.__bool__ outside the tests.
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    tour = text.split("\n## Library tour\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", ".*loses probability", UserWarning)
+        exec(compile(tour, "README.md (Library tour)", "exec"), {})
 
 
 def _package_imports(node):
@@ -114,15 +159,58 @@ print(json.dumps({"preloaded": preloaded,
 """
 
 
-def test_no_entry_loads_numpy_ma():
-    # np.median and np.unique import numpy.ma on first call under numpy >= 2:
-    # about 1.2 MB of max RSS and 8-11 ms in every process that reaches them.
+def _probe(script, preload):
+    """Run ``script`` in a fresh process and return the JSON of its last line.
+
+    The script reports as "preloaded" whether ``import numpy`` alone loaded
+    the modules under test; the test is then skipped, since ``preload`` (a
+    reason such as "numpy.ma (numpy 1.x)") is loaded whatever the package does.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _ENTRIES], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     if result["preloaded"]:
-        pytest.skip("import numpy alone loads numpy.ma (numpy 1.x)")
-    assert result["loaded"] == []
+        pytest.skip("import numpy alone loads " + preload)
+    return result["loaded"]
+
+
+def test_no_entry_loads_numpy_ma():
+    # np.median and np.unique import numpy.ma on first call under numpy >= 2:
+    # about 1.2 MB of max RSS and 8-11 ms in every process that reaches them.
+    assert _probe(_ENTRIES, "numpy.ma (numpy 1.x)") == []
+
+
+# hshadow runs that hash nothing: the POVM comes from flags, not a scheme or
+# cache file, and no report carries its key.  The last line printed is
+# {"preloaded": ..., "loaded": [...]}: whether ``import numpy`` alone loaded
+# hashlib (or its C module), and, after each run, whether it is loaded.
+_UNHASHED = r"""
+import contextlib, io, json, os, sys, tempfile, warnings
+import numpy
+hashed = lambda: "hashlib" in sys.modules or "_hashlib" in sys.modules
+preloaded = hashed()
+warnings.simplefilter("ignore")
+from homodyne_shadows import cli
+
+flags = ["--nmax", "3", "--phases", "7", "--bins", "5"]
+loaded = []
+with tempfile.TemporaryDirectory() as d, contextlib.redirect_stdout(io.StringIO()):
+    for argv in (
+        ["variance-scan", "--sweep", "phases", "--values", "6,7", "--nmax", "3", "--bins", "8"],
+        ["simulate", *flags, "--state", "coherent:1.0", "--T", "500", "--seed", "1",
+         "--out", os.path.join(d, "r.csv")],
+        ["check-ic", *flags],
+    ):
+        assert cli.main(argv) == cli.EXIT_OK, argv
+        loaded.append([argv[0], hashed()])
+print(json.dumps({"preloaded": preloaded, "loaded": loaded}))
+"""
+
+
+def test_runs_that_hash_nothing_do_not_load_hashlib():
+    # import hashlib costs about 3.5 MB of max RSS and 3-9 ms per process.
+    loaded = _probe(_UNHASHED, "hashlib (numpy 1.x loads numpy.random, which imports secrets)")
+    assert loaded == [["variance-scan", False], ["simulate", False], ["check-ic", False]]

@@ -30,9 +30,7 @@ from homodyne_shadows.povm import (
     PhaseGrid,
     build_povm,
     design_bins,
-    devectorize,
     is_informationally_complete,
-    vectorize,
 )
 from homodyne_shadows.states import Observable
 
@@ -58,6 +56,16 @@ CONFIGS = {
     # Class r = 0 has 4 rows but M = 2: zero-padded spectrum, pseudo mode.
     "tall": (lambda: BinningScheme.equal_spaced(2, 2.5), 7, 3, 8),
 }
+
+
+def vectorize(A):
+    """Column-stacking vectorization of a square matrix, the frame's vec convention."""
+    return np.asarray(A).reshape(-1, order="F")
+
+
+def devectorize(v, d):
+    """The d x d matrix whose column stacking is ``v``: the inverse of :func:`vectorize`."""
+    return np.asarray(v).reshape((d, d), order="F")
 
 
 class DenseReference:

@@ -22,12 +22,12 @@ from homodyne_shadows.cli import (
     EXIT_USAGE,
     main,
 )
-from homodyne_shadows.povm import BinningScheme, PhaseGrid, build_povm, design_bins, load_povm
+from homodyne_shadows.povm import BinningScheme, PhaseGrid, build_povm, design_bins
 from homodyne_shadows.records import Records, write_records
 from homodyne_shadows.shadow import DEFAULT_THRESHOLD, frame_operator, invert_frame, snapshots
 from homodyne_shadows.sim import MultiModeConfig, estimate_local, joint_distribution, sample_multi
 
-from conftest import random_hermitian
+from conftest import random_hermitian, rebuild_povm
 from test_blocks import DenseReference
 
 
@@ -949,9 +949,37 @@ class TestParameterFile:
             assert flag in capsys.readouterr().err
 
 
+_POVM = ["--nmax", "1", "--phases", "3", "--bins", "2"]
+_SCAN = ["variance-scan", "--sweep", "phases"]
+
+
 class TestTopLevel:
     def test_no_command_exits_64(self, capsys):
         assert run([]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["check-ic", "--config", "{tmp}/config.json"],
+             "config {tmp}/config.json must hold a JSON object"),
+            (["check-ic", "--nmax", "1", "--phases", "3", "--edges", "0.5"],
+             "--edges needs at least two values"),
+            (["estimate", *_POVM, "--records", "{tmp}/r.csv", "--observable", "bogus"],
+             "unknown observable spec 'bogus'"),
+            ([*_SCAN, "--values", "6,x"], "cannot parse --values '6,x'"),
+            ([*_SCAN, "--range", "1:2:3:4"], "--range must look like A:B or A:B:STEP"),
+            ([*_SCAN, "--range", "a:b"], "cannot parse --range 'a:b'"),
+            ([*_SCAN, "--values", "7", "--alpha", "zz"], "cannot parse --alpha 'zz'"),
+        ],
+        ids=["config-not-object", "one-edge", "observable", "values", "range-shape",
+             "range-parse", "alpha"],
+    )
+    def test_usage_error_names_the_flag(self, argv, named, tmp_path, capsys):
+        # Each check runs before any record file is read.
+        (tmp_path / "config.json").write_text("[1, 2]")
+        capsys.readouterr()
+        assert run([a.format(tmp=tmp_path) for a in argv]) == EXIT_USAGE
+        assert named.format(tmp=tmp_path) in capsys.readouterr().err
 
     def test_unknown_command_exits_64(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -1065,7 +1093,7 @@ class TestStatisticalOracle:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", ".*loses probability", UserWarning)
             rho = cli._parse_state_spec(state, n_max).matrix
-        mu, second = self.limit(load_povm(scheme), rho, X, inversion)
+        mu, second = self.limit(rebuild_povm(scheme), rho, X, inversion)
         assert abs(estimate - mu) <= 5 * math.sqrt(second - mu**2) / math.sqrt(self.T)
 
     @pytest.mark.parametrize("inversion", ["strict", "pseudo"])

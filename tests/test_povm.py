@@ -36,17 +36,15 @@ from homodyne_shadows.povm import (
     PhaseGrid,
     build_povm,
     design_bins,
-    devectorize,
     is_informationally_complete,
-    load_povm,
     necessary_condition,
     normalization_residual,
     save_povm,
     sufficient_condition,
-    vectorize,
 )
 
-from conftest import random_density, random_hermitian
+from conftest import random_density, random_hermitian, rebuild_povm
+from test_blocks import vectorize
 
 
 class TestPhaseGrid:
@@ -205,6 +203,10 @@ class TestBinningScheme:
         with pytest.raises(ValueError):
             BinningScheme([0.0, 1.0], tail_mode="clip")
 
+    def test_one_edge_is_refused(self):
+        with pytest.raises(ValueError, match=r"need at least two bin edges, got shape \(1,\)"):
+            BinningScheme([0.5])
+
     def test_equal_spaced_covers_requested_range(self):
         b = BinningScheme.equal_spaced(4, 2.0)
         assert b.edges[0] == -2.0
@@ -335,14 +337,6 @@ class TestMeasurementMatrix:
             p = build_povm(PhaseGrid(5), BinningScheme(edges), 5)
             assert is_informationally_complete(p).rank < 36
 
-    def test_column_ordering_bijection(self):
-        p = build_povm(PhaseGrid(3), BinningScheme.equal_spaced(2, 1.5), 1)
-        M = p.binning.M
-        for k in range(3):
-            for i in range(M):
-                A = p.element(i, k)
-                assert np.array_equal(devectorize(vectorize(A), p.dim), A)
-
 
 class TestNumericalRank:
     def test_invalid_rtol(self):
@@ -355,6 +349,13 @@ class TestNumericalRank:
 
 
 class TestCompletenessPredicates:
+    def test_report_truth_is_the_verdict(self):
+        complete = build_povm(PhaseGrid(7), design_bins(3, 7, 5), 3)
+        # N = 3 <= n_max: no binning is complete (necessary_condition).
+        incomplete = build_povm(PhaseGrid(3), BinningScheme.equal_spaced(8, 4.0), 3)
+        assert bool(is_informationally_complete(complete)) is True
+        assert bool(is_informationally_complete(incomplete)) is False
+
     def test_mirror_symmetric_scheme_incomplete(self):
         p = build_povm(
             PhaseGrid(3), BinningScheme([-4.0, 0.0, 4.0], tail_mode=pv.TAIL_STRICT), 1
@@ -507,7 +508,7 @@ class TestPovmCache:
         p = build_povm(PhaseGrid(3), scheme, 1)
         path = tmp_path / "povm.json"
         save_povm(p, path)
-        loaded = load_povm(path)
+        loaded = rebuild_povm(path)
         assert np.array_equal(loaded.G, p.G)
         assert loaded.cache_key == p.cache_key
         assert loaded.binning == p.binning
@@ -521,7 +522,7 @@ class TestPovmCache:
         doc["n_max"] = 2  # no longer matches the stored key
         path.write_text(json.dumps(doc))
         with pytest.raises(CacheKeyMismatchError):
-            load_povm(path)
+            rebuild_povm(path)
 
     def test_unknown_version_and_malformed_file_rejected(self, tmp_path):
         p = build_povm(PhaseGrid(3), BinningScheme.equal_spaced(3, 1.5), 1)
@@ -531,7 +532,7 @@ class TestPovmCache:
         for bad in ({**doc, "version": 3}, {k: v for k, v in doc.items() if k != "edges"}, [doc]):
             path.write_text(json.dumps(bad))
             with pytest.raises(CacheKeyMismatchError):
-                load_povm(path)
+                rebuild_povm(path)
 
     def test_file_holds_parameters_only(self, tmp_path):
         # The file does not grow with the element count M*N*(n_max+1)^2.
@@ -546,7 +547,7 @@ class TestPovmCache:
             "version", "n_max", "N", "M", "tail_mode", "edges", "cache_key"
         }
         assert (doc["version"], doc["M"], doc["cache_key"]) == (2, M, p.cache_key)
-        loaded = load_povm(path)
+        loaded = rebuild_povm(path)
         assert np.array_equal(loaded.G, p.G)
         assert loaded.binning == p.binning
 
@@ -562,7 +563,7 @@ class TestPovmCache:
         if version == 1:
             del doc["cache_key"]
         path.write_text(json.dumps(doc))
-        assert load_povm(path) == p
+        assert rebuild_povm(path) == p
 
     def test_roundoff_level_deviation_loads_rebuilt_povm(self, tmp_path):
         # A version-1 file also stored every element matrix.  Its elements
@@ -587,7 +588,7 @@ class TestPovmCache:
         }
         path = tmp_path / "povm.json"
         path.write_text(json.dumps(doc))
-        loaded = load_povm(path)
+        loaded = rebuild_povm(path)
         assert np.array_equal(loaded.G, p.G)
         assert loaded.binning == p.binning
 

@@ -19,10 +19,9 @@ from homodyne_shadows.povm import (
     build_povm,
     default_half_width,
     design_bins,
-    devectorize,
-    vectorize,
 )
 from homodyne_shadows.shadow import (
+    EstimateReport,
     bernstein_samples,
     estimate_observable,
     exact_average_snapshot,
@@ -39,6 +38,7 @@ from homodyne_shadows.shadow import (
 from homodyne_shadows.states import Observable, expectation, fock, number_operator
 
 from conftest import frame_blocks, pinv_blocks, random_density, random_hermitian, records_of
+from test_blocks import devectorize, vectorize
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +160,11 @@ class TestSnapshots:
             P = outcome_probabilities(rho, small_povm)
             avg = exact_average_snapshot(P, small_table)
             assert np.max(np.abs(avg - rho.matrix)) <= 1e-8
+
+    def test_exact_average_refuses_a_table_of_another_shape(self, small_povm, small_table):
+        P = outcome_probabilities(fock(0, 2), small_povm)
+        with pytest.raises(ValueError, match=r"shape \(5, 3\) does not match the 3 x 5 outcome"):
+            exact_average_snapshot(P.T, small_table)
 
     def test_unbiasedness_on_ill_conditioned_design(self):
         # design_bins(7, 15, 8) has a frame condition number of 9.4e9.  The
@@ -301,6 +306,18 @@ class TestMedian:
 
 
 class TestEstimateObservable:
+    def test_report_refuses_negative_stderr(self):
+        with pytest.raises(ValueError, match="standard error must be >= 0, got -0.1"):
+            EstimateReport(1.0, -0.1, 3, "plain-mean")
+
+    def test_report_takes_inversion_by_keyword_only(self):
+        # The old positional (…, label, seed, povm_cache_key) call must not
+        # land seed and key in inversion and threshold.
+        with pytest.raises(TypeError):
+            EstimateReport(1.0, 0.1, 3, "plain-mean", "X", 7, "key")
+        report = EstimateReport(1.0, 0.1, 3, "plain-mean", "X", inversion="strict", threshold=0.0)
+        assert (report.inversion, report.threshold, report.seed) == ("strict", 0.0, None)
+
     def test_plain_mean_matches_hand_average(self, small_table):
         n_op = number_operator(2)
         vals = snapshot_values(small_table, n_op)
@@ -367,6 +384,7 @@ class TestEstimateObservable:
             "threshold",
         }
         assert doc["T"] == 1
+        assert (doc["seed"], doc["povm_cache_key"]) == (None, None)  # hshadow estimate sets them
         assert doc["inversion"] == small_table.mode
         assert doc["threshold"] == small_table.threshold
 

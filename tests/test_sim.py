@@ -13,6 +13,7 @@ from homodyne_shadows.errors import (
     UnsupportedConfigurationError,
 )
 from homodyne_shadows.povm import (
+    TAIL_STRICT,
     BinningScheme,
     PhaseGrid,
     build_povm,
@@ -30,6 +31,7 @@ from homodyne_shadows.shadow import (
 from homodyne_shadows.records import bin_raw, ingest_records, write_records
 from homodyne_shadows.sim import (
     MultiModeConfig,
+    MultiOutcomeDistribution,
     OutcomeDistribution,
     estimate_local,
     indistinguishability_experiment,
@@ -73,6 +75,12 @@ def pair_config():
     b = BinningScheme.equal_spaced(3, 2.5)
     g = PhaseGrid(2)
     return MultiModeConfig([(1, g, b), (1, g, b)])
+
+
+@pytest.fixture(scope="module")
+def far_tail_povm():
+    """Strict-finite bins on [40, 42]: at n_max = 1 every outcome has probability exactly 0."""
+    return build_povm(PhaseGrid(3), BinningScheme([40.0, 41.0, 42.0], tail_mode=TAIL_STRICT), 1)
 
 
 @pytest.fixture(scope="module")
@@ -154,9 +162,10 @@ class TestSample:
         sigma = np.sqrt(dist.probabilities * (1 - dist.probabilities) / T)
         assert np.all(np.abs(freq - dist.probabilities) <= 4 * sigma + 1e-12)
 
-    def test_all_zero_distribution_rejected(self):
-        dist = OutcomeDistribution(np.zeros((2, 2)), deficit=1.0)
-        with pytest.raises(ValueError):
+    def test_all_zero_distribution_rejected(self, far_tail_povm):
+        dist = outcome_distribution(fock(0, 1), far_tail_povm)
+        assert not dist.probabilities.any() and dist.deficit == 1.0
+        with pytest.raises(ValueError, match="cannot sample from an all-zero outcome distribution"):
             sample(dist, 10, seed=0)
 
     def test_shot_count_validation(self, tiny_povm):
@@ -237,6 +246,16 @@ class TestIndistinguishability:
 
 
 class TestJointDistribution:
+    def test_config_needs_a_mode(self):
+        with pytest.raises(ValueError, match="at least one mode is required"):
+            MultiModeConfig([])
+
+    @pytest.mark.parametrize("both", [True, False], ids=["both", "neither"])
+    def test_exactly_one_of_factors_and_joint(self, two_mode_config, both):
+        parts = {"factors": [], "joint": np.ones((9, 9)) / 81} if both else {}
+        with pytest.raises(ValueError, match="exactly one of factors/joint must be given"):
+            MultiOutcomeDistribution(two_mode_config, **parts)
+
     def test_product_state_factorizes(self, two_mode_config):
         cfg = two_mode_config
         rhos = [fock(0, 1), fock(1, 1)]
@@ -309,6 +328,19 @@ class TestJointDistribution:
 
 
 class TestSampleMulti:
+    def test_all_zero_mode_rejected(self, tiny_povm, far_tail_povm):
+        config = MultiModeConfig([tiny_povm, far_tail_povm])
+        dist = joint_distribution([fock(0, 1), fock(0, 1)], config)
+        with pytest.raises(ValueError, match="from mode 1's all-zero outcome distribution"):
+            sample_multi(dist, 10, seed=0)
+
+    def test_all_zero_joint_rejected(self, tiny_povm, far_tail_povm):
+        config = MultiModeConfig([tiny_povm, far_tail_povm])
+        dist = joint_distribution(np.kron(fock(0, 1).matrix, fock(1, 1).matrix), config)
+        assert not dist.joint.any()
+        with pytest.raises(ValueError, match="cannot sample from an all-zero outcome distribution"):
+            sample_multi(dist, 10, seed=0)
+
     def test_one_record_per_mode_per_shot(self, pair_config):
         dist = joint_distribution([fock(0, 1), fock(1, 1)], pair_config)
         recs = sample_multi(dist, 7, seed=2)
