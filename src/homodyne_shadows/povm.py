@@ -550,23 +550,14 @@ def default_half_width(n_max):
     return math.sqrt(2.0 * _whole(n_max, "n_max") + 1.0) + 1.0
 
 
-def design_bins(
-    n_max,
-    N,
-    M,
-    L0=None,
-    dL=0.5,
-    max_iter=100,
-    tail_mode=TAIL_EXTEND,
-    rtol=DEFAULT_RANK_RTOL,
-):
+def design_bins(n_max, N, M, L0=None, dL=0.5, max_iter=100, tail_mode=TAIL_EXTEND):
     """Search for equal-spaced bins that make the POVM informationally complete.
 
     Starting from half-width L0 (default :func:`default_half_width`), build
     the equal-spaced scheme over [-L, L] (with the deterministic stretch of
-    :meth:`BinningScheme.equal_spaced`), test the measurement-matrix rank,
-    and grow L by dL until rank (n_max+1)^2 is reached or ``max_iter``
-    growth steps are exhausted.
+    :meth:`BinningScheme.equal_spaced`), test the measurement-matrix rank
+    at ``DEFAULT_RANK_RTOL``, and grow L by dL until rank (n_max+1)^2 is
+    reached or ``max_iter`` growth steps are exhausted.
 
     Returns the first complete :class:`BinningScheme`.  Raises
     :class:`~homodyne_shadows.errors.BinDesignError` carrying the best rank
@@ -611,7 +602,7 @@ def design_bins(
         p = build_povm(grid, scheme, n_max)
         # Values only: U and Wt would double the search time.
         s = ((idx, np.linalg.svd(B, compute_uv=False)) for idx, B in _phase_blocks(p))
-        rank = _rank(p, _singular_values(p, s), rtol)
+        rank = _rank(p, _singular_values(p, s), DEFAULT_RANK_RTOL)
         if rank > best_rank:
             best_rank = rank
         if rank == required:

@@ -25,11 +25,13 @@ parameter-count bound, and the Bernstein shot-count calculator.
 
 import math
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import StrictModeSingularError, _whole
-from .povm import _adjoint, _counts, _outcome_matrix, _pairing, is_informationally_complete
+from .povm import ICReport, _adjoint, _counts, _outcome_matrix, _pairing
+from .povm import is_informationally_complete
 from .records import _outcome_counts, checked_records
 from .states import _matrix, expectation
 
@@ -60,22 +62,17 @@ DEFAULT_THRESHOLD = 1e-12
 DEFAULT_BATCHES = 10
 
 
-class InverseFrame:
+class InverseFrame(NamedTuple):
     """Strict inverse or Moore-Penrose pseudoinverse of a frame operator.
 
-    Held as the frame (an :class:`~homodyne_shadows.povm.ICReport`), mode
-    and threshold: a class block's inverse is
+    Held as the mode, threshold and frame: a class block's inverse is
     (U_k / s_k^2) U_k^T over the k with s_k^2 > threshold (all in strict
     mode), which :func:`snapshots` applies without forming it.
     """
 
-    def __init__(self, mode, threshold, frame):
-        self.mode = mode
-        self.threshold = float(threshold)
-        self.frame = frame
-
-    def __repr__(self):
-        return "InverseFrame(mode=%r, threshold=%g)" % (self.mode, self.threshold)
+    mode: str
+    threshold: float
+    frame: ICReport
 
 
 class SnapshotTable:
@@ -87,7 +84,7 @@ class SnapshotTable:
     """
 
     def __init__(self, S, povm, mode, threshold):
-        self.S = S
+        self.S = S.view()
         self.S.setflags(write=False)
         self.povm = povm
         self.mode = mode
@@ -213,7 +210,7 @@ def invert_frame(frame, mode=MODE_STRICT, threshold=DEFAULT_THRESHOLD):
             "pseudo inverse keeps no frame direction: threshold %.3e >= lambda_max = %.3e, "
             "so every snapshot would be zero" % (threshold, frame.eigenvalues[-1])
         )
-    return InverseFrame(mode, threshold, frame)
+    return InverseFrame(mode, float(threshold), frame)
 
 
 def snapshots(povm, inv):
@@ -415,9 +412,8 @@ def shadow_norm(X, table, povm):
     """
     povm._require(table.povm, "snapshot table")
     vals = snapshot_values(table, X)
-    Xt = _adjoint(vals**2, povm.G, povm.grid)
-    Xt = 0.5 * (Xt + Xt.conj().T)
-    return float(np.linalg.eigvalsh(Xt)[-1])
+    # Exactly Hermitian: real weights and a symmetric G make _adjoint's sum so.
+    return float(np.linalg.eigvalsh(_adjoint(vals**2, povm.G, povm.grid))[-1])
 
 
 def variance_bound(N, M, n_max, X):
@@ -459,31 +455,15 @@ def bernstein_samples(shadow_norm_value, eps, delta):
     return max(1, math.ceil(T))
 
 
-def _project_simplex(lam):
-    """Euclidean projection of a real vector onto the probability simplex."""
-    u = np.sort(lam)[::-1]
-    css = np.cumsum(u)
-    rho_idx = np.nonzero(u * np.arange(1, lam.size + 1) > (css - 1.0))[0][-1]
-    theta = (css[rho_idx] - 1.0) / (rho_idx + 1.0)
-    return np.maximum(lam - theta, 0.0)
-
-
-def reconstruct_state(records, table, project=False):
+def reconstruct_state(records, table):
     """Average the snapshots of a record stream into a state estimate.
 
-    ``records`` is validated like :func:`estimate_observable`'s.  The plain
-    average is the unbiased estimator; with ``project=True`` the
-    result is additionally projected (in Frobenius norm) onto the set of
-    positive semidefinite trace-one matrices, which is a biased
-    post-processing step and therefore off by default.
+    ``records`` is validated like :func:`estimate_observable`'s.  The
+    average is not projected onto density matrices: with strict-mode
+    snapshots it is the unbiased estimator.
     """
     total = len(checked_records(records))
     if total == 0:
         raise ValueError("record stream is empty")
     counts = next(_outcome_counts(records, table.M, table.N, (0, total)))
-    avg = exact_average_snapshot(counts.reshape(table.M, table.N) / total, table)
-    if project:
-        lam, V = np.linalg.eigh(avg)
-        lam = _project_simplex(lam)
-        avg = (V * lam) @ V.conj().T
-    return avg
+    return exact_average_snapshot(counts.reshape(table.M, table.N) / total, table)

@@ -51,7 +51,7 @@ class OutcomeDistribution:
     """
 
     def __init__(self, probabilities, deficit):
-        self.probabilities = probabilities
+        self.probabilities = probabilities.view()
         self.probabilities.setflags(write=False)
         self.deficit = float(deficit)
 
@@ -218,8 +218,8 @@ def _outcome_tables(M, N):
     return k.astype(_index_dtype(N - 1)), i.astype(_index_dtype(M - 1))
 
 
-def sample(dist, T, seed, mode=0):
-    """Draw T i.i.d. records from an outcome distribution.
+def sample(dist, T, seed):
+    """Draw T i.i.d. records of mode 0 from an outcome distribution.
 
     Deterministic for fixed (dist, T, seed): shot t consumes the t-th value
     of the counter-based stream, independent of batching or worker count.
@@ -231,7 +231,7 @@ def sample(dist, T, seed, mode=0):
     for rows, o in _draws(_cumulative(dist.probabilities), seed, T):
         k[rows], i[rows] = k_of[o], i_of[o]
     t = np.arange(T, dtype=_index_dtype(T - 1))
-    return Records(t, np.broadcast_to(np.asarray(mode), T), k, i)
+    return Records(t, np.broadcast_to(0, T), k, i)
 
 
 class IndistinguishabilityReport(NamedTuple):

@@ -238,7 +238,7 @@ def thermal(nbar, n_max):
     return DensityMatrix(np.diag(p / kept).astype(complex), truncation_deficit=deficit)
 
 
-def cat(alpha, parity=1, n_max=10):
+def cat(alpha, parity, n_max):
     """Even (parity=+1) or odd (parity=-1) cat state |alpha> + parity*|-alpha>.
 
     Truncated and renormalized; the deficit is measured against the exact

@@ -135,7 +135,7 @@ with tempfile.TemporaryDirectory() as d, contextlib.redirect_stdout(io.StringIO(
     for table in (strict, pseudo):
         for variant in ("plain-mean", "median-of-means:7"):
             hs.estimate_observable(records, table, X, variant)
-    hs.reconstruct_state(records, strict, project=True)
+    hs.reconstruct_state(records, strict)
     config = hs.MultiModeConfig([povm, povm])
     hs.joint_distribution(np.kron(rho.matrix, rho.matrix), config)
     multi = hs.sample_multi(hs.joint_distribution([rho, rho], config), 500, seed=1)

@@ -477,7 +477,8 @@ class TestBlockFold:
     @pytest.fixture(scope="class")
     def streams(self, setup_223, tmp_path_factory):
         povm, _ = setup_223
-        sampled = sample(outcome_distribution(fock(1, 2), povm), _FOLD_T, seed=17, mode=3)
+        drawn = sample(outcome_distribution(fock(1, 2), povm), _FOLD_T, seed=17)
+        sampled = Records(drawn.t, np.broadcast_to(3, _FOLD_T), drawn.k, drawn.i)
         path = tmp_path_factory.mktemp("fold") / "records.csv"
         write_records(path, sampled)
         crlf = _crlf_copy(path, path.with_suffix(".crlf.csv"))
@@ -538,12 +539,10 @@ class TestBlockFold:
 
     def test_sampled_mode_is_one_read_only_value(self, setup_223):
         povm, _ = setup_223
-        rec = sample(outcome_distribution(fock(1, 2), povm), 10, seed=1, mode=2)
-        assert rec.mode.tolist() == [2] * 10 and rec.mode.strides == (0,)
+        rec = sample(outcome_distribution(fock(1, 2), povm), 10, seed=1)
+        assert rec.mode.tolist() == [0] * 10 and rec.mode.strides == (0,)
         with pytest.raises(ValueError, match="read-only"):
             rec.mode[0] = 1
-        with pytest.raises(MalformedRecordError):
-            sample(outcome_distribution(fock(1, 2), povm), 10, seed=1, mode=1.5)
 
 
 class TestFoldMemory:

@@ -21,6 +21,7 @@ from homodyne_shadows.povm import (
 )
 from homodyne_shadows.shadow import (
     MODE_PSEUDO,
+    estimate_observable,
     frame_operator,
     invert_frame,
     outcome_probabilities,
@@ -41,7 +42,7 @@ from homodyne_shadows.sim import (
     sample,
     sample_multi,
 )
-from homodyne_shadows.states import DensityMatrix, fock, number_operator
+from homodyne_shadows.states import DensityMatrix, coherent, expectation, fock, number_operator
 
 from conftest import dense_joint, records_of
 
@@ -128,6 +129,13 @@ class TestOutcomeDistribution:
             outcome_distribution(np.diag([2.0, -1.0]), tiny_povm)
         assert excinfo.value.check == "probability-positivity"
 
+    def test_leaves_the_callers_array_writable(self):
+        P = np.zeros((2, 2))
+        P[0, 0] = 1.0
+        dist = OutcomeDistribution(P, 0.0)
+        P[1, 1] = 0.5
+        assert not dist.probabilities.flags.writeable
+
 
 class TestSample:
     def test_fixed_seed_is_deterministic(self, tiny_povm):
@@ -140,9 +148,9 @@ class TestSample:
 
     def test_record_structure(self, tiny_povm):
         dist = outcome_distribution(fock(0, 1), tiny_povm)
-        recs = sample(dist, 10, seed=5, mode=3)
+        recs = sample(dist, 10, seed=5)
         assert recs.t.tolist() == list(range(10))
-        assert np.all(recs.mode == 3)
+        assert np.all(recs.mode == 0)
         assert np.all((0 <= recs.i) & (recs.i < dist.M) & (0 <= recs.k) & (recs.k < dist.N))
 
     def test_point_mass(self):
@@ -172,6 +180,21 @@ class TestSample:
         dist = outcome_distribution(fock(0, 1), tiny_povm)
         with pytest.raises(ValueError):
             sample(dist, 0, seed=0)
+
+    @pytest.mark.filterwarnings("ignore:.*loses probability:UserWarning")
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="sample renormalizes strict-finite probabilities by "
+                       "their total over the finite bins, but strict snapshots are unbiased "
+                       "only for the unconditioned P(i, k)")
+    def test_strict_finite_estimate_is_unbiased(self):
+        # The estimate reads 0.9878 +- 0.0053, 9.5 stderr above the truth 0.9375
+        # and near the renormalized limit 0.9375 / (1 - deficit) = 0.9840.
+        binning = BinningScheme(np.linspace(-2.2, 2.2, 9), tail_mode=TAIL_STRICT)
+        povm = build_povm(PhaseGrid(7), binning, 3)
+        table = snapshots(povm, invert_frame(frame_operator(povm)))
+        rho, X = coherent(1.0, 3), number_operator(3)
+        records = sample(outcome_distribution(rho, povm), 4 * 10**5, seed=7)
+        est = estimate_observable(records, table, X)
+        assert abs(est.mean - expectation(rho, X)) <= 5 * est.stderr
 
 
 _weight = st.one_of(
