@@ -38,9 +38,10 @@ def wavefunction(n, x):
 
         psi_{j+1} = x sqrt(2/(j+1)) psi_j - sqrt(j/(j+1)) psi_{j-1},
 
-    which keeps intermediate magnitudes O(1) and stays accurate for all
-    supported orders (n <= 64), unlike forming 2^n n! explicitly.
-    Accepts scalar or array ``x``.
+    which keeps intermediate magnitudes O(1), unlike forming 2^n n!
+    explicitly.  ``test_envelope_matches_quadrature_about_the_turning_point``
+    in tests/test_fockcore.py is its evidence for n <= 64.  Accepts scalar
+    or array ``x``.
     """
     n = _whole(n, "Fock index n")
     psi = _wavefunctions(n, np.asarray(x, dtype=float))[n]

@@ -243,8 +243,6 @@ class PovmSet:
 
     def _difference(self, other):
         """The first defining part in which POVM ``other`` differs from this one, or None."""
-        if other is self:
-            return None
         b, c = self.binning, other.binning
         for part, x, y in (
             ("cutoffs", self.n_max, other.n_max),
@@ -439,8 +437,6 @@ def _rank(povm, s, rtol):
     """
     if not (math.isfinite(rtol) and rtol > 0):
         raise ValueError("rtol must be finite and positive, got %g" % rtol)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
     return int(np.count_nonzero(s > rtol * s[0] * max(povm.dim**2, povm.n_outcomes)))
 
 

@@ -150,12 +150,15 @@ class Records:
 
 
 def _shot_order(t, mode):
-    """Stable permutation sorting rows by (t, mode); None if already strictly sorted."""
+    """(None, shot count) for rows strictly sorted by (t, mode), else (their sort order, None)."""
+    shots = min(t.size, 1)
     for lo in range(0, t.size - 1, _BLOCK):  # the steps from rows a to rows b = a + 1
         a, b = slice(lo, min(lo + _BLOCK, t.size - 1)), slice(lo + 1, lo + 1 + _BLOCK)
-        if not ((t[b] > t[a]) | ((t[b] == t[a]) & (mode[b] > mode[a]))).all():
-            return np.lexsort((mode, t))
-    return None
+        step = t[b] > t[a]
+        if not (step | ((t[b] == t[a]) & (mode[b] > mode[a]))).all():
+            return np.lexsort((mode, t)), None
+        shots += int(np.count_nonzero(step))
+    return None, shots
 
 
 def checked_records(records, M=None, N=None):
@@ -176,24 +179,25 @@ def checked_records(records, M=None, N=None):
 
 
 def _checked(records, M, N):
-    """:func:`checked_records`, also returning the ``_shot_order`` of a multi-mode stream."""
+    """:func:`checked_records`, also returning a multi-mode stream's order and shot count."""
     if not isinstance(records, Records):
         raise TypeError("expected Records, got %s" % type(records).__name__)
-    if M is None or not records:
-        return records, None
-    if np.ndim(M) == 0:  # the fold states the single-mode rules; drop its counts
-        next(_outcome_counts(records, M, N, (0, len(records))))
-        return records, None
+    if M is None or np.ndim(M) == 0:
+        if M is not None and records:  # the fold states the single-mode rules; drop its counts
+            next(_outcome_counts(records, M, N, (0, len(records))))
+        return records, None, None
     t, mode, k, i = records.columns()
     S = len(M)
     grids = np.asarray([M, N])
     uniform = (grids == grids[:, :1]).all()
-    order = _shot_order(t, mode)
+    order, shots = _shot_order(t, mode)
     repeat = np.broadcast_to(False, t.size)  # strictly sorted rows repeat no pair
     if order is not None:  # the later row of each (t, mode) pair adjacent in order
         repeat = np.zeros(t.size, dtype=bool)
         later, earlier = order[1:], order[:-1]
-        repeat[later[(t[later] == t[earlier]) & (mode[later] == mode[earlier])]] = True
+        same = t[later] == t[earlier]
+        shots = t.size - int(np.count_nonzero(same))
+        repeat[later[same & (mode[later] == mode[earlier])]] = True
     for start in range(0, t.size, _BLOCK):
         rows = slice(start, start + _BLOCK)
         t_b, mode_b, k_b, i_b, repeat_b = (c[rows] for c in (t, mode, k, i, repeat))
@@ -206,7 +210,7 @@ def _checked(records, M, N):
              "mode %d's %d x %d grid" % (i_b[j], k_b[j], mode_b[j], M[mode_b[j]], N[mode_b[j]])),
             (repeat_b, lambda j: "repeats mode %d of shot %d" % (mode_b[j], t_b[j])),
         ], start)
-    return records, order
+    return records, order, shots
 
 
 def _raise_first_flagged(rules, start=0):

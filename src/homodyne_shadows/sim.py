@@ -137,14 +137,13 @@ def _bits(seed, start, stop):
     """
     z = np.arange(start + 1, stop + 1, dtype=np.uint64)
     z *= _SM_GAMMA
-    z += np.uint64(int(seed) & _MASK64)
+    z += np.uint64(seed)
     return _mix64(z)
 
 
 def _derive_seed(seed, salt):
     """Independent 64-bit substream seed for (seed, salt)."""
-    salt = (int(salt) + 0x5851F42D) & _MASK64
-    z = np.array([(int(seed) ^ salt * int(_SM_GAMMA)) & _MASK64], dtype=np.uint64)
+    z = np.array([(seed ^ (salt + 0x5851F42D) * int(_SM_GAMMA)) & _MASK64], dtype=np.uint64)
     return int(_mix64(z)[0])
 
 
@@ -223,8 +222,10 @@ def sample(dist, T, seed):
 
     Deterministic for fixed (dist, T, seed): shot t consumes the t-th value
     of the counter-based stream, independent of batching or worker count.
+    The seed is a whole number in 0..2**64-1.
     """
     T = _whole(T, "shot count T", 1)
+    seed = _whole(seed, "seed", 0, _MASK64)
     k_of, i_of = _outcome_tables(dist.M, dist.N)
     k = np.empty(T, dtype=k_of.dtype)
     i = np.empty(T, dtype=i_of.dtype)
@@ -378,9 +379,10 @@ def sample_multi(dist, T, seed):
 
     Product states are sampled mode-by-mode from independent substreams
     derived from (seed, mode); dense joint states are sampled on the flat
-    joint index.  Deterministic either way.
+    joint index.  Deterministic either way.  The seed is checked as in :func:`sample`.
     """
     T = _whole(T, "shot count T", 1)
+    seed = _whole(seed, "seed", 0, _MASK64)
     # Shot-major, mode-minor rows: row t*S + j is mode j of shot t.
     S = dist.config.S
     tables = [_outcome_tables(p.binning.M, p.grid.N) for p in dist.config.povms]
@@ -414,14 +416,6 @@ def _measured_modes(config, observables, tables):
     return V
 
 
-def _shot_count(t):
-    """The shots of a t column sorted by shot: one more than the steps where t changes."""
-    return int(t.size > 0) + sum(
-        int(np.count_nonzero(t[lo + 1:lo + 1 + _BLOCK] != t[lo:min(lo + _BLOCK, t.size - 1)]))
-        for lo in range(0, t.size - 1, _BLOCK)
-    )
-
-
 def estimate_local(records, config, tables, observables, variant="plain-mean"):
     """Estimate a tensor-product local observable from multi-mode records.
 
@@ -451,10 +445,10 @@ def estimate_local(records, config, tables, observables, variant="plain-mean"):
             )
         config.povms[j]._require(table.povm, "mode %d snapshot table" % j)
         lookup[j, :Ms[j], :Ns[j]] = snapshot_values(table, observables[j])
-    rec, order = _checked(records, Ms, Ns)
+    rec, order, shots = _checked(records, Ms, Ns)
     # Rows in (t, mode) order, the stream's own when sorted: a shot's rows in ascending mode.
     t, mode, k, i = rec.columns() if order is None else (c[order] for c in rec.columns())
-    values = np.empty(_shot_count(t))
+    values = np.empty(shots)
     # Blocks of about _BLOCK rows (at least S: a shot's most) cut where a shot starts.
     lo, shot, size = 0, 0, max(_BLOCK, config.S)
     while lo < t.size:

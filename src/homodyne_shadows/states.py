@@ -83,8 +83,8 @@ def _truncation_deficit(kept, full, what):
 
 
 def _matrix(A):
-    """The matrix of a state or observable, or ``A`` itself as an array."""
-    return A.matrix if hasattr(A, "matrix") else np.asarray(A)
+    """The matrix of a state or observable; a plain array passes the rule of :func:`_hermitian`."""
+    return A.matrix if hasattr(A, "matrix") else _hermitian(A, "operator")
 
 
 class DensityMatrix:
@@ -162,6 +162,14 @@ def _pure(state_vector, deficit=None):
     return DensityMatrix(np.outer(v, v.conj()), truncation_deficit=deficit)
 
 
+def _coherent_amplitudes(alpha, n_max):
+    """The amplitudes exp(-|alpha|^2/2) alpha^n / sqrt(n!) of |alpha> for n = 0..n_max."""
+    n = np.arange(n_max + 1)
+    log_fact = np.cumsum(np.log(np.maximum(n, 1)))
+    base = np.exp(-0.5 * _abs2(alpha))  # 0 leaves no amplitude: the state keeps no probability
+    return base * alpha**n * np.exp(-0.5 * log_fact) if base else np.zeros(n_max + 1)
+
+
 def coherent(alpha, n_max):
     """Coherent state |alpha>, truncated at n_max and renormalized.
 
@@ -171,10 +179,7 @@ def coherent(alpha, n_max):
     """
     n_max = _whole(n_max, "n_max")
     alpha = _finite(complex(alpha), "coherent amplitude alpha")
-    n = np.arange(n_max + 1)
-    log_fact = np.cumsum(np.log(np.maximum(n, 1)))
-    base = np.exp(-0.5 * _abs2(alpha))  # 0 leaves no amplitude: the state keeps no probability
-    amps = base * alpha**n * np.exp(-0.5 * log_fact) if base else np.zeros(n_max + 1)
+    amps = _coherent_amplitudes(alpha, n_max)
     kept = float(np.sum(np.abs(amps) ** 2))
     deficit = _truncation_deficit(kept, 1.0, "coherent(alpha=%s, n_max=%d)" % (alpha, n_max))
     return _pure(amps / math.sqrt(kept), deficit=deficit)
@@ -229,8 +234,6 @@ def thermal(nbar, n_max):
     nbar = _finite(float(nbar), "mean photon number nbar")
     if nbar < 0:
         raise ValueError("mean photon number must be >= 0, got %g" % nbar)
-    if nbar == 0.0:
-        return fock(0, n_max)
     n = np.arange(n_max + 1)
     p = (nbar / (1.0 + nbar)) ** n / (1.0 + nbar)
     kept = float(np.sum(p))
@@ -250,10 +253,7 @@ def cat(alpha, parity, n_max):
     alpha = _finite(complex(alpha), "cat amplitude alpha")
     if alpha == 0 and parity == -1:
         raise ValueError("odd cat state is undefined at alpha = 0")
-    n = np.arange(n_max + 1)
-    log_fact = np.cumsum(np.log(np.maximum(n, 1)))
-    base = np.exp(-0.5 * _abs2(alpha)) * np.exp(-0.5 * log_fact)
-    amps = base * (alpha**n + parity * (-alpha) ** n) if base.any() else base
+    amps = _coherent_amplitudes(alpha, n_max) + parity * _coherent_amplitudes(-alpha, n_max)
     full_norm = 2.0 * (1.0 + parity * math.exp(-2.0 * _abs2(alpha)))
     kept = float(np.sum(np.abs(amps) ** 2))
     what = "cat(alpha=%s, parity=%+d, n_max=%d)" % (alpha, parity, n_max)

@@ -260,6 +260,28 @@ class TestSimulate:
         args = [v if v != "fock:1" else "squeezed:2" for v in self.ARGS]
         assert run(args + ["--out", str(tmp_path / "x.csv")]) == EXIT_USAGE
 
+    # A seed outside 0..2**64-1 once drew the stream of its value mod 2**64.
+    def test_seed_outside_64_bits_exits_65(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        args = [v if v != "42" else "-1" for v in self.ARGS]
+        assert run(args + ["--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "hshadow: seed must lie in 0..18446744073709551615, got -1\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc, text", [
+        ({"n_max": 1}, "cannot parse matrix file"),
+        ({"n_max": 1, "matrix": [[[0.5, 0], [1, 0]], [[0, 0], [0.5, 0]]]},
+         "is not Hermitian within 1e-8"),
+    ], ids=["parse", "hermitian"])
+    def test_bad_state_file_exits_65(self, doc, text, tmp_path, capsys):
+        path, out = tmp_path / "bad.json", tmp_path / "x.csv"
+        path.write_text(json.dumps(doc))
+        args = [v if v != "fock:1" else "file:%s" % path for v in self.ARGS]
+        assert run(args + ["--out", str(out)]) == EXIT_DATA
+        assert text in capsys.readouterr().err
+        assert not out.exists()
+
 
 # Each spec is truncated at n_max = 3, so most of them warn.
 @pytest.mark.filterwarnings("ignore::UserWarning")

@@ -183,6 +183,18 @@ class TestBinOverlaps:
         for m, n in pairs + [(n_max, n_max)]:
             assert abs(G[0, m, n] - quadrature.bin_overlap(m, n, a, b)) <= 1e-13
 
+    def test_envelope_matches_quadrature_about_the_turning_point(self):
+        # At n_max = 64 the top states turn at sqrt(2*64 + 1) = 11.36.  Bins
+        # lie below it, straddle it and lie beyond it, out to the +inf tail.
+        # Rows 0, 32, 63 and 64 of every bin keep the oracle under about 2 s.
+        edges = [0.3, 1.7, 10.8, 11.9, 12.5, np.inf]
+        G = bin_overlaps(64, edges)
+        for i in range(len(edges) - 1):
+            for m in (0, 32, 63, 64):
+                for n in range(65):
+                    ref = quadrature.bin_overlap(m, n, edges[i], edges[i + 1])
+                    assert abs(G[i, m, n] - ref) <= 1e-13, (i, m, n)
+
     def test_grid_matches_quadrature_entrywise(self):
         edges = [-np.inf, -2.5, -0.4, -0.3995, 1.1, 4.0, np.inf]
         G = bin_overlaps(6, edges)

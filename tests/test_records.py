@@ -343,6 +343,13 @@ class TestEstimateLocalRecords:
         b = estimate_local(shuffled, cfg, {0: table, 1: table}, {0: n_op, 1: n_op})
         assert (a.mean, a.stderr, a.shots) == (b.mean, b.stderr, b.shots)
 
+    def test_empty_stream_raises(self, local_33):
+        cfg, table = local_33
+        empty = records_of([])
+        assert checked_records(empty, [3, 3], [3, 3]) is empty
+        with pytest.raises(ValueError, match="^record stream is empty$"):
+            estimate_local(empty, cfg, {0: table}, {0: number_operator(1)})
+
     def test_product_follows_sorted_modes(self, local_33):
         cfg, table = local_33
         n_op = number_operator(1)

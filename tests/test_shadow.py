@@ -11,7 +11,11 @@ from hypothesis import strategies as st
 from homodyne_shadows import povm as pv
 from homodyne_shadows import shadow as sh
 from homodyne_shadows import sim
-from homodyne_shadows.errors import MalformedRecordError, StrictModeSingularError
+from homodyne_shadows.errors import (
+    InvariantViolationError,
+    MalformedRecordError,
+    StrictModeSingularError,
+)
 from homodyne_shadows.povm import (
     TAIL_EXTEND,
     TAIL_STRICT,
@@ -36,7 +40,7 @@ from homodyne_shadows.shadow import (
     snapshots,
     variance_bound,
 )
-from homodyne_shadows.states import Observable, expectation, fock, number_operator
+from homodyne_shadows.states import Observable, coherent, expectation, fock, number_operator
 
 from conftest import frame_blocks, pinv_blocks, random_density, random_hermitian, records_of
 from test_blocks import devectorize, vectorize
@@ -216,6 +220,29 @@ class TestSnapshots:
         with pytest.raises(ValueError, match="^operator of shape \\(2, 2\\) does not match "
                                              "POVM dimension 3$"):
             snapshot_values(small_table, np.eye(2))
+
+    def test_plain_operators_must_be_hermitian(self):
+        # X = |0><1| is not Hermitian, and Tr(rho X) = 0.375j for rho below.
+        # Read as a plain array, X once gave the estimate -0.0050 +- 0.0059,
+        # Re Tr(rho X) with noise, and the shadow norm 8.65; Observable and
+        # expectation refused it.  Now every pairing applies Observable's rule.
+        povm = build_povm(PhaseGrid(7), design_bins(3, 7, 5), 3)
+        table = snapshots(povm, invert_frame(frame_operator(povm)))
+        with pytest.warns(UserWarning, match="loses probability"):
+            rho = coherent(1j, 3)
+        X = np.zeros((4, 4))
+        X[0, 1] = 1.0
+        records = sim.sample(sim.outcome_distribution(rho, povm), 2 * 10**5, 7)
+        for call in (lambda: estimate_observable(records, table, X),
+                     lambda: shadow_norm(X, table, povm),
+                     lambda: exact_variance(rho, X, table, povm),
+                     lambda: snapshot_values(table, X.tolist()),
+                     lambda: outcome_probabilities(X, povm),
+                     lambda: expectation(rho, X)):
+            with pytest.raises(InvariantViolationError,
+                               match="^operator is not Hermitian within 1e-12$") as excinfo:
+                call()
+            assert excinfo.value.check == "hermitian"
 
 
 class TestTableOfAnotherPovm:

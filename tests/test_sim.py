@@ -1,5 +1,7 @@
 """Tests for measurement simulation, multi-mode estimation, and record I/O."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -180,6 +182,29 @@ class TestSample:
         dist = outcome_distribution(fock(0, 1), tiny_povm)
         with pytest.raises(ValueError):
             sample(dist, 0, seed=0)
+
+    # Seeds were once cut to int(seed) mod 2**64, so 1.5, "1" and 2**64 + 1
+    # drew seed 1's stream, -1 that of 2**64 - 1 and 2**64 that of 0.
+    @pytest.mark.parametrize("seed, text", [
+        (1.5, "seed must be a whole number, got 1.5"),
+        ("1", "seed must be a whole number, got '1'"),
+        (-1, "seed must lie in 0..18446744073709551615, got -1"),
+        (2**64, "seed must lie in 0..18446744073709551615, got 18446744073709551616"),
+        (2**64 + 1, "seed must lie in 0..18446744073709551615, got 18446744073709551617"),
+    ])
+    def test_seed_is_a_whole_number_in_64_bits(self, tiny_povm, pair_config, seed, text):
+        dist = outcome_distribution(fock(0, 1), tiny_povm)
+        product = joint_distribution([fock(0, 1), fock(1, 1)], pair_config)
+        dense = joint_distribution(np.kron(fock(0, 1).matrix, fock(1, 1).matrix), pair_config)
+        for draw in (lambda: sample(dist, 10, seed), lambda: sample_multi(product, 10, seed),
+                     lambda: sample_multi(dense, 10, seed)):
+            with pytest.raises(ValueError, match="^%s$" % re.escape(text)):
+                draw()
+
+    def test_seeds_at_the_ends_of_the_range(self, plus_state, tiny_povm):
+        dist = outcome_distribution(plus_state, tiny_povm)
+        assert sample(dist, 100, 3.0) == sample(dist, 100, 3)
+        assert sample(dist, 100, 0) != sample(dist, 100, 2**64 - 1)
 
     @pytest.mark.filterwarnings("ignore:.*loses probability:UserWarning")
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason="sample renormalizes strict-finite probabilities by "

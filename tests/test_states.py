@@ -115,6 +115,10 @@ class TestSuperpositionPair:
         with pytest.raises(ValueError):
             superposition_pair(1.0 + 0.1j, 1.0, 2, 4)
 
+    def test_level_beyond_cutoff(self):
+        with pytest.raises(ValueError, match="^superposition level 5 exceeds cutoff n_max=4$"):
+            superposition_pair(1.0, 1j, 5, 4)
+
 
 class TestThermal:
     def test_mean_occupation(self):
@@ -168,6 +172,14 @@ class TestObservable:
     def test_rejects_non_hermitian(self):
         with pytest.raises(InvariantViolationError):
             Observable(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_expectation_refuses_an_imaginary_part(self):
+        # Both pass the absolute 1e-12 Hermiticity check, but the large
+        # entries of rho lift X's sub-tolerance skew to Tr(rho X) = 8e-9j.
+        rho = np.array([[0.0, 1e4], [1e4, 0.0]])
+        X = np.array([[0.0, 4e-13j], [4e-13j, 0.0]])
+        with pytest.raises(ValueError, match="has a non-negligible imaginary part$"):
+            expectation(rho, X)
 
     def test_expectation_is_real(self):
         rng = np.random.default_rng(3)
@@ -235,8 +247,24 @@ class TestFileRoundTrip:
             "matrix": [[[v.real, v.imag] for v in row] for row in m],
         }
         path.write_text(json.dumps(doc))
-        with pytest.raises(InvariantViolationError):
+        with pytest.raises(InvariantViolationError, match="is not Hermitian within 1e-8$") as excinfo:
             observable_from_file(path)
+        assert excinfo.value.check == "hermitian"
+
+
+class TestMatrixFileRules:
+    @pytest.mark.parametrize("doc, check, text", [
+        ({"n_max": 1}, "parse", "cannot parse matrix file"),
+        ({"n_max": 1, "matrix": [[[1, 0], [0, 0]], [[0, 0]]]}, "parse", "cannot parse"),
+        ({"n_max": 2, "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}, "square",
+         "has shape (2, 2), expected (3, 3)"),
+    ], ids=["missing-key", "ragged-rows", "shape-disagrees-with-n_max"])
+    def test_raises_with_the_check_name(self, doc, check, text, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvariantViolationError) as excinfo:
+            from_file(path)
+        assert excinfo.value.check == check and text in str(excinfo.value)
 
 
 class TestSharedRules:
