@@ -19,7 +19,9 @@ measurement matrix into small real blocks (``_phase_blocks``).  Class N - r
 holds the transposes of class r's entries, so by the symmetry of G the two
 classes share one block; each POVM takes one thin SVD per mirror pair
 r <-> N - r (``PovmSet._svd``), which certifies completeness here and gives
-the frame, inverse and snapshots of ``shadow``.  Every sum over outcomes
+the frame, inverse and snapshots of ``shadow``.  A POVM that
+:func:`design_bins` certified is built and decomposed once: a later build
+from the same parameters adopts its G and SVD.  Every sum over outcomes
 goes through one pairing of a matrix with all outcomes and its adjoint
 (``_pairing``, ``_adjoint``); a single element matrix is built only on
 request.  It also designs bin edges that achieve completeness and saves a
@@ -62,6 +64,10 @@ _TAIL_MODES = (TAIL_EXTEND, TAIL_STRICT)
 
 DEFAULT_RANK_RTOL = 1e-10
 CACHE_VERSION = 2
+
+# The PovmSet that design_bins last certified, whose G and SVD a PovmSet of
+# the same parameters adopts.  One slot: it holds the last design only.
+_designed = None
 
 # Fractional offset applied to the right end of equal-spaced bin intervals.
 # An exactly mirror-symmetric grid makes whole families of POVM columns
@@ -193,14 +199,20 @@ class PovmSet:
     over the binning's integration edges; the complex matrix of outcome
     (i, k) is G_i exp(1j*(m-n)*theta_k)/N, built on request by
     ``element(i, k)``.  Every G_i is exactly symmetric, so every element is
-    Hermitian.
+    Hermitian.  When the cutoff, phase count, edges and tail mode are those
+    of the POVM that :func:`design_bins` last certified, the new object
+    shares that POVM's read-only G and SVD instead of computing them.
     """
 
     def __init__(self, grid, binning, n_max):
         self.grid = grid
         self.binning = binning
+        self.n_max = _whole(n_max, "n_max", 0, 64)
+        designed = _designed
+        if designed is not None and self._difference(designed) is None:
+            self.G, self._svd = designed.G, designed._svd
+            return
         self.G = fockcore.bin_overlaps(n_max, binning.integration_edges())
-        self.n_max = int(n_max)
         self.G.setflags(write=False)
 
     @functools.cached_property
@@ -555,7 +567,8 @@ def design_bins(n_max, N, M, L0=None, dL=0.5, max_iter=100, tail_mode=TAIL_EXTEN
     at ``DEFAULT_RANK_RTOL``, and grow L by dL until rank (n_max+1)^2 is
     reached or ``max_iter`` growth steps are exhausted.
 
-    Returns the first complete :class:`BinningScheme`.  Raises
+    Returns the first complete :class:`BinningScheme`; a build from it, or
+    from its saved file, adopts the certified POVM's G and SVD.  Raises
     :class:`~homodyne_shadows.errors.BinDesignError` carrying the best rank
     achieved and the final half-width when the search fails — which it
     provably must when ``necessary_condition(N, n_max)`` is false.
@@ -574,6 +587,7 @@ def design_bins(n_max, N, M, L0=None, dL=0.5, max_iter=100, tail_mode=TAIL_EXTEN
     complete (:func:`necessary_condition` says why), so the search spends
     all its steps and raises: best rank 21 of 25 at (4, 5, 5).
     """
+    global _designed
     N, M, n_max = _counts(N, M, n_max)
     max_iter = _whole(max_iter, "max_iter")
     if L0 is None:
@@ -596,12 +610,21 @@ def design_bins(n_max, N, M, L0=None, dL=0.5, max_iter=100, tail_mode=TAIL_EXTEN
         L = L0 + t * dL
         scheme = BinningScheme.equal_spaced(M, L, tail_mode=tail_mode)
         p = build_povm(grid, scheme, n_max)
-        # Values only: U and Wt would double the search time.
-        s = ((idx, np.linalg.svd(B, compute_uv=False)) for idx, B in _phase_blocks(p))
-        rank = _rank(p, _singular_values(p, s), DEFAULT_RANK_RTOL)
-        if rank > best_rank:
-            best_rank = rank
+        if t == 0:
+            # The full SVD, which the build of the design adopts: the first
+            # half-width certifies every design of the working range.
+            pairs = ((idx, s) for idx, _, s, _ in p._svd)
+        else:
+            # A search that failed once mostly goes on failing (near-minimal
+            # M).  With U and Wt at every try the failed searches at (4, 5, 5)
+            # and (12, 25, 13) took 16.2 and 47.5 ms, against 14.5 and 37.8 ms
+            # with values only (best of 45, one BLAS thread, 2-core Xeon).  A
+            # design found here is decomposed once, when a build adopts it.
+            pairs = ((idx, np.linalg.svd(B, compute_uv=False)) for idx, B in _phase_blocks(p))
+        rank = _rank(p, _singular_values(p, pairs), DEFAULT_RANK_RTOL)
+        best_rank = max(best_rank, rank)
         if rank == required:
+            _designed = p
             return scheme
     raise BinDesignError(
         "no informationally complete binning found for n_max=%d, N=%d, M=%d "

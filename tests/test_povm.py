@@ -484,6 +484,95 @@ class TestDesignBins:
                 assert quad >= tr2 * bound - 1e-9
 
 
+class TestDesignedPovm:
+    """A build from the parameters ``design_bins`` certified adopts that POVM's G and SVD."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Calls of ``fockcore.bin_overlaps`` and ``np.linalg.svd``, from an empty slot."""
+        monkeypatch.setattr(pv, "_designed", None)
+        counts = {}
+        for owner, name in ((fockcore, "bin_overlaps"), (np.linalg, "svd")):
+            def counted(*args, _call=getattr(owner, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _call(*args, **kwargs)
+            counts[name] = 0
+            monkeypatch.setattr(owner, name, counted)
+        return counts
+
+    @staticmethod
+    def _certify(n_max, N, binning):
+        p = build_povm(PhaseGrid(N), binning, n_max)
+        report = is_informationally_complete(p)
+        # Threshold 0: the design of (7, 15, 8) from L0 = 1.0 has lambda_min 7e-14.
+        return p, report, snapshots(p, invert_frame(frame_operator(p), threshold=0.0))
+
+    def test_certified_chain_decomposes_nothing_again(self, calls):
+        scheme = design_bins(3, 7, 5)
+        assert calls["bin_overlaps"] > 0 and calls["svd"] > 0
+        calls.update(bin_overlaps=0, svd=0)
+        # The parameters as a scheme file gives them back: equal, not the same object.
+        p, report, _ = self._certify(3, 7, BinningScheme(scheme.edges))
+        assert report.complete and p is not pv._designed
+        assert calls == {"bin_overlaps": 0, "svd": 0}
+
+    @pytest.mark.parametrize("part", ["cutoffs", "phase grids", "bin edges", "tail modes"])
+    def test_other_parameters_decompose_their_own(self, calls, part):
+        scheme = design_bins(3, 7, 5)
+        n_max, N, b = 3, 7, scheme
+        if part == "cutoffs":
+            n_max = 2
+        elif part == "phase grids":
+            N = 9
+        elif part == "bin edges":
+            edges = scheme.edges.copy()
+            edges[2] = np.nextafter(edges[2], np.inf)
+            b = BinningScheme(edges)
+        else:
+            b = BinningScheme(scheme.edges, pv.TAIL_STRICT)
+        calls.update(bin_overlaps=0, svd=0)
+        self._certify(3, 7, scheme)
+        assert calls == {"bin_overlaps": 0, "svd": 0}
+        p, _, _ = self._certify(n_max, N, b)
+        assert calls["bin_overlaps"] == 1 and calls["svd"] == len(p._svd)
+        assert p.G is not pv._designed.G
+
+    def test_slot_holds_the_last_design_only(self, calls):
+        first = design_bins(3, 7, 5)
+        second = design_bins(2, 5, 3)
+        calls.update(bin_overlaps=0, svd=0)
+        self._certify(2, 5, second)
+        assert calls == {"bin_overlaps": 0, "svd": 0}
+        self._certify(3, 7, first)
+        assert calls["bin_overlaps"] == 1 and calls["svd"] > 0
+
+    def test_design_after_a_failed_try_is_decomposed_once(self, calls):
+        # Half-width 1.0 falls short; 1.5, the second try, certifies.
+        scheme = design_bins(7, 15, 8, L0=1.0)
+        assert scheme.edges[0] == -1.5
+        calls.update(bin_overlaps=0, svd=0)
+        p, report, _ = self._certify(7, 15, scheme)
+        assert report.complete and calls == {"bin_overlaps": 0, "svd": len(p._svd)}
+        self._certify(7, 15, scheme)
+        assert calls == {"bin_overlaps": 0, "svd": len(p._svd)}
+
+    @pytest.mark.parametrize("n_max, N, M, L0", [(8, 17, 12, None), (7, 15, 8, 1.0)],
+                             ids=["first-try", "second-try"])
+    def test_adopted_povm_is_bit_equal_to_a_fresh_build(self, monkeypatch, n_max, N, M, L0):
+        monkeypatch.setattr(pv, "_designed", None)
+        scheme = design_bins(n_max, N, M, L0=L0)
+        designed = pv._designed
+        p, report, table = self._certify(n_max, N, scheme)
+        assert p is not designed and p.G is designed.G and p._svd is designed._svd
+        monkeypatch.setattr(pv, "_designed", None)
+        q, again, twin = self._certify(n_max, N, scheme)
+        assert q == p and q.G is not p.G
+        assert q.G.tobytes() == p.G.tobytes()
+        assert twin.S.tobytes() == table.S.tobytes()
+        assert again.singular_values.tobytes() == report.singular_values.tobytes()
+        assert again.lambda_min == report.lambda_min
+
+
 class TestNormalizationResidual:
     def test_strict_residual_shrinks_with_range(self):
         res = []

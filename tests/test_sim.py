@@ -265,6 +265,39 @@ class TestDrawFlat:
             sim._draw_flat(cum, z, guide), np.searchsorted(cum, u * cum[-1], side="right")
         )
 
+    # K = M*N outcomes; streams of at least max(2K, 1024) shots draw through a guide table.
+    _SIZES = pytest.mark.parametrize("M, N", [(1, 1), (2, 1), (8, 7), (50, 11), (100, 41)])
+
+    @staticmethod
+    def _dist(M, N):
+        P = np.random.default_rng(M * N).random((M, N))
+        return OutcomeDistribution(P / P.sum(), deficit=0.0)
+
+    @_SIZES
+    def test_sample_equals_a_plain_search(self, M, N):
+        dist = self._dist(M, N)
+        K = M * N
+        cum = np.cumsum(dist.probabilities.ravel(order="F"))
+        least, B = max(2 * K, 1024), 1 << (16 * K - 1).bit_length()
+        for T in sorted({K - 1, K, K + 1, least - 1, least, 10**4, B - 1, B + 1} - {0}):
+            assert (sim._guide(cum, T) is None) == (T < least)
+            u = sim._uniform(sim._bits(7, 0, T))
+            o = np.searchsorted(cum, u * cum[-1], side="right")
+            records = sample(dist, T, 7)
+            assert np.array_equal(records.k, o // M) and np.array_equal(records.i, o % M)
+
+    @_SIZES
+    def test_streams_on_either_side_of_the_guide_share_a_prefix(self, M, N):
+        dist = self._dist(M, N)
+        K = M * N
+        least = max(2 * K, 1024)
+        longer = [sample(dist, T, 7) for T in (K, least, 10**4, 16 * K + 1)]
+        for T in sorted({1, K - 1, least - 1} - {0}):
+            short = sample(dist, T, 7)
+            for stream in longer:
+                if len(stream) > T:
+                    assert short == stream[:T]
+
 
 class TestIndistinguishability:
     def test_low_phase_regime_hides_the_pair(self):
