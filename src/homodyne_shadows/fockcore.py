@@ -30,6 +30,9 @@ __all__ = [
     "bin_overlaps",
 ]
 
+# The largest Fock cutoff accepted; the tests check the overlaps up to it.
+_N_MAX = 64
+
 
 def wavefunction(n, x):
     """Harmonic-oscillator eigenfunction psi_n(x) = (2^n n! sqrt(pi))^{-1/2} H_n(x) e^{-x^2/2}.
@@ -86,7 +89,7 @@ def bin_overlap(m, n, a, b):
         For an index that is not a whole number in 0..64, and for NaN or
         reversed edges.
     """
-    m, n = _whole(m, "Fock index m", 0, 64), _whole(n, "Fock index n", 0, 64)
+    m, n = _whole(m, "Fock index m", 0, _N_MAX), _whole(n, "Fock index n", 0, _N_MAX)
     return float(bin_overlaps(max(m, n), [a, b])[0, m, n])
 
 
@@ -138,7 +141,7 @@ def bin_overlaps(n_max, edges):
         integrals, (M+1, n_max+1, n_max+1), and while the stack is built a
         copy of it.
     """
-    n_max = _whole(n_max, "n_max", 0, 64)
+    n_max = _whole(n_max, "n_max", 0, _N_MAX)
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2:
         raise ValueError("need at least two bin edges, got shape %r" % (edges.shape,))

@@ -207,7 +207,7 @@ class PovmSet:
     def __init__(self, grid, binning, n_max):
         self.grid = grid
         self.binning = binning
-        self.n_max = _whole(n_max, "n_max", 0, 64)
+        self.n_max = _whole(n_max, "n_max", 0, fockcore._N_MAX)
         designed = _designed
         if designed is not None and self._difference(designed) is None:
             self.G, self._svd = designed.G, designed._svd
@@ -563,9 +563,9 @@ def design_bins(n_max, N, M, L0=None, dL=0.5, max_iter=100, tail_mode=TAIL_EXTEN
 
     Starting from half-width L0 (default :func:`default_half_width`), build
     the equal-spaced scheme over [-L, L] (with the deterministic stretch of
-    :meth:`BinningScheme.equal_spaced`), test the measurement-matrix rank
-    at ``DEFAULT_RANK_RTOL``, and grow L by dL until rank (n_max+1)^2 is
-    reached or ``max_iter`` growth steps are exhausted.
+    :meth:`BinningScheme.equal_spaced`), read its measurement-matrix rank
+    from :func:`is_informationally_complete`, and grow L by dL until rank
+    (n_max+1)^2 is reached or ``max_iter`` growth steps are exhausted.
 
     Returns the first complete :class:`BinningScheme`; a build from it, or
     from its saved file, adopts the certified POVM's G and SVD.  Raises
@@ -610,18 +610,7 @@ def design_bins(n_max, N, M, L0=None, dL=0.5, max_iter=100, tail_mode=TAIL_EXTEN
         L = L0 + t * dL
         scheme = BinningScheme.equal_spaced(M, L, tail_mode=tail_mode)
         p = build_povm(grid, scheme, n_max)
-        if t == 0:
-            # The full SVD, which the build of the design adopts: the first
-            # half-width certifies every design of the working range.
-            pairs = ((idx, s) for idx, _, s, _ in p._svd)
-        else:
-            # A search that failed once mostly goes on failing (near-minimal
-            # M).  With U and Wt at every try the failed searches at (4, 5, 5)
-            # and (12, 25, 13) took 16.2 and 47.5 ms, against 14.5 and 37.8 ms
-            # with values only (best of 45, one BLAS thread, 2-core Xeon).  A
-            # design found here is decomposed once, when a build adopts it.
-            pairs = ((idx, np.linalg.svd(B, compute_uv=False)) for idx, B in _phase_blocks(p))
-        rank = _rank(p, _singular_values(p, pairs), DEFAULT_RANK_RTOL)
+        rank = is_informationally_complete(p).rank
         best_rank = max(best_rank, rank)
         if rank == required:
             _designed = p

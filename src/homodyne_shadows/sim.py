@@ -165,27 +165,17 @@ def _cumulative(P, what="an"):
 
 
 def _guide(cumulative, T):
-    """Guide table for T draws from a cumulative table of K outcomes, or None.
+    """Guide table for T draws from a cumulative table of K outcomes.
 
     It splits [0, 1) into B = 2**b >= min(16K, T) equal buckets, so its
-    build, B + 1 sorted searches, costs under two per draw.  At most K
-    buckets hold a CDF step: at most half of them (T >= 2K), and from
-    T >= 16K on at most one in 16.  A draw that lands in one needs a
-    search.  As rounding of
-    ``u * total`` is monotone, the draw of a uniform u lies between the
-    draws at its bucket's ends.  Entry j is that draw when the two agree,
-    and -1 when bucket j holds a CDF step.
-
-    Streams of fewer than max(2K, 1024) draws get None and search the whole
-    CDF, which costs less there: at T = K most buckets would hold a step,
-    and below 1024 draws the table's own dozen numpy calls weigh.  On fresh
-    streams at K = 1024 a plain search took 81 us for T = K and 158 us for
-    T = 2K, the table 94 and 133 us (one BLAS thread, 2-core Xeon).
+    build, B + 1 sorted searches, costs under two per draw.  B is at least
+    2, so the shift to a word's top b bits stays below 64.  At most K buckets
+    hold a CDF step, from T >= 16K on at most one in 16.  A draw that lands
+    in one needs a search.  As rounding of ``u * total`` is monotone, the
+    draw of a uniform u lies between the draws at its bucket's ends.  Entry
+    j is that draw when the two agree, and -1 when bucket j holds a CDF step.
     """
-    K = cumulative.size
-    if T < max(2 * K, 1024):
-        return None
-    B = 1 << (min(16 * K, T) - 1).bit_length()
+    B = 1 << max(min(16 * cumulative.size, T) - 1, 1).bit_length()
     ends = np.searchsorted(cumulative, np.arange(B + 1) / B * cumulative[-1], side="right")
     return np.where(ends[:-1] == ends[1:], ends[:-1], -1)
 
@@ -195,12 +185,10 @@ def _draw_flat(cumulative, z, guide):
 
     Equals ``np.searchsorted(cumulative, u * total, side="right")`` with
     ``total = cumulative[-1]`` for the uniforms u of z (:func:`_uniform`).
-    With a :func:`_guide` table, u's bucket floor(u*B) is the top b bits of
-    z, and only draws whose bucket holds a CDF step become floats and are
-    searched.
+    The bucket floor(u*B) of u in the :func:`_guide` table is the top b
+    bits of z, and only draws whose bucket holds a CDF step become floats
+    and are searched.
     """
-    if guide is None:
-        return np.searchsorted(cumulative, _uniform(z) * cumulative[-1], side="right")
     bucket = z >> np.uint64(65 - guide.size.bit_length())
     out = np.take(guide, bucket.view(np.int64))
     step = np.flatnonzero(out < 0)

@@ -265,7 +265,7 @@ class TestDrawFlat:
             sim._draw_flat(cum, z, guide), np.searchsorted(cum, u * cum[-1], side="right")
         )
 
-    # K = M*N outcomes; streams of at least max(2K, 1024) shots draw through a guide table.
+    # K = M*N outcomes; a stream of T shots draws through a table of 2 <= B <= 16K buckets.
     _SIZES = pytest.mark.parametrize("M, N", [(1, 1), (2, 1), (8, 7), (50, 11), (100, 41)])
 
     @staticmethod
@@ -279,8 +279,8 @@ class TestDrawFlat:
         K = M * N
         cum = np.cumsum(dist.probabilities.ravel(order="F"))
         least, B = max(2 * K, 1024), 1 << (16 * K - 1).bit_length()
-        for T in sorted({K - 1, K, K + 1, least - 1, least, 10**4, B - 1, B + 1} - {0}):
-            assert (sim._guide(cum, T) is None) == (T < least)
+        for T in sorted({1, K - 1, K, K + 1, least - 1, least, 10**4, B - 1, B + 1} - {0}):
+            assert 2 <= sim._guide(cum, T).size <= B
             u = sim._uniform(sim._bits(7, 0, T))
             o = np.searchsorted(cum, u * cum[-1], side="right")
             records = sample(dist, T, 7)
