@@ -50,6 +50,7 @@ from .errors import (
     CacheKeyMismatchError,
     HomodyneShadowsError,
     MalformedRecordError,
+    _whole,
 )
 
 EXIT_OK = 0
@@ -465,6 +466,8 @@ def _cmd_simulate(args):
 
 
 def _cmd_estimate(args):
+    if args.seed is not None:  # the report states a seed only as a stream could have it
+        _whole(args.seed, "seed", 0, 2**64 - 1)
     try:
         shadow_mod._parse_variant(args.variant)
     except ValueError as exc:

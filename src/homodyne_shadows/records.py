@@ -7,10 +7,11 @@ consumers check a Records against their outcome grid with the rules of
 :func:`checked_records`, ``_BLOCK`` rows at a time, in ``intp`` arithmetic.
 Record and raw quadrature files have one reader (:func:`_blocks`): it
 checks line 1, then reads pieces of whole lines of about ``_PIECE`` bytes,
-and turns each into a column block that fills narrow columns
-(:func:`_filled_records`), so no stream-sized temporary is held.  A piece of
-record lines in :func:`write_records`' exact format is decoded
-(:func:`_decoded_fields`); numpy parses any other.
+and turns each into a column block that fills narrow columns grown in
+place (:func:`_filled_records`), so each file is read once and no
+stream-sized temporary is held.  A piece of record lines in
+:func:`write_records`' exact format is decoded (:func:`_decoded_fields`);
+numpy parses any other.
 """
 
 import csv
@@ -474,73 +475,59 @@ def _blocks(path, dtype, bounds, decode=None):
             data, start = data[cut - 1:], 0
 
 
-def _filled_records(blocks, capacity=0):
+def _filled_records(blocks):
     """:class:`Records` of non-empty (t, mode, k, i) column blocks, filled into narrow columns.
 
-    The columns hold ``capacity`` rows from the start and grow in place
-    (``ndarray.resize``) when the blocks pass it, so no column is copied
-    whole.  Each has the narrowest record dtype of its maximum so far: a
-    block that needs a wider one widens only the rows filled before it.
-    The mode stays the first record's, broadcast (stride 0), until a row
-    differs.
+    The columns grow in place (``ndarray.resize``) to the rows filled after
+    each block, so no column is copied whole.  Each has the narrowest
+    record dtype of its maximum so far: a block that needs a wider one
+    copies the rows filled before it into a new column.  The mode stays the
+    first record's, broadcast (stride 0), until a row differs.
     """
     cols, first, rows = [None] * 4, None, 0
     for block in blocks:
-        size = block[0].size
         if first is None:
             first = _narrowed(block[1][:1])
-        if rows + size > capacity:
-            capacity = rows + size
-            for col in cols:
-                if col is not None:
-                    col.resize(capacity, refcheck=False)
+        end = rows + block[0].size
         for j, c in enumerate(block):
             col = cols[j]
             if j == 1 and col is None:
                 if (c == first).all():
                     continue
-                col = np.broadcast_to(first, capacity)  # the mode of the rows so far
+                col = np.broadcast_to(first, rows)  # the mode of the rows so far
             dtype = _index_dtype(int(c.max()))
-            if col is None or not col.flags.writeable or dtype.itemsize > col.dtype.itemsize:
+            if col is not None and col.flags.writeable and dtype.itemsize <= col.dtype.itemsize:
+                col.resize(end, refcheck=False)
+            else:
                 if col is not None and col.dtype.itemsize > dtype.itemsize:
                     dtype = col.dtype  # a broadcast first mode wider than this block's
-                # Copy only the filled rows, and free the narrow column before
-                # the wide one is allocated.
-                filled = None if col is None else col[:rows].copy()
-                cols[j] = col = None
-                cols[j] = np.empty(capacity, dtype=dtype)
-                if filled is not None:
-                    cols[j][:rows] = filled
-            cols[j][rows:rows + size] = c
-        rows += size
+                fresh = np.empty(end, dtype=dtype)
+                if col is not None:
+                    fresh[:rows] = col
+                cols[j] = col = fresh  # the narrow column is freed before the next block
+            col[rows:end] = c
+        rows = end
     if first is None:
         return Records(*[np.empty(0, dtype=np.uint8)] * 4)
     if cols[1] is None:
         cols[1] = np.broadcast_to(first, rows)
-    return Records(*(c[:rows] for c in cols))
+    return Records(*cols)
 
 
 def ingest_records(path):
     """Read a record CSV back into :class:`Records`.
 
-    A pass counts the data rows, the lines after line 1 that hold a byte,
-    and the rows fill narrow columns of that many rows
-    (:func:`_filled_records`).  The file is read a piece of lines at a time
-    (:func:`_blocks`): a piece in :func:`write_records`' exact format is
-    decoded (:func:`_decoded_fields`) and numpy parses any other, so no
-    stream-sized temporary is held.  Empty files yield an empty stream;
-    empty lines are skipped (a line of spaces is not empty) and fields may
-    carry surrounding spaces.  Malformed rows, negative indices, bytes that
-    are not UTF-8 and an unclosed quote raise with their 1-based file line.
+    The file is read once, a piece of lines at a time (:func:`_blocks`): a
+    piece in :func:`write_records`' exact format is decoded
+    (:func:`_decoded_fields`) and numpy parses any other, and each block
+    fills narrow columns grown to the rows read so far
+    (:func:`_filled_records`), so no stream-sized temporary is held.  Empty
+    files yield an empty stream; empty lines are skipped (a line of spaces
+    is not empty) and fields may carry surrounding spaces.  Malformed rows,
+    negative indices, bytes that are not UTF-8 and an unclosed quote raise
+    with their 1-based file line.
     """
-    with open(path, "rb") as fh:
-        n, after_end = 0, False  # a line end just before this read; not so for line 1
-        for piece in iter(functools.partial(fh.read, _PIECE), b""):
-            end = np.frombuffer(piece, np.uint8)
-            end = (end == 10) | (end == 13)
-            n += np.count_nonzero(end[:-1] > end[1:]) + (after_end and not end[0])
-            after_end = end[-1]
-    return _filled_records(_blocks(path, _RECORD_DTYPE, {}, _decoded_fields), int(n))
+    return _filled_records(_blocks(path, _RECORD_DTYPE, {}, _decoded_fields))
 
 
 def bin_raw(path, grid, binning):

@@ -68,6 +68,26 @@ def test_readme_library_tour_runs():
         exec(compile(tour, "README.md (Library tour)", "exec"), {})
 
 
+def test_small_members_and_reprs():
+    # The members and reprs that no other test reaches.
+    grid = povm.PhaseGrid(3)
+    set_ = povm.build_povm(grid, povm.BinningScheme([-1.0, 0.0, 0.5, 1.0]), 1)
+    assert grid == povm.PhaseGrid(3) and grid != povm.PhaseGrid(4) and grid != 3
+    assert repr(grid) == "PhaseGrid(N=3)"
+    assert repr(set_.binning) == "BinningScheme(M=3, range=[-1, 1], tail_mode='extend-tails')"
+    assert re.fullmatch(r"ICReport\(complete=True, rank=4/4, lambda_min=\d\.\d{3}e-\d\d\)",
+                        repr(povm.is_informationally_complete(set_)))
+    table = shadow.snapshots(set_, shadow.invert_frame(shadow.frame_operator(set_)))
+    assert table.n_max == 1
+    dist = sim.outcome_distribution(states.fock(1, 1), set_)
+    assert re.fullmatch(r"OutcomeDistribution\(M=3, N=3, deficit=-?\d\.\d{3}e[+-]\d\d\)",
+                        repr(dist))
+    assert repr(sim.sample(dist, 5, 1)) == "Records(T=5)"
+    config = sim.MultiModeConfig([set_, set_])
+    assert repr(config) == "MultiModeConfig(S=2, dims=[2, 2])"
+    assert sim.joint_distribution([states.fock(1, 1), states.fock(0, 1)], config).S == 2
+
+
 def _package_imports(node):
     """The package modules an import node names, or [] for an import from outside."""
     if isinstance(node, ast.ImportFrom) and (node.level or node.module == PACKAGE.name):

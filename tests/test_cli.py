@@ -468,6 +468,22 @@ class TestEstimate:
         # |1> has <n> = 1; 400 shots should land within a broad window
         assert abs(doc["mean"] - 1.0) <= 6 * doc["stderr"]
 
+    # The report once echoed any int as the seed, one that no stream can have.
+    @pytest.mark.parametrize("seed", [-1, 0, 2**64 - 1, 2**64])
+    def test_report_seed_lies_in_64_bits(self, seed, tmp_path, capsys):
+        # A refused seed is refused before the records file is opened.
+        records = self._simulate(tmp_path) if 0 <= seed < 2**64 else tmp_path / "missing.csv"
+        capsys.readouterr()
+        code = run(["estimate", "--records", str(records), "--nmax", "1", "--phases", "3",
+                    "--bins", "3", "--seed", str(seed), "--json"])
+        captured = capsys.readouterr()
+        if 0 <= seed < 2**64:
+            assert code == EXIT_OK and json.loads(captured.out)["seed"] == seed
+        else:
+            assert (code, captured.out) == (EXIT_DATA, "")
+            assert captured.err == (
+                "hshadow: seed must lie in 0..18446744073709551615, got %d\n" % seed)
+
     def test_json_reports_pseudo_inversion(self, tmp_path, capsys):
         records = self._simulate(tmp_path)
         out = tmp_path / "report.json"

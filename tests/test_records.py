@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homodyne_shadows import records as records_mod
@@ -32,6 +32,7 @@ from homodyne_shadows.records import (
     _PIECE,
     _decoded_fields,
     _filled_records,
+    _index_dtype,
     _narrowed,
     RECORD_HEADER,
     Records,
@@ -643,7 +644,7 @@ class TestFoldMemory:
         assert held <= 6.5 * 2**20  # t, k and i; the mode column is one value
         # Narrow columns: t widens once from uint16, and a piece's temporaries
         # are under 0.5 MiB.
-        assert peak <= held + 2.5 * 2**20
+        assert peak <= held + 1.5 * 2**20
 
     def test_ingest_widens_t_without_its_narrow_column(self, record_path):
         tracemalloc.start()
@@ -653,8 +654,8 @@ class TestFoldMemory:
         finally:
             tracemalloc.stop()
         assert len(rec) == self.T and rec.t.dtype == np.uint32
-        # The full-length uint16 t (1.9 MiB) is gone before its uint32
-        # successor is allocated; only its 65,536 filled rows are copied.
+        # The uint16 t holds only the 65,536 rows filled before it widens, and
+        # no column is ever longer than the rows read.
         assert peak <= held + 1.5 * 2**20
 
     def test_sampled_multi_mode_records_hold_narrow_columns(self, setup_223):
@@ -1072,6 +1073,27 @@ def _mutated_body(draw):
     return bytes(body)
 
 
+# Column maxima on either side of each record dtype bound, and small values.
+_DTYPE_EDGES = [0, 1, 255, 256, 2**16 - 1, 2**16, 2**32 - 1, 2**32, 2**63 - 1]
+_index = st.one_of(st.integers(0, 300), st.sampled_from(_DTYPE_EDGES))
+
+
+@st.composite
+def _split_columns(draw):
+    """(t, mode, k, i) int64 columns of 1-60 rows, and the cuts 0 < ... < T of their blocks.
+
+    The mode is one value, or changes to another at a drawn row.
+    """
+    T = draw(st.integers(1, 60))
+    t, k, i = (np.array(draw(st.lists(_index, min_size=T, max_size=T)), dtype=np.int64)
+               for _ in range(3))
+    mode = np.full(T, draw(_index), dtype=np.int64)
+    if draw(st.booleans()):
+        mode[draw(st.integers(0, T - 1)):] = draw(_index)
+    cuts = draw(st.lists(st.integers(1, T - 1), unique=True)) if T > 1 else []
+    return [t, mode, k, i], [0] + sorted(cuts) + [T]
+
+
 class TestRecordDecoder:
     """Files in ``write_records``' exact format are decoded a piece of lines at a time.
 
@@ -1146,18 +1168,22 @@ class TestRecordDecoder:
                            "began with mode 2" % change):
             estimate_observable(back, setup_223[1], number_operator(2))
 
-    def test_broadcast_mode_wider_than_a_later_block(self, tmp_path):
-        # Blocks of mode 300 (uint16, kept as one broadcast value) and then
-        # of mode 1 (uint8): the mode column takes the wider dtype of the two.
-        def block(mode, rows):
-            return [np.arange(rows, dtype=np.uint32), np.full(rows, mode, np.uint32),
-                    np.zeros(rows, np.uint32), np.ones(rows, np.uint32)]
+    @settings(max_examples=200, deadline=None)
+    @given(_split_columns())
+    @example(([np.arange(5), np.array([300] * 3 + [1] * 2), np.zeros(5, np.int64),
+               np.ones(5, np.int64)], [0, 3, 5]))  # a broadcast mode wider than a later block
+    def test_filled_blocks_equal_the_whole_columns(self, split):
+        cols, cuts = split
+        rec = _filled_records([[c[a:b] for c in cols] for a, b in zip(cuts[:-1], cuts[1:])])
+        assert rec == Records(*cols)
+        assert [c.dtype for c in rec.columns()] == [_index_dtype(int(c.max())) for c in cols]
+        assert (rec.mode.strides == (0,)) == bool((cols[1] == cols[1][0]).all())
 
-        for capacity in (0, 5):
-            rec = _filled_records([block(300, 3), block(1, 2)], capacity)
-            assert rec.mode.tolist() == [300] * 3 + [1] * 2 and rec.mode.dtype == np.uint16
-        # In a file: the first piece holds the lines of mode 300 (16 bytes
-        # each after the 11-byte header), the second only lines of mode 1.
+    def test_broadcast_mode_wider_than_a_later_block(self, tmp_path):
+        # The first piece holds lines of mode 300 (uint16, kept as one
+        # broadcast value), the second only lines of mode 1 (uint8): the mode
+        # column takes the wider dtype of the two.  The lines are 16 bytes
+        # each after the 11-byte header.
         first = (_PIECE - len("t,mode,k,i\n")) // 16
         t = np.arange(10**6, 10**6 + 2 * first)
         rec = Records(t, np.where(t < 10**6 + first, 300, 1), t % 5, t % 4)
@@ -1359,7 +1385,44 @@ _INGEST_CASES = {
 _DECODED_CASES = {"blank-line-1", "quoted-header"}
 
 
+class _CountingFile:
+    """A binary file that adds the bytes each ``read`` returns to ``counts["bytes"]``."""
+
+    def __init__(self, fh, counts):
+        self._fh, self._counts = fh, counts
+
+    def read(self, size=-1):
+        data = self._fh.read(size)
+        self._counts["bytes"] += len(data)
+        return data
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
 class TestIngestEdgeCases:
+    # The decoded file, and its CRLF copy, which numpy parses a piece at a time.
+    @pytest.mark.parametrize("crlf", [False, True], ids=["canonical", "crlf"])
+    def test_reads_each_byte_once(self, crlf, tmp_path):
+        T = 3 * _BLOCK
+        rec = Records(np.arange(T), np.zeros(T, dtype=np.int64), np.arange(T) % 5, np.arange(T) % 4)
+        path = tmp_path / "records.csv"
+        write_records(path, rec)
+        if crlf:
+            path = _crlf_copy(path, tmp_path / "crlf.csv")
+        counts = {"opens": 0, "bytes": 0}
+
+        def counting_open(*args, **kwargs):
+            counts["opens"] += 1
+            return _CountingFile(open(*args, **kwargs), counts)
+
+        with mock.patch.object(records_mod, "open", counting_open, create=True):
+            assert ingest_records(path) == rec
+        assert counts == {"opens": 1, "bytes": path.stat().st_size}
+
     @pytest.mark.parametrize("name", sorted(_INGEST_CASES))
     def test_records_or_error_line(self, name, tmp_path):
         body, expected = _INGEST_CASES[name]
