@@ -22,11 +22,12 @@ r <-> N - r (``PovmSet._svd``), which certifies completeness here and gives
 the frame, inverse and snapshots of ``shadow``.  A POVM that
 :func:`design_bins` certified is built and decomposed once: a later build
 from the same parameters adopts its G and SVD.  Every sum over outcomes
-goes through one pairing of a matrix with all outcomes and its adjoint
-(``_pairing``, ``_adjoint``); a single element matrix is built only on
-request.  It also designs bin edges that achieve completeness and saves a
-POVM as a versioned JSON file of its defining parameters (cutoff, phase
-count, bin edges and tail mode), from which ``build_povm`` rebuilds it.
+goes through one pairing of a matrix with all outcomes, read by diagonal
+(``_pairing``), or its adjoint (``_adjoint``); the adjoint and an element
+built on request read one Toeplitz view of the offset phases (``_toeplitz``).
+It also designs bin edges that achieve completeness and saves a POVM as a
+versioned JSON file of its defining parameters (cutoff, phase count, bin
+edges and tail mode), from which ``build_povm`` rebuilds it.
 """
 
 import functools
@@ -354,15 +355,6 @@ def _phase_blocks(povm):
 
 
 @functools.lru_cache(maxsize=32)
-def _offsets(d):
-    """Row index (m - n) + d - 1 of ``_offset_phases`` for each entry (m, n)."""
-    mn = np.arange(d)
-    out = mn[:, None] - mn[None, :] + d - 1
-    out.setflags(write=False)
-    return out
-
-
-@functools.lru_cache(maxsize=32)
 def _diagonals(d):
     """Slices of the row-major positions m*d + n on each diagonal offset m - n = 1-d..d-1."""
     out = []
@@ -386,11 +378,16 @@ def _offset_phases(N, d):
     return out
 
 
+def _toeplitz(c):
+    """The d x d sliding-window view V[..., m, n] = c[..., m - n + d - 1] of rows c[..., 2d-1]."""
+    d = (c.shape[-1] + 1) // 2
+    return np.lib.stride_tricks.sliding_window_view(c[..., ::-1], d, axis=-1)[..., ::-1, :]
+
+
 def _outcome_matrix(F, grid, i, k):
-    """F_i exp(1j*(m-n)*theta_k)/N: the element (F = G) or snapshot (F = S) of (i, k)."""
+    """F_i exp(1j*(m-n)*theta_k)/N via :func:`_toeplitz`: element (F = G) or snapshot (F = S)."""
     i, k = _whole(i, "bin index i", 0, F.shape[0] - 1), _whole(k, "phase index k", 0, grid.N - 1)
-    d = F.shape[1]
-    return F[i] * _offset_phases(grid.N, d)[_offsets(d), k] / grid.N
+    return F[i] * _toeplitz(_offset_phases(grid.N, F.shape[1])[:, k]) / grid.N
 
 
 def _pairing(A, F, grid):
@@ -419,14 +416,11 @@ def _adjoint(W, F, grid):
     """sum_{i,k} W[i, k] F_i exp(1j*(m-n)*theta_k)/N, the adjoint of ``_pairing``.
 
     The phase sum over k is taken once per bin and diagonal offset, giving
-    c[i, delta]; a sliding window over its offsets is the strided view
-    V[i, m, n] = c[i, m - n], and each of its real and imaginary parts
-    meets F in one sum over bins.  Beyond the d x d output it holds only
-    the (M, 2d-1) complex phase sums.
+    c[i, delta]; its :func:`_toeplitz` view is V[i, m, n] = c[i, m - n],
+    and each of its real and imaginary parts meets F in one sum over bins.
+    Beyond the d x d output it holds only the (M, 2d-1) complex phase sums.
     """
-    d = F.shape[1]
-    c = W @ _offset_phases(grid.N, d).T
-    V = np.lib.stride_tricks.sliding_window_view(c[:, ::-1], d, axis=1)[:, ::-1]
+    V = _toeplitz(W @ _offset_phases(grid.N, F.shape[1]).T)
     out = np.einsum("imn,imn->mn", F, V.real) + 1j * np.einsum("imn,imn->mn", F, V.imag)
     out /= grid.N
     return out
@@ -605,7 +599,6 @@ def design_bins(n_max, N, M, L0=None, dL=0.5, max_iter=100, tail_mode=TAIL_EXTEN
     grid = PhaseGrid(N)
     required = (n_max + 1) ** 2
     best_rank = -1
-    L = L0
     for t in range(max_iter + 1):
         L = L0 + t * dL
         scheme = BinningScheme.equal_spaced(M, L, tail_mode=tail_mode)

@@ -33,7 +33,7 @@ from .errors import StrictModeSingularError, _whole
 from .povm import ICReport, _adjoint, _counts, _outcome_matrix, _pairing
 from .povm import is_informationally_complete
 from .records import _outcome_counts, checked_records
-from .states import _matrix, expectation
+from .states import _matrix, _state, expectation
 
 __all__ = [
     "InverseFrame",
@@ -387,7 +387,8 @@ def exact_variance(rho, X, table, povm):
     force over all M*N outcomes.  A pseudo-mode table is accepted with a
     warning: its estimator is generally biased, so the value is the exact
     second-moment spread around the *true* expectation, not around the
-    estimator's own limit.  ``povm`` must be the table's POVM.
+    estimator's own limit.  ``povm`` must be the table's POVM, and a plain
+    array ``rho`` must pass :class:`~homodyne_shadows.states.DensityMatrix`'s rules.
     """
     povm._require(table.povm, "snapshot table")
     if table.mode != MODE_STRICT:
@@ -396,6 +397,7 @@ def exact_variance(rho, X, table, povm):
             "may be biased and the reported spread is taken around Tr(rho X)",
             stacklevel=2,
         )
+    rho = _state(rho)
     P = outcome_probabilities(rho, povm)
     vals = snapshot_values(table, X)
     mean = expectation(rho, X)
@@ -462,8 +464,6 @@ def reconstruct_state(records, table):
     average is not projected onto density matrices: with strict-mode
     snapshots it is the unbiased estimator.
     """
-    total = len(checked_records(records))
-    if total == 0:
-        raise ValueError("record stream is empty")
-    counts = next(_outcome_counts(records, table.M, table.N, (0, total)))
-    return exact_average_snapshot(counts.reshape(table.M, table.N) / total, table)
+    T = len(checked_records(records))
+    counts = next(_outcome_counts(records, table.M, table.N, _batching("plain-mean", T)[0]))
+    return exact_average_snapshot(counts.reshape(table.M, table.N) / T, table)

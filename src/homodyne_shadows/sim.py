@@ -19,11 +19,11 @@ from . import shadow as shadow_mod
 from .errors import InvariantViolationError, MalformedRecordError, UnsupportedConfigurationError
 from .errors import _whole
 from .povm import TAIL_EXTEND, BinningScheme, PhaseGrid, PovmSet, build_povm, default_half_width
-from .povm import _counts
+from .povm import _counts, necessary_condition
 # write_records and ingest_records stay reachable as sim.*, the names the CLI calls them by.
 from .records import _BLOCK, Records, _checked, _index_dtype, ingest_records, write_records
 from .shadow import EstimateReport, outcome_probabilities, snapshot_values
-from .states import _matrix, superposition_pair, trace_distance
+from .states import _state, superposition_pair, trace_distance
 
 __all__ = [
     "OutcomeDistribution",
@@ -105,8 +105,9 @@ def outcome_distribution(rho, povm):
     roundoff); anything more negative indicates a construction bug and
     raises.  In extend-tails mode the probabilities must sum to 1 within
     1e-10; in strict-finite mode the shortfall is recorded as the deficit.
+    A plain array ``rho`` must pass :class:`~homodyne_shadows.states.DensityMatrix`'s rules.
     """
-    P, total = _checked_probabilities(outcome_probabilities(rho, povm), [povm])
+    P, total = _checked_probabilities(outcome_probabilities(_state(rho), povm), [povm])
     return OutcomeDistribution(P, deficit=1.0 - total)
 
 
@@ -248,8 +249,8 @@ def indistinguishability_experiment(n_max, N, M, binning=None, fock_level=None):
 
     Builds the pair (|0> + 1j|level>)/sqrt(2) versus its complex-conjugate
     partner and reports the largest outcome-probability difference together
-    with the pair's trace distance.  The level is N when N <= n_max, and
-    N/2 when n_max < N <= 2*n_max with N even — the two regimes in which the
+    with the pair's trace distance.  Where :func:`~homodyne_shadows.povm.necessary_condition`
+    fails, the level is N when N <= n_max and N/2 otherwise: there the
     pair provably yields identical statistics for every binning, so the gap
     sits at roundoff while the trace distance is large.  Outside those
     regimes pass ``fock_level`` explicitly to run the same construction as a
@@ -258,10 +259,8 @@ def indistinguishability_experiment(n_max, N, M, binning=None, fock_level=None):
     N, M, n_max = _counts(N, M, n_max)
     if fock_level is not None:
         level = _whole(fock_level, "fock_level", 1)
-    elif N <= n_max:
-        level = N
-    elif n_max < N <= 2 * n_max and N % 2 == 0:
-        level = N // 2
+    elif not necessary_condition(N, n_max):
+        level = N if N <= n_max else N // 2
     else:
         raise ValueError(
             "N=%d at n_max=%d is outside the provably indistinguishable regimes "
@@ -354,7 +353,7 @@ def joint_distribution(rho_multi, config):
             "dense joint states are supported for at most 3 modes; "
             "factorize product states instead (got S=%d)" % config.S
         )
-    R = _matrix(rho_multi)
+    R = _state(rho_multi).matrix
     dims = [p.dim for p in config.povms]
     D = int(np.prod(dims))
     if R.shape != (D, D):

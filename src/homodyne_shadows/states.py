@@ -87,6 +87,11 @@ def _matrix(A):
     return A.matrix if hasattr(A, "matrix") else _hermitian(A, "operator")
 
 
+def _state(rho):
+    """``rho`` as a :class:`DensityMatrix`; other input passes :func:`_matrix`, then its rules."""
+    return rho if isinstance(rho, DensityMatrix) else DensityMatrix(_matrix(rho))
+
+
 class DensityMatrix:
     """Validated density matrix on the truncated Fock space.
 

@@ -349,6 +349,16 @@ def test_adjoint_is_the_adjoint_of_pairing(d, N, M, seed):
     assert abs(lhs - rhs) <= 1e-12 * scale
 
 
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 8), rows=st.sampled_from([None, 1, 3]), seed=st.integers(0, 2**32 - 1))
+def test_toeplitz_view_reads_each_offset(d, rows, seed):
+    rng = np.random.default_rng(seed)
+    shape = (2 * d - 1,) if rows is None else (rows, 2 * d - 1)
+    c = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    m, n = np.indices((d, d))
+    assert np.array_equal(pv._toeplitz(c), c[..., m - n + d - 1])
+
+
 def test_snapshots_reject_other_phase_grid():
     a = build_povm(PhaseGrid(5), BinningScheme.equal_spaced(3, 2.0), 2)
     b = build_povm(PhaseGrid(7), BinningScheme.equal_spaced(3, 2.0), 2)

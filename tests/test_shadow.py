@@ -238,6 +238,9 @@ class TestSnapshots:
                      lambda: exact_variance(rho, X, table, povm),
                      lambda: snapshot_values(table, X.tolist()),
                      lambda: outcome_probabilities(X, povm),
+                     lambda: sim.outcome_distribution(X, povm),
+                     lambda: exact_variance(X, number_operator(3), table, povm),
+                     lambda: sim.joint_distribution(X, sim.MultiModeConfig([povm])),
                      lambda: expectation(rho, X)):
             with pytest.raises(InvariantViolationError,
                                match="^operator is not Hermitian within 1e-12$") as excinfo:
@@ -481,6 +484,23 @@ class TestExactVariance:
         v3 = exact_variance(rho, tripled, small_table, small_povm)
         assert v3 == pytest.approx(9.0 * v1, rel=1e-10)
 
+    @pytest.mark.parametrize("make, check", [
+        # Once a variance of -0.516: Hermitian, unit trace, eigenvalue -0.5.
+        (lambda rho: np.diag([1.5, -0.5, 0.0, 0.0]), "positive"),
+        # Once 6.49, against 4.13 for the state itself.
+        (lambda rho: 2.0 * rho.matrix, "unit-trace"),
+    ], ids=["negative", "trace-2"])
+    def test_plain_array_must_be_a_state(self, make, check):
+        p = build_povm(PhaseGrid(7), design_bins(3, 7, 5), 3)
+        table = snapshots(p, invert_frame(frame_operator(p)))
+        with pytest.warns(UserWarning, match="truncation"):
+            rho = coherent(1.0, 3)
+        X = number_operator(3)
+        assert exact_variance(rho, X, table, p) == pytest.approx(4.125, abs=1e-3)
+        with pytest.raises(InvariantViolationError) as excinfo:
+            exact_variance(make(rho), X, table, p)
+        assert excinfo.value.check == check
+
     def test_pseudo_table_warns(self, degenerate_povm):
         frame = frame_operator(degenerate_povm)
         table = snapshots(degenerate_povm, invert_frame(frame, mode=sh.MODE_PSEUDO))
@@ -625,7 +645,7 @@ class TestReconstructState:
         assert np.allclose(est, expected)
 
     def test_empty_stream_rejected(self, small_table):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^record stream is empty$"):
             reconstruct_state(records_of([]), small_table)
 
 

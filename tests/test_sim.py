@@ -126,10 +126,33 @@ class TestOutcomeDistribution:
 
     def test_genuinely_negative_probability_rejected(self, tiny_povm):
         # Hermitian with unit trace but an eigenvalue -1, not a state: the
-        # upper bin, where |1> has over twice the weight of |0>, gets -3.9e-2.
+        # state rule refuses it before the upper bin, where |1> has over
+        # twice the weight of |0>, would get -3.9e-2.
         with pytest.raises(InvariantViolationError) as excinfo:
             outcome_distribution(np.diag([2.0, -1.0]), tiny_povm)
-        assert excinfo.value.check == "probability-positivity"
+        assert excinfo.value.check == "positive"
+
+    def test_half_a_state_is_no_state(self):
+        # Strict-finite (3,7): half of coherent(1, 3) once read a deficit of
+        # 0.516, where the state's own tail mass is 0.0314.
+        p = build_povm(PhaseGrid(7), BinningScheme.equal_spaced(8, 2.2, TAIL_STRICT), 3)
+        with pytest.warns(UserWarning, match="truncation"):
+            rho = coherent(1.0, 3)
+        assert outcome_distribution(rho, p).deficit == pytest.approx(0.0314, abs=1e-4)
+        with pytest.raises(InvariantViolationError) as excinfo:
+            outcome_distribution(0.5 * rho.matrix, p)
+        assert excinfo.value.check == "unit-trace"
+
+    def test_checked_probabilities_refuses_what_no_state_gives(self, tiny_povm):
+        # The state rule keeps these tables from any state; the checks stay.
+        P = outcome_probabilities(fock(0, 1), tiny_povm)
+        # The undersized extend-tails table is the joint test's case below.
+        cases = [(-P, "probability-positivity", "negative beyond"),
+                 (2.0 * P, "probability-sum", "> 1")]
+        for table, check, text in cases:
+            with pytest.raises(InvariantViolationError, match=text) as excinfo:
+                sim._checked_probabilities(table, [tiny_povm])
+            assert excinfo.value.check == check
 
     def test_leaves_the_callers_array_writable(self):
         P = np.zeros((2, 2))
@@ -325,6 +348,21 @@ class TestIndistinguishability:
         with pytest.raises(ValueError):
             indistinguishability_experiment(3, 3, 3, binning=b)
 
+    @pytest.mark.parametrize(
+        "n_max, N", [(n, N) for n in range(1, 6) for N in range(1, 2 * n + 3)]
+    )
+    def test_regime_table(self, n_max, N):
+        # Level N below N = n_max+1, N/2 for even N up to 2*n_max, else no level.
+        if N <= n_max or (N % 2 == 0 and N <= 2 * n_max):
+            rep = indistinguishability_experiment(n_max, N, n_max + 1)
+            assert rep.level == (N if N <= n_max else N // 2)
+            assert rep.gap <= 1e-12
+            assert rep.trace_distance >= 0.1
+        else:
+            with pytest.raises(ValueError, match="^N=%d at n_max=%d is outside the provably "
+                               "indistinguishable regimes" % (N, n_max)):
+                indistinguishability_experiment(n_max, N, n_max + 1)
+
 
 class TestJointDistribution:
     def test_config_needs_a_mode(self):
@@ -377,14 +415,15 @@ class TestJointDistribution:
         # outcome_distribution(2*rho) and the product path do, instead of
         # reaching the sampler, which divides by the total.
         R = np.kron(fock(1, 1).matrix, fock(0, 1).matrix)
-        for rho in (2.0 * R, [2.0 * fock(1, 1).matrix, fock(0, 1).matrix]):
+        for rho in (2.0 * R, [2.0 * fock(1, 1).matrix, fock(0, 1).matrix], 0.5 * R):
             with pytest.raises(InvariantViolationError) as excinfo:
                 joint_distribution(rho, two_mode_config)
-            assert excinfo.value.check == "probability-sum"
+            assert excinfo.value.check == "unit-trace"
         # Extend-tails modes must resolve the identity; a strict-finite mode
         # leaves tail mass unmeasured, so its joint sums to less than 1.
+        half = 0.5 * dense_joint(joint_distribution(R, two_mode_config))
         with pytest.raises(InvariantViolationError, match="expected 1"):
-            joint_distribution(0.5 * R, two_mode_config)
+            sim._checked_probabilities(half, two_mode_config.povms)
         strict = BinningScheme.equal_spaced(3, 2.5, tail_mode="strict-finite")
         mixed = MultiModeConfig([two_mode_config.povms[0], (1, PhaseGrid(3), strict)])
         assert 0.9 < dense_joint(joint_distribution(R, mixed)).sum() < 1.0 - 1e-6
